@@ -5,10 +5,11 @@ correctness/availability ablations).  Figures are resolved *by name* through
 the harness registry (``repro.harness.figures.ALL_FIGURES`` -- the same lookup
 ``repro-run figure_19`` uses), executed once inside ``pytest-benchmark``'s
 timer, printed as the series the paper plots, and emitted as
-``BENCH_<name>.json`` so the perf trajectory is tracked run over run.  The
-simulated deployments are slightly smaller than the paper's 30-peer testbed so
-the whole suite finishes in a few minutes; pass ``--paper-scale`` to run at
-the paper's size.
+``BENCH_<name>.json`` -- into a pytest temp directory, so a test run leaves the
+checkout as it found it; pass ``--bench-json-dir .`` to rewrite the tracked
+files at the repo root.  The simulated deployments are slightly smaller than
+the paper's 30-peer testbed so the whole suite finishes in a few minutes; pass
+``--paper-scale`` to run at the paper's size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--bench-json-dir",
         default=None,
-        help="directory for BENCH_<figure>.json files (default: repo root)",
+        help="directory for BENCH_<figure>.json files (default: a pytest temp directory)",
     )
 
 
@@ -41,11 +42,11 @@ def figure_scale(request):
 
 
 @pytest.fixture(scope="session")
-def bench_json_dir(request):
-    return request.config.getoption("--bench-json-dir") or "."
+def bench_json_dir(request, tmp_path_factory):
+    return request.config.getoption("--bench-json-dir") or str(tmp_path_factory.mktemp("bench"))
 
 
-def run_figure(benchmark, figure_name, bench_dir=".", **kwargs):
+def run_figure(benchmark, figure_name, bench_dir, **kwargs):
     """Run the named registry figure once under the benchmark timer."""
     from repro.harness.figures import ALL_FIGURES
     from repro.harness.runner import write_bench

@@ -155,11 +155,11 @@ class RangeQueryEngine:
 
         accepted = False
         scan_started = started
-        for _attempt in range(10):
-            start_address = yield from self.router.find_responsible(lb)
+        deadline = started + timeout
+        while not accepted:
+            start_address = yield from self.router.route_until(lb, deadline)
             if start_address is None:
-                yield self.node.sim.timeout(0.25)
-                continue
+                break
             scan_started = self.node.sim.now
             try:
                 response = yield self.node.call(
@@ -172,15 +172,14 @@ class RangeQueryEngine:
                         "reply_to": self.address,
                     },
                 )
+                accepted = bool(response.get("accepted"))
             except RpcError:
-                continue
-            if response.get("accepted"):
-                accepted = True
-                break
-            yield self.node.sim.timeout(0.25)
+                pass
+            if not accepted:
+                yield self.node.sim.timeout(0.25)
 
         if accepted:
-            wait = self.node.sim.timeout(timeout)
+            wait = self.node.sim.timeout(max(0.0, deadline - self.node.sim.now))
             yield self.node.sim.any_of([state["event"], wait])
 
         finished = self.node.sim.now
@@ -393,17 +392,12 @@ class RangeQueryEngine:
         started = self.node.sim.now
         self._record_op("query_start", query_id=query_id, lb=lb, ub=ub, strategy="naive")
 
-        current: Optional[str] = None
-        for _attempt in range(10):
-            current = yield from self.router.find_responsible(lb)
-            if current is not None:
-                break
-            yield self.node.sim.timeout(0.25)
+        deadline = started + timeout
+        current: Optional[str] = yield from self.router.route_until(lb, deadline)
 
         scan_started = self.node.sim.now
         collected: Dict[float, Item] = {}
         hops = 0
-        deadline = started + timeout
         while current is not None and hops < 256 and self.node.sim.now < deadline:
             hops += 1
             # Message 1: fetch the peer's local items in the query range.

@@ -113,6 +113,13 @@ class IndexConfig:
         return max(2 * self.stabilization_period, 1.0)
 
     @property
+    def repair_horizon(self) -> float:
+        """How long a write waits for a failed owner's range to be taken over:
+        the successor notices the dead predecessor within one check period and
+        adopts the next live one within one stabilization round."""
+        return self.predecessor_check_period + self.stabilization_period
+
+    @property
     def leave_ack_timeout(self) -> float:
         """Safety net for the availability-preserving leave in tiny rings."""
         return self.stabilization_period * (self.successor_list_length + 2)

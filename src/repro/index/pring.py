@@ -224,27 +224,34 @@ class PRingIndex:
             raise SimulationError("no live ring members to route through")
         return peer
 
+    def _routed_write(self, peer: IndexPeer, skv: float, method: str, payload: dict, ack: str):
+        """Generator: call ``method`` on the owner of ``skv`` until it answers ``ack``.
+
+        Returns the acknowledging owner's address, or ``None`` once the ring's
+        repair horizon has passed: a write into a range whose owner just
+        failed waits for the take-over on the clock, not on an attempt count.
+        """
+        deadline = self.sim.now + self.config.repair_horizon
+        while True:
+            owner = yield from peer.router.route_until(skv, deadline)
+            if owner is None:
+                return None
+            try:
+                response = yield peer.call(owner, method, payload)
+                if response.get(ack):
+                    return owner
+            except RpcError:
+                pass
+            yield self.sim.timeout(0.1)
+
     def insert_item(self, skv: float, payload=None, via: Optional[str] = None):
         """Generator: insert ``(skv, payload)`` through peer ``via`` (or any member)."""
         peer = self._entry_peer(via)
         self.history.record("index_insert_item", peer=peer.address, skv=skv)
-        stored = False
-        for _attempt in range(8):
-            target = yield from peer.router.find_responsible(skv)
-            if target is None:
-                yield self.sim.timeout(0.25)
-                continue
-            try:
-                response = yield peer.call(
-                    target, "ds_store_item", {"item": {"skv": skv, "payload": payload}}
-                )
-            except RpcError:
-                yield self.sim.timeout(0.1)
-                continue
-            if response.get("stored"):
-                stored = True
-                break
-            yield self.sim.timeout(0.1)
+        owner = yield from self._routed_write(
+            peer, skv, "ds_store_item", {"item": {"skv": skv, "payload": payload}}, "stored"
+        )
+        stored = owner is not None
         self.history.record(
             "index_insert_done", peer=peer.address, skv=skv, stored=stored
         )
@@ -254,24 +261,11 @@ class PRingIndex:
         """Generator: delete the item with key ``skv``."""
         peer = self._entry_peer(via)
         self.history.record("index_delete_item", peer=peer.address, skv=skv)
-        removed = False
-        responsible = None
-        for _attempt in range(8):
-            responsible = yield from peer.router.find_responsible(skv)
-            if responsible is None:
-                yield self.sim.timeout(0.25)
-                continue
-            try:
-                response = yield peer.call(responsible, "ds_remove_item", {"skv": skv})
-            except RpcError:
-                yield self.sim.timeout(0.1)
-                continue
-            if response.get("removed") or response.get("reason") == "not_responsible":
-                removed = response.get("removed", False)
-                if removed:
-                    break
-            yield self.sim.timeout(0.1)
-        if removed and responsible is not None:
+        responsible = yield from self._routed_write(
+            peer, skv, "ds_remove_item", {"skv": skv}, "removed"
+        )
+        removed = responsible is not None
+        if removed:
             owner = self.peers.get(responsible)
             if owner is not None and owner.alive:
                 owner.replication.propagate_delete(skv)

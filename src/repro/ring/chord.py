@@ -730,6 +730,13 @@ class ChordRing:
         self._note_heard_from(payload["pred_address"])
         if payload.get("pred_state") == JOINED:
             self._cache_record(payload["pred_address"], payload["pred_value"])
+            # First-hand: the peer says it has joined.  In a ring small enough
+            # that our predecessor is also in our successor list, its inserter
+            # may have left before a JOINED report reached us, and a list whose
+            # only entry is JOINING has no stabilization target to learn from.
+            for entry in self.succ_list:
+                if entry.address == payload["pred_address"] and entry.state == JOINING:
+                    entry.state = JOINED
         self._consider_predecessor(payload["pred_address"], payload["pred_value"])
         reported_state = LEAVING if self.state == LEAVING else JOINED
         return {

@@ -6,9 +6,16 @@ number of hops even under skewed key distributions.  We implement the same
 capability with the classic pointer-doubling construction: every peer maintains
 a table whose level-``i`` pointer is (approximately) ``2**i`` ring positions
 away, refreshed periodically by asking the level-``i-1`` peer for *its*
-level-``i-1`` pointer.  Routing repeatedly jumps to the farthest table entry
-that does not overshoot the target key, falling back to plain successor hops
-whenever a pointer is stale or its peer has failed.
+level-``i-1`` pointer.
+
+Routing is iterative and every hop is a table hop: a peer that does not own
+the key answers ``ds_probe`` with its *own* next-hop candidates (its farthest
+pointers that do not pass the key, then its successor list), and the caller --
+which keeps control and the timeout -- takes the first usable one.  A dead or
+useless candidate is skipped for the last live hop's next one; when they run
+out the route fails at once with ``None`` and the caller decides how long to
+wait for the ring to repair (see ``docs/ARCHITECTURE.md``, "Contract:
+routing").
 
 The construction differs from the paper's hierarchy-of-rings in mechanism but
 matches it in the property the rest of the system relies on: O(log N) routing
@@ -17,12 +24,17 @@ over an order-preserving, skew-tolerant key assignment.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.index.config import IndexConfig
 from repro.ring.chord import RingListener
+from repro.ring.entries import JOINED
 from repro.router.linear import LinearRouter
 from repro.transport import RpcError
+
+# How many table pointers a peer offers per probe, farthest first, before its
+# successor list: enough to step around a dead pointer or two.
+_TABLE_CANDIDATES = 4
 
 
 class _RefreshTightener(RingListener):
@@ -51,7 +63,8 @@ class HierarchicalRingRouter(LinearRouter):
 
     def __init__(self, node, ring, store, config: IndexConfig, metrics=None, history=None):
         super().__init__(node, ring, store, config, metrics=metrics, history=history)
-        # table[i] = (address, value) of the peer ~2**i positions clockwise.
+        # table[i] = (address, value) of the peer ~2**i positions clockwise;
+        # clockwise distances strictly increase with the level.
         self.table: List[Tuple[str, float]] = []
         # Refresh cadence (``config.maintenance``; fixed by default).  Under
         # the adaptive policy the loop backs off while consecutive refreshes
@@ -62,6 +75,8 @@ class HierarchicalRingRouter(LinearRouter):
         )
         ring.add_listener(_RefreshTightener(self._cadence))
         node.register_handler("route_table_entry", self._handle_table_entry)
+        # Replaces the Data Store's plain probe: same reply plus ``next``.
+        node.register_handler("ds_probe", self._handle_probe)
         node.every(
             self._cadence.interval,
             self._refresh_table,
@@ -71,34 +86,43 @@ class HierarchicalRingRouter(LinearRouter):
         )
 
     # ------------------------------------------------------------------ table maintenance
+    def _joined_successors(self) -> List[Tuple[str, float]]:
+        """The JOINED successor-list pointers, in ring order; the first is level 0."""
+        return [
+            (entry.address, entry.value)
+            for entry in self.ring.succ_list
+            if entry.state == JOINED and entry.address != self.node.address
+        ]
+
     def _handle_table_entry(self, payload, request):
         """RPC: return a slice of our routing table starting at ``level``.
 
         ``span`` entries are returned per request (pointer doubling used to ask
         for one level per round trip; batching the reply halves the refresh
-        traffic, the dominant RPC at 1000+ peers).  Past the end of our table
-        the reply falls back to our first live successor, as before.
+        traffic, the dominant RPC at 1000+ peers).  Level 0 is answered from
+        the successor list, so it is right even before our first refresh; a
+        request past the end of the table answers no entry, which ends the
+        asker's walk.
         """
         level = payload.get("level", 0)
         span = max(1, payload.get("span", 1))
-        entries = [
-            {"address": address, "value": value}
-            for address, value in self.table[level : level + span]
-        ]
-        if not entries:
-            successor = self.ring.first_live_successor()
-            if successor is not None:
-                entries.append({"address": successor, "value": None})
-        return {"entries": entries}
+        pointers = self._joined_successors()[:1] + self.table[1:]
+        return {
+            "entries": [
+                {"address": address, "value": value}
+                for address, value in pointers[level : level + span]
+            ]
+        }
 
     def _refresh_table(self):
         """Rebuild the pointer table by (batched) doubling along the ring.
 
         Each contacted peer returns two consecutive table entries, so the
         pointer spread stays geometric (ratios alternate ~2x and ~1.5x) at half
-        the round trips.  The walk also stops as soon as a pointer's clockwise
-        distance stops growing -- the doubling has wrapped around the ring, and
-        levels beyond that add traffic without shortening any route.
+        the round trips.  A pointer is installed only if it lies strictly
+        farther clockwise than the one before it, so the walk stops by itself
+        once the doubling has wrapped around the ring or the remote table has
+        ended, and the table holds only usable pointers.
 
         The refresh outcome feeds the cadence controller: a walk that
         completes without hitting a dead pointer validated clean (the loop may
@@ -112,117 +136,112 @@ class HierarchicalRingRouter(LinearRouter):
         """
         if not self.ring.is_joined:
             return
-        successor = self.ring.first_live_successor()
-        if successor is None:
-            self.table = []
-            return
-        new_table: List[Tuple[str, float]] = []
-        seen = {self.node.address}
-        current = successor
-        current_value = None
-        for entry in self.ring.succ_list:
-            if entry.address == successor:
-                current_value = entry.value
-                break
         own_value = self.ring.value
-        last_distance = -1.0
+        size = self.config.router_table_size
+        table: List[Tuple[str, float]] = []
+
+        def install(address: str, value: float) -> bool:
+            distance = self._clockwise(own_value, value)
+            if len(table) >= size or (
+                table and distance <= self._clockwise(own_value, table[-1][1])
+            ):
+                return False
+            table.append((address, value))
+            return True
+
+        fresh = self._joined_successors()[:1]
         rpc_failed = False
-        while len(new_table) < self.config.router_table_size:
-            if current is None or current in seen:
-                break
-            if current_value is not None:
-                distance = self._clockwise(own_value, current_value)
-                if distance <= last_distance:
-                    break  # wrapped past our own position
-                last_distance = distance
-            seen.add(current)
-            new_table.append((current, current_value))
-            if len(new_table) >= self.config.router_table_size:
-                break
+        # Install what the last peer answered, then ask the farthest pointer
+        # for the next two levels; the first refused pointer ends the walk.
+        while fresh and all(install(*pointer) for pointer in fresh) and len(table) < size:
             try:
                 response = yield self.node.call(
-                    current, "route_table_entry", {"level": len(new_table) - 1, "span": 2}
+                    table[-1][0], "route_table_entry", {"level": len(table) - 1, "span": 2}
                 )
             except RpcError:
+                table.pop()  # dead: not a usable pointer
                 rpc_failed = True
                 break
-            entries = response.get("entries") or []
-            for entry in entries[:-1]:
-                address, value = entry.get("address"), entry.get("value")
-                if (
-                    address is None
-                    or address in seen
-                    or len(new_table) >= self.config.router_table_size
-                ):
-                    break
-                if value is not None:
-                    distance = self._clockwise(own_value, value)
-                    if distance <= last_distance:
-                        break
-                    last_distance = distance
-                seen.add(address)
-                new_table.append((address, value))
-            tail = entries[-1] if entries else None
-            current = tail.get("address") if tail else None
-            current_value = tail.get("value") if tail else None
-        self.table = new_table
+            fresh = [(entry["address"], entry["value"]) for entry in response["entries"]]
+        self.table = table
         if rpc_failed:
             self._cadence.note_failure()
         else:
             self._cadence.note_success()
 
     # ------------------------------------------------------------------ routing
-    def find_responsible(self, key: float, max_hops: int = 512):
-        """Generator: route to the responsible peer using the pointer table.
+    def _next_hops(self, key: float) -> List[str]:
+        """Our ordered next-hop candidates towards ``key``.
 
-        Jumps to the farthest known pointer that does not overshoot the key,
-        then continues from that peer's perspective (iterative routing); falls
-        back to successor-by-successor walking when the table is empty or
-        stale.
+        The table pointers that do not pass the key, farthest first (a
+        handful), then the JOINED successor-list entries in ring order: the
+        closest-preceding-pointer rule, with the successor list as the
+        fallback and as the last hop onto the owner.
+        """
+        if not self.ring.is_joined:
+            return []
+        own_value = self.ring.value
+        target = self._clockwise(own_value, key)
+        preceding = [
+            address
+            for address, value in self.table
+            if self._clockwise(own_value, value) <= target
+        ]
+        hops = preceding[: -_TABLE_CANDIDATES - 1 : -1]
+        hops += [address for address, _ in self._joined_successors() if address not in hops]
+        return hops
+
+    def _handle_probe(self, payload, request):
+        """RPC: the Data Store's ownership probe plus, from a peer that does
+        not own the key, ``next``: its own candidates for the caller's next hop."""
+        reply = self.store._handle_probe(payload, request)
+        if not reply["owns"]:
+            reply["next"] = self._next_hops(payload["key"])
+        return reply
+
+    def find_responsible(self, key: float):
+        """Generator: route to the responsible peer, every hop a table hop.
+
+        Starting from our own candidates, probe the first; a peer that does
+        not own the key but lies closer to it hands over *its* candidates.  A
+        candidate that times out, or that is no closer to the key than the
+        last live hop (a stale pointer, or a range nobody owns right now), is
+        skipped for that hop's next candidate -- never for a restart from
+        here.  Out of candidates or hop budget the route returns ``None`` at
+        once; waiting for the ring to repair is the caller's business
+        (:meth:`~repro.router.linear.LinearRouter.route_until`).
         """
         if self._local_owner(key):
             self._record_route(key, 0, self.node.address)
             return self.node.address
 
         hops = 0
-        current = self._best_jump(key) or self.ring.first_live_successor()
-        visited = set()
-        while current is not None and hops < max_hops:
+        candidates = self._next_hops(key)
+        remaining = self._clockwise(self.ring.value, key)
+        budget = 4 * self.config.router_table_size
+        dead = set()  # pointers at one dead peer recur along a route: pay for it once
+        while candidates and hops < budget:
+            current = candidates.pop(0)
+            if current in dead:
+                continue
             hops += 1
             try:
                 probe = yield self.node.call(current, "ds_probe", {"key": key})
             except RpcError:
-                # A dead hop is first-hand staleness evidence: revalidate the
-                # table at the base cadence until the walk runs clean again.
+                # A dead hop is first-hand staleness evidence: forget the
+                # pointer and revalidate the table at the base cadence.
+                dead.add(current)
                 self._cadence.note_failure()
-                current = self.ring.first_live_successor()
+                self.table = [pointer for pointer in self.table if pointer[0] != current]
                 continue
             if probe.get("owns"):
                 self._record_route(key, hops, current)
                 return current
-            if current in visited:
-                # We are looping (stale ranges); fall back to a linear walk.
-                break
-            visited.add(current)
-            current = probe.get("successor")
-        # Fallback: plain successor walk from our own position.
-        result = yield from super().find_responsible(key, max_hops=max_hops)
-        return result
-
-    def _best_jump(self, key: float) -> Optional[str]:
-        """The farthest table pointer that does not pass the target key."""
-        own_value = self.ring.value
-        best: Optional[str] = None
-        best_distance = -1.0
-        for address, value in self.table:
-            if value is None or address == self.node.address:
-                continue
-            distance = self._clockwise(own_value, value)
-            target_distance = self._clockwise(own_value, key)
-            if distance <= target_distance and distance > best_distance:
-                best = address
-                best_distance = distance
-        return best
+            distance = self._clockwise(probe["value"], key)
+            if distance < remaining and probe.get("next"):
+                remaining, candidates = distance, probe["next"]
+        self._record_route(key, hops, None)
+        return None
 
     def _clockwise(self, start: float, end: float) -> float:
         """Clockwise distance from ``start`` to ``end`` on the key space."""

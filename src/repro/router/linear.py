@@ -1,8 +1,9 @@
 """Linear (successor-walking) content router.
 
-The baseline router: probe peers one ring hop at a time until the peer whose
-Data Store range contains the key is found.  O(N) messages, but simple and
-robust; it is also the fallback path of the hierarchical router.
+The naive baseline router: probe peers one ring hop at a time until the peer
+whose Data Store range contains the key is found.  O(N) messages; kept for the
+figures' baseline cells.  It also carries what every router shares: route
+recording and :meth:`LinearRouter.route_until`, the callers' one retry loop.
 """
 
 from __future__ import annotations
@@ -37,6 +38,21 @@ class LinearRouter:
         return self.store.owns_key(key)
 
     # ------------------------------------------------------------------ routing
+    def route_until(self, key: float, deadline: float):
+        """Generator: :meth:`find_responsible`, retried while the clock is before ``deadline``.
+
+        A ``None`` route means nobody owns the key right now (its owner just
+        failed, a split is mid-flight); the ring repairs that on its own
+        clock, so callers wait by time -- a query its ``timeout``, a write
+        ``config.repair_horizon`` -- not by attempt count.
+        """
+        while self.node.sim.now < deadline:
+            address = yield from self.find_responsible(key)
+            if address is not None:
+                return address
+            yield self.node.sim.timeout(0.25)
+        return None
+
     def find_responsible(self, key: float, max_hops: int = 512):
         """Generator: the address of the peer responsible for ``key``, or ``None``."""
         if self._local_owner(key):

@@ -134,15 +134,6 @@ class QueryClient:
         return result
 
     # ------------------------------------------------------------------ replica_lb
-    def _reroute(self, key: float, deadline: float):
-        """Find the responsible owner for ``key``, retrying while routing heals."""
-        while self.peer.sim.now < deadline:
-            address = yield from self.peer.router.find_responsible(key)
-            if address is not None:
-                return address
-            yield self.peer.sim.timeout(0.25)
-        return None
-
     def _pick_target(self, owner: str, replicas: List[str]) -> str:
         """Least-loaded of the owner and its live replica holders."""
         if self.tracker is None or not replicas:
@@ -160,7 +151,8 @@ class QueryClient:
         watermark = lb
         hops = 0
 
-        current = yield from self._reroute(lb, deadline)
+        route_until = self.peer.router.route_until
+        current = yield from route_until(lb, deadline)
         scan_started = self.peer.sim.now
         while (
             current is not None
@@ -176,11 +168,11 @@ class QueryClient:
                 # ring can repair (a successor revives the items), then route
                 # again from the watermark.
                 yield self.peer.sim.timeout(self.peer.config.failure_detection_timeout)
-                current = yield from self._reroute(watermark, deadline)
+                current = yield from route_until(watermark, deadline)
                 continue
             if not meta.get("active") or meta.get("range") is None:
                 yield self.peer.sim.timeout(0.25)
-                current = yield from self._reroute(watermark, deadline)
+                current = yield from route_until(watermark, deadline)
                 continue
             crange = CircularRange.from_tuple(tuple(meta["range"]))
             new_watermark = watermark
@@ -189,6 +181,16 @@ class QueryClient:
                     # A gap belongs to peers further along the walk.
                     continue
                 new_watermark = max(new_watermark, hi)
+            if new_watermark == watermark and not crange.contains(watermark):
+                # This range begins after the watermark: nobody owns the keys
+                # in between right now (their owner just failed).  Stepping on
+                # would only walk the ring; wait for the take-over instead.  (A
+                # range that merely *ends at* the watermark steps to its
+                # successor below: routing to its own upper bound would return
+                # the same peer forever.)
+                yield self.peer.sim.timeout(0.25)
+                current = yield from route_until(watermark, deadline)
+                continue
             if new_watermark > watermark:
                 response = None
                 target = self._pick_target(current, meta.get("replicas", ()))
@@ -228,11 +230,11 @@ class QueryClient:
                         yield self.peer.sim.timeout(
                             self.peer.config.failure_detection_timeout
                         )
-                        current = yield from self._reroute(watermark, deadline)
+                        current = yield from route_until(watermark, deadline)
                         continue
                     if not response.get("ok"):
                         # The range moved between probe and read: re-route.
-                        current = yield from self._reroute(watermark, deadline)
+                        current = yield from route_until(watermark, deadline)
                         continue
                 for item in items_from_wire(response["items"]):
                     items[item.skv] = item
@@ -243,7 +245,7 @@ class QueryClient:
                     break
             successor = meta.get("successor")
             if successor is None or successor == current:
-                current = yield from self._reroute(watermark, deadline)
+                current = yield from route_until(watermark, deadline)
             else:
                 current = successor
 

@@ -118,3 +118,29 @@ def test_metrics_capture_protocol_operations(cluster):
     assert index.metrics.count("insert_succ") >= len(index.ring_members()) - 1
     assert index.metrics.count("range_query") >= 1
     assert index.network.stats.rpc_calls > 0
+
+
+def test_writes_issued_into_a_range_gap_are_acknowledged_after_the_take_over():
+    """The owner of a key fails; an insert and a delete issued at once find no
+    owner, wait out the ring's repair horizon on the clock (not on an attempt
+    count) and are acknowledged once the successor has taken the range over."""
+    index, keys = build_cluster(seed=86, peers=10)
+    members = index.ring_members()
+    owner, entry = members[4], members[0]
+    lo, hi, full = owner.store.range.as_tuple()
+    assert not full and lo < hi
+    new_key = lo + (hi - lo) / 2.0 + 0.125
+    victim = next(key for key in keys if lo < key <= hi)
+    index.fail_peer(owner.address)
+    assert index.run_process(entry.router.find_responsible(new_key)) is None  # the gap
+    started = index.sim.now
+    write = index.sim.process(index.insert_item(new_key, "into-the-gap", via=entry.address))
+    erase = index.sim.process(index.delete_item(victim, via=entry.address))
+    index.run(index.config.repair_horizon + 1.0)
+    assert write.triggered and write.value is True
+    assert erase.triggered and erase.value is True
+    done = index.history.history().of_kind("index_insert_done", "index_delete_done")[-2:]
+    assert all(0.5 < op.time - started <= index.config.repair_horizon for op in done)
+    index.run(2.0)
+    result = index.range_query_now(lo, hi, via=entry.address)
+    assert new_key in result["keys"] and victim not in result["keys"]

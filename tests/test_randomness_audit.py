@@ -9,6 +9,10 @@ pull a named stream from :class:`repro.sim.randomness.RngStreams`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,30 @@ def test_source_tree_is_scanned():
 @pytest.mark.parametrize("path", _module_paths(), ids=lambda p: str(p.relative_to(SRC_ROOT)))
 def test_no_bare_random_calls(path):
     assert _violations(path) == []
+
+
+def _cell_under_hash_seed(hash_seed: str) -> dict:
+    """``scale_100`` seed 0 (joins, splits, failures, routes) in a fresh interpreter."""
+    script = (
+        "import json; from repro.harness.runner import run_cell; "
+        "cell = run_cell(('scale_100', 0)); "
+        "print(json.dumps({k: cell[k] for k in ('events_processed', 'rpc_per_method')}))"
+    )
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": str(SRC_ROOT.parent),
+    }
+    env.pop("REPRO_TRANSPORT", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_a_churn_cell_does_not_depend_on_the_string_hash_seed():
+    """No order may come from iterating a ``set``/``dict`` of addresses: two
+    interpreters with different ``PYTHONHASHSEED`` must run the same trace
+    (perfbench's traced and untraced children differ in exactly that)."""
+    assert _cell_under_hash_seed("1") == _cell_under_hash_seed("2")

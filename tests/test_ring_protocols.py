@@ -10,7 +10,7 @@ from repro.core.correctness import (
 from repro.harness.metrics import Metrics
 from repro.index.config import default_config
 from repro.ring.chord import ChordRing, in_open_interval
-from repro.ring.entries import FREE, JOINED, LEAVING, SuccessorEntry
+from repro.ring.entries import FREE, JOINED, JOINING, LEAVING, SuccessorEntry
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.node import Node
@@ -338,6 +338,20 @@ def test_free_peer_rejects_stabilization():
     # The remaining member must have dropped every pointer to the departed peer.
     survivor = harness.peers[0]
     assert all(e.address != peer.address for e in survivor.ring.succ_list)
+
+
+def test_a_lone_joining_pointer_is_upgraded_by_the_peer_itself():
+    """Two members; the first lists the second as JOINING only (its inserter
+    left before a JOINED report arrived), so it has no stabilization target to
+    learn better from.  The second's own stabilize call says it has joined."""
+    harness = RingHarness(ring_class=PepperRing)
+    first = harness.bootstrap(1000.0)
+    second = harness.join_peer(500.0)
+    harness.run(6.0)
+    first.ring.succ_list = [SuccessorEntry(second.address, 500.0, JOINING)]
+    assert first.ring.first_live_successor() is None
+    harness.run(2 * harness.config.stabilization_period)
+    assert first.ring.first_live_successor() == second.address
 
 
 def test_concurrent_inserts_at_same_predecessor_serialise():

@@ -1,7 +1,11 @@
 """Tests for the content routers (linear walk and hierarchical pointer table)."""
 
+import math
+import random
+
 import pytest
 
+from repro.harness.scenarios import build_experiment, get_scenario
 from repro.router.hierarchical import HierarchicalRingRouter
 from repro.router.linear import LinearRouter
 from repro.router import make_router
@@ -75,3 +79,92 @@ def test_routing_survives_a_failed_peer(cluster):
     found = index.run_process(start.router.find_responsible(key))
     assert found is not None
     assert index.peers[found].alive
+
+
+# --------------------------------------------------------------------------- logarithmic routing
+@pytest.fixture(scope="module")
+def settled_ring():
+    """scale_300's build + settle phases, then eight refresh rounds: a static
+    300-member ring whose pointer tables have converged."""
+    cell = get_scenario("scale_300")
+    experiment = build_experiment(cell, seed=0)
+    experiment.run_phases(cell.phases[:2], total_peers=cell.peers)
+    index = experiment.index
+    index.run(8 * index.config.router_refresh_period)
+    members = index.ring_members()
+    assert len(members) >= 200
+    return index, members
+
+
+def test_converged_tables_hold_only_usable_strictly_farther_pointers(settled_ring):
+    index, members = settled_ring
+    position = {peer.address: place for place, peer in enumerate(members)}
+    for peer in members:
+        assert peer.router.table
+        steps = []
+        for address, value in peer.router.table:
+            assert value == index.peers[address].ring.value  # every entry carries a value
+            steps.append((position[address] - position[peer.address]) % len(members))
+        assert steps[0] == 1
+        assert all(near < far for near, far in zip(steps, steps[1:])), steps
+        assert steps[-1] >= len(members) / 3
+
+
+def test_routes_from_every_member_are_logarithmic(settled_ring):
+    index, members = settled_ring
+    rng = random.Random(7)
+    bound = 2 * math.log2(len(members))
+    recorded = index.metrics.count("route_hops")
+    for peer in members:
+        key = rng.uniform(1.0, index.config.key_space - 1.0)
+        found = index.run_process(peer.router.find_responsible(key))
+        assert index.peers[found].store.owns_key(key)
+    hops = index.metrics.values("route_hops")[recorded:]
+    assert len(hops) == len(members)
+    assert max(hops) <= bound
+
+
+def _probes(index):
+    return index.network.stats.per_method.get("ds_probe", 0)
+
+
+def test_route_across_a_freshly_failed_pointer_costs_one_timeout(settled_ring):
+    index, members = settled_ring
+    origin = members[10]
+    dead_address, _value = origin.router.table[-1]
+    # A key two peers past the far pointer: the route's first hop is that pointer.
+    target = members[(members.index(index.peers[dead_address]) + 2) % len(members)]
+    key = target.ring.value
+    assert origin.router._next_hops(key)[0] == dead_address
+    index.fail_peer(dead_address)
+    routes_before = len(index.history.history().of_kind("route"))
+    probes, started = _probes(index), index.sim.now
+    found = index.run_process(origin.router.find_responsible(key))
+    assert found == target.address
+    # One RPC timeout on the path (the dead pointer), then live hops only.
+    timeout = index.config.network.rpc_timeout
+    assert timeout <= index.sim.now - started < 2 * timeout
+    assert _probes(index) - probes <= 2 * math.log2(len(members))
+    assert dead_address not in [address for address, _ in origin.router.table]
+    # One route was recorded, by the origin: no restart, no nested fallback walk.
+    routes = index.history.history().of_kind("route")[routes_before:]
+    assert [(op.peer, op.attrs["found"]) for op in routes] == [(origin.address, found)]
+
+
+def test_route_to_a_key_nobody_owns_fails_fast_and_is_recorded(settled_ring):
+    index, members = settled_ring
+    origin = members[40]
+    victim = members[200]
+    key = victim.ring.value  # owned by the victim alone
+    index.fail_peer(victim.address)
+    probes = _probes(index)
+    recorded = index.metrics.count("route_hops")
+    started = index.sim.now
+    found = index.run_process(origin.router.find_responsible(key))
+    assert found is None
+    spent = _probes(index) - probes
+    assert spent <= 12 + math.log2(len(members))
+    assert index.metrics.values("route_hops")[recorded:] == [spent]
+    route = index.history.history().of_kind("route")[-1]
+    assert (route.peer, route.attrs["found"], route.attrs["hops"]) == (origin.address, None, spent)
+    assert index.sim.now - started < 2.0

@@ -223,3 +223,89 @@ def test_replica_failure_mid_query_falls_back_and_stays_correct():
         assert result["complete"], attempt
         assert sorted(result["keys"]) == want, attempt
         index.run(2.0)
+
+
+# ----------------------------------------------------------------- waiting out a range gap
+def _meta_rpcs(index):
+    return index.network.stats.per_method.get("serve_meta", 0)
+
+
+def _window_inside(peer):
+    """A window strictly inside ``peer``'s (non-wrapping) range."""
+    lo, hi, full = peer.store.range.as_tuple()
+    assert not full and lo < hi
+    return lo + (hi - lo) * 0.25, lo + (hi - lo) * 0.75
+
+
+def test_replica_lb_waits_out_the_take_over_of_a_failed_owner():
+    """Querying a window whose owner just failed completes once the successor
+    has taken the range over -- by waiting on the router, not by walking the
+    ring one ``serve_meta`` at a time."""
+    index, keys = build_cluster(seed=86, peers=9)
+    members = index.ring_members()
+    owner, entry = members[4], members[0]
+    lb, ub = _window_inside(owner)
+    want = expected_keys(keys, lb, ub)
+    assert want, "the window must hold workload keys"
+    index.fail_peer(owner.address)
+    metas, started = _meta_rpcs(index), index.sim.now
+    result = index.range_query_now(lb, ub, via=entry.address, routing="replica_lb", timeout=60.0)
+    assert result["complete"]
+    assert index.sim.now - started <= 2 * index.config.repair_horizon
+    assert _meta_rpcs(index) - metas < 10
+    assert result["hops"] < 10
+    # The new owner revives the items from its replicas within a refresh round.
+    assert set(result["keys"]) <= set(want)
+    index.run(2 * index.config.replication_refresh_period)
+    again = index.range_query_now(lb, ub, via=entry.address, routing="replica_lb")
+    assert again["complete"] and again["keys"] == want
+
+
+def test_replica_lb_spanning_a_failed_owner_completes_without_a_ring_walk():
+    """A window that begins in a live range and runs into a failed owner's:
+    the scan covers the live part, waits at the gap, and finishes after the
+    take-over.  Its successor's range begins *after* the watermark meanwhile."""
+    index, keys = build_cluster(seed=87, peers=9)
+    members = index.ring_members()
+    before, owner, entry = members[3], members[4], members[0]
+    lb = _window_inside(before)[1]
+    ub = _window_inside(owner)[1]
+    want = expected_keys(keys, lb, ub)
+    index.fail_peer(owner.address)
+    result = index.range_query_now(lb, ub, via=entry.address, routing="replica_lb", timeout=60.0)
+    assert result["complete"]
+    assert set(result["keys"]) <= set(want)
+    assert [key for key in want if key <= before.ring.value] == [
+        key for key in result["keys"] if key <= before.ring.value
+    ]
+    # Two probes per 0.25 s of gap at most -- never the 256-hop walk.
+    assert result["hops"] < 8 * 2 * index.config.repair_horizon
+
+
+def test_watermark_equal_to_an_upper_bound_steps_to_the_successor():
+    """Routing to a key that *is* a peer's upper bound returns that peer; the
+    scan must step to its successor instead of routing there forever."""
+    index, keys = build_cluster(seed=88, peers=9)
+    members = index.ring_members()
+    first, second = members[3], members[4]
+    lb = first.ring.value  # (lb, ub] begins exactly at first's upper bound
+    ub = _window_inside(second)[1]
+    assert index.run_process(members[0].router.find_responsible(lb)) == first.address
+    metas = _meta_rpcs(index)
+    result = index.range_query_now(lb, ub, via=members[0].address, routing="replica_lb")
+    assert result["complete"]
+    assert result["keys"] == expected_keys(keys, lb, ub)
+    assert _meta_rpcs(index) - metas == 2  # first (nothing to add), then second
+
+
+def test_query_timeout_inside_the_gap_degrades_on_time():
+    index, _keys = build_cluster(seed=89, peers=9)
+    members = index.ring_members()
+    owner, entry = members[4], members[0]
+    lb, ub = _window_inside(owner)
+    index.fail_peer(owner.address)
+    for routing in ("replica_lb", "primary"):
+        started = index.sim.now
+        result = index.range_query_now(lb, ub, via=entry.address, routing=routing, timeout=1.5)
+        assert result["complete"] is False, routing
+        assert 1.5 <= index.sim.now - started < 1.5 + 1.0, routing
