@@ -1,4 +1,4 @@
-"""``repro-run``: execute registry scenarios, suites, figures and benchmarks.
+"""``repro-run``: execute registry scenarios, suites and figures.
 
 Examples::
 
@@ -6,12 +6,10 @@ Examples::
     repro-run smoke                  # one scenario cell, writes BENCH_smoke.json
     repro-run scale_sweep            # 100..5000-peer suite -> BENCH_scale.json
     repro-run figure_19              # a paper-figure reproduction
-    repro-run engine_bench           # engine-vs-seed microbench -> BENCH_engine.json
     repro-run churn_heavy --seeds 0,1,2 --processes 3
     repro-run scale_sweep --seeds 0..4   # 5 seeds/cell; BENCH carries mean/p95
     repro-run scale_100_wan          # the scale cell under 4-site LAN/WAN latency
     repro-run adaptive_ablation      # fixed vs adaptive maintenance at 1000 peers
-    repro-run scale_300 --engine wheel   # same cell on the timer-wheel engine
     repro-run scale_1000 --profile   # cProfile capture -> PROFILE_scale_1000.txt
     repro-run localhost_20           # same protocols over real asyncio UDP sockets
     repro-run localhost_20_sim --transport asyncio   # transport override on any cell
@@ -25,8 +23,6 @@ import argparse
 import json
 import sys
 from typing import List, Optional
-
-ENGINE_BENCH = "engine_bench"
 
 
 def _parse_seeds(tokens: List[str]) -> List[int]:
@@ -69,19 +65,14 @@ def _print_listing() -> None:
         suite = get_suite(name)
         print(f"  {name:24s} {suite.description} [{', '.join(suite.scenarios)}]")
     print("scenarios:")
-    print(f"  {'name':24s} {'peers':>5s}  {'engine':7s} {'transport':9s} description")
+    print(f"  {'name':24s} {'peers':>5s}  {'transport':9s} description")
     for name in scenario_names():
         spec = get_scenario(name)
         transport = spec.transport.resolve() or "sim"
-        print(
-            f"  {name:24s} {spec.peers:5d}  {spec.engine:7s} {transport:9s} "
-            f"{spec.description}"
-        )
+        print(f"  {name:24s} {spec.peers:5d}  {transport:9s} {spec.description}")
     print("figures:")
     for name in sorted(ALL_FIGURES):
         print(f"  {name:24s} {ALL_FIGURES[name].__doc__.strip().splitlines()[0]}")
-    print("benchmarks:")
-    print(f"  {ENGINE_BENCH:24s} event-engine microbenchmark vs. the frozen seed engine")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -105,12 +96,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--out-dir", default=".", help="directory for BENCH_<name>.json")
     parser.add_argument("--no-json", action="store_true", help="print only, write nothing")
-    parser.add_argument(
-        "--engine",
-        choices=("heap", "wheel"),
-        default=None,
-        help="override the event engine of every cell (default: the spec's own choice)",
-    )
     parser.add_argument(
         "--transport",
         choices=("sim", "asyncio"),
@@ -143,17 +128,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     out_dir = None if args.no_json else args.out_dir
-    if args.scenario == ENGINE_BENCH:
-        from repro.harness.engine_bench import run_engine_bench
-        from repro.harness.runner import write_bench
-
-        payload = run_engine_bench()
-        if out_dir is not None:
-            path = write_bench("engine", payload, out_dir=out_dir)
-            print(f"wrote {path}", file=sys.stderr)
-        print(json.dumps(payload, indent=2))
-        return 0
-
     from repro.harness.runner import known_names, run_named
 
     if args.scenario not in known_names():
@@ -165,7 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seeds=_parse_seeds(args.seeds),
             processes=args.processes,
             out_dir=out_dir,
-            engine=args.engine,
             transport=args.transport,
             profile_dir=args.out_dir if args.profile else None,
             snapshot_dir=args.snapshot_dir,

@@ -25,7 +25,6 @@ inconsistency) can and do occur.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.datastore.items import Item, items_from_wire, items_to_wire
@@ -33,11 +32,6 @@ from repro.datastore.ranges import CircularRange, segments_cover_interval
 from repro.index.config import IndexConfig
 from repro.ring.entries import JOINED
 from repro.transport import RpcError
-
-_DEPRECATION = (
-    "RangeQueryEngine.{name}() is deprecated; issue queries through "
-    "repro.serve.QueryClient (e.g. index.query_client(routing=...)) instead"
-)
 
 
 class RangeQueryEngine:
@@ -107,34 +101,6 @@ class RangeQueryEngine:
             result = yield from self._query_naive(lb, ub, timeout=timeout)
         else:
             raise ValueError(f"unknown query strategy {strategy!r}")
-        return result
-
-    # ------------------------------------------------------------------ deprecated API
-    # The three historical entry points survive as shims over :meth:`query`
-    # so external callers keep working for one release; every in-tree caller
-    # has been migrated to ``QueryClient``.
-    def range_query(self, lb: float, ub: float, timeout: float = 60.0):
-        """Deprecated: use :class:`repro.serve.QueryClient` instead."""
-        warnings.warn(
-            _DEPRECATION.format(name="range_query"), DeprecationWarning, stacklevel=2
-        )
-        result = yield from self.query(lb, ub, timeout=timeout)
-        return result
-
-    def range_query_scan(self, lb: float, ub: float, timeout: float = 60.0):
-        """Deprecated: use :class:`repro.serve.QueryClient` instead."""
-        warnings.warn(
-            _DEPRECATION.format(name="range_query_scan"), DeprecationWarning, stacklevel=2
-        )
-        result = yield from self.query(lb, ub, strategy="scan", timeout=timeout)
-        return result
-
-    def range_query_naive(self, lb: float, ub: float, timeout: float = 60.0):
-        """Deprecated: use :class:`repro.serve.QueryClient` instead."""
-        warnings.warn(
-            _DEPRECATION.format(name="range_query_naive"), DeprecationWarning, stacklevel=2
-        )
-        result = yield from self.query(lb, ub, strategy="naive", timeout=timeout)
         return result
 
     # ------------------------------------------------------------------ scanRange path

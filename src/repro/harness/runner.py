@@ -8,7 +8,7 @@ and spawn start methods) and returns a plain dict.
 
 Every run is summarised into ``BENCH_<name>.json`` so the performance
 trajectory of the repository is tracked from this PR onward: wall-clock,
-simulated seconds, engine events per wall second, ring size, RPC volume.
+simulated seconds, events per wall second, ring size, RPC volume.
 
 Multi-seed runs are first-class: the runner executes the scenario x seed
 cross product and the BENCH envelope carries, next to the raw per-cell
@@ -48,28 +48,23 @@ def run_cell(
     cell: Tuple[str, int]
     | Tuple[str, int, Optional[str]]
     | Tuple[str, int, Optional[str], Optional[str]]
-    | Tuple[str, int, Optional[str], Optional[str], Optional[str]]
-    | Tuple[str, int, Optional[str], Optional[str], Optional[str], Optional[bool]],
+    | Tuple[str, int, Optional[str], Optional[str], Optional[bool]],
 ) -> Dict[str, Any]:
-    """Execute one ``(scenario_name, seed[, engine[, transport[, snapshot_dir[,
-    warm_start]]]])`` cell.
+    """Execute one ``(scenario_name, seed[, transport[, snapshot_dir[,
+    warm_start]]])`` cell.
 
     Top-level for picklability.  The optional third element overrides the
-    spec's event engine ("heap" or "wheel"); the optional fourth overrides
-    its transport ("sim" or "asyncio"); the optional fifth points at a
+    spec's transport ("sim" or "asyncio"); the optional fourth points at a
     snapshot cache directory (enabling capture + warm start, see
-    :func:`repro.harness.scenarios.run_spec`); the optional sixth overrides
+    :func:`repro.harness.scenarios.run_spec`); the optional fifth overrides
     the spec's ``warm_start`` flag.  ``None`` keeps the spec's own selection
     in every slot.
     """
     name, seed = cell[0], cell[1]
-    engine = cell[2] if len(cell) > 2 else None
-    transport = cell[3] if len(cell) > 3 else None
-    snapshot_dir = cell[4] if len(cell) > 4 else None
-    warm_start = cell[5] if len(cell) > 5 else None
+    transport = cell[2] if len(cell) > 2 else None
+    snapshot_dir = cell[3] if len(cell) > 3 else None
+    warm_start = cell[4] if len(cell) > 4 else None
     spec = get_scenario(name)
-    if engine is not None:
-        spec = spec.with_(engine=engine)
     if transport is not None:
         spec = spec.with_(transport=TransportSpec(name=transport))
     return run_spec(
@@ -81,7 +76,6 @@ def run_cells(
     names: Sequence[str],
     seeds: Sequence[int] = (0,),
     processes: Optional[int] = None,
-    engine: Optional[str] = None,
     transport: Optional[str] = None,
     profile_dir: Optional[str] = None,
     snapshot_dir: Optional[str] = None,
@@ -91,7 +85,7 @@ def run_cells(
 
     ``processes=None`` sizes the pool to ``min(cells, cores)``; ``processes<=1``
     runs serially in-process (no pool overhead, simpler tracebacks).
-    ``engine`` / ``transport`` override every cell's event engine / transport.
+    ``transport`` overrides every cell's transport.
     ``profile_dir`` switches to serial execution under cProfile and writes
     ``PROFILE_<scenario>.txt`` per scenario there (seeds of one scenario are
     merged into one profile).  ``snapshot_dir`` names the snapshot cache every
@@ -100,7 +94,7 @@ def run_cells(
     pool); ``warm_start=False`` keeps capturing but forces cold runs.
     """
     cells = [
-        (name, seed, engine, transport, snapshot_dir, warm_start)
+        (name, seed, transport, snapshot_dir, warm_start)
         for name in names
         for seed in seeds
     ]
@@ -193,9 +187,8 @@ def _cells_summary(
     total_events = sum(cell["events_processed"] for cell in cells)
     summary = {
         "cells": len(cells),
-        # Which substrates executed the batch (normally one of each; mixed
-        # when a suite pairs sim and asyncio cells, e.g. localhost_fidelity).
-        "engines": sorted({cell["engine"] for cell in cells if "engine" in cell}),
+        # Which substrates executed the batch (normally one; mixed when a
+        # suite pairs sim and asyncio cells, e.g. localhost_fidelity).
         "transports": sorted({cell["transport"] for cell in cells if "transport" in cell}),
         "total_wall_clock_s": round(total_wall, 3),
         "total_events_processed": total_events,
@@ -388,7 +381,6 @@ def run_named(
     seeds: Sequence[int] = (0,),
     processes: Optional[int] = None,
     out_dir: Optional[str] = ".",
-    engine: Optional[str] = None,
     transport: Optional[str] = None,
     profile_dir: Optional[str] = None,
     snapshot_dir: Optional[str] = None,
@@ -398,12 +390,12 @@ def run_named(
 
     Scenario and suite runs execute the full ``scenarios x seeds`` cross
     product and carry per-scenario aggregates; figure runs execute once per
-    seed offset (see :func:`_figure_seed`).  ``engine`` / ``transport``
-    override every cell's event engine / transport; ``profile_dir`` captures
-    per-scenario cProfile reports; ``snapshot_dir`` / ``warm_start`` enable
-    the snapshot cache for every cell (see :func:`run_cells`); none of these
-    apply to figures.  Returns the emitted document (also written to
-    ``BENCH_<name>.json`` unless ``out_dir`` is ``None``).
+    seed offset (see :func:`_figure_seed`).  ``transport`` overrides every
+    cell's transport; ``profile_dir`` captures per-scenario cProfile reports;
+    ``snapshot_dir`` / ``warm_start`` enable the snapshot cache for every cell
+    (see :func:`run_cells`); none of these apply to figures.  Returns the
+    emitted document (also written to ``BENCH_<name>.json`` unless ``out_dir``
+    is ``None``).
     """
     from repro.harness.figures import ALL_FIGURES  # deferred: figures import the harness
 
@@ -415,7 +407,6 @@ def run_named(
             suite.scenarios,
             seeds=seeds,
             processes=processes,
-            engine=engine,
             transport=transport,
             profile_dir=profile_dir,
             snapshot_dir=snapshot_dir,
@@ -430,15 +421,9 @@ def run_named(
             "results": cells,
         }
     elif name in ALL_FIGURES:
-        if (
-            engine is not None
-            or transport is not None
-            or profile_dir is not None
-            or snapshot_dir is not None
-        ):
+        if transport is not None or profile_dir is not None or snapshot_dir is not None:
             raise ValueError(
-                "--engine/--transport/--profile/--snapshot-dir apply to scenarios "
-                "and suites, not figures"
+                "--transport/--profile/--snapshot-dir apply to scenarios and suites, not figures"
             )
         payload = _run_figure(name, seeds, processes)
         bench_name = name
@@ -449,7 +434,6 @@ def run_named(
             [name],
             seeds=seeds,
             processes=processes,
-            engine=engine,
             transport=transport,
             profile_dir=profile_dir,
             snapshot_dir=snapshot_dir,
@@ -463,8 +447,6 @@ def run_named(
             "aggregates": aggregate_cells(cells),
             "results": cells,
         }
-    if engine is not None:
-        payload["engine_override"] = engine
     if transport is not None:
         payload["transport_override"] = transport
     if snapshot_dir is not None:

@@ -50,7 +50,6 @@ from repro.sim.network import (
     LatencyModel,
     latency_model_from_params,
 )
-from repro.sim.engine import ENGINE_ENV_VAR
 from repro.snapshot import (
     SnapshotRestoreError,
     build_hash,
@@ -154,8 +153,7 @@ class TransportSpec:
     ``None`` keeps whatever the resolved
     :class:`~repro.index.config.IndexConfig` already carries (``"sim"`` by
     default).  The ``REPRO_TRANSPORT`` environment variable and ``repro-run
-    --transport`` override the spec's choice for a whole process, exactly as
-    ``REPRO_ENGINE``/``--engine`` override the event engine.
+    --transport`` override the spec's choice for a whole process.
 
     >>> TransportSpec().resolve() is None
     True
@@ -211,13 +209,8 @@ class ScenarioSpec:
     phases: Tuple[PhaseSpec, ...] = ()  # explicit lifecycle; () = legacy flat shape
     config: Mapping = field(default_factory=dict)  # IndexConfig field overrides
     base_config: Optional[IndexConfig] = None  # full config object (figures use this)
-    # Event-engine selection: "heap" (default) or "wheel".  Both engines honor
-    # the same determinism contract, so a cell's end-state metrics are
-    # engine-independent; the REPRO_ENGINE environment variable overrides this
-    # for the whole process.
-    engine: str = "heap"
     # Transport selection: in-sim (default) or real asyncio sockets; see
-    # :class:`TransportSpec`.  The ``engine`` field only applies under "sim".
+    # :class:`TransportSpec`.
     transport: TransportSpec = TransportSpec()
     # Whether :func:`run_spec` may *resume* from an existing snapshot when a
     # snapshot directory is supplied (capture always happens so later runs can
@@ -242,10 +235,6 @@ class ScenarioSpec:
         maintenance_policy = self.maintenance.build_policy()
         if maintenance_policy is not None:
             config = config.copy(maintenance=maintenance_policy)
-        if self.engine != "heap":
-            # Only a non-default selection overrides the resolved config, so a
-            # base_config that already picked an engine keeps it.
-            config = config.copy(engine=self.engine)
         transport_name = self.transport.resolve()
         if transport_name is not None:
             config = config.copy(transport=transport_name)
@@ -366,9 +355,6 @@ class ScenarioResult:
     # RPC count per method name -- the per-method profile the maintenance
     # ablations compare (e.g. ``ring_ping`` fixed vs. adaptive cadence).
     rpc_per_method: Dict[str, int] = field(default_factory=dict)
-    # Which event engine executed the cell ("heap" or "wheel"; "asyncio"
-    # when the asyncio transport's wall-clock loop drove it).
-    engine: str = "heap"
     # Which transport carried the cell's messages ("sim" or "asyncio").
     transport: str = "sim"
     # Scan-vs-store audit (see PRingIndex.reachability): copies a full scan
@@ -412,7 +398,6 @@ class ScenarioResult:
 # Metric series summarised into every result (when observed during the run).
 _REPORTED_METRICS = (
     "insert_succ",
-    "split",
     "merge",
     "leave",
     "route_hops",
@@ -468,7 +453,6 @@ class _SnapshotPlan:
 
     path: Any
     key: str
-    engine: str
     boundary: int
 
 
@@ -478,9 +462,7 @@ def _snapshot_plan(
     """Resolve the snapshot file for this cell, or ``None`` if not snapshotable.
 
     Only the simulated transport snapshots (the asyncio transport runs in
-    wall-clock real time against real sockets), and the resolved engine is
-    part of the key: heap and wheel produce identical end states but distinct
-    event *traces*, and a snapshot resumes a trace.
+    wall-clock real time against real sockets).
     """
     boundary = snapshot_boundary(phases)
     if boundary is None:
@@ -489,13 +471,9 @@ def _snapshot_plan(
     transport_name = os.environ.get(TRANSPORT_ENV_VAR) or config.transport
     if transport_name != "sim":
         return None
-    engine = os.environ.get(ENGINE_ENV_VAR) or config.engine
     key = build_hash(spec, phases[: boundary + 1])
     return _SnapshotPlan(
-        path=snapshot_path(snapshot_dir, spec.name, key, seed, engine),
-        key=key,
-        engine=engine,
-        boundary=boundary,
+        path=snapshot_path(snapshot_dir, spec.name, key, seed), key=key, boundary=boundary
     )
 
 
@@ -515,7 +493,7 @@ def run_spec(
     With a ``snapshot_dir``, the run participates in snapshot/warm-start (see
     :mod:`repro.snapshot`): a cold run pauses at the boundary phase, steps to
     a parked instant and captures the world to disk; a later run of the same
-    ``(spec, seed, engine)`` resumes from that instant and re-executes only
+    ``(spec, seed)`` resumes from that instant and re-executes only
     the post-boundary phases, with an end state *identical* to the cold run's
     in every field.  ``warm_start`` (default: the spec's ``warm_start`` field)
     only controls whether an existing snapshot may be *used*; capturing
@@ -539,7 +517,7 @@ def run_spec(
     pre, post = phases[: plan.boundary + 1], phases[plan.boundary + 1 :]
 
     if resume_ok:
-        state = load_snapshot(plan.path, plan.key, seed, plan.engine)
+        state = load_snapshot(plan.path, plan.key, seed)
         if state is not None:
             try:
                 experiment = restore_world(spec, seed, state)
@@ -577,7 +555,7 @@ def run_spec(
         )
         if reach_parked_state(experiment):
             state = capture_world(experiment, pre_results, pre_outcomes, pre_victims)
-            save_snapshot(plan.path, plan.key, seed, plan.engine, state)
+            save_snapshot(plan.path, plan.key, seed, state)
         results, outcomes, victims = experiment.run_phases(post, total_peers=spec.peers)
         return _finalize_result(
             experiment,
@@ -654,7 +632,6 @@ def _finalize_result(
         rpc_timeouts=index.network.stats.rpc_timeouts,
         messages_sent=index.network.stats.messages_sent,
         rpc_per_method=dict(index.network.stats.per_method),
-        engine=index.sim.engine_name,
         transport=index.transport.name,
         items_reachable=audit.items_reachable,
         items_stranded=audit.items_stranded,
@@ -925,24 +902,6 @@ register(
     )
 )
 
-# ---- timer-wheel engine cells ----------------------------------------------
-# The same deployments on the wheel engine.  End-state metrics are identical
-# to the heap cells by the engine determinism contract (the parity CI job and
-# ``tests/test_engine_parity.py`` enforce it); only the wall-clock and
-# events-per-second columns may differ, which is exactly what the BENCH
-# envelope is meant to show.
-def _wheel_variant(base_name: str) -> ScenarioSpec:
-    base = get_scenario(base_name)
-    return base.with_(
-        name=f"{base_name}_wheel",
-        description=f"{base.description}, timer-wheel engine",
-        engine="wheel",
-    )
-
-
-register(_wheel_variant("scale_300"))
-register(_wheel_variant("scale_1000"))
-
 register_suite(
     ScenarioSuite(
         name="scale_sweep",
@@ -953,9 +912,8 @@ register_suite(
             "scale_300_adaptive",
             "scale_1000",
             "scale_1000_adaptive",
-            "scale_1000_wheel",
         ),
-        description="wall-clock and event-throughput across 100..1000 peers, fixed+adaptive, plus the wheel engine at 1000",
+        description="wall-clock and event-throughput across 100..1000 peers, fixed+adaptive",
         bench_name="scale",
     )
 )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.maintenance.policy import FIXED_MAINTENANCE, MaintenancePolicy
-from repro.sim.engine import ENGINE_NAMES
 from repro.sim.network import NetworkConfig
 from repro.transport.api import TRANSPORT_NAMES
 
@@ -80,15 +79,9 @@ class IndexConfig:
     # --- Simulation substrate ---------------------------------------------------
     network: NetworkConfig = field(default_factory=NetworkConfig)
     seed: int = 0
-    # Event-engine selection: "heap" (binary heap, the default) or "wheel"
-    # (hierarchical timer wheel with record recycling).  Both honor the same
-    # determinism contract; the REPRO_ENGINE environment variable overrides
-    # this field for every deployment in the process (the CI parity knob).
-    engine: str = "heap"
     # Transport selection: "sim" (the discrete-event substrate above, the
     # default) or "asyncio" (real UDP sockets on localhost with wall-clock
-    # periods).  The REPRO_TRANSPORT environment variable overrides this
-    # field, mirroring REPRO_ENGINE.  ``engine`` only applies under "sim".
+    # periods).  The REPRO_TRANSPORT environment variable overrides this field.
     transport: str = "sim"
 
     # --- derived / helpers -------------------------------------------------------
@@ -144,10 +137,6 @@ class IndexConfig:
             raise ValueError("rebalance_batch must be >= 1")
         if self.router not in ("hierarchical", "linear"):
             raise ValueError(f"unknown router {self.router!r}")
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; known: {', '.join(ENGINE_NAMES)}"
-            )
         if self.transport not in TRANSPORT_NAMES:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {', '.join(TRANSPORT_NAMES)}"

@@ -36,7 +36,7 @@ class CadenceController:
     ``interval()`` returns the delay before the *next* round; the ``note_*``
     feedback hooks let the owning protocol report what the last round saw.
     ``interval`` is deliberately a bound method (not a property) so it can be
-    handed to :meth:`repro.sim.node.Node.every` as a callable period.
+    handed to :meth:`repro.transport.endpoint.Endpoint.every` as a callable period.
     """
 
     def interval(self) -> float:

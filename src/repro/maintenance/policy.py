@@ -152,7 +152,7 @@ class MaintenancePolicy:
         Returns the plain ``base`` float under the fixed cadence (zero
         overhead, byte-identical to the legacy timers) or a callable interval
         under ``rtt_scaled`` -- both shapes are accepted by
-        :meth:`repro.sim.node.Node.every`.
+        :meth:`repro.transport.endpoint.Endpoint.every`.
         """
         if self.cadence == "rtt_scaled":
             return RttScaledCadence(

@@ -2,9 +2,9 @@
 
 After PR 10 there is exactly one way to issue a range query:
 :class:`~repro.serve.client.QueryClient` with a ``routing=`` policy
-(``primary`` | ``replica_lb`` | ``cached``) and a ``consistency=`` knob.  The
-historical :class:`~repro.core.scan_range.RangeQueryEngine` entry points
-survive only as deprecation shims.
+(``primary`` | ``replica_lb`` | ``cached``) and a ``consistency=`` knob;
+:meth:`~repro.core.scan_range.RangeQueryEngine.query` is its primary-routing
+backend.
 
 * :mod:`repro.serve.tracker` -- per-peer in-flight RPC accounting fed by the
   transport layer's observer hooks; the load signal ``replica_lb`` balances on.

@@ -9,30 +9,26 @@ objects with FIFO wait queues.
 Layer contract: the bottom of the stack (stdlib-only, like
 :mod:`repro.maintenance`); nothing here may import ring/datastore/index/
 harness code.  Every higher layer may import the public surface below.
-Periodic loops accept either a float period or a zero-argument callable
-(:meth:`Node.every`), which is how the maintenance cadence controllers plug
-in without an import in this direction.  Determinism is part of the contract
--- all randomness comes through :class:`~repro.sim.randomness.RngStreams`,
-never the global ``random`` module.
+Periodic loops (:meth:`repro.transport.endpoint.Endpoint.every`) accept
+either a float period or a zero-argument callable, which is how the
+maintenance cadence controllers plug in without an import in this direction.
+Determinism is part of the contract -- all randomness comes through
+:class:`~repro.sim.randomness.RngStreams`, never the global ``random`` module.
 
 The public surface is:
 
-* :class:`~repro.sim.engine.Simulator` -- the event loop (binary-heap engine);
-  :class:`~repro.sim.wheel.WheelSimulator` is the drop-in timer-wheel engine
-  and :func:`~repro.sim.engine.make_simulator` selects between them by name
-  (overridable via the ``REPRO_ENGINE`` environment variable).
+* :class:`~repro.sim.engine.Simulator` -- the event loop (a binary heap of
+  timed entries behind a FIFO ready queue);
+  :func:`~repro.sim.engine.make_simulator` is where the stack builds it.
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout`,
   :class:`~repro.sim.engine.Process` -- the primitives protocol code yields on.
 * :class:`~repro.sim.locks.RWLock` -- simulated read/write lock.
 * :class:`~repro.sim.network.Network` -- latency/loss model and RPC transport.
-* ``Node`` -- alias of :class:`repro.transport.endpoint.Endpoint`, the
-  transport-agnostic peer base class (kept importable from here).
 * :class:`~repro.sim.randomness.RngStreams` -- named, seeded RNG streams.
 """
 
 from repro.sim.engine import (
     ENGINE_ENV_VAR,
-    ENGINE_NAMES,
     AllOf,
     AnyOf,
     Event,
@@ -55,18 +51,14 @@ from repro.sim.network import (
 )
 from repro.sim.randomness import RngStreams
 
-from repro.sim.wheel import WheelSimulator
-
 __all__ = [
     "AllOf",
     "AnyOf",
     "ENGINE_ENV_VAR",
-    "ENGINE_NAMES",
     "Event",
     "Interrupt",
     "Network",
     "NetworkConfig",
-    "Node",
     "Process",
     "ProcessKilled",
     "RWLock",
@@ -78,16 +70,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "WheelSimulator",
     "make_simulator",
 ]
 
-
-def __getattr__(name):
-    # ``Node`` moved to ``repro.transport.endpoint`` (as ``Endpoint``); the
-    # alias is lazy because the transport package itself imports this one.
-    if name == "Node":
-        from repro.transport.endpoint import Endpoint
-
-        return Endpoint
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

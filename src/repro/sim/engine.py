@@ -42,7 +42,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "ENGINE_ENV_VAR",
-    "ENGINE_NAMES",
     "Event",
     "Interrupt",
     "Process",
@@ -415,8 +414,7 @@ class Simulator:
         The snapshot restore arms resumed maintenance loops with this instead
         of :meth:`timeout`: re-deriving the delay as ``time - now`` and adding
         it back is not an exact float round-trip, and resume parity needs the
-        timer to fire at the captured instant bit-for-bit.  Routed through
-        :meth:`schedule_at`, so it works identically on the wheel engine.
+        timer to fire at the captured instant bit-for-bit.
         """
         event = Event(self)
         self.schedule_at(time, _fire_event, event)
@@ -471,9 +469,7 @@ class Simulator:
 
         Returns the entry's ``arg`` (or ``None`` if the entry already fired or
         was cancelled) so callers that recycle their argument records can
-        reclaim them.  Cancelling a handle *after* its entry fired is a no-op
-        here; see :class:`repro.sim.wheel.WheelSimulator` for why the shared
-        engine contract nevertheless forbids it.
+        reclaim them.  Cancelling a handle *after* its entry fired is a no-op.
         """
         if entry is None or entry[2] is None:
             return None
@@ -493,12 +489,8 @@ class Simulator:
         heapq.heapify(self._queue)
         self._cancelled = 0
 
-    # Engine-agnostic timer API used by the network's RPC fast path.  On this
-    # engine a timer is just a scheduled entry; the wheel engine overrides the
-    # pair with O(1) wheel placement and tombstones that are filtered out
-    # wholesale instead of sifted through a heap.
-    # Contract for both engines: a handle is valid until its timer fires or is
-    # cancelled, whichever comes first -- never cancel after the fire.
+    # The timer API of the clock contract (the network's RPC fast path and the
+    # asyncio clock share these names).  Here a timer is just a scheduled entry.
     schedule_timer = schedule
     cancel_timer = cancel
 
@@ -578,8 +570,7 @@ class Simulator:
                 pop(queue)
                 self._now = time
                 arg = entry[3]
-                # Mark the entry dead so a (contract-violating) late cancel
-                # is a visible no-op returning None, as on the wheel engine.
+                # Mark the entry dead so a late cancel is a no-op returning None.
                 entry[2] = None
                 entry[3] = None
                 processed += 1
@@ -635,10 +626,6 @@ class Simulator:
             self.events_processed += processed
         return event._triggered
 
-    # -- identity -----------------------------------------------------------
-    #: Registry name of this engine implementation (see :func:`make_simulator`).
-    engine_name = "heap"
-
     def run_process(self, generator: ProcessGenerator, timeout: float = 1e9) -> Any:
         """Convenience: run ``generator`` to completion and return its value.
 
@@ -656,36 +643,25 @@ class Simulator:
         return proc.value
 
 
-# --------------------------------------------------------------------------- engine selection
-#: Environment knob forcing an engine for every simulator built through
-#: :func:`make_simulator` (e.g. ``REPRO_ENGINE=wheel`` runs the tier-1 suite
-#: on the wheel engine in CI without touching any scenario spec).
+# --------------------------------------------------------------------------- construction
+#: Once selected between two engines.  One engine remains; the variable is
+#: still read so that a stale value fails loudly instead of being ignored.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: The selectable engine implementations.  ``heap`` is the default binary-heap
-#: engine above; ``wheel`` is the hierarchical timer wheel with record
-#: recycling (:mod:`repro.sim.wheel`).  Both honor the same contract:
-#: ``(time, seq)`` tie-break on the time-keyed queue, FIFO same-instant ready
-#: queue drained first, and deterministic execution for a given seed.
-ENGINE_NAMES = ("heap", "wheel")
 
 
 def make_simulator(engine: str = "heap") -> Simulator:
-    """Build the engine named ``engine`` (``heap`` or ``wheel``).
+    """Build the stack's clock: the one place a :class:`Simulator` is made.
 
-    The :data:`ENGINE_ENV_VAR` environment variable, when set, overrides the
-    argument -- that is the "force the wheel engine" knob the engine-parity CI
-    job uses.  Unknown names raise :class:`SimulationError`.
+    The argument and :data:`ENGINE_ENV_VAR` are outside input left over from
+    when a second engine existed.  Anything but ``heap`` in either raises
+    :class:`SimulationError`, so a stale ``REPRO_ENGINE=...`` in a shell or CI
+    file can never label a result with an engine that did not run.
     """
-    forced = os.environ.get(ENGINE_ENV_VAR)
-    if forced:
-        engine = forced
-    if engine == "heap":
-        return Simulator()
-    if engine == "wheel":
-        from repro.sim.wheel import WheelSimulator  # deferred: wheel imports us
-
-        return WheelSimulator()
-    raise SimulationError(
-        f"unknown simulation engine {engine!r}; known: {', '.join(ENGINE_NAMES)}"
-    )
+    stale = {engine, os.environ.get(ENGINE_ENV_VAR) or "heap"} - {"heap"}
+    if stale:
+        names = ", ".join(sorted(map(repr, stale)))
+        raise SimulationError(
+            f"unknown simulation engine {names}: the second event engine was removed and "
+            f"'heap' is the only one -- unset {ENGINE_ENV_VAR} / drop the argument"
+        )
+    return Simulator()

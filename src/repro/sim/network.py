@@ -25,13 +25,12 @@ samples exist), which the RTT-scaled cadence controllers in
 
 Scalability notes
 -----------------
-* The RPC expiry timer goes through the engine-agnostic
+* The RPC expiry timer goes through the clock's
   ``schedule_timer``/``cancel_timer`` API and is cancelled as soon as the
   reply is delivered.  Under churn-free operation nearly every call completes
   in milliseconds while its timer spans the full ``rpc_timeout``; without
   cancellation those dead timers dominate the event queue of large
-  deployments.  On the heap engine a cancel tombstones the entry; on the
-  wheel engine it removes and recycles the record outright.
+  deployments.  A cancel tombstones the heap entry in place.
 * The per-RPC bookkeeping records -- expiry arguments, delivery/reply
   transfer records, reply continuations and :class:`RpcRequest` objects --
   are recycled through freelists, so steady-state RPC traffic allocates only
@@ -269,7 +268,7 @@ CROSS_SITE_LATENCY_METRIC = "net_latency_cross_site"
 
 
 class Network:
-    """Connects :class:`~repro.sim.node.Node` instances by address.
+    """Connects :class:`~repro.transport.endpoint.Endpoint` instances by address.
 
     ``metrics`` is an optional collector (anything with a
     ``record(name, value)`` method, e.g. :class:`repro.harness.metrics.Metrics`).
@@ -298,7 +297,7 @@ class Network:
         self._next_request_id = 0
         # Pending same-instant delivery batches, keyed on absolute delivery time.
         self._batches: Dict[float, List[Tuple[Callable[[Any], None], Any]]] = {}
-        # Engine-agnostic timer API, bound once: it sits on the per-RPC path.
+        # The clock's timer API, bound once: it sits on the per-RPC path.
         self._schedule_timer = sim.schedule_timer
         self._cancel_timer = sim.cancel_timer
         # Freelists recycling the per-RPC bookkeeping records, so steady-state
@@ -575,9 +574,8 @@ class Network:
         transfer[0] = transfer[1] = transfer[2] = transfer[3] = None
         self._transfer_free.append(transfer)
         if result.triggered:
-            # The expiry timer won the race; it already fired (and the engine
-            # may have recycled its record), so the handle must not be
-            # cancelled -- see the engine contract.
+            # The expiry timer won the race: the caller already holds its
+            # RpcTimeout, and the late reply is dropped.
             return
         # The reply made it first: reclaim the timer and its expiry record.
         pending = self._cancel_timer(timer)

@@ -2,14 +2,14 @@
 
 Scenario iteration keeps re-running an expensive, *identical* prefix: the
 build (and settle) phases of a cell are deterministic for a given
-``(spec, seed, engine)``, yet every tweak to a stress phase or query mix pays
+``(spec, seed)``, yet every tweak to a stress phase or query mix pays
 for them again.  This package captures the complete post-phase world state --
 ring and peer state, store contents, membership, pending maintenance timers,
 every named RNG stream -- into a versioned on-disk snapshot, and rebuilds a
 live world from it whose subsequent execution is *bit-identical* to the
 straight-through run (the resume-parity matrix in
 ``tests/test_snapshot_parity.py`` pins every end-state field, including
-``events_processed`` and the per-method RPC profile, on both event engines).
+``events_processed`` and the per-method RPC profile).
 
 The moving parts:
 
@@ -20,7 +20,7 @@ The moving parts:
 * :mod:`~repro.snapshot.restore` -- rebuild a live experiment from that dict
   (construction + overwrite, never replay);
 * :mod:`~repro.snapshot.store` -- the on-disk format, keyed by
-  ``(spec-build-hash, seed, engine)`` so edited specs silently miss and
+  ``(spec-build-hash, seed)`` so edited specs silently miss and
   rebuild instead of resuming a stale world.
 
 Only the simulated transport snapshots (the asyncio transport's world is

@@ -1,25 +1,24 @@
-"""On-disk snapshot store: versioned, keyed by ``(spec-build-hash, seed, engine)``.
+"""On-disk snapshot store: versioned, keyed by ``(spec-build-hash, seed)``.
 
 A snapshot file is gzipped JSON::
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "build_hash": "<16 hex chars>",
       "seed": 3,
-      "engine": "heap",
       "state": { ... }          # the world dict built by repro.snapshot.capture
     }
 
 The **build hash** digests everything that shapes the world *up to the capture
-boundary*: the spec with its identity knobs normalised out (seed, engine and
-transport live in the filename/envelope instead; ``warm_start`` is a pure
-runner knob), the pre-boundary phase list, the peer total and the format
-version.  Editing a spec -- a period, a workload, a config override -- changes
-the repr, hence the hash, hence the filename: stale snapshots are never
-*loaded*, they are simply never looked up again (and a later cold run writes
-the new file alongside).  Dataclass reprs are deterministic for the plain-data
-specs involved, and a hash mismatch only ever costs a cold rebuild, never
-correctness.
+boundary*: the spec with its identity knobs normalised out (the seed lives in
+the filename/envelope instead, only the simulated transport snapshots, and
+``warm_start`` is a pure runner knob), the pre-boundary phase list, the peer
+total and the format version.  Editing a spec -- a period, a workload, a
+config override -- changes the repr, hence the hash, hence the filename: stale
+snapshots are never *loaded*, they are simply never looked up again (and a
+later cold run writes the new file alongside).  Dataclass reprs are
+deterministic for the plain-data specs involved, and a hash mismatch only ever
+costs a cold rebuild, never correctness.
 
 :func:`load_snapshot` is deliberately paranoid: *any* failure -- missing file,
 truncated gzip, invalid JSON, wrong version, wrong key -- returns ``None`` so
@@ -38,7 +37,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 #: Bump on any change to the state dict layout or the codec representations.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Snapshot filename suffix.
 SNAPSHOT_SUFFIX = ".snap.gz"
@@ -51,7 +50,6 @@ def build_hash(spec, pre_phases: Sequence) -> str:
     normalized = replace(
         spec,
         seed=0,
-        engine="heap",
         transport=TransportSpec(),
         phases=(),
         warm_start=True,
@@ -60,12 +58,12 @@ def build_hash(spec, pre_phases: Sequence) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def snapshot_path(directory, name: str, key: str, seed: int, engine: str) -> Path:
-    """``<dir>/<scenario>-<hash>-s<seed>-<engine>.snap.gz``."""
-    return Path(directory) / f"{name}-{key}-s{seed}-{engine}{SNAPSHOT_SUFFIX}"
+def snapshot_path(directory, name: str, key: str, seed: int) -> Path:
+    """``<dir>/<scenario>-<hash>-s<seed>.snap.gz``."""
+    return Path(directory) / f"{name}-{key}-s{seed}{SNAPSHOT_SUFFIX}"
 
 
-def save_snapshot(path, key: str, seed: int, engine: str, state: dict) -> None:
+def save_snapshot(path, key: str, seed: int, state: dict) -> None:
     """Write atomically (tmp + rename): a killed run never leaves a torn file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -73,7 +71,6 @@ def save_snapshot(path, key: str, seed: int, engine: str, state: dict) -> None:
         "format_version": FORMAT_VERSION,
         "build_hash": key,
         "seed": seed,
-        "engine": engine,
         "state": state,
     }
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
@@ -86,7 +83,7 @@ def save_snapshot(path, key: str, seed: int, engine: str, state: dict) -> None:
             tmp.unlink()
 
 
-def load_snapshot(path, key: str, seed: int, engine: str) -> Optional[dict]:
+def load_snapshot(path, key: str, seed: int) -> Optional[dict]:
     """The state dict, or ``None`` for *any* miss/mismatch/corruption."""
     try:
         with gzip.open(path, "rt", encoding="utf-8") as handle:
@@ -98,11 +95,7 @@ def load_snapshot(path, key: str, seed: int, engine: str) -> Optional[dict]:
         return None
     if payload.get("format_version") != FORMAT_VERSION:
         return None
-    if (
-        payload.get("build_hash") != key
-        or payload.get("seed") != seed
-        or payload.get("engine") != engine
-    ):
+    if payload.get("build_hash") != key or payload.get("seed") != seed:
         return None
     state = payload.get("state")
     return state if isinstance(state, dict) else None

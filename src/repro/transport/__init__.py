@@ -7,19 +7,19 @@ clock and RNG access, peer addressing -- never against a concrete substrate.
 Two implementations exist:
 
 * :class:`~repro.transport.sim_transport.SimTransport` -- the seeded
-  discrete-event simulator (heap or wheel engine).  Deterministic; the
-  default; event-trace bit-identical to the pre-transport stack.
+  discrete-event simulator.  Deterministic; the default; event-trace
+  bit-identical to the pre-transport stack.
 * :class:`~repro.transport.asyncio_transport.AsyncioTransport` -- real UDP
   sockets on localhost with wall-clock periods, on an asyncio loop.  The
   same generators, in real time; used by the ``localhost_*`` fidelity cells.
 
 Layer contract: protocol layers import messaging names (``Endpoint``,
 ``RpcError`` & friends) from *here*; only this package and the composition
-root (:mod:`repro.index.pring`) may touch ``repro.sim.network`` /
-``repro.sim.node`` internals.  ``tests/test_import_boundary.py`` enforces
-that.  The engine primitives (:class:`~repro.sim.engine.Event`,
-``Interrupt``, :class:`~repro.sim.locks.RWLock`) remain importable from
-``repro.sim`` by every layer: they are substrate-independent.
+root (:mod:`repro.index.pring`) may touch ``repro.sim.network``
+internals.  ``tests/test_import_boundary.py`` enforces that.  The engine
+primitives (:class:`~repro.sim.engine.Event`, ``Interrupt``,
+:class:`~repro.sim.locks.RWLock`) remain importable from ``repro.sim`` by
+every layer: they are substrate-independent.
 """
 
 from repro.transport.api import (
@@ -34,13 +34,12 @@ from repro.transport.api import (
     Transport,
     make_transport,
 )
-from repro.transport.endpoint import Endpoint, Node
+from repro.transport.endpoint import Endpoint
 
 __all__ = [
     "AsyncioTransport",
     "Endpoint",
     "NetworkStats",
-    "Node",
     "RpcError",
     "RpcRemoteError",
     "RpcRequest",

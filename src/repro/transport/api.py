@@ -11,10 +11,10 @@ objects:
     ``timeout(delay)``, ``process(generator)``, ``any_of``/``all_of``,
     ``schedule_timer``/``cancel_timer``, ``run(until)``,
     ``run_until(event, timeout)``, ``run_process(generator)`` and the
-    ``events_processed`` counter.  The discrete-event engines (``heap``,
-    ``wheel``) implement it in simulated time; the asyncio transport
-    implements it in real wall-clock time on an asyncio loop.  Protocol code
-    cannot tell the difference: it yields the same events either way.
+    ``events_processed`` counter.  The discrete-event engine implements it
+    in simulated time; the asyncio transport implements it in real
+    wall-clock time on an asyncio loop.  Protocol code cannot tell the
+    difference: it yields the same events either way.
 
 ``network``
     The message plane.  The surface protocol layers use:
@@ -167,8 +167,7 @@ def make_transport(config, metrics=None) -> Transport:
     """Build the transport selected by ``config.transport``.
 
     The :data:`TRANSPORT_ENV_VAR` environment variable, when set, overrides
-    the config field -- mirroring how ``REPRO_ENGINE`` overrides the engine.
-    Unknown names raise :class:`ValueError`.
+    the config field.  Unknown names raise :class:`ValueError`.
     """
     name = os.environ.get(TRANSPORT_ENV_VAR) or getattr(config, "transport", "sim")
     if name == "sim":

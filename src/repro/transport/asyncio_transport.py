@@ -66,7 +66,7 @@ class _WakingReady:
 
     :class:`~repro.sim.engine.Event` and :class:`~repro.sim.engine.Process`
     push resume work via ``sim._ready.append``; under the discrete-event
-    engines the run loop polls the deque, but an asyncio loop must be *told*
+    engine the run loop polls the deque, but an asyncio loop must be *told*
     there is work.  Appending schedules the clock's pump with
     ``loop.call_soon`` (coalesced while one is already pending).
     """
@@ -99,10 +99,8 @@ class AsyncioClock:
     ``now`` is wall-clock seconds since the clock was built (``loop.time``
     rebased to zero, so scenario durations read the same as simulated ones).
     ``events_processed`` counts protocol actions pumped through the ready
-    queue plus fired timers -- the same notion the simulated engines report.
+    queue plus fired timers -- the same notion the simulated engine reports.
     """
-
-    engine_name = "asyncio"
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None):
         self.loop = loop if loop is not None else asyncio.new_event_loop()
@@ -142,7 +140,7 @@ class AsyncioClock:
         """An event firing ``delay`` *wall-clock* seconds from now.
 
         Returns a plain :class:`Event` completed by ``loop.call_later``
-        (:class:`~repro.sim.engine.Timeout` is heap-engine-specific: its
+        (:class:`~repro.sim.engine.Timeout` is simulator-specific: its
         constructor pushes directly into the simulator's time queue).
         """
         if delay < 0:
@@ -169,9 +167,8 @@ class AsyncioClock:
         return AllOf(self, events)
 
     # -- timers ------------------------------------------------------------
-    # Same contract as the engines' schedule_timer/cancel_timer: the returned
-    # handle is valid until the timer fires or is cancelled, whichever comes
-    # first; cancelling returns the argument (or None if already fired).
+    # Same contract as the engine's schedule_timer/cancel_timer: cancelling
+    # returns the argument, or None if the timer already fired or was cancelled.
     def schedule_timer(self, delay: float, func: Callable[[Any], None], arg: Any = None) -> list:
         """Run ``func(arg)`` after ``delay`` wall-clock seconds; returns a handle."""
         if delay < 0:
@@ -211,7 +208,7 @@ class AsyncioClock:
     def run(self, until: Optional[float] = None) -> float:
         """Run the loop until wall-clock ``now`` reaches ``until``.
 
-        Unlike the simulated engines there is no "queue exhausted" stop: real
+        Unlike the simulated engine there is no "queue exhausted" stop: real
         time always advances, so ``until`` is required.
         """
         if until is None:

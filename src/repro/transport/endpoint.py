@@ -18,8 +18,7 @@ This class is substrate-agnostic: ``sim`` is any clock satisfying the engine
 contract (a discrete-event :class:`~repro.sim.engine.Simulator` or the
 real-time :class:`~repro.transport.asyncio_transport.AsyncioClock`) and
 ``network`` is any message plane satisfying the contract in
-:mod:`repro.transport.api`.  Before the transport split this class lived at
-``repro.sim.node.Node``; that name remains importable as an alias.
+:mod:`repro.transport.api`.
 """
 
 from __future__ import annotations
@@ -324,7 +323,3 @@ class Endpoint:
 
     def on_departed(self) -> None:
         """Hook invoked after :meth:`depart`."""
-
-
-#: Historical name: before the transport split this class was ``sim.node.Node``.
-Node = Endpoint

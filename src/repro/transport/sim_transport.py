@@ -1,13 +1,12 @@
 """The discrete-event transport: the seeded simulator behind the contract.
 
-A *thin* adapter by design: it composes the existing engine
-(:func:`~repro.sim.engine.make_simulator` -- heap or timer-wheel) with the
-existing :class:`~repro.sim.network.Network` in exactly the order the
-pre-transport composition root did, consuming the same RNG streams in the
-same sequence.  That makes a ``SimTransport`` deployment event-trace
-bit-identical to the pre-refactor stack, which the frozen-seed parity suite
-(``tests/test_transport_parity.py``) pins the same way PR 6 pinned the wheel
-engine.
+A *thin* adapter by design: it composes the engine
+(:func:`~repro.sim.engine.make_simulator`) with the
+:class:`~repro.sim.network.Network` in exactly the order the pre-transport
+composition root did, consuming the same RNG streams in the same sequence.
+That makes a ``SimTransport`` deployment event-trace bit-identical to the
+pre-refactor stack, which the frozen-seed parity suite
+(``tests/test_transport_parity.py``) pins.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ class SimTransport(Transport):
         # Construction order matters for parity: the engine first, then the
         # seeded streams, then the network pulling its "network" stream --
         # the exact sequence the pre-transport PRingIndex used.
-        self.clock = make_simulator(config.engine)
+        self.clock = make_simulator()
         self.rngs = RngStreams(config.seed)
         self.network = Network(
             self.clock, self.rngs.stream("network"), config.network, metrics=metrics

@@ -12,7 +12,7 @@ each file's cells and fields, so the re-freeze is explicit and reproducible:
   cell, after checking that the warm resume from that capture ends in exactly
   the same state (what ``test_snapshot_parity`` compares with).
 
-Say why in CHANGES.md, then run the three parity modules under
+Say why in CHANGES.md, then run the two parity modules under
 ``REPRO_PARITY_FULL=1``.
 """
 
@@ -65,8 +65,7 @@ def refreeze(name: str, run) -> None:
 
 
 def main() -> None:
-    # Baselines are frozen from each cell's own engine and transport.
-    os.environ.pop("REPRO_ENGINE", None)
+    # Baselines are frozen from each cell's own transport.
     os.environ.pop("REPRO_TRANSPORT", None)
     for size in ("smoke", "scale300"):
         refreeze(f"transport_refactor_baseline_{size}.json", _plain)

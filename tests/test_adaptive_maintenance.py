@@ -21,7 +21,7 @@ import random
 from repro import PRingIndex, default_config
 from repro.harness.scenarios import get_scenario, run_spec
 from repro.maintenance import maintenance_policy_from_params
-from repro.sim.node import Node
+from repro.transport import Endpoint
 
 from tests.test_membership_invariants import assert_membership_consistent
 
@@ -158,7 +158,7 @@ def test_redirect_cache_serves_join_redirects():
 
     redirects_before = index.metrics.count("join_redirect")
     cached_before = index.metrics.count("join_redirect_cached")
-    coordinator = Node(index.sim, index.network, "test-redirect-driver")
+    coordinator = Endpoint(index.sim, index.network, "test-redirect-driver")
     responses = []
 
     def drive():

@@ -5,10 +5,10 @@ protocol layers -- ring, data store, replication, router, core, and the peer
 composition -- to depend only on :mod:`repro.transport` (the Endpoint base
 class, RPC errors, the Transport surface) and on the substrate-independent
 engine primitives re-exported by :mod:`repro.sim` (Event, Interrupt, RWLock,
-...).  Importing ``repro.sim.network`` or ``repro.sim.node`` directly would
-couple protocol semantics to one delivery substrate and silently break the
-asyncio transport; only the transport package itself and the composition
-root (``repro.index.pring`` via ``make_transport``) may touch those modules.
+...).  Importing ``repro.sim.network`` directly would couple protocol
+semantics to one delivery substrate and silently break the asyncio transport;
+only the transport package itself and the composition root
+(``repro.index.pring`` via ``make_transport``) may touch that module.
 
 Enforced by walking the AST of every protocol-layer module: no ``import`` or
 ``from ... import`` statement may resolve to a forbidden module.
@@ -38,7 +38,7 @@ PROTOCOL_LAYERS = (
 # Modules the protocol layers must never name.  ``repro.sim`` itself stays
 # importable (engine primitives such as Event/Interrupt/RWLock are
 # substrate-independent), but the sim-specific delivery machinery is not.
-FORBIDDEN = ("repro.sim.network", "repro.sim.node")
+FORBIDDEN = ("repro.sim.network",)
 
 
 def _protocol_modules():

@@ -25,8 +25,8 @@ from repro.maintenance import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.network import LanWanLatency, Network, NetworkConfig, UniformLatency
-from repro.sim.node import Node
 from repro.sim.randomness import RngStreams
+from repro.transport import Endpoint
 
 
 # --------------------------------------------------------------------------- cadence controllers
@@ -282,7 +282,7 @@ def test_node_every_accepts_a_callable_period():
     sim = Simulator()
     rngs = RngStreams(3)
     network = Network(sim, rngs.stream("network"))
-    node = Node(sim, network, "n1")
+    node = Endpoint(sim, network, "n1")
     cadence = AdaptiveCadence(1.0, growth=2.0, max_factor=4.0, success_threshold=1)
     ticks = []
 
@@ -300,7 +300,7 @@ def test_node_every_float_period_unchanged():
     sim = Simulator()
     rngs = RngStreams(3)
     network = Network(sim, rngs.stream("network"))
-    node = Node(sim, network, "n1")
+    node = Endpoint(sim, network, "n1")
     ticks = []
     node.every(2.0, lambda: ticks.append(sim.now), name="fixed-loop")
     sim.run(until=7.0)

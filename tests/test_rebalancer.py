@@ -12,7 +12,7 @@ mid-transfer loses nothing and leaves no duplicate serving copies).
 
 from repro import PRingIndex, default_config
 from repro.datastore.items import Item
-from repro.sim.node import Node
+from repro.transport import Endpoint
 from tests.conftest import build_cluster
 
 _TRANSFER_KEYS = ("value", "range", "items", "join_via", "notify")
@@ -109,7 +109,7 @@ def test_victim_failure_mid_transfer_loses_nothing_no_duplicates():
     members = sorted(index.ring_members(), key=lambda p: p.ring.value)
     victim = max(members[1:], key=lambda p: len(p.balancer._split_candidates()))
     _top_up_to_threshold(index, victim)
-    coordinator = Node(index.sim, index.network, "test-coordinator")
+    coordinator = Endpoint(index.sim, index.network, "test-coordinator")
 
     def drive():
         acquired = yield coordinator.call(index.pool.address, "pool_acquire", {})
@@ -150,7 +150,7 @@ def test_receiver_failure_before_put_leaves_victim_intact():
     members = sorted(index.ring_members(), key=lambda p: p.ring.value)
     victim = max(members[1:], key=lambda p: len(p.balancer._split_candidates()))
     _top_up_to_threshold(index, victim)
-    coordinator = Node(index.sim, index.network, "test-coordinator")
+    coordinator = Endpoint(index.sim, index.network, "test-coordinator")
 
     def drive():
         acquired = yield coordinator.call(index.pool.address, "pool_acquire", {})

@@ -13,11 +13,11 @@ from repro.ring.chord import ChordRing, in_open_interval
 from repro.ring.entries import FREE, JOINED, JOINING, LEAVING, SuccessorEntry
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.sim.node import Node
 from repro.sim.randomness import RngStreams
+from repro.transport import Endpoint
 
 
-class RingPeer(Node):
+class RingPeer(Endpoint):
     """A bare node carrying only the ring component (for ring-level tests)."""
 
     def __init__(self, sim, network, address, value, config, ring_class, metrics=None):
@@ -178,7 +178,7 @@ def test_insert_redirect_when_contacting_wrong_predecessor():
     assert check_consistent_successor_pointers(harness.live()).ok
 
 
-class RedirectingStub(Node):
+class RedirectingStub(Endpoint):
     """A forged ring member whose insertSucc always redirects to a fixed partner."""
 
     def __init__(self, sim, network, address):

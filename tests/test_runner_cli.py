@@ -3,8 +3,8 @@
 These exercise the thin orchestration layer above :func:`run_spec` -- the
 paths a scenario result travels between the registry and the BENCH envelope:
 
-* ``--list`` renders every registry section (suites, scenarios, figures,
-  benchmarks) with the per-scenario engine/transport columns;
+* ``--list`` renders every registry section (suites, scenarios, figures)
+  with the per-scenario transport column;
 * ``--profile`` runs serially under cProfile and writes the per-scenario
   report next to the BENCH file;
 * ``--snapshot-dir`` / ``--no-warm-start`` thread through ``run_named`` /
@@ -25,7 +25,6 @@ from repro.harness.runner import run_cells, run_named
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
 
 
@@ -33,17 +32,25 @@ def _clean_env(monkeypatch):
 def test_list_renders_every_registry_section(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for section in ("suites:", "scenarios:", "figures:", "benchmarks:"):
+    for section in ("suites:", "scenarios:", "figures:"):
         assert section in out
-    # The scenario table carries the engine/transport columns and known rows.
-    assert "engine" in out and "transport" in out
-    assert "smoke" in out and "scale_300" in out and "engine_bench" in out
+    # The scenario table carries the transport column and known rows.
+    assert "transport" in out and "engine" not in out
+    assert "smoke" in out and "scale_300" in out
 
 
 def test_bare_invocation_lists_and_unknown_name_fails(capsys):
     assert main([]) == 0  # no scenario -> the listing, not an error
-    assert main(["no_such_scenario"]) == 2
-    assert "unknown scenario" in capsys.readouterr().err
+    for gone in ("no_such_scenario", "engine_bench"):
+        assert main([gone]) == 2
+        assert f"unknown scenario {gone!r}" in capsys.readouterr().err
+
+
+def test_engine_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smoke", "--engine", "heap"])
+    assert exit_info.value.code == 2  # argparse: unrecognized arguments
+    assert "--engine" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ --profile

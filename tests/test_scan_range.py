@@ -90,17 +90,6 @@ def test_query_rejects_unknown_strategy(cluster):
         index.run_process(peer.queries.query(keys[5], keys[25], strategy="psychic"))
 
 
-def test_deprecated_entry_points_warn_and_still_work(cluster):
-    """The three legacy entry points stay as shims: warn, then delegate."""
-    index, keys = cluster
-    peer = index.ring_members()[0]
-    lb, ub = keys[5], keys[25]
-    for name in ("range_query", "range_query_scan", "range_query_naive"):
-        with pytest.warns(DeprecationWarning, match=name):
-            result = index.run_process(getattr(peer.queries, name)(lb, ub))
-        assert sorted(result["keys"]) == expected_keys(keys, lb, ub)
-
-
 def test_forward_target_prunes_successors_inside_the_scanned_window(cluster):
     """Window pruning: successors whose whole arc lies at or below the
     watermark are skipped without paying a hop."""

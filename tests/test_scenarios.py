@@ -56,6 +56,9 @@ def test_builtin_scenarios_registered():
         "scale_1000",
     ):
         assert expected in names
+    # One event engine: no cell exists only to name another one.
+    assert len(names) == 30
+    assert not [name for name in names if name.endswith("_wheel")]
 
 
 def test_scale_sweep_suite_composition():
@@ -68,7 +71,6 @@ def test_scale_sweep_suite_composition():
         "scale_300_adaptive",
         "scale_1000",
         "scale_1000_adaptive",
-        "scale_1000_wheel",
     )
     assert suite.bench_name == "scale"
     deep = get_suite("scale_sweep_deep")

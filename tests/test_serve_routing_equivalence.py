@@ -5,8 +5,8 @@ that ``replica_lb`` and ``cached`` are pure *routing* choices: they may move
 reads off the primary, but with no writes between two queries they must return
 exactly the result set the ``primary`` policy returns.  These tests drive a
 churn schedule (alternating deletes and re-inserts of workload keys) and
-compare the three policies' result sets at checkpoints throughout -- on both
-event engines over the simulated transport, and over real asyncio sockets.
+compare the three policies' result sets at checkpoints throughout -- over
+the simulated transport, and over real asyncio sockets.
 
 The checkpoint queries run back-to-back with churn quiescent, so exact
 equality is required -- replication lag is not an excuse: a replica that
@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro import PRingIndex, default_config
-from repro.sim.engine import ENGINE_NAMES
 from repro.transport.api import TRANSPORT_ENV_VAR
 from tests.conftest import build_cluster
 
@@ -50,9 +49,9 @@ def _churn_step(index, rng, keys, live, step):
         live.discard(victim)
 
 
-@pytest.mark.parametrize("engine", ENGINE_NAMES)
-def test_routing_equivalence_under_500_step_churn(engine):
-    index, keys = build_cluster(seed=91, peers=9, engine=engine)
+@pytest.mark.usefixtures("heap_id")
+def test_routing_equivalence_under_500_step_churn():
+    index, keys = build_cluster(seed=91, peers=9)
     rng = index.rngs.stream("equivalence-churn")
     live = set(keys)
     windows = [
@@ -64,7 +63,7 @@ def test_routing_equivalence_under_500_step_churn(engine):
         _churn_step(index, rng, keys, live, step)
         index.run(0.05)
         if step % 50 == 49:
-            _assert_equivalent(index, windows, (engine, step))
+            _assert_equivalent(index, windows, step)
     # The schedule really exercised both directions of churn.
     assert live != set(keys) or len(live) == len(keys)
     assert index.metrics.count("serve_cache_invalidate") >= 1

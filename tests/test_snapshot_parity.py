@@ -3,7 +3,7 @@
 The snapshot machinery promises bit-identical end states two ways:
 
 * a **cold-with-capture** run (first run against an empty snapshot cache) is
-  deterministic per ``(spec, seed, engine)``: the parked-instant barrier
+  deterministic per ``(spec, seed)``: the parked-instant barrier
   executes events exactly as a straight-through run would, though when the
   boundary instant itself is not parked it may advance the world slightly
   before capturing -- so a snapshot run's trace can differ marginally from a
@@ -15,13 +15,13 @@ The snapshot machinery promises bit-identical end states two ways:
   ``events_processed`` and the per-method RPC profile.
 
 Both are pinned here against end states frozen from cold-with-capture runs
-(``tests/data/snapshot_parity_baseline_*.json``), on both event engines for
-the smoke matrix.  A plain run (no snapshot directory) is untouched by this
-PR -- ``test_plain_run_unchanged_by_capture`` pins that, and the engine- and
-transport-parity baselines (all frozen from plain runs) double as the
-regression net.  The smoke matrix (seeds 0, 1) runs in tier-1; the scale_300
-fixed + adaptive matrix (seeds 0..2) runs under ``REPRO_PARITY_FULL=1`` like
-the engine- and transport-parity splits.
+(``tests/data/snapshot_parity_baseline_*.json``).  A plain run (no snapshot
+directory) is untouched by the capture machinery --
+``test_plain_run_unchanged_by_capture`` pins that, and the transport-parity
+baselines (frozen from plain runs) double as the regression net.  The smoke
+matrix (seeds 0, 1) runs in tier-1; the scale_300 fixed + adaptive matrix
+(seeds 0..2) runs under ``REPRO_PARITY_FULL=1`` like the transport-parity
+split.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from pathlib import Path
 import pytest
 
 from repro.harness.scenarios import get_scenario, run_spec
-from repro.sim.engine import ENGINE_NAMES
 from repro.snapshot import SNAPSHOT_SUFFIX
 
 DATA = Path(__file__).parent / "data"
@@ -59,20 +58,17 @@ def _end_state(result: dict, frozen: dict) -> dict:
     }
 
 
-def _assert_resume_parity(scenario, seed, engine, frozen, tmp_path, monkeypatch):
+def _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch):
     """Cold-with-capture then warm resume; both must equal the frozen plain run."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
     spec = get_scenario(scenario)
-    if engine != spec.engine:
-        spec = spec.with_(engine=engine)
     snapshot_dir = tmp_path / "snapshots"
 
     cold = run_spec(spec, seed=seed, snapshot_dir=str(snapshot_dir))
     assert not cold.warm_start
     written = list(snapshot_dir.glob(f"*{SNAPSHOT_SUFFIX}"))
     assert len(written) == 1, "the cold run must capture exactly one snapshot"
-    assert f"-{engine}" in written[0].name  # the cache key carries the engine
+    assert written[0].name.endswith(f"-s{seed}{SNAPSHOT_SUFFIX}")
 
     warm = run_spec(spec, seed=seed, snapshot_dir=str(snapshot_dir))
     assert warm.warm_start, "the second run must resume from the snapshot"
@@ -80,19 +76,19 @@ def _assert_resume_parity(scenario, seed, engine, frozen, tmp_path, monkeypatch)
     for label, result in (("cold-with-capture", cold), ("warm resume", warm)):
         live = _end_state(result.as_dict(), frozen)
         assert live == frozen, (
-            f"{scenario}[seed={seed}, engine={engine}]: {label} diverged from "
+            f"{scenario}[seed={seed}]: {label} diverged from "
             f"the frozen straight-through run\n  frozen: {frozen}\n  live:   {live}"
         )
 
 
-@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("heap_id", ["heap"])  # direct, so it stays last in the id
 @pytest.mark.parametrize(
     "scenario,seed,frozen",
     list(_frozen_cells("snapshot_parity_baseline_smoke.json")),
     ids=lambda value: value if isinstance(value, str) else None,
 )
-def test_smoke_resume_parity(scenario, seed, frozen, engine, tmp_path, monkeypatch):
-    _assert_resume_parity(scenario, seed, engine, frozen, tmp_path, monkeypatch)
+def test_smoke_resume_parity(scenario, seed, frozen, heap_id, tmp_path, monkeypatch):
+    _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch)
 
 
 FULL_MATRIX = bool(os.environ.get("REPRO_PARITY_FULL"))
@@ -107,14 +103,12 @@ FULL_MATRIX = bool(os.environ.get("REPRO_PARITY_FULL"))
     ids=lambda value: value if isinstance(value, str) else None,
 )
 def test_scale_300_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch):
-    spec = get_scenario(scenario)
-    _assert_resume_parity(scenario, seed, spec.engine, frozen, tmp_path, monkeypatch)
+    _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch)
 
 
-def test_plain_run_unchanged_by_capture(tmp_path, monkeypatch):
+def test_plain_run_unchanged_by_capture(tmp_path):
     """On smoke the boundary instant is already parked, so enabling the cache
     does not even shift the trace: plain == cold-with-capture, bit for bit."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     spec = get_scenario("smoke")
     plain = run_spec(spec, seed=0)
     cold = run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
@@ -123,10 +117,9 @@ def test_plain_run_unchanged_by_capture(tmp_path, monkeypatch):
     assert plain.rpc_per_method == cold.rpc_per_method
 
 
-def test_warm_result_is_flagged(tmp_path, monkeypatch):
+def test_warm_result_is_flagged(tmp_path):
     """``warm_start`` in the result dict distinguishes resumed cells in BENCH
     envelopes (and is the only field a warm run may differ on)."""
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     spec = get_scenario("smoke")
     cold = run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
     warm = run_spec(spec, seed=0, snapshot_dir=str(tmp_path))

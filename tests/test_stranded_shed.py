@@ -5,9 +5,6 @@ boundary: ``total_stored_items()`` counts them but ``scan_range`` never
 serves them.  The shed pass must route every such copy to its responsible
 owner (store-then-delete with a version-checked ack) so that the
 ``items_reachable`` audit matches ``items_stored`` again.
-
-Every scenario runs on both event engines (the heap/wheel parity contract
-from the engine PR): the shed protocol must behave identically on either.
 """
 
 import pytest
@@ -15,11 +12,6 @@ import pytest
 from repro.core.correctness import audit_reachability
 from repro.datastore.items import Item
 from tests.conftest import build_cluster
-
-
-@pytest.fixture(params=["heap", "wheel"], ids=["heap", "wheel"])
-def engine(request):
-    return request.param
 
 
 def _forge_stranded_copy(index):
@@ -40,9 +32,10 @@ def _forge_stranded_copy(index):
     return holder, stray_key
 
 
-def test_stranded_copy_invisible_to_scan_until_shed(engine):
+@pytest.mark.usefixtures("heap_id")
+def test_stranded_copy_invisible_to_scan_until_shed():
     """The satellite regression: missed by scan_range before shed, found after."""
-    index, keys = build_cluster(seed=51, peers=8, engine=engine)
+    index, keys = build_cluster(seed=51, peers=8)
     holder, stray_key = _forge_stranded_copy(index)
 
     # Stored but unreachable: the full-space scan misses the stranded copy.
@@ -73,9 +66,10 @@ def test_stranded_copy_invisible_to_scan_until_shed(engine):
     assert stray_key in result["keys"]
 
 
-def test_shed_can_be_disabled(engine):
+@pytest.mark.usefixtures("heap_id")
+def test_shed_can_be_disabled():
     """``shed_stranded=False`` keeps the legacy behaviour (copy stays put)."""
-    index, keys = build_cluster(seed=52, peers=8, engine=engine, shed_stranded=False)
+    index, keys = build_cluster(seed=52, peers=8, shed_stranded=False)
     holder, stray_key = _forge_stranded_copy(index)
     index.run(30.0)
     assert stray_key in holder.store.items.keys()
@@ -84,9 +78,10 @@ def test_shed_can_be_disabled(engine):
     assert audit.items_stranded == 1
 
 
-def test_healthy_cluster_audit_is_clean(engine):
+@pytest.mark.usefixtures("heap_id")
+def test_healthy_cluster_audit_is_clean():
     """With the shed on, a settled deployment reports full reachability."""
-    index, keys = build_cluster(seed=53, peers=8, engine=engine)
+    index, keys = build_cluster(seed=53, peers=8)
     audit = index.reachability()
     assert audit.ok
     assert audit.items_stored == index.total_stored_items() == len(keys)

@@ -2,11 +2,10 @@
 
 Four groups:
 
-* ``Network.cast`` failure paths and per-method stats, parametrized over both
-  event engines -- a cast to a dead, unknown, or mid-flight-failing
-  destination is silently swallowed (the caller of :meth:`Node.call` that
-  discarded the reply observed exactly the same), while the per-method
-  counters still record the attempt;
+* ``Network.cast`` failure paths and per-method stats -- a cast to a dead,
+  unknown, or mid-flight-failing destination is silently swallowed (the
+  caller of :meth:`Endpoint.call` that discarded the reply observed exactly
+  the same), while the per-method counters still record the attempt;
 * the JSON wire codec (tuple round-tripping, non-string-key rejection);
 * the :class:`AsyncioClock` engine surface (timeout, run_until, the
   schedule_timer/cancel_timer contract);
@@ -16,12 +15,10 @@ Four groups:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.index.config import default_config
-from repro.sim.engine import ENGINE_NAMES, make_simulator
+from repro.sim.engine import Simulator, make_simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.randomness import RngStreams
 from repro.transport import (
@@ -54,11 +51,9 @@ class EchoEndpoint(Endpoint):
 
 
 # --------------------------------------------------------------------- cast paths
-@pytest.fixture(params=ENGINE_NAMES)
-def sim_env(request, monkeypatch):
-    # REPRO_ENGINE would collapse the parametrization onto one engine.
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    sim = make_simulator(request.param)
+@pytest.fixture
+def sim_env(heap_id):
+    sim = make_simulator()
     network = Network(sim, RngStreams(3).stream("net"), NetworkConfig())
     a = EchoEndpoint(sim, network, "a")
     b = EchoEndpoint(sim, network, "b")
@@ -294,15 +289,17 @@ def test_asyncio_transport_every_runs_on_wall_clock(asyncio_env):
 def test_make_transport_selects_sim_by_default():
     transport = make_transport(default_config())
     assert transport.name == "sim"
-    assert transport.clock.engine_name in ENGINE_NAMES
+    assert type(transport.clock) is Simulator
 
 
 def test_make_transport_env_override(monkeypatch):
+    from repro.transport.asyncio_transport import AsyncioClock
+
     monkeypatch.setenv(TRANSPORT_ENV_VAR, "asyncio")
     transport = make_transport(default_config())
     try:
         assert transport.name == "asyncio"
-        assert transport.clock.engine_name == "asyncio"
+        assert isinstance(transport.clock, AsyncioClock)
     finally:
         transport.shutdown()
 
@@ -316,38 +313,17 @@ def test_make_transport_rejects_unknown(monkeypatch):
 def test_run_cell_transport_override():
     from repro.harness.runner import run_cell
 
-    forced = os.environ.pop("REPRO_ENGINE", None)
-    try:
-        cell = run_cell(("smoke", 0, None, "sim"))
-    finally:
-        if forced is not None:
-            os.environ["REPRO_ENGINE"] = forced
+    cell = run_cell(("smoke", 0, "sim"))
     assert cell["transport"] == "sim"
-    assert cell["engine"] == "heap"
+    assert "engine" not in cell
 
 
-def test_run_cell_engine_override(monkeypatch):
+def test_run_cell_short_and_long_tuples_agree():
+    """The 2-tuple and the full 5-tuple (all-default slots) run identically."""
     from repro.harness.runner import run_cell
 
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    cell = run_cell(("smoke", 0, "wheel"))
-    assert cell["engine"] == "wheel"
-    assert cell["transport"] == "sim"
-    # The override reaches the actual event engine, not just the label: the
-    # wheel run must still agree with the heap run on the end state (the
-    # engines share one determinism contract).
-    heap_cell = run_cell(("smoke", 0, "heap"))
-    assert cell["ring_members"] == heap_cell["ring_members"]
-    assert cell["items_stored"] == heap_cell["items_stored"]
-
-
-def test_run_cell_short_and_long_tuples_agree(monkeypatch):
-    """The 2-tuple and the full 6-tuple (all-default slots) run identically."""
-    from repro.harness.runner import run_cell
-
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     short = run_cell(("smoke", 0))
-    long = run_cell(("smoke", 0, None, None, None, None))
+    long = run_cell(("smoke", 0, None, None, None))
     assert long["events_processed"] == short["events_processed"]
     assert long["rpc_per_method"] == short["rpc_per_method"]
     assert long["warm_start"] is False  # no snapshot dir -> never resumes

@@ -12,8 +12,8 @@ These tests pin that promise against end states frozen from the pre-refactor
 tree (commit da01b0f): membership, item counts, per-method RPC profiles,
 message totals and the exact number of executed events, per scenario x seed.
 The smoke matrix runs in tier-1; the heavier ``scale_300`` acceptance matrix
-(fixed + adaptive, seeds 0..2) runs under ``REPRO_PARITY_FULL=1`` exactly like
-the engine-parity split in ``test_engine_parity.py``.
+(fixed + adaptive, seeds 0..2) runs under ``REPRO_PARITY_FULL=1`` (the CI
+``parity`` job).
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ def _frozen_cells(name: str):
 
 
 def _assert_matches_frozen(scenario: str, seed: int, frozen: dict) -> None:
-    forced = os.environ.pop("REPRO_ENGINE", None)
-    try:
-        cell = run_cell((scenario, seed))
-    finally:
-        if forced is not None:
-            os.environ["REPRO_ENGINE"] = forced
+    cell = run_cell((scenario, seed))
     assert cell["transport"] == "sim"
     live = {
         field: round(cell[field], digits) if (digits := _ROUNDED_FIELDS.get(field)) else cell[field]
