@@ -13,8 +13,6 @@ Examples::
     repro-run scale_1000 --profile   # cProfile capture -> PROFILE_scale_1000.txt
     repro-run localhost_20           # same protocols over real asyncio UDP sockets
     repro-run localhost_20_sim --transport asyncio   # transport override on any cell
-    repro-run scale_1000 --snapshot-dir .snapshots   # capture, then warm-start reruns
-    repro-run scale_1000 --snapshot-dir .snapshots --no-warm-start  # refresh the cache
 """
 
 from __future__ import annotations
@@ -109,18 +107,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run cells serially under cProfile; writes PROFILE_<scenario>.txt "
         "and prints the top functions by cumulative time",
     )
-    parser.add_argument(
-        "--snapshot-dir",
-        default=None,
-        help="snapshot cache directory: cells capture their pre-boundary world "
-        "there and later runs warm-start from it (sim transport only)",
-    )
-    parser.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="with --snapshot-dir: still capture snapshots but never resume "
-        "from one (force cold runs, e.g. to regenerate a cache)",
-    )
     args = parser.parse_args(argv)
 
     if args.list or args.scenario is None:
@@ -141,8 +127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             out_dir=out_dir,
             transport=args.transport,
             profile_dir=args.out_dir if args.profile else None,
-            snapshot_dir=args.snapshot_dir,
-            warm_start=False if args.no_warm_start else None,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)
@@ -157,7 +141,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({cell['events_per_wall_s']:.0f}/s) ring={cell['ring_members']} "
                 f"items={cell['items_stored']}/{cell['items_requested']} "
                 f"reachable={cell.get('items_reachable', '?')}"
-                f"{' (warm start)' if cell.get('warm_start') else ''}"
             )
             latency = cell.get("query_latency") or {}
             if latency:

@@ -179,11 +179,6 @@ class PhaseSpec:
     serve: Optional[ServeSpec] = None  # open-loop serve traffic (see ServeSpec)
     duration: Optional[float] = None  # active time; None = derived from schedules
     settle: float = 0.0  # quiet tail after the activity
-    # Snapshot/warm-start boundary: the world state *after* this phase is the
-    # capture/restore point (see repro.snapshot).  At most one phase per
-    # lifecycle may set it; with none set, the boundary defaults to after the
-    # second-to-last phase.
-    snapshot: bool = False
 
     def validate(self) -> None:
         """Raise ``ValueError`` for meaningless settings."""
@@ -263,8 +258,3 @@ def validate_phases(phases: Tuple[PhaseSpec, ...]) -> None:
         if phase.name in seen:
             raise ValueError(f"duplicate phase name {phase.name!r}")
         seen.add(phase.name)
-    marked = [phase.name for phase in phases if phase.snapshot]
-    if len(marked) > 1:
-        raise ValueError(f"at most one phase may set snapshot=True, got {marked!r}")
-    if marked and phases and phases[-1].snapshot:
-        raise ValueError("the last phase cannot be the snapshot boundary")

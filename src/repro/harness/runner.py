@@ -44,32 +44,18 @@ from repro.harness.scenarios import (
 )
 
 
-def run_cell(
-    cell: Tuple[str, int]
-    | Tuple[str, int, Optional[str]]
-    | Tuple[str, int, Optional[str], Optional[str]]
-    | Tuple[str, int, Optional[str], Optional[str], Optional[bool]],
-) -> Dict[str, Any]:
-    """Execute one ``(scenario_name, seed[, transport[, snapshot_dir[,
-    warm_start]]])`` cell.
+def run_cell(cell: Tuple[str, int] | Tuple[str, int, Optional[str]]) -> Dict[str, Any]:
+    """Execute one ``(scenario_name, seed[, transport])`` cell.
 
     Top-level for picklability.  The optional third element overrides the
-    spec's transport ("sim" or "asyncio"); the optional fourth points at a
-    snapshot cache directory (enabling capture + warm start, see
-    :func:`repro.harness.scenarios.run_spec`); the optional fifth overrides
-    the spec's ``warm_start`` flag.  ``None`` keeps the spec's own selection
-    in every slot.
+    spec's transport ("sim" or "asyncio"); ``None`` keeps the spec's own
+    selection.
     """
-    name, seed = cell[0], cell[1]
-    transport = cell[2] if len(cell) > 2 else None
-    snapshot_dir = cell[3] if len(cell) > 3 else None
-    warm_start = cell[4] if len(cell) > 4 else None
+    name, seed, transport = cell if len(cell) == 3 else (*cell, None)
     spec = get_scenario(name)
     if transport is not None:
         spec = spec.with_(transport=TransportSpec(name=transport))
-    return run_spec(
-        spec, seed=seed, snapshot_dir=snapshot_dir, warm_start=warm_start
-    ).as_dict()
+    return run_spec(spec, seed=seed).as_dict()
 
 
 def run_cells(
@@ -78,8 +64,6 @@ def run_cells(
     processes: Optional[int] = None,
     transport: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    snapshot_dir: Optional[str] = None,
-    warm_start: Optional[bool] = None,
 ) -> List[Dict[str, Any]]:
     """Run the cross product of ``names`` x ``seeds``, fanned across cores.
 
@@ -88,16 +72,9 @@ def run_cells(
     ``transport`` overrides every cell's transport.
     ``profile_dir`` switches to serial execution under cProfile and writes
     ``PROFILE_<scenario>.txt`` per scenario there (seeds of one scenario are
-    merged into one profile).  ``snapshot_dir`` names the snapshot cache every
-    cell captures into and warm-starts from (snapshots are keyed per cell, so
-    the cross product shares one directory safely even across a process
-    pool); ``warm_start=False`` keeps capturing but forces cold runs.
+    merged into one profile).
     """
-    cells = [
-        (name, seed, transport, snapshot_dir, warm_start)
-        for name in names
-        for seed in seeds
-    ]
+    cells = [(name, seed, transport) for name in names for seed in seeds]
     for cell in cells:
         get_scenario(cell[0])  # fail fast on unknown names, before forking
     if profile_dir is not None:
@@ -215,7 +192,6 @@ _AGGREGATED_FIELDS = (
     "rpc_calls",
     "rpc_timeouts",
     "messages_sent",
-    "query_mean_elapsed_s",
     "query_mean_hops",
     "serve_load_variance",
 )
@@ -383,8 +359,6 @@ def run_named(
     out_dir: Optional[str] = ".",
     transport: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    snapshot_dir: Optional[str] = None,
-    warm_start: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Run a registered scenario, suite or figure by name; emit its BENCH json.
 
@@ -392,55 +366,34 @@ def run_named(
     product and carry per-scenario aggregates; figure runs execute once per
     seed offset (see :func:`_figure_seed`).  ``transport`` overrides every
     cell's transport; ``profile_dir`` captures per-scenario cProfile reports;
-    ``snapshot_dir`` / ``warm_start`` enable the snapshot cache for every cell
-    (see :func:`run_cells`); none of these apply to figures.  Returns the
-    emitted document (also written to ``BENCH_<name>.json`` unless ``out_dir``
-    is ``None``).
+    neither applies to figures.  Returns the emitted document (also written
+    to ``BENCH_<name>.json`` unless ``out_dir`` is ``None``).
     """
     from repro.harness.figures import ALL_FIGURES  # deferred: figures import the harness
 
     seeds = list(seeds)
-    if name in suite_names():
-        suite = get_suite(name)
-        started = time.perf_counter()
-        cells = run_cells(
-            suite.scenarios,
-            seeds=seeds,
-            processes=processes,
-            transport=transport,
-            profile_dir=profile_dir,
-            snapshot_dir=snapshot_dir,
-            warm_start=warm_start,
-        )
-        elapsed = time.perf_counter() - started
-        bench_name = suite.bench_name or suite.name
-        payload = {
-            "summary": _cells_summary(cells, elapsed),
-            "seeds": seeds,
-            "aggregates": aggregate_cells(cells),
-            "results": cells,
-        }
-    elif name in ALL_FIGURES:
-        if transport is not None or profile_dir is not None or snapshot_dir is not None:
+    if name in ALL_FIGURES:
+        if transport is not None or profile_dir is not None:
             raise ValueError(
-                "--transport/--profile/--snapshot-dir apply to scenarios and suites, not figures"
+                "--transport/--profile apply to scenarios and suites, not figures"
             )
         payload = _run_figure(name, seeds, processes)
         bench_name = name
     else:
-        get_scenario(name)
+        if name in suite_names():
+            suite = get_suite(name)
+            names, bench_name = suite.scenarios, suite.bench_name or suite.name
+        else:
+            names, bench_name = (name,), name
         started = time.perf_counter()
         cells = run_cells(
-            [name],
+            names,
             seeds=seeds,
             processes=processes,
             transport=transport,
             profile_dir=profile_dir,
-            snapshot_dir=snapshot_dir,
-            warm_start=warm_start,
         )
         elapsed = time.perf_counter() - started
-        bench_name = name
         payload = {
             "summary": _cells_summary(cells, elapsed),
             "seeds": seeds,
@@ -449,11 +402,6 @@ def run_named(
         }
     if transport is not None:
         payload["transport_override"] = transport
-    if snapshot_dir is not None:
-        payload["snapshot_dir"] = snapshot_dir
-        payload["warm_started_cells"] = sum(
-            1 for cell in payload.get("results", ()) if cell.get("warm_start")
-        )
     if out_dir is not None:
         write_bench(bench_name, payload, out_dir=out_dir)
     return payload

@@ -26,10 +26,9 @@ at the bottom of this module for templates.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.harness.experiment import ClusterExperiment, ExperimentSettings
 from repro.harness.metrics import nearest_rank
@@ -50,18 +49,7 @@ from repro.sim.network import (
     LatencyModel,
     latency_model_from_params,
 )
-from repro.snapshot import (
-    SnapshotRestoreError,
-    build_hash,
-    capture_world,
-    harness_results,
-    load_snapshot,
-    reach_parked_state,
-    restore_world,
-    save_snapshot,
-    snapshot_path,
-)
-from repro.transport.api import TRANSPORT_ENV_VAR, TRANSPORT_NAMES
+from repro.transport.api import TRANSPORT_NAMES
 from repro.workloads.churn import ChurnSchedule, flash_crowd_schedule
 
 __all__ = [
@@ -84,7 +72,6 @@ __all__ = [
     "register_suite",
     "run_spec",
     "scenario_names",
-    "snapshot_boundary",
     "suite_names",
 ]
 
@@ -212,12 +199,6 @@ class ScenarioSpec:
     # Transport selection: in-sim (default) or real asyncio sockets; see
     # :class:`TransportSpec`.
     transport: TransportSpec = TransportSpec()
-    # Whether :func:`run_spec` may *resume* from an existing snapshot when a
-    # snapshot directory is supplied (capture always happens so later runs can
-    # warm-start).  A pure runner knob: it never changes what a run computes
-    # (the resume-parity matrix pins warm == cold exactly), only how much of
-    # the lifecycle is re-executed, and it is excluded from the snapshot key.
-    warm_start: bool = True
 
     # -- derived -----------------------------------------------------------
     def index_config(self, seed: Optional[int] = None) -> IndexConfig:
@@ -365,11 +346,9 @@ class ScenarioResult:
     queries_run: int = 0
     queries_complete: int = 0
     # Query latency summary over every executed query (count/mean/p50/p95/p99,
-    # seconds); empty when the cell ran no queries.  This is the first-class
-    # latency block -- the two mean fields below are kept as derived aliases
-    # of it for older BENCH tooling.
+    # seconds); empty when the cell ran no queries.
     query_latency: Dict[str, float] = field(default_factory=dict)
-    query_mean_elapsed_s: float = 0.0
+    # Mean ring hops a query's scan took across its range (0.0 with no queries).
     query_mean_hops: float = 0.0
     # Serve-phase observables (zero/absent when the cell had no serve phase):
     # open-loop queries recorded, how many returned exactly the reachable key
@@ -386,9 +365,6 @@ class ScenarioResult:
     # Per-phase measurements (serialised PhaseResult dicts, execution order);
     # the event/RPC deltas sum to the scenario totals above.
     phases: List[Dict[str, Any]] = field(default_factory=list)
-    # Whether this run resumed from a snapshot instead of replaying the
-    # pre-boundary phases (wall_clock_s then covers only the resumed part).
-    warm_start: bool = False
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -431,154 +407,28 @@ def build_experiment(spec: ScenarioSpec, seed: Optional[int] = None) -> ClusterE
     )
 
 
-def snapshot_boundary(phases: Sequence[PhaseSpec]) -> Optional[int]:
-    """Index of the phase *after which* the world is captured/restored.
-
-    An explicit ``snapshot=True`` phase wins; otherwise the boundary defaults
-    to the second-to-last phase (resuming skips everything but the final
-    phase, which is the one being iterated on).  ``None`` -- a single-phase
-    lifecycle -- means there is nothing worth snapshotting.
-    """
-    for position, phase in enumerate(phases):
-        if phase.snapshot:
-            return position
-    if len(phases) >= 2:
-        return len(phases) - 2
-    return None
-
-
-@dataclass(frozen=True)
-class _SnapshotPlan:
-    """Where this run's snapshot lives and where the lifecycle splits."""
-
-    path: Any
-    key: str
-    boundary: int
-
-
-def _snapshot_plan(
-    spec: ScenarioSpec, seed: int, phases: Tuple[PhaseSpec, ...], snapshot_dir
-) -> Optional[_SnapshotPlan]:
-    """Resolve the snapshot file for this cell, or ``None`` if not snapshotable.
-
-    Only the simulated transport snapshots (the asyncio transport runs in
-    wall-clock real time against real sockets).
-    """
-    boundary = snapshot_boundary(phases)
-    if boundary is None:
-        return None
-    config = spec.index_config(seed)
-    transport_name = os.environ.get(TRANSPORT_ENV_VAR) or config.transport
-    if transport_name != "sim":
-        return None
-    key = build_hash(spec, phases[: boundary + 1])
-    return _SnapshotPlan(
-        path=snapshot_path(snapshot_dir, spec.name, key, seed), key=key, boundary=boundary
-    )
-
-
-def run_spec(
-    spec: ScenarioSpec,
-    seed: Optional[int] = None,
-    snapshot_dir=None,
-    warm_start: Optional[bool] = None,
-) -> ScenarioResult:
+def run_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> ScenarioResult:
     """Execute one scenario cell and collect its measurements.
 
     The spec's resolved phase sequence (explicit ``phases``, or the legacy
     build -> failures -> outage -> queries decomposition of a flat spec) runs
     through :meth:`ClusterExperiment.run_phases`; the result carries both the
     historical scenario totals and the per-phase breakdown.
-
-    With a ``snapshot_dir``, the run participates in snapshot/warm-start (see
-    :mod:`repro.snapshot`): a cold run pauses at the boundary phase, steps to
-    a parked instant and captures the world to disk; a later run of the same
-    ``(spec, seed)`` resumes from that instant and re-executes only
-    the post-boundary phases, with an end state *identical* to the cold run's
-    in every field.  ``warm_start`` (default: the spec's ``warm_start`` field)
-    only controls whether an existing snapshot may be *used*; capturing
-    happens regardless so the next run can resume.  Without a ``snapshot_dir``
-    the behaviour is exactly the historical straight-through run.
     """
     seed = spec.seed if seed is None else seed
-    resume_ok = spec.warm_start if warm_start is None else warm_start
     started = time.perf_counter()
-    phases = spec.resolved_phases()
-    plan = None if snapshot_dir is None else _snapshot_plan(spec, seed, phases, snapshot_dir)
-    if plan is None:
-        experiment = build_experiment(spec, seed)
-        try:
-            return _run_spec_on(experiment, spec, seed, started)
-        finally:
-            # Release transport resources (asyncio sockets and loops; a no-op
-            # for the simulated transport) even when a phase raises.
-            experiment.index.shutdown()
-
-    pre, post = phases[: plan.boundary + 1], phases[plan.boundary + 1 :]
-
-    if resume_ok:
-        state = load_snapshot(plan.path, plan.key, seed)
-        if state is not None:
-            try:
-                experiment = restore_world(spec, seed, state)
-            except SnapshotRestoreError:
-                # The world the spec builds no longer matches the snapshot
-                # (e.g. the loop inventory changed under the same hash);
-                # rebuild cold below, which also rewrites the file.
-                pass
-            else:
-                try:
-                    pre_results, pre_outcomes, pre_victims = harness_results(state)
-                    results, outcomes, victims = experiment.run_phases(
-                        post, total_peers=spec.peers
-                    )
-                    return _finalize_result(
-                        experiment,
-                        spec,
-                        seed,
-                        started,
-                        pre_results + results,
-                        pre_outcomes + outcomes,
-                        pre_victims + victims,
-                        warm_start=True,
-                    )
-                finally:
-                    experiment.index.shutdown()
-
-    # Cold run with capture: play the pre-boundary phases, step to a parked
-    # instant (a no-save fallback if none is reached in bound -- a capture
-    # miss costs future warm starts, never correctness), save, continue.
     experiment = build_experiment(spec, seed)
     try:
-        pre_results, pre_outcomes, pre_victims = experiment.run_phases(
-            pre, total_peers=spec.peers
+        phase_results, outcomes, correlated = experiment.run_phases(
+            spec.resolved_phases(), total_peers=spec.peers
         )
-        if reach_parked_state(experiment):
-            state = capture_world(experiment, pre_results, pre_outcomes, pre_victims)
-            save_snapshot(plan.path, plan.key, seed, state)
-        results, outcomes, victims = experiment.run_phases(post, total_peers=spec.peers)
         return _finalize_result(
-            experiment,
-            spec,
-            seed,
-            started,
-            pre_results + results,
-            pre_outcomes + outcomes,
-            pre_victims + victims,
+            experiment, spec, seed, started, phase_results, outcomes, correlated
         )
     finally:
+        # Release transport resources (asyncio sockets and loops; a no-op
+        # for the simulated transport) even when a phase raises.
         experiment.index.shutdown()
-
-
-def _run_spec_on(
-    experiment: ClusterExperiment, spec: ScenarioSpec, seed: int, started: float
-) -> ScenarioResult:
-    phase_results, outcomes, correlated = experiment.run_phases(
-        spec.resolved_phases(), total_peers=spec.peers
-    )
-    return _finalize_result(
-        experiment, spec, seed, started, phase_results, outcomes, correlated
-    )
 
 
 def _finalize_result(
@@ -589,7 +439,6 @@ def _finalize_result(
     phase_results: List[PhaseResult],
     outcomes: List,
     correlated: List[str],
-    warm_start: bool = False,
 ) -> ScenarioResult:
     index = experiment.index
     wall = time.perf_counter() - started
@@ -638,7 +487,6 @@ def _finalize_result(
         queries_run=len(outcomes),
         queries_complete=sum(1 for outcome in outcomes if outcome.complete),
         query_latency=query_latency,
-        query_mean_elapsed_s=query_latency.get("mean", 0.0),
         query_mean_hops=(
             sum(outcome.hops for outcome in outcomes) / len(outcomes) if outcomes else 0.0
         ),
@@ -652,7 +500,6 @@ def _finalize_result(
         per_site_rpcs=dict(index.network.stats.per_site_rpcs),
         latency_histograms=latency_histograms,
         phases=[phase.as_dict() for phase in phase_results],
-        warm_start=warm_start,
     )
 
 

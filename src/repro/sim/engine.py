@@ -165,10 +165,6 @@ def _fire_timeout(timeout: "Timeout") -> None:
     timeout.succeed(timeout._pending)
 
 
-def _fire_event(event: "Event") -> None:
-    event.succeed(None)
-
-
 class Timeout(Event):
     """An event that fires automatically after ``delay`` simulated seconds."""
 
@@ -408,18 +404,6 @@ class Simulator:
         """Create a :class:`Timeout` firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, time: float) -> Event:
-        """An event firing at *absolute* simulated ``time`` (payload ``None``).
-
-        The snapshot restore arms resumed maintenance loops with this instead
-        of :meth:`timeout`: re-deriving the delay as ``time - now`` and adding
-        it back is not an exact float round-trip, and resume parity needs the
-        timer to fire at the captured instant bit-for-bit.
-        """
-        event = Event(self)
-        self.schedule_at(time, _fire_event, event)
-        return event
-
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start ``generator`` as a :class:`Process`."""
         return Process(self, generator, name=name)
@@ -493,46 +477,6 @@ class Simulator:
     # asyncio clock share these names).  Here a timer is just a scheduled entry.
     schedule_timer = schedule
     cancel_timer = cancel
-
-    # -- introspection ------------------------------------------------------
-    # Used by the snapshot barrier (repro.snapshot.barrier) to step the world
-    # instant by instant and decide when it is quiescent.  Not hot paths.
-    def next_timed_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest live timed entry, or ``None`` if idle.
-
-        Tombstones at the heap top are popped on the way (the run loop would
-        have skipped them anyway), so the answer is exact, not an upper bound.
-        """
-        queue = self._queue
-        while queue and queue[0][2] is None:
-            heapq.heappop(queue)
-            self._cancelled -= 1
-        return queue[0][0] if queue else None
-
-    def live_timer_count(self) -> int:
-        """Number of pending (non-cancelled) timed entries."""
-        return len(self._queue) - self._cancelled
-
-    def iter_timers(self):
-        """Yield every live timed entry as ``(time, seq, func, arg)``.
-
-        Unordered; the caller sorts if it cares.  Snapshot capture uses this
-        to classify pending timers (loop sleeps vs. inert stragglers)."""
-        for entry in self._queue:
-            if entry[2] is not None:
-                yield entry[0], entry[1], entry[2], entry[3]
-
-    def advance_idle(self, time: float) -> None:
-        """Jump the clock to ``time`` on an idle simulator (snapshot restore).
-
-        Processes nothing and counts nothing.  Requires that no work is
-        pending, so the jump cannot silently skip over a scheduled event.
-        """
-        if time < self._now:
-            raise SimulationError(f"cannot move the clock backwards (to {time})")
-        if self._ready or self.live_timer_count():
-            raise SimulationError("advance_idle requires an idle simulator")
-        self._now = time
 
     # -- execution ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:

@@ -24,71 +24,10 @@ real-time :class:`~repro.transport.asyncio_transport.AsyncioClock`) and
 from __future__ import annotations
 
 import inspect
-from contextlib import contextmanager
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, Optional, Set
 
 from repro.sim.engine import Event, Process, ProcessKilled
 from repro.transport.api import RpcRemoteError, RpcRequest
-
-
-class PeriodicLoop:
-    """Bookkeeping record for one :meth:`Endpoint.every` maintenance loop.
-
-    The record is what makes loops *snapshotable*: ``next_fire``/``arm_seq``
-    identify the pending sleep timer exactly (the engine's ``(time, seq)``
-    ordering key), ``in_round`` says whether the loop is currently executing
-    its action rather than sleeping, and the snapshot restore re-arms a
-    deferred loop so its first wakeup reproduces the captured timer.
-    """
-
-    __slots__ = (
-        "name",
-        "period",
-        "action",
-        "jitter",
-        "initial_delay",
-        "next_fire",
-        "arm_seq",
-        "in_round",
-        "process",
-    )
-
-    def __init__(self, name, period, action, jitter, initial_delay):
-        self.name = name
-        self.period = period
-        self.action = action
-        self.jitter = jitter
-        self.initial_delay = initial_delay
-        self.next_fire: Optional[float] = None
-        self.arm_seq: int = 0
-        self.in_round = False
-        self.process: Optional[Process] = None
-
-
-#: When a :func:`defer_periodic_loops` block is active, :meth:`Endpoint.every`
-#: records ``(endpoint, record)`` here instead of arming the loop.  A module
-#: global (not an Endpoint attribute) because loops are armed from deep inside
-#: constructors (e.g. the global rebalancer arms during ``PRingIndex.__init__``)
-#: where no restore code can intervene; restore is single-threaded per process.
-_DEFERRED_ARMS: Optional[List[Tuple["Endpoint", PeriodicLoop]]] = None
-
-
-@contextmanager
-def defer_periodic_loops():
-    """Collect loop armings instead of starting them (snapshot restore).
-
-    Yields the list of ``(endpoint, record)`` pairs registered inside the
-    block; the caller re-arms them via :meth:`Endpoint.arm_loop`, normally in
-    the snapshot's ``(next_fire, arm_seq)`` order so same-instant wakeups keep
-    their captured tie-break.
-    """
-    global _DEFERRED_ARMS
-    previous = _DEFERRED_ARMS
-    _DEFERRED_ARMS = deferred = []
-    try:
-        yield deferred
-    finally:
-        _DEFERRED_ARMS = previous
 
 
 class Endpoint:
@@ -102,7 +41,6 @@ class Endpoint:
         self.alive = True
         self._processes: Set[Process] = set()
         self._handlers: dict[str, Callable[..., Any]] = {}
-        self._loops: List[PeriodicLoop] = []
         network.register(self)
 
     # -- handler registration ---------------------------------------------------
@@ -155,68 +93,29 @@ class Endpoint:
         ``action`` may be a plain callable or return a generator, in which case
         the periodic loop waits for it to complete before sleeping again --
         matching the paper's sequential stabilization rounds.
-
-        Inside a :func:`defer_periodic_loops` block the loop is registered but
-        not started (returns ``None``); the snapshot restore arms it later via
-        :meth:`arm_loop`.
         """
         period_source = period if callable(period) else None
-        label = name or (f"every-{period}s" if period_source is None else "every-adaptive")
-        record = PeriodicLoop(label, period, action, jitter, initial_delay)
-        self._loops.append(record)
-        if _DEFERRED_ARMS is not None:
-            _DEFERRED_ARMS.append((self, record))
-            return None
-        return self.arm_loop(record)
-
-    def arm_loop(self, record: PeriodicLoop, resume_at: Optional[float] = None) -> Process:
-        """Start the process behind a registered loop record.
-
-        ``resume_at`` is the snapshot-restore path: the first sleep targets
-        that absolute instant (the captured ``next_fire``) with no period/
-        jitter draw -- those random numbers were consumed before the snapshot
-        and live in the restored RNG state.  Subsequent rounds follow the
-        normal cadence path.
-        """
-        record.process = self.spawn(self._loop_body(record, resume_at), name=record.name)
-        return record.process
-
-    def _loop_body(self, record: PeriodicLoop, resume_at: Optional[float]):
-        period = record.period
-        period_source = period if callable(period) else None
-        action = record.action
-        jitter = record.jitter
 
         def _next_period() -> float:
             return period_source() if period_source is not None else period
 
-        if resume_at is None:
-            delay = _next_period() if record.initial_delay is None else record.initial_delay
+        def _loop():
+            delay = _next_period() if initial_delay is None else initial_delay
             if self.rng is not None and jitter > 0:
                 delay += self.rng.uniform(0, jitter)
-        while True:
-            if resume_at is not None:
-                sleep = self.sim.timeout_at(resume_at)
-                record.next_fire = resume_at
-                resume_at = None
-            else:
-                sleep = self.sim.timeout(delay)
-                record.next_fire = self.sim.now + delay
-            # The engine bumps its sequence exactly once per timeout, so this
-            # reads the sleep timer's own (time, seq) key.  The asyncio clock
-            # has no sequence counter (and no snapshots either).
-            record.arm_seq = getattr(self.sim, "_sequence", 0)
-            yield sleep
-            if not self.alive:
-                return
-            record.in_round = True
-            result = action()
-            if inspect.isgenerator(result):
-                yield from result
-            record.in_round = False
-            delay = _next_period()
-            if self.rng is not None and jitter > 0:
-                delay += self.rng.uniform(0, jitter)
+            while True:
+                yield self.sim.timeout(delay)
+                if not self.alive:
+                    return
+                result = action()
+                if inspect.isgenerator(result):
+                    yield from result
+                delay = _next_period()
+                if self.rng is not None and jitter > 0:
+                    delay += self.rng.uniform(0, jitter)
+
+        label = name or (f"every-{period}s" if period_source is None else "every-adaptive")
+        return self.spawn(_loop(), name=label)
 
     # -- RPC ------------------------------------------------------------------
     def call(

@@ -1,4 +1,4 @@
-"""``repro-run`` CLI and runner surfaces: listing, profiling, snapshot flags.
+"""``repro-run`` CLI and runner surfaces: listing, profiling, removed flags.
 
 These exercise the thin orchestration layer above :func:`run_spec` -- the
 paths a scenario result travels between the registry and the BENCH envelope:
@@ -7,20 +7,21 @@ paths a scenario result travels between the registry and the BENCH envelope:
   with the per-scenario transport column;
 * ``--profile`` runs serially under cProfile and writes the per-scenario
   report next to the BENCH file;
-* ``--snapshot-dir`` / ``--no-warm-start`` thread through ``run_named`` /
-  ``run_cells`` / ``run_cell`` into :func:`run_spec`, and the BENCH envelope
-  records the cache directory and how many cells resumed.
+* the snapshot selectors are gone from every layer, so a cell has one
+  execution path (``test_snapshot_surface_is_gone``).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import dataclasses
+import importlib
 
 import pytest
 
 from repro.cli import main
-from repro.harness.runner import run_cells, run_named
+from repro.harness.phases import PhaseSpec
+from repro.harness.runner import run_cell, run_cells, run_named
+from repro.harness.scenarios import ScenarioSpec, get_scenario, run_spec
 
 
 @pytest.fixture(autouse=True)
@@ -69,53 +70,31 @@ def test_profile_rejected_for_figures(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ snapshot flags
-def test_snapshot_dir_flag_caches_and_resumes(tmp_path, capsys):
-    cache = tmp_path / "snapshots"
-    args = ["smoke", "--snapshot-dir", str(cache), "--out-dir", str(tmp_path)]
-    assert main(args) == 0
-    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert bench["snapshot_dir"] == str(cache)
-    assert bench["warm_started_cells"] == 0  # first run: nothing to resume
-    assert list(cache.glob("*.snap.gz"))
+def test_snapshot_surface_is_gone(tmp_path, capsys):
+    for flag in (["--snapshot-dir", str(tmp_path)], ["--no-warm-start"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["smoke", *flag])
+        assert exit_info.value.code == 2  # argparse: unrecognized arguments
+        assert flag[0] in capsys.readouterr().err
+    for gone in ({"snapshot_dir": str(tmp_path)}, {"warm_start": False}):
+        with pytest.raises(TypeError):
+            run_spec(get_scenario("smoke"), seed=0, **gone)
+        with pytest.raises(TypeError):
+            run_cells(["smoke"], processes=1, **gone)
+        with pytest.raises(TypeError):
+            run_named("smoke", out_dir=None, **gone)
+    with pytest.raises(ValueError):  # slots 4-5 are not silently ignored
+        run_cell(("smoke", 0, None, str(tmp_path), False))
+    assert "warm_start" not in {field.name for field in dataclasses.fields(ScenarioSpec)}
+    assert "snapshot" not in {field.name for field in dataclasses.fields(PhaseSpec)}
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.snapshot")
 
-    capsys.readouterr()  # drop the cold run's output
-    assert main(args) == 0  # second run resumes from the capture
-    assert "(warm start)" in capsys.readouterr().out  # visible on the cell line
-    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert bench["warm_started_cells"] == 1
-    assert bench["results"][0]["warm_start"] is True
-
-
-def test_no_warm_start_flag_forces_cold(tmp_path):
-    cache = tmp_path / "snapshots"
-    base = ["smoke", "--snapshot-dir", str(cache), "--out-dir", str(tmp_path)]
-    assert main(base) == 0  # populate the cache
-    assert main(base + ["--no-warm-start"]) == 0
-    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert bench["warm_started_cells"] == 0
-    assert bench["results"][0]["warm_start"] is False
-
-
-def test_snapshot_dir_rejected_for_figures(tmp_path, capsys):
-    assert main(["figure_19", "--snapshot-dir", str(tmp_path)]) == 2
-    assert "not figures" in capsys.readouterr().err
-
-
-def test_run_cells_shares_one_cache_across_seeds(tmp_path):
-    """The seed cross product writes one keyed file per cell into a shared
-    directory, and a rerun of the whole product resumes every cell."""
-    cache = str(tmp_path)
-    cold = run_cells(["smoke"], seeds=(0, 1), processes=1, snapshot_dir=cache)
-    assert [cell["warm_start"] for cell in cold] == [False, False]
-    assert len(list(Path(cache).glob("*.snap.gz"))) == 2  # one per seed
-    warm = run_cells(["smoke"], seeds=(0, 1), processes=1, snapshot_dir=cache)
-    assert [cell["warm_start"] for cell in warm] == [True, True]
-    for cold_cell, warm_cell in zip(cold, warm):
-        assert warm_cell["events_processed"] == cold_cell["events_processed"]
-
-
-def test_run_named_snapshot_metadata_without_dir(tmp_path):
-    """No --snapshot-dir: the envelope carries no snapshot keys at all."""
-    payload = run_named("smoke", out_dir=str(tmp_path))
-    assert "snapshot_dir" not in payload
-    assert "warm_started_cells" not in payload
+    # One plain run: neither the cell dict nor the envelope carries a
+    # snapshot key, and the listing does not advertise one.
+    payload = run_named("smoke", out_dir=None)
+    assert "warm_start" not in payload["results"][0]
+    assert "snapshot_dir" not in payload and "warm_started_cells" not in payload
+    assert main(["--list"]) == 0
+    listing = capsys.readouterr().out.lower()
+    assert "warm" not in listing and "snapshot" not in listing

@@ -282,8 +282,7 @@ def test_aggregate_cells_per_scenario_stats():
             "rpc_calls": 50,
             "rpc_timeouts": seed,
             "messages_sent": 200,
-            "query_mean_elapsed_s": 0.1 * (seed + 1),
-            "query_mean_hops": 2.0,
+            "query_mean_hops": 2.0 * (seed + 1),
         }
 
     cells = [cell("a", 0, 1.0), cell("a", 1, 3.0), cell("b", 0, 2.0)]
@@ -293,7 +292,7 @@ def test_aggregate_cells_per_scenario_stats():
     assert aggregates["a"]["wall_clock_s"] == {
         "mean": 2.0, "p95": 3.0, "min": 1.0, "max": 3.0,
     }
-    assert aggregates["a"]["query_mean_elapsed_s"]["mean"] == pytest.approx(0.15)
+    assert aggregates["a"]["query_mean_hops"]["mean"] == pytest.approx(3.0)
     assert aggregates["b"]["seeds"] == [0]
     assert aggregates["b"]["wall_clock_s"]["p95"] == 2.0
 

@@ -112,7 +112,6 @@ def test_run_spec_executes_serve_phase_and_reports_latency():
     assert latency["count"] == float(result.serve_queries)
     assert 0.0 < latency["p50"] <= latency["p95"] <= latency["p99"]
     assert latency["mean"] > 0.0
-    assert result.query_mean_elapsed_s == latency["mean"]
     assert result.serve_load_variance >= 0.0
     serve_phase = result.phases[-1]
     assert serve_phase["phase"] == "serve"

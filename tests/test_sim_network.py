@@ -1,5 +1,7 @@
 """Unit tests for the network model and RPC transport."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -192,8 +194,51 @@ def test_node_every_runs_periodically(env):
 def test_node_every_stops_after_failure(env):
     sim, network, a, b = env
     ticks = []
-    a.every(1.0, lambda: ticks.append(sim.now))
+    loop = a.every(1.0, lambda: ticks.append(sim.now))
     sim.run(until=2.5)
+    assert not loop.triggered
     a.fail()
     sim.run(until=10.0)
     assert len(ticks) == 2
+    assert loop.triggered  # the loop's process ended with the endpoint
+
+
+def test_node_every_awaits_a_generator_action(env):
+    sim, network, a, b = env
+    rounds = []
+
+    def slow_round():
+        started = sim.now
+        yield sim.timeout(0.25)
+        rounds.append((started, sim.now))
+
+    a.every(1.0, slow_round)
+    sim.run(until=4.0)
+    # The next sleep starts when the round ends, not when it began.
+    assert rounds == [(1.0, 1.25), (2.25, 2.5), (3.5, 3.75)]
+
+
+def test_node_every_initial_delay_replaces_only_the_first_period(env):
+    sim, network, a, b = env
+    ticks = []
+    a.every(2.0, lambda: ticks.append(sim.now), initial_delay=0.5)
+    sim.run(until=5.0)
+    assert ticks == [0.5, 2.5, 4.5]
+
+
+def test_node_every_draws_jitter_once_per_sleep():
+    sim = Simulator()
+    network = Network(sim, RngStreams(3).stream("net"), NetworkConfig())
+    node = Endpoint(sim, network, "n", rng=random.Random(11))
+    ticks = []
+    node.every(1.0, lambda: ticks.append(sim.now), jitter=0.5, initial_delay=0.0)
+    sim.run(until=4.0)
+    reference = random.Random(11)
+    expected, now = [], 0.0
+    for period in (0.0, 1.0, 1.0):
+        now += period + reference.uniform(0, 0.5)
+        expected.append(now)
+    assert ticks == expected
+    # One more draw armed the pending sleep; nothing else touched the stream.
+    reference.uniform(0, 0.5)
+    assert node.rng.getstate() == reference.getstate()

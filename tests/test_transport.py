@@ -319,11 +319,10 @@ def test_run_cell_transport_override():
 
 
 def test_run_cell_short_and_long_tuples_agree():
-    """The 2-tuple and the full 5-tuple (all-default slots) run identically."""
+    """The 2-tuple and the full 3-tuple (default transport slot) run identically."""
     from repro.harness.runner import run_cell
 
     short = run_cell(("smoke", 0))
-    long = run_cell(("smoke", 0, None, None, None))
+    long = run_cell(("smoke", 0, None))
     assert long["events_processed"] == short["events_processed"]
     assert long["rpc_per_method"] == short["rpc_per_method"]
-    assert long["warm_start"] is False  # no snapshot dir -> never resumes

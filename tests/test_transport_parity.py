@@ -25,12 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import run_cell
+from tests.data.refreeze import pinned
 
 DATA = Path(__file__).parent / "data"
-
-# sim_time_s was frozen rounded to 6 decimals; every other pinned field is an
-# exact integer (or an integer-valued dict) and must match bit-for-bit.
-_ROUNDED_FIELDS = {"sim_time_s": 6}
 
 
 def _load(name: str) -> dict:
@@ -47,10 +44,7 @@ def _frozen_cells(name: str):
 def _assert_matches_frozen(scenario: str, seed: int, frozen: dict) -> None:
     cell = run_cell((scenario, seed))
     assert cell["transport"] == "sim"
-    live = {
-        field: round(cell[field], digits) if (digits := _ROUNDED_FIELDS.get(field)) else cell[field]
-        for field in frozen
-    }
+    live = pinned(cell, frozen)
     assert live == frozen, (
         f"{scenario}[seed={seed}]: SimTransport diverged from the pre-refactor trace\n"
         f"  frozen: {frozen}\n  live:   {live}"
