@@ -125,6 +125,37 @@ class ItemStore:
         lower_arm = [self._by_key[key] for key in self._keys if key <= crange.high]
         return lower_arm + upper_arm
 
+    # ------------------------------------------------------------------ arcs
+    # The clockwise arc ``(low, high]`` of the circular key space, answered
+    # with two bisects of the sorted key list instead of a clockwise-distance
+    # computation per stored item.  ``high <= low`` wraps past the top of the
+    # key space, and ``high == low`` is the whole circle (a clockwise distance
+    # of one full turn), not CircularRange's empty arc.
+    def _arc(self, low: float, high: float) -> tuple[int, int]:
+        keys = self._keys
+        return bisect.bisect_right(keys, low), bisect.bisect_right(keys, high)
+
+    def arc_items(self, low: float, high: float) -> List[Item]:
+        """Items on the arc ``(low, high]``, in clockwise order from ``low``."""
+        start, stop = self._arc(low, high)
+        keys = self._keys
+        on_arc = keys[start:stop] if low < high else keys[start:] + keys[:stop]
+        return [self._by_key[key] for key in on_arc]
+
+    def off_arc_items(self, low: float, high: float) -> List[Item]:
+        """Items *not* on the arc ``(low, high]``, in ascending key order."""
+        start, stop = self._arc(low, high)
+        keys = self._keys
+        off_arc = keys[:start] + keys[stop:] if low < high else keys[stop:start]
+        return [self._by_key[key] for key in off_arc]
+
+    def any_off_arc(self, low: float, high: float) -> bool:
+        """Whether :meth:`off_arc_items` would return anything."""
+        start, stop = self._arc(low, high)
+        if low < high:
+            return start > 0 or stop < len(self._keys)
+        return stop < start
+
     def split_lower_half(self) -> tuple[float, List[Item]]:
         """Return ``(split_key, lower_items)`` for a Data Store split.
 

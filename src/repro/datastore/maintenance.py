@@ -211,10 +211,7 @@ class StorageBalancer:
                 # cap, returns to the pool, and the periodic check retries the
                 # same doomed split indefinitely.
                 base = self._split_base()
-                ordered = sorted(
-                    self._split_candidates(),
-                    key=lambda item: self._clockwise_distance(item.skv, base),
-                )
+                ordered = self._split_candidates()
                 if len(ordered) <= self.config.overflow_threshold or len(ordered) < 2:
                     # Overflowed only counting items the ring would not accept
                     # a join for (stranded by a boundary move): a split cannot
@@ -462,21 +459,20 @@ class StorageBalancer:
         serves items inside the current range, so these copies are unreachable
         until shed to their responsible owner.
         """
-        if not self.store.active or self.store.range is None or self.store.range.full:
+        if not self._can_strand():
             return []
-        base = self._split_base()
-        own_distance = self._clockwise_distance(self.ring.value, base)
-        return [
-            item
-            for item in self.store.items.all_items()
-            if self._clockwise_distance(item.skv, base) > own_distance
-        ]
+        return self.store.items.off_arc_items(self._split_base(), self.ring.value)
+
+    def _can_strand(self) -> bool:
+        store = self.store
+        return store.active and store.range is not None and not store.range.full
 
     def _shed_due(self) -> bool:
         return (
             self.config.shed_stranded
             and self.router is not None
-            and bool(self._stranded_items())
+            and self._can_strand()
+            and self.store.items.any_off_arc(self._split_base(), self.ring.value)
         )
 
     def maybe_shed(self):
@@ -559,10 +555,7 @@ class StorageBalancer:
                 return {"ok": False, "reason": "busy"}
             sf = self.config.storage_factor
             base = self._split_base()
-            ordered = sorted(
-                self._split_candidates(),
-                key=lambda item: self._clockwise_distance(item.skv, base),
-            )
+            ordered = self._split_candidates()
             requested = int(payload.get("max_items", sf))
             give = min(requested, len(ordered) - sf, self.store.item_count() - sf)
             if give < sf:
@@ -806,22 +799,15 @@ class StorageBalancer:
     def _split_candidates(self) -> list:
         """Items a split could legitimately hand to a new ring member.
 
-        Items at or below :meth:`_split_base` (strays stranded by a boundary
-        move, or items the ring's current predecessor already claims) are
-        excluded -- a split keyed on one of them can never complete.
+        The items on the arc from :meth:`_split_base` to the peer's own value,
+        in clockwise order from the base (a split hands over a prefix).  Items
+        at or below the base (strays stranded by a boundary move, or items the
+        ring's current predecessor already claims) are excluded -- a split
+        keyed on one of them can never complete.
         """
-        items = self.store.items.all_items()
         if self.store.range is None:
             return []
-        if self.store.range.full:
-            return list(items)
-        base = self._split_base()
-        own_distance = self._clockwise_distance(self.ring.value, base)
-        return [
-            item
-            for item in items
-            if self._clockwise_distance(item.skv, base) <= own_distance
-        ]
+        return self.store.items.arc_items(self._split_base(), self.ring.value)
 
     def split_feasible(self) -> bool:
         """Whether an overflow split could currently be accepted by the ring.

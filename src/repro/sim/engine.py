@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import os
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "AllOf",
@@ -173,12 +173,20 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        # Inlined Event.__init__ and sim.schedule: timeouts are the
+        # most-allocated event kind.
+        self.sim = sim
+        self.callbacks = None
+        self._triggered = False
+        self._ok = True
+        self._value = None
         self.delay = delay
         self._pending = value
-        # Inlined sim.schedule: timeouts are the most-allocated event kind.
         sim._sequence += 1
-        heapq.heappush(sim._queue, [sim._now + delay, sim._sequence, _fire_timeout, self])
+        # A timeout carrying no value (nearly all of them) needs no adapter
+        # frame: the entry runs ``Event.succeed(timeout)`` itself.
+        fire = Event.succeed if value is None else _fire_timeout
+        heapq.heappush(sim._queue, [sim._now + delay, sim._sequence, fire, self])
 
 
 class AnyOf(Event):
@@ -253,22 +261,52 @@ class Process(Event):
     processes.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on", "_alive", "_send", "_throw_into")
+    __slots__ = ("generator", "_label", "_waiting_on", "_alive", "_send", "_throw_into")
 
-    def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = ""):
-        super().__init__(sim)
-        if not hasattr(generator, "send"):
-            raise SimulationError("Process requires a generator")
+    def __init__(
+        self,
+        sim: "Simulator",
+        generator: ProcessGenerator,
+        name: Union[str, Tuple[str, ...]] = "",
+        callbacks: Optional[List[Callable[[Event], None]]] = None,
+    ):
+        """Start ``generator`` at the current time.
+
+        ``name`` is a string or a tuple of label parts; :attr:`name` joins it
+        on demand, so starting a process formats nothing.  ``callbacks`` are
+        the process's first completion callbacks, in order (what
+        ``_add_callback`` would append, without the calls).
+        """
+        # Inlined Event.__init__: one process per generator-handled RPC.
+        self.sim = sim
+        self.callbacks = callbacks
+        self._triggered = False
+        self._ok = True
+        self._value = None
+        try:
+            self._send = generator.send
+            self._throw_into = generator.throw
+        except AttributeError:
+            raise SimulationError("Process requires a generator") from None
         self.generator = generator
-        self._send = generator.send
-        self._throw_into = generator.throw
-        self.name = name or getattr(generator, "__name__", "process")
+        self._label = name
         self._waiting_on: Optional[Event] = None
         self._alive = True
-        # Start the process at the current simulation time.
         sim._ready.append((self._resume, None))
 
     # -- lifecycle ---------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """The process's label: its parts joined by ``:``, built when read.
+
+        An empty part (or an empty label) stands for the generator's own name.
+        """
+        label = self._label
+        if isinstance(label, str):
+            label = (label,)
+        own = getattr(self.generator, "__name__", "process")
+        return ":".join(part or own for part in label)
+
     @property
     def alive(self) -> bool:
         """Whether the generator has not yet finished."""
@@ -290,25 +328,36 @@ class Process(Event):
     def _resume(self, trigger: Optional[Event]) -> None:
         if not self._alive:
             return
-        if trigger is not None and self._waiting_on is not trigger:
-            # Stale wakeup: the process was interrupted (or already resumed)
-            # while this event was pending.
+        try:
+            if trigger is None:
+                target = self._send(None)
+            elif self._waiting_on is not trigger:
+                # Stale wakeup: the process was interrupted (or already
+                # resumed) while this event was pending.
+                return
+            else:
+                self._waiting_on = None
+                if trigger._ok:
+                    target = self._send(trigger._value)
+                else:
+                    target = self._throw_into(trigger._value)
+        except StopIteration as stop:
+            self._finish(stop.value, None)
             return
-        self._waiting_on = None
-        if trigger is None or trigger._ok:
-            value = None if trigger is None else trigger._value
-            try:
-                target = self._send(value)
-            except BaseException as stop:  # noqa: BLE001 - dispatched below
-                self._stop(stop)
-                return
+        except BaseException as stop:  # noqa: BLE001 - dispatched in _stop
+            self._stop(stop)
+            return
+        # Inlined _wait_for: this is the single hottest call site.
+        if not isinstance(target, Event):
+            self._wait_for(target)
+            return
+        self._waiting_on = target
+        if target._triggered:
+            self.sim._ready.append((self._resume, target))
+        elif target.callbacks is None:
+            target.callbacks = [self._resume]
         else:
-            try:
-                target = self._throw_into(trigger._value)
-            except BaseException as stop:  # noqa: BLE001 - dispatched below
-                self._stop(stop)
-                return
-        self._wait_for(target)
+            target.callbacks.append(self._resume)
 
     def _throw(self, exception: BaseException) -> None:
         if not self._alive:
@@ -330,7 +379,6 @@ class Process(Event):
             )
             return
         self._waiting_on = target
-        # Inlined Event._add_callback: this is the single hottest call site.
         if target._triggered:
             self.sim._ready.append((self._resume, target))
         elif target.callbacks is None:
@@ -361,6 +409,10 @@ class Process(Event):
             self.succeed(value)
         else:
             self.fail(error)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "alive" if self._alive else "finished"
+        return f"<Process {self.name} {state} at t={self.sim.now:.6f}>"
 
 
 class Simulator:

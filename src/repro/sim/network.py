@@ -35,10 +35,12 @@ Scalability notes
   transfer records, reply continuations and :class:`RpcRequest` objects --
   are recycled through freelists, so steady-state RPC traffic allocates only
   the caller-visible reply :class:`Event`.
-* Messages due at exactly the same instant are *batched*: one engine entry
-  drains the whole batch.  With a constant-latency model every message sent
-  within one action shares a delivery slot, so a replication fan-out to ``k``
-  successors costs one queue operation instead of ``k``.
+* Under a :class:`ConstantLatency` model, messages due at exactly the same
+  instant are *batched*: one engine entry drains the whole batch, so a
+  replication fan-out to ``k`` successors costs one queue operation instead
+  of ``k``.  Under a sampled model two messages essentially never share an
+  instant, so each is its own engine entry (delivered in send order should
+  they collide) and the batch bookkeeping is skipped.
 * :meth:`Network.cast` is a fire-and-forget fast path for messages nobody
   waits on (replication refreshes, delete propagation): no reply event, no
   expiry timer, no reply message.
@@ -48,9 +50,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, SimulationError, Simulator
 
 # The RPC failure hierarchy, request record and stats counters are shared by
 # every transport; they live in the dependency-free contract module and are
@@ -255,11 +258,21 @@ class _ReplyHandle:
         self.timer: Optional[list] = None
 
     def __call__(self, value: Any, error: Optional[BaseException]) -> None:
+        """Transmit the reply message (or lose it) and recycle the records."""
         net = self.net
         request, result, timer = self.request, self.result, self.timer
         self.request = self.result = self.timer = None
         net._reply_free.append(self)
-        net._transmit_reply(request, result, timer, value, error)
+        source, destination = request.destination, request.source
+        request.payload = None
+        net._request_free.append(request)
+        stats = net.stats
+        stats.messages_sent += 1
+        prob = net.config.drop_probability
+        if prob > 0 and net.rng.random() < prob:
+            stats.messages_dropped += 1
+            return
+        net._post(source, destination, net._deliver_reply, result, timer, value, error)
 
 
 # Metric series fed to an attached collector under a LanWanLatency model.
@@ -341,13 +354,19 @@ class Network:
         once, so experiments that switch latency regimes mid-run must call
         this after changing the latency fields.
         """
-        self.latency_model = self.config.resolved_latency_model()
-        # Fast path: a constant model needs no rng and no per-message dispatch.
+        self.latency_model = model = self.config.resolved_latency_model()
+        model.validate()  # a negative latency would queue a delivery in the past
+        # Fast path: a constant model needs no rng and no per-message dispatch,
+        # and it alone makes same-instant deliveries common enough to batch.
         self._fixed_latency: Optional[float] = (
-            self.latency_model.value
-            if isinstance(self.latency_model, ConstantLatency)
-            else None
+            model.value if isinstance(model, ConstantLatency) else None
         )
+        # Fast path: a plain uniform model is drawn in place as
+        # ``low + span * rng.random()`` -- the float ``rng.uniform`` returns.
+        self._uniform_low = self._uniform_span = None
+        if type(model) is UniformLatency and model.high > model.low:
+            self._uniform_low = model.low
+            self._uniform_span = model.high - model.low
         # Site-aware instrumentation only exists under a two-tier model.
         self._site_of: Optional[Callable[[str], int]] = (
             self.latency_model.site_of
@@ -389,24 +408,55 @@ class Network:
             return 2.0 * stats.latency_sum / stats.latency_samples
         return 2.0 * self.latency_model.nominal_latency()
 
-    def _dropped(self) -> bool:
-        prob = self.config.drop_probability
-        return prob > 0 and self.rng.random() < prob
+    # -- delivery ------------------------------------------------------------
+    def _post(
+        self, source: str, destination: str, deliver: Callable[[list], None],
+        a: Any, b: Any, c: Any, d: Any,
+    ) -> None:
+        """Queue ``deliver([a, b, c, d])`` one latency draw from now.
 
-    # -- batched delivery ---------------------------------------------------
-    def _schedule_delivery(self, delay: float, func: Callable[[Any], None], arg: Any) -> None:
-        """Deliver ``func(arg)`` after ``delay``; same-instant messages share one heap entry."""
-        time = self.sim.now + delay
-        batch = self._batches.get(time)
-        if batch is None:
-            self._batches[time] = batch = []
-            self.sim.schedule_at(time, self._run_batch, time)
-            self.stats.delivery_batches += 1
-        batch.append((func, arg))
+        The whole per-message path in one frame: transfer record, latency,
+        engine entry.  Entries are pushed straight onto the simulator's heap
+        in its ``[time, seq, func, arg]`` shape (what ``schedule_at`` does).
+        """
+        free = self._transfer_free
+        if free:
+            transfer = free.pop()
+            transfer[0] = a
+            transfer[1] = b
+            transfer[2] = c
+            transfer[3] = d
+        else:
+            transfer = [a, b, c, d]
+        sim = self.sim
+        stats = self.stats
+        fixed = self._fixed_latency
+        if fixed is not None:
+            # Same-instant messages share one heap entry.
+            time = sim._now + fixed
+            batch = self._batches.get(time)
+            if batch is None:
+                self._batches[time] = batch = []
+                sim.schedule_at(time, self._run_batch, time)
+                stats.delivery_batches += 1
+            batch.append((deliver, transfer))
+            return
+        span = self._uniform_span
+        if span is not None:
+            latency = self._uniform_low + span * self.rng.random()
+            stats.latency_sum += latency
+            stats.latency_samples += 1
+        else:
+            latency = self._latency(source, destination)
+            if latency < 0:
+                raise SimulationError(f"cannot deliver in the past (latency={latency})")
+        stats.delivery_batches += 1
+        sim._sequence += 1
+        heappush(sim._queue, [sim._now + latency, sim._sequence, deliver, transfer])
 
     def _run_batch(self, time: float) -> None:
-        for func, arg in self._batches.pop(time):
-            func(arg)
+        for deliver, transfer in self._batches.pop(time):
+            deliver(transfer)
 
     # -- RPC ----------------------------------------------------------------
     def call(
@@ -423,13 +473,18 @@ class Network:
         :class:`RpcError` subclass.  Callers are simulated processes and simply
         ``yield`` the returned event.
         """
-        timeout = self.config.rpc_timeout if timeout is None else timeout
-        result = self.sim.event()
-        self.stats.record_call(method)
+        config = self.config
+        if timeout is None:
+            timeout = config.rpc_timeout
+        result = Event(self.sim)
+        stats = self.stats
+        stats.rpc_calls += 1
+        per_method = stats.per_method
+        per_method[method] = per_method.get(method, 0) + 1
         site_of = self._site_of
         if site_of is not None:
             key = f"site{site_of(source)}"
-            per_site = self.stats.per_site_rpcs
+            per_site = stats.per_site_rpcs
             per_site[key] = per_site.get(key, 0) + 1
         self._next_request_id += 1
         free = self._expiry_free
@@ -443,15 +498,22 @@ class Network:
         timer = self._schedule_timer(timeout, self._expire, pending)
         if self.observer is not None:
             self.observer.rpc_issued(source, destination, method)
-        self.stats.messages_sent += 1
-        if self._dropped():
-            self.stats.messages_dropped += 1
+        stats.messages_sent += 1
+        prob = config.drop_probability
+        if prob > 0 and self.rng.random() < prob:
+            stats.messages_dropped += 1
         else:
-            request = self._make_request(source, destination, method, payload)
-            transfer = self._make_transfer(request, result, timer, None)
-            self._schedule_delivery(
-                self._latency(source, destination), self._deliver_request, transfer
-            )
+            free = self._request_free
+            if free:
+                request = free.pop()
+                request.source = source
+                request.destination = destination
+                request.method = method
+                request.payload = payload
+                request.request_id = self._next_request_id
+            else:
+                request = RpcRequest(source, destination, method, payload, self._next_request_id)
+            self._post(source, destination, self._deliver_request, request, result, timer, None)
         return result
 
     def cast(self, source: str, destination: str, method: str, payload: Any = None) -> None:
@@ -464,22 +526,23 @@ class Network:
         that discards the reply event of :meth:`call` observed, minus the
         event, timer and reply-message overhead.
         """
-        self.stats.record_call(method)
+        stats = self.stats
+        stats.rpc_calls += 1
+        per_method = stats.per_method
+        per_method[method] = per_method.get(method, 0) + 1
         site_of = self._site_of
         if site_of is not None:
             key = f"site{site_of(source)}"
-            per_site = self.stats.per_site_rpcs
+            per_site = stats.per_site_rpcs
             per_site[key] = per_site.get(key, 0) + 1
         self._next_request_id += 1
-        self.stats.messages_sent += 1
-        if self._dropped():
-            self.stats.messages_dropped += 1
+        stats.messages_sent += 1
+        prob = self.config.drop_probability
+        if prob > 0 and self.rng.random() < prob:
+            stats.messages_dropped += 1
             return
         request = self._make_request(source, destination, method, payload)
-        transfer = self._make_transfer(request, None, None, None)
-        self._schedule_delivery(
-            self._latency(source, destination), self._deliver_cast, transfer
-        )
+        self._post(source, destination, self._deliver_cast, request, None, None, None)
 
     # -- internals ----------------------------------------------------------
     def _make_request(
@@ -500,23 +563,12 @@ class Network:
         request.payload = None
         self._request_free.append(request)
 
-    def _make_transfer(self, a: Any, b: Any, c: Any, d: Any) -> list:
-        free = self._transfer_free
-        if free:
-            transfer = free.pop()
-            transfer[0] = a
-            transfer[1] = b
-            transfer[2] = c
-            transfer[3] = d
-            return transfer
-        return [a, b, c, d]
-
     def _expire(self, pending: list) -> None:
         result, method, destination = pending
         pending[0] = None
         pending[2] = None
         self._expiry_free.append(pending)
-        if not result.triggered:
+        if not result._triggered:
             if self.observer is not None:
                 self.observer.rpc_completed(destination)
             self.stats.rpc_timeouts += 1
@@ -550,30 +602,11 @@ class Network:
             # Handled synchronously: nothing can still reference the record.
             self._recycle_request(request)
 
-    def _transmit_reply(
-        self,
-        request: RpcRequest,
-        result: Event,
-        timer: list,
-        value: Any,
-        error: Optional[BaseException],
-    ) -> None:
-        self.stats.messages_sent += 1
-        if self._dropped():
-            self.stats.messages_dropped += 1
-            self._recycle_request(request)
-            return
-        latency = self._latency(request.destination, request.source)
-        self._recycle_request(request)
-        self._schedule_delivery(
-            latency, self._deliver_reply, self._make_transfer(result, timer, value, error)
-        )
-
     def _deliver_reply(self, transfer: list) -> None:
         result, timer, value, error = transfer
         transfer[0] = transfer[1] = transfer[2] = transfer[3] = None
         self._transfer_free.append(transfer)
-        if result.triggered:
+        if result._triggered:
             # The expiry timer won the race: the caller already holds its
             # RpcTimeout, and the late reply is dropped.
             return

@@ -103,7 +103,14 @@ class RpcRequest:
 
 @dataclass
 class NetworkStats:
-    """Counters kept by every transport's message plane."""
+    """Counters kept by every transport's message plane.
+
+    ``delivery_batches`` counts the engine entries the simulated network
+    queued to deliver messages: one per message under a sampled latency model
+    (uniform, lan_wan), one per distinct delivery instant under
+    ``ConstantLatency``, where same-instant messages share an entry.  The
+    asyncio network delivers through sockets and leaves it at zero.
+    """
 
     messages_sent: int = 0
     messages_dropped: int = 0

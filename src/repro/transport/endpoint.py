@@ -23,11 +23,31 @@ real-time :class:`~repro.transport.asyncio_transport.AsyncioClock`) and
 
 from __future__ import annotations
 
-import inspect
+from types import GeneratorType
 from typing import Any, Callable, Optional, Set
 
 from repro.sim.engine import Event, Process, ProcessKilled
 from repro.transport.api import RpcRemoteError, RpcRequest
+
+
+class _HandlerProcess(Process):
+    """A generator RPC handler, run as a process of the handling endpoint.
+
+    The handler's own generator is the process (no wrapper generator), and the
+    process carries what its completion needs, so an RPC allocates no closure.
+    """
+
+    __slots__ = ("endpoint", "reply")
+
+
+def _send_outcome(process: _HandlerProcess) -> None:
+    """Completion callback of a generator handler: its outcome is the reply."""
+    if not process.endpoint.alive:
+        return  # a failed peer never answers
+    if process.ok:
+        process.reply(process.value, None)
+    else:
+        process.reply(None, RpcRemoteError(repr(process.value)))
 
 
 class Endpoint:
@@ -40,6 +60,11 @@ class Endpoint:
         self.rng = rng
         self.alive = True
         self._processes: Set[Process] = set()
+        # Every owned process's first completion callback: a finished process
+        # is called back with itself, so the set's own ``discard`` fits as is.
+        self._disown = self._processes.discard
+        # Registered handlers, plus each ``rpc_<method>`` attribute handler
+        # from its first use on (resolved once, not per message).
         self._handlers: dict[str, Callable[..., Any]] = {}
         network.register(self)
 
@@ -67,10 +92,8 @@ class Endpoint:
         fail-stop semantics of Section 2.1: a failed peer performs no further
         steps of any protocol.
         """
-        label = f"{self.address}:{name or getattr(generator, '__name__', 'proc')}"
-        process = self.sim.process(generator, name=label)
+        process = Process(self.sim, generator, (self.address, name), [self._disown])
         self._processes.add(process)
-        process._add_callback(lambda _event: self._processes.discard(process))
         return process
 
     def every(
@@ -94,27 +117,29 @@ class Endpoint:
         the periodic loop waits for it to complete before sleeping again --
         matching the paper's sequential stabilization rounds.
         """
-        period_source = period if callable(period) else None
-
-        def _next_period() -> float:
-            return period_source() if period_source is not None else period
+        adaptive = callable(period)
+        # ``jitter * random()`` is the float ``uniform(0, jitter)`` returns.
+        rng = self.rng if jitter > 0 else None
 
         def _loop():
-            delay = _next_period() if initial_delay is None else initial_delay
-            if self.rng is not None and jitter > 0:
-                delay += self.rng.uniform(0, jitter)
+            timeout = self.sim.timeout
+            delay = initial_delay
+            if delay is None:
+                delay = period() if adaptive else period
+            if rng is not None:
+                delay += jitter * rng.random()
             while True:
-                yield self.sim.timeout(delay)
+                yield timeout(delay)
                 if not self.alive:
                     return
                 result = action()
-                if inspect.isgenerator(result):
+                if type(result) is GeneratorType:
                     yield from result
-                delay = _next_period()
-                if self.rng is not None and jitter > 0:
-                    delay += self.rng.uniform(0, jitter)
+                delay = period() if adaptive else period
+                if rng is not None:
+                    delay += jitter * rng.random()
 
-        label = name or (f"every-{period}s" if period_source is None else "every-adaptive")
+        label = name or ("every-adaptive" if adaptive else f"every-{period}s")
         return self.spawn(_loop(), name=label)
 
     # -- RPC ------------------------------------------------------------------
@@ -144,18 +169,20 @@ class Endpoint:
         are swallowed: with :meth:`call` they would travel back to the caller
         as an :class:`RpcRemoteError`, and a cast has no caller to tell.
         """
-        handler = self._handlers.get(request.method)
+        method = request.method
+        handler = self._handlers.get(method)
         if handler is None:
-            handler = getattr(self, f"rpc_{request.method}", None)
-        if handler is None:
-            return True
+            handler = self._attribute_handler(method)
+            if handler is None:
+                return True
         try:
             outcome = handler(request.payload, request)
         except Exception:
             return True
-        if not inspect.isgenerator(outcome):
+        if type(outcome) is not GeneratorType:
             return True
-        self.spawn(outcome, name=f"cast:{request.method}")
+        process = Process(self.sim, outcome, (self.address, "cast", method), [self._disown])
+        self._processes.add(process)
         return False
 
     def _handle_rpc(
@@ -164,36 +191,39 @@ class Endpoint:
         reply: Callable[[Any, Optional[BaseException]], None],
     ) -> None:
         """Dispatch an incoming request to its handler and send the reply."""
-        handler = self._handlers.get(request.method)
+        method = request.method
+        handler = self._handlers.get(method)
         if handler is None:
-            handler = getattr(self, f"rpc_{request.method}", None)
-        if handler is None:
-            reply(None, RpcRemoteError(f"{self.address} has no handler for {request.method!r}"))
-            return
+            handler = self._attribute_handler(method)
+            if handler is None:
+                reply(None, RpcRemoteError(f"{self.address} has no handler for {method!r}"))
+                return
         try:
             outcome = handler(request.payload, request)
         except Exception as error:  # handler bug or protocol rejection
             reply(None, RpcRemoteError(repr(error)))
             return
-        if not inspect.isgenerator(outcome):
+        if type(outcome) is not GeneratorType:
             reply(outcome, None)
             return
+        process = _HandlerProcess(
+            self.sim, outcome, (self.address, "rpc", method), [self._disown, _send_outcome]
+        )
+        process.endpoint = self
+        process.reply = reply
+        self._processes.add(process)
 
-        def _run_handler():
-            value = yield from outcome
-            return value
+    def _attribute_handler(self, method: str) -> Optional[Callable[..., Any]]:
+        """Resolve the ``rpc_<method>`` attribute handler, once per method.
 
-        process = self.spawn(_run_handler(), name=f"rpc:{request.method}")
-
-        def _on_done(event: Event) -> None:
-            if not self.alive:
-                return  # a failed peer never answers
-            if event.ok:
-                reply(event.value, None)
-            else:
-                reply(None, RpcRemoteError(repr(event.value)))
-
-        process._add_callback(_on_done)
+        A found handler is kept beside the registered ones (a later
+        :meth:`register_handler` still replaces it); a miss is not, so a
+        handler attached later is found.
+        """
+        handler = getattr(self, f"rpc_{method}", None)
+        if handler is not None:
+            self._handlers[method] = handler
+        return handler
 
     # -- failure / departure ----------------------------------------------------
     def fail(self) -> None:

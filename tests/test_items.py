@@ -140,3 +140,37 @@ def test_property_split_preserves_items(keys):
     lower_keys = {item.skv for item in lower}
     assert lower_keys == {key for key in keys if key <= split_key}
     assert split_key in lower_keys
+
+
+KEY_SPACE = 10_000.0
+# Eighths: every clockwise distance below is exact, so the rescan's float
+# subtraction and the arc queries' comparisons cannot disagree by rounding.
+grid_key = st.integers(0, 79_999).map(lambda n: n / 8)
+
+
+def _clockwise_distance(key, base):
+    """The rescan the arc queries replaced: one full turn when ``key == base``."""
+    return key - base if key > base else KEY_SPACE - base + key
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(grid_key, unique=True, max_size=40), low=grid_key, high=grid_key,
+       on_keys=st.booleans())
+def test_property_arc_queries_match_the_clockwise_distance_rescan(keys, low, high, on_keys):
+    if on_keys and keys:
+        low, high = keys[0], keys[-1]  # boundaries that coincide with stored keys
+    store = ItemStore(Item(key) for key in keys)
+    own = _clockwise_distance(high, low)
+    on_arc = [key for key in sorted(keys) if _clockwise_distance(key, low) <= own]
+    off_arc = [key for key in sorted(keys) if _clockwise_distance(key, low) > own]
+    clockwise = sorted(on_arc, key=lambda key: _clockwise_distance(key, low))
+    assert [item.skv for item in store.arc_items(low, high)] == clockwise
+    assert [item.skv for item in store.off_arc_items(low, high)] == off_arc
+    assert store.any_off_arc(low, high) == bool(off_arc)
+
+
+def test_arc_with_equal_ends_is_the_whole_circle():
+    store = ItemStore(Item(key) for key in (1.0, 5.0, 9.0))
+    assert [item.skv for item in store.arc_items(5.0, 5.0)] == [9.0, 1.0, 5.0]
+    assert store.off_arc_items(5.0, 5.0) == []
+    assert not store.any_off_arc(5.0, 5.0)

@@ -481,3 +481,66 @@ def test_make_simulator_rejects_a_stale_engine_name(monkeypatch, name):
     ):
         with pytest.raises(SimulationError, match=f"{name}.*removed"):
             build()
+
+
+# ------------------------------------------------------ the rewritten per-event path
+def test_timeout_with_and_without_a_value_counts_one_event_each(sim):
+    got = []
+
+    def proc():
+        got.append((yield sim.timeout(1.0)))
+        got.append((yield sim.timeout(1.0, value="payload")))
+
+    sim.process(proc())
+    sim.run()
+    assert got == [None, "payload"]
+    # start + (timeout fire + resume) x 2: the value-less timeout's entry runs
+    # Event.succeed itself, which is still one processed event.
+    assert sim.events_processed == 5
+
+
+def test_timeout_succeeded_by_hand_raises_when_its_entry_fires(sim):
+    for value in (None, "payload"):
+        sim.timeout(1.0, value=value).succeed()
+        with pytest.raises(SimulationError, match="already triggered"):
+            sim.run()
+
+
+def test_process_constructor_callbacks_run_in_order_after_it_ends(sim):
+    from repro.sim.engine import Process
+
+    order = []
+
+    def body():
+        yield sim.timeout(1.0)
+        return "done"
+
+    process = Process(
+        sim, body(), ("owner", "kind", "label"),
+        [lambda event: order.append(("first", event.value)),
+         lambda event: order.append(("second", event.value))],
+    )
+    process._add_callback(lambda event: order.append(("third", event.value)))
+    sim.run()
+    assert order == [("first", "done"), ("second", "done"), ("third", "done")]
+    assert process.name == "owner:kind:label"
+
+
+def test_process_rejects_a_non_generator(sim):
+    with pytest.raises(SimulationError, match="requires a generator"):
+        sim.process(lambda: None)
+
+
+def test_non_event_yield_after_an_interrupt_still_fails_the_process(sim):
+    def proc():
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            yield "not an event"
+
+    process = sim.process(proc(), name="stubborn")
+    sim.run(until=1.0)
+    process.interrupt()
+    sim.run()
+    assert not process.ok
+    assert "process 'stubborn' yielded 'not an event', expected an Event" in str(process.value)

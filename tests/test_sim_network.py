@@ -5,7 +5,15 @@ import random
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkConfig, RpcRemoteError, RpcTimeout
+from repro.sim.network import (
+    ConstantLatency,
+    LatencyModel,
+    Network,
+    NetworkConfig,
+    RpcRemoteError,
+    RpcTimeout,
+    UniformLatency,
+)
 from repro.sim.randomness import RngStreams
 from repro.transport import Endpoint
 
@@ -242,3 +250,170 @@ def test_node_every_draws_jitter_once_per_sleep():
     # One more draw armed the pending sleep; nothing else touched the stream.
     reference.uniform(0, 0.5)
     assert node.rng.getstate() == reference.getstate()
+
+
+# ------------------------------------------------- the per-message path: order and failure
+class _FixedButSampled(LatencyModel):
+    """A sampled model (not ``ConstantLatency``) that puts every message on one instant."""
+
+    def sample(self, rng, source, destination):
+        return 0.002
+
+    def nominal_latency(self):
+        return 0.002
+
+
+def _logging_network(model):
+    sim = Simulator()
+    network = Network(sim, random.Random(5), NetworkConfig(latency_model=model))
+    a = EchoNode(sim, network, "a")
+    b = EchoNode(sim, network, "b")
+    log = []
+    b.register_handler("note", lambda payload, request: log.append(payload))
+    return sim, network, a, log
+
+
+def test_same_instant_messages_under_a_sampled_model_keep_send_order():
+    sim, network, a, log = _logging_network(_FixedButSampled())
+    for n in range(5):
+        a.cast("b", "note", n)
+    first = a.call("b", "note", 5)
+    second = a.call("b", "note", 6)
+    sim.run(until=0.003)
+    assert log == [0, 1, 2, 3, 4, 5, 6]
+    sim.run(until=1.0)
+    assert first.triggered and second.triggered
+    # One engine entry per message (7 requests + 2 replies), none shared.
+    assert network.stats.delivery_batches == 9
+    assert network.stats.latency_samples == 9
+
+
+def test_same_instant_messages_under_constant_latency_share_one_batch():
+    sim, network, a, log = _logging_network(ConstantLatency(0.002))
+    for n in range(5):
+        a.cast("b", "note", n)
+    sim.run(until=1.0)
+    assert log == [0, 1, 2, 3, 4]
+    assert network.stats.delivery_batches == 1
+    assert network.stats.latency_samples == 0
+
+
+def test_peer_failing_mid_generator_handler_never_answers(env):
+    sim, network, a, b = env
+    outcome = []
+
+    def proc():
+        try:
+            outcome.append((yield a.call("b", "slow", {"delay": 1.0}, timeout=2.0)))
+        except RpcTimeout:
+            outcome.append("timed out")
+
+    sim.process(proc())
+    sim.run(until=0.5)
+    assert len(b._processes) == 1  # the handler's own generator, mid-flight
+    b.fail()
+    sim.run(until=5.0)
+    assert outcome == ["timed out"]
+    assert b._processes == set()
+    assert network.stats.messages_sent == 1  # the request; no reply was ever transmitted
+
+
+def test_finished_generator_handler_leaves_no_owned_process(env):
+    sim, network, a, b = env
+
+    def proc():
+        return (yield a.call("b", "slow", {"delay": 0.1}, timeout=1.0))
+
+    assert sim.run_process(proc()) == {"done": True}
+    assert b._processes == set()
+
+
+def test_raising_generator_handler_becomes_remote_error(env):
+    sim, network, a, b = env
+
+    def late_failure(payload, request):
+        yield sim.timeout(0.01)
+        raise ValueError("exploded late")
+
+    b.register_handler("late_failure", late_failure)
+
+    def proc():
+        try:
+            yield a.call("b", "late_failure", {})
+        except RpcRemoteError as error:
+            return str(error)
+
+    assert sim.run_process(proc()) == repr(ValueError("exploded late"))
+
+
+def test_non_event_yield_error_names_peer_kind_and_method(env):
+    sim, network, a, b = env
+
+    def bad_yield(payload, request):
+        yield 42
+
+    b.register_handler("bad_yield", bad_yield)
+
+    def proc():
+        try:
+            yield a.call("b", "bad_yield", {})
+        except RpcRemoteError as error:
+            return str(error)
+
+    message = sim.run_process(proc())
+    assert "b:rpc:bad_yield" in message
+    assert "yielded 42, expected an Event" in message
+
+
+def test_process_labels_are_joined_on_demand(env):
+    sim, network, a, b = env
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    assert a.spawn(worker()).name == "a:worker"
+    assert a.spawn(worker(), name="named").name == "a:named"
+    assert a.every(1.0, lambda: None).name == "a:every-1.0s"
+    assert a.every(lambda: 1.0, lambda: None).name == "a:every-adaptive"
+    assert sim.process(worker()).name == "worker"
+    assert sim.process(worker(), name="driver:x").name == "driver:x"
+
+
+def test_inline_uniform_draws_are_the_floats_random_uniform_returns():
+    drawn, reference = random.Random(2005), random.Random(2005)
+    low, high, jitter = 0.0005, 0.003, 0.5
+    span = high - low
+    for _ in range(10_000):
+        assert low + span * drawn.random() == reference.uniform(low, high)
+        assert jitter * drawn.random() == reference.uniform(0, jitter)
+    assert drawn.getstate() == reference.getstate()
+
+
+def test_network_uniform_fast_path_draws_what_the_model_samples():
+    model = UniformLatency(0.0005, 0.003)
+    sim = Simulator()
+    network = Network(sim, random.Random(9), NetworkConfig(latency_model=model))
+    a = EchoNode(sim, network, "a")
+    EchoNode(sim, network, "b")
+    for n in range(50):
+        a.cast("b", "echo", n)
+    reference = random.Random(9)
+    expected = sorted(model.sample(reference, "a", "b") for _ in range(50))
+    assert sorted(entry[0] for entry in sim._queue) == expected
+    assert network.rng.getstate() == reference.getstate()
+
+
+def test_attribute_handler_attached_after_first_use_of_another_method(env):
+    sim, network, a, b = env
+
+    def proc(method):
+        return (yield a.call("b", method, {"x": 1}))
+
+    assert sim.run_process(proc("echo"))["me"] == "b"
+    b.rpc_late = lambda payload, request: {"late": payload}
+    assert sim.run_process(proc("late")) == {"late": {"x": 1}}
+    # Resolved once: the second dispatch is a plain dict hit, and a later
+    # register_handler still takes precedence over the attribute.
+    assert sim.run_process(proc("late")) == {"late": {"x": 1}}
+    b.register_handler("late", lambda payload, request: {"registered": True})
+    assert sim.run_process(proc("late")) == {"registered": True}

@@ -276,6 +276,19 @@ def test_asyncio_transport_cast(asyncio_env):
     assert transport.network.stats.per_method["note"] == 1
 
 
+def test_asyncio_attribute_handler_attached_after_first_use_of_another_method(asyncio_env):
+    transport, a, b = asyncio_env
+    sim = transport.clock
+
+    def proc(method):
+        return (yield a.call("b", method, {"x": 1}))
+
+    assert sim.run_process(proc("echo"), timeout=10.0)["me"] == "b"
+    b.rpc_late = lambda payload, request: {"late": payload}
+    assert sim.run_process(proc("late"), timeout=10.0) == {"late": {"x": 1}}
+    assert sim.run_process(proc("late"), timeout=10.0) == {"late": {"x": 1}}
+
+
 def test_asyncio_transport_every_runs_on_wall_clock(asyncio_env):
     transport, a, _b = asyncio_env
     sim = transport.clock
