@@ -101,16 +101,14 @@ class HistoryRecorder:
         self._next_id = 0
         self.enabled = True
 
-    @property
-    def now(self) -> float:
-        return self.sim.now if self.sim is not None else 0.0
-
     def record(self, kind: str, peer: Optional[str] = None, **attrs) -> Optional[Operation]:
         """Record one operation at the current simulation time."""
         if not self.enabled:
             return None
         self._next_id += 1
-        op = Operation(self._next_id, kind, self.now, peer, dict(attrs))
+        # ``attrs`` is already this call's own dict: no copy.
+        sim = self.sim
+        op = Operation(self._next_id, kind, sim.now if sim is not None else 0.0, peer, attrs)
         self.operations.append(op)
         return op
 

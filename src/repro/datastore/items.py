@@ -116,14 +116,17 @@ class ItemStore:
         return [self._by_key[key] for key in self._keys[left:right]]
 
     def items_in_range(self, crange: CircularRange) -> List[Item]:
-        """Items whose key falls inside the (possibly wrapping) ``crange``."""
+        """Items whose key falls inside the (possibly wrapping) ``crange``, in
+        ascending key order: exactly ``CircularRange.contains``'s items."""
         if crange.full:
             return self.all_items()
-        if not crange.wraps():
-            return self.items_in_interval(crange.low, crange.high)
-        upper_arm = [self._by_key[key] for key in self._keys if key > crange.low]
-        lower_arm = [self._by_key[key] for key in self._keys if key <= crange.high]
-        return lower_arm + upper_arm
+        low, high = crange.low, crange.high
+        if low == high:
+            return []  # the empty arc (x, x]
+        start, stop = self._arc(low, high)
+        keys = self._keys
+        inside = keys[start:stop] if low < high else keys[:stop] + keys[start:]
+        return [self._by_key[key] for key in inside]
 
     # ------------------------------------------------------------------ arcs
     # The clockwise arc ``(low, high]`` of the circular key space, answered

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.datastore.items import ItemStore, items_from_wire, items_to_wire
+from repro.datastore.items import Item, ItemStore, items_to_wire
 from repro.datastore.store import DataStore
 from repro.index.config import IndexConfig
 from repro.replication.extra_hop import push_items_one_extra_hop
@@ -138,26 +138,25 @@ class ReplicationManager(RingListener):
         """Push the local Data Store contents to the k successors; then revive."""
         if not self.node.alive:
             return
-        if self.store.active and self.config.replication_factor > 0:
-            items = self.store.items.all_items()
-            if items:
-                targets = self.ring.joined_successors(self.config.replication_factor)
-                if self._should_push(targets):
-                    payload = {
-                        "items": items_to_wire(items),
-                        "owner": self.address,
-                        # The store version this push snapshots; receivers
-                        # record it so replica reads can detect staleness.
-                        "version": self.store.items.version,
-                    }
-                    # Fire-and-forget fan-out: the pushes are independent and
-                    # nobody reads the acknowledgements, so each costs one
-                    # one-way message -- no reply event, no expiry timer, no
-                    # reply traffic.  A failed receiver swallows the push
-                    # silently, exactly as it did when the discarded reply
-                    # event timed out unobserved.
-                    for target in targets:
-                        self.node.cast(target, "rep_store_replicas", payload)
+        items = self.store.items
+        if self.store.active and self.config.replication_factor > 0 and len(items):
+            targets = self.ring.joined_successors(self.config.replication_factor)
+            if self._should_push(targets):
+                payload = {
+                    "items": items_to_wire(items.all_items()),
+                    "owner": self.address,
+                    # The store version this push snapshots; receivers
+                    # record it so replica reads can detect staleness.
+                    "version": items.version,
+                }
+                # Fire-and-forget fan-out: the pushes are independent and
+                # nobody reads the acknowledgements, so each costs one
+                # one-way message -- no reply event, no expiry timer, no
+                # reply traffic.  A failed receiver swallows the push
+                # silently, exactly as it did when the discarded reply
+                # event timed out unobserved.
+                for target in targets:
+                    self.node.cast(target, "rep_store_replicas", payload)
         # Promote any replica we hold whose key now falls in our own range --
         # this both revives items after a predecessor failure and self-heals if
         # a range-change notification raced with a refresh.
@@ -195,13 +194,7 @@ class ReplicationManager(RingListener):
         """Move replicas whose keys are now our responsibility into the Data Store."""
         if not self.store.active or self.store.range is None:
             return
-        candidates = [
-            item
-            for item in self.replicas.all_items()
-            if self.store.range.contains(item.skv)
-            and item.skv not in self.store.items
-            and self._is_promotable(item.skv)
-        ]
+        candidates = self._promotion_candidates()
         if not candidates:
             return
         yield self.store.range_lock.acquire_write()
@@ -214,6 +207,19 @@ class ReplicationManager(RingListener):
                     self._record_op("replica_revived", skv=item.skv)
         finally:
             self.store.range_lock.release_write()
+
+    def _promotion_candidates(self) -> List[Item]:
+        """Held replicas inside our range, not stored here, and promotable.
+
+        The range's replicas come from two bisects of the replica store's
+        sorted keys, in the ascending order a full scan yields them.
+        """
+        held = self.store.items
+        return [
+            item
+            for item in self.replicas.items_in_range(self.store.range)
+            if item.skv not in held and self._is_promotable(item.skv)
+        ]
 
     # ------------------------------------------------------------------ ring events
     def on_predecessor_changed(self, ring, old_address, old_value, new_address, new_value):
@@ -272,14 +278,22 @@ class ReplicationManager(RingListener):
         stored = 0
         now = self.node.sim.now
         pushed: List[float] = []
-        for item in items_from_wire(payload["items"]):
-            pushed.append(item.skv)
-            if self._tombstoned(item.skv):
+        tombstones = self._tombstones
+        freshness = self._freshness
+        replicas = self.replicas
+        primaries = self.store.items if self.store.active else ()
+        # Most pushed keys are already held: an Item is built only for a key
+        # that is stored, and only a tombstoned key pays the expiry check.
+        for entry in payload["items"]:
+            skv = entry["skv"]
+            pushed.append(skv)
+            if skv in tombstones and self._tombstoned(skv):
                 continue  # deleted; do not let a stale copy come back
-            self._freshness[item.skv] = now
-            if self.store.active and item.skv in self.store.items:
+            freshness[skv] = now
+            if skv in primaries:
                 continue  # we already hold the primary copy
-            if self.replicas.add(item):
+            if skv not in replicas:
+                replicas.add(Item.from_wire(entry))
                 stored += 1
         # Remember the push as the owner's claimed snapshot.  Tombstoned keys
         # stay in the recorded key set but were *not* stored, so a replica

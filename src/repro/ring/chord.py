@@ -93,6 +93,8 @@ class ChordRing:
         history=None,
     ):
         self.node = node
+        # A plain copy: ``Endpoint.address`` is set once and never rewritten.
+        self.address: str = node.address
         self.config = config
         self.metrics = metrics
         self.history = history
@@ -177,10 +179,6 @@ class ChordRing:
     @property
     def sim(self):
         return self.node.sim
-
-    @property
-    def address(self) -> str:
-        return self.node.address
 
     @property
     def is_joined(self) -> bool:

@@ -106,12 +106,17 @@ class HierarchicalRingRouter(LinearRouter):
         """
         level = payload.get("level", 0)
         span = max(1, payload.get("span", 1))
-        pointers = self._joined_successors()[:1] + self.table[1:]
+        # The answered slice of ``_joined_successors()[:1] + table[1:]``; with
+        # no JOINED successor that list is ``table[1:]``, every level one on.
+        first = self.ring._stabilization_target()  # the first of _joined_successors
+        if first is None:
+            pointers = self.table[level + 1 : level + span + 1]
+        elif level == 0:
+            pointers = [(first.address, first.value)] + self.table[1:span]
+        else:
+            pointers = self.table[level : level + span]
         return {
-            "entries": [
-                {"address": address, "value": value}
-                for address, value in pointers[level : level + span]
-            ]
+            "entries": [{"address": address, "value": value} for address, value in pointers]
         }
 
     def _refresh_table(self):
@@ -149,7 +154,8 @@ class HierarchicalRingRouter(LinearRouter):
             table.append((address, value))
             return True
 
-        fresh = self._joined_successors()[:1]
+        first = self.ring._stabilization_target()  # the first of _joined_successors
+        fresh = [] if first is None else [(first.address, first.value)]
         rpc_failed = False
         # Install what the last peer answered, then ask the farthest pointer
         # for the next two levels; the first refused pointer ends the walk.

@@ -116,6 +116,13 @@ class Endpoint:
         ``action`` may be a plain callable or return a generator, in which case
         the periodic loop waits for it to complete before sleeping again --
         matching the paper's sequential stabilization rounds.
+
+        The loop drives a generator action by hand (``send`` / ``throw``, and
+        ``close`` on ``GeneratorExit``) rather than by ``yield from``: the
+        engine sees the same events and an uncaught error still ends the
+        process, but an action that catches a thrown exception and returns no
+        longer unbalances a profiler's call / return events on CPython 3.11
+        (``docs/ARCHITECTURE.md``, "Contract: the event engine").
         """
         adaptive = callable(period)
         # ``jitter * random()`` is the float ``uniform(0, jitter)`` returns.
@@ -134,7 +141,24 @@ class Endpoint:
                     return
                 result = action()
                 if type(result) is GeneratorType:
-                    yield from result
+                    reply = thrown = None
+                    while True:
+                        try:
+                            if thrown is None:
+                                event, reply = result.send(reply), None
+                            else:
+                                event, thrown = result.throw(thrown), None
+                        except StopIteration:
+                            break
+                        try:
+                            reply = yield event
+                        except GeneratorExit:
+                            result.close()
+                            raise
+                        except BaseException as error:  # noqa: BLE001 - forwarded
+                            thrown = error
+                    # Hold nothing of the round across the sleep.
+                    result = event = reply = thrown = None
                 delay = period() if adaptive else period
                 if rng is not None:
                     delay += jitter * rng.random()

@@ -169,6 +169,26 @@ def test_property_arc_queries_match_the_clockwise_distance_rescan(keys, low, hig
     assert store.any_off_arc(low, high) == bool(off_arc)
 
 
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(grid_key, unique=True, max_size=40), low=grid_key, high=grid_key,
+       shape=st.sampled_from(["drawn", "on_keys", "empty", "full"]))
+def test_property_range_query_matches_the_contains_filter(keys, low, high, shape):
+    if shape == "on_keys" and keys:
+        low, high = keys[0], keys[-1]  # boundaries that coincide with stored keys
+    elif shape == "empty":
+        high = low
+    crange = CircularRange(low, high, full=shape == "full")
+    store = ItemStore(Item(key) for key in keys)
+    expected = [key for key in sorted(keys) if crange.contains(key)]
+    assert [item.skv for item in store.items_in_range(crange)] == expected
+
+
+def test_range_with_equal_ends_is_empty_unlike_the_arc():
+    store = ItemStore(Item(key) for key in (1.0, 5.0, 9.0))
+    assert store.items_in_range(CircularRange(5.0, 5.0)) == []
+    assert len(store.items_in_range(CircularRange(5.0, 5.0, full=True))) == 3
+
+
 def test_arc_with_equal_ends_is_the_whole_circle():
     store = ItemStore(Item(key) for key in (1.0, 5.0, 9.0))
     assert [item.skv for item in store.arc_items(5.0, 5.0)] == [9.0, 1.0, 5.0]

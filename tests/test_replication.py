@@ -1,5 +1,18 @@
 """Tests for the Replication Manager: refresh, revive, tombstones, extra hop."""
 
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro import default_config
+from repro.datastore.items import Item, items_from_wire, items_to_wire
+from repro.datastore.ranges import CircularRange
+from repro.datastore.store import DataStore
+from repro.replication.cfs import ReplicationManager
+from repro.ring.chord import ChordRing
+from repro.sim.engine import Simulator
+from repro.sim.network import Network, NetworkConfig
+from repro.transport import Endpoint
 from tests.conftest import build_cluster
 
 
@@ -100,3 +113,121 @@ def test_extra_hop_push_reports_acknowledgements():
     peer = index.ring_members()[2]
     count = index.run_process(peer.replication.push_extra_hop())
     assert count >= 1
+
+
+# --------------------------------------------------------------------------- reference paths
+# The promotion scan and the push receiver answer from the replica store's
+# sorted keys and the wire entries directly; the full scan and the
+# Item-per-entry loop they replaced stay here as the references.
+PERIOD = 4.0  # default_config's replication_refresh_period
+NOW = 40.0
+grid_key = st.integers(0, 79_999).map(lambda n: n / 8)
+# Ages at, inside and just past the tombstone (3 periods) and freshness
+# (4 periods) windows; ``None`` is "no record".
+ages = st.sampled_from([None, 0.0, PERIOD, 3 * PERIOD, 3 * PERIOD + 0.125, 4 * PERIOD,
+                        4 * PERIOD + 0.125, 10 * PERIOD])
+
+
+def _old_promotion_candidates(manager):
+    return [
+        item
+        for item in manager.replicas.all_items()
+        if manager.store.range.contains(item.skv)
+        and item.skv not in manager.store.items
+        and manager._is_promotable(item.skv)
+    ]
+
+
+def _old_handle_store_replicas(manager, payload, request):
+    stored = 0
+    now = manager.node.sim.now
+    pushed = []
+    for item in items_from_wire(payload["items"]):
+        pushed.append(item.skv)
+        if manager._tombstoned(item.skv):
+            continue
+        manager._freshness[item.skv] = now
+        if manager.store.active and item.skv in manager.store.items:
+            continue
+        if manager.replicas.add(item):
+            stored += 1
+    manager._push_state[payload["owner"]] = (payload.get("version"), now, tuple(pushed))
+    return {"stored": stored}
+
+
+def _bare_manager(state):
+    """A lone peer's ReplicationManager at ``NOW``, holding ``state``."""
+    config = default_config(seed=0)
+    sim = Simulator()
+    node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "peer",
+                    rng=random.Random(0))
+    ring = ChordRing(node, 0.0, config)
+    manager = ReplicationManager(node, ring, DataStore(node, ring, config), config)
+    sim.run(until=NOW)  # the refresh loop idles: the store is not active yet
+    manager.store.active = state["active"]
+    manager.store.range = state["range"]
+    for key in state["primaries"]:
+        manager.store.items.add(Item(key, "primary"))
+    for key in state["replicas"]:
+        manager.replicas.add(Item(key, "replica"))
+    for table, recorded in ((manager._tombstones, state["tombstones"]),
+                            (manager._freshness, state["freshness"])):
+        for key, age in recorded.items():
+            if age is not None:
+                table[key] = NOW - age
+    return manager
+
+
+@st.composite
+def replica_states(draw):
+    keys = draw(st.lists(grid_key, unique=True, max_size=30))
+    shape = draw(st.sampled_from(["plain", "wrapping", "full", "empty"]))
+    low, high = sorted(draw(st.lists(grid_key, min_size=2, max_size=2)))
+    if shape == "wrapping":
+        low, high = high, low
+    elif shape == "empty":
+        high = low
+    return {
+        "keys": keys,
+        "active": draw(st.booleans()),
+        "range": CircularRange(low, high, full=shape == "full"),
+        "primaries": [key for key in keys if draw(st.integers(0, 3)) == 0],
+        "replicas": [key for key in keys if draw(st.booleans())],
+        "tombstones": {key: draw(ages) for key in keys},
+        "freshness": {key: draw(ages) for key in keys},
+    }
+
+
+def _end_state(manager):
+    return (
+        list(manager._freshness.items()),
+        list(manager._tombstones.items()),
+        list(manager._push_state.items()),
+        [(item.skv, item.payload) for item in manager.replicas],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=replica_states())
+def test_promotion_candidates_equal_the_full_scan(state):
+    state["active"] = True
+    reference, manager = _bare_manager(state), _bare_manager(state)
+    expected = [item.skv for item in _old_promotion_candidates(reference)]
+    assert [item.skv for item in manager._promotion_candidates()] == expected
+    assert _end_state(manager) == _end_state(reference)  # the same tombstone expiries
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=replica_states(), data=st.data())
+def test_push_receiver_ends_as_the_item_per_entry_loop(state, data):
+    pushed = data.draw(st.lists(st.sampled_from(state["keys"]), unique=True)
+                       if state["keys"] else st.just([]))
+    payload = {
+        "items": items_to_wire(Item(key, f"pushed-{key}") for key in pushed),
+        "owner": "pred",
+        "version": 7,
+    }
+    reference, manager = _bare_manager(state), _bare_manager(state)
+    expected = _old_handle_store_replicas(reference, payload, None)
+    assert manager._handle_store_replicas(payload, None) == expected
+    assert _end_state(manager) == _end_state(reference)

@@ -5,10 +5,17 @@ import random
 
 import pytest
 
+from repro import default_config
+from repro.datastore.store import DataStore
 from repro.harness.scenarios import build_experiment, get_scenario
+from repro.ring.chord import ChordRing
+from repro.ring.entries import JOINED, JOINING, LEAVING, SuccessorEntry
 from repro.router.hierarchical import HierarchicalRingRouter
 from repro.router.linear import LinearRouter
 from repro.router import make_router
+from repro.sim.engine import Simulator
+from repro.sim.network import Network, NetworkConfig
+from repro.transport import Endpoint
 from tests.conftest import build_cluster
 
 
@@ -168,3 +175,43 @@ def test_route_to_a_key_nobody_owns_fails_fast_and_is_recorded(settled_ring):
     route = index.history.history().of_kind("route")[-1]
     assert (route.peer, route.attrs["found"], route.attrs["hops"]) == (origin.address, None, spent)
     assert index.sim.now - started < 2.0
+
+
+# --------------------------------------------------------------------------- table-entry answers
+def _bare_router():
+    """A lone peer's HierarchicalRingRouter: successor list and table set by hand."""
+    config = default_config(seed=0)
+    sim = Simulator()
+    node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "self",
+                    rng=random.Random(0))
+    ring = ChordRing(node, 100.0, config)
+    return HierarchicalRingRouter(node, ring, DataStore(node, ring, config), config)
+
+
+SUCCESSOR_LISTS = {
+    "joined_first": [("a", 200.0, JOINED), ("b", 300.0, JOINED)],
+    "self_joining_joined": [
+        ("self", 100.0, JOINED), ("j", 150.0, JOINING), ("b", 300.0, JOINED)],
+    "only_self": [("self", 100.0, JOINED)],
+    "none_joined": [("j", 150.0, JOINING), ("l", 250.0, LEAVING)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("table_size", [0, 1, 2, 6])
+@pytest.mark.parametrize("successors", sorted(SUCCESSOR_LISTS))
+def test_table_entry_answers_equal_the_joined_successor_expression(successors, table_size):
+    router = _bare_router()
+    router.ring.succ_list = [SuccessorEntry(*entry) for entry in SUCCESSOR_LISTS[successors]]
+    router.table = [(f"t{level}", 1000.0 * (level + 1)) for level in range(table_size)]
+    # The expression the answer used to slice, kept as the reference.
+    pointers = router._joined_successors()[:1] + router.table[1:]
+    assert router._handle_table_entry({}, None) == {
+        "entries": [{"address": address, "value": value} for address, value in pointers[:1]]}
+    for level in range(table_size + 3):
+        for span in range(-1, 5):
+            answer = router._handle_table_entry({"level": level, "span": span}, None)
+            expected = pointers[level : level + max(1, span)]
+            assert answer == {
+                "entries": [{"address": address, "value": value} for address, value in expected]
+            }, (level, span)
