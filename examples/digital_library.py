@@ -21,7 +21,7 @@ Run with::
 from collections import Counter
 
 from repro.harness.scenarios import (
-    QueryMixSpec,
+    PhaseSpec,
     ScenarioSpec,
     WorkloadSpec,
     build_experiment,
@@ -35,16 +35,22 @@ SPEC = register(
         name="digital_library",
         description="skewed publication dates: 80% of 220 articles hit 10% of the timeline",
         peers=36,
-        join_period=1.0,
-        settle_time=40.0,
         seed=11,
-        workload=WorkloadSpec(
-            items=220,
-            insert_rate=3.0,
-            distribution="skewed",
-            params={"hot_fraction": 0.8, "hot_region": 0.1},
+        # One build phase; the queries below are hand-picked ranges.
+        phases=(
+            PhaseSpec(
+                name="build",
+                arrivals=35,
+                arrival_period=1.0,
+                workload=WorkloadSpec(
+                    items=220,
+                    insert_rate=3.0,
+                    distribution="skewed",
+                    params={"hot_fraction": 0.8, "hot_region": 0.1},
+                ),
+                settle=40.0,
+            ),
         ),
-        queries=QueryMixSpec(count=0),  # queries below are hand-picked ranges
     )
 )
 
@@ -53,8 +59,8 @@ def main() -> None:
     experiment = build_experiment(SPEC, seed=11)
     index = experiment.index
     config = index.config
-    print(f"Ingesting {SPEC.workload.items} articles with a skewed date distribution...")
-    experiment.build()
+    print(f"Ingesting {SPEC.total_items()} articles with a skewed date distribution...")
+    experiment.run_phases(SPEC.phases, total_peers=SPEC.peers)
     dates = experiment.inserted_keys
 
     members = index.ring_members()

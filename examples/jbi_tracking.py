@@ -14,6 +14,8 @@ Run with::
     python examples/jbi_tracking.py
 """
 
+from typing import List
+
 from repro import (
     PRingIndex,
     check_item_availability,
@@ -22,7 +24,8 @@ from repro import (
 )
 
 
-def main() -> None:
+def main() -> List[float]:
+    """Run the tracking scenario; return the keys of the objects it lost."""
     config = default_config(seed=42)
     index = PRingIndex(config)
     index.bootstrap()
@@ -83,6 +86,7 @@ def main() -> None:
     print(f"\nObjects moved: {moved}, peer failures: {failed_peers}, region queries: {queries}")
     print(f"Objects lost: {len(lost)}")
     print("Item availability check:", check_item_availability(index.history.history()).ok)
+    return lost
 
 
 if __name__ == "__main__":

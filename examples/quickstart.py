@@ -11,6 +11,7 @@ Run with::
 
 from repro import check_consistent_successor_pointers, check_ring_connectivity
 from repro.harness.scenarios import (
+    PhaseSpec,
     QueryMixSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -27,11 +28,17 @@ SPEC = register(
         name="quickstart",
         description="11 peers, 90 uniform items, 3 range queries",
         peers=11,
-        join_period=1.0,
-        settle_time=30.0,
         seed=7,
-        workload=WorkloadSpec(items=90, insert_rate=3.0),
-        queries=QueryMixSpec(count=3, selectivity=0.03),
+        phases=(
+            PhaseSpec(
+                name="build",
+                arrivals=10,
+                arrival_period=1.0,
+                workload=WorkloadSpec(items=90, insert_rate=3.0),
+                settle=30.0,
+            ),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=3, selectivity=0.03)),
+        ),
     )
 )
 
@@ -50,11 +57,11 @@ def main() -> None:
     print(f"  per-method profile: {dict(sorted(result.rpc_per_method.items()))}")
 
     # The same spec can be materialised when you want to poke at the peers
-    # directly instead of (or in addition to) the packaged phases.
+    # directly instead of (or in addition to) the packaged measurements.
     print("\nMaterialising the same spec for inspection...")
     experiment = build_experiment(SPEC, seed=7)
     index = experiment.index
-    experiment.build()
+    experiment.run_phases(SPEC.phases, total_peers=SPEC.peers)
 
     print(f"Ring members: {len(index.ring_members())}, free peers: {len(index.free_peers())}")
     for peer in index.ring_members():

@@ -1,35 +1,37 @@
 """Per-figure reproduction of the paper's evaluation (Section 6).
 
-Every figure is now a *registry scenario*: deployments are described by
-:class:`~repro.harness.scenarios.ScenarioSpec` and built through the shared
-driver, and the parameter sweeps of Figures 19/20/22 are declared as
-:class:`FigureSweep` tables executed by one generic :func:`run_sweep` engine.
-The ``figure_*`` functions remain as thin, signature-stable entry points (the
-tier-1 tests and the benchmark suite call them directly) and are also exposed
-through ``ALL_FIGURES`` so ``repro-run figure_19`` resolves them by name.
+Every figure deployment is an ordinary phased
+:class:`~repro.harness.scenarios.ScenarioSpec` (one build phase) run by
+:func:`_build`; the parameter sweeps of Figures 19/20/22
+are declared as :class:`FigureSweep` tables executed by one generic
+:func:`run_sweep` engine.  The ``figure_*`` functions are the entry points
+(the tier-1 tests and the benchmark suite call them directly) and are also
+exposed through ``ALL_FIGURES`` so ``repro-run figure_19`` resolves them by
+name.
 
 Absolute numbers differ from the paper (their testbed is a real LAN cluster;
 ours is a simulator with a configurable latency model), but the comparisons
 the paper draws -- which protocol is more expensive, how costs scale with
 successor-list length, stabilization period, hop count and failure rate -- are
-reproduced.  EXPERIMENTS.md records paper-vs-measured values.
-
-The ``scale`` arguments exist so the benchmark suite can run the full sweep in
-minutes; passing ``peers=30, items=180`` reproduces the paper's deployment
-size exactly.
+reproduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.correctness import ItemTimeline, check_query_result, count_lost_items
 from repro.harness.experiment import ClusterExperiment
 from repro.harness.reporting import format_table
-from repro.harness.scenarios import ScenarioSpec, WorkloadSpec, build_experiment
-from repro.index.config import IndexConfig, default_config
-from repro.sim.network import LanWanLatency, NetworkConfig
+from repro.harness.scenarios import (
+    WAN_LATENCY,
+    LatencySpec,
+    PhaseSpec,
+    ScenarioSpec,
+    WorkloadSpec,
+    build_experiment,
+)
 
 
 @dataclass
@@ -61,22 +63,20 @@ class FigureResult:
         }
 
 
-def _figure_spec(config: IndexConfig, peers: int, items: int, seed: int) -> ScenarioSpec:
-    """The deployment cell every figure uses: paper shape, 20 s settle."""
-    return ScenarioSpec(
-        name="figure_cell",
-        peers=peers,
-        settle_time=20.0,
-        seed=seed,
-        workload=WorkloadSpec(items=items),
-        base_config=config,
-        protocols="base",  # the sweep already selected pepper/naive flags
-    )
+#: The latency every non-WAN figure runs under: the paper's LAN bounds.
+PAPER_LAN = LatencySpec()
 
 
-def _build(config: IndexConfig, peers: int, items: int, seed: int) -> ClusterExperiment:
-    experiment = build_experiment(_figure_spec(config, peers, items, seed))
-    experiment.build()
+def _build(peers: int, items: int, seed: int, protocols: str = "pepper",
+           config: Optional[Mapping] = None,
+           latency: LatencySpec = PAPER_LAN) -> ClusterExperiment:
+    """Build the deployment every figure uses: paper arrival shape, 20 s settle."""
+    build = PhaseSpec(name="build", arrivals=peers - 1, workload=WorkloadSpec(items=items),
+                      settle=20.0)
+    spec = ScenarioSpec(name="figure_cell", phases=(build,), peers=peers, protocols=protocols,
+                        seed=seed, config=config or {}, latency=latency)
+    experiment = build_experiment(spec)
+    experiment.run_phases(spec.phases, total_peers=peers)
     return experiment
 
 
@@ -90,18 +90,14 @@ class FigureSweep:
     headers: Tuple[str, ...]
     notes: str
     values: Tuple
-    # (seed, value) -> base IndexConfig; variants apply pepper/naive on top.
-    config_for: Callable[[int, Any], IndexConfig]
+    # value -> (seed offset, IndexConfig overrides); each variant names the
+    # protocol selection the overrides apply on top of.
+    config_for: Callable[[Any], Tuple[int, Mapping]]
     # (value, {variant: built experiment}) -> one result row
     row: Callable[[Any, Dict[str, ClusterExperiment]], Tuple]
     variants: Tuple[str, ...] = ("naive", "pepper")
     # Optional post-build phase applied to every variant (e.g. forcing merges).
     prepare: Optional[Callable[[ClusterExperiment], None]] = None
-
-
-def wan_network_config(sites: int = 4) -> NetworkConfig:
-    """The two-tier LAN/WAN channel used by the ``*_wan`` figure variants."""
-    return NetworkConfig(latency_model=LanWanLatency(sites=sites))
 
 
 def run_sweep(
@@ -110,26 +106,20 @@ def run_sweep(
     peers: int = 18,
     items: int = 110,
     seed: int = 0,
-    network: Optional[NetworkConfig] = None,
+    latency: LatencySpec = PAPER_LAN,
 ) -> FigureResult:
     """Execute a :class:`FigureSweep` and collect its rows.
 
-    ``network`` overrides every cell's message channel (the WAN variants pass
-    :func:`wan_network_config`); ``None`` keeps the paper's LAN defaults.
+    ``latency`` sets every cell's network model (the WAN variants pass
+    :data:`~repro.harness.scenarios.WAN_LATENCY`); the default keeps the
+    paper's LAN bounds.
     """
     rows = []
     for value in values if values is not None else sweep.values:
         built: Dict[str, ClusterExperiment] = {}
+        offset, overrides = sweep.config_for(value)
         for variant in sweep.variants:
-            config = sweep.config_for(seed, value)
-            if network is not None:
-                config = config.copy(network=network)
-            if variant == "pepper":
-                config = config.with_pepper_protocols()
-            elif variant == "naive":
-                config = config.with_naive_protocols()
-            cell_seed = config.seed
-            experiment = _build(config, peers, items, cell_seed)
+            experiment = _build(peers, items, seed + offset, variant, overrides, latency)
             if sweep.prepare is not None:
                 sweep.prepare(experiment)
             built[variant] = experiment
@@ -166,9 +156,7 @@ SWEEPS: Dict[str, FigureSweep] = {
         headers=("succ_list_length", "naive_insertSucc_s", "pepper_insertSucc_s"),
         notes="PEPPER should sit above naive and grow slowly with the list length.",
         values=(2, 3, 4, 5, 6, 7, 8),
-        config_for=lambda seed, length: default_config(
-            seed=seed + length, successor_list_length=length
-        ),
+        config_for=lambda length: (length, {"successor_list_length": length}),
         row=_insert_succ_row,
     ),
     "figure_20": FigureSweep(
@@ -177,9 +165,7 @@ SWEEPS: Dict[str, FigureSweep] = {
         headers=("stabilization_period_s", "naive_insertSucc_s", "pepper_insertSucc_s"),
         notes="PEPPER stays close to naive as the period grows (proactive nudging).",
         values=(2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
-        config_for=lambda seed, period: default_config(
-            seed=seed + int(period), stabilization_period=period
-        ),
+        config_for=lambda period: (int(period), {"stabilization_period": period}),
         row=_insert_succ_row,
     ),
     "figure_22": FigureSweep(
@@ -193,9 +179,7 @@ SWEEPS: Dict[str, FigureSweep] = {
         ),
         notes="Safe leave and merge are orders of magnitude above naive leave.",
         values=(2, 3, 4, 5, 6, 7, 8),
-        config_for=lambda seed, length: default_config(
-            seed=seed + length, successor_list_length=length
-        ),
+        config_for=lambda length: (length, {"successor_list_length": length}),
         prepare=_force_merges,
         row=lambda length, built: (
             length,
@@ -253,8 +237,7 @@ def figure_21(
     Paper: the two curves lie on top of each other (scanRange adds essentially
     no overhead) and grow only slightly with the hop count on a LAN.
     """
-    config = default_config(seed=seed).with_pepper_protocols()
-    experiment = _build(config, peers, items, seed)
+    experiment = _build(peers, items, seed)
     index = experiment.index
     rng = index.rngs.stream("figure21")
 
@@ -325,7 +308,7 @@ def figure_23(
     items: int = 90,
     extra_peers: int = 8,
     seed: int = 23,
-    network: Optional[NetworkConfig] = None,
+    latency: LatencySpec = PAPER_LAN,
 ) -> FigureResult:
     """Figure 23: insertSucc time under peer failures (failure mode).
 
@@ -334,10 +317,7 @@ def figure_23(
     """
     rows = []
     for rate in failure_rates:
-        config = default_config(seed=seed + int(rate)).with_pepper_protocols()
-        if network is not None:
-            config = config.copy(network=network)
-        experiment = _build(config, peers, items, seed + int(rate))
+        experiment = _build(peers, items, seed + int(rate), latency=latency)
         index = experiment.index
 
         before = len(index.metrics.values("insert_succ"))
@@ -354,7 +334,7 @@ def figure_23(
             key + 0.37
             for key in experiment.inserted_keys[: items // 2]
         ]
-        experiment.grow(extra_peers, period=3.0)
+        experiment.grow(extra_peers, period=3.0, settle=20.0)
         experiment.insert_items(new_keys, rate=2.0)
         experiment.settle(20.0)
 
@@ -402,7 +382,7 @@ def figure_19_wan(
             peers=peers,
             items=items,
             seed=seed,
-            network=wan_network_config(),
+            latency=WAN_LATENCY,
         )
     )
 
@@ -421,7 +401,7 @@ def figure_20_wan(
             peers=peers,
             items=items,
             seed=seed,
-            network=wan_network_config(),
+            latency=WAN_LATENCY,
         )
     )
 
@@ -441,7 +421,7 @@ def figure_23_wan(
             items=items,
             extra_peers=extra_peers,
             seed=seed,
-            network=wan_network_config(),
+            latency=WAN_LATENCY,
         )
     )
 
@@ -462,10 +442,8 @@ def ablation_query_correctness(
     """
     rows = []
     for strategy in ("scan", "naive"):
-        config = default_config(seed=seed).with_pepper_protocols()
-        if strategy == "naive":
-            config = config.copy(use_scan_range=False)
-        experiment = _build(config, peers, items, seed)
+        config = {"use_scan_range": False} if strategy == "naive" else {}
+        experiment = _build(peers, items, seed, config=config)
         index = experiment.index
         rng = index.rngs.stream("ablation-a1")
 
@@ -533,12 +511,10 @@ def ablation_availability(
     """
     rows = []
     for label in ("pepper", "naive"):
-        config = default_config(seed=seed, replication_factor=1).with_pepper_protocols()
+        config = {"replication_factor": 1}
         if label == "naive":
-            config = config.copy(
-                extra_hop_replication=False, safe_leave=False
-            )
-        experiment = _build(config, peers, items, seed)
+            config.update(extra_hop_replication=False, safe_leave=False)
+        experiment = _build(peers, items, seed, config=config)
         index = experiment.index
 
         merges_before = index.metrics.count("merge")

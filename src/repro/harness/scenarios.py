@@ -2,9 +2,9 @@
 
 The paper's evaluation runs a single 30-peer LAN deployment; everything the
 harness measured was hard-wired to that shape.  A :class:`ScenarioSpec`
-instead *describes* a deployment -- size and arrival schedule, churn (steady
-failure rate, flash crowds, correlated rack outages), item workload (count,
-rate, key distribution), query mix, protocol selection, network conditions
+instead *describes* a deployment -- its size, a lifecycle of phases (each
+binding arrivals, churn, an item workload, a query mix or open-loop serve
+traffic), protocol selection, network conditions
 (:class:`LatencySpec`, resolved through
 :func:`repro.sim.network.latency_model_from_params`), maintenance adaptivity
 (:class:`MaintenanceSpec`, resolved through
@@ -30,7 +30,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.harness.experiment import ClusterExperiment, ExperimentSettings
+from repro.harness.experiment import ClusterExperiment
 from repro.harness.metrics import nearest_rank
 from repro.harness.phases import (
     ChurnSpec,
@@ -41,7 +41,7 @@ from repro.harness.phases import (
     WorkloadSpec,
     validate_phases,
 )
-from repro.index.config import IndexConfig, default_config
+from repro.index.config import IndexConfig
 from repro.maintenance.policy import MaintenancePolicy, maintenance_policy_from_params
 from repro.sim.network import (
     CROSS_SITE_LATENCY_METRIC,
@@ -50,7 +50,6 @@ from repro.sim.network import (
     latency_model_from_params,
 )
 from repro.transport.api import TRANSPORT_NAMES
-from repro.workloads.churn import ChurnSchedule, flash_crowd_schedule
 
 __all__ = [
     "ChurnSpec",
@@ -169,33 +168,23 @@ class TransportSpec:
 class ScenarioSpec:
     """A complete, named description of one experiment cell.
 
-    The lifecycle is declared either *flat* (the historical shape: the
-    ``workload``/``churn``/``queries`` fields plus ``settle_time``, executed
-    as build -> failures -> outage -> queries) or *phased* (an explicit
-    ``phases`` tuple of :class:`~repro.harness.phases.PhaseSpec`).  When
-    ``phases`` is empty, :meth:`resolved_phases` synthesises the legacy
-    sequence from the flat fields, so both shapes run through the same
-    executor and a flat spec behaves exactly as it always did.
+    The lifecycle is the ``phases`` tuple of
+    :class:`~repro.harness.phases.PhaseSpec`, executed in order by
+    :meth:`ClusterExperiment.run_phases`; everything else selects the index
+    configuration the phases run on.
     """
 
     name: str
+    phases: Tuple[PhaseSpec, ...]
     description: str = ""
-    peers: int = 30
-    join_period: float = 3.0
-    settle_time: float = 30.0
-    protocols: str = "pepper"  # pepper | naive | base (keep base_config's flags)
+    peers: int = 30  # deployment size (the base of start_fraction conditions)
+    protocols: str = "pepper"  # pepper | naive
     seed: int = 0
-    workload: WorkloadSpec = WorkloadSpec()
-    churn: ChurnSpec = ChurnSpec()
-    queries: QueryMixSpec = QueryMixSpec()
-    # Open-loop serve traffic appended as a final phase (see ServeSpec); the
-    # phased shape binds a ServeSpec to any PhaseSpec directly instead.
-    serve: Optional[ServeSpec] = None
+    # IndexConfig field overrides, applied after ``protocols``, so one
+    # protocol flag can be turned off: {"safe_leave": False}.
+    config: Mapping = field(default_factory=dict)
     latency: LatencySpec = LatencySpec()
     maintenance: MaintenanceSpec = MaintenanceSpec()
-    phases: Tuple[PhaseSpec, ...] = ()  # explicit lifecycle; () = legacy flat shape
-    config: Mapping = field(default_factory=dict)  # IndexConfig field overrides
-    base_config: Optional[IndexConfig] = None  # full config object (figures use this)
     # Transport selection: in-sim (default) or real asyncio sockets; see
     # :class:`TransportSpec`.
     transport: TransportSpec = TransportSpec()
@@ -203,11 +192,7 @@ class ScenarioSpec:
     # -- derived -----------------------------------------------------------
     def index_config(self, seed: Optional[int] = None) -> IndexConfig:
         """Resolve the spec into a validated :class:`IndexConfig`."""
-        seed = self.seed if seed is None else seed
-        if self.base_config is not None:
-            config = self.base_config.copy(seed=seed, **dict(self.config))
-        else:
-            config = default_config(seed=seed, **dict(self.config))
+        config = IndexConfig(seed=self.seed if seed is None else seed)
         latency_model = self.latency.build_model()
         if latency_model is not None:
             config = config.copy(
@@ -223,95 +208,20 @@ class ScenarioSpec:
             config = config.with_pepper_protocols()
         elif self.protocols == "naive":
             config = config.with_naive_protocols()
-        elif self.protocols != "base":
+        else:
             raise ValueError(f"unknown protocol selection {self.protocols!r}")
+        config = config.copy(**dict(self.config))
         config.validate()
         return config
-
-    def settings(self, seed: Optional[int] = None) -> ExperimentSettings:
-        return ExperimentSettings(
-            peers=self.peers,
-            items=self.workload.items,
-            peer_join_period=self.join_period,
-            item_insert_rate=self.workload.insert_rate,
-            settle_time=self.settle_time,
-            failure_rate_per_100s=self.churn.failure_rate_per_100s,
-            failure_window=self.churn.failure_window,
-            seed=self.seed if seed is None else seed,
-            key_distribution=self.workload.distribution,
-            key_params=dict(self.workload.params),
-        )
 
     def with_(self, **overrides) -> "ScenarioSpec":
         """A copy with the given top-level fields replaced."""
         return replace(self, **overrides)
 
-    def resolved_phases(self) -> Tuple[PhaseSpec, ...]:
-        """The phase sequence this spec executes.
-
-        An explicit ``phases`` tuple is validated and returned as-is.  A flat
-        spec resolves into the legacy lifecycle -- it reproduces the
-        historical driver's event trace exactly (``tests/test_phases.py``
-        pins the equivalence):
-
-        1. ``build``: staggered arrivals + flash crowd + the item stream,
-           then ``settle_time`` of quiet;
-        2. ``failures`` (if a steady failure rate is set): the failure
-           window;
-        3. ``outage`` (if correlated failures are set): the simultaneous
-           shot, then ``settle_time`` of quiet;
-        4. ``queries`` (if a query mix is set): the query loop;
-        5. ``serve`` (if a :class:`ServeSpec` is set): the open-loop serve
-           window plus its drain.
-        """
-        if self.phases:
-            validate_phases(self.phases)
-            return tuple(self.phases)
-        build_churn = ChurnSpec(
-            flash_crowd_peers=self.churn.flash_crowd_peers,
-            flash_crowd_at=self.churn.flash_crowd_at,
-            flash_crowd_spacing=self.churn.flash_crowd_spacing,
-        )
-        phases = [
-            PhaseSpec(
-                name="build",
-                arrivals=self.peers - 1,
-                arrival_period=self.join_period,
-                churn=build_churn,
-                workload=self.workload,
-                settle=self.settle_time,
-            )
-        ]
-        if self.churn.failure_rate_per_100s > 0:
-            phases.append(
-                PhaseSpec(
-                    name="failures",
-                    churn=ChurnSpec(
-                        failure_rate_per_100s=self.churn.failure_rate_per_100s,
-                        failure_window=self.churn.failure_window,
-                    ),
-                )
-            )
-        if self.churn.correlated_failures > 0:
-            phases.append(
-                PhaseSpec(
-                    name="outage",
-                    churn=ChurnSpec(correlated_failures=self.churn.correlated_failures),
-                    settle=self.settle_time,
-                )
-            )
-        if self.queries.count > 0:
-            phases.append(PhaseSpec(name="queries", queries=self.queries))
-        if self.serve is not None:
-            phases.append(PhaseSpec(name="serve", serve=self.serve))
-        return tuple(phases)
-
     def total_items(self) -> int:
-        """Items the resolved lifecycle inserts (the ``items_requested`` figure)."""
+        """Items the phases insert (the ``items_requested`` figure)."""
         return sum(
-            phase.workload.items
-            for phase in self.resolved_phases()
-            if phase.workload is not None
+            phase.workload.items for phase in self.phases if phase.workload is not None
         )
 
 
@@ -395,32 +305,23 @@ LATENCY_HISTOGRAM_EDGES = (0.001, 0.003, 0.01, 0.03, 0.06, 0.1)
 
 def build_experiment(spec: ScenarioSpec, seed: Optional[int] = None) -> ClusterExperiment:
     """Materialise the spec into an (unbuilt) :class:`ClusterExperiment`."""
-    extra: Optional[ChurnSchedule] = None
-    if spec.churn.flash_crowd_peers > 0:
-        extra = flash_crowd_schedule(
-            spec.churn.flash_crowd_peers,
-            at=spec.churn.flash_crowd_at,
-            spacing=spec.churn.flash_crowd_spacing,
-        )
-    return ClusterExperiment(
-        spec.index_config(seed), spec.settings(seed), extra_churn=extra
-    )
+    return ClusterExperiment(spec.index_config(seed))
 
 
 def run_spec(spec: ScenarioSpec, seed: Optional[int] = None) -> ScenarioResult:
     """Execute one scenario cell and collect its measurements.
 
-    The spec's resolved phase sequence (explicit ``phases``, or the legacy
-    build -> failures -> outage -> queries decomposition of a flat spec) runs
-    through :meth:`ClusterExperiment.run_phases`; the result carries both the
-    historical scenario totals and the per-phase breakdown.
+    The spec's phases are validated and run through
+    :meth:`ClusterExperiment.run_phases`; the result carries both the
+    scenario totals and the per-phase breakdown.
     """
+    validate_phases(spec.phases)
     seed = spec.seed if seed is None else seed
     started = time.perf_counter()
     experiment = build_experiment(spec, seed)
     try:
         phase_results, outcomes, correlated = experiment.run_phases(
-            spec.resolved_phases(), total_peers=spec.peers
+            spec.phases, total_peers=spec.peers
         )
         return _finalize_result(
             experiment, spec, seed, started, phase_results, outcomes, correlated
@@ -567,8 +468,10 @@ register(
         name="paper_default",
         description="the paper's 30-peer LAN deployment (Section 6.1)",
         peers=30,
-        workload=WorkloadSpec(items=180),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            PhaseSpec(name="build", arrivals=29, workload=WorkloadSpec(items=180), settle=30.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -578,10 +481,11 @@ register(
         name="smoke",
         description="tiny deployment used by CI to smoke-test the registry pipeline",
         peers=8,
-        join_period=1.0,
-        settle_time=15.0,
-        workload=WorkloadSpec(items=50, insert_rate=4.0),
-        queries=QueryMixSpec(count=5),
+        phases=(
+            PhaseSpec(name="build", arrivals=7, arrival_period=1.0,
+                      workload=WorkloadSpec(items=50, insert_rate=4.0), settle=15.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=5)),
+        ),
     )
 )
 
@@ -591,8 +495,11 @@ register(
         name="zipf_hotspot",
         description="Zipf(1.1) keys hammer one region of the ring (split storm)",
         peers=30,
-        workload=WorkloadSpec(items=220, distribution="zipf", params={"alpha": 1.1}),
-        queries=QueryMixSpec(count=10, selectivity=0.01),
+        phases=(
+            PhaseSpec(name="build", arrivals=29, settle=30.0,
+                      workload=WorkloadSpec(items=220, distribution="zipf", params={"alpha": 1.1})),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10, selectivity=0.01)),
+        ),
     )
 )
 
@@ -602,10 +509,12 @@ register(
         name="flash_crowd",
         description="25-peer flash crowd joins an established 6-peer ring",
         peers=6,
-        join_period=1.0,
-        workload=WorkloadSpec(items=200, insert_rate=4.0),
-        churn=ChurnSpec(flash_crowd_peers=25, flash_crowd_at=20.0, flash_crowd_spacing=0.05),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            PhaseSpec(name="build", arrivals=5, arrival_period=1.0,
+                      churn=ChurnSpec(flash_crowd_peers=25, flash_crowd_at=20.0),
+                      workload=WorkloadSpec(items=200, insert_rate=4.0), settle=30.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -615,9 +524,12 @@ register(
         name="churn_heavy",
         description="12 failures per 100 s while items keep arriving (Figure 23 regime)",
         peers=30,
-        workload=WorkloadSpec(items=180),
-        churn=ChurnSpec(failure_rate_per_100s=12.0, failure_window=100.0),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            PhaseSpec(name="build", arrivals=29, workload=WorkloadSpec(items=180), settle=30.0),
+            PhaseSpec(name="failures",
+                      churn=ChurnSpec(failure_rate_per_100s=12.0, failure_window=100.0)),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -627,9 +539,11 @@ register(
         name="correlated_failures",
         description="five ring members fail simultaneously after the build phase",
         peers=24,
-        workload=WorkloadSpec(items=150),
-        churn=ChurnSpec(correlated_failures=5),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            PhaseSpec(name="build", arrivals=23, workload=WorkloadSpec(items=150), settle=30.0),
+            PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=5), settle=30.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -639,14 +553,14 @@ register(
 # at a relaxed cadence so maintenance traffic scales with peer count rather
 # than dominating it.  Every cell keeps churn enabled, per the acceptance bar.
 #
-# The lifecycle is explicitly phased (build -> settle -> stress): the build
-# phase plays the join crowd and the item stream with *no* failures, the
-# settle phase starts only once the split cascade has been quiescent for a
-# full window, and only then does the stress phase open the failure window
-# and run the query mix.  Under the old flat shape the failure window raced
-# the split cascade, which made end-state membership swing ~±15% across
-# seeds (the ROADMAP's "chaotically bimodal" item); gating stress on
-# quiescence pins the pre-failure state and shrinks the spread to a few %.
+# The lifecycle is build -> settle -> stress: the build phase plays the join
+# crowd and the item stream with *no* failures, the settle phase starts only
+# once the split cascade has been quiescent for a full window, and only then
+# does the stress phase open the failure window and run the query mix.  With
+# an ungated build -> failures shape the failure window raced the split
+# cascade, which made end-state membership swing ~±15% across seeds; gating
+# stress on quiescence pins the pre-failure state and shrinks the spread to a
+# few %.
 def _scale_spec(name: str, peers: int, description: str) -> ScenarioSpec:
     items = peers * 8  # ~storage factor x 1.6 so splits pull most peers into the ring
     workload = WorkloadSpec(items=items, insert_rate=max(8.0, peers / 8.0))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.experiment import ClusterExperiment, ExperimentSettings
+from repro.harness.experiment import ClusterExperiment
 from repro.harness.figures import (
     FigureResult,
     ablation_availability,
@@ -10,32 +10,29 @@ from repro.harness.figures import (
     figure_21,
     figure_22,
 )
+from repro.harness.phases import PhaseSpec, WorkloadSpec
 from repro.index.config import default_config
 
 
-def make_experiment(seed=101, peers=8, items=50, **overrides):
-    config = default_config(seed=seed, **overrides)
-    settings = ExperimentSettings(peers=peers, items=items, seed=seed, settle_time=15.0)
-    return ClusterExperiment(config, settings)
+def built_experiment(seed=101, peers=8, items=50):
+    """A deployment after its build phase: staggered arrivals, item stream, 15 s settle."""
+    experiment = ClusterExperiment(default_config(seed=seed))
+    build = PhaseSpec(
+        name="build", arrivals=peers - 1, workload=WorkloadSpec(items=items), settle=15.0
+    )
+    experiment.run_phases((build,), total_peers=peers)
+    return experiment
 
 
 def test_build_creates_ring_and_stores_all_items():
-    experiment = make_experiment()
-    index = experiment.build()
+    experiment = built_experiment()
+    index = experiment.index
     assert len(index.ring_members()) >= 3
     assert index.total_stored_items() == len(experiment.inserted_keys)
 
 
-def test_settings_scaled():
-    settings = ExperimentSettings(peers=30, items=180)
-    scaled = settings.scaled(0.5)
-    assert scaled.peers == 15
-    assert scaled.items == 90
-
-
 def test_run_query_outcome_fields():
-    experiment = make_experiment(seed=102)
-    experiment.build()
+    experiment = built_experiment(seed=102)
     keys = experiment.inserted_keys
     outcome = experiment.run_query(keys[3], keys[20])
     assert outcome.complete
@@ -45,8 +42,7 @@ def test_run_query_outcome_fields():
 
 
 def test_inject_failures_kills_ring_members():
-    experiment = make_experiment(seed=103)
-    experiment.build()
+    experiment = built_experiment(seed=103)
     before = len(experiment.index.ring_members())
     injected = experiment.inject_failures(rate_per_100s=20.0, duration=50.0)
     assert injected >= before / 10
@@ -54,8 +50,7 @@ def test_inject_failures_kills_ring_members():
 
 
 def test_delete_items_forces_merges():
-    experiment = make_experiment(seed=104)
-    experiment.build()
+    experiment = built_experiment(seed=104)
     keys = experiment.inserted_keys
     experiment.delete_items(keys[: int(len(keys) * 0.8)], rate=4.0)
     experiment.settle(25.0)
@@ -63,8 +58,7 @@ def test_delete_items_forces_merges():
 
 
 def test_run_queries_by_hops_buckets_results():
-    experiment = make_experiment(seed=105)
-    experiment.build()
+    experiment = built_experiment(seed=105)
     outcomes = experiment.run_queries_by_hops([1, 3], queries_per_target=2)
     assert outcomes
     for hops, results in outcomes.items():

@@ -2,10 +2,8 @@
 
 Four contracts are pinned down here:
 
-* **Legacy equivalence.**  A flat spec resolves into the legacy phase
-  decomposition, and running it through the phase executor produces the exact
-  event trace the historical driver produced -- a flat spec and its explicit
-  phased rewrite are indistinguishable, measurement for measurement.
+* **Phases are the spec.**  ``run_spec`` validates a spec's ``phases`` and
+  runs exactly them, in order.
 * **Start conditions.**  ``start_offset`` delays, ``start_fraction`` gates on
   ring membership under churn, and ``start_quiescence`` waits out the split
   cascade, firing exactly once; every bounded wait degrades to a timed-out
@@ -28,10 +26,16 @@ from repro.harness.scenarios import ScenarioSpec, build_experiment, get_scenario
 TINY = ScenarioSpec(
     name="phase-tiny",
     peers=6,
-    join_period=1.0,
-    settle_time=10.0,
-    workload=WorkloadSpec(items=40, insert_rate=4.0),
-    queries=QueryMixSpec(count=3),
+    phases=(
+        PhaseSpec(
+            name="build",
+            arrivals=5,
+            arrival_period=1.0,
+            workload=WorkloadSpec(items=40, insert_rate=4.0),
+            settle=10.0,
+        ),
+        PhaseSpec(name="queries", queries=QueryMixSpec(count=3)),
+    ),
 )
 
 # A small split-cascade cell: free peers arrive as a crowd and a fast item
@@ -61,38 +65,12 @@ CASCADE = ScenarioSpec(
 )
 
 
-# --------------------------------------------------------------------------- legacy resolution
-def test_flat_spec_resolves_into_legacy_phases():
-    phases = TINY.resolved_phases()
-    assert [phase.name for phase in phases] == ["build", "queries"]
-    build = phases[0]
-    assert build.arrivals == TINY.peers - 1
-    assert build.arrival_period == TINY.join_period
-    assert build.workload == TINY.workload
-    assert build.settle == TINY.settle_time
-    assert phases[1].queries == TINY.queries
-
-
-def test_flat_spec_with_failures_and_outage_resolves_all_legacy_phases():
-    spec = TINY.with_(
-        churn=ChurnSpec(failure_rate_per_100s=6.0, failure_window=50.0, correlated_failures=2)
-    )
-    names = [phase.name for phase in spec.resolved_phases()]
-    assert names == ["build", "failures", "outage", "queries"]
-    failures = spec.resolved_phases()[1]
-    assert failures.churn.failure_rate_per_100s == 6.0
-    assert failures.churn.failure_window == 50.0
-
-
-def test_flat_spec_without_queries_drops_the_query_phase():
-    spec = TINY.with_(queries=QueryMixSpec(count=0))
-    assert [phase.name for phase in spec.resolved_phases()] == ["build"]
-
-
+# --------------------------------------------------------------------------- validation
 def test_explicit_phases_returned_verbatim_and_validated():
-    assert CASCADE.resolved_phases() == CASCADE.phases
+    result = run_spec(TINY, seed=0)
+    assert [p["phase"] for p in result.phases] == [phase.name for phase in TINY.phases]
     with pytest.raises(ValueError, match="duplicate phase name"):
-        TINY.with_(phases=(PhaseSpec(name="a"), PhaseSpec(name="a"))).resolved_phases()
+        run_spec(TINY.with_(phases=(PhaseSpec(name="a"), PhaseSpec(name="a"))))
     with pytest.raises(ValueError, match="start_fraction"):
         PhaseSpec(name="x", start_fraction=1.5).validate()
     with pytest.raises(ValueError, match="start_quiescence"):
@@ -100,23 +78,6 @@ def test_explicit_phases_returned_verbatim_and_validated():
     with pytest.raises(ValueError, match="settle"):
         PhaseSpec(name="x", settle=-1.0).validate()
     validate_phases(CASCADE.phases)  # the registry shape itself is valid
-
-
-def test_flat_spec_and_explicit_phased_rewrite_are_equivalent():
-    """The tentpole invariant: phasing is a refactor, not a behaviour change."""
-    flat = TINY.with_(
-        churn=ChurnSpec(failure_rate_per_100s=8.0, failure_window=40.0)
-    )
-    phased = flat.with_(phases=flat.resolved_phases())
-    first = run_spec(flat, seed=5)
-    second = run_spec(phased, seed=5)
-    assert first.events_processed == second.events_processed
-    assert first.sim_time_s == second.sim_time_s
-    assert first.rpc_per_method == second.rpc_per_method
-    assert first.metrics == second.metrics
-    assert first.ring_members == second.ring_members
-    assert first.items_stored == second.items_stored
-    assert [p["phase"] for p in first.phases] == [p["phase"] for p in second.phases]
 
 
 # --------------------------------------------------------------------------- start conditions
@@ -256,62 +217,18 @@ def test_phase_wall_and_sim_spans_are_positive_and_ordered():
         )
 
 
-def test_phase_schedule_plays_an_arbitrary_churn_trace():
-    """``PhaseSpec.schedule`` injects a bespoke join/failure trace verbatim."""
-    from repro.workloads.churn import FAIL, JOIN, ChurnEvent, ChurnSchedule
-
-    trace = ChurnSchedule(
-        [ChurnEvent(0.5 + i * 1.0, JOIN) for i in range(5)] + [ChurnEvent(12.0, FAIL)]
-    )
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(
-                name="build",
-                schedule=trace,
-                workload=WorkloadSpec(items=40, insert_rate=4.0),
-                settle=10.0,
-            ),
-        )
-    )
-    result = run_spec(spec, seed=4)
-    build = result.phases[0]
-    # All five scheduled joins played and the scheduled failure killed one:
-    # bootstrap + 5 arrivals - 1 failure remain live (ring members or free).
-    assert result.ring_members + result.free_peers == 5
-    # The derived active window covered the whole trace (last event at 12 s).
-    assert build["sim_seconds"] >= 12.0 + 10.0
-
-
-def test_phase_schedule_merges_with_staggered_arrivals():
-    """A bespoke schedule composes with the declarative arrival stream."""
-    from repro.workloads.churn import JOIN, ChurnEvent, ChurnSchedule
-
-    trace = ChurnSchedule([ChurnEvent(2.0, JOIN), ChurnEvent(4.0, JOIN)])
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(
-                name="build",
-                arrivals=3,
-                arrival_period=1.0,
-                schedule=trace,
-                workload=WorkloadSpec(items=40, insert_rate=4.0),
-                settle=10.0,
-            ),
-        )
-    )
-    result = run_spec(spec, seed=5)
-    # 1 bootstrap + 3 staggered arrivals + 2 scheduled joins, nobody fails.
-    assert result.ring_members + result.free_peers == 6
-
-
 def test_run_phases_on_experiment_returns_outcomes_and_victims():
     spec = TINY.with_(
-        churn=ChurnSpec(correlated_failures=2),
-        workload=WorkloadSpec(items=60, insert_rate=4.0),
         peers=10,
+        phases=(
+            PhaseSpec(name="build", arrivals=9, arrival_period=1.0,
+                      workload=WorkloadSpec(items=60, insert_rate=4.0), settle=10.0),
+            PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=2), settle=10.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=3)),
+        ),
     )
     experiment = build_experiment(spec, seed=1)
-    results, outcomes, victims = experiment.run_phases(spec.resolved_phases(), total_peers=10)
+    results, outcomes, victims = experiment.run_phases(spec.phases, total_peers=10)
     assert [r.phase for r in results] == ["build", "outage", "queries"]
     assert len(victims) == 2
     assert len(outcomes) == 3
@@ -335,6 +252,7 @@ def test_scale_cells_are_phased_build_settle_stress():
 
 
 def test_total_items_follows_the_resolved_lifecycle():
+    """``items_requested`` sums every phase's item stream."""
     assert TINY.total_items() == 40
     assert CASCADE.total_items() == 240
     two_streams = TINY.with_(

@@ -17,10 +17,10 @@ from repro.harness.runner import (
 from repro.harness.scenarios import (
     ChurnSpec,
     LatencySpec,
+    PhaseSpec,
     QueryMixSpec,
     ScenarioSpec,
     WorkloadSpec,
-    build_experiment,
     get_scenario,
     get_suite,
     register,
@@ -34,10 +34,24 @@ from repro.sim.network import LanWanLatency, UniformLatency
 TINY = ScenarioSpec(
     name="tiny-test-cell",
     peers=6,
-    join_period=1.0,
-    settle_time=10.0,
-    workload=WorkloadSpec(items=40, insert_rate=4.0),
-    queries=QueryMixSpec(count=3),
+    phases=(
+        PhaseSpec(
+            name="build",
+            arrivals=5,
+            arrival_period=1.0,
+            workload=WorkloadSpec(items=40, insert_rate=4.0),
+            settle=10.0,
+        ),
+        PhaseSpec(name="queries", queries=QueryMixSpec(count=3)),
+    ),
+)
+
+PROTOCOL_FLAGS = (
+    "consistent_insert",
+    "use_scan_range",
+    "safe_leave",
+    "extra_hop_replication",
+    "proactive_nudge",
 )
 
 
@@ -119,13 +133,14 @@ def test_spec_config_overrides_apply():
     assert config.seed == 5
 
 
-def test_spec_settings_carry_workload_shape():
-    spec = TINY.with_(workload=WorkloadSpec(items=33, distribution="zipf", params={"alpha": 1.3}))
-    settings = spec.settings(seed=2)
-    assert settings.items == 33
-    assert settings.key_distribution == "zipf"
-    assert settings.key_params == {"alpha": 1.3}
-    assert settings.seed == 2
+def test_spec_config_overrides_apply_after_protocols():
+    """A ``config`` flag overrides the protocol selection: one flag off, four on."""
+    pepper = TINY.with_(protocols="pepper", config={"use_scan_range": False}).index_config()
+    assert not pepper.use_scan_range
+    assert all(getattr(pepper, flag) for flag in PROTOCOL_FLAGS if flag != "use_scan_range")
+    naive = TINY.with_(protocols="naive", config={"safe_leave": True}).index_config()
+    assert naive.safe_leave
+    assert not any(getattr(naive, flag) for flag in PROTOCOL_FLAGS if flag != "safe_leave")
 
 
 def test_wan_scenarios_and_suite_registered():
@@ -162,10 +177,17 @@ def test_latency_spec_uniform_model():
 
 
 def test_flash_crowd_spec_merges_into_build_schedule():
-    spec = TINY.with_(churn=ChurnSpec(flash_crowd_peers=4, flash_crowd_at=2.0))
-    experiment = build_experiment(spec)
-    assert experiment.extra_churn is not None
-    assert len(experiment.extra_churn) == 4
+    build = PhaseSpec(
+        name="build",
+        arrivals=2,
+        arrival_period=1.0,
+        churn=ChurnSpec(flash_crowd_peers=4, flash_crowd_at=2.0),
+        workload=WorkloadSpec(items=40, insert_rate=4.0),
+        settle=5.0,
+    )
+    result = run_spec(TINY.with_(phases=(build,)), seed=0)
+    # 1 bootstrap + 2 staggered arrivals + 4 crowd joins, nobody fails.
+    assert result.ring_members + result.free_peers == 7
 
 
 # --------------------------------------------------------------------------- execution
@@ -197,9 +219,11 @@ def test_correlated_failures_phase_kills_members():
     spec = TINY.with_(
         name="tiny-corr",
         peers=10,
-        workload=WorkloadSpec(items=60, insert_rate=4.0),
-        churn=ChurnSpec(correlated_failures=2),
-        queries=QueryMixSpec(count=0),
+        phases=(
+            PhaseSpec(name="build", arrivals=9, arrival_period=1.0,
+                      workload=WorkloadSpec(items=60, insert_rate=4.0), settle=10.0),
+            PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=2), settle=10.0),
+        ),
     )
     result = run_spec(spec, seed=1)
     assert result.correlated_failures_injected == 2

@@ -4,14 +4,9 @@ import random
 
 import pytest
 
-from repro.harness.phases import ServeSpec
+from repro.harness.phases import PhaseSpec, ServeSpec, WorkloadSpec
 from repro.harness.runner import aggregate_cells
-from repro.harness.scenarios import (
-    QueryMixSpec,
-    ScenarioSpec,
-    WorkloadSpec,
-    run_spec,
-)
+from repro.harness.scenarios import ScenarioSpec, run_spec
 from repro.serve.workload import open_loop_queries, zipf_hotspot_windows
 
 
@@ -77,29 +72,23 @@ def test_serve_spec_validation():
             bad.validate()
 
 
-def test_flat_spec_with_serve_resolves_to_trailing_serve_phase():
-    spec = ScenarioSpec(
-        name="serve-resolve",
-        peers=6,
-        workload=WorkloadSpec(items=20, insert_rate=4.0),
-        serve=ServeSpec(arrival_rate=5.0, duration=2.0),
-    )
-    phases = spec.resolved_phases()
-    assert phases[-1].name == "serve"
-    assert phases[-1].serve is spec.serve
-    without = spec.with_(serve=None)
-    assert all(phase.serve is None for phase in without.resolved_phases())
-
-
 # --------------------------------------------------------------------------- end to end
 SERVE_TINY = ScenarioSpec(
     name="serve-tiny-cell",
     peers=6,
-    join_period=1.0,
-    settle_time=10.0,
-    workload=WorkloadSpec(items=40, insert_rate=4.0),
-    queries=QueryMixSpec(count=0),
-    serve=ServeSpec(arrival_rate=10.0, duration=4.0, routing="replica_lb"),
+    phases=(
+        PhaseSpec(
+            name="build",
+            arrivals=5,
+            arrival_period=1.0,
+            workload=WorkloadSpec(items=40, insert_rate=4.0),
+            settle=10.0,
+        ),
+        PhaseSpec(
+            name="serve",
+            serve=ServeSpec(arrival_rate=10.0, duration=4.0, routing="replica_lb"),
+        ),
+    ),
 )
 
 
