@@ -822,14 +822,16 @@ class ChordRing:
         """
         if not self.is_joined:
             return
+        # Uncopied: past the first-target check only ``address`` is read,
+        # and no entry's address ever changes.
         targets = [
-            entry.copy()
+            entry
             for entry in self.succ_list
             if entry.state in (JOINED, LEAVING) and entry.address != self.address
         ]
         if targets and targets[0].state == JOINED:
             # The first live successor is exercised by stabilization anyway.
-            targets = targets[1:]
+            del targets[0]
         stale = []
         for entry in targets:
             if self._confirmed_recently(entry.address):
@@ -874,16 +876,19 @@ class ChordRing:
         yield self.succ_lock.acquire_write()
         try:
             old_first = self._first_joined_address()
-            head = SuccessorEntry(
-                contacted.address,
-                response["value"],
-                response.get("state", JOINED),
-                stabilized=True,
-            )
-            received = entries_from_wire(response["succ_list"])
-            received = [e for e in received if e.address != self.address]
-            received = [e for e in received if e.address != head.address]
-            self._install_list(head, received)
+            learned = self._adopt_matching_reply(contacted.address, response)
+            if learned is None:
+                head = SuccessorEntry(
+                    contacted.address,
+                    response["value"],
+                    response.get("state", JOINED),
+                    stabilized=True,
+                )
+                received = entries_from_wire(response["succ_list"])
+                received = [e for e in received if e.address != self.address]
+                received = [e for e in received if e.address != head.address]
+                self._install_list(head, received)
+                learned = [head, *received]
             self._post_adopt()
             new_first = self._first_joined_address()
         finally:
@@ -893,7 +898,7 @@ class ChordRing:
             # stale-chain join needs: remember them for redirect answers --
             # and forget peers announced as LEAVING, so the cache never steers
             # a join at a peer about to merge away.
-            for entry in (head, *received):
+            for entry in learned:
                 if entry.state == JOINED:
                     self._cache_record(entry.address, entry.value)
                 elif entry.state == LEAVING:
@@ -902,6 +907,69 @@ class ChordRing:
             self._fire_successor_changed(new_first)
 
     _STATE_RANK = {JOINING: 0, JOINED: 1, LEAVING: 2}
+
+    def _adopt_matching_reply(
+        self, head_address: str, response
+    ) -> Optional[List[SuccessorEntry]]:
+        """The quiet-round fast path of :meth:`_install_list`.
+
+        In a quiet ring the stabilize reply, head first, starts with exactly
+        our current list (same addresses, values and states in the same
+        order) and runs one entry further.  When it also names no address
+        twice and runs clockwise from our value, the full merge would keep
+        the reply as it is: our copies add nothing, and the sort moves
+        nothing.  So the reply's entries are installed directly -- ours for
+        the matching prefix, with the ``stabilized`` flags the merge gives
+        (the head's only), fresh ones for the rest -- then :meth:`_trim` runs.
+        Returns the untrimmed entries, or ``None`` (nothing changed) if the
+        reply does not match and the caller must merge.
+        """
+        current = self.succ_list
+        if not current:
+            return None
+        head = current[0]
+        if (
+            head.address != head_address
+            or head.value != response["value"]
+            or head.state != response.get("state", JOINED)
+        ):
+            return None
+        own = self.address
+        reported = [
+            item for item in response["succ_list"]
+            if item["address"] != own and item["address"] != head_address
+        ]
+        if len(reported) < len(current) - 1:
+            return None
+        for entry, item in zip(current[1:], reported):
+            if (
+                entry.address != item["address"]
+                or entry.value != item["value"]
+                or entry.state != item.get("state", JOINED)
+            ):
+                return None
+        learned = current + entries_from_wire(reported[len(current) - 1 :])
+        addresses = {entry.address for entry in learned}
+        if len(addresses) != len(learned):
+            return None
+        span = self.config.key_space
+        base = self.value
+        previous = 0.0
+        for entry in learned:
+            # :meth:`_clockwise_distance`, inline: the merge's sort key.
+            distance = (entry.value - base) % span
+            if distance <= 0:
+                distance = span
+            if distance < previous:
+                return None
+            previous = distance
+        self._last_received_addresses = addresses
+        for entry in current:
+            entry.stabilized = False
+        head.stabilized = True
+        self.succ_list = learned[:]
+        self._trim()
+        return learned
 
     def _install_list(self, head: SuccessorEntry, received: List[SuccessorEntry]) -> None:
         """Merge the successor's reported list into our own.

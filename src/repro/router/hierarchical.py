@@ -144,22 +144,23 @@ class HierarchicalRingRouter(LinearRouter):
         own_value = self.ring.value
         size = self.config.router_table_size
         table: List[Tuple[str, float]] = []
-
-        def install(address: str, value: float) -> bool:
-            distance = self._clockwise(own_value, value)
-            if len(table) >= size or (
-                table and distance <= self._clockwise(own_value, table[-1][1])
-            ):
-                return False
-            table.append((address, value))
-            return True
+        last = 0.0  # the clockwise distance of table[-1]
 
         first = self.ring._stabilization_target()  # the first of _joined_successors
         fresh = [] if first is None else [(first.address, first.value)]
         rpc_failed = False
         # Install what the last peer answered, then ask the farthest pointer
         # for the next two levels; the first refused pointer ends the walk.
-        while fresh and all(install(*pointer) for pointer in fresh) and len(table) < size:
+        while fresh:
+            for address, value in fresh:
+                distance = self._clockwise(own_value, value)
+                if len(table) >= size or (table and distance <= last):
+                    fresh = None  # refused: the walk ends here
+                    break
+                table.append((address, value))
+                last = distance
+            if fresh is None or len(table) >= size:
+                break
             try:
                 response = yield self.node.call(
                     table[-1][0], "route_table_entry", {"level": len(table) - 1, "span": 2}

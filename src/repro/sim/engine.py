@@ -26,6 +26,18 @@ Design notes
   O(log n) heap round-trip.  Relative to the original engine this runs an
   event's callbacks before same-time heap entries that were scheduled earlier,
   which is an equally valid (and still deterministic) tie-break.
+* **The in-place rule.**  An action whose last step would make exactly one
+  action ready, while the ready queue is empty, runs that action in place:
+  the run loop's next step would be to pop exactly that entry, so neither
+  ``(time, seq)`` order nor the order of same-instant work can change.  A
+  process that yields an already-fired event continues in the same action
+  (:meth:`Process._resume`); an event triggered as an action's last step --
+  a timeout's fire, a periodic loop's wakeup timer, a process's end, a
+  sampled-latency RPC reply or expiry -- calls its one waiter directly
+  (:meth:`Event._trigger_last`).  A step
+  run in place is part of the action that ran it, so it is not counted in
+  ``events_processed``.  Anything else ready, or a second waiter, and the
+  work queues as before.
 * Processes can be interrupted (used to model peer failures): an
   :class:`Interrupt` exception is thrown into the generator at its current
   suspension point.
@@ -146,6 +158,29 @@ class Event:
                 ready.append((callback, self))
         return self
 
+    def _trigger_last(self, ok: bool = True, value: Any = None) -> "Event":
+        """Trigger the event as the last step of the running action.
+
+        :meth:`succeed` / :meth:`fail` for a caller that does nothing after
+        it: under the in-place rule a single waiter, with nothing else ready,
+        is called here instead of queued behind an empty ready queue.
+        """
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._triggered = True
+        self._ok = ok
+        self._value = value
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = None
+            ready = self.sim._ready
+            if not ready and len(callbacks) == 1:
+                callbacks[0](self)
+            else:
+                for callback in callbacks:
+                    ready.append((callback, self))
+        return self
+
     # -- plumbing ----------------------------------------------------------
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
         if self._triggered:
@@ -162,7 +197,7 @@ class Event:
 
 
 def _fire_timeout(timeout: "Timeout") -> None:
-    timeout.succeed(timeout._pending)
+    timeout._trigger_last(True, timeout._pending)
 
 
 class Timeout(Event):
@@ -184,8 +219,8 @@ class Timeout(Event):
         self._pending = value
         sim._sequence += 1
         # A timeout carrying no value (nearly all of them) needs no adapter
-        # frame: the entry runs ``Event.succeed(timeout)`` itself.
-        fire = Event.succeed if value is None else _fire_timeout
+        # frame: the entry runs ``Event._trigger_last(timeout)`` itself.
+        fire = Event._trigger_last if value is None else _fire_timeout
         heapq.heappush(sim._queue, [sim._now + delay, sim._sequence, fire, self])
 
 
@@ -328,36 +363,46 @@ class Process(Event):
     def _resume(self, trigger: Optional[Event]) -> None:
         if not self._alive:
             return
-        try:
-            if trigger is None:
-                target = self._send(None)
-            elif self._waiting_on is not trigger:
+        if trigger is not None:
+            if self._waiting_on is not trigger:
                 # Stale wakeup: the process was interrupted (or already
                 # resumed) while this event was pending.
                 return
-            else:
-                self._waiting_on = None
-                if trigger._ok:
+            self._waiting_on = None
+        while True:
+            try:
+                if trigger is None:
+                    target = self._send(None)
+                elif trigger._ok:
                     target = self._send(trigger._value)
                 else:
                     target = self._throw_into(trigger._value)
-        except StopIteration as stop:
-            self._finish(stop.value, None)
+            except StopIteration as stop:
+                self._finish(stop.value, None)
+                return
+            except BaseException as stop:  # noqa: BLE001 - dispatched in _stop
+                self._stop(stop)
+                return
+            # Inlined _wait_for: this is the single hottest call site.
+            if not isinstance(target, Event):
+                self._wait_for(target)
+                return
+            if target._triggered:
+                ready = self.sim._ready
+                if not ready:
+                    # The in-place rule: the resume would be the only ready
+                    # action, so continue the generator in this one.
+                    trigger = target
+                    continue
+                self._waiting_on = target
+                ready.append((self._resume, target))
+            else:
+                self._waiting_on = target
+                if target.callbacks is None:
+                    target.callbacks = [self._resume]
+                else:
+                    target.callbacks.append(self._resume)
             return
-        except BaseException as stop:  # noqa: BLE001 - dispatched in _stop
-            self._stop(stop)
-            return
-        # Inlined _wait_for: this is the single hottest call site.
-        if not isinstance(target, Event):
-            self._wait_for(target)
-            return
-        self._waiting_on = target
-        if target._triggered:
-            self.sim._ready.append((self._resume, target))
-        elif target.callbacks is None:
-            target.callbacks = [self._resume]
-        else:
-            target.callbacks.append(self._resume)
 
     def _throw(self, exception: BaseException) -> None:
         if not self._alive:
@@ -380,7 +425,11 @@ class Process(Event):
             return
         self._waiting_on = target
         if target._triggered:
-            self.sim._ready.append((self._resume, target))
+            ready = self.sim._ready
+            if ready:
+                ready.append((self._resume, target))
+            else:
+                self._resume(target)  # the in-place rule
         elif target.callbacks is None:
             target.callbacks = [self._resume]
         else:
@@ -405,10 +454,11 @@ class Process(Event):
         self._waiting_on = None
         if self._triggered:
             return
+        # Ending is the last step of the action that ran the generator.
         if error is None:
-            self.succeed(value)
+            self._trigger_last(True, value)
         else:
-            self.fail(error)
+            self._trigger_last(False, error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "finished"
@@ -424,8 +474,9 @@ class Simulator:
         sim.process(some_generator())
         sim.run(until=100.0)
 
-    ``events_processed`` counts executed actions, which the harness reports as
-    the engine-throughput metric of a scenario run.
+    ``events_processed`` counts executed actions (a step run in place under
+    the in-place rule is part of the action that ran it), which the harness
+    reports as the engine-throughput metric of a scenario run.
     """
 
     # Compaction kicks in once the heap holds this many tombstones *and* they

@@ -41,6 +41,10 @@ Scalability notes
   of ``k``.  Under a sampled model two messages essentially never share an
   instant, so each is its own engine entry (delivered in send order should
   they collide) and the batch bookkeeping is skipped.
+* A reply under a sampled model and an RPC expiry are each their own engine
+  entry, and settling the caller is the entry's last step, so the caller
+  resumes in place (the engine's in-place rule) instead of one ready-queue
+  hop later.  A reply inside a batch queues its caller, as before.
 * :meth:`Network.cast` is a fire-and-forget fast path for messages nobody
   waits on (replication refreshes, delete propagation): no reply event, no
   expiry timer, no reply message.
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -272,7 +277,10 @@ class _ReplyHandle:
         if prob > 0 and net.rng.random() < prob:
             stats.messages_dropped += 1
             return
-        net._post(source, destination, net._deliver_reply, result, timer, value, error)
+        # A ConstantLatency batch delivers several messages in one entry, so
+        # only a reply that is its own entry may settle its caller in place.
+        deliver = net._deliver_reply if net._fixed_latency is None else net._deliver_batched_reply
+        net._post(source, destination, deliver, result, timer, value, error)
 
 
 # Metric series fed to an attached collector under a LanWanLatency model.
@@ -319,6 +327,7 @@ class Network:
         self._transfer_free: List[list] = []  # 4-slot delivery/reply records
         self._reply_free: List[_ReplyHandle] = []
         self._request_free: List[RpcRequest] = []
+        self._deliver_batched_reply = partial(self._deliver_reply, in_place=False)
         # Optional RPC observer: anything with ``rpc_issued(source,
         # destination, method)`` / ``rpc_completed(destination)``.  Every
         # ``call`` issues exactly one completion -- on reply delivery or on
@@ -572,7 +581,8 @@ class Network:
             if self.observer is not None:
                 self.observer.rpc_completed(destination)
             self.stats.rpc_timeouts += 1
-            result.fail(RpcTimeout(f"{method} -> {destination} timed out"))
+            # The expiry is its own timer entry: the in-place rule applies.
+            result._trigger_last(False, RpcTimeout(f"{method} -> {destination} timed out"))
 
     def _deliver_request(self, transfer: list) -> None:
         request, result, timer = transfer[0], transfer[1], transfer[2]
@@ -602,7 +612,15 @@ class Network:
             # Handled synchronously: nothing can still reference the record.
             self._recycle_request(request)
 
-    def _deliver_reply(self, transfer: list) -> None:
+    def _deliver_reply(self, transfer: list, in_place: bool = True) -> None:
+        """Settle the caller's reply event.
+
+        A reply under a sampled latency is its own heap entry, and settling
+        the caller is that entry's last step, so its waiter runs in place
+        (the engine's in-place rule).  Inside a ConstantLatency batch
+        (``in_place=False``) the waiter queues: the rest of the batch is
+        delivered first, as before.
+        """
         result, timer, value, error = transfer
         transfer[0] = transfer[1] = transfer[2] = transfer[3] = None
         self._transfer_free.append(transfer)
@@ -618,7 +636,12 @@ class Network:
             pending[0] = None
             pending[2] = None
             self._expiry_free.append(pending)
-        if error is None:
+        if in_place:
+            if error is None:
+                result._trigger_last(True, value)
+            else:
+                result._trigger_last(False, error)
+        elif error is None:
             result.succeed(value)
         else:
             result.fail(error)

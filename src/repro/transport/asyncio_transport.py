@@ -3,8 +3,9 @@
 The protocol layers are generators yielding :class:`~repro.sim.engine.Event`
 objects, and nothing about that machinery is inherently simulated: an event
 is just a one-shot callback registry, and a :class:`~repro.sim.engine.Process`
-only ever touches its clock through ``sim._ready.append`` (to get resumed)
-and factory methods.  :class:`AsyncioClock` exploits that: it presents the
+only ever touches its clock through ``sim._ready`` (appending its resume, or
+finding it empty and resuming in place -- the engine's in-place rule) and
+factory methods.  :class:`AsyncioClock` exploits that: it presents the
 engine surface (``now``/``event``/``timeout``/``process``/``any_of``/
 ``schedule_timer``/``run``/``run_until``) backed by a real asyncio loop --
 ``now`` is wall-clock seconds since construction, ``timeout`` arms
@@ -65,7 +66,8 @@ class _WakingReady:
     """The clock's ready queue: a FIFO that wakes the pump on ``append``.
 
     :class:`~repro.sim.engine.Event` and :class:`~repro.sim.engine.Process`
-    push resume work via ``sim._ready.append``; under the discrete-event
+    push resume work via ``sim._ready.append`` (and test it for emptiness
+    before running a step in place); under the discrete-event
     engine the run loop polls the deque, but an asyncio loop must be *told*
     there is work.  Appending schedules the clock's pump with
     ``loop.call_soon`` (coalesced while one is already pending).

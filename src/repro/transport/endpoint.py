@@ -40,9 +40,15 @@ class _HandlerProcess(Process):
     __slots__ = ("endpoint", "reply")
 
 
-def _send_outcome(process: _HandlerProcess) -> None:
-    """Completion callback of a generator handler: its outcome is the reply."""
-    if not process.endpoint.alive:
+def _answer(process: _HandlerProcess) -> None:
+    """Completion callback of a generator handler: disown it, then reply.
+
+    One callback, so a finished handler's completion is one ready entry, or
+    none when the engine runs it in place.
+    """
+    endpoint = process.endpoint
+    endpoint._processes.discard(process)
+    if not endpoint.alive:
         return  # a failed peer never answers
     if process.ok:
         process.reply(process.value, None)
@@ -123,20 +129,28 @@ class Endpoint:
         process, but an action that catches a thrown exception and returns no
         longer unbalances a profiler's call / return events on CPython 3.11
         (``docs/ARCHITECTURE.md``, "Contract: the event engine").
+
+        The sleep is one clock timer (``schedule_timer``, on either clock)
+        that fires a plain event as its entry's last step, so under the
+        engine's in-place rule the entry itself resumes the loop: no timeout
+        object and no ready-queue hop.  A wakeup after :meth:`fail` is dropped
+        by the process like any stale one.
         """
         adaptive = callable(period)
         # ``jitter * random()`` is the float ``uniform(0, jitter)`` returns.
         rng = self.rng if jitter > 0 else None
 
         def _loop():
-            timeout = self.sim.timeout
+            sim = self.sim
             delay = initial_delay
             if delay is None:
                 delay = period() if adaptive else period
             if rng is not None:
                 delay += jitter * rng.random()
             while True:
-                yield timeout(delay)
+                event = Event(sim)  # nothing but the timer fires it
+                sim.schedule_timer(delay, Event._trigger_last, event)
+                yield event
                 if not self.alive:
                     return
                 result = action()
@@ -231,7 +245,7 @@ class Endpoint:
             reply(outcome, None)
             return
         process = _HandlerProcess(
-            self.sim, outcome, (self.address, "rpc", method), [self._disown, _send_outcome]
+            self.sim, outcome, (self.address, "rpc", method), [_answer]
         )
         process.endpoint = self
         process.reply = reply

@@ -9,8 +9,10 @@ each file's cells and fields, so the re-freeze is explicit and reproducible:
 every ``scenario@seed`` cell (what ``test_transport_parity`` compares with,
 through the same :func:`pinned` projection).
 
-Say why in CHANGES.md, then run ``tests/test_transport_parity.py`` under
-``REPRO_PARITY_FULL=1``.
+It prints every field it rewrites (``file: cell field: old -> new``) and
+then the names of the fields that moved, so the re-freeze's reach is on the
+record.  Say why in CHANGES.md, then run ``tests/test_transport_parity.py``
+under ``REPRO_PARITY_FULL=1``.
 """
 
 from __future__ import annotations
@@ -36,21 +38,29 @@ def pinned(result: dict, frozen: dict) -> dict:
     }
 
 
-def refreeze(name: str) -> None:
+def refreeze(name: str) -> set:
+    """Rewrite the baseline ``name``; print and return the fields that moved."""
     path = DATA / name
     cells = json.loads(path.read_text())
+    moved = set()
     for key, frozen in sorted(cells.items()):
         scenario, _, seed = key.rpartition("@")
         cells[key] = pinned(run_cell((scenario, int(seed))), frozen)
-        print(f"{name}: {key} events_processed={cells[key]['events_processed']}")
+        for field in sorted(frozen):
+            if cells[key][field] != frozen[field]:
+                moved.add(field)
+                print(f"{name}: {key} {field}: {frozen[field]} -> {cells[key][field]}")
     path.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
+    return moved
 
 
 def main() -> None:
     # Baselines are frozen from each cell's own transport.
     os.environ.pop("REPRO_TRANSPORT", None)
+    moved = set()
     for size in ("smoke", "scale300"):
-        refreeze(f"transport_refactor_baseline_{size}.json")
+        moved |= refreeze(f"transport_refactor_baseline_{size}.json")
+    print(f"fields moved: {', '.join(sorted(moved)) or 'none'}")
 
 
 if __name__ == "__main__":

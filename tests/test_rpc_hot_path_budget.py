@@ -10,16 +10,17 @@ loses a Python frame or a builtin call.
 
 Measured on CPython 3.11 over the 2000 RPCs of the mix:
 
-* parent e40118a: 84.9 calls per RPC (``PARENT_CALLS_PER_RPC``), 2.90 heap pushes;
-* this change:    49.4 calls per RPC,                           2.90 heap pushes.
+* e40118a:               84.9 calls per RPC (``PARENT_CALLS_PER_RPC``), 2.90 heap pushes;
+* 244bfe9 (rewritten path): 49.4 calls per RPC,                        2.90 heap pushes;
+* the in-place rule:        45.9 calls per RPC,                        2.90 heap pushes.
 
-The budget is 0.85 x the parent's count, so the test fails at the parent and
-fails again if the wrapper generator, the per-RPC closures, the label
-f-strings, the one-line helpers or the per-message batch come back.  Heap
-pushes per RPC are bounded at 3 (expiry timer, request, reply): the generator
-handler here yields an already-fired event, so only the path itself pushes.
-The simulated side is pinned too: the events each kind of RPC costs are the
-parent's, exactly.
+The budget is 0.85 x e40118a's count, so the test fails if the wrapper
+generator, the per-RPC closures, the label f-strings, the one-line helpers or
+the per-message batch come back.  Heap pushes per RPC are bounded at 3 (expiry
+timer, request, reply): the generator handler here yields an already-fired
+event, so only the path itself pushes.  The simulated side is pinned exactly:
+the events each kind of RPC costs, and the one event and one timer entry of a
+quiet periodic round.
 """
 
 import cProfile
@@ -28,7 +29,8 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timeout
+from repro.sim.locks import RWLock
 from repro.sim.network import Network, NetworkConfig, UniformLatency
 from repro.transport import Endpoint, RpcTimeout
 
@@ -112,15 +114,62 @@ def test_calls_and_heap_pushes_per_rpc_stay_inside_the_budget():
     assert run["pushes_per_rpc"] <= 3.0
 
 
-# Events per RPC, as at the parent.  Plain: request delivery, reply delivery,
-# caller resume.  Generator: those plus the handler's start, its one resume and
-# its two completion callbacks.  Dead target: request delivery, expiry, resume.
+# Events per RPC under the engine's in-place rule (e40118a: 3 / 7 / 3).  Plain:
+# request delivery, then reply delivery, which resumes the caller in place.
+# Generator: request delivery, the handler's start (its yield of a fired event,
+# its end and its one completion callback run in place), reply delivery.  Dead
+# target: request delivery, then the expiry, which resumes the caller in place.
 @pytest.mark.parametrize("methods, dead_every, events_per_rpc", [
-    (("echo",), 0, 3),
-    (("echo_gen",), 0, 7),
-    (("echo",), 1, 3),
+    pytest.param(("echo",), 0, 2, id="plain"),
+    pytest.param(("echo_gen",), 0, 3, id="generator"),
+    pytest.param(("echo",), 1, 2, id="dead_target"),
 ])
-def test_events_per_rpc_are_the_parents(methods, dead_every, events_per_rpc):
+def test_events_per_rpc_are_pinned(methods, dead_every, events_per_rpc):
     run = profiled_run(methods, dead_every)
-    # Beyond the RPCs, per caller: its start and its two completion callbacks.
+    # Beyond the RPCs, per caller: its start and its two completion callbacks
+    # (its endpoint's, and the ``all_of`` the run waits on: two waiters queue).
     assert run["events"] == events_per_rpc * run["rpcs"] + 3 * PEERS
+
+
+def _quiet_plain():
+    pass
+
+
+def _quiet_generator():
+    return
+    yield  # a generator action that returns before sending anything
+
+
+def _uncontended_lock(lock):
+    def action():
+        yield lock.acquire_write()  # fires at once: the loop continues in place
+        lock.release_write()
+    return action
+
+
+@pytest.mark.parametrize("make_action", [
+    pytest.param(lambda lock: _quiet_plain, id="plain"),
+    pytest.param(lambda lock: _quiet_generator, id="generator"),
+    pytest.param(_uncontended_lock, id="uncontended_lock"),
+])
+def test_a_quiet_periodic_round_is_one_timer_entry_and_one_event(monkeypatch, make_action):
+    sim = Simulator()
+    peer = _EchoPeer(sim, Network(sim, random.Random(7), NetworkConfig()), "peer")
+    action = make_action(RWLock(sim))
+    rounds = []
+
+    def round_():
+        rounds.append(sim.now)
+        return action()
+
+    peer.every(1.0, round_)
+    sim.run(until=0.5)  # the loop has started and armed its first sleep
+    made = []
+    build = Timeout.__init__
+    monkeypatch.setattr(Timeout, "__init__", lambda self, *a: made.append(a) or build(self, *a))
+    entries, events = sim._sequence, sim.events_processed
+    sim.run(until=10.5)
+    assert rounds == [float(t) for t in range(1, 11)]
+    assert sim._sequence - entries == 10
+    assert sim.events_processed - events == 10
+    assert made == []

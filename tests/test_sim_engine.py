@@ -4,6 +4,8 @@ They pin the semantics contract of the "Contract: the event engine" section
 of docs/ARCHITECTURE.md: ordering, accounting and the timer API.
 """
 
+import random
+
 import pytest
 
 from repro.index.config import default_config
@@ -16,7 +18,8 @@ from repro.sim.engine import (
     Simulator,
     make_simulator,
 )
-from repro.transport import make_transport
+from repro.sim.network import ConstantLatency, Network, NetworkConfig, UniformLatency
+from repro.transport import Endpoint, make_transport
 
 
 @pytest.fixture
@@ -494,9 +497,9 @@ def test_timeout_with_and_without_a_value_counts_one_event_each(sim):
     sim.process(proc())
     sim.run()
     assert got == [None, "payload"]
-    # start + (timeout fire + resume) x 2: the value-less timeout's entry runs
-    # Event.succeed itself, which is still one processed event.
-    assert sim.events_processed == 5
+    # start + one entry per timeout: its fire resumes the one waiter in place
+    # (nothing else is ready), and the value-less entry needs no adapter.
+    assert sim.events_processed == 3
 
 
 def test_timeout_succeeded_by_hand_raises_when_its_entry_fires(sim):
@@ -544,3 +547,104 @@ def test_non_event_yield_after_an_interrupt_still_fails_the_process(sim):
     sim.run()
     assert not process.ok
     assert "process 'stubborn' yielded 'not an event', expected an Event" in str(process.value)
+
+
+# ------------------------------------------------------------- the in-place rule
+def _reply_order(sim, latency_model):
+    """Two callers whose RPCs leave at the same instant; who ran when."""
+    order = []
+
+    class Observer:
+        def rpc_issued(self, source, destination, method):
+            pass
+
+        def rpc_completed(self, destination):
+            order.append(f"reply from {destination}")
+
+    network = Network(sim, random.Random(3), NetworkConfig(latency_model=latency_model))
+    network.observer = Observer()
+    peers = {}
+    for name in ("a", "b", "x", "y"):
+        peers[name] = Endpoint(sim, network, name)
+        peers[name].register_handler("echo", lambda payload, request: payload)
+
+    def caller(name, destination):
+        yield peers[name].call(destination, "echo", name)
+        order.append(f"{name} resumed")
+
+    peers["a"].spawn(caller("a", "x"))
+    peers["b"].spawn(caller("b", "y"))
+    sim.run()
+    return order
+
+
+@pytest.mark.parametrize("model, order", [
+    # Both replies land in one batch entry: the waiters queue behind the
+    # batch, so the second reply is delivered before the first caller runs.
+    pytest.param(
+        ConstantLatency(0.001),
+        ["reply from x", "reply from y", "a resumed", "b resumed"],
+        id="constant_batch",
+    ),
+    # Each reply is its own entry and resumes its waiter in that entry.
+    pytest.param(
+        UniformLatency(0.0005, 0.003),
+        ["reply from x", "a resumed", "reply from y", "b resumed"],
+        id="sampled",
+    ),
+])
+def test_replies_reach_their_waiters_in_this_order(sim, model, order):
+    assert _reply_order(sim, model) == order
+
+
+def test_a_fired_yield_queues_behind_other_ready_work(sim):
+    order = []
+
+    def first():
+        order.append("first: before")
+        done = sim.event()
+        done.succeed()
+        yield done
+        order.append("first: after")
+
+    def second():
+        order.append("second")
+        return
+        yield
+
+    sim.process(first())
+    sim.process(second())
+    sim.run()
+    # ``second``'s start was ready, so ``first`` queued behind it.
+    assert order == ["first: before", "second", "first: after"]
+    assert sim.events_processed == 3  # two starts and first's queued resume
+
+
+def test_a_fired_yield_with_nothing_else_ready_continues_in_place(sim):
+    order = []
+
+    def alone():
+        for step in range(3):
+            done = sim.event()
+            done.succeed(step)
+            order.append((yield done))
+
+    sim.process(alone())
+    sim.run()
+    assert order == [0, 1, 2]
+    assert sim.events_processed == 1  # the start; every resume ran inside it
+
+
+def test_fail_drops_the_stale_wakeup_of_a_sleeping_every_loop(sim):
+    peer = Endpoint(sim, Network(sim, random.Random(3), NetworkConfig()), "peer")
+    order = []
+    loop = peer.every(1.0, lambda: order.append(("round", sim.now)))
+    sim.schedule(2.5, lambda _: order.append(("fail", sim.now)) or peer.fail())
+    sim.run(until=2.4)
+    events = sim.events_processed
+    sim.run(until=10.0)
+    assert order == [("round", 1.0), ("round", 2.0), ("fail", 2.5)]
+    assert not loop.alive
+    # The fail entry, the interrupt thrown into the loop (its end calls its one
+    # callback in place), and the 3.0 s wakeup, dropped as stale.
+    assert sim.events_processed - events == 3

@@ -289,13 +289,19 @@ def test_asyncio_attribute_handler_attached_after_first_use_of_another_method(as
     assert sim.run_process(proc("late"), timeout=10.0) == {"late": {"x": 1}}
 
 
-def test_asyncio_transport_every_runs_on_wall_clock(asyncio_env):
+def test_asyncio_transport_every_runs_on_wall_clock(asyncio_env, monkeypatch):
     transport, a, _b = asyncio_env
     sim = transport.clock
+    armed = []
+    schedule_timer = sim.schedule_timer
+    monkeypatch.setattr(sim, "schedule_timer", lambda *args: armed.append(args[0]) or schedule_timer(*args))
+    monkeypatch.setattr(sim, "timeout", lambda *args: pytest.fail("every slept on a timeout event"))
     ticks = []
     a.every(0.03, lambda: ticks.append(sim.now), jitter=0.0, initial_delay=0.0)
     sim.run(until=sim.now + 0.2)
     assert len(ticks) >= 3
+    # Each sleep is one timer armed through the clock API, as on the simulator.
+    assert armed[: len(ticks) + 1] == [0.0] + [0.03] * len(ticks)
 
 
 # ------------------------------------------------------------------- selection
