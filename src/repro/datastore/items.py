@@ -138,12 +138,20 @@ class ItemStore:
         keys = self._keys
         return bisect.bisect_right(keys, low), bisect.bisect_right(keys, high)
 
-    def arc_items(self, low: float, high: float) -> List[Item]:
-        """Items on the arc ``(low, high]``, in clockwise order from ``low``."""
+    def arc_keys(self, low: float, high: float) -> List[float]:
+        """Keys on the arc ``(low, high]``, in clockwise order from ``low``."""
         start, stop = self._arc(low, high)
         keys = self._keys
-        on_arc = keys[start:stop] if low < high else keys[start:] + keys[:stop]
-        return [self._by_key[key] for key in on_arc]
+        return keys[start:stop] if low < high else keys[start:] + keys[:stop]
+
+    def arc_items(self, low: float, high: float) -> List[Item]:
+        """Items on the arc ``(low, high]``, in clockwise order from ``low``."""
+        return self.items_at(self.arc_keys(low, high))
+
+    def items_at(self, keys: Iterable[float]) -> List[Item]:
+        """The stored items with these keys, in the order given."""
+        by_key = self._by_key
+        return [by_key[key] for key in keys]
 
     def off_arc_items(self, low: float, high: float) -> List[Item]:
         """Items *not* on the arc ``(low, high]``, in ascending key order."""

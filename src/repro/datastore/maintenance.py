@@ -224,10 +224,11 @@ class StorageBalancer:
                     shed_instead = self._shed_due()
                     return
                 middle = (len(ordered) - 1) // 2
-                split_key = ordered[middle].skv
-                lower_items = ordered[: middle + 1]
+                split_key = ordered[middle]
                 if split_key == self.ring.value:
                     return  # degenerate: the split would take the whole range
+                # The handed-over prefix, snapshotted under the lock.
+                lower_items = self.store.items.items_at(ordered[: middle + 1])
                 range_low = base
                 # The new peer inserts right before us: address the join at
                 # the closest known predecessor of the split key (the pred
@@ -562,10 +563,10 @@ class StorageBalancer:
                 # The receiver would join already underflowed and merge right
                 # back out -- a churn loop, not a rebalance.
                 return {"ok": False, "reason": "underloaded"}
-            lower_items = ordered[:give]
-            split_key = lower_items[-1].skv
+            split_key = ordered[give - 1]
             if split_key == self.ring.value:
                 return {"ok": False, "reason": "degenerate"}
+            lower_items = self.store.items.items_at(ordered[:give])
             join_via = self.ring.join_contact_for(split_key)
             completion = self.node.sim.event()
             self._pending_split = {
@@ -797,17 +798,19 @@ class StorageBalancer:
         return base
 
     def _split_candidates(self) -> list:
-        """Items a split could legitimately hand to a new ring member.
+        """Keys of the items a split could legitimately hand to a new ring member.
 
-        The items on the arc from :meth:`_split_base` to the peer's own value,
-        in clockwise order from the base (a split hands over a prefix).  Items
+        The keys on the arc from :meth:`_split_base` to the peer's own value,
+        in clockwise order from the base (a split hands over a prefix).  Keys
         at or below the base (strays stranded by a boundary move, or items the
         ring's current predecessor already claims) are excluded -- a split
-        keyed on one of them can never complete.
+        keyed on one of them can never complete.  Keys, not items: callers
+        count them and pick a split key, and build items only for the prefix
+        they hand over.
         """
         if self.store.range is None:
             return []
-        return self.store.items.arc_items(self._split_base(), self.ring.value)
+        return self.store.items.arc_keys(self._split_base(), self.ring.value)
 
     def split_feasible(self) -> bool:
         """Whether an overflow split could currently be accepted by the ring.

@@ -25,13 +25,17 @@ samples exist), which the RTT-scaled cadence controllers in
 
 Scalability notes
 -----------------
-* The RPC expiry timer goes through the clock's
-  ``schedule_timer``/``cancel_timer`` API and is cancelled as soon as the
-  reply is delivered.  Under churn-free operation nearly every call completes
-  in milliseconds while its timer spans the full ``rpc_timeout``; without
-  cancellation those dead timers dominate the event queue of large
-  deployments.  A cancel tombstones the heap entry in place.
-* The per-RPC bookkeeping records -- expiry arguments, delivery/reply
+* The RPC expiry is *lazy*.  A call reserves the expiry's place in the
+  engine's ``(time, seq)`` order (its deadline and a seq taken at once) but
+  pushes the heap entry only when the reply can no longer be counted on: the
+  request or the reply is dropped, either is posted to land at or after the
+  deadline, the destination is missing or dead on delivery, or the handler
+  is a generator (armed as soon as it starts).  An entry pushed before its
+  time with an older seq sorts exactly where an eager one would, so no
+  simulated number moves; a call answered in time -- nearly every call on a
+  settled ring -- costs the heap nothing for its expiry.  An armed expiry
+  is cancelled (tombstoned in place) when the reply wins.
+* The per-RPC bookkeeping records -- expiry records, delivery/reply
   transfer records, reply continuations and :class:`RpcRequest` objects --
   are recycled through freelists, so steady-state RPC traffic allocates only
   the caller-visible reply :class:`Event`.
@@ -251,22 +255,26 @@ class _ReplyHandle:
     Replaces the per-RPC closure the network used to allocate; instances are
     recycled through ``Network._reply_free`` after their single invocation.
     A handle abandoned without being called (its node died mid-handler) is
-    simply dropped to the garbage collector.
+    simply dropped; reference counting frees it.
     """
 
-    __slots__ = ("net", "request", "result", "timer")
+    __slots__ = ("net", "request", "result", "pending")
 
     def __init__(self, net: "Network"):
         self.net = net
         self.request: Optional[RpcRequest] = None
         self.result: Optional[Event] = None
-        self.timer: Optional[list] = None
+        self.pending: Optional[list] = None
 
     def __call__(self, value: Any, error: Optional[BaseException]) -> None:
-        """Transmit the reply message (or lose it) and recycle the records."""
+        """Transmit the reply message (or lose it) and recycle the records.
+
+        ``pending`` is the call's expiry record, read only while ``result``
+        has not fired: once it has, the record may be serving another call.
+        """
         net = self.net
-        request, result, timer = self.request, self.result, self.timer
-        self.request = self.result = self.timer = None
+        request, result, pending = self.request, self.result, self.pending
+        self.request = self.result = self.pending = None
         net._reply_free.append(self)
         source, destination = request.destination, request.source
         request.payload = None
@@ -276,11 +284,15 @@ class _ReplyHandle:
         prob = net.config.drop_probability
         if prob > 0 and net.rng.random() < prob:
             stats.messages_dropped += 1
+            if not result._triggered:
+                net._arm(pending)
             return
         # A ConstantLatency batch delivers several messages in one entry, so
         # only a reply that is its own entry may settle its caller in place.
         deliver = net._deliver_reply if net._fixed_latency is None else net._deliver_batched_reply
-        net._post(source, destination, deliver, result, timer, value, error)
+        arrival = net._post(source, destination, deliver, result, pending, value, error)
+        if not result._triggered and arrival >= pending[3]:
+            net._arm(pending)  # too late: at a tie the expiry's older seq wins
 
 
 # Metric series fed to an attached collector under a LanWanLatency model.
@@ -318,12 +330,13 @@ class Network:
         self._next_request_id = 0
         # Pending same-instant delivery batches, keyed on absolute delivery time.
         self._batches: Dict[float, List[Tuple[Callable[[Any], None], Any]]] = {}
-        # The clock's timer API, bound once: it sits on the per-RPC path.
-        self._schedule_timer = sim.schedule_timer
+        # The clock's cancel, bound once: it sits on the per-RPC path.
         self._cancel_timer = sim.cancel_timer
         # Freelists recycling the per-RPC bookkeeping records, so steady-state
-        # traffic allocates only the caller-visible reply Event.
-        self._expiry_free: List[list] = []  # [result, method, destination]
+        # traffic allocates only the caller-visible reply Event.  An expiry
+        # record is [result, method, destination, deadline, seq, entry]; entry
+        # is the armed heap entry, or None while the expiry is not pushed.
+        self._expiry_free: List[list] = []
         self._transfer_free: List[list] = []  # 4-slot delivery/reply records
         self._reply_free: List[_ReplyHandle] = []
         self._request_free: List[RpcRequest] = []
@@ -421,12 +434,13 @@ class Network:
     def _post(
         self, source: str, destination: str, deliver: Callable[[list], None],
         a: Any, b: Any, c: Any, d: Any,
-    ) -> None:
+    ) -> float:
         """Queue ``deliver([a, b, c, d])`` one latency draw from now.
 
         The whole per-message path in one frame: transfer record, latency,
         engine entry.  Entries are pushed straight onto the simulator's heap
         in its ``[time, seq, func, arg]`` shape (what ``schedule_at`` does).
+        Returns the delivery instant.
         """
         free = self._transfer_free
         if free:
@@ -449,7 +463,7 @@ class Network:
                 sim.schedule_at(time, self._run_batch, time)
                 stats.delivery_batches += 1
             batch.append((deliver, transfer))
-            return
+            return time
         span = self._uniform_span
         if span is not None:
             latency = self._uniform_low + span * self.rng.random()
@@ -461,7 +475,9 @@ class Network:
                 raise SimulationError(f"cannot deliver in the past (latency={latency})")
         stats.delivery_batches += 1
         sim._sequence += 1
-        heappush(sim._queue, [sim._now + latency, sim._sequence, deliver, transfer])
+        time = sim._now + latency
+        heappush(sim._queue, [time, sim._sequence, deliver, transfer])
+        return time
 
     def _run_batch(self, time: float) -> None:
         for deliver, transfer in self._batches.pop(time):
@@ -485,7 +501,10 @@ class Network:
         config = self.config
         if timeout is None:
             timeout = config.rpc_timeout
-        result = Event(self.sim)
+        elif timeout < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={timeout})")
+        sim = self.sim
+        result = Event(sim)
         stats = self.stats
         stats.rpc_calls += 1
         per_method = stats.per_method
@@ -496,21 +515,26 @@ class Network:
             per_site = stats.per_site_rpcs
             per_site[key] = per_site.get(key, 0) + 1
         self._next_request_id += 1
+        # The expiry takes its seq now and its heap entry only if it needs one.
+        sim._sequence += 1
+        deadline = sim._now + timeout
         free = self._expiry_free
         if free:
             pending = free.pop()
             pending[0] = result
             pending[1] = method
             pending[2] = destination
+            pending[3] = deadline
+            pending[4] = sim._sequence
         else:
-            pending = [result, method, destination]
-        timer = self._schedule_timer(timeout, self._expire, pending)
+            pending = [result, method, destination, deadline, sim._sequence, None]
         if self.observer is not None:
             self.observer.rpc_issued(source, destination, method)
         stats.messages_sent += 1
         prob = config.drop_probability
         if prob > 0 and self.rng.random() < prob:
             stats.messages_dropped += 1
+            self._arm(pending)
         else:
             free = self._request_free
             if free:
@@ -522,7 +546,10 @@ class Network:
                 request.request_id = self._next_request_id
             else:
                 request = RpcRequest(source, destination, method, payload, self._next_request_id)
-            self._post(source, destination, self._deliver_request, request, result, timer, None)
+            if self._post(
+                source, destination, self._deliver_request, request, result, pending, None
+            ) >= deadline:
+                self._arm(pending)
         return result
 
     def cast(self, source: str, destination: str, method: str, payload: Any = None) -> None:
@@ -572,10 +599,21 @@ class Network:
         request.payload = None
         self._request_free.append(request)
 
+    def _arm(self, pending: list) -> None:
+        """Push the call's expiry entry, once: its reply can no longer be counted on.
+
+        Every caller arms in the call's own action or while the clock is
+        short of the deadline (a message due at or after it armed the expiry
+        when it was posted), so the entry, with the seq the call reserved,
+        fires exactly when an eager one would: the engine's reserved-seq rule.
+        """
+        if pending[5] is None:
+            pending[5] = entry = [pending[3], pending[4], self._expire, pending]
+            heappush(self.sim._queue, entry)
+
     def _expire(self, pending: list) -> None:
-        result, method, destination = pending
-        pending[0] = None
-        pending[2] = None
+        result, method, destination = pending[0], pending[1], pending[2]
+        pending[0] = pending[2] = pending[5] = None
         self._expiry_free.append(pending)
         if not result._triggered:
             if self.observer is not None:
@@ -585,20 +623,25 @@ class Network:
             result._trigger_last(False, RpcTimeout(f"{method} -> {destination} timed out"))
 
     def _deliver_request(self, transfer: list) -> None:
-        request, result, timer = transfer[0], transfer[1], transfer[2]
+        request, result, pending = transfer[0], transfer[1], transfer[2]
         transfer[0] = transfer[1] = transfer[2] = None
         self._transfer_free.append(transfer)
         node = self._nodes.get(request.destination)
         if node is None or not node.alive:
             # A dead or missing peer never answers; the caller times out.
             self._recycle_request(request)
+            if not result._triggered:
+                self._arm(pending)
             return
         free = self._reply_free
         reply = free.pop() if free else _ReplyHandle(self)
         reply.request = request
         reply.result = result
-        reply.timer = timer
+        reply.pending = pending
         node._handle_rpc(request, reply)
+        if reply.result is result and not result._triggered:
+            # Not answered yet (a generator handler): it may answer too late.
+            self._arm(pending)
 
     def _deliver_cast(self, transfer: list) -> None:
         request = transfer[0]
@@ -621,21 +664,20 @@ class Network:
         (``in_place=False``) the waiter queues: the rest of the batch is
         delivered first, as before.
         """
-        result, timer, value, error = transfer
+        result, pending, value, error = transfer
         transfer[0] = transfer[1] = transfer[2] = transfer[3] = None
         self._transfer_free.append(transfer)
         if result._triggered:
-            # The expiry timer won the race: the caller already holds its
+            # The expiry won the race: the caller already holds its
             # RpcTimeout, and the late reply is dropped.
             return
-        # The reply made it first: reclaim the timer and its expiry record.
-        pending = self._cancel_timer(timer)
-        if pending is not None:
-            if self.observer is not None:
-                self.observer.rpc_completed(pending[2])
-            pending[0] = None
-            pending[2] = None
-            self._expiry_free.append(pending)
+        # The reply made it first: cancel an armed expiry, reclaim the record.
+        if pending[5] is not None:
+            self._cancel_timer(pending[5])
+        if self.observer is not None:
+            self.observer.rpc_completed(pending[2])
+        pending[0] = pending[2] = pending[5] = None
+        self._expiry_free.append(pending)
         if in_place:
             if error is None:
                 result._trigger_last(True, value)

@@ -10,7 +10,7 @@ def test_recorder_assigns_monotonic_ids_and_times():
     sim = Simulator()
     recorder = HistoryRecorder(sim)
     first = recorder.record("a", peer="p1")
-    sim._schedule(1.0, lambda: None)
+    sim.schedule(1.0, lambda _: None)
     sim.run()
     second = recorder.record("b", peer="p2", extra=1)
     assert first.op_id < second.op_id

@@ -165,6 +165,7 @@ def test_property_arc_queries_match_the_clockwise_distance_rescan(keys, low, hig
     off_arc = [key for key in sorted(keys) if _clockwise_distance(key, low) > own]
     clockwise = sorted(on_arc, key=lambda key: _clockwise_distance(key, low))
     assert [item.skv for item in store.arc_items(low, high)] == clockwise
+    assert store.arc_keys(low, high) == clockwise
     assert [item.skv for item in store.off_arc_items(low, high)] == off_arc
     assert store.any_off_arc(low, high) == bool(off_arc)
 
@@ -194,3 +195,17 @@ def test_arc_with_equal_ends_is_the_whole_circle():
     assert [item.skv for item in store.arc_items(5.0, 5.0)] == [9.0, 1.0, 5.0]
     assert store.off_arc_items(5.0, 5.0) == []
     assert not store.any_off_arc(5.0, 5.0)
+
+
+@pytest.mark.parametrize("keys, low, high", [
+    pytest.param((1.0, 5.0, 9.0), 7.0, 3.0, id="wrapping"),
+    pytest.param((1.0, 5.0, 9.0), 5.0, 5.0, id="full"),
+    pytest.param((1.0, 5.0, 9.0), 6.0, 8.0, id="empty"),
+    pytest.param((), 6.0, 8.0, id="empty_store"),
+])
+def test_arc_keys_are_the_keys_of_the_arc_items(keys, low, high):
+    store = ItemStore(Item(key) for key in keys)
+    items = store.arc_items(low, high)
+    on_arc = store.arc_keys(low, high)
+    assert on_arc == [item.skv for item in items]
+    assert store.items_at(on_arc) == items

@@ -4,6 +4,7 @@ They pin the semantics contract of the "Contract: the event engine" section
 of docs/ARCHITECTURE.md: ordering, accounting and the timer API.
 """
 
+import gc
 import random
 
 import pytest
@@ -101,7 +102,7 @@ def test_event_succeed_carries_value(sim):
         seen.append(value)
 
     sim.process(proc())
-    sim._schedule(1.0, lambda: event.succeed("payload"))
+    sim.schedule(1.0, lambda _: event.succeed("payload"))
     sim.run()
     assert seen == ["payload"]
 
@@ -130,7 +131,7 @@ def test_event_failure_raises_in_waiter(sim):
             caught.append(str(error))
 
     sim.process(proc())
-    sim._schedule(0.5, lambda: event.fail(ValueError("boom")))
+    sim.schedule(0.5, lambda _: event.fail(ValueError("boom")))
     sim.run()
     assert caught == ["boom"]
 
@@ -217,7 +218,7 @@ def test_interrupt_terminates_waiting_process(sim):
         progressed.append("should not happen")
 
     process = sim.process(proc())
-    sim._schedule(1.0, lambda: process.interrupt("killed"))
+    sim.schedule(1.0, lambda _: process.interrupt("killed"))
     sim.run()
     assert progressed == []
     assert process.triggered
@@ -234,7 +235,7 @@ def test_interrupt_can_be_caught(sim):
             caught.append(interrupt.cause)
 
     process = sim.process(proc())
-    sim._schedule(2.0, lambda: process.interrupt("reason"))
+    sim.schedule(2.0, lambda _: process.interrupt("reason"))
     sim.run()
     assert caught == ["reason"]
 
@@ -296,7 +297,7 @@ def test_stale_wakeup_after_interrupt_is_ignored(sim):
             steps.append("second wait done")
 
     process = sim.process(proc())
-    sim._schedule(1.0, lambda: process.interrupt())
+    sim.schedule(1.0, lambda _: process.interrupt())
     sim.run()
     assert steps == ["interrupted", "second wait done"]
 
@@ -648,3 +649,74 @@ def test_fail_drops_the_stale_wakeup_of_a_sleeping_every_loop(sim):
     # The fail entry, the interrupt thrown into the loop (its end calls its one
     # callback in place), and the 3.0 s wakeup, dropped as stale.
     assert sim.events_processed - events == 3
+
+
+# ------------------------------------------------------------ the paused collector
+def _sleeper(sim):
+    yield sim.timeout(2.0)
+
+
+_ENTRY_POINTS = {
+    "run": lambda sim: sim.run(),
+    "run_until": lambda sim: sim.run_until(sim.timeout(2.0)),
+    "run_process": lambda sim: sim.run_process(_sleeper(sim)),
+}
+
+
+@pytest.fixture
+def collector_setting():
+    """Put the collector back as the suite had it, whatever the test did."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller_on", "caller_off"])
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "action_raises"])
+def test_a_run_pauses_the_collector_and_restores_the_callers_setting(
+    collector_setting, entry, enabled, raises
+):
+    sim = Simulator()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    seen = []
+
+    def action(_):
+        seen.append(gc.isenabled())
+        if raises:
+            raise ValueError("action failed")
+
+    sim.schedule(1.0, action)
+    if raises:
+        with pytest.raises(ValueError, match="action failed"):
+            _ENTRY_POINTS[entry](sim)
+    else:
+        _ENTRY_POINTS[entry](sim)
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_an_uncaught_interrupt_is_kept_without_its_traceback():
+    """Its traceback would hold the process through a frame: a reference cycle.
+    A real error keeps its traceback, since ``run_process`` re-raises it."""
+    sim = Simulator()
+
+    def waiting():
+        yield sim.timeout(10.0)
+
+    def failing():
+        yield sim.timeout(1.0)
+        raise RuntimeError("inner failure")
+
+    killed = sim.process(waiting())
+    failed = sim.process(failing())
+    sim.schedule(1.0, lambda _: killed.interrupt("killed"))
+    sim.run()
+    assert isinstance(killed.value, Interrupt) and killed.value.__traceback__ is None
+    assert isinstance(failed.value, RuntimeError) and failed.value.__traceback__ is not None

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.network import (
     ConstantLatency,
     LatencyModel,
@@ -522,3 +522,106 @@ def test_attribute_handler_attached_after_first_use_of_another_method(env):
     assert sim.run_process(proc("late")) == {"late": {"x": 1}}
     b.register_handler("late", lambda payload, request: {"registered": True})
     assert sim.run_process(proc("late")) == {"registered": True}
+
+
+# ------------------------------------------- the lazy expiry: when the caller times out
+class _Draws:
+    """A stand-in rng: ``random()`` returns the given values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def _lone_call(model, timeout, method="echo", payload=None, drops=(), dead=False,
+               fail_at=None, cast_first=False):
+    """One caller, one RPC from ``a`` to ``b``; what the caller saw and what it cost.
+
+    ``drops`` scripts the loss draws (below 0.5 loses the message: the request
+    draws first, then the reply).  ``cast_first`` casts to ``b`` just before
+    the call, so under ``ConstantLatency`` the request joins an older batch.
+    """
+    sim = Simulator()
+    config = NetworkConfig(latency_model=model, drop_probability=0.5 if drops else 0.0)
+    network = Network(sim, _Draws(*drops) if drops else random.Random(5), config)
+    completed = []
+
+    class Observer:
+        def rpc_issued(self, source, destination, method):
+            pass
+
+        def rpc_completed(self, destination):
+            completed.append((sim.now, destination))
+
+    network.observer = Observer()
+    a = EchoNode(sim, network, "a")
+    b = EchoNode(sim, network, "b")
+    if dead:
+        b.fail()
+    if fail_at is not None:
+        sim.schedule(fail_at, lambda _: b.fail())
+    seen = []
+
+    def caller():
+        if cast_first:
+            a.cast("b", "echo", None)
+        try:
+            reply = yield a.call("b", method, payload, timeout=timeout)
+        except RpcTimeout:
+            seen.append(("timeout", sim.now))
+        else:
+            seen.append((reply, sim.now))
+
+    sim.process(caller())
+    sim.run()
+    return seen, sim.events_processed, network.stats.rpc_timeouts, completed
+
+
+SLOW = {"delay": 1.0}
+
+
+# Each case pins what the caller saw, when, and the events the run took, as
+# they were while every call pushed its expiry entry at once: arming it lazily
+# must move none of them.
+@pytest.mark.parametrize("model, timeout, kwargs, seen, events", [
+    # The expiry is the only way the call can end: armed when that is known.
+    pytest.param(ConstantLatency(0.002), 0.5, {"dead": True}, ("timeout", 0.5), 3,
+                 id="dead_destination"),
+    pytest.param(ConstantLatency(0.002), 0.5, {"drops": (0.0,)}, ("timeout", 0.5), 2,
+                 id="dropped_request"),
+    pytest.param(ConstantLatency(0.002), 0.5, {"drops": (0.9, 0.0)}, ("timeout", 0.5), 3,
+                 id="dropped_reply"),
+    pytest.param(_FixedButSampled(), 0.5, {"method": "slow", "payload": SLOW},
+                 ("timeout", 0.5), 6, id="generator_outlives_the_timeout"),
+    pytest.param(_FixedButSampled(), 2.0,
+                 {"method": "slow", "payload": SLOW, "fail_at": 0.5},
+                 ("timeout", 2.0), 7, id="destination_fails_mid_handler"),
+    # A reply landing exactly on the deadline loses: the expiry's seq is older.
+    pytest.param(ConstantLatency(0.25), 0.5, {}, ("timeout", 0.5), 4,
+                 id="constant_reply_on_the_deadline"),
+    pytest.param(ConstantLatency(0.25), 0.5 + 1e-9, {}, ({"echo": None, "me": "b"}, 0.5), 4,
+                 id="constant_reply_just_before_the_deadline"),
+    pytest.param(ConstantLatency(0.01), 0.004, {}, ("timeout", 0.004), 4,
+                 id="timeout_shorter_than_one_way_latency"),
+    # The request shares an older batch at the deadline: it is delivered (and
+    # answered) before the expiry, which was armed when the call was made.
+    pytest.param(ConstantLatency(0.25), 0.25, {"cast_first": True}, ("timeout", 0.25), 4,
+                 id="request_in_an_older_batch_at_the_deadline"),
+    pytest.param(ConstantLatency(0.25), 0.25,
+                 {"cast_first": True, "method": "slow", "payload": SLOW},
+                 ("timeout", 0.25), 6, id="generator_request_in_an_older_batch_at_the_deadline"),
+])
+def test_a_call_settles_when_an_eagerly_armed_expiry_would(model, timeout, kwargs, seen, events):
+    got, processed, timeouts, completed = _lone_call(model, timeout, **kwargs)
+    assert got == [seen]
+    assert processed == events
+    assert timeouts == (seen[0] == "timeout")
+    assert completed == [(seen[1], "b")]  # exactly one completion, when the caller settles
+
+
+def test_a_negative_call_timeout_is_rejected(env):
+    sim, network, a, b = env
+    with pytest.raises(SimulationError, match="in the past"):
+        a.call("b", "echo", {}, timeout=-0.1)
