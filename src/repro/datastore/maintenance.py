@@ -18,18 +18,19 @@ maintenance operations:
   (availability-preserving or naive, per configuration), and returns itself to
   the free-peer pool.
 
-Two repair paths complement the three paper operations (see
-docs/ARCHITECTURE.md, "Shed and rebalance"):
+One repair path complements the three paper operations (see
+docs/ARCHITECTURE.md, "Contract: reachability and the stranded-item shed"):
 
 * **Shed** -- the periodic check routes *ring-stranded* copies (items below
   the effective ring boundary after a half-completed split; counted by
   ``total_stored_items()`` but invisible to ``scan_range``) back to their
   responsible owner through the normal store path, and drops the local copy
   only after a version-checked ack.
-* **Bulk transfer** -- ``ds_bulk_get`` / ``ds_bulk_put`` let the global
-  rebalancer (:class:`repro.datastore.rebalance.GlobalRebalancer`) move the
-  lower slice of a loaded peer's range onto a FREE peer with move-then-delete
-  ordering, reusing the split's pending-transfer/confirmation machinery.
+
+A FREE peer enters the ring only through a split, and a split starts only
+when a store holds more than ``2*sf`` items.  The split is move-then-delete:
+the splitter drops the handed-over slice only after the new peer has joined
+and confirmed, so a crash on either side loses nothing.
 
 The merge path is exactly what Figure 22 measures and what the availability
 ablations stress.
@@ -129,8 +130,6 @@ class StorageBalancer:
         node.register_handler("ds_split_complete", self._handle_split_complete)
         node.register_handler("ds_redistribute_request", self._handle_redistribute_request)
         node.register_handler("ds_absorb_items", self._handle_absorb_items)
-        node.register_handler("ds_bulk_get", self._handle_bulk_get)
-        node.register_handler("ds_bulk_put", self._handle_bulk_put)
 
         # Periodic safety net: re-check thresholds in case a triggered attempt
         # aborted (no free peers, busy successor, transient failures).
@@ -430,12 +429,7 @@ class StorageBalancer:
                 yield self.node.call(new_peer, "ds_remove_item", {"skv": skv})
             except RpcError:
                 pass
-        finished = (
-            "rebalance_finished"
-            if pending.get("kind") == "rebalance"
-            else "split_finished"
-        )
-        self._record_op(finished, new_peer=new_peer, split_key=split_key)
+        self._record_op("split_finished", new_peer=new_peer, split_key=split_key)
         self._pending_split = None
 
     def note_local_delete(self, skv: float) -> None:
@@ -522,108 +516,6 @@ class StorageBalancer:
             self._balancing = False
             if shed:
                 self._record_metric("shed", shed)
-
-    # ------------------------------------------------------------------ bulk transfer
-    def _handle_bulk_get(self, payload, request):
-        """RPC: start a move-then-delete bulk transfer out of this peer.
-
-        The global rebalancer asks this (loaded) peer to give up the lower
-        slice of its range to ``new_peer``.  Nothing is deleted here: the
-        items are *copied* out and a pending transfer is recorded, exactly as
-        in phase 1 of a split.  The delete phase only runs once the receiver
-        has joined the ring and confirmed via ``ds_split_complete``; if it
-        never does, the waiter times out and this peer keeps serving
-        everything it holds.
-        """
-        if (
-            self._balancing
-            or self._pending_split is not None
-            or not self.store.active
-            or self.store.range is None
-        ):
-            return {"ok": False, "reason": "busy"}
-        new_peer = payload.get("new_peer")
-        if not new_peer:
-            return {"ok": False, "reason": "bad_request"}
-        yield self.store.range_lock.acquire_write()
-        try:
-            if (
-                self._balancing
-                or self._pending_split is not None
-                or not self.store.active
-                or self.store.range is None
-            ):
-                return {"ok": False, "reason": "busy"}
-            sf = self.config.storage_factor
-            base = self._split_base()
-            ordered = self._split_candidates()
-            requested = int(payload.get("max_items", sf))
-            give = min(requested, len(ordered) - sf, self.store.item_count() - sf)
-            if give < sf:
-                # The receiver would join already underflowed and merge right
-                # back out -- a churn loop, not a rebalance.
-                return {"ok": False, "reason": "underloaded"}
-            split_key = ordered[give - 1]
-            if split_key == self.ring.value:
-                return {"ok": False, "reason": "degenerate"}
-            lower_items = self.store.items.items_at(ordered[:give])
-            join_via = self.ring.join_contact_for(split_key)
-            completion = self.node.sim.event()
-            self._pending_split = {
-                "new_peer": new_peer,
-                "split_key": split_key,
-                "range_low": base,
-                "transferred": {item.skv for item in lower_items},
-                "deleted_during": set(),
-                "event": completion,
-                "kind": "rebalance",
-            }
-        finally:
-            self.store.range_lock.release_write()
-        self._record_op(
-            "rebalance_out",
-            new_peer=new_peer,
-            split_key=split_key,
-            count=len(lower_items),
-        )
-        self.node.spawn(self._await_bulk_transfer(completion), name="ds-bulk-wait")
-        return {
-            "ok": True,
-            "value": split_key,
-            "range": (base, split_key, False),
-            "items": items_to_wire(lower_items),
-            "join_via": join_via,
-            "notify": self.address,
-        }
-
-    def _handle_bulk_put(self, payload, request):
-        """RPC: absorb a bulk range move (at a FREE peer) and join the ring.
-
-        The payload is exactly an activation -- value, range, items, join
-        contact, splitter to notify -- so the join/rollback choreography (and
-        its failure handling) is shared with splits.
-        """
-        return self._handle_activate(payload, request)
-
-    def _await_bulk_transfer(self, completion):
-        """Waiter for a rebalance-out: run the delete phase or abandon the move."""
-        pending = self._pending_split
-        self._balancing = True
-        try:
-            deadline = self.node.sim.timeout(self.config.leave_ack_timeout + 30.0)
-            yield self.node.sim.any_of([completion, deadline])
-            if not completion.triggered:
-                # Move-then-delete: the receiver never confirmed, nothing has
-                # been deleted -- drop the pending transfer and keep serving.
-                self._record_op(
-                    "rebalance_timed_out",
-                    new_peer=pending["new_peer"] if pending else None,
-                )
-                self._pending_split = None
-                return
-            yield from self._finish_split()
-        finally:
-            self._balancing = False
 
     # ------------------------------------------------------------------ merge / redistribute
     def maybe_merge(self):

@@ -642,27 +642,6 @@ register(_adaptive_variant("scale_300"))
 register(_adaptive_variant("scale_1000"))
 register(_adaptive_variant("scale_5000"))
 
-# ---- global rebalancer ------------------------------------------------------
-# The saturation cell with the global rebalancer: at 5000 peers the average
-# store sits just under the overflow threshold, so ~800 peers finish FREE
-# (dead capacity -- nothing ever overflows hard enough to recruit them).  The
-# rebalancer bulk-moves range slices from the most loaded members onto free
-# peers (move-then-delete via ds_bulk_get/ds_bulk_put); the BENCH envelope's
-# ``free_peers`` aggregate is the observable.  Any IndexConfig flag can be set
-# the same way on other cells via the spec's ``config`` mapping.
-_scale_5000_adaptive = get_scenario("scale_5000_adaptive")
-register(
-    _scale_5000_adaptive.with_(
-        name="scale_5000_rebalance",
-        description="5000-peer adaptive cell with the global rebalancer harvesting FREE peers",
-        config={
-            **dict(_scale_5000_adaptive.config),
-            "rebalance_enabled": True,
-            "rebalance_batch": 64,
-        },
-    )
-)
-
 register_suite(
     ScenarioSuite(
         name="scale_sweep",
@@ -685,9 +664,8 @@ register_suite(
             "scale_3000",
             "scale_5000",
             "scale_5000_adaptive",
-            "scale_5000_rebalance",
         ),
-        description="the 3000/5000-peer cells (hours-scale; the weekly deep bench), including the rebalancer/reachability cell",
+        description="the 3000/5000-peer cells (hours-scale; the weekly deep bench)",
         bench_name="scale_deep",
     )
 )

@@ -44,22 +44,11 @@ class IndexConfig:
     # it is what keeps ``items_reachable == items_stored``.
     shed_stranded: bool = True
 
-    # --- Global rebalancer ------------------------------------------------------
-    # A background coordinator that harvests FREE peers by bulk-moving key
-    # ranges off loaded ring members (move-then-delete; see
-    # docs/ARCHITECTURE.md "Shed and rebalance").  Off by default: only the
-    # saturation-scale cells enable it.
-    rebalance_enabled: bool = False
-    rebalance_period: float = 8.0  # base cadence between rebalancer rounds
-    rebalance_backoff_max: float = 8.0  # idle rounds back off up to base*this
-    rebalance_batch: int = 16  # max range moves attempted per round
-
     # --- Replication Manager ---------------------------------------------------
     replication_factor: int = 6
     replication_refresh_period: float = 4.0
 
     # --- Content Router ----------------------------------------------------------
-    router: str = "hierarchical"  # "hierarchical" or "linear"
     router_refresh_period: float = 4.0
     router_table_size: int = 16
 
@@ -129,14 +118,6 @@ class IndexConfig:
             raise ValueError("replication_factor must be >= 0")
         if self.key_space <= 0:
             raise ValueError("key_space must be positive")
-        if self.rebalance_period <= 0:
-            raise ValueError("rebalance_period must be positive")
-        if self.rebalance_backoff_max < 1.0:
-            raise ValueError("rebalance_backoff_max must be >= 1")
-        if self.rebalance_batch < 1:
-            raise ValueError("rebalance_batch must be >= 1")
-        if self.router not in ("hierarchical", "linear"):
-            raise ValueError(f"unknown router {self.router!r}")
         if self.transport not in TRANSPORT_NAMES:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {', '.join(TRANSPORT_NAMES)}"

@@ -28,7 +28,7 @@ from repro.datastore.store import DataStore
 from repro.index.config import IndexConfig
 from repro.replication.cfs import ReplicationManager
 from repro.ring.chord import ChordRing
-from repro.router import make_router
+from repro.router import HierarchicalRingRouter
 from repro.serve.handlers import ServeHandler
 from repro.transport import Endpoint
 
@@ -59,7 +59,7 @@ class IndexPeer(Endpoint):
         self.replication = ReplicationManager(
             self, self.ring, self.store, config, metrics=metrics, history=history
         )
-        self.router = make_router(
+        self.router = HierarchicalRingRouter(
             self, self.ring, self.store, config, metrics=metrics, history=history
         )
         self.balancer = StorageBalancer(

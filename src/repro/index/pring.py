@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 from repro.core.correctness import QueryRecord, ReachabilityAudit, audit_reachability
 from repro.core.histories import HistoryRecorder
 from repro.datastore.maintenance import FreePeerPool
-from repro.datastore.rebalance import GlobalRebalancer
 from repro.harness.metrics import Metrics
 from repro.index.config import IndexConfig, default_config
 from repro.index.membership import MembershipIndex
@@ -69,19 +68,6 @@ class PRingIndex:
         self._clients: Dict[tuple, QueryClient] = {}
         self._next_peer = 0
         self._bootstrapped = False
-        # Optional background coordinator harvesting FREE peers (off unless
-        # the configuration enables it; see docs/ARCHITECTURE.md).
-        self.rebalancer: Optional[GlobalRebalancer] = None
-        if self.config.rebalance_enabled:
-            self.rebalancer = GlobalRebalancer(
-                sim=self.sim,
-                network=self.network,
-                membership=self.membership,
-                pool_address=self.pool.address,
-                config=self.config,
-                metrics=self.metrics,
-                history=self.history,
-            )
 
     # ------------------------------------------------------------------ peers
     def _new_address(self) -> str:

@@ -24,12 +24,11 @@ over an order-preserving, skew-tolerant key assignment.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.index.config import IndexConfig
 from repro.ring.chord import RingListener
 from repro.ring.entries import JOINED
-from repro.router.linear import LinearRouter
 from repro.transport import RpcError
 
 # How many table pointers a peer offers per probe, farthest first, before its
@@ -58,11 +57,16 @@ class _RefreshTightener(RingListener):
         self.cadence.note_failure()
 
 
-class HierarchicalRingRouter(LinearRouter):
+class HierarchicalRingRouter:
     """Logarithmic-hop router built by pointer doubling."""
 
     def __init__(self, node, ring, store, config: IndexConfig, metrics=None, history=None):
-        super().__init__(node, ring, store, config, metrics=metrics, history=history)
+        self.node = node
+        self.ring = ring
+        self.store = store
+        self.config = config
+        self.metrics = metrics
+        self.history = history
         # table[i] = (address, value) of the peer ~2**i positions clockwise;
         # clockwise distances strictly increase with the level.
         self.table: List[Tuple[str, float]] = []
@@ -84,6 +88,18 @@ class HierarchicalRingRouter(LinearRouter):
             name="router-refresh",
             initial_delay=config.router_refresh_period,
         )
+
+    # ------------------------------------------------------------------ helpers
+    def _record_route(self, key: float, hops: int, found: Optional[str]) -> None:
+        if self.history is not None:
+            self.history.record(
+                "route", peer=self.node.address, key=key, hops=hops, found=found
+            )
+        if self.metrics is not None:
+            self.metrics.record("route_hops", hops)
+
+    def _local_owner(self, key: float) -> bool:
+        return self.store.owns_key(key)
 
     # ------------------------------------------------------------------ table maintenance
     def _joined_successors(self) -> List[Tuple[str, float]]:
@@ -206,6 +222,21 @@ class HierarchicalRingRouter(LinearRouter):
             reply["next"] = self._next_hops(payload["key"])
         return reply
 
+    def route_until(self, key: float, deadline: float):
+        """Generator: :meth:`find_responsible`, retried while the clock is before ``deadline``.
+
+        A ``None`` route means nobody owns the key right now (its owner just
+        failed, a split is mid-flight); the ring repairs that on its own
+        clock, so callers wait by time -- a query its ``timeout``, a write
+        ``config.repair_horizon`` -- not by attempt count.
+        """
+        while self.node.sim.now < deadline:
+            address = yield from self.find_responsible(key)
+            if address is not None:
+                return address
+            yield self.node.sim.timeout(0.25)
+        return None
+
     def find_responsible(self, key: float):
         """Generator: route to the responsible peer, every hop a table hop.
 
@@ -216,7 +247,7 @@ class HierarchicalRingRouter(LinearRouter):
         skipped for that hop's next candidate -- never for a restart from
         here.  Out of candidates or hop budget the route returns ``None`` at
         once; waiting for the ring to repair is the caller's business
-        (:meth:`~repro.router.linear.LinearRouter.route_until`).
+        (:meth:`route_until`).
         """
         if self._local_owner(key):
             self._record_route(key, 0, self.node.address)

@@ -63,7 +63,7 @@ def zipf_keys(
     a key first draws its slice from the Zipf distribution and then a uniform
     offset inside it.  With ``alpha`` around 1 this reproduces the classic
     web/file-sharing popularity skew and concentrates inserts on a few slices,
-    stressing the split/rebalance machinery far harder than the simple
+    stressing the split/redistribute machinery far harder than the simple
     hot-region skew of :func:`skewed_keys`.
     """
     if alpha <= 0:

@@ -26,7 +26,6 @@ def test_validate_rejects_bad_values():
         {"storage_factor": 0},
         {"replication_factor": -1},
         {"key_space": 0},
-        {"router": "nonsense"},
     ):
         with pytest.raises(ValueError):
             default_config(**overrides)

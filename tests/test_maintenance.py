@@ -4,6 +4,7 @@ import pytest
 
 from repro import PRingIndex, default_config
 from repro.core.correctness import check_consistent_successor_pointers
+from repro.datastore.items import Item
 from tests.conftest import build_cluster
 
 
@@ -51,6 +52,23 @@ def test_no_splits_without_free_peers():
     assert len(index.ring_members()) == 1
     assert index.total_stored_items() == 30
     assert index.history.count("split_deferred") >= 1
+
+
+def test_store_at_the_threshold_recruits_no_free_peer():
+    """The paper's split rule: only a store holding *more* than ``2*sf`` items
+    splits, so a peer at exactly ``2*sf`` leaves an available FREE peer idle."""
+    index = PRingIndex(default_config(seed=65))
+    index.bootstrap()
+    for key in range(100, 200, 10):  # exactly overflow_threshold items
+        index.insert_item_now(float(key))
+        index.run(0.2)
+    (peer,) = index.ring_members()
+    assert peer.store.item_count() == index.config.overflow_threshold
+    index.add_peer()
+    index.run(60.0)
+    assert len(index.ring_members()) == 1
+    assert len(index.free_peers()) == 1
+    assert index.history.count("split_started") == 0
 
 
 def test_no_free_peer_deferral_backs_off():
@@ -112,8 +130,6 @@ def test_ring_stranded_overflow_defers_split_instead_of_spinning():
     (permanently blocking lifecycle quiescence).  Such stores must report no
     split pressure and defer the split before touching the free-peer pool.
     """
-    from repro.datastore.items import Item
-
     # Shed disabled: this test pins the *deferral* behaviour, so the stranded
     # copies must stay put instead of being healed to their responsible owner
     # (tests/test_stranded_shed.py covers the healing path).
@@ -156,6 +172,100 @@ def test_split_base_respects_a_predecessor_inside_the_range():
     peer.ring.pred_address = "peerX"
     peer.ring.pred_value = inside
     assert peer.balancer._split_base() == inside
+
+
+# --------------------------------------------------------------------------- split crash atomicity
+# A split is move-then-delete: the splitter drops the handed-over slice only
+# after the new peer has joined the ring and confirmed (``ds_split_complete``).
+# These tests crash one side inside that window.
+def _serving_copies(index, key):
+    """Live ring members that both own *and* hold ``key`` (split-brain probe)."""
+    return [
+        peer.address
+        for peer in index.ring_members()
+        if peer.store.owns_key(key) and key in peer.store.items.keys()
+    ]
+
+
+def _run_until(index, condition, limit=30.0, step=0.001):
+    deadline = index.sim.now + limit
+    while not condition():
+        assert index.sim.now < deadline, "condition never held"
+        index.run(step)
+
+
+def _split_in_flight(seed):
+    """A settled ring with one split stopped right after ``ds_activate``.
+
+    Returns ``(index, splitter, receiver, transferred keys)``: the receiver
+    holds the lower slice and is joining the ring; the splitter still holds
+    every key and has not heard ``ds_split_complete``.
+    """
+    index, _keys = build_cluster(seed=seed, peers=8)
+    index.add_peer()
+    index.run(5.0)
+    assert index.pool.available() >= 1
+    members = sorted(index.ring_members(), key=lambda p: p.ring.value)
+    splitter = max(members[1:], key=lambda p: len(p.balancer._split_candidates()))
+    # Overflow the splitter with keys it owns, then ask for the split.
+    high = splitter.store.range.high
+    filler = 0
+    while splitter.store.item_count() <= index.config.overflow_threshold:
+        filler += 1
+        key = (high - 0.01 * filler) % index.config.key_space
+        assert splitter.store.owns_key(key)
+        assert splitter.store.items.add(Item(key, payload="filler"))
+    splitter.balancer.schedule_split()
+
+    def activated():
+        pending = splitter.balancer._pending_split
+        return pending is not None and index.peers[pending["new_peer"]].store.active
+
+    _run_until(index, activated)
+    pending = splitter.balancer._pending_split
+    assert not pending["event"].triggered  # no ds_split_complete yet
+    transferred = set(pending["transferred"])
+    assert len(transferred) >= index.config.storage_factor
+    return index, splitter, index.peers[pending["new_peer"]], transferred
+
+
+def test_split_receiver_failure_before_confirming_leaves_splitter_intact():
+    """The receiver dies between ``ds_activate`` and ``ds_split_complete``.
+
+    Nothing was deleted at the splitter, so the split times out and the
+    splitter keeps, and alone serves, every key it handed over.
+    """
+    index, splitter, receiver, transferred = _split_in_flight(seed=64)
+    finished = index.history.count("split_finished")
+    index.fail_peer(receiver.address)
+    _run_until(
+        index,
+        lambda: splitter.balancer._pending_split is None,
+        limit=index.config.leave_ack_timeout + 40.0,
+        step=0.5,
+    )
+    assert not splitter.balancer._balancing
+    assert index.history.count("split_timed_out") == 1
+    assert index.history.count("split_finished") == finished
+    assert transferred <= set(splitter.store.items.keys())
+    for key in transferred:
+        assert _serving_copies(index, key) == [splitter.address], key
+
+
+def test_split_splitter_failure_after_activation_leaves_receiver_owning_the_slice():
+    """The splitter dies right after ``ds_activate``.
+
+    The receiver already holds the whole slice; its confirmation to the dead
+    splitter fails, so it keeps the range and becomes the sole serving owner
+    of every transferred key.
+    """
+    index, splitter, receiver, transferred = _split_in_flight(seed=63)
+    index.fail_peer(splitter.address)
+    # Let the receiver finish its join and the ring stabilize around the crash.
+    index.run(120.0)
+    assert receiver.in_ring
+    for key in transferred:
+        assert _serving_copies(index, key) == [receiver.address], key
 
 
 def test_deletions_cause_merges_and_peers_become_free():

@@ -1,4 +1,4 @@
-"""Tests for the content routers (linear walk and hierarchical pointer table)."""
+"""Tests for the content router (hierarchical pointer table, table-hop routing)."""
 
 import math
 import random
@@ -11,8 +11,6 @@ from repro.harness.scenarios import build_experiment, get_scenario
 from repro.ring.chord import ChordRing
 from repro.ring.entries import JOINED, JOINING, LEAVING, SuccessorEntry
 from repro.router.hierarchical import HierarchicalRingRouter
-from repro.router.linear import LinearRouter
-from repro.router import make_router
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.transport import Endpoint
@@ -24,30 +22,11 @@ def cluster():
     return build_cluster(seed=61, peers=10)
 
 
-def test_make_router_selects_implementation():
-    index, _keys = build_cluster(seed=62, peers=3, keys=[200.0, 220.0, 240.0])
-    peer = index.ring_members()[0]
-    linear = make_router(peer, peer.ring, peer.store, index.config.copy(router="linear"))
-    hierarchical = make_router(peer, peer.ring, peer.store, index.config)
-    assert isinstance(linear, LinearRouter)
-    assert isinstance(hierarchical, HierarchicalRingRouter)
-
-
 def test_hierarchical_routing_finds_owner_for_every_key(cluster):
     index, keys = cluster
     start = index.ring_members()[0]
     for key in keys[::5]:
         found = index.run_process(start.router.find_responsible(key))
-        assert found is not None
-        assert index.peers[found].store.owns_key(key)
-
-
-def test_linear_routing_finds_owner(cluster):
-    index, keys = cluster
-    peer = index.ring_members()[0]
-    linear = LinearRouter(peer, peer.ring, peer.store, index.config)
-    for key in keys[::7]:
-        found = index.run_process(linear.find_responsible(key))
         assert found is not None
         assert index.peers[found].store.owns_key(key)
 

@@ -1,21 +1,19 @@
-"""Edge-case tests for the linear (successor-walking) router.
+"""Edge-case tests for the content router.
 
-The linear router is the fallback path of the hierarchical router, so its
-corner cases -- wrap-around ranges, a single-peer ring, dead successors midway
-through a walk -- must hold even though the happy path is exercised through
-the integration suites.
+Wrap-around ranges, a single-peer ring and dead successors midway through a
+route must hold for the one router every peer runs, even though the happy
+path is exercised through the integration suites.
 """
 
 import pytest
 
 from repro import PRingIndex, default_config
-from repro.router.linear import LinearRouter
 from tests.conftest import build_cluster
 
 
 # --------------------------------------------------------------------------- single-peer ring
 def test_single_peer_ring_owns_every_key():
-    config = default_config(seed=71, router="linear")
+    config = default_config(seed=71)
     index = PRingIndex(config)
     peer = index.bootstrap()
     index.run(5.0)
@@ -27,7 +25,7 @@ def test_single_peer_ring_owns_every_key():
 
 
 def test_single_peer_ring_with_items_routes_inserts_locally():
-    config = default_config(seed=72, router="linear")
+    config = default_config(seed=72)
     index = PRingIndex(config)
     index.bootstrap()
     for key in (100.0, 200.0, 300.0):
@@ -37,8 +35,8 @@ def test_single_peer_ring_with_items_routes_inserts_locally():
 
 # --------------------------------------------------------------------------- wrap-around ranges
 @pytest.fixture(scope="module")
-def linear_cluster():
-    return build_cluster(seed=73, peers=8, router="linear")
+def wrap_cluster():
+    return build_cluster(seed=73, peers=8)
 
 
 def _wrap_peer(index):
@@ -49,13 +47,13 @@ def _wrap_peer(index):
     return None
 
 
-def test_some_range_wraps_the_key_space(linear_cluster):
-    index, _keys = linear_cluster
+def test_some_range_wraps_the_key_space(wrap_cluster):
+    index, _keys = wrap_cluster
     assert _wrap_peer(index) is not None, "a circular ring always has one wrapping range"
 
 
-def test_route_to_key_inside_wrapped_range(linear_cluster):
-    index, _keys = linear_cluster
+def test_route_to_key_inside_wrapped_range(wrap_cluster):
+    index, _keys = wrap_cluster
     wrap = _wrap_peer(index)
     assert wrap is not None
     # Pick one key on each side of the wrap point.
@@ -69,8 +67,8 @@ def test_route_to_key_inside_wrapped_range(linear_cluster):
             assert found == wrap.address
 
 
-def test_route_from_every_member_converges_on_wrap_owner(linear_cluster):
-    index, _keys = linear_cluster
+def test_route_from_every_member_converges_on_wrap_owner(wrap_cluster):
+    index, _keys = wrap_cluster
     wrap = _wrap_peer(index)
     assert wrap is not None
     key = wrap.store.range.low + 0.5
@@ -85,7 +83,7 @@ def test_route_from_every_member_converges_on_wrap_owner(linear_cluster):
 
 # --------------------------------------------------------------------------- dead-successor paths
 def test_walk_survives_dead_peer_on_route():
-    index, keys = build_cluster(seed=74, peers=8, router="linear")
+    index, keys = build_cluster(seed=74, peers=8)
     members = sorted(index.ring_members(), key=lambda p: p.ring.value)
     start = members[0]
     # Kill the peer two hops clockwise so the walk hits it before stabilization
@@ -107,7 +105,6 @@ def test_unroutable_when_all_successors_dead():
     )
     members = sorted(index.ring_members(), key=lambda p: p.ring.value)
     start = members[0]
-    router = LinearRouter(start, start.ring, start.store, index.config)
     for peer in members[1:]:
         index.fail_peer(peer.address)
     foreign_key = None
@@ -117,6 +114,6 @@ def test_unroutable_when_all_successors_dead():
             break
     if foreign_key is None:
         pytest.skip("the surviving peer owns the whole space in this topology")
-    found = index.run_process(router.find_responsible(foreign_key), timeout=600.0)
+    found = index.run_process(start.router.find_responsible(foreign_key), timeout=600.0)
     # Every probe times out; the router must give up cleanly, not hang or crash.
     assert found is None

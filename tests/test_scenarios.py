@@ -71,7 +71,7 @@ def test_builtin_scenarios_registered():
     ):
         assert expected in names
     # One event engine: no cell exists only to name another one.
-    assert len(names) == 30
+    assert len(names) == 29
     assert not [name for name in names if name.endswith("_wheel")]
 
 
@@ -92,7 +92,6 @@ def test_scale_sweep_suite_composition():
         "scale_3000",
         "scale_5000",
         "scale_5000_adaptive",
-        "scale_5000_rebalance",
     )
     assert deep.bench_name == "scale_deep"
 
