@@ -216,7 +216,7 @@ class PepperRing(ChordRing):
             self.node.call(self.pred_address, "ring_nudge", {})
 
     # ------------------------------------------------------------------ proactive propagation
-    def _push_rider_backwards(self, method, address, value, hops_needed, event):
+    def _push_rider_backwards(self, method, address, value, hops_needed, event, successor=None):
         """Walk the predecessor chain handing out a JOINING/LEAVING pointer.
 
         Each contacted predecessor records the pointer immediately (the same
@@ -226,19 +226,20 @@ class PepperRing(ChordRing):
         that could end up with an inconsistent pointer has been informed --
         ``hops_needed`` predecessors, or the walk wrapped around a small ring --
         the waiting protocol is acknowledged.  Any failure simply ends the walk
-        and leaves the acknowledgement to the stabilization path.
+        and leaves the acknowledgement to the stabilization path.  A leaver
+        also hands out ``successor``, its first JOINED successor, so every
+        predecessor it informs holds a JOINED pointer past it before it goes.
         """
+        payload = {"address": address, "value": value, "origin": self.address}
+        if successor is not None:
+            payload["successor"] = successor
         current = self.pred_address
         visited = {self.address, address}
         informed = 0
         while current and current not in visited and informed < hops_needed:
             visited.add(current)
             try:
-                response = yield self.node.call(
-                    current,
-                    method,
-                    {"address": address, "value": value, "origin": self.address},
-                )
+                response = yield self.node.call(current, method, payload)
             except RpcError:
                 return
             if not response.get("ok"):
@@ -271,10 +272,24 @@ class PepperRing(ChordRing):
         return {"ok": True, "pred": self.pred_address}
 
     def _handle_leaving_notice(self, payload, request):
-        """RPC: a successor proactively tells us it is about to leave the ring."""
+        """RPC: a successor proactively tells us it is about to leave the ring.
+
+        The notice names the JOINED peer after the leaver.  A list that lacks
+        it (short, or stale) gains it now: the leaver may be gone before our
+        next stabilization round could have taught it to us.
+        """
         if not self.is_joined:
             return {"ok": False}
         self._record_rider(payload["address"], payload["value"], LEAVING)
+        successor = payload.get("successor")
+        if successor is not None and successor["address"] != self.address and all(
+            entry.address != successor["address"] for entry in self.succ_list
+        ):
+            self.succ_list.append(
+                SuccessorEntry(successor["address"], successor["value"], JOINED, stabilized=False)
+            )
+            self.succ_list.sort(key=lambda e: self._clockwise_distance(e.value))
+            self._trim()
         return {"ok": True, "pred": self.pred_address}
 
     def _handle_join_ack(self, payload, request):
@@ -320,6 +335,10 @@ class PepperRing(ChordRing):
                         self.value,
                         self.config.successor_list_length,
                         self._leave_ack_event,
+                        successor={
+                            "address": joined_others[0].address,
+                            "value": joined_others[0].value,
+                        },
                     ),
                     name="push-leaving",
                 )

@@ -184,11 +184,26 @@ class DataStore(RingListener):
         The ack carries the store's mutation ``version`` so callers that
         delete their local copy afterwards (the stranded-item shed) can
         distinguish a confirmed store from a lost or refused one.
+
+        A newly stored user insert is cast to the first JOINED successor
+        before the ack leaves, so it is on two peers from the moment it is
+        acknowledged rather than from the next replication refresh.  The
+        one-item push is not a snapshot of this store: it leaves the
+        receiver's record of our last full push, which replica reads check
+        versions against, untouched.
         """
         item = Item.from_wire(payload["item"])
         if not self.owns_key(item.skv):
             return {"stored": False, "reason": "not_responsible"}
-        stored = self.store_local(item, reason=payload.get("reason", "insert"))
+        reason = payload.get("reason", "insert")
+        stored = self.store_local(item, reason=reason)
+        if stored and reason == "insert" and self.config.replication_factor > 0:
+            for successor in self.ring.joined_successors(1):
+                self.node.cast(
+                    successor,
+                    "rep_store_replicas",
+                    {"items": [item.to_wire()], "owner": self.address, "snapshot": False},
+                )
         return {"stored": True, "duplicate": not stored, "version": self.items.version}
 
     def _handle_remove_item(self, payload, request):

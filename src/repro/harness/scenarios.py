@@ -619,12 +619,10 @@ register(_scale_spec("scale_5000", 5000, "5000-peer deployment with churn"))
 # The same scale cells with the adaptive maintenance policy: server-side
 # join-redirect caching, ring_ping validation cadence that backs off while
 # validations succeed (plus per-entry freshness: recently confirmed successors
-# are not re-pinged), router-refresh cadence that backs off while table walks
-# run clean, and RTT-seeded stabilization/replication periods.  The fixed cell
-# and its ``_adaptive`` twin differ in exactly one spec field, so ``repro-run
-# adaptive_ablation`` is the fixed-vs-adaptive ablation and the per-method RPC
-# profiles in the BENCH envelope carry the ``ring_ping``/``route_table_entry``
-# deltas.
+# are not re-pinged), and RTT-seeded stabilization/replication periods.  The
+# fixed cell and its ``_adaptive`` twin differ in exactly one spec field, so
+# ``repro-run adaptive_ablation`` is the fixed-vs-adaptive ablation and the
+# per-method RPC profiles in the BENCH envelope carry the ``ring_ping`` delta.
 ADAPTIVE_MAINTENANCE = MaintenanceSpec(policy="adaptive")
 
 

@@ -8,7 +8,7 @@ describe the policy as a name plus flat JSON-able parameters
 :func:`maintenance_policy_from_params`, mirroring
 :func:`repro.sim.network.latency_model_from_params`.
 
-Four independent knobs:
+Three independent knobs:
 
 * ``validation`` (``fixed`` | ``adaptive``) -- the cadence of the
   ``ring_ping`` validation loops (predecessor check, successor validation).
@@ -18,10 +18,6 @@ Four independent knobs:
   entry confirmed alive within ``freshness_factor`` stabilization periods
   (by a ping, a stabilization round, or the peer stabilizing with us) is
   skipped instead of re-pinged.
-* ``router`` (``fixed`` | ``adaptive``) -- the content-router table refresh
-  cadence.  ``adaptive`` backs off while consecutive refreshes reproduce the
-  same pointer table without errors and tightens as soon as the table
-  changes, a refresh RPC fails, or the ring observes a neighbourhood change.
 * ``cadence`` (``fixed`` | ``rtt_scaled``) -- the stabilization and replica
   refresh periods.  ``rtt_scaled`` seeds them from the network's observed
   round trip (:class:`~repro.maintenance.cadence.RttScaledCadence`).
@@ -29,9 +25,10 @@ Four independent knobs:
   (:class:`~repro.maintenance.redirect_cache.RedirectCache`); ``0`` disables
   it.
 
-The default-constructed policy (:data:`FIXED_MAINTENANCE`) reproduces the
-historical fixed-timer behaviour bit for bit, which is what makes
-fixed-vs-adaptive a clean ablation.
+The default-constructed policy (:data:`FIXED_MAINTENANCE`) runs every one
+of these on fixed timers, which is what makes fixed-vs-adaptive a clean
+ablation.  The content router's table refresh is not a knob: it always backs
+off while its walks come back clean (:mod:`repro.router.hierarchical`).
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ from repro.maintenance.cadence import (
 from repro.maintenance.redirect_cache import RedirectCache
 
 VALIDATION_MODES = ("fixed", "adaptive")
-ROUTER_MODES = ("fixed", "adaptive")
 CADENCE_MODES = ("fixed", "rtt_scaled")
 
 
@@ -57,7 +53,6 @@ class MaintenancePolicy:
     """All maintenance-adaptivity tunables of one deployment."""
 
     validation: str = "fixed"
-    router: str = "fixed"
     cadence: str = "fixed"
     redirect_cache_size: int = 0
 
@@ -69,12 +64,6 @@ class MaintenancePolicy:
     # ``freshness_factor * stabilization_period`` is not re-pinged.  0
     # disables the skip (every validation round pings every entry).
     freshness_factor: float = 0.0
-
-    # -- adaptive router-refresh tuning --------------------------------------
-    # Router tables go stale only when membership moves, so the refresh loop
-    # may back off further than the liveness validations before staleness
-    # shows up in route lengths (stale pointers already fall back gracefully).
-    router_backoff_max: float = 6.0
 
     # -- rtt_scaled cadence tuning (see RttScaledCadence) -------------------
     reference_rtt: float = 0.004
@@ -90,14 +79,8 @@ class MaintenancePolicy:
                 f"unknown validation mode {self.validation!r}; "
                 f"known: {', '.join(VALIDATION_MODES)}"
             )
-        if self.router not in ROUTER_MODES:
-            raise ValueError(
-                f"unknown router mode {self.router!r}; known: {', '.join(ROUTER_MODES)}"
-            )
         if self.freshness_factor < 0:
             raise ValueError("freshness_factor must be >= 0")
-        if self.router_backoff_max < 1.0:
-            raise ValueError("router_backoff_max must be >= 1")
         if self.cadence not in CADENCE_MODES:
             raise ValueError(
                 f"unknown cadence mode {self.cadence!r}; known: {', '.join(CADENCE_MODES)}"
@@ -125,17 +108,6 @@ class MaintenancePolicy:
                 base,
                 growth=self.backoff_growth,
                 max_factor=self.backoff_max,
-                success_threshold=self.success_threshold,
-            )
-        return FixedCadence(base)
-
-    def router_controller(self, base: float) -> CadenceController:
-        """The controller driving the content router's table refresh loop."""
-        if self.router == "adaptive":
-            return AdaptiveCadence(
-                base,
-                growth=self.backoff_growth,
-                max_factor=self.router_backoff_max,
                 success_threshold=self.success_threshold,
             )
         return FixedCadence(base)
@@ -177,7 +149,6 @@ MAINTENANCE_POLICIES = {
     "fixed": {},
     "adaptive": {
         "validation": "adaptive",
-        "router": "adaptive",
         "cadence": "rtt_scaled",
         "redirect_cache_size": 16,
         "freshness_factor": 1.5,

@@ -298,12 +298,14 @@ class ReplicationManager(RingListener):
         # Remember the push as the owner's claimed snapshot.  Tombstoned keys
         # stay in the recorded key set but were *not* stored, so a replica
         # read that needs one finds it missing and falls back to the primary
-        # -- a tombstoned copy is never served.
-        self._push_state[payload["owner"]] = (
-            payload.get("version"),
-            now,
-            tuple(pushed),
-        )
+        # -- a tombstoned copy is never served.  The owner's one-item cast of
+        # a fresh insert is no snapshot and leaves the record alone.
+        if payload.get("snapshot", True):
+            self._push_state[payload["owner"]] = (
+                payload.get("version"),
+                now,
+                tuple(pushed),
+            )
         return {"stored": stored}
 
     def _handle_remove_replica(self, payload, request):

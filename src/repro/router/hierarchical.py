@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.index.config import IndexConfig
+from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import RingListener
 from repro.ring.entries import JOINED
 from repro.transport import RpcError
@@ -34,6 +35,13 @@ from repro.transport import RpcError
 # How many table pointers a peer offers per probe, farthest first, before its
 # successor list: enough to step around a dead pointer or two.
 _TABLE_CANDIDATES = 4
+
+# The refresh cadence: after this many consecutive clean walks the period
+# doubles, up to this many base periods.  Tables go stale only when
+# membership moves, and a stale pointer costs a route one skipped candidate.
+_CLEAN_WALKS_TO_BACK_OFF = 2
+_BACKOFF_GROWTH = 2.0
+_BACKOFF_MAX = 6.0
 
 
 class _RefreshTightener(RingListener):
@@ -70,12 +78,15 @@ class HierarchicalRingRouter:
         # table[i] = (address, value) of the peer ~2**i positions clockwise;
         # clockwise distances strictly increase with the level.
         self.table: List[Tuple[str, float]] = []
-        # Refresh cadence (``config.maintenance``; fixed by default).  Under
-        # the adaptive policy the loop backs off while consecutive refreshes
-        # validate clean -- same pointers, no RPC errors -- and tightens the
-        # moment the table changes or the ring reports a neighbourhood change.
-        self._cadence = config.maintenance_policy.router_controller(
-            config.router_refresh_period
+        # Refresh cadence: the loop backs off while consecutive walks come back
+        # clean, and tightens the moment a walk grows the table, needs a
+        # past-the-end step or hits a dead pointer, or the ring reports a
+        # neighbourhood change.
+        self._cadence = AdaptiveCadence(
+            config.router_refresh_period,
+            growth=_BACKOFF_GROWTH,
+            max_factor=_BACKOFF_MAX,
+            success_threshold=_CLEAN_WALKS_TO_BACK_OFF,
         )
         ring.add_listener(_RefreshTightener(self._cadence))
         node.register_handler("route_table_entry", self._handle_table_entry)
@@ -116,57 +127,85 @@ class HierarchicalRingRouter:
         ``span`` entries are returned per request (pointer doubling used to ask
         for one level per round trip; batching the reply halves the refresh
         traffic, the dominant RPC at 1000+ peers).  Level 0 is answered from
-        the successor list, so it is right even before our first refresh; a
-        request past the end of the table answers no entry, which ends the
-        asker's walk.
+        the successor list, so it is right even before our first refresh.
+
+        A slice the asker could not use is replaced by our farthest pointer
+        that stops short of the asker (``until``, its ring value), marked:
+
+        * ``past_end`` -- the request is past the end of our short table and
+          our farthest pointer is that pointer: the asker's walk goes on from
+          it instead of ending at our table's end;
+        * ``wrapped`` -- our pointers at ``level`` pass the asker (or, past the
+          end, our farthest one does): the pointer covers what is left of the
+          asker's ring, and once the asker's table reaches halfway round the
+          key space its walk ends there.
         """
         level = payload.get("level", 0)
         span = max(1, payload.get("span", 1))
-        # The answered slice of ``_joined_successors()[:1] + table[1:]``; with
-        # no JOINED successor that list is ``table[1:]``, every level one on.
+        # Slices of ``_joined_successors()[:1] + table[1:]``; with no JOINED
+        # successor that list is ``table[1:]``, every level one on.
         first = self.ring._stabilization_target()  # the first of _joined_successors
-        if first is None:
-            pointers = self.table[level + 1 : level + span + 1]
-        elif level == 0:
-            pointers = [(first.address, first.value)] + self.table[1:span]
-        else:
-            pointers = self.table[level : level + span]
-        return {
-            "entries": [{"address": address, "value": value} for address, value in pointers]
-        }
+        pointers = self.table[1:]
+        if first is not None:
+            pointers.insert(0, (first.address, first.value))
+        own_value = self.ring.value
+        room = self._clockwise(own_value, payload["until"])
+        answer = pointers[level : level + span]
+        reply = {}
+        if not answer or self._clockwise(own_value, answer[0][1]) >= room:
+            short = [
+                pointer for pointer in pointers if self._clockwise(own_value, pointer[1]) < room
+            ]
+            if short:
+                beyond = not answer and short[-1] == pointers[-1]
+                reply["past_end" if beyond else "wrapped"] = True
+            answer = short[-1:]
+        reply["entries"] = [{"address": address, "value": value} for address, value in answer]
+        return reply
 
     def _refresh_table(self):
         """Rebuild the pointer table by (batched) doubling along the ring.
 
         Each contacted peer returns two consecutive table entries, so the
         pointer spread stays geometric (ratios alternate ~2x and ~1.5x) at half
-        the round trips.  A pointer is installed only if it lies strictly
-        farther clockwise than the one before it, so the walk stops by itself
-        once the doubling has wrapped around the ring or the remote table has
-        ended, and the table holds only usable pointers.
+        the round trips.  A remote whose table is too short answers its
+        farthest pointer instead (``past_end``), and the walk goes on from
+        there: one walk reaches the full span even while the tables around it
+        are still short.  A remote whose pointers at the asked level would
+        pass us answers its farthest pointer short of us (``wrapped``); the
+        walk ends there once the table reaches half the key space, and goes on
+        otherwise, so a remote table left uneven by the ring's growth cannot
+        cut ours short.  A pointer is installed only if it lies strictly
+        farther clockwise than the one before it, so the table holds only
+        usable pointers.
 
-        The refresh outcome feeds the cadence controller: a walk that
-        completes without hitting a dead pointer validated clean (the loop may
-        back off).  Exact pointer equality is deliberately *not* required --
-        far pointers drift between rounds because every peer rebuilds its
-        table asynchronously from everyone else's, and that drift is benign
-        (the pointer spread stays geometric over live peers).  Staleness
-        proper is what tightens the cadence: a failed refresh hop here, a
-        failed table jump during routing, or a ring neighbourhood change via
-        :class:`_RefreshTightener`.
+        The walk feeds the cadence controller.  A failed hop is a failure.  A
+        walk that grew the table, or that installed a past-the-end pointer, is
+        a change: the table is still converging, and its interim pointers are
+        replaced by doubling ones at the base period.  Any other walk is
+        clean, and two clean walks in a row back the loop off.  Exact pointer
+        equality is deliberately *not* required -- far pointers drift between
+        rounds because every peer rebuilds its table asynchronously from
+        everyone else's, and that drift is benign (the pointer spread stays
+        geometric over live peers).  A failed table jump during routing and a
+        ring neighbourhood change (:class:`_RefreshTightener`) tighten the
+        cadence too.
         """
         if not self.ring.is_joined:
             return
         own_value = self.ring.value
         size = self.config.router_table_size
+        halfway = self.config.key_space / 2.0
         table: List[Tuple[str, float]] = []
         last = 0.0  # the clockwise distance of table[-1]
 
         first = self.ring._stabilization_target()  # the first of _joined_successors
         fresh = [] if first is None else [(first.address, first.value)]
-        rpc_failed = False
+        rpc_failed = past_end = False
+        beyond = wrapped = False  # how the answer in ``fresh`` is marked
         # Install what the last peer answered, then ask the farthest pointer
-        # for the next two levels; the first refused pointer ends the walk.
+        # for the next two levels; the first refused pointer ends the walk, as
+        # does a wrapped one past halfway.
         while fresh:
             for address, value in fresh:
                 distance = self._clockwise(own_value, value)
@@ -175,20 +214,27 @@ class HierarchicalRingRouter:
                     break
                 table.append((address, value))
                 last = distance
-            if fresh is None or len(table) >= size:
+                past_end = past_end or beyond
+            if fresh is None or len(table) >= size or (wrapped and last >= halfway):
                 break
             try:
                 response = yield self.node.call(
-                    table[-1][0], "route_table_entry", {"level": len(table) - 1, "span": 2}
+                    table[-1][0],
+                    "route_table_entry",
+                    {"level": len(table) - 1, "span": 2, "until": own_value},
                 )
             except RpcError:
                 table.pop()  # dead: not a usable pointer
                 rpc_failed = True
                 break
             fresh = [(entry["address"], entry["value"]) for entry in response["entries"]]
+            beyond, wrapped = "past_end" in response, "wrapped" in response
+        grew = len(table) > len(self.table)
         self.table = table
         if rpc_failed:
             self._cadence.note_failure()
+        elif grew or past_end:
+            self._cadence.note_change()
         else:
             self._cadence.note_success()
 

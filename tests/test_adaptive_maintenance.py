@@ -26,6 +26,9 @@ from repro.transport import Endpoint
 from tests.test_membership_invariants import assert_membership_consistent
 
 CHURN_STEPS = 250
+# scale_100's stress-phase route_table_entry RPCs per ring member per simulated
+# second: 0.21 at seed 0, plus 20% headroom (CI's scale-smoke gates the same).
+ROUTER_WALK_RATE = 0.255
 
 
 def build_adaptive_index(seed: int, free_peers: int = 0) -> PRingIndex:
@@ -99,14 +102,14 @@ def test_adaptive_policy_reduces_ring_ping_traffic():
     assert fixed.rpc_per_method["ring_ping"] > 0
     ratio = fixed.rpc_per_method["ring_ping"] / adaptive.rpc_per_method["ring_ping"]
     assert ratio >= 1.5, f"adaptive ring_ping reduction only {ratio:.2f}x"
-    # The adaptive router refresh must also cut table-walk traffic: the loop
-    # backs off while refreshes validate clean (quiescence-gated settle gives
-    # it long clean stretches) and tightens again under the stress phase.
-    router_ratio = (
-        fixed.rpc_per_method["route_table_entry"]
-        / adaptive.rpc_per_method["route_table_entry"]
-    )
-    assert router_ratio >= 1.2, f"adaptive router-refresh reduction only {router_ratio:.2f}x"
+    # Both cells run the router's one refresh cadence, which backs off once
+    # the tables have converged: the stress phase's table walks stay under a
+    # fixed rate per ring member (a walk every base period cost 0.31 here).
+    for cell in (fixed, adaptive):
+        (stress,) = [phase for phase in cell.phases if phase["phase"] == "stress"]
+        members = (stress["ring_members_start"] + stress["ring_members"]) / 2
+        rate = stress["rpc_per_method"]["route_table_entry"] / members / stress["sim_seconds"]
+        assert rate <= ROUTER_WALK_RATE, f"{cell.scenario}: {rate:.3f} table RPCs per member-second"
     # Per-entry freshness actually skipped re-pings of confirmed successors.
     assert adaptive.metrics.get("ring_ping_fresh_skip", {}).get("count", 0) > 0
     assert "ring_ping_fresh_skip" not in fixed.metrics

@@ -26,14 +26,6 @@ def test_example_runs(script, capsys):
     assert capsys.readouterr().out
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "an acknowledged insert is lost inside the replication window: item 8622.814 "
-        "is stored on peer013 at t=226.30 and peer013 fails at t=230.36, within one "
-        "4 s replication refresh, before the item was ever pushed to a replica"
-    ),
-)
 def test_jbi_tracking_loses_no_object(capsys):
     main = runpy.run_path(str(EXAMPLES / "jbi_tracking.py"))["main"]
     assert main() == []

@@ -223,33 +223,22 @@ def test_policy_validation_controller_shapes():
     assert isinstance(FIXED_MAINTENANCE.validation_controller(4.0), FixedCadence)
 
 
-def test_policy_router_controller_shapes():
-    policy = MaintenancePolicy(router="adaptive", router_backoff_max=6.0)
-    controller = policy.router_controller(16.0)
-    assert isinstance(controller, AdaptiveCadence)
-    assert controller.max_factor == 6.0
-    assert controller.base == 16.0
-    assert isinstance(FIXED_MAINTENANCE.router_controller(16.0), FixedCadence)
-
-
-def test_adaptive_preset_enables_router_and_freshness():
+def test_adaptive_preset_enables_freshness():
     adaptive = maintenance_policy_from_params("adaptive")
-    assert adaptive.router == "adaptive"
     assert adaptive.freshness_factor > 0
-    # The fixed policy keeps both mechanisms off.
-    assert FIXED_MAINTENANCE.router == "fixed"
+    # The fixed policy keeps it off.
     assert FIXED_MAINTENANCE.freshness_factor == 0.0
     assert FIXED_MAINTENANCE.validation_freshness(8.0) == 0.0
     assert adaptive.validation_freshness(8.0) == adaptive.freshness_factor * 8.0
 
 
 def test_policy_rejects_bad_router_and_freshness_settings():
-    with pytest.raises(ValueError, match="unknown router mode"):
-        MaintenancePolicy(router="bogus").validate()
+    # The router's refresh cadence is not a policy knob any more.
+    for knob in ({"router": "fixed"}, {"router_backoff_max": 6.0}):
+        with pytest.raises(ValueError, match="unknown maintenance parameters"):
+            maintenance_policy_from_params("adaptive", **knob)
     with pytest.raises(ValueError, match="freshness_factor"):
         MaintenancePolicy(freshness_factor=-1.0).validate()
-    with pytest.raises(ValueError, match="router_backoff_max"):
-        MaintenancePolicy(router_backoff_max=0.5).validate()
 
 
 def test_policy_maintenance_interval_fixed_returns_plain_float():

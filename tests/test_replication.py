@@ -107,6 +107,26 @@ def test_tombstone_blocks_and_then_expires():
     assert not manager._tombstoned(skv)
 
 
+def test_an_insert_acked_just_before_its_owner_fails_is_served_by_the_successor():
+    """The owner acks an insert and fails before any replication refresh has
+    run.  The one-item cast it sent its first JOINED successor with the ack is
+    the copy that survives: the successor takes the range over and serves it."""
+    index, _keys = build_cluster(seed=59, peers=8)
+    owner = index.ring_members()[2]
+    (successor,) = [index.peers[address] for address in owner.ring.joined_successors(1)]
+    entry = index.ring_members()[0]
+    key = owner.store.items.keys()[-1] - 0.5  # a new key inside the owner's range
+    assert owner.store.owns_key(key)
+    assert len(owner.store.items) + 1 <= index.config.overflow_threshold  # no split
+    assert index.insert_item_now(key, payload="late", via=entry.address)
+    assert key in owner.store.items
+    index.fail_peer(owner.address)
+    index.run(40.0)
+    assert successor.store.owns_key(key) and key in successor.store.items
+    result = index.range_query_now(key - 0.25, key, via=entry.address)
+    assert result["keys"] == [key]
+
+
 def test_extra_hop_push_reports_acknowledgements():
     index, keys = build_cluster(seed=58, peers=8)
     index.run(2 * index.config.replication_refresh_period)

@@ -292,6 +292,21 @@ def test_safe_leave_preserves_failure_tolerance():
     assert check_ring_connectivity(alive).ok
 
 
+def test_a_leaving_notice_hands_a_short_list_the_leavers_successor():
+    """The leaver's predecessor knows no peer past it (its list is stale).  The
+    leave is acknowledged without a stabilization round in between, so the
+    notice itself must give the predecessor the peer after the leaver."""
+    harness = RingHarness(ring_class=PepperRing)
+    predecessor = harness.bootstrap(1000.0)
+    leaver = harness.join_peer(200.0)
+    after = harness.join_peer(600.0)
+    harness.run(10.0)
+    predecessor.ring.succ_list = [SuccessorEntry(leaver.address, 200.0, JOINED)]
+    harness.sim.run_process(leaver.ring.leave(), timeout=300.0)
+    assert leaver.ring.state == FREE
+    assert predecessor.ring.first_live_successor() == after.address
+
+
 def test_naive_leave_is_immediate():
     harness = RingHarness(
         ring_class=ChordRing, safe_leave=False, consistent_insert=False

@@ -13,7 +13,7 @@ from repro.ring.entries import JOINED, JOINING, LEAVING, SuccessorEntry
 from repro.router.hierarchical import HierarchicalRingRouter
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.transport import Endpoint
+from repro.transport import Endpoint, RpcTimeout
 from tests.conftest import build_cluster
 
 
@@ -70,13 +70,13 @@ def test_routing_survives_a_failed_peer(cluster):
 # --------------------------------------------------------------------------- logarithmic routing
 @pytest.fixture(scope="module")
 def settled_ring():
-    """scale_300's build + settle phases, then eight refresh rounds: a static
+    """scale_300's build + settle phases, then one refresh period: a static
     300-member ring whose pointer tables have converged."""
     cell = get_scenario("scale_300")
     experiment = build_experiment(cell, seed=0)
     experiment.run_phases(cell.phases[:2], total_peers=cell.peers)
     index = experiment.index
-    index.run(8 * index.config.router_refresh_period)
+    index.run(index.config.router_refresh_period)
     members = index.ring_members()
     assert len(members) >= 200
     return index, members
@@ -177,20 +177,134 @@ SUCCESSOR_LISTS = {
 }
 
 
+def _wire(pointers):
+    return [{"address": address, "value": value} for address, value in pointers]
+
+
 @pytest.mark.parametrize("table_size", [0, 1, 2, 6])
 @pytest.mark.parametrize("successors", sorted(SUCCESSOR_LISTS))
 def test_table_entry_answers_equal_the_joined_successor_expression(successors, table_size):
     router = _bare_router()
     router.ring.succ_list = [SuccessorEntry(*entry) for entry in SUCCESSOR_LISTS[successors]]
     router.table = [(f"t{level}", 1000.0 * (level + 1)) for level in range(table_size)]
-    # The expression the answer used to slice, kept as the reference.
+    # The expression the answer slices, kept as the reference.
     pointers = router._joined_successors()[:1] + router.table[1:]
-    assert router._handle_table_entry({}, None) == {
-        "entries": [{"address": address, "value": value} for address, value in pointers[:1]]}
+    until = 99.0  # an asker just behind us: no pointer passes it
+    assert router._handle_table_entry({"until": until}, None) == {"entries": _wire(pointers[:1])}
     for level in range(table_size + 3):
         for span in range(-1, 5):
-            answer = router._handle_table_entry({"level": level, "span": span}, None)
-            expected = pointers[level : level + max(1, span)]
-            assert answer == {
-                "entries": [{"address": address, "value": value} for address, value in expected]
-            }, (level, span)
+            payload = {"level": level, "span": span, "until": until}
+            answer = router._handle_table_entry(payload, None)
+            expected = {"entries": _wire(pointers[level : level + max(1, span)])}
+            if level >= len(pointers) and pointers:
+                # Past the end: the farthest pointer, for the walk to go on from.
+                expected = {"entries": _wire(pointers[-1:]), "past_end": True}
+            assert answer == expected, (level, span)
+
+
+def test_table_entry_answers_stop_short_of_the_asker():
+    router = _bare_router()  # at 100.0
+    router.ring.succ_list = [SuccessorEntry("a", 200.0, JOINED)]
+    router.table = [(f"t{level}", 1000.0 * (level + 1)) for level in range(6)]
+    a, t1, t2, t3, t4, t5 = [("a", 200.0)] + router.table[1:]
+
+    def ask(level, until):
+        return router._handle_table_entry({"level": level, "span": 2, "until": until}, None)
+
+    # A slice that starts short of the asker is answered as it is; the asker
+    # refuses a second pointer that passes it.
+    assert ask(0, 3500.0) == {"entries": _wire([a, t1])}
+    assert ask(2, 3500.0) == {"entries": _wire([t2, t3])}
+    # Our pointers at the level pass the asker: the farthest short of it.
+    assert ask(3, 3500.0) == {"entries": _wire([t2]), "wrapped": True}
+    assert ask(4, 4500.0) == {"entries": _wire([t3]), "wrapped": True}
+    # Past the end of the table: the farthest pointer, unless it passes the asker.
+    assert ask(7, 9000.0) == {"entries": _wire([t5]), "past_end": True}
+    assert ask(7, 3500.0) == {"entries": _wire([t2]), "wrapped": True}
+    # Nothing between us and the asker: nothing to answer.
+    assert ask(0, 150.0) == {"entries": []}
+
+
+# --------------------------------------------------------------------------- refresh walk and cadence
+def _joined_router(table=()):
+    """A bare router at 100.0 whose ring is JOINED, with successor ``a`` at 200.0."""
+    router = _bare_router()
+    router.ring._set_state(JOINED)
+    router.ring.succ_list = [SuccessorEntry("a", 200.0, JOINED)]
+    router.table = list(table)
+    return router
+
+
+def _walk(router, *answers):
+    """Run one refresh walk, answering its calls in turn; return the calls it made.
+
+    An answer is a reply dict, or an exception the call raises.
+    """
+    calls = []
+    router.node.call = lambda address, method, payload: calls.append((address, payload["level"]))
+    walk = router._refresh_table()
+    next(walk)
+    for answer in answers:
+        try:
+            walk.throw(answer) if isinstance(answer, Exception) else walk.send(answer)
+        except StopIteration:
+            break
+    else:
+        raise AssertionError(f"the walk made more calls than answered: {calls}")
+    return calls
+
+
+A, B, C, D, E = ("a", 200.0), ("b", 400.0), ("c", 800.0), ("d", 1600.0), ("e", 6000.0)
+
+
+def _backed_off(router):
+    router._cadence.note_success()
+    router._cadence.note_success()
+    base = router.config.router_refresh_period
+    assert router._cadence.interval() == 2 * base
+    return base
+
+
+def test_a_walk_that_grew_the_table_refreshes_at_the_base_period():
+    router = _joined_router(table=[A, B])
+    base = _backed_off(router)
+    assert _walk(router, {"entries": _wire([B, C])}, {"entries": []}) == [("a", 0), ("c", 2)]
+    assert router.table == [A, B, C]
+    assert router._cadence.interval() == base
+
+
+def test_a_walk_with_a_past_the_end_step_goes_on_and_refreshes_at_the_base_period():
+    router = _joined_router(table=[A, B, C, D])
+    base = _backed_off(router)
+    calls = _walk(router, {"entries": _wire([B])}, {"entries": _wire([C]), "past_end": True},
+                  {"entries": _wire([D])}, {"entries": []})
+    assert calls == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
+    assert router.table == [A, B, C, D]  # the same length: only the past-the-end step tightens
+    assert router._cadence.interval() == base
+
+
+def test_two_clean_unchanged_walks_back_the_refresh_off():
+    router = _joined_router(table=[A, B, C])
+    base = router.config.router_refresh_period
+    for interval in (base, 2 * base):  # one clean walk is below the threshold
+        _walk(router, {"entries": _wire([B, C])}, {"entries": []})
+        assert router.table == [A, B, C]
+        assert router._cadence.interval() == interval
+
+
+def test_a_failed_hop_refreshes_at_the_base_period():
+    router = _joined_router(table=[A, B, C])
+    base = _backed_off(router)
+    assert _walk(router, {"entries": _wire([B, C])}, RpcTimeout("c")) == [("a", 0), ("c", 2)]
+    assert router.table == [A, B]  # the dead pointer is not installed
+    assert router._cadence.interval() == base
+
+
+def test_a_wrapped_answer_ends_the_walk_once_it_reaches_halfway():
+    # Short of halfway round the key space (10,000) the walk goes on from the
+    # wrapped pointer; past it, the wrapped pointer is the table's last.
+    router = _joined_router()
+    calls = _walk(router, {"entries": _wire([B, C])}, {"entries": _wire([D]), "wrapped": True},
+                  {"entries": _wire([E]), "wrapped": True})
+    assert calls == [("a", 0), ("c", 2), ("d", 3)]
+    assert router.table == [A, B, C, D, E]
