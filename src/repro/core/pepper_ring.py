@@ -204,7 +204,6 @@ class PepperRing(ChordRing):
         duration = self.sim.now - started
         self._record("insert_succ", duration)
         self._record_op("insert_succ", new_peer=new_address, duration=duration)
-        self._cache_record(new_address, new_value)
         self._fire_successor_changed(new_address)
 
     def _nudge_predecessor(self) -> None:

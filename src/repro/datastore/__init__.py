@@ -2,7 +2,7 @@
 
 Layer contract: builds on :mod:`repro.sim` and :mod:`repro.ring` (ranges
 follow the ring's predecessor pointers via :class:`RingListener` events;
-splits address ring inserts through ``ChordRing.join_contact_for``).  May
+splits address ring inserts at the splitter's ``ChordRing.pred_address``).  May
 import :mod:`repro.index.config` for tunables.  The replication manager and
 the index peer compose these classes; neighbors should import
 :class:`DataStore`, :class:`StorageBalancer`, :class:`FreePeerPool` (from

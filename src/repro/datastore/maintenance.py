@@ -230,9 +230,8 @@ class StorageBalancer:
                 lower_items = self.store.items.items_at(ordered[: middle + 1])
                 range_low = base
                 # The new peer inserts right before us: address the join at
-                # the closest known predecessor of the split key (the pred
-                # pointer, or better if the redirect cache knows one).
-                pred_address = self.ring.join_contact_for(split_key)
+                # our predecessor (a stale pointer is corrected by redirects).
+                pred_address = self.ring.pred_address or self.address
             finally:
                 self.store.range_lock.release_write()
 
@@ -310,9 +309,9 @@ class StorageBalancer:
     def _activation_join(self, join_via: str, notify: str):
         """Join the ring (via the configured insertSucc) and notify the splitter."""
         if join_via == self.node.address:
-            # A redirect-cache entry from this peer's *previous* ring
-            # membership can name it as its own best contact; join through
-            # the splitter instead.
+            # The splitter's predecessor pointer can be stale and name a peer
+            # that has since merged away and been recycled from the pool --
+            # this one; join through the splitter instead.
             join_via = notify
         try:
             yield from self.ring.join(join_via)

@@ -110,8 +110,8 @@ class MaintenanceSpec:
     :class:`~repro.index.config.IndexConfig` already carries (the historical
     fixed timers by default).  ``params`` are flat keyword overrides for
     individual :class:`~repro.maintenance.policy.MaintenancePolicy` fields --
-    e.g. ``{"redirect_cache_size": 0}`` runs adaptive cadences without the
-    join-redirect cache, which is how single mechanisms are ablated.
+    e.g. ``{"freshness_factor": 0}`` runs the adaptive validation cadence
+    without the freshness skip, which is how single mechanisms are ablated.
     """
 
     policy: Optional[str] = None
@@ -288,7 +288,6 @@ _REPORTED_METRICS = (
     "leave",
     "route_hops",
     "join_redirect",
-    "join_redirect_cached",
     "ring_ping_fresh_skip",
     "serve_read_primary",
     "serve_read_replica",
@@ -616,10 +615,9 @@ register(_scale_spec("scale_3000", 3000, "3000-peer deployment with churn"))
 register(_scale_spec("scale_5000", 5000, "5000-peer deployment with churn"))
 
 # ---- adaptive maintenance --------------------------------------------------
-# The same scale cells with the adaptive maintenance policy: server-side
-# join-redirect caching, ring_ping validation cadence that backs off while
-# validations succeed (plus per-entry freshness: recently confirmed successors
-# are not re-pinged), and RTT-seeded stabilization/replication periods.  The
+# The same scale cells with the adaptive maintenance policy: a ring_ping
+# validation cadence that backs off while validations succeed, plus per-entry
+# freshness (recently confirmed successors are not re-pinged).  The
 # fixed cell and its ``_adaptive`` twin differ in exactly one spec field, so
 # ``repro-run adaptive_ablation`` is the fixed-vs-adaptive ablation and the
 # per-method RPC profiles in the BENCH envelope carry the ``ring_ping`` delta.
@@ -706,10 +704,9 @@ register_suite(
     )
 )
 
-# The 1000-peer WAN cell under the adaptive policy: stabilization and
-# replication run on round-trip-scaled periods instead of the LAN constants
-# (plus adaptive validation and redirect caching), which is the remedy for WAN
-# cells finishing with fewer members/items in the same simulated window.
+# The 1000-peer WAN cell under the adaptive policy: does the validation
+# back-off and freshness skip hold up when cross-site round trips are 10-30x
+# the LAN's?
 register(
     get_scenario("scale_1000_wan").with_(
         name="scale_1000_wan_adaptive",

@@ -1,4 +1,4 @@
-"""Adaptive ring-maintenance subsystem: cadence controllers and redirect caching.
+"""Adaptive ring-maintenance subsystem: validation cadence controllers.
 
 Layer contract
 --------------
@@ -11,23 +11,19 @@ import from any other ``repro`` package.
 
 What lives here:
 
-* :mod:`~repro.maintenance.cadence` -- :class:`FixedCadence`,
-  :class:`AdaptiveCadence` (back-off/tighten validation cadence) and
-  :class:`RttScaledCadence` (round-trip-seeded stabilization/replication
-  periods).
-* :mod:`~repro.maintenance.redirect_cache` -- the server-side join-redirect
-  cache (:class:`RedirectCache`).
-* :mod:`~repro.maintenance.policy` -- :class:`MaintenancePolicy`, the named
-  presets, and :func:`maintenance_policy_from_params` (the scenario-facing
-  factory, mirroring the latency-model factory).
+* :mod:`~repro.maintenance.cadence` -- :class:`FixedCadence` and
+  :class:`AdaptiveCadence` (back-off/tighten cadence), plus the validation
+  loops' back-off constants.
+* :mod:`~repro.maintenance.policy` -- :class:`MaintenancePolicy` (validation
+  cadence and freshness), the named presets, and
+  :func:`maintenance_policy_from_params` (the scenario-facing factory,
+  mirroring the latency-model factory).
 """
 
 from repro.maintenance.cadence import (
     AdaptiveCadence,
     CadenceController,
     FixedCadence,
-    RttScaledCadence,
-    rtt_scaled_period,
 )
 from repro.maintenance.policy import (
     FIXED_MAINTENANCE,
@@ -35,7 +31,6 @@ from repro.maintenance.policy import (
     MaintenancePolicy,
     maintenance_policy_from_params,
 )
-from repro.maintenance.redirect_cache import RedirectCache, backward_distance
 
 __all__ = [
     "AdaptiveCadence",
@@ -44,9 +39,5 @@ __all__ = [
     "FixedCadence",
     "MAINTENANCE_POLICIES",
     "MaintenancePolicy",
-    "RedirectCache",
-    "RttScaledCadence",
-    "backward_distance",
     "maintenance_policy_from_params",
-    "rtt_scaled_period",
 ]

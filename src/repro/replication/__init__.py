@@ -2,10 +2,9 @@
 
 Layer contract: builds on :mod:`repro.sim`, :mod:`repro.ring` (listens for
 predecessor failures/changes to revive replicas) and :mod:`repro.datastore`
-(reads the local store, promotes replicas into it).  The refresh loop's
-cadence comes from the resolved maintenance policy on
-:mod:`repro.index.config` (fixed period, or RTT-scaled under the adaptive
-policy).  Only :class:`~repro.index.peer.IndexPeer` composes a
+(reads the local store, promotes replicas into it).  The refresh loop runs
+on the fixed ``replication_refresh_period`` of :mod:`repro.index.config`.
+Only :class:`~repro.index.peer.IndexPeer` composes a
 :class:`ReplicationManager`; other layers interact with replication solely
 through the ring events and the store.
 """

@@ -67,14 +67,8 @@ class ReplicationManager(RingListener):
         node.register_handler("rep_store_replicas", self._handle_store_replicas)
         node.register_handler("rep_remove_replica", self._handle_remove_replica)
 
-        # The refresh cadence follows the maintenance policy: the fixed period
-        # by default, or an interval seeded from the network's observed round
-        # trip under ``cadence="rtt_scaled"`` (WAN deployments refresh more
-        # often so revives keep up with the slower failure-repair pipeline).
         node.every(
-            config.maintenance_policy.maintenance_interval(
-                config.replication_refresh_period, node.network.observed_rtt
-            ),
+            config.replication_refresh_period,
             self._refresh_once,
             jitter=config.stabilization_jitter,
             name="rep-refresh",

@@ -1,7 +1,7 @@
 """Fault Tolerant Ring substrate (Chord-style) with naive baseline protocols.
 
 Layer contract: sits directly on :mod:`repro.sim`, and may additionally
-import :mod:`repro.maintenance` (cadence controllers, redirect cache) and
+import :mod:`repro.maintenance` (validation cadence controllers) and
 :mod:`repro.index.config` (the shared tunables; config deliberately imports
 nothing from this package).  Higher layers (datastore, replication, router,
 index) attach to a ring through :class:`RingListener` callbacks and the

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.index.config import IndexConfig
-from repro.maintenance.redirect_cache import backward_distance
 from repro.ring.entries import (
     FREE,
     INSERTING,
@@ -124,16 +123,13 @@ class ChordRing:
         # reproduces the historical fixed timers).  The successor-validation
         # controller paces that ``ring_ping`` loop -- backing off while
         # validations succeed, tightening after a failure or membership
-        # change -- and the redirect cache answers stale-pointer joins from
-        # recently observed members instead of walking the ring one pointer
-        # at a time.  The predecessor check deliberately keeps its fixed
+        # change.  The predecessor check deliberately keeps its fixed
         # cadence (its detection latency feeds replica revival); its traffic
         # is cut by the *passive* suppression below instead: a predecessor
         # that recently stabilized with us has proven itself alive, so the
         # next ping within the window is redundant and skipped.
         policy = config.maintenance_policy
         self._succ_cadence = policy.validation_controller(config.stabilization_period)
-        self._redirect_cache = policy.build_redirect_cache()
         self._passive_window = (
             1.5 * config.predecessor_check_period if policy.validation == "adaptive" else None
         )
@@ -235,79 +231,6 @@ class ChordRing:
         confirmed = self._confirmed_at.get(address)
         return confirmed is not None and self.sim.now - confirmed <= self._freshness_window
 
-    # ------------------------------------------------------------------ redirect cache
-    def _cache_record(self, address: Optional[str], value: Optional[float]) -> None:
-        """Remember a first-hand observation of a ring member (for join redirects)."""
-        cache = self._redirect_cache
-        if cache is not None and address is not None and address != self.address:
-            cache.record(address, value, self.sim.now)
-
-    def _cache_forget(self, address: str) -> None:
-        """Drop a cached member observed to be failed or merged away."""
-        if self._redirect_cache is not None:
-            self._redirect_cache.forget(address)
-
-    def _best_known_predecessor(
-        self, target_value: float, exclude: tuple
-    ) -> Optional[tuple]:
-        """The known member closest *before* ``target_value`` in ring order.
-
-        Candidates are the JOINED entries of our successor list (first-hand,
-        never stale by more than a stabilization round) plus the redirect
-        cache (older observations from further around the ring).  Returns
-        ``(address, value)`` or ``None``.  Only meaningful when the policy
-        enables the redirect cache.
-        """
-        if self._redirect_cache is None:
-            return None
-        span = self.config.key_space
-        best = self._redirect_cache.lookup(
-            target_value, span, self.sim.now, exclude=exclude
-        )
-        best_distance = (
-            backward_distance(target_value, best[1], span) if best is not None else span + 1.0
-        )
-        for entry in self.succ_list:
-            if entry.state != JOINED or entry.address in exclude:
-                continue
-            distance = backward_distance(target_value, entry.value, span)
-            if distance < best_distance:
-                best_distance = distance
-                best = (entry.address, entry.value)
-        return best
-
-    def _cached_redirect(
-        self,
-        new_address: str,
-        new_value: float,
-        default_address: str,
-        default_value: float,
-        bad_redirects: tuple = (),
-    ) -> str:
-        """The best redirect target for a rejected join.
-
-        The default target (our predecessor or first successor) takes one step
-        along the ring; if the successor list or the cache knows a member
-        strictly closer *before* the joining value, redirect straight there --
-        the walk strides over whole successor lists instead of single
-        pointers, which is what keeps flash-crowd joins inside the attempt cap
-        and turns repeat joins through the same stale pointer into O(1).
-        """
-        if self._redirect_cache is None:
-            return default_address
-        best = self._best_known_predecessor(
-            new_value, exclude=(self.address, new_address, default_address, *bad_redirects)
-        )
-        if best is None:
-            return default_address
-        span = self.config.key_space
-        if backward_distance(new_value, best[1], span) < backward_distance(
-            new_value, default_value, span
-        ):
-            self._record("join_redirect_cached", 1.0)
-            return best[0]
-        return default_address
-
     def adopt_inserted_predecessor(self, address: str, value: float) -> None:
         """First-hand predecessor adoption: ``address`` inserted right behind us.
 
@@ -321,31 +244,6 @@ class ChordRing:
         later announcement from further back is simply rejected.
         """
         self._consider_predecessor(address, value)
-
-    def join_contact_for(self, value: float) -> str:
-        """Best known contact through which a peer at ``value`` should join.
-
-        Data Store splits address the ring insert through this: the
-        predecessor pointer by default, upgraded to the closest known
-        predecessor of ``value`` when the maintenance policy's redirect cache
-        is enabled (the bootstrap peer's self-pointer otherwise sends early
-        flash-crowd joiners on a walk around the entire ring).
-        """
-        default = self.pred_address or self.address
-        best = self._best_known_predecessor(value, exclude=(self.address,))
-        if best is None:
-            return default
-        span = self.config.key_space
-        default_value = (
-            self.pred_value
-            if self.pred_address not in (None, self.address) and self.pred_value is not None
-            else self.value
-        )
-        if backward_distance(value, best[1], span) < backward_distance(
-            value, default_value, span
-        ):
-            return best[0]
-        return default
 
     # ------------------------------------------------------------------ queries
     def successor_entries(self) -> List[SuccessorEntry]:
@@ -417,7 +315,6 @@ class ChordRing:
         self._record_op("ring_init_join", predecessor=predecessor_address)
         attempts = 0
         previous_contact: Optional[str] = None  # redirect memory (breaks 2-cycles)
-        dead_redirects: List[str] = []  # redirect targets observed FREE (reported back)
         while not self._joined_event.triggered:
             attempts += 1
             if attempts > 20:
@@ -431,11 +328,7 @@ class ChordRing:
                 response = yield self.node.call(
                     predecessor_address,
                     "ring_insert_successor",
-                    {
-                        "address": self.address,
-                        "value": self.value,
-                        "bad_redirects": dead_redirects,
-                    },
+                    {"address": self.address, "value": self.value},
                 )
             except RpcError:
                 response = None
@@ -455,14 +348,10 @@ class ChordRing:
                     continue
                 if response.get("state") == FREE:
                     if previous_contact is not None:
-                        # A redirect (possibly served from a peer's stale
-                        # redirect cache) pointed at a member that has since
-                        # merged away.  Remember the dead target -- the next
-                        # contact purges it from its cache and picks another
-                        # route -- and fall back to the redirecting peer after
-                        # a breather instead of giving up.
-                        if predecessor_address not in dead_redirects:
-                            dead_redirects.append(predecessor_address)
+                        # A redirect followed a stale predecessor pointer to
+                        # a member that has since merged away: fall back to
+                        # the redirecting peer after a breather instead of
+                        # giving up.
                         predecessor_address, previous_contact = previous_contact, None
                         yield self.sim.timeout(self.config.stabilization_period / 4)
                         continue
@@ -502,12 +391,6 @@ class ChordRing:
             return {"accepted": False, "state": self.state}
         new_address = payload["address"]
         new_value = payload["value"]
-        # The joiner reports redirect targets it found FREE: purge them so a
-        # stale cache entry cannot send the next (or the same) joiner back to
-        # a merged-away peer.
-        bad_redirects = tuple(payload.get("bad_redirects") or ())
-        for address in bad_redirects:
-            self._cache_forget(address)
         successor = self._first_joined_entry()
         if (
             successor is not None
@@ -517,13 +400,10 @@ class ChordRing:
             if self.pred_address not in (None, self.address) and in_open_interval(
                 new_value, self.pred_value, self.value
             ):
-                redirect, redirect_value = self.pred_address, self.pred_value
+                redirect = self.pred_address
             else:
-                redirect, redirect_value = successor.address, successor.value
+                redirect = successor.address
             self._record("join_redirect", 1.0)
-            redirect = self._cached_redirect(
-                new_address, new_value, redirect, redirect_value, bad_redirects
-            )
             return {"accepted": False, "state": self.state, "redirect": redirect}
         self._record_op("init_insert_succ", new_peer=new_address, value=new_value)
         self.node.spawn(
@@ -569,7 +449,6 @@ class ChordRing:
         duration = self.sim.now - started
         self._record("insert_succ", duration)
         self._record_op("insert_succ", new_peer=new_address, duration=duration)
-        self._cache_record(new_address, new_value)
         self._fire_successor_changed(new_address)
 
     def _handle_join(self, payload, request):
@@ -619,14 +498,10 @@ class ChordRing:
             return
         self._maintenance_started = True
         jitter = self.config.stabilization_jitter
-        policy = self.config.maintenance_policy
-        # Stabilization runs on the policy's maintenance cadence (a plain
-        # period, or RTT-scaled under ``cadence="rtt_scaled"``); the two
-        # ``ring_ping`` validation loops are paced by their controllers.
+        # Stabilization and the predecessor check run on plain periods; the
+        # successor validation loop is paced by its controller.
         self.node.every(
-            policy.maintenance_interval(
-                self.config.stabilization_period, self.node.network.observed_rtt
-            ),
+            self.config.stabilization_period,
             self._stabilize_once,
             jitter=jitter,
             name="ring-stabilize",
@@ -707,7 +582,6 @@ class ChordRing:
                     ]
                 finally:
                     self.succ_lock.release_write()
-                self._cache_forget(target.address)
                 self._confirmed_at.pop(target.address, None)
                 self._succ_cadence.note_failure()
                 self._record_op("successor_failure_detected", failed=target.address)
@@ -727,7 +601,6 @@ class ChordRing:
             raise RuntimeError(f"{self.address} is not a ring member ({self.state})")
         self._note_heard_from(payload["pred_address"])
         if payload.get("pred_state") == JOINED:
-            self._cache_record(payload["pred_address"], payload["pred_value"])
             # First-hand: the peer says it has joined.  In a ring small enough
             # that our predecessor is also in our successor list, its inserter
             # may have left before a JOINED report reached us, and a list whose
@@ -797,7 +670,6 @@ class ChordRing:
         if not gone:
             self._note_confirmed(pred_address)
         if gone:
-            self._cache_forget(pred_address)
             self._heard_from.pop(pred_address, None)
             self._confirmed_at.pop(pred_address, None)
             if self.pred_address != pred_address:
@@ -861,7 +733,6 @@ class ChordRing:
             return
         self._succ_cadence.note_failure()
         for address in stale:
-            self._cache_forget(address)
             self._confirmed_at.pop(address, None)
         yield self.succ_lock.acquire_write()
         try:
@@ -876,8 +747,7 @@ class ChordRing:
         yield self.succ_lock.acquire_write()
         try:
             old_first = self._first_joined_address()
-            learned = self._adopt_matching_reply(contacted.address, response)
-            if learned is None:
+            if not self._adopt_matching_reply(contacted.address, response):
                 head = SuccessorEntry(
                     contacted.address,
                     response["value"],
@@ -888,29 +758,16 @@ class ChordRing:
                 received = [e for e in received if e.address != self.address]
                 received = [e for e in received if e.address != head.address]
                 self._install_list(head, received)
-                learned = [head, *received]
             self._post_adopt()
             new_first = self._first_joined_address()
         finally:
             self.succ_lock.release_write()
-        if self._redirect_cache is not None:
-            # Members learned during stabilization are exactly the pointers a
-            # stale-chain join needs: remember them for redirect answers --
-            # and forget peers announced as LEAVING, so the cache never steers
-            # a join at a peer about to merge away.
-            for entry in learned:
-                if entry.state == JOINED:
-                    self._cache_record(entry.address, entry.value)
-                elif entry.state == LEAVING:
-                    self._cache_forget(entry.address)
         if new_first is not None and new_first != old_first:
             self._fire_successor_changed(new_first)
 
     _STATE_RANK = {JOINING: 0, JOINED: 1, LEAVING: 2}
 
-    def _adopt_matching_reply(
-        self, head_address: str, response
-    ) -> Optional[List[SuccessorEntry]]:
+    def _adopt_matching_reply(self, head_address: str, response) -> bool:
         """The quiet-round fast path of :meth:`_install_list`.
 
         In a quiet ring the stabilize reply, head first, starts with exactly
@@ -921,37 +778,37 @@ class ChordRing:
         nothing.  So the reply's entries are installed directly -- ours for
         the matching prefix, with the ``stabilized`` flags the merge gives
         (the head's only), fresh ones for the rest -- then :meth:`_trim` runs.
-        Returns the untrimmed entries, or ``None`` (nothing changed) if the
-        reply does not match and the caller must merge.
+        Returns ``False`` (nothing changed) if the reply does not match and
+        the caller must merge.
         """
         current = self.succ_list
         if not current:
-            return None
+            return False
         head = current[0]
         if (
             head.address != head_address
             or head.value != response["value"]
             or head.state != response.get("state", JOINED)
         ):
-            return None
+            return False
         own = self.address
         reported = [
             item for item in response["succ_list"]
             if item["address"] != own and item["address"] != head_address
         ]
         if len(reported) < len(current) - 1:
-            return None
+            return False
         for entry, item in zip(current[1:], reported):
             if (
                 entry.address != item["address"]
                 or entry.value != item["value"]
                 or entry.state != item.get("state", JOINED)
             ):
-                return None
+                return False
         learned = current + entries_from_wire(reported[len(current) - 1 :])
         addresses = {entry.address for entry in learned}
         if len(addresses) != len(learned):
-            return None
+            return False
         span = self.config.key_space
         base = self.value
         previous = 0.0
@@ -961,15 +818,15 @@ class ChordRing:
             if distance <= 0:
                 distance = span
             if distance < previous:
-                return None
+                return False
             previous = distance
         self._last_received_addresses = addresses
         for entry in current:
             entry.stabilized = False
         head.stabilized = True
-        self.succ_list = learned[:]
+        self.succ_list = learned
         self._trim()
-        return learned
+        return True
 
     def _install_list(self, head: SuccessorEntry, received: List[SuccessorEntry]) -> None:
         """Merge the successor's reported list into our own.

@@ -17,11 +17,7 @@ Scenario specs select the model declaratively: a
 :class:`~repro.harness.scenarios.LatencySpec` (model name + flat JSON-able
 parameters) resolves through :func:`latency_model_from_params` into
 ``NetworkConfig.latency_model``, so e.g. the 4-site ``lan_wan`` WAN cells are
-registry entries rather than bespoke network wiring.  The network also feeds
-the adaptive maintenance subsystem: :meth:`Network.observed_rtt` reports the
-mean measured round trip (seeded from the model's nominal latency until real
-samples exist), which the RTT-scaled cadence controllers in
-:mod:`repro.maintenance.cadence` consult before every maintenance round.
+registry entries rather than bespoke network wiring.
 
 Scalability notes
 -----------------
@@ -87,14 +83,6 @@ class LatencyModel:
     def sample(self, rng, source: str, destination: str) -> float:
         raise NotImplementedError
 
-    def nominal_latency(self) -> float:
-        """Expected one-way latency of a typical message (no rng involved).
-
-        Used to seed RTT-aware maintenance cadences before enough real
-        messages have been observed to average over.
-        """
-        raise NotImplementedError
-
     def validate(self) -> None:
         """Raise ``ValueError`` for physically meaningless settings."""
 
@@ -106,9 +94,6 @@ class ConstantLatency(LatencyModel):
     value: float = 0.001
 
     def sample(self, rng, source: str, destination: str) -> float:
-        return self.value
-
-    def nominal_latency(self) -> float:
         return self.value
 
     def validate(self) -> None:
@@ -127,9 +112,6 @@ class UniformLatency(LatencyModel):
         if self.high <= self.low:
             return self.low
         return rng.uniform(self.low, self.high)
-
-    def nominal_latency(self) -> float:
-        return (self.low + self.high) / 2.0
 
     def validate(self) -> None:
         if self.low < 0 or self.high < self.low:
@@ -156,14 +138,6 @@ class LanWanLatency(LatencyModel):
         if self.site_of(source) == self.site_of(destination):
             return self.lan.sample(rng, source, destination)
         return self.wan.sample(rng, source, destination)
-
-    def nominal_latency(self) -> float:
-        # Expected latency for uniformly random endpoint pairs: a message
-        # crosses sites with probability (sites - 1) / sites.
-        if self.sites <= 1:
-            return self.lan.nominal_latency()
-        cross = (self.sites - 1) / self.sites
-        return cross * self.wan.nominal_latency() + (1 - cross) * self.lan.nominal_latency()
 
     def validate(self) -> None:
         if self.sites < 1:
@@ -401,9 +375,6 @@ class Network:
         if fixed is not None:
             return fixed
         latency = self.latency_model.sample(self.rng, source, destination)
-        stats = self.stats
-        stats.latency_sum += latency
-        stats.latency_samples += 1
         site_of = self._site_of
         if site_of is not None and self.metrics is not None:
             self.metrics.record(
@@ -413,22 +384,6 @@ class Network:
                 latency,
             )
         return latency
-
-    # Minimum sampled messages before the observed mean outweighs the model's
-    # nominal latency in :meth:`observed_rtt`.
-    _RTT_WARMUP_SAMPLES = 32
-
-    def observed_rtt(self) -> float:
-        """Mean observed round trip (2x the mean one-way latency).
-
-        Until enough messages have been sampled the model's nominal latency is
-        reported instead, so RTT-seeded maintenance cadences are sensible from
-        the first round of a deployment's life.
-        """
-        stats = self.stats
-        if stats.latency_samples >= self._RTT_WARMUP_SAMPLES:
-            return 2.0 * stats.latency_sum / stats.latency_samples
-        return 2.0 * self.latency_model.nominal_latency()
 
     # -- delivery ------------------------------------------------------------
     def _post(
@@ -467,8 +422,6 @@ class Network:
         span = self._uniform_span
         if span is not None:
             latency = self._uniform_low + span * self.rng.random()
-            stats.latency_sum += latency
-            stats.latency_samples += 1
         else:
             latency = self._latency(source, destination)
             if latency < 0:

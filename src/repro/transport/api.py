@@ -30,10 +30,7 @@ objects:
     * ``stats`` -- a :class:`NetworkStats` with per-method call counters;
     * ``config`` -- the :class:`~repro.sim.network.NetworkConfig` in force
       (``rpc_timeout`` is honoured by every transport; latency/loss fields
-      are simulation-only and ignored where the real network provides them);
-    * ``observed_rtt()`` -- mean observed round trip, seeded with a nominal
-      value until enough samples exist (consulted by the RTT-scaled
-      maintenance cadences).
+      are simulation-only and ignored where the real network provides them).
 
 ``rngs``
     The seeded :class:`~repro.sim.randomness.RngStreams` of the deployment.
@@ -62,7 +59,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class RpcError(Exception):
@@ -120,20 +117,10 @@ class NetworkStats:
     per_method: Dict[str, int] = field(default_factory=dict)
     # RPCs per originating site (only populated under a LanWanLatency model).
     per_site_rpcs: Dict[str, int] = field(default_factory=dict)
-    # Running sum/count of sampled one-way latencies (not populated under the
-    # constant-latency fast path, where the latency is known without sampling).
-    latency_sum: float = 0.0
-    latency_samples: int = 0
 
     def record_call(self, method: str) -> None:
         self.rpc_calls += 1
         self.per_method[method] = self.per_method.get(method, 0) + 1
-
-    def mean_latency(self) -> Optional[float]:
-        """Mean sampled one-way latency, or ``None`` before any sample."""
-        if self.latency_samples == 0:
-            return None
-        return self.latency_sum / self.latency_samples
 
 
 class Transport:

@@ -15,15 +15,13 @@ that runs in simulated time therefore runs in real time, unmodified.
 
 :class:`AsyncioNetwork` replaces the simulated message plane with per-peer
 UDP sockets bound to ``127.0.0.1:<ephemeral>``.  Messages are JSON datagrams
-framed by :mod:`repro.transport.codec`; requests carry a send timestamp that
-replies echo, so ``observed_rtt`` reports *measured* round trips.  Failure
-semantics mirror the simulator exactly: a dead or unknown destination never
-answers and the caller observes an :class:`~repro.transport.api.RpcTimeout`;
-a handler exception travels back as an
-:class:`~repro.transport.api.RpcRemoteError`; casts are fire-and-forget.
-Latency comes from the real loopback path (the config's latency model only
-supplies the nominal RTT seed); ``drop_probability`` is still honoured so
-loss experiments remain runnable against real sockets.
+framed by :mod:`repro.transport.codec`.  Failure semantics mirror the
+simulator exactly: a dead or unknown destination never answers and the caller
+observes an :class:`~repro.transport.api.RpcTimeout`; a handler exception
+travels back as an :class:`~repro.transport.api.RpcRemoteError`; casts are
+fire-and-forget.  Latency comes from the real loopback path (the config's
+latency model is ignored); ``drop_probability`` is still honoured so loss
+experiments remain runnable against real sockets.
 
 Sockets are registered with ``loop.add_reader`` rather than
 ``create_datagram_endpoint`` deliberately: peers join *mid-run* from inside
@@ -261,8 +259,8 @@ class AsyncioNetwork:
 
     Implements the contract of :mod:`repro.transport.api`: ``call``/``cast``
     with the simulator's failure semantics, ``register``/``unregister``
-    addressing, shared :class:`NetworkStats`, live-read ``drop_probability``
-    and measured ``observed_rtt``.  Logical peer addresses (``peer017``) map
+    addressing, shared :class:`NetworkStats` and live-read
+    ``drop_probability``.  Logical peer addresses (``peer017``) map
     to UDP ports through an in-process registry -- the deployments this
     transport targets are single-host cells, so no external name service is
     needed.
@@ -281,7 +279,6 @@ class AsyncioNetwork:
         self.metrics = metrics
         self.config = config or NetworkConfig()
         self.config.validate()
-        self.latency_model = self.config.resolved_latency_model()
         self.stats = NetworkStats()
         self._nodes: Dict[str, Any] = {}
         self._socks: Dict[str, socket.socket] = {}
@@ -330,28 +327,9 @@ class AsyncioNetwork:
         return list(self._nodes)
 
     # -- config ------------------------------------------------------------
-    def reconfigure(self) -> None:
-        """Re-resolve the nominal-latency model after mutating ``config``.
-
-        The real network provides actual latency; only the ``observed_rtt``
-        warm-up seed depends on the model.
-        """
-        self.latency_model = self.config.resolved_latency_model()
-
     def _dropped(self) -> bool:
         prob = self.config.drop_probability
         return prob > 0 and self.rng.random() < prob
-
-    # Minimum measured round trips before the observed mean outweighs the
-    # model's nominal latency (same warm-up rule as the simulated network).
-    _RTT_WARMUP_SAMPLES = 32
-
-    def observed_rtt(self) -> float:
-        """Mean *measured* round trip, nominal until enough samples exist."""
-        stats = self.stats
-        if stats.latency_samples >= self._RTT_WARMUP_SAMPLES:
-            return 2.0 * stats.latency_sum / stats.latency_samples
-        return 2.0 * self.latency_model.nominal_latency()
 
     # -- RPC ----------------------------------------------------------------
     def call(
@@ -388,7 +366,6 @@ class AsyncioNetwork:
                 "d": destination,
                 "m": method,
                 "p": payload,
-                "t": self.clock.now,
             },
         )
         return result
@@ -484,12 +461,11 @@ class AsyncioNetwork:
         if kind == "c":
             node._handle_cast(request)
             return
-        sent_at = message.get("t", 0.0)
         request_id = message["id"]
         source = message["s"]
 
         def _reply(value: Any, error: Optional[BaseException]) -> None:
-            reply: dict = {"k": "r", "id": request_id, "t": sent_at}
+            reply: dict = {"k": "r", "id": request_id}
             if error is None:
                 reply["v"] = value
             else:
@@ -506,12 +482,6 @@ class AsyncioNetwork:
         self.clock.cancel_timer(timer)
         if self.observer is not None:
             self.observer.rpc_completed(destination)
-        rtt = self.clock.now - message.get("t", self.clock.now)
-        if rtt >= 0:
-            # Recorded as a one-way latency sample (rtt/2), matching what the
-            # simulated network accumulates in the same fields.
-            self.stats.latency_sum += rtt / 2.0
-            self.stats.latency_samples += 1
         if result.triggered:
             return
         if "e" in message:

@@ -5,7 +5,7 @@ Two claims are pinned down here:
 * **Invariants hold.**  The incremental membership index must equal a
   from-scratch rescan after every step of a randomized churn schedule *under
   the adaptive policy* -- backing off validations, passively skipping
-  predecessor pings and serving joins from the redirect cache must never make
+  predecessor pings and skipping freshly confirmed successors must never make
   the index diverge from reality (``tests/test_membership_invariants.py``
   pins the same schedule under the fixed policy and stays unchanged).
 
@@ -21,7 +21,6 @@ import random
 from repro import PRingIndex, default_config
 from repro.harness.scenarios import get_scenario, run_spec
 from repro.maintenance import maintenance_policy_from_params
-from repro.transport import Endpoint
 
 from tests.test_membership_invariants import assert_membership_consistent
 
@@ -136,48 +135,3 @@ def test_adaptive_cells_registered():
     assert wan.latency.model == "lan_wan"
     assert wan.maintenance.policy == "adaptive"
 
-
-def test_redirect_cache_serves_join_redirects():
-    """A join through a stale contact is redirected, striding past one-hop.
-
-    First-hand predecessor adoption (``adopt_inserted_predecessor``) removed
-    the systemic source of stale split contacts, so live scale cells no longer
-    produce join redirects to count.  The mechanism still matters -- a lagging
-    stabilization round can leave any pointer stale -- so this forges the
-    situation directly: a join addressed at a member two ring steps before its
-    insertion point must be rejected with a redirect, and the redirect cache /
-    successor-list stride must answer with the *closest known* predecessor
-    instead of the one-step successor walk.
-    """
-    index = build_adaptive_index(seed=73, free_peers=8)
-    for i in range(1, 61):
-        index.insert_item_now((i * 83.0) % index.config.key_space)
-        index.run(0.2)
-    index.run(30.0)
-    members = sorted(index.ring_members(), key=lambda peer: peer.ring.value)
-    assert len(members) >= 4
-    contact, one_step, stride_target, after = members[:4]
-    join_value = (stride_target.ring.value + after.ring.value) / 2.0
-
-    redirects_before = index.metrics.count("join_redirect")
-    cached_before = index.metrics.count("join_redirect_cached")
-    coordinator = Endpoint(index.sim, index.network, "test-redirect-driver")
-    responses = []
-
-    def drive():
-        response = yield coordinator.call(
-            contact.address,
-            "ring_insert_successor",
-            {"address": "test-joiner", "value": join_value, "bad_redirects": []},
-        )
-        responses.append(response)
-
-    index.run_process(drive())
-    (response,) = responses
-    assert response["accepted"] is False
-    # The cache strode straight to the closest known predecessor of the
-    # joining value, not merely to the contact's immediate successor.
-    assert response["redirect"] == stride_target.address
-    assert response["redirect"] != one_step.address
-    assert index.metrics.count("join_redirect") == redirects_before + 1
-    assert index.metrics.count("join_redirect_cached") == cached_before + 1

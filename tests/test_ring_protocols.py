@@ -212,6 +212,44 @@ def test_join_redirect_cycle_aborts_instead_of_spinning():
     assert harness.sim.now > 5.0
 
 
+class MergedAwayStub(Endpoint):
+    """A forged peer that has merged away: every ring request finds it FREE."""
+
+    def __init__(self, sim, network, address):
+        super().__init__(sim, network, address)
+        self.insert_requests = 0
+        self.register_handler("ring_insert_successor", self._insert)
+        self.register_handler("ring_ping", lambda payload, request: {"state": FREE})
+
+    def _insert(self, payload, request):
+        self.insert_requests += 1
+        return {"accepted": False, "state": FREE}
+
+
+def test_join_falls_back_when_a_redirect_names_a_merged_away_peer():
+    """A stale predecessor pointer redirects a joiner at a peer that has since
+    merged away (FREE).  The joiner must fall back to the redirecting peer
+    after a breather -- not give up -- and join once the contact's predecessor
+    check has dropped the stale pointer."""
+    harness = RingHarness(ring_class=PepperRing)
+    harness.bootstrap(1000.0)
+    harness.join_peer(200.0)
+    harness.join_peer(600.0)
+    harness.run(8.0)
+    contact = next(p for p in harness.peers if p.ring.value == 600.0)
+    merged = MergedAwayStub(harness.sim, harness.network, "merged")
+    # The contact still believes a peer at 400 precedes it; that peer is FREE.
+    contact.ring.pred_address, contact.ring.pred_value = merged.address, 400.0
+    joiner = RingPeer(harness.sim, harness.network, "joiner", 500.0, harness.config, PepperRing)
+    harness.peers.append(joiner)
+    harness.sim.run_process(joiner.ring.join(contact.address), timeout=300.0)
+    assert merged.insert_requests >= 1
+    assert joiner.ring.state == JOINED
+    harness.run(3 * harness.config.stabilization_period)
+    assert contact.ring.pred_address == joiner.address
+    assert check_consistent_successor_pointers(harness.live()).ok
+
+
 # --------------------------------------------------------------------------- failures
 def test_failure_detection_repairs_ring():
     harness = RingHarness(ring_class=PepperRing)
