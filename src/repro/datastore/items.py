@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.datastore.ranges import CircularRange
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """A data item: a search key value plus an opaque payload."""
 

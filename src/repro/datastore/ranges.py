@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircularRange:
     """The half-open arc ``(low, high]`` of a circular key space.
 

@@ -20,7 +20,7 @@ INSERTING = "INSERTING"  # a peer currently running insertSucc for a new success
 FREE = "FREE"  # not part of the ring (free peers of the P-Ring Data Store)
 
 
-@dataclass
+@dataclass(slots=True)
 class SuccessorEntry:
     """One pointer in a peer's successor list."""
 

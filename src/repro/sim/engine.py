@@ -43,9 +43,8 @@ Design notes
   ``(time, seq)`` order nor the order of same-instant work can change.  A
   process that yields an already-fired event continues in the same action
   (:meth:`Process._resume`); an event triggered as an action's last step --
-  a timeout's fire, a periodic loop's wakeup timer, a process's end, a
-  sampled-latency RPC reply or expiry -- calls its one waiter directly
-  (:meth:`Event._trigger_last`).  A step
+  a timeout's fire, a process's end, a sampled-latency RPC reply or expiry --
+  calls its one waiter directly (:meth:`Event._trigger_last`).  A step
   run in place is part of the action that ran it, so it is not counted in
   ``events_processed``.  Anything else ready, or a second waiter, and the
   work queues as before.
@@ -385,7 +384,7 @@ class Process(Event):
                 else:
                     target = self._throw_into(trigger._value)
             except StopIteration as stop:
-                self._finish(stop.value, None)
+                self._returned(stop.value)
                 return
             except BaseException as stop:  # noqa: BLE001 - dispatched in _stop
                 self._stop(stop)
@@ -445,7 +444,7 @@ class Process(Event):
     def _stop(self, stop: BaseException) -> None:
         """Dispatch the exception that ended the generator."""
         if isinstance(stop, StopIteration):
-            self._finish(value=stop.value, error=None)
+            self._returned(stop.value)
         elif isinstance(stop, Interrupt):
             # An uncaught interrupt terminates the process quietly: this is the
             # normal way a failed peer's handlers disappear.  Its traceback
@@ -458,7 +457,7 @@ class Process(Event):
             self._alive = False
             raise stop
 
-    def _finish(self, value: Any, error: Optional[BaseException]) -> None:
+    def _finish(self, value: Any, error: Optional[BaseException] = None) -> None:
         self._alive = False
         self._waiting_on = None
         if self._triggered:
@@ -468,6 +467,11 @@ class Process(Event):
             self._trigger_last(True, value)
         else:
             self._trigger_last(False, error)
+
+    #: What the generator's return does: end the process with its value.  A
+    #: process that drives one generator after another (``Endpoint.every``'s
+    #: loop) overrides it; here it is ``_finish`` itself, so no frame is added.
+    _returned = _finish
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "finished"

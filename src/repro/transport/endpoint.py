@@ -40,6 +40,90 @@ class _HandlerProcess(Process):
     __slots__ = ("endpoint", "reply")
 
 
+def _raise(error: BaseException):
+    """A sleeping loop's ``_throw_into``: an interrupt between rounds ends it."""
+    raise error
+
+
+#: A sleeping loop's ``_waiting_on``: its wakeup is a timer entry, not an event.
+#: An interrupt (or the loop's end) clears it, so a later wakeup is stale.
+_ASLEEP = object()
+
+
+class _PeriodicProcess(Process):
+    """:meth:`Endpoint.every`'s loop: a process with no generator of its own.
+
+    Its sleep is one clock timer whose entry calls :meth:`_wake`: no event and
+    no suspended frame.  A round that is a generator becomes the process's
+    current generator (``_send`` / ``_throw_into`` are rebound to it), so
+    :meth:`Process._resume` drives it with no forwarding frame, and the round's
+    return (:meth:`_returned`) arms the next sleep in the same action.
+    Between rounds the process references no generator.
+    """
+
+    __slots__ = ("endpoint", "period", "action", "jitter", "initial_delay")
+
+    def __init__(self, endpoint, period, action, jitter, initial_delay, label):
+        # Inlined Event.__init__; the rest of Process.__init__ without a generator.
+        sim = endpoint.sim
+        self.sim = sim
+        self.callbacks = [endpoint._disown]
+        self._triggered = False
+        self._ok = True
+        self._value = None
+        self.generator = None
+        self._send = self._throw_into = _raise
+        self._label = label
+        self._waiting_on = None
+        self._alive = True
+        self.endpoint = endpoint
+        self.period = period
+        self.action = action
+        self.jitter = jitter
+        self.initial_delay = initial_delay
+        sim._ready.append((_PeriodicProcess._start, self))
+
+    def _start(self) -> None:
+        self._sleep(self.initial_delay)
+
+    def _sleep(self, delay: Optional[float] = None) -> None:
+        """Arm the wakeup after ``delay``, or the period's next, plus jitter."""
+        if delay is None:
+            period = self.period
+            delay = period() if callable(period) else period
+        if self.jitter > 0:
+            # ``jitter * random()`` is the float ``uniform(0, jitter)`` returns.
+            delay += self.jitter * self.endpoint.rng.random()
+        self._waiting_on = _ASLEEP
+        self.sim.schedule_timer(delay, _PeriodicProcess._wake, self)
+
+    def _wake(self) -> None:
+        if self._waiting_on is not _ASLEEP:
+            return  # stale: the loop was interrupted or has ended
+        self._waiting_on = None
+        if not self.endpoint.alive:
+            self._finish(None)
+            return
+        try:
+            round_ = self.action()
+        except BaseException as stop:  # noqa: BLE001 - dispatched in _stop
+            self._stop(stop)
+            return
+        if type(round_) is not GeneratorType:
+            self._sleep()
+            return
+        self.generator = round_
+        self._send = round_.send
+        self._throw_into = round_.throw
+        self._resume(None)
+
+    def _returned(self, value: Any) -> None:
+        """The round returned: drop it and arm the next sleep."""
+        self.generator = None
+        self._send = self._throw_into = _raise
+        self._sleep()
+
+
 def _answer(process: _HandlerProcess) -> None:
     """Completion callback of a generator handler: disown it, then reply.
 
@@ -123,62 +207,24 @@ class Endpoint:
         the periodic loop waits for it to complete before sleeping again --
         matching the paper's sequential stabilization rounds.
 
-        The loop drives a generator action by hand (``send`` / ``throw``, and
-        ``close`` on ``GeneratorExit``) rather than by ``yield from``: the
-        engine sees the same events and an uncaught error still ends the
-        process, but an action that catches a thrown exception and returns no
-        longer unbalances a profiler's call / return events on CPython 3.11
-        (``docs/ARCHITECTURE.md``, "Contract: the event engine").
-
-        The sleep is one clock timer (``schedule_timer``, on either clock)
-        that fires a plain event as its entry's last step, so under the
-        engine's in-place rule the entry itself resumes the loop: no timeout
-        object and no ready-queue hop.  A wakeup after :meth:`fail` is dropped
-        by the process like any stale one.
+        The loop is a :class:`Process` with no generator of its own.  Its
+        sleep is one clock timer (``schedule_timer``, on either clock) whose
+        entry runs the next round itself: no event, no ready-queue hop and no
+        frame suspended between rounds.  A generator round becomes the
+        process's current generator, driven by the engine like any other (no
+        ``yield from``, so a round that catches a thrown exception and returns
+        leaves a profiler's call / return events balanced;
+        ``docs/ARCHITECTURE.md``, "Contract: the event engine").  An interrupt
+        reaches the round in flight; an uncaught error ends the process with
+        that error, an uncaught interrupt ends it quietly, and a wakeup after
+        :meth:`fail` is dropped.
         """
-        adaptive = callable(period)
-        # ``jitter * random()`` is the float ``uniform(0, jitter)`` returns.
-        rng = self.rng if jitter > 0 else None
-
-        def _loop():
-            sim = self.sim
-            delay = initial_delay
-            if delay is None:
-                delay = period() if adaptive else period
-            if rng is not None:
-                delay += jitter * rng.random()
-            while True:
-                event = Event(sim)  # nothing but the timer fires it
-                sim.schedule_timer(delay, Event._trigger_last, event)
-                yield event
-                if not self.alive:
-                    return
-                result = action()
-                if type(result) is GeneratorType:
-                    reply = thrown = None
-                    while True:
-                        try:
-                            if thrown is None:
-                                event, reply = result.send(reply), None
-                            else:
-                                event, thrown = result.throw(thrown), None
-                        except StopIteration:
-                            break
-                        try:
-                            reply = yield event
-                        except GeneratorExit:
-                            result.close()
-                            raise
-                        except BaseException as error:  # noqa: BLE001 - forwarded
-                            thrown = error
-                    # Hold nothing of the round across the sleep.
-                    result = event = reply = thrown = None
-                delay = period() if adaptive else period
-                if rng is not None:
-                    delay += jitter * rng.random()
-
-        label = name or ("every-adaptive" if adaptive else f"every-{period}s")
-        return self.spawn(_loop(), name=label)
+        label = name or ("every-adaptive" if callable(period) else f"every-{period}s")
+        process = _PeriodicProcess(
+            self, period, action, jitter, initial_delay, (self.address, label)
+        )
+        self._processes.add(process)
+        return process
 
     # -- RPC ------------------------------------------------------------------
     def call(

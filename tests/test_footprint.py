@@ -1,0 +1,75 @@
+"""A footprint guard: what a settled deployment holds per ring member.
+
+A 1000-peer run allocates tens of thousands of item copies, history records,
+successor entries, ranges and locks, and six periodic loops per peer.  The
+records declare slots (no instance ``__dict__``), and a loop is a process with
+no generator of its own between rounds (``docs/ARCHITECTURE.md``, "Contract:
+the event engine", *Memory*).
+
+The budget is the ``tracemalloc`` reading of settled ``scale_100`` (build and
+settle, seed 0), in bytes per ring member, with 20% headroom.  The reading
+differs by interpreter, so it is kept per minor version; the readings before
+the records had slots and the loops lost their generators were 68,961 /
+58,914 / 57,785 bytes on CPython 3.10 / 3.11 / 3.12.
+"""
+
+import gc
+import random
+import sys
+import tracemalloc
+
+import pytest
+
+from repro.core.histories import Operation
+from repro.datastore.items import Item
+from repro.datastore.ranges import CircularRange
+from repro.harness.scenarios import build_experiment, get_scenario
+from repro.ring.entries import SuccessorEntry
+from repro.sim.engine import Simulator
+from repro.sim.locks import RWLock
+from repro.sim.network import Network, NetworkConfig
+from repro.transport import Endpoint
+
+HEADROOM = 1.2
+# Settled ``scale_100`` bytes per ring member, by CPython minor version.
+READINGS = {(3, 10): 49_661, (3, 11): 44_248, (3, 12): 44_033}
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Item(1.0, "payload"), id="Item"),
+    pytest.param(lambda: Operation(1, "item_stored", 0.0, "peer", {}), id="Operation"),
+    pytest.param(lambda: SuccessorEntry("peer", 1.0), id="SuccessorEntry"),
+    pytest.param(lambda: CircularRange(0.0, 1.0), id="CircularRange"),
+    pytest.param(lambda: RWLock(Simulator()), id="RWLock"),
+])
+def test_per_item_records_have_no_instance_dict(make):
+    assert not hasattr(make(), "__dict__")
+
+
+def test_a_sleeping_periodic_loop_has_no_instance_dict_and_no_generator():
+    sim = Simulator()
+    peer = Endpoint(sim, Network(sim, random.Random(1), NetworkConfig()), "peer")
+    loop = peer.every(1.0, lambda: None)
+    sim.run(until=1.5)  # one round run, the next sleep armed
+    assert not hasattr(loop, "__dict__")
+    assert loop.generator is None
+
+
+def test_a_settled_scale_100_ring_stays_inside_its_bytes_per_member_budget():
+    reading = READINGS.get(sys.version_info[:2])
+    if reading is None:
+        pytest.skip(f"no reading for CPython {sys.version_info[0]}.{sys.version_info[1]}")
+    spec = get_scenario("scale_100")
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        experiment = build_experiment(spec, spec.seed)
+        experiment.run_phases(spec.phases[:2], total_peers=spec.peers)  # build, settle
+        gc.collect()
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    members = len(experiment.index.ring_members())
+    per_member = held / members
+    print(f"settled scale_100: {per_member:,.0f} B per ring member (reading {reading:,})")
+    assert per_member <= HEADROOM * reading

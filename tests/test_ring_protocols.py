@@ -1,6 +1,9 @@
 """Ring-level tests: Chord substrate, PEPPER insertSucc and availability-preserving leave."""
 
+import random
+
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.core.pepper_ring import PepperRing
 from repro.core.correctness import (
@@ -10,7 +13,14 @@ from repro.core.correctness import (
 from repro.harness.metrics import Metrics
 from repro.index.config import default_config
 from repro.ring.chord import ChordRing, in_open_interval
-from repro.ring.entries import FREE, JOINED, JOINING, LEAVING, SuccessorEntry
+from repro.ring.entries import (
+    FREE,
+    JOINED,
+    JOINING,
+    LEAVING,
+    SuccessorEntry,
+    entries_from_wire,
+)
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.randomness import RngStreams
@@ -426,3 +436,136 @@ def test_concurrent_inserts_at_same_predecessor_serialise():
     assert second.ring.state == JOINED
     harness.run(2 * harness.config.stabilization_period)
     assert check_consistent_successor_pointers(harness.live()).ok
+
+
+# --------------------------------------------------------------------------- item 2a's stale entry
+class RejoinedStub(Endpoint):
+    """A forged peer that left (merged away), went FREE and joined again
+    elsewhere: it answers a ping JOINED, under its new value."""
+
+    def __init__(self, sim, network, address, value):
+        super().__init__(sim, network, address)
+        self.register_handler("ring_ping", lambda payload, request: {"value": value,
+                                                                     "state": JOINED})
+        self.register_handler("ring_leave_ack", lambda payload, request: {"ok": True})
+
+
+class SuccessorStub(Endpoint):
+    """A forged successor whose stabilize reply lists ``succ_list`` after itself."""
+
+    def __init__(self, sim, network, address, value, succ_list):
+        super().__init__(sim, network, address)
+        reply = {"value": value, "state": JOINED, "succ_list": succ_list}
+        self.register_handler("ring_stabilize", lambda payload, request: reply)
+        self.register_handler("ring_ping", lambda payload, request: {"value": value,
+                                                                     "state": JOINED})
+
+
+@pytest.mark.xfail(strict=True, reason="item 2a: the merge keys an entry by address alone "
+                                       "and LEAVING outranks JOINED, so a peer that left and "
+                                       "rejoined elsewhere stays in the list as LEAVING")
+def test_a_stale_leaving_entry_of_a_rejoined_peer_is_evicted():
+    harness = RingHarness(ring_class=PepperRing)
+    peer = RingPeer(harness.sim, harness.network, "p", 100.0, harness.config, PepperRing)
+    successor = SuccessorStub(harness.sim, harness.network, "s", 200.0,
+                              [{"address": "t", "value": 400.0, "state": JOINED}])
+    RejoinedStub(harness.sim, harness.network, "x", 900.0)  # was at 300.0, left, rejoined
+    ring = peer.ring
+    ring._set_state(JOINED)
+    ring.succ_list = [SuccessorEntry(successor.address, 200.0, JOINED, True),
+                      SuccessorEntry("x", 300.0, LEAVING)]
+    harness.sim.run_process(ring._validate_successors_once())
+    harness.sim.run_process(ring._stabilize_once())  # the reply omits x
+    assert ring.first_live_successor() == successor.address
+    assert "x" not in [entry.address for entry in ring.succ_list]
+
+
+# --------------------------------------------------------------------------- the quiet-round fast path
+_PEERS = ["p1", "p2", "p3", "p4", "p5", "p6"]
+_values = st.integers(0, 15).map(lambda k: k * 625.0)  # exact on the 10,000 key space
+_states = st.sampled_from([JOINING, JOINED, LEAVING])
+_entries = st.tuples(st.sampled_from(["me"] + _PEERS), _values, _states, st.booleans())
+
+
+@st.composite
+def stabilize_rounds(draw):
+    """Our value, our list, the contacted head and its reply, and a pending insert.
+
+    Half the rounds are quiet: one clockwise run of distinct peers, of which
+    we hold a prefix and the reply (perhaps naming us or the head again) the
+    rest.  The other half are arbitrary lists and replies.
+    """
+    own_value = draw(_values)
+    if draw(st.booleans()):
+        run = draw(st.lists(st.tuples(st.sampled_from(_PEERS), _values, _states, st.booleans()),
+                            min_size=1, max_size=6, unique_by=lambda entry: entry[0]))
+        span = default_config().key_space
+        run.sort(key=lambda entry: (entry[1] - own_value) % span or span)
+        current = run[:draw(st.integers(1, len(run)))]
+        head_address, head_value, head_state = current[0][:3]
+        items = [entry[:3] for entry in run[1:]]
+        for _ in range(draw(st.integers(0, 2))):
+            named = (draw(st.sampled_from(["me", head_address])), draw(_values), draw(_states))
+            items.insert(draw(st.integers(0, len(items))), named)
+    else:
+        head = (draw(st.sampled_from(_PEERS)), draw(_values), draw(_states), draw(st.booleans()))
+        current = [head] + draw(st.lists(_entries, max_size=5))
+        head_address, head_value, head_state = draw(st.sampled_from(_PEERS)), draw(_values), \
+            draw(_states)
+        items = [entry[:3] for entry in draw(st.lists(_entries, max_size=6))]
+    response = {
+        "value": head_value,
+        "state": head_state,
+        "succ_list": [{"address": a, "value": v, "state": s} for a, v, s in items],
+    }
+    pending = draw(st.sampled_from([None] + _PEERS))
+    return own_value, current, head_address, response, pending
+
+
+def _ring_holding(ring_class, own_value, current, pending):
+    sim = Simulator()
+    node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
+    ring = ring_class(node, own_value, default_config())
+    ring.succ_list = [SuccessorEntry(*entry) for entry in current]
+    if pending is not None:
+        ring._pending_insert = {"address": pending, "event": sim.event()}
+    return ring
+
+
+def _held(ring):
+    return (
+        [(e.address, e.value, e.state, e.stabilized) for e in ring.succ_list],
+        getattr(ring, "_last_received_addresses", None),
+    )
+
+
+@pytest.mark.parametrize("ring_class", [ChordRing, PepperRing])
+@settings(max_examples=300, deadline=None)
+@given(round_=stabilize_rounds())
+def test_the_quiet_round_fast_path_equals_the_full_merge(ring_class, round_):
+    """``_adopt_matching_reply`` is ``_install_list`` on the replies it takes:
+    the same addresses, values, states, ``stabilized`` flags and reported set.
+    A reply it declines leaves the list untouched for the merge."""
+    own_value, current, head_address, response, pending = round_
+    fast = _ring_holding(ring_class, own_value, current, pending)
+    before = _held(fast)
+    if not fast._adopt_matching_reply(head_address, response):
+        event("declined")
+        assert _held(fast) == before
+        return
+    event("taken")
+    merged = _ring_holding(ring_class, own_value, current, pending)
+    head = SuccessorEntry(head_address, response["value"], response["state"], stabilized=True)
+    received = [e for e in entries_from_wire(response["succ_list"])
+                if e.address not in (merged.address, head_address)]
+    merged._install_list(head, received)
+    assert _held(fast) == _held(merged)
+
+
+def test_a_reply_that_extends_our_list_takes_the_fast_path():
+    ring = _ring_holding(ChordRing, 0.0, [("p1", 625.0, JOINED, True)], None)
+    reply = {"value": 625.0, "state": JOINED,
+             "succ_list": [{"address": "p2", "value": 1250.0, "state": JOINED}]}
+    assert ring._adopt_matching_reply("p1", reply)
+    assert _held(ring) == ([("p1", 625.0, JOINED, True), ("p2", 1250.0, JOINED, False)],
+                           {"p1", "p2"})

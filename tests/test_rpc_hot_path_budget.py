@@ -22,7 +22,8 @@ plain handler's request and reply (2); a generator handler's request, reply
 and the expiry armed as it starts (3); a dead target's request and expiry (2).
 The generator handler here yields an already-fired event, so only the path
 itself pushes.  The simulated side is pinned exactly too: the events each kind
-of RPC costs, and the one event and one timer entry of a quiet periodic round.
+of RPC costs, and the one event and one timer entry of a quiet periodic round
+(which builds no ``Event`` of its own and resumes no generator but its round).
 """
 
 import cProfile
@@ -31,7 +32,7 @@ import random
 
 import pytest
 
-from repro.sim.engine import Simulator, Timeout
+from repro.sim.engine import Event, Process, Simulator, Timeout
 from repro.sim.locks import RWLock
 from repro.sim.network import Network, NetworkConfig, UniformLatency
 from repro.transport import Endpoint, RpcTimeout
@@ -153,12 +154,18 @@ def _uncontended_lock(lock):
     return action
 
 
-@pytest.mark.parametrize("make_action", [
-    pytest.param(lambda lock: _quiet_plain, id="plain"),
-    pytest.param(lambda lock: _quiet_generator, id="generator"),
-    pytest.param(_uncontended_lock, id="uncontended_lock"),
+# Per quiet round, beyond its one timer entry and one event: the ``Event``
+# objects built (the loop's sleep builds none; the lock's grant is one) and the
+# generator resumes (a plain round resumes none; a generator round is driven
+# once, from the wakeup, with no forwarding frame).
+@pytest.mark.parametrize("make_action, events_made, resumes", [
+    pytest.param(lambda lock: _quiet_plain, 0, 0, id="plain"),
+    pytest.param(lambda lock: _quiet_generator, 0, 1, id="generator"),
+    pytest.param(_uncontended_lock, 1, 1, id="uncontended_lock"),
 ])
-def test_a_quiet_periodic_round_is_one_timer_entry_and_one_event(monkeypatch, make_action):
+def test_a_quiet_periodic_round_is_one_timer_entry_and_one_event(
+    monkeypatch, make_action, events_made, resumes
+):
     sim = Simulator()
     peer = _EchoPeer(sim, Network(sim, random.Random(7), NetworkConfig()), "peer")
     action = make_action(RWLock(sim))
@@ -170,12 +177,18 @@ def test_a_quiet_periodic_round_is_one_timer_entry_and_one_event(monkeypatch, ma
 
     peer.every(1.0, round_)
     sim.run(until=0.5)  # the loop has started and armed its first sleep
-    made = []
+    made, built, resumed = [], [], []
     build = Timeout.__init__
     monkeypatch.setattr(Timeout, "__init__", lambda self, *a: made.append(a) or build(self, *a))
+    init = Event.__init__
+    monkeypatch.setattr(Event, "__init__", lambda self, sim: built.append(1) or init(self, sim))
+    resume = Process._resume
+    monkeypatch.setattr(Process, "_resume", lambda self, t: resumed.append(1) or resume(self, t))
     entries, events = sim._sequence, sim.events_processed
     sim.run(until=10.5)
     assert rounds == [float(t) for t in range(1, 11)]
     assert sim._sequence - entries == 10
     assert sim.events_processed - events == 10
     assert made == []
+    assert len(built) == 10 * events_made
+    assert len(resumed) == 10 * resumes

@@ -1,12 +1,14 @@
 """Unit tests for the network model and RPC transport."""
 
 import collections
+import gc
 import random
 import sys
+from types import GeneratorType
 
 import pytest
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Interrupt, SimulationError, Simulator
 from repro.sim.network import (
     ConstantLatency,
     LatencyModel,
@@ -267,8 +269,69 @@ def test_node_every_closes_its_action_when_the_loop_is_closed(env):
 
     loop = a.every(1.0, waiting)
     sim.run(until=2.0)
-    loop.generator.close()
+    loop.interrupt("torn down")  # what fail() does to every owned process
+    sim.run(until=2.0)
     assert closed == [2.0]
+    assert loop.triggered and loop.ok  # an uncaught interrupt ends the loop quietly
+
+
+def test_between_rounds_a_periodic_loop_references_no_generator(env):
+    sim, network, a, b = env
+
+    def slow_round():
+        yield sim.timeout(0.25)
+
+    def generators_held(process):
+        held = gc.get_referents(process)
+        return [ref for ref in held if isinstance(ref, GeneratorType)
+                or isinstance(getattr(ref, "__self__", None), GeneratorType)]
+
+    loop = a.every(1.0, slow_round)
+    sim.run(until=1.1)
+    assert type(loop.generator) is GeneratorType  # the round in flight is the current one
+    sim.run(until=1.5)  # that round has returned and armed the next sleep
+    assert loop.generator is None
+    assert generators_held(loop) == []
+
+
+def test_an_interrupt_reaches_the_round_in_flight(env):
+    sim, network, a, b = env
+    caught = []
+
+    def patient_round():
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt as interrupt:
+            caught.append((sim.now, interrupt.cause))
+
+    loop = a.every(1.0, patient_round)
+    sim.run(until=1.5)
+    loop.interrupt("poke")
+    sim.run(until=3.0)
+    # The round caught it and returned, so the loop lives on, as under
+    # ``yield from``: it slept a period and started the next round at 2.5.
+    assert caught == [(1.5, "poke")]
+    assert loop.alive and not loop.triggered
+    loop.interrupt("again")
+    sim.run(until=3.0)
+    assert caught == [(1.5, "poke"), (3.0, "again")]
+
+
+def test_an_uncaught_error_in_a_plain_round_ends_the_loop_with_it(env):
+    sim, network, a, b = env
+    rounds = []
+
+    def flaky():
+        rounds.append(sim.now)
+        if len(rounds) == 2:
+            raise ValueError("round exploded")
+
+    loop = a.every(1.0, flaky)
+    sim.run(until=5.0)  # the error ends the loop, not the run
+    assert rounds == [1.0, 2.0]
+    assert loop.triggered and not loop.ok
+    assert isinstance(loop.value, ValueError)
+    assert loop not in a._processes
 
 
 def _unmatched_returns(run) -> list:
