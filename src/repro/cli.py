@@ -4,12 +4,11 @@ Examples::
 
     repro-run --list                 # everything runnable, with descriptions
     repro-run smoke                  # one scenario cell, writes BENCH_smoke.json
-    repro-run scale_sweep            # 100..5000-peer suite -> BENCH_scale.json
+    repro-run scale_sweep            # 100..1000-peer suite -> BENCH_scale.json
     repro-run figure_19              # a paper-figure reproduction
     repro-run churn_heavy --seeds 0,1,2 --processes 3
     repro-run scale_sweep --seeds 0..4   # 5 seeds/cell; BENCH carries mean/p95
     repro-run scale_100_wan          # the scale cell under 4-site LAN/WAN latency
-    repro-run adaptive_ablation      # fixed vs adaptive maintenance at 1000 peers
     repro-run scale_1000 --profile   # cProfile capture -> PROFILE_scale_1000.txt
     repro-run localhost_20           # same protocols over real asyncio UDP sockets
     repro-run localhost_20_sim --transport asyncio   # transport override on any cell

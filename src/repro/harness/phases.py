@@ -72,8 +72,8 @@ class QueryMixSpec:
 class ServeSpec:
     """An open-loop serve phase: arrival-rate traffic at zipf hotspots.
 
-    Declares serving the way :class:`LatencySpec`/:class:`MaintenanceSpec`
-    declare their subsystems: queries arrive with exponential interarrivals
+    Declares serving the way :class:`LatencySpec` declares network
+    conditions: queries arrive with exponential interarrivals
     at ``arrival_rate`` per simulated second for ``duration`` seconds, each
     aimed at one of ``hotspots`` fixed windows drawn zipf-skewed by rank
     (exponent ``alpha``), and are issued through a serve-layer

@@ -6,10 +6,8 @@ instead *describes* a deployment -- its size, a lifecycle of phases (each
 binding arrivals, churn, an item workload, a query mix or open-loop serve
 traffic), protocol selection, network conditions
 (:class:`LatencySpec`, resolved through
-:func:`repro.sim.network.latency_model_from_params`), maintenance adaptivity
-(:class:`MaintenanceSpec`, resolved through
-:func:`repro.maintenance.policy.maintenance_policy_from_params`) and index
-configuration -- and the driver executes any spec through the same code path.
+:func:`repro.sim.network.latency_model_from_params`) and index configuration
+-- and the driver executes any spec through the same code path.
 
 Scenarios are registered by name in a process-global registry, so experiments
 become one-liners::
@@ -42,7 +40,6 @@ from repro.harness.phases import (
     validate_phases,
 )
 from repro.index.config import IndexConfig
-from repro.maintenance.policy import MaintenancePolicy, maintenance_policy_from_params
 from repro.sim.network import (
     CROSS_SITE_LATENCY_METRIC,
     INTRA_SITE_LATENCY_METRIC,
@@ -54,7 +51,6 @@ from repro.transport.api import TRANSPORT_NAMES
 __all__ = [
     "ChurnSpec",
     "LatencySpec",
-    "MaintenanceSpec",
     "PhaseResult",
     "PhaseSpec",
     "QueryMixSpec",
@@ -99,29 +95,6 @@ class LatencySpec:
         if self.model is None:
             return None
         return latency_model_from_params(self.model, **dict(self.params))
-
-
-@dataclass(frozen=True)
-class MaintenanceSpec:
-    """The maintenance-adaptivity policy of a scenario (mirrors :class:`LatencySpec`).
-
-    ``policy`` names a registered maintenance preset (``fixed`` /
-    ``adaptive``); ``None`` keeps whatever the resolved
-    :class:`~repro.index.config.IndexConfig` already carries (the historical
-    fixed timers by default).  ``params`` are flat keyword overrides for
-    individual :class:`~repro.maintenance.policy.MaintenancePolicy` fields --
-    e.g. ``{"freshness_factor": 0}`` runs the adaptive validation cadence
-    without the freshness skip, which is how single mechanisms are ablated.
-    """
-
-    policy: Optional[str] = None
-    params: Mapping = field(default_factory=dict)
-
-    def build_policy(self) -> Optional[MaintenancePolicy]:
-        """Instantiate (and validate) the configured policy, or ``None``."""
-        if self.policy is None:
-            return None
-        return maintenance_policy_from_params(self.policy, **dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -184,7 +157,6 @@ class ScenarioSpec:
     # protocol flag can be turned off: {"safe_leave": False}.
     config: Mapping = field(default_factory=dict)
     latency: LatencySpec = LatencySpec()
-    maintenance: MaintenanceSpec = MaintenanceSpec()
     # Transport selection: in-sim (default) or real asyncio sockets; see
     # :class:`TransportSpec`.
     transport: TransportSpec = TransportSpec()
@@ -198,9 +170,6 @@ class ScenarioSpec:
             config = config.copy(
                 network=replace(config.network, latency_model=latency_model)
             )
-        maintenance_policy = self.maintenance.build_policy()
-        if maintenance_policy is not None:
-            config = config.copy(maintenance=maintenance_policy)
         transport_name = self.transport.resolve()
         if transport_name is not None:
             config = config.copy(transport=transport_name)
@@ -243,8 +212,8 @@ class ScenarioResult:
     rpc_calls: int
     rpc_timeouts: int
     messages_sent: int
-    # RPC count per method name -- the per-method profile the maintenance
-    # ablations compare (e.g. ``ring_ping`` fixed vs. adaptive cadence).
+    # RPC count per method name (e.g. ``ring_ping`` is the validation loops'
+    # traffic, ``route_table_entry`` the router's table walks).
     rpc_per_method: Dict[str, int] = field(default_factory=dict)
     # Which transport carried the cell's messages ("sim" or "asyncio").
     transport: str = "sim"
@@ -288,7 +257,6 @@ _REPORTED_METRICS = (
     "leave",
     "route_hops",
     "join_redirect",
-    "ring_ping_fresh_skip",
     "serve_read_primary",
     "serve_read_replica",
     "serve_cache_invalidate",
@@ -614,63 +582,20 @@ register(_scale_spec("scale_1000", 1000, "1000-peer deployment with churn"))
 register(_scale_spec("scale_3000", 3000, "3000-peer deployment with churn"))
 register(_scale_spec("scale_5000", 5000, "5000-peer deployment with churn"))
 
-# ---- adaptive maintenance --------------------------------------------------
-# The same scale cells with the adaptive maintenance policy: a ring_ping
-# validation cadence that backs off while validations succeed, plus per-entry
-# freshness (recently confirmed successors are not re-pinged).  The
-# fixed cell and its ``_adaptive`` twin differ in exactly one spec field, so
-# ``repro-run adaptive_ablation`` is the fixed-vs-adaptive ablation and the
-# per-method RPC profiles in the BENCH envelope carry the ``ring_ping`` delta.
-ADAPTIVE_MAINTENANCE = MaintenanceSpec(policy="adaptive")
-
-
-def _adaptive_variant(base_name: str) -> ScenarioSpec:
-    base = get_scenario(base_name)
-    return base.with_(
-        name=f"{base_name}_adaptive",
-        description=f"{base.description}, adaptive maintenance policy",
-        maintenance=ADAPTIVE_MAINTENANCE,
-    )
-
-
-register(_adaptive_variant("scale_100"))
-register(_adaptive_variant("scale_300"))
-register(_adaptive_variant("scale_1000"))
-register(_adaptive_variant("scale_5000"))
-
 register_suite(
     ScenarioSuite(
         name="scale_sweep",
-        scenarios=(
-            "scale_100",
-            "scale_100_adaptive",
-            "scale_300",
-            "scale_300_adaptive",
-            "scale_1000",
-            "scale_1000_adaptive",
-        ),
-        description="wall-clock and event-throughput across 100..1000 peers, fixed+adaptive",
+        scenarios=("scale_100", "scale_300", "scale_1000"),
+        description="wall-clock and event-throughput across 100..1000 peers",
         bench_name="scale",
     )
 )
 register_suite(
     ScenarioSuite(
         name="scale_sweep_deep",
-        scenarios=(
-            "scale_3000",
-            "scale_5000",
-            "scale_5000_adaptive",
-        ),
+        scenarios=("scale_3000", "scale_5000"),
         description="the 3000/5000-peer cells (hours-scale; the weekly deep bench)",
         bench_name="scale_deep",
-    )
-)
-register_suite(
-    ScenarioSuite(
-        name="adaptive_ablation",
-        scenarios=("scale_1000", "scale_1000_adaptive"),
-        description="fixed vs. adaptive maintenance at 1000 peers (ring_ping profile delta)",
-        bench_name="adaptive",
     )
 )
 
@@ -701,25 +626,6 @@ register_suite(
         scenarios=("scale_100_wan", "scale_300_wan", "scale_1000_wan"),
         description="the scaling sweep under 4-site LAN/WAN cross-site latency",
         bench_name="scale_wan",
-    )
-)
-
-# The 1000-peer WAN cell under the adaptive policy: does the validation
-# back-off and freshness skip hold up when cross-site round trips are 10-30x
-# the LAN's?
-register(
-    get_scenario("scale_1000_wan").with_(
-        name="scale_1000_wan_adaptive",
-        description="1000-peer WAN deployment, adaptive maintenance policy",
-        maintenance=ADAPTIVE_MAINTENANCE,
-    )
-)
-register_suite(
-    ScenarioSuite(
-        name="adaptive_ablation_wan",
-        scenarios=("scale_1000_wan", "scale_1000_wan_adaptive"),
-        description="fixed vs. adaptive maintenance under 4-site WAN latency",
-        bench_name="adaptive_wan",
     )
 )
 

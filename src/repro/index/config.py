@@ -11,9 +11,7 @@ by flipping the flags only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
-from repro.maintenance.policy import FIXED_MAINTENANCE, MaintenancePolicy
 from repro.sim.network import NetworkConfig
 from repro.transport.api import TRANSPORT_NAMES
 
@@ -59,12 +57,6 @@ class IndexConfig:
     extra_hop_replication: bool = True  # replicate-to-additional-hop vs. nothing
     proactive_nudge: bool = True  # Section 4.3.1 optimization: poke predecessors
 
-    # --- Maintenance adaptivity ---------------------------------------------------
-    # ``None`` keeps the historical fixed-timer behaviour; scenario specs
-    # resolve a MaintenanceSpec into a validated policy here (exactly as a
-    # LatencySpec resolves into ``network.latency_model``).
-    maintenance: Optional[MaintenancePolicy] = None
-
     # --- Simulation substrate ---------------------------------------------------
     network: NetworkConfig = field(default_factory=NetworkConfig)
     seed: int = 0
@@ -83,11 +75,6 @@ class IndexConfig:
     def underflow_threshold(self) -> int:
         """A Data Store underflows when it holds fewer than ``sf`` items."""
         return self.storage_factor
-
-    @property
-    def maintenance_policy(self) -> MaintenancePolicy:
-        """The effective maintenance policy (the fixed one unless configured)."""
-        return self.maintenance if self.maintenance is not None else FIXED_MAINTENANCE
 
     @property
     def join_ack_timeout(self) -> float:
@@ -122,8 +109,6 @@ class IndexConfig:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {', '.join(TRANSPORT_NAMES)}"
             )
-        if self.maintenance is not None:
-            self.maintenance.validate()
         self.network.validate()
 
     def with_naive_protocols(self) -> "IndexConfig":

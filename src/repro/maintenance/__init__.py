@@ -1,43 +1,20 @@
-"""Adaptive ring-maintenance subsystem: validation cadence controllers.
+"""The back-off cadence shared by self-pacing maintenance loops.
 
 Layer contract
 --------------
 This package sits *below* the protocol layers: it depends only on the standard
-library, so :mod:`repro.index.config` can carry a resolved
-:class:`MaintenancePolicy` and :mod:`repro.ring` / :mod:`repro.replication`
-can drive their periodic loops through the controllers without import cycles.
-Neighbors may import everything exported here; nothing in this package may
-import from any other ``repro`` package.
+library, so :mod:`repro.router` and :mod:`repro.datastore` can pace their
+periodic loops through it without import cycles.  Neighbors may import
+everything exported here; nothing in this package may import from any other
+``repro`` package.
 
 What lives here:
 
-* :mod:`~repro.maintenance.cadence` -- :class:`FixedCadence` and
-  :class:`AdaptiveCadence` (back-off/tighten cadence), plus the validation
-  loops' back-off constants.
-* :mod:`~repro.maintenance.policy` -- :class:`MaintenancePolicy` (validation
-  cadence and freshness), the named presets, and
-  :func:`maintenance_policy_from_params` (the scenario-facing factory,
-  mirroring the latency-model factory).
+* :mod:`~repro.maintenance.cadence` -- :class:`AdaptiveCadence`, the
+  back-off/tighten controller behind the router's table refresh and the Data
+  Store's split-deferral retry.  The ring's own loops run on fixed timers.
 """
 
-from repro.maintenance.cadence import (
-    AdaptiveCadence,
-    CadenceController,
-    FixedCadence,
-)
-from repro.maintenance.policy import (
-    FIXED_MAINTENANCE,
-    MAINTENANCE_POLICIES,
-    MaintenancePolicy,
-    maintenance_policy_from_params,
-)
+from repro.maintenance.cadence import AdaptiveCadence
 
-__all__ = [
-    "AdaptiveCadence",
-    "CadenceController",
-    "FIXED_MAINTENANCE",
-    "FixedCadence",
-    "MAINTENANCE_POLICIES",
-    "MaintenancePolicy",
-    "maintenance_policy_from_params",
-]
+__all__ = ["AdaptiveCadence"]

@@ -119,34 +119,6 @@ class ChordRing:
         self._stabilizing = False
         self._stabilize_pending = False
 
-        # Maintenance adaptivity (``config.maintenance``; the default policy
-        # reproduces the historical fixed timers).  The successor-validation
-        # controller paces that ``ring_ping`` loop -- backing off while
-        # validations succeed, tightening after a failure or membership
-        # change.  The predecessor check deliberately keeps its fixed
-        # cadence (its detection latency feeds replica revival); its traffic
-        # is cut by the *passive* suppression below instead: a predecessor
-        # that recently stabilized with us has proven itself alive, so the
-        # next ping within the window is redundant and skipped.
-        policy = config.maintenance_policy
-        self._succ_cadence = policy.validation_controller(config.stabilization_period)
-        self._passive_window = (
-            1.5 * config.predecessor_check_period if policy.validation == "adaptive" else None
-        )
-        # Last time each peer stabilized with us, newest last (adaptive
-        # policy only; bounded -- see _note_heard_from).
-        self._heard_from: dict = {}
-        # Per-entry validation freshness: when each peer was last confirmed
-        # alive first-hand (a ping reply, a stabilization round with it, or it
-        # stabilizing with us).  Successor validation skips re-pinging entries
-        # confirmed within the window instead of burning a ``ring_ping`` on a
-        # peer that just proved itself.  0 disables the skip entirely (the
-        # fixed policy's behaviour).
-        self._freshness_window = (
-            policy.validation_freshness(config.stabilization_period) or None
-        )
-        self._confirmed_at: dict = {}
-
         node.register_handler("ring_stabilize", self._handle_stabilize)
         node.register_handler("ring_ping", self._handle_ping)
         node.register_handler("ring_insert_successor", self._handle_insert_successor)
@@ -192,44 +164,6 @@ class ChordRing:
     def _record_op(self, kind: str, **attrs) -> None:
         if self.history is not None:
             self.history.record(kind, peer=self.address, **attrs)
-
-    # How many distinct recent stabilizers to remember for passive liveness;
-    # in a healthy ring only the current predecessor stabilizes with us, so a
-    # handful of slots covers churn transients without unbounded growth.
-    _HEARD_FROM_LIMIT = 8
-
-    def _note_heard_from(self, address: str) -> None:
-        """Record that ``address`` just stabilized with us (adaptive policy only)."""
-        self._note_confirmed(address)
-        if self._passive_window is None:
-            return
-        heard = self._heard_from
-        heard.pop(address, None)
-        heard[address] = self.sim.now
-        while len(heard) > self._HEARD_FROM_LIMIT:
-            heard.pop(next(iter(heard)))
-
-    # Confirmation records only matter for peers near us on the ring (the
-    # successor list is a handful of entries); a few dozen slots absorb churn
-    # transients without growing with deployment size.
-    _CONFIRMED_LIMIT = 32
-
-    def _note_confirmed(self, address: str) -> None:
-        """Record a first-hand liveness confirmation of ``address``."""
-        if self._freshness_window is None or address == self.address:
-            return
-        confirmed = self._confirmed_at
-        confirmed.pop(address, None)
-        confirmed[address] = self.sim.now
-        while len(confirmed) > self._CONFIRMED_LIMIT:
-            confirmed.pop(next(iter(confirmed)))
-
-    def _confirmed_recently(self, address: str) -> bool:
-        """Whether ``address`` proved itself alive within the freshness window."""
-        if self._freshness_window is None:
-            return False
-        confirmed = self._confirmed_at.get(address)
-        return confirmed is not None and self.sim.now - confirmed <= self._freshness_window
 
     def adopt_inserted_predecessor(self, address: str, value: float) -> None:
         """First-hand predecessor adoption: ``address`` inserted right behind us.
@@ -498,8 +432,6 @@ class ChordRing:
             return
         self._maintenance_started = True
         jitter = self.config.stabilization_jitter
-        # Stabilization and the predecessor check run on plain periods; the
-        # successor validation loop is paced by its controller.
         self.node.every(
             self.config.stabilization_period,
             self._stabilize_once,
@@ -513,7 +445,7 @@ class ChordRing:
             name="ring-pred-check",
         )
         self.node.every(
-            self._succ_cadence.interval,
+            self.config.stabilization_period,
             self._validate_successors_once,
             jitter=jitter,
             initial_delay=self.config.stabilization_period * 1.5,
@@ -582,13 +514,10 @@ class ChordRing:
                     ]
                 finally:
                     self.succ_lock.release_write()
-                self._confirmed_at.pop(target.address, None)
-                self._succ_cadence.note_failure()
                 self._record_op("successor_failure_detected", failed=target.address)
                 continue
             except Interrupt:
                 raise
-            self._note_confirmed(target.address)
             yield from self._adopt(target, response)
             return
 
@@ -599,7 +528,6 @@ class ChordRing:
             # state; the caller treats the error as a failed successor and
             # drops the stale pointer.
             raise RuntimeError(f"{self.address} is not a ring member ({self.state})")
-        self._note_heard_from(payload["pred_address"])
         if payload.get("pred_state") == JOINED:
             # First-hand: the peer says it has joined.  In a ring small enough
             # that our predecessor is also in our successor list, its inserter
@@ -634,10 +562,6 @@ class ChordRing:
             old_address, old_value = self.pred_address, self.pred_value
             self.pred_address = address
             self.pred_value = value
-            if old_address is not None and old_address != address:
-                # The displaced predecessor's liveness record is no longer
-                # load-bearing (only the current pred's ping can be skipped).
-                self._heard_from.pop(old_address, None)
             self._record_op("predecessor_changed", pred=address, pred_value=value)
             self._fire_predecessor_changed(old_address, old_value, address, value)
 
@@ -648,12 +572,6 @@ class ChordRing:
         if self.pred_address in (None, self.address):
             return
         pred_address, pred_value = self.pred_address, self.pred_value
-        if self._passive_window is not None:
-            heard = self._heard_from.get(pred_address)
-            if heard is not None and self.sim.now - heard <= self._passive_window:
-                # The predecessor stabilized with us within the window: it is
-                # alive, no ping needed.
-                return
         gone = False
         try:
             response = yield self.node.call(
@@ -667,11 +585,7 @@ class ChordRing:
             gone = response.get("state") in (FREE, JOINING)
         except RpcError:
             gone = True
-        if not gone:
-            self._note_confirmed(pred_address)
         if gone:
-            self._heard_from.pop(pred_address, None)
-            self._confirmed_at.pop(pred_address, None)
             if self.pred_address != pred_address:
                 return
             self.pred_address = None
@@ -706,12 +620,6 @@ class ChordRing:
             del targets[0]
         stale = []
         for entry in targets:
-            if self._confirmed_recently(entry.address):
-                # The entry proved itself alive within the freshness window
-                # (a ping, a stabilization round, or it stabilized with us):
-                # re-pinging it now would be pure redundant traffic.
-                self._record("ring_ping_fresh_skip", 1.0)
-                continue
             try:
                 response = yield self.node.call(
                     entry.address,
@@ -724,16 +632,8 @@ class ChordRing:
                 continue
             if response.get("state") in (FREE, JOINING):
                 stale.append(entry.address)
-            else:
-                self._note_confirmed(entry.address)
         if not stale:
-            # An all-clear round (or nothing to check): the controller may
-            # back off the next validation.
-            self._succ_cadence.note_success()
             return
-        self._succ_cadence.note_failure()
-        for address in stale:
-            self._confirmed_at.pop(address, None)
         yield self.succ_lock.acquire_write()
         try:
             self.succ_list = [e for e in self.succ_list if e.address not in stale]
@@ -895,8 +795,5 @@ class ChordRing:
             listener.on_predecessor_changed(self, old_addr, old_val, new_addr, new_val)
 
     def _fire_successor_changed(self, new_address: str) -> None:
-        # Membership moved right next to us: validate at the base cadence
-        # again until the neighbourhood proves stable.
-        self._succ_cadence.note_change()
         for listener in self.listeners:
             listener.on_successor_changed(self, new_address)

@@ -197,11 +197,12 @@ class Endpoint:
         """Run ``action`` every ``period`` seconds (plus uniform jitter).
 
         ``period`` is either a float (fixed cadence) or a zero-argument
-        callable returning the delay before the *next* round -- that is how the
-        adaptive maintenance controllers (:mod:`repro.maintenance.cadence`)
-        drive the ring and replication loops without a second scheduling path.
-        The callable is consulted after every round, so a controller that
-        backs off or tightens takes effect on the very next sleep.
+        callable returning the delay before the *next* round -- that is how
+        the router's table refresh is paced by its
+        :class:`~repro.maintenance.cadence.AdaptiveCadence` without a second
+        scheduling path.  The callable is consulted after every round, so a
+        controller that backs off or tightens takes effect on the very next
+        sleep.
 
         ``action`` may be a plain callable or return a generator, in which case
         the periodic loop waits for it to complete before sleeping again --

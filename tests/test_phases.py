@@ -245,10 +245,6 @@ def test_scale_cells_are_phased_build_settle_stress():
         # The failure window lives exclusively in the stress phase.
         assert spec.phases[0].churn.failure_rate_per_100s == 0
         assert spec.phases[2].churn.failure_rate_per_100s > 0
-    adaptive = get_scenario("scale_1000_adaptive")
-    assert adaptive.phases == get_scenario("scale_1000").phases
-    assert get_scenario("scale_300_adaptive").maintenance.policy == "adaptive"
-    assert get_scenario("scale_5000_adaptive").maintenance.policy == "adaptive"
 
 
 def test_total_items_follows_the_resolved_lifecycle():

@@ -7,7 +7,7 @@ import pytest
 
 from repro import default_config
 from repro.datastore.store import DataStore
-from repro.harness.scenarios import build_experiment, get_scenario
+from repro.harness.scenarios import build_experiment, get_scenario, run_spec
 from repro.ring.chord import ChordRing
 from repro.ring.entries import JOINED, JOINING, LEAVING, SuccessorEntry
 from repro.router.hierarchical import HierarchicalRingRouter
@@ -298,6 +298,22 @@ def test_a_failed_hop_refreshes_at_the_base_period():
     assert _walk(router, {"entries": _wire([B, C])}, RpcTimeout("c")) == [("a", 0), ("c", 2)]
     assert router.table == [A, B]  # the dead pointer is not installed
     assert router._cadence.interval() == base
+
+
+# scale_100's stress-phase route_table_entry RPCs per ring member per simulated
+# second: 0.21 at seed 0, plus 20% headroom (CI's scale-smoke gates the same).
+ROUTER_WALK_RATE = 0.255
+
+
+def test_converged_tables_back_the_stress_phase_walks_off():
+    """The refresh backs off once the tables have converged: the stress
+    phase's table walks stay under a fixed rate per ring member (a walk every
+    base period cost 0.31 here)."""
+    cell = run_spec(get_scenario("scale_100"), seed=0)
+    (stress,) = [phase for phase in cell.phases if phase["phase"] == "stress"]
+    members = (stress["ring_members_start"] + stress["ring_members"]) / 2
+    rate = stress["rpc_per_method"]["route_table_entry"] / members / stress["sim_seconds"]
+    assert rate <= ROUTER_WALK_RATE, f"{rate:.3f} table RPCs per member-second"
 
 
 def test_a_wrapped_answer_ends_the_walk_once_it_reaches_halfway():

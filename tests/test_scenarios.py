@@ -70,29 +70,20 @@ def test_builtin_scenarios_registered():
         "scale_1000",
     ):
         assert expected in names
-    # One event engine: no cell exists only to name another one.
-    assert len(names) == 29
-    assert not [name for name in names if name.endswith("_wheel")]
+    # One event engine and one maintenance policy: no cell exists only to
+    # name another one.
+    assert len(names) == 24
+    assert not [name for name in names if name.endswith(("_wheel", "_adaptive"))]
+    assert len(suite_names()) == 5
 
 
 def test_scale_sweep_suite_composition():
     assert "scale_sweep" in suite_names()
     suite = get_suite("scale_sweep")
-    assert suite.scenarios == (
-        "scale_100",
-        "scale_100_adaptive",
-        "scale_300",
-        "scale_300_adaptive",
-        "scale_1000",
-        "scale_1000_adaptive",
-    )
+    assert suite.scenarios == ("scale_100", "scale_300", "scale_1000")
     assert suite.bench_name == "scale"
     deep = get_suite("scale_sweep_deep")
-    assert deep.scenarios == (
-        "scale_3000",
-        "scale_5000",
-        "scale_5000_adaptive",
-    )
+    assert deep.scenarios == ("scale_3000", "scale_5000")
     assert deep.bench_name == "scale_deep"
 
 

@@ -12,8 +12,7 @@ These tests pin that promise against end states frozen from the pre-refactor
 tree (commit da01b0f): membership, item counts, per-method RPC profiles,
 message totals and the exact number of executed events, per scenario x seed.
 The smoke matrix runs in tier-1; the heavier ``scale_300`` acceptance matrix
-(fixed + adaptive, seeds 0..2) runs under ``REPRO_PARITY_FULL=1`` (the CI
-``parity`` job).
+(seeds 0..2) runs under ``REPRO_PARITY_FULL=1`` (the CI ``parity`` job).
 """
 
 from __future__ import annotations
