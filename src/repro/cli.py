@@ -11,7 +11,7 @@ Examples::
     repro-run scale_100_wan          # the scale cell under 4-site LAN/WAN latency
     repro-run scale_1000 --profile   # cProfile capture -> PROFILE_scale_1000.txt
     repro-run localhost_20           # same protocols over real asyncio UDP sockets
-    repro-run localhost_20_sim --transport asyncio   # transport override on any cell
+    repro-run localhost_20 --transport sim   # transport override on any cell
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _print_listing() -> None:
     print(f"  {'name':24s} {'peers':>5s}  {'transport':9s} description")
     for name in scenario_names():
         spec = get_scenario(name)
-        transport = spec.transport.resolve() or "sim"
+        transport = spec.config.get("transport", "sim")
         print(f"  {name:24s} {spec.peers:5d}  {transport:9s} {spec.description}")
     print("figures:")
     for name in sorted(ALL_FIGURES):

@@ -72,10 +72,6 @@ class DataStore(RingListener):
         if self.history is not None:
             self.history.record(kind, peer=self.address, **attrs)
 
-    def snapshot_range(self) -> Optional[CircularRange]:
-        """The current range (or ``None`` for an inactive/free peer)."""
-        return self.range
-
     def item_count(self) -> int:
         return len(self.items)
 

@@ -510,9 +510,6 @@ class ClusterExperiment:
         """Mean of a named metric collected so far."""
         return self.index.metrics.mean(name)
 
-    def metric_values(self, name: str) -> List[float]:
-        return self.index.metrics.values(name)
-
     def expected_keys(self, lb: float, ub: float) -> List[float]:
         """Keys inserted (and not deleted) that fall in ``(lb, ub]``."""
         alive = set(self.inserted_keys) - set(self.deleted_keys)

@@ -25,8 +25,6 @@ from repro.core.correctness import ItemTimeline, check_query_result, count_lost_
 from repro.harness.experiment import ClusterExperiment
 from repro.harness.reporting import format_table
 from repro.harness.scenarios import (
-    WAN_LATENCY,
-    LatencySpec,
     PhaseSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -63,18 +61,13 @@ class FigureResult:
         }
 
 
-#: The latency every non-WAN figure runs under: the paper's LAN bounds.
-PAPER_LAN = LatencySpec()
-
-
 def _build(peers: int, items: int, seed: int, protocols: str = "pepper",
-           config: Optional[Mapping] = None,
-           latency: LatencySpec = PAPER_LAN) -> ClusterExperiment:
+           config: Optional[Mapping] = None) -> ClusterExperiment:
     """Build the deployment every figure uses: paper arrival shape, 20 s settle."""
     build = PhaseSpec(name="build", arrivals=peers - 1, workload=WorkloadSpec(items=items),
                       settle=20.0)
     spec = ScenarioSpec(name="figure_cell", phases=(build,), peers=peers, protocols=protocols,
-                        seed=seed, config=config or {}, latency=latency)
+                        seed=seed, config=config or {})
     experiment = build_experiment(spec)
     experiment.run_phases(spec.phases, total_peers=peers)
     return experiment
@@ -106,20 +99,14 @@ def run_sweep(
     peers: int = 18,
     items: int = 110,
     seed: int = 0,
-    latency: LatencySpec = PAPER_LAN,
 ) -> FigureResult:
-    """Execute a :class:`FigureSweep` and collect its rows.
-
-    ``latency`` sets every cell's network model (the WAN variants pass
-    :data:`~repro.harness.scenarios.WAN_LATENCY`); the default keeps the
-    paper's LAN bounds.
-    """
+    """Execute a :class:`FigureSweep` and collect its rows."""
     rows = []
     for value in values if values is not None else sweep.values:
         built: Dict[str, ClusterExperiment] = {}
         offset, overrides = sweep.config_for(value)
         for variant in sweep.variants:
-            experiment = _build(peers, items, seed + offset, variant, overrides, latency)
+            experiment = _build(peers, items, seed + offset, variant, overrides)
             if sweep.prepare is not None:
                 sweep.prepare(experiment)
             built[variant] = experiment
@@ -308,7 +295,6 @@ def figure_23(
     items: int = 90,
     extra_peers: int = 8,
     seed: int = 23,
-    latency: LatencySpec = PAPER_LAN,
 ) -> FigureResult:
     """Figure 23: insertSucc time under peer failures (failure mode).
 
@@ -317,7 +303,7 @@ def figure_23(
     """
     rows = []
     for rate in failure_rates:
-        experiment = _build(peers, items, seed + int(rate), latency=latency)
+        experiment = _build(peers, items, seed + int(rate))
         index = experiment.index
 
         before = len(index.metrics.values("insert_succ"))
@@ -355,75 +341,6 @@ def _failure_events(experiment: ClusterExperiment, rate: float, duration: float)
 
     rng = experiment.index.rngs.stream("figure23-failures")
     return failure_schedule(rate, duration, rng, start=experiment.index.sim.now + 1.0)
-
-
-# --------------------------------------------------------------------------- WAN variants
-# The same sweeps with peers spread over 4 sites and 20-80 ms cross-site
-# round-trips: the paper's cost *orderings* (PEPPER above naive, growth with
-# list length / stabilization period / failure rate) must survive WAN
-# conditions even though every absolute number scales with the round-trip.
-def _wan_result(result: FigureResult) -> FigureResult:
-    result.figure += " (WAN)"
-    result.description += " under 4-site LAN/WAN latency"
-    return result
-
-
-def figure_19_wan(
-    succ_lengths: Optional[Sequence[int]] = None,
-    peers: int = 18,
-    items: int = 110,
-    seed: int = 19,
-) -> FigureResult:
-    """Figure 19 rerun under the two-tier LAN/WAN latency model (4 sites)."""
-    return _wan_result(
-        run_sweep(
-            SWEEPS["figure_19"],
-            values=succ_lengths,
-            peers=peers,
-            items=items,
-            seed=seed,
-            latency=WAN_LATENCY,
-        )
-    )
-
-
-def figure_20_wan(
-    stabilization_periods: Optional[Sequence[float]] = None,
-    peers: int = 18,
-    items: int = 110,
-    seed: int = 20,
-) -> FigureResult:
-    """Figure 20 rerun under the two-tier LAN/WAN latency model (4 sites)."""
-    return _wan_result(
-        run_sweep(
-            SWEEPS["figure_20"],
-            values=stabilization_periods,
-            peers=peers,
-            items=items,
-            seed=seed,
-            latency=WAN_LATENCY,
-        )
-    )
-
-
-def figure_23_wan(
-    failure_rates: Sequence[float] = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0),
-    peers: int = 14,
-    items: int = 90,
-    extra_peers: int = 8,
-    seed: int = 23,
-) -> FigureResult:
-    """Figure 23 rerun under the two-tier LAN/WAN latency model (4 sites)."""
-    return _wan_result(
-        figure_23(
-            failure_rates,
-            peers=peers,
-            items=items,
-            extra_peers=extra_peers,
-            seed=seed,
-            latency=WAN_LATENCY,
-        )
-    )
 
 
 # --------------------------------------------------------------------------- Ablation A1
@@ -542,13 +459,10 @@ def ablation_availability(
 # --------------------------------------------------------------------------- registry
 ALL_FIGURES = {
     "figure_19": figure_19,
-    "figure_19_wan": figure_19_wan,
     "figure_20": figure_20,
-    "figure_20_wan": figure_20_wan,
     "figure_21": figure_21,
     "figure_22": figure_22,
     "figure_23": figure_23,
-    "figure_23_wan": figure_23_wan,
     "ablation_query_correctness": ablation_query_correctness,
     "ablation_availability": ablation_availability,
 }

@@ -88,7 +88,7 @@ class ServeSpec:
 
     arrival_rate: float = 20.0  # queries per simulated second
     duration: float = 10.0  # arrival window (simulated seconds)
-    routing: str = "replica_lb"  # primary | replica_lb | cached
+    routing: str = "replica_lb"  # primary | replica_lb
     consistency: str = "strong"  # strong | eventual
     selectivity: float = 0.02  # window width as a fraction of the key space
     hotspots: int = 8  # distinct query windows

@@ -7,7 +7,7 @@ resulting tables.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from typing import Iterable, List, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -27,12 +27,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
             " | ".join(cell.ljust(widths[index]) for index, cell in enumerate(row))
         )
     return "\n".join(lines)
-
-
-def format_series(title: str, rows: Mapping, unit: str = "s") -> str:
-    """Render an ``x -> value`` mapping as a small table with a title."""
-    table = format_table(["x", f"value ({unit})"], sorted(rows.items()))
-    return f"{title}\n{table}"
 
 
 def _fmt(cell) -> str:

@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.metrics import nearest_rank
 from repro.harness.scenarios import (
-    TransportSpec,
     get_scenario,
     get_suite,
     run_spec,
@@ -54,7 +53,7 @@ def run_cell(cell: Tuple[str, int] | Tuple[str, int, Optional[str]]) -> Dict[str
     name, seed, transport = cell if len(cell) == 3 else (*cell, None)
     spec = get_scenario(name)
     if transport is not None:
-        spec = spec.with_(transport=TransportSpec(name=transport))
+        spec = spec.with_(config={**spec.config, "transport": transport})
     return run_spec(spec, seed=seed).as_dict()
 
 

@@ -46,7 +46,6 @@ from repro.sim.network import (
     LatencyModel,
     latency_model_from_params,
 )
-from repro.transport.api import TRANSPORT_NAMES
 
 __all__ = [
     "ChurnSpec",
@@ -58,7 +57,6 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioSuite",
     "ServeSpec",
-    "TransportSpec",
     "WorkloadSpec",
     "build_experiment",
     "get_scenario",
@@ -98,46 +96,6 @@ class LatencySpec:
 
 
 @dataclass(frozen=True)
-class TransportSpec:
-    """The execution substrate of a scenario (mirrors :class:`LatencySpec`).
-
-    ``name`` selects a registered transport:
-
-    * ``"sim"`` -- the seeded discrete-event simulator (deterministic;
-      latency/loss come from the spec's :class:`LatencySpec`);
-    * ``"asyncio"`` -- real UDP sockets on localhost with wall-clock periods
-      (latency comes from the real loopback path; one wall second per
-      scenario second).
-
-    ``None`` keeps whatever the resolved
-    :class:`~repro.index.config.IndexConfig` already carries (``"sim"`` by
-    default).  The ``REPRO_TRANSPORT`` environment variable and ``repro-run
-    --transport`` override the spec's choice for a whole process.
-
-    >>> TransportSpec().resolve() is None
-    True
-    >>> TransportSpec(name="asyncio").resolve()
-    'asyncio'
-    >>> TransportSpec(name="carrier-pigeon").resolve()
-    Traceback (most recent call last):
-        ...
-    ValueError: unknown transport 'carrier-pigeon'; known: sim, asyncio
-    """
-
-    name: Optional[str] = None
-
-    def resolve(self) -> Optional[str]:
-        """Validate and return the selected transport name, or ``None``."""
-        if self.name is None:
-            return None
-        if self.name not in TRANSPORT_NAMES:
-            raise ValueError(
-                f"unknown transport {self.name!r}; known: {', '.join(TRANSPORT_NAMES)}"
-            )
-        return self.name
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, named description of one experiment cell.
 
@@ -157,9 +115,6 @@ class ScenarioSpec:
     # protocol flag can be turned off: {"safe_leave": False}.
     config: Mapping = field(default_factory=dict)
     latency: LatencySpec = LatencySpec()
-    # Transport selection: in-sim (default) or real asyncio sockets; see
-    # :class:`TransportSpec`.
-    transport: TransportSpec = TransportSpec()
 
     # -- derived -----------------------------------------------------------
     def index_config(self, seed: Optional[int] = None) -> IndexConfig:
@@ -170,9 +125,6 @@ class ScenarioSpec:
             config = config.copy(
                 network=replace(config.network, latency_model=latency_model)
             )
-        transport_name = self.transport.resolve()
-        if transport_name is not None:
-            config = config.copy(transport=transport_name)
         if self.protocols == "pepper":
             config = config.with_pepper_protocols()
         elif self.protocols == "naive":
@@ -259,7 +211,6 @@ _REPORTED_METRICS = (
     "join_redirect",
     "serve_read_primary",
     "serve_read_replica",
-    "serve_cache_invalidate",
     "scan_window_pruned",
     INTRA_SITE_LATENCY_METRIC,
     CROSS_SITE_LATENCY_METRIC,
@@ -632,7 +583,7 @@ register_suite(
 # ---- localhost transport cells ----------------------------------------------
 # Real-network deployments: the same protocol code over asyncio UDP sockets on
 # 127.0.0.1, one wall-clock second per scenario second.  Each asyncio cell has
-# an in-sim twin differing in exactly the transport field, so the pair is the
+# an in-sim twin differing in exactly the transport setting, so the pair is the
 # sim-fidelity referee: run both, compare end states.
 #
 # The cells are *saturating* by design -- the item count (12 per peer) exceeds
@@ -656,7 +607,7 @@ def _localhost_spec(
         name=name,
         description=description,
         peers=peers,
-        transport=TransportSpec(name=transport_name),
+        config={"transport": transport_name},
         phases=(
             PhaseSpec(
                 name="build",
@@ -734,8 +685,8 @@ register_suite(
 # phases of the scale cells, then a serve phase with Poisson arrivals over 8
 # zipf-ranked hotspot windows and *no* churn (so every query has one correct
 # answer and routing policies are comparable at equal correctness).  Each size
-# is a trio differing only in the routing policy -- ``replica_lb`` (the
-# default cell) vs ``primary`` vs ``cached`` -- which makes the suite the
+# is a pair differing only in the routing policy -- ``replica_lb`` (the
+# default cell) vs ``primary`` -- which makes the suite the
 # read-routing ablation: same arrivals, same hotspots, same deployment,
 # different read paths.  The observables are the ``query_latency`` block
 # (open-loop p50/p99) and ``serve_load_variance`` (per-peer read-load
@@ -769,8 +720,8 @@ def _serve_spec(name: str, peers: int, routing: str, description: str) -> Scenar
     )
 
 
-def _serve_trio(peers: int) -> None:
-    for routing, suffix in (("replica_lb", ""), ("primary", "_primary"), ("cached", "_cached")):
+def _serve_pair(peers: int) -> None:
+    for routing, suffix in (("replica_lb", ""), ("primary", "_primary")):
         register(
             _serve_spec(
                 f"serve_{peers}_zipf{suffix}",
@@ -781,18 +732,14 @@ def _serve_trio(peers: int) -> None:
         )
 
 
-_serve_trio(300)
-_serve_trio(1000)
+_serve_pair(300)
+_serve_pair(1000)
 
 register_suite(
     ScenarioSuite(
         name="serve_sweep",
-        scenarios=(
-            "serve_1000_zipf",
-            "serve_1000_zipf_primary",
-            "serve_1000_zipf_cached",
-        ),
-        description="the 1000-peer read-routing ablation: replica_lb vs primary vs cached at equal correctness",
+        scenarios=("serve_1000_zipf", "serve_1000_zipf_primary"),
+        description="the 1000-peer read-routing ablation: replica_lb vs primary at equal correctness",
         bench_name="serve",
     )
 )

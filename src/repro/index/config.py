@@ -62,7 +62,7 @@ class IndexConfig:
     seed: int = 0
     # Transport selection: "sim" (the discrete-event substrate above, the
     # default) or "asyncio" (real UDP sockets on localhost with wall-clock
-    # periods).  The REPRO_TRANSPORT environment variable overrides this field.
+    # periods).  ``repro-run --transport`` overrides it for every cell.
     transport: str = "sim"
 
     # --- derived / helpers -------------------------------------------------------

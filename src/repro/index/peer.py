@@ -108,10 +108,6 @@ class IndexPeer(Endpoint):
         """Whether this peer is currently a free peer (alive but not in the ring)."""
         return self.alive and not self.ring.is_joined
 
-    def item_keys(self):
-        """Keys of the items currently in this peer's Data Store."""
-        return self.store.items.keys()
-
     # ------------------------------------------------------------------ bootstrap
     def bootstrap_first(self) -> None:
         """Make this peer the first (and only) member of the system."""

@@ -6,7 +6,7 @@ history recorder, and exposes the P2P Index API of Figure 1 at cluster level:
 * ``insert_item`` / ``delete_item`` -- routed to the responsible peer;
 * ``range_query`` -- issued through a serve-layer
   :class:`~repro.serve.client.QueryClient` under a ``routing=`` policy
-  (``primary`` | ``replica_lb`` | ``cached``);
+  (``primary`` | ``replica_lb``);
 * ``add_peer`` (arrives as a free peer), ``fail_peer``, and time control.
 
 Everything inside the cluster still happens through simulated messages between
@@ -63,9 +63,6 @@ class PRingIndex:
         # state transitions and failure hooks, never by rescanning ``peers``.
         self.membership = MembershipIndex()
         self.query_records: List[QueryRecord] = []
-        # QueryClients by (entry address, routing, consistency): the cached
-        # policy's result cache lives on the client, so reuse matters.
-        self._clients: Dict[tuple, QueryClient] = {}
         self._next_peer = 0
         self._bootstrapped = False
 
@@ -264,25 +261,17 @@ class PRingIndex:
         consistency: str = "strong",
         via: Optional[str] = None,
     ) -> QueryClient:
-        """The :class:`QueryClient` for an entry peer and routing policy.
+        """A :class:`QueryClient` for an entry peer and routing policy.
 
-        Clients are cached per ``(entry peer, routing, consistency)`` so the
-        ``cached`` policy's result cache survives across queries issued
-        through the same entry point.
+        A client holds no state between queries, so each call builds one.
         """
-        peer = self._entry_peer(via)
-        key = (peer.address, routing, consistency)
-        client = self._clients.get(key)
-        if client is None or not client.peer.alive:
-            client = QueryClient(
-                peer,
-                routing=routing,
-                consistency=consistency,
-                tracker=self.serve_tracker,
-                metrics=self.metrics,
-            )
-            self._clients[key] = client
-        return client
+        return QueryClient(
+            self._entry_peer(via),
+            routing=routing,
+            consistency=consistency,
+            tracker=self.serve_tracker,
+            metrics=self.metrics,
+        )
 
     def range_query(
         self,

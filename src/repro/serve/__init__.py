@@ -2,7 +2,7 @@
 
 After PR 10 there is exactly one way to issue a range query:
 :class:`~repro.serve.client.QueryClient` with a ``routing=`` policy
-(``primary`` | ``replica_lb`` | ``cached``) and a ``consistency=`` knob;
+(``primary`` | ``replica_lb``) and a ``consistency=`` knob;
 :meth:`~repro.core.scan_range.RangeQueryEngine.query` is its primary-routing
 backend.
 

@@ -15,11 +15,6 @@ A :class:`QueryClient` is scoped to an entry peer and issues range queries
   from its recorded push version, or a key is tombstoned/missing -- refuses,
   and the client falls back to the primary for that window, so the result
   set is always exactly the primary's.
-* ``cached`` -- ``replica_lb`` plus a client-side result cache keyed on the
-  exact ``(lb, ub]`` window.  Every hit is revalidated against the owners'
-  live ``serve_meta`` (version *and* range: a predecessor change shrinks a
-  range without bumping the version); any mismatch invalidates the entry and
-  re-executes the query.
 
 The ``consistency`` knob: ``strong`` (default) performs the version
 validation above; ``eventual`` lets replicas serve their recorded push
@@ -33,19 +28,18 @@ same shape the engine always produced, plus ``routing``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.datastore.items import Item, items_from_wire
 from repro.datastore.ranges import CircularRange, segments_cover_interval
 from repro.transport import RpcError
 
-ROUTING_POLICIES = ("primary", "replica_lb", "cached")
+ROUTING_POLICIES = ("primary", "replica_lb")
 CONSISTENCY_LEVELS = ("strong", "eventual")
 
 # A client-coordinated walk gives up after this many hops (matches the naive
-# scan's historical bound) and caps its cache at this many distinct windows.
+# scan's historical bound).
 _MAX_HOPS = 256
-_MAX_CACHE_ENTRIES = 128
 
 
 class QueryClient:
@@ -73,8 +67,6 @@ class QueryClient:
         self.consistency = consistency
         self.tracker = tracker
         self.metrics = metrics
-        # window -> (items by skv, validation deps [(owner, version, range)]).
-        self._cache: Dict[Tuple[float, float], Tuple[Dict[float, Item], List[tuple]]] = {}
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -127,9 +119,6 @@ class QueryClient:
             result = yield from self.peer.queries.query(lb, ub, timeout=timeout)
             result["routing"] = "primary"
             return result
-        if self.routing == "cached":
-            result = yield from self._cached_query(lb, ub, timeout)
-            return result
         result = yield from self._replica_query(lb, ub, timeout)
         return result
 
@@ -147,7 +136,6 @@ class QueryClient:
         deadline = started + timeout
         items: Dict[float, Item] = {}
         segments: List[Tuple[float, float]] = []
-        deps: List[tuple] = []
         watermark = lb
         hops = 0
 
@@ -239,7 +227,6 @@ class QueryClient:
                 for item in items_from_wire(response["items"]):
                     items[item.skv] = item
                 segments.append((watermark, new_watermark))
-                deps.append((current, meta["version"], tuple(meta["range"])))
                 watermark = new_watermark
                 if watermark >= ub - 1e-12:
                     break
@@ -250,59 +237,6 @@ class QueryClient:
                 current = successor
 
         complete = segments_cover_interval(segments, lb, ub)
-        result = self._result(
+        return self._result(
             query_id, lb, ub, items, started, scan_started, hops, complete, "replica_lb"
         )
-        result["deps"] = deps
-        return result
-
-    # ------------------------------------------------------------------ cached
-    def _cached_query(self, lb: float, ub: float, timeout: float):
-        window = (lb, ub)
-        entry = self._cache.get(window)
-        if entry is not None:
-            valid = yield from self._validate(entry[1])
-            if valid:
-                self._record_metric("serve_cache_hit", 1)
-                query_id = self.peer.queries._new_query_id()
-                now = self.peer.sim.now
-                result = self._result(
-                    query_id, lb, ub, dict(entry[0]), now, now, 0, True, "cached"
-                )
-                result["cached"] = True
-                return result
-            self._cache.pop(window, None)
-            self._record_metric("serve_cache_invalidate", 1)
-        self._record_metric("serve_cache_miss", 1)
-        result = yield from self._replica_query(lb, ub, timeout)
-        result["strategy"] = "cached"
-        result["cached"] = False
-        if result["complete"] and result.get("deps"):
-            if len(self._cache) >= _MAX_CACHE_ENTRIES:
-                # FIFO eviction: drop the oldest window.
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[window] = (
-                {item.skv: item for item in result["items"]},
-                list(result["deps"]),
-            )
-        return result
-
-    def _validate(self, deps: List[tuple]):
-        """Whether every dependency owner still matches its cached snapshot."""
-        for owner, version, range_tuple in deps:
-            try:
-                meta = yield self.peer.call(owner, "serve_meta", {})
-            except RpcError:
-                return False
-            if (
-                not meta.get("active")
-                or meta.get("version") != version
-                or meta.get("range") is None
-                or tuple(meta["range"]) != tuple(range_tuple)
-            ):
-                return False
-        return True
-
-    def invalidate(self) -> None:
-        """Drop every cached window (e.g. after an out-of-band mutation)."""
-        self._cache.clear()

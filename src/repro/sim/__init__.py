@@ -10,8 +10,9 @@ Layer contract: the bottom of the stack (stdlib-only, like
 :mod:`repro.maintenance`); nothing here may import ring/datastore/index/
 harness code.  Every higher layer may import the public surface below.
 Periodic loops (:meth:`repro.transport.endpoint.Endpoint.every`) accept
-either a float period or a zero-argument callable, which is how the
-maintenance cadence controllers plug in without an import in this direction.
+either a float period or a zero-argument callable, which is how the router's
+table-refresh back-off (:class:`~repro.maintenance.cadence.AdaptiveCadence`)
+plugs in without an import in this direction.
 Determinism is part of the contract -- all randomness comes through
 :class:`~repro.sim.randomness.RngStreams`, never the global ``random`` module.
 

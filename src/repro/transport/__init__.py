@@ -23,7 +23,6 @@ every layer: they are substrate-independent.
 """
 
 from repro.transport.api import (
-    TRANSPORT_ENV_VAR,
     TRANSPORT_NAMES,
     NetworkStats,
     RpcError,
@@ -46,7 +45,6 @@ __all__ = [
     "RpcTimeout",
     "RpcUnreachable",
     "SimTransport",
-    "TRANSPORT_ENV_VAR",
     "TRANSPORT_NAMES",
     "Transport",
     "make_transport",

@@ -57,7 +57,6 @@ substrates share, so protocol layers import them from here (or from
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -145,11 +144,6 @@ class Transport:
 
 
 # --------------------------------------------------------------------------- selection
-#: Environment knob forcing a transport for every deployment built through
-#: :func:`make_transport` (e.g. ``REPRO_TRANSPORT=sim`` runs a ``localhost_*``
-#: cell in-sim without touching the spec).
-TRANSPORT_ENV_VAR = "REPRO_TRANSPORT"
-
 #: The selectable transport implementations.  ``sim`` adapts the existing
 #: discrete-event :class:`~repro.sim.network.Network`/engine pair (bit-
 #: identical to the pre-transport stack); ``asyncio`` runs the same protocol
@@ -160,10 +154,9 @@ TRANSPORT_NAMES = ("sim", "asyncio")
 def make_transport(config, metrics=None) -> Transport:
     """Build the transport selected by ``config.transport``.
 
-    The :data:`TRANSPORT_ENV_VAR` environment variable, when set, overrides
-    the config field.  Unknown names raise :class:`ValueError`.
+    Unknown names raise :class:`ValueError`.
     """
-    name = os.environ.get(TRANSPORT_ENV_VAR) or getattr(config, "transport", "sim")
+    name = getattr(config, "transport", "sim")
     if name == "sim":
         from repro.transport.sim_transport import SimTransport  # deferred: imports sim
 

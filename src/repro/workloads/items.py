@@ -11,8 +11,8 @@ at the paper's default rate of two items per second.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence
 
 
 def uniform_keys(count: int, key_space: float, rng: random.Random) -> List[float]:
@@ -123,7 +123,7 @@ def generate_keys(
 
 @dataclass
 class ItemWorkload:
-    """A timed stream of item insertions (and optional later deletions).
+    """A timed stream of item insertions.
 
     ``insert_rate`` follows the paper's Section 6.1 default of two items per
     second unless overridden.
@@ -133,23 +133,12 @@ class ItemWorkload:
     insert_rate: float = 2.0
     start_time: float = 0.0
     payload_prefix: str = "item"
-    delete_keys: Sequence[float] = field(default_factory=list)
-    delete_rate: float = 2.0
 
     def insert_events(self) -> Iterator[tuple[float, float, str]]:
         """Yield ``(time, key, payload)`` for every insertion."""
         interval = 1.0 / self.insert_rate if self.insert_rate > 0 else 0.0
         for index, key in enumerate(self.keys):
             yield (self.start_time + index * interval, key, f"{self.payload_prefix}-{key}")
-
-    def delete_events(self, after: Optional[float] = None) -> Iterator[tuple[float, float]]:
-        """Yield ``(time, key)`` for every deletion, starting at ``after``."""
-        if not self.delete_keys:
-            return
-        interval = 1.0 / self.delete_rate if self.delete_rate > 0 else 0.0
-        start = after if after is not None else self.start_time
-        for index, key in enumerate(self.delete_keys):
-            yield (start + index * interval, key)
 
     @property
     def duration(self) -> float:

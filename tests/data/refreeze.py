@@ -18,7 +18,6 @@ under ``REPRO_PARITY_FULL=1``.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from repro.harness.runner import run_cell
@@ -55,8 +54,6 @@ def refreeze(name: str) -> set:
 
 
 def main() -> None:
-    # Baselines are frozen from each cell's own transport.
-    os.environ.pop("REPRO_TRANSPORT", None)
     moved = set()
     for size in ("smoke", "scale300"):
         moved |= refreeze(f"transport_refactor_baseline_{size}.json")

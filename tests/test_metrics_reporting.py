@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.metrics import Metrics
-from repro.harness.reporting import format_series, format_table
+from repro.harness.reporting import format_table
 
 
 def test_record_and_basic_stats():
@@ -82,9 +82,3 @@ def test_format_table_alignment_and_floats():
 def test_format_table_handles_empty_rows():
     table = format_table(["a", "b"], [])
     assert "a" in table and "b" in table
-
-
-def test_format_series():
-    text = format_series("Title", {1: 0.5, 2: 0.75}, unit="s")
-    assert text.startswith("Title")
-    assert "0.5" in text and "0.75" in text

@@ -71,7 +71,6 @@ def _cell_under_hash_seed(hash_seed: str) -> dict:
         "PYTHONHASHSEED": hash_seed,
         "PYTHONPATH": str(SRC_ROOT.parent),
     }
-    env.pop("REPRO_TRANSPORT", None)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )

@@ -24,11 +24,6 @@ from repro.harness.runner import run_cell, run_cells, run_named
 from repro.harness.scenarios import ScenarioSpec, get_scenario, run_spec
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
-
-
 # ------------------------------------------------------------------ --list
 def test_list_renders_every_registry_section(capsys):
     assert main(["--list"]) == 0

@@ -72,8 +72,8 @@ def test_builtin_scenarios_registered():
         assert expected in names
     # One event engine and one maintenance policy: no cell exists only to
     # name another one.
-    assert len(names) == 24
-    assert not [name for name in names if name.endswith(("_wheel", "_adaptive"))]
+    assert len(names) == 22
+    assert not [name for name in names if name.endswith(("_wheel", "_adaptive", "_cached"))]
     assert len(suite_names()) == 5
 
 

@@ -21,7 +21,7 @@ def test_all_routing_policies_return_identical_results(cluster):
     for lb, ub in ((keys[4], keys[30]), (keys[0], keys[-1])):
         results = {
             routing: index.range_query_now(lb, ub, routing=routing)
-            for routing in ("primary", "replica_lb", "cached")
+            for routing in ("primary", "replica_lb")
         }
         for routing, result in results.items():
             assert result["complete"], routing
@@ -35,21 +35,19 @@ def test_unknown_routing_policy_is_rejected(cluster):
         index.query_client(routing="telepathy")
 
 
-def test_query_client_is_cached_per_entry_and_policy(cluster):
-    index, _keys = cluster
-    a = index.query_client(routing="cached")
-    b = index.query_client(routing="cached")
-    c = index.query_client(routing="primary")
-    assert a is b
-    assert a is not c
-
-
 # ----------------------------------------------------------------- tracker accounting
 def test_tracker_settles_to_zero_in_flight(cluster):
     index, keys = cluster
     index.range_query_now(keys[2], keys[40], routing="replica_lb")
     index.run(5.0)  # let any expiry timers of dropped messages fire
     tracker = index.serve_tracker
+    # Ring maintenance keeps issuing pings, so one may be in flight at any
+    # given instant: step to the next instant with none.  A leaked call never
+    # completes, so it still shows.
+    for _ in range(100):
+        if tracker.issued == tracker.completed:
+            break
+        index.run(0.01)
     assert tracker.issued == tracker.completed
     assert sum(tracker.in_flight.values()) == 0
 
@@ -96,26 +94,6 @@ def test_read_load_variance_counts_idle_peers_as_zero():
     # {4, 0}: mean 2, population variance 4.
     assert tracker.read_load_variance(["hot", "idle"]) == pytest.approx(4.0)
     assert tracker.read_load_variance([]) == 0.0
-
-
-# ----------------------------------------------------------------- cached routing
-def test_cached_routing_revalidates_and_invalidates_on_writes():
-    index, keys = build_cluster(seed=82, peers=8)
-    lb, ub = keys[5], keys[25]
-    first = index.range_query_now(lb, ub, routing="cached")
-    assert first["cached"] is False
-    second = index.range_query_now(lb, ub, routing="cached")
-    assert second["cached"] is True
-    assert second["hops"] == 0
-    assert second["keys"] == first["keys"]
-    # A write inside the window bumps the owner's store version; the next
-    # cached read must miss and see the new key.
-    new_key = (keys[10] + keys[11]) / 2.0
-    assert index.insert_item_now(new_key)
-    third = index.range_query_now(lb, ub, routing="cached")
-    assert third["cached"] is False
-    assert new_key in third["keys"]
-    assert index.metrics.count("serve_cache_invalidate") >= 1
 
 
 # ----------------------------------------------------------------- replica-read safety

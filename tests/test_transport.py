@@ -27,7 +27,6 @@ from repro.transport import (
     RpcTimeout,
     make_transport,
 )
-from repro.transport.api import TRANSPORT_ENV_VAR
 from repro.transport.codec import decode_message, encode_message
 
 
@@ -203,8 +202,7 @@ def test_asyncio_clock_run_process(aclock):
 
 # ----------------------------------------------------------------- asyncio transport
 @pytest.fixture
-def asyncio_env(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV_VAR, raising=False)
+def asyncio_env():
     config = default_config(transport="asyncio")
     config.network.rpc_timeout = 0.5
     transport = make_transport(config)
@@ -311,30 +309,21 @@ def test_make_transport_selects_sim_by_default():
     assert type(transport.clock) is Simulator
 
 
-def test_make_transport_env_override(monkeypatch):
-    from repro.transport.asyncio_transport import AsyncioClock
-
-    monkeypatch.setenv(TRANSPORT_ENV_VAR, "asyncio")
-    transport = make_transport(default_config())
-    try:
-        assert transport.name == "asyncio"
-        assert isinstance(transport.clock, AsyncioClock)
-    finally:
-        transport.shutdown()
-
-
-def test_make_transport_rejects_unknown(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV_VAR, raising=False)
+def test_make_transport_rejects_unknown():
     with pytest.raises(ValueError):
         make_transport(default_config().copy(transport="pigeon"))
 
 
 def test_run_cell_transport_override():
+    """The override really overrides: an asyncio cell runs in-sim, and the
+    registry's spec keeps its own transport."""
     from repro.harness.runner import run_cell
+    from repro.harness.scenarios import get_scenario
 
-    cell = run_cell(("smoke", 0, "sim"))
+    cell = run_cell(("localhost_20", 0, "sim"))
     assert cell["transport"] == "sim"
     assert "engine" not in cell
+    assert get_scenario("localhost_20").index_config(seed=0).transport == "asyncio"
 
 
 def test_run_cell_short_and_long_tuples_agree():

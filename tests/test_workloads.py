@@ -35,12 +35,6 @@ def test_item_workload_insert_events_respect_rate():
     assert workload.duration == pytest.approx(1.5)
 
 
-def test_item_workload_delete_events():
-    workload = ItemWorkload([1.0], delete_keys=[5.0, 6.0], delete_rate=1.0)
-    events = list(workload.delete_events(after=100.0))
-    assert events == [(100.0, 5.0), (101.0, 6.0)]
-
-
 def test_churn_event_kind_validation():
     with pytest.raises(ValueError):
         ChurnEvent(0.0, "explode")
