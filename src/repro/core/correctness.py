@@ -163,24 +163,24 @@ class ItemTimeline:
 
     def _build(self, history: History) -> None:
         open_intervals: Dict[Tuple[float, str], float] = {}
-        failed_peers: Dict[str, float] = {}
-        horizon = history.operations[-1].time if len(history) else 0.0
+        held: Dict[str, Dict[float, None]] = {}  # each peer's open keys, in opening order
+        horizon = history[-1].time if len(history) else 0.0
 
-        for op in history:
-            if op.kind == "item_stored":
-                key = (op.get("skv"), op.peer)
-                open_intervals.setdefault(key, op.time)
-            elif op.kind == "item_removed":
-                key = (op.get("skv"), op.peer)
-                start = open_intervals.pop(key, None)
+        for kind, time, peer, attrs in history.rows("item_stored", "item_removed", "peer_failed"):
+            if kind == "item_stored":
+                skv = attrs.get("skv")
+                if (skv, peer) not in open_intervals:
+                    open_intervals[skv, peer] = time
+                    held.setdefault(peer, {})[skv] = None
+            elif kind == "item_removed":
+                skv = attrs.get("skv")
+                start = open_intervals.pop((skv, peer), None)
                 if start is not None:
-                    self._close(op.get("skv"), start, op.time)
-            elif op.kind == "peer_failed":
-                failed_peers[op.peer] = op.time
-                for (skv, peer), start in list(open_intervals.items()):
-                    if peer == op.peer:
-                        open_intervals.pop((skv, peer))
-                        self._close(skv, start, op.time)
+                    del held[peer][skv]
+                    self._close(skv, start, time)
+            else:  # peer_failed
+                for skv in held.pop(peer, ()):
+                    self._close(skv, open_intervals.pop((skv, peer)), time)
 
         for (skv, _peer), start in open_intervals.items():
             self._close(skv, start, horizon + 1.0)
@@ -330,19 +330,22 @@ def _segment_in_peer_range(
 
 
 # --------------------------------------------------------------------------- item availability
+def _inserted_and_deleted(history: History) -> Tuple[dict, dict]:
+    """Keys of the recorded ``index_insert_item`` and ``index_delete_item`` operations, in order."""
+    inserted: dict = {}
+    deleted: dict = {}
+    for kind, _time, _peer, attrs in history.rows("index_insert_item", "index_delete_item"):
+        (inserted if kind == "index_insert_item" else deleted)[attrs.get("skv")] = None
+    return inserted, deleted
+
+
 def check_item_availability(history: History) -> CheckResult:
     """Definition 7: every item inserted and never deleted is live at the end.
 
     Evaluated over the recorded history after the system has been given time to
     quiesce (failures detected, replicas revived).
     """
-    inserted: Dict[float, Operation] = {}
-    deleted: Dict[float, Operation] = {}
-    for op in history.of_kind("index_insert_item"):
-        inserted[op.get("skv")] = op
-    for op in history.of_kind("index_delete_item"):
-        deleted[op.get("skv")] = op
-
+    inserted, deleted = _inserted_and_deleted(history)
     timeline = ItemTimeline(history)
     end_time = timeline.horizon
     violations = []
@@ -411,9 +414,8 @@ def count_lost_items(history: History, peers: Sequence) -> List[float]:
     by the availability ablation: it inspects the actual Data Store and replica
     contents of the live peers rather than the recorded timeline.
     """
-    inserted = {op.get("skv") for op in history.of_kind("index_insert_item")}
-    deleted = {op.get("skv") for op in history.of_kind("index_delete_item")}
-    expected = inserted - deleted
+    inserted, deleted = _inserted_and_deleted(history)
+    expected = inserted.keys() - deleted
 
     present: set = set()
     for peer in peers:

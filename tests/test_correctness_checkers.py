@@ -3,6 +3,8 @@
 from dataclasses import dataclass, field
 from typing import List
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core.correctness import (
     CheckResult,
     ItemTimeline,
@@ -163,6 +165,55 @@ def test_timeline_peer_failure_ends_presence():
     assert timeline.live_at(2.0, 3.0)
     assert not timeline.live_at(2.0, 6.0)
     assert 2.0 not in timeline.live_keys_at(6.0)
+
+
+def reference_intervals(history):
+    """Presence intervals by the plain rule: a failure closes every open copy the peer held."""
+    open_intervals, intervals = {}, {}
+
+    def close(skv, start, end):
+        if skv is not None and end > start:
+            intervals.setdefault(skv, []).append((start, end))
+
+    for op in history:
+        if op.kind == "item_stored":
+            open_intervals.setdefault((op.get("skv"), op.peer), op.time)
+        elif op.kind == "item_removed":
+            start = open_intervals.pop((op.get("skv"), op.peer), None)
+            if start is not None:
+                close(op.get("skv"), start, op.time)
+        elif op.kind == "peer_failed":
+            for (skv, peer), start in list(open_intervals.items()):
+                if peer == op.peer:
+                    del open_intervals[(skv, peer)]
+                    close(skv, start, op.time)
+    horizon = history.operations[-1].time if len(history) else 0.0
+    for (skv, _peer), start in open_intervals.items():
+        close(skv, start, horizon + 1.0)
+    return intervals
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1.0]),
+            st.sampled_from(["item_stored", "item_stored", "item_removed", "peer_failed", "noop"]),
+            st.sampled_from(["p1", "p2", "p3"]),
+            st.sampled_from([1.0, 2.0, 3.0]),
+        ),
+        max_size=40,
+    )
+)
+def test_property_timeline_matches_the_plain_presence_rule(steps):
+    time, ops = 0.0, []
+    for advance, kind, peer, skv in steps:
+        time += advance
+        ops.append((time, kind, peer, {} if kind == "peer_failed" else {"skv": skv}))
+    history = make_history(ops)
+    # Same intervals, in the same key and list order.
+    expected = list(reference_intervals(history).items())
+    assert list(ItemTimeline(history).intervals.items()) == expected
 
 
 # --------------------------------------------------------------------------- Definition 4

@@ -2,15 +2,17 @@
 
 A 1000-peer run allocates tens of thousands of item copies, history records,
 successor entries, ranges and locks, and six periodic loops per peer.  The
-records declare slots (no instance ``__dict__``), and a loop is a process with
+records declare slots (no instance ``__dict__``), a loop is a process with
 no generator of its own between rounds (``docs/ARCHITECTURE.md``, "Contract:
-the event engine", *Memory*).
+the event engine", *Memory*), and the history keeps its operations as columns
+(``docs/ARCHITECTURE.md``, "Contract: the operation history").
 
 The budget is the ``tracemalloc`` reading of settled ``scale_100`` (build and
 settle, seed 0), in bytes per ring member, with 20% headroom.  The reading
 differs by interpreter, so it is kept per minor version; the readings before
 the records had slots and the loops lost their generators were 68,961 /
-58,914 / 57,785 bytes on CPython 3.10 / 3.11 / 3.12.
+58,914 / 57,785 bytes on CPython 3.10 / 3.11 / 3.12, and 49,069 / 43,897 /
+43,688 before the history became columns.
 """
 
 import gc
@@ -20,7 +22,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core.histories import Operation
+from repro.core.histories import HistoryRecorder, Operation
 from repro.datastore.items import Item
 from repro.datastore.ranges import CircularRange
 from repro.harness.scenarios import build_experiment, get_scenario
@@ -32,7 +34,9 @@ from repro.transport import Endpoint
 
 HEADROOM = 1.2
 # Settled ``scale_100`` bytes per ring member, by CPython minor version.
-READINGS = {(3, 10): 49_661, (3, 11): 44_248, (3, 12): 44_033}
+READINGS = {(3, 10): 32_293, (3, 11): 29_703, (3, 12): 29_496}
+# Bytes one recorded operation may hold in the recorder's columns.
+RECORD_BUDGET = 80
 
 
 @pytest.mark.parametrize("make", [
@@ -73,3 +77,34 @@ def test_a_settled_scale_100_ring_stays_inside_its_bytes_per_member_budget():
     per_member = held / members
     print(f"settled scale_100: {per_member:,.0f} B per ring member (reading {reading:,})")
     assert per_member <= HEADROOM * reading
+
+
+def test_a_recorded_operation_stays_inside_its_bytes_budget():
+    # The settled build's commonest attribute shapes; the keys, peers and
+    # ranges already exist (on items, peers and stores) before they are recorded.
+    rng = random.Random(0)
+    peers = [f"peer-{i}" for i in range(100)]
+    shapes = [
+        ("item_stored", lambda key: {"skv": key, "reason": "split_transfer"}),
+        ("index_insert_item", lambda key: {"skv": key}),
+        ("route", lambda key: {"key": key, "hops": 3, "found": peers[0]}),
+        ("index_insert_done", lambda key: {"skv": key, "stored": True}),
+        ("item_removed", lambda key: {"skv": key, "reason": "split"}),
+        ("range_changed", lambda key: {"range": (key, key + 0.1, False), "reason": "split"}),
+    ]
+    calls = [
+        (kind, rng.choice(peers), make(rng.random()))
+        for kind, make in (shapes[i % len(shapes)] for i in range(10_000))
+    ]
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        recorder = HistoryRecorder()
+        for kind, peer, attrs in calls:
+            recorder.record(kind, peer=peer, **attrs)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_record = held / len(calls)
+    print(f"{per_record:.1f} B per recorded operation (budget {RECORD_BUDGET})")
+    assert per_record <= RECORD_BUDGET

@@ -9,28 +9,15 @@ from repro.sim.engine import Simulator
 def test_recorder_assigns_monotonic_ids_and_times():
     sim = Simulator()
     recorder = HistoryRecorder(sim)
-    first = recorder.record("a", peer="p1")
+    recorder.record("a", peer="p1")
     sim.schedule(1.0, lambda _: None)
     sim.run()
-    second = recorder.record("b", peer="p2", extra=1)
+    recorder.record("b", peer="p2", extra=1)
+    first, second = recorder.history()
     assert first.op_id < second.op_id
     assert first.time <= second.time
     assert second.get("extra") == 1
     assert recorder.count("a") == 1
-
-
-def test_recorder_can_be_disabled():
-    recorder = HistoryRecorder()
-    recorder.enabled = False
-    assert recorder.record("a") is None
-    assert len(recorder.history()) == 0
-
-
-def test_recorder_clear():
-    recorder = HistoryRecorder()
-    recorder.record("a")
-    recorder.clear()
-    assert len(recorder.history()) == 0
 
 
 def test_history_sorted_by_time_then_id():
@@ -52,8 +39,8 @@ def test_of_kind_and_last_of_kind():
         ]
     )
     assert [op.op_id for op in history.of_kind("x")] == [1, 3]
-    assert history.last_of_kind("x").op_id == 3
-    assert history.last_of_kind("missing") is None
+    assert history.of_kind("x")[-1].op_id == 3
+    assert history.of_kind("missing") == []
 
 
 def test_happened_before_is_strict():
@@ -71,21 +58,6 @@ def test_truncate_returns_prefix():
     truncated = history.truncate(ops[2])
     assert len(truncated) == 3
     assert truncated.operations[-1].op_id == 2
-
-
-def test_between_window():
-    ops = [Operation(i, "op", float(i), None) for i in range(10)]
-    history = History(ops)
-    window = history.between(2.0, 5.0)
-    assert [op.op_id for op in window] == [2, 3, 4, 5]
-
-
-def test_filter_predicate():
-    ops = [Operation(i, "op", float(i), "p" if i % 2 else "q") for i in range(6)]
-    history = History(ops)
-    only_p = history.filter(lambda op: op.peer == "p")
-    assert all(op.peer == "p" for op in only_p)
-    assert len(only_p) == 3
 
 
 # --------------------------------------------------------------------------- properties
@@ -122,3 +94,61 @@ def test_property_truncation_is_prefix_closed(raw):
     for op in truncated:
         assert not history.happened_before(pivot, op)
     assert pivot in truncated.operations
+
+
+class _Clock:
+    now = 0.0
+
+
+attr_dicts = st.dictionaries(
+    st.sampled_from(["skv", "reason", "hops", "range"]),
+    st.one_of(
+        st.none(),
+        st.integers(-5, 5),
+        st.floats(allow_nan=False),
+        st.sampled_from(["split", "bootstrap"]),
+        st.tuples(st.floats(0, 1), st.floats(0, 1), st.booleans()),
+    ),
+    max_size=3,
+)
+record_calls = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.5, 2.0]),  # clock advance before the call
+        st.sampled_from(["item_stored", "item_removed", "route"]),
+        st.sampled_from([None, "p1", "p2"]),
+        attr_dicts,
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(record_calls, st.integers(0, 40))
+def test_property_recorder_snapshot_equals_a_hand_built_history(calls, cut):
+    clock = _Clock()
+    recorder = HistoryRecorder(clock)
+    expected = []
+    earlier = None
+    for i, (advance, kind, peer, attrs) in enumerate(calls):
+        if i == cut:
+            earlier = recorder.history()
+        clock.now += advance
+        recorder.record(kind, peer=peer, **attrs)
+        expected.append(Operation(i + 1, kind, clock.now, peer, dict(attrs)))
+    snapshot, reference = recorder.history(), History(expected)
+
+    assert len(snapshot) == len(reference) == len(expected)
+    assert list(snapshot) == list(reference) == expected
+    assert [snapshot.operations[i] for i in range(len(expected))] == expected
+    if expected:
+        assert snapshot.operations[-1] == reference.operations[-1] == expected[-1]
+        pivot = expected[len(expected) // 2]
+        assert list(snapshot.truncate(pivot)) == list(reference.truncate(pivot))
+    for kinds in (("item_stored",), ("item_removed", "route"), ("missing",)):
+        assert snapshot.of_kind(*kinds) == reference.of_kind(*kinds)
+        assert list(snapshot.rows(*kinds)) == [
+            (op.kind, op.time, op.peer, op.attrs) for op in reference.of_kind(*kinds)
+        ]
+        assert recorder.count(kinds[0]) == len(reference.of_kind(kinds[0]))
+    if earlier is not None:  # a snapshot does not see records made after it
+        assert list(earlier) == expected[:cut]
