@@ -111,6 +111,11 @@ def check_ring_connectivity(peers: Sequence) -> CheckResult:
     Edges are the live entries of each peer's successor list.  A disconnected
     ring means some portion of the key space is unreachable by scans
     (Section 5.1's failure scenario for the naive leave).
+
+    Every member reaches every other exactly when one member reaches all of
+    them and all of them reach it, so one search over the successor graph
+    and one over its reverse decide the verdict.  Only a failing verdict
+    runs a search from every member, to name who cannot reach whom.
     """
     members = [
         peer
@@ -121,29 +126,42 @@ def check_ring_connectivity(peers: Sequence) -> CheckResult:
         return CheckResult.success()
     alive_addresses = {peer.address for peer in members}
     adjacency: Dict[str, List[str]] = {}
+    reverse: Dict[str, List[str]] = {address: [] for address in alive_addresses}
     for peer in members:
         adjacency[peer.address] = [
             entry.address
             for entry in peer.ring.succ_list
             if entry.address in alive_addresses and entry.address != peer.address
         ]
+        for neighbour in adjacency[peer.address]:
+            reverse[neighbour].append(peer.address)
 
+    root = members[0].address
+    if (
+        len(_reached(root, adjacency)) == len(alive_addresses)
+        and len(_reached(root, reverse)) == len(alive_addresses)
+    ):
+        return CheckResult.success()
     violations: List[str] = []
     for start in alive_addresses:
-        reached = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for neighbour in adjacency.get(current, ()):
-                if neighbour not in reached:
-                    reached.add(neighbour)
-                    frontier.append(neighbour)
-        missing = alive_addresses - reached
+        missing = alive_addresses - _reached(start, adjacency)
         if missing:
             violations.append(
                 f"{start} cannot reach {len(missing)} peer(s): {sorted(missing)[:5]}"
             )
     return CheckResult.failure(violations)
+
+
+def _reached(start: str, adjacency: Dict[str, List[str]]) -> set:
+    """Every node reachable from ``start`` along ``adjacency``'s edges."""
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        for neighbour in adjacency.get(frontier.pop(), ()):
+            if neighbour not in reached:
+                reached.add(neighbour)
+                frontier.append(neighbour)
+    return reached
 
 
 # --------------------------------------------------------------------------- item timelines
@@ -398,12 +416,12 @@ def audit_reachability(peers: Sequence) -> ReachabilityAudit:
         store = peer.store
         if not store.active:
             continue
-        for item in store.items.all_items():
+        for skv in store.items.keys():
             stored += 1
-            if store.range is None or store.range.contains(item.skv):
+            if store.range is None or store.range.contains(skv):
                 reachable += 1
             else:
-                stranded.append((peer.address, item.skv))
+                stranded.append((peer.address, skv))
     return ReachabilityAudit(stored, reachable, stranded)
 
 

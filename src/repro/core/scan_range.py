@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.datastore.items import Item, items_from_wire, items_to_wire
+from repro.datastore.items import Item, Wire, items_from_wire
 from repro.datastore.ranges import CircularRange, segments_cover_interval
 from repro.index.config import IndexConfig
 from repro.ring.entries import JOINED
@@ -218,13 +218,13 @@ class RangeQueryEngine:
                 segments = self.store.range.intersect_interval(watermark, ub)
             new_watermark = watermark
             covered: List[Tuple[float, float]] = []
-            collected: List[Item] = []
+            collected: List[Wire] = []
             for lo, hi in sorted(segments):
                 if lo > new_watermark + 1e-12:
                     # A gap before this segment belongs to peers further along
                     # the ring; they will cover it when the scan reaches them.
                     continue
-                collected.extend(self.store.local_items_in(lo, hi))
+                collected += self.store.items.interval_wire(lo, hi)
                 # Batch contiguous sub-ranges into one covered window per hop
                 # (one delivery segment instead of one per store fragment).
                 if covered and lo <= covered[-1][1] + 1e-12:
@@ -247,7 +247,7 @@ class RangeQueryEngine:
                         "query_deliver",
                         {
                             "query_id": query_id,
-                            "items": items_to_wire(collected),
+                            "items": collected,
                             "segments": covered,
                             "hops": hops,
                         },

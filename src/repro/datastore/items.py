@@ -4,15 +4,22 @@ Each data item exposes a search key value (``skv``) from a totally ordered
 domain (Section 2.1); search key values are unique (the paper makes duplicates
 unique by appending the originating peer's id, which our workload generators do
 as well by drawing unique keys).
+
+A store keeps its copies as two parallel sorted columns, keys and payloads
+(docs/ARCHITECTURE.md, "Contract: the item store"): an :class:`Item` is built
+only when a caller reads items, and the bulk paths that run every round move
+columns straight to and from the ``{skv, payload}`` wire dicts.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.datastore.ranges import CircularRange
+
+Wire = Dict[str, Any]
 
 
 @dataclass(frozen=True, slots=True)
@@ -22,37 +29,46 @@ class Item:
     skv: float
     payload: Any = field(default=None, compare=False, hash=False)
 
-    def to_wire(self) -> Dict[str, Any]:
+    def to_wire(self) -> Wire:
         """Serialise for RPC payloads."""
         return {"skv": self.skv, "payload": self.payload}
 
     @staticmethod
-    def from_wire(data: Dict[str, Any]) -> "Item":
+    def from_wire(data: Wire) -> "Item":
         """Inverse of :meth:`to_wire`."""
         return Item(skv=data["skv"], payload=data.get("payload"))
 
 
-def items_to_wire(items: Iterable[Item]) -> List[Dict[str, Any]]:
+def items_to_wire(items: Iterable[Item]) -> List[Wire]:
     """Serialise a collection of items."""
     return [item.to_wire() for item in items]
 
 
-def items_from_wire(data: Iterable[Dict[str, Any]]) -> List[Item]:
+def items_from_wire(data: Iterable[Wire]) -> List[Item]:
     """Deserialise a collection of items."""
     return [Item.from_wire(entry) for entry in data]
+
+
+def columns_to_wire(keys: Iterable[float], payloads: Iterable[Any]) -> List[Wire]:
+    """Serialise parallel key and payload columns, building no :class:`Item`."""
+    return [{"skv": skv, "payload": payload} for skv, payload in zip(keys, payloads)]
 
 
 class ItemStore:
     """A sorted collection of items keyed by search key value.
 
+    A copy is a slot in two parallel columns: ``_keys`` (ascending) and
+    ``_payloads``.  Membership tests and point reads bisect the key column.
     Supports the operations the Data Store needs: point insert/delete, count,
-    median (for splits), and range extraction both by linear ``(lo, hi]``
-    interval and by :class:`~repro.datastore.ranges.CircularRange`.
+    and range extraction both by linear ``(lo, hi]`` interval and by
+    :class:`~repro.datastore.ranges.CircularRange`.
     """
 
+    __slots__ = ("_keys", "_payloads", "version")
+
     def __init__(self, items: Optional[Iterable[Item]] = None):
-        self._by_key: Dict[float, Item] = {}
         self._keys: List[float] = []
+        self._payloads: List[Any] = []
         # Bumped on every successful mutation; lets observers (the Replication
         # Manager's refresh) detect "nothing changed" without comparing items.
         self.version = 0
@@ -65,32 +81,55 @@ class ItemStore:
         return len(self._keys)
 
     def __contains__(self, skv: float) -> bool:
-        return skv in self._by_key
+        keys = self._keys
+        index = bisect.bisect_left(keys, skv)
+        return index < len(keys) and keys[index] == skv
 
     def __iter__(self):
-        return (self._by_key[key] for key in self._keys)
+        return iter(self.all_items())
+
+    def _slot(self, skv: float) -> int:
+        """The slot holding ``skv``, or -1."""
+        keys = self._keys
+        index = bisect.bisect_left(keys, skv)
+        return index if index < len(keys) and keys[index] == skv else -1
 
     def add(self, item: Item) -> bool:
         """Insert ``item``; returns False if an item with the same skv exists."""
-        if item.skv in self._by_key:
+        return self.put(item.skv, item.payload)
+
+    def put(self, skv: float, payload: Any = None) -> bool:
+        """Insert a copy of ``skv``; returns False if the key is already held."""
+        keys = self._keys
+        index = bisect.bisect_left(keys, skv)
+        if index < len(keys) and keys[index] == skv:
             return False
-        self._by_key[item.skv] = item
-        bisect.insort(self._keys, item.skv)
+        keys.insert(index, skv)
+        self._payloads.insert(index, payload)
         self.version += 1
         return True
 
     def remove(self, skv: float) -> Optional[Item]:
         """Remove and return the item with key ``skv`` (None if absent)."""
-        item = self._by_key.pop(skv, None)
-        if item is not None:
-            index = bisect.bisect_left(self._keys, skv)
-            del self._keys[index]
-            self.version += 1
-        return item
+        index = self._slot(skv)
+        if index < 0:
+            return None
+        self.version += 1
+        return Item(self._keys.pop(index), self._payloads.pop(index))
 
     def get(self, skv: float) -> Optional[Item]:
         """The item with key ``skv``, if present."""
-        return self._by_key.get(skv)
+        index = self._slot(skv)
+        return None if index < 0 else Item(self._keys[index], self._payloads[index])
+
+    def holds_run(self, keys: List[float]) -> bool:
+        """Whether ``keys`` fill consecutive slots of the key column, as the
+        ascending keys of a push this store already holds do."""
+        if not keys:
+            return True
+        column = self._keys
+        start = bisect.bisect_left(column, keys[0])
+        return column[start : start + len(keys)] == keys
 
     def keys(self) -> List[float]:
         """All keys in ascending order (a copy)."""
@@ -98,67 +137,105 @@ class ItemStore:
 
     def all_items(self) -> List[Item]:
         """All items in ascending key order."""
-        return [self._by_key[key] for key in self._keys]
+        return list(map(Item, self._keys, self._payloads))
 
     def clear(self) -> None:
         """Remove everything."""
-        self._by_key.clear()
         self._keys.clear()
+        self._payloads.clear()
         self.version += 1
 
+    # ------------------------------------------------------------------ column slices
+    # A bulk read is one or two spans (slices) of the columns, taken in order.
+    @staticmethod
+    def _take(column: list, spans: Iterable[slice]) -> list:
+        taken: list = []
+        for span in spans:
+            taken += column[span]
+        return taken
+
+    def _items(self, spans: Iterable[slice]) -> List[Item]:
+        return list(map(Item, self._take(self._keys, spans), self._take(self._payloads, spans)))
+
+    def to_wire(self) -> List[Wire]:
+        """Every copy as a wire dict, in ascending key order."""
+        return columns_to_wire(self._keys, self._payloads)
+
     # ------------------------------------------------------------------ range queries
+    def _interval(self, lo: float, hi: float) -> slice:
+        if lo >= hi:
+            return slice(0, 0)
+        keys = self._keys
+        return slice(bisect.bisect_right(keys, lo), bisect.bisect_right(keys, hi))
+
     def items_in_interval(self, lo: float, hi: float) -> List[Item]:
         """Items with ``lo < skv <= hi`` (half-open, non-wrapping)."""
-        if lo >= hi:
-            return []
-        left = bisect.bisect_right(self._keys, lo)
-        right = bisect.bisect_right(self._keys, hi)
-        return [self._by_key[key] for key in self._keys[left:right]]
+        return self._items((self._interval(lo, hi),))
+
+    def interval_wire(self, lo: float, hi: float) -> List[Wire]:
+        """:meth:`items_in_interval` as wire dicts, building no :class:`Item`."""
+        span = self._interval(lo, hi)
+        return columns_to_wire(self._keys[span], self._payloads[span])
+
+    def _range_spans(self, crange: CircularRange) -> Tuple[slice, ...]:
+        if crange.full:
+            return (slice(None),)
+        low, high = crange.low, crange.high
+        if low == high:
+            return ()  # the empty arc (x, x]
+        start, stop = self._arc(low, high)
+        if low < high:
+            return (slice(start, stop),)
+        return slice(None, stop), slice(start, None)
 
     def items_in_range(self, crange: CircularRange) -> List[Item]:
         """Items whose key falls inside the (possibly wrapping) ``crange``, in
         ascending key order: exactly ``CircularRange.contains``'s items."""
-        if crange.full:
-            return self.all_items()
-        low, high = crange.low, crange.high
-        if low == high:
-            return []  # the empty arc (x, x]
-        start, stop = self._arc(low, high)
-        keys = self._keys
-        inside = keys[start:stop] if low < high else keys[:stop] + keys[start:]
-        return [self._by_key[key] for key in inside]
+        return self._items(self._range_spans(crange))
+
+    def range_keys(self, crange: CircularRange) -> List[float]:
+        """The keys of :meth:`items_in_range`, in ascending order."""
+        return self._take(self._keys, self._range_spans(crange))
 
     # ------------------------------------------------------------------ arcs
     # The clockwise arc ``(low, high]`` of the circular key space, answered
-    # with two bisects of the sorted key list instead of a clockwise-distance
+    # with two bisects of the sorted key column instead of a clockwise-distance
     # computation per stored item.  ``high <= low`` wraps past the top of the
     # key space, and ``high == low`` is the whole circle (a clockwise distance
     # of one full turn), not CircularRange's empty arc.
-    def _arc(self, low: float, high: float) -> tuple[int, int]:
+    def _arc(self, low: float, high: float) -> Tuple[int, int]:
         keys = self._keys
         return bisect.bisect_right(keys, low), bisect.bisect_right(keys, high)
 
+    def _arc_spans(self, low: float, high: float) -> Tuple[slice, ...]:
+        start, stop = self._arc(low, high)
+        if low < high:
+            return (slice(start, stop),)
+        return slice(start, None), slice(None, stop)
+
     def arc_keys(self, low: float, high: float) -> List[float]:
         """Keys on the arc ``(low, high]``, in clockwise order from ``low``."""
-        start, stop = self._arc(low, high)
-        keys = self._keys
-        return keys[start:stop] if low < high else keys[start:] + keys[:stop]
+        return self._take(self._keys, self._arc_spans(low, high))
+
+    def arc_columns(self, low: float, high: float) -> Tuple[List[float], List[Any]]:
+        """Keys and payloads on the arc ``(low, high]``, in clockwise order."""
+        spans = self._arc_spans(low, high)
+        return self._take(self._keys, spans), self._take(self._payloads, spans)
 
     def arc_items(self, low: float, high: float) -> List[Item]:
         """Items on the arc ``(low, high]``, in clockwise order from ``low``."""
-        return self.items_at(self.arc_keys(low, high))
+        return self._items(self._arc_spans(low, high))
 
     def items_at(self, keys: Iterable[float]) -> List[Item]:
         """The stored items with these keys, in the order given."""
-        by_key = self._by_key
-        return [by_key[key] for key in keys]
+        return [self.get(key) for key in keys]
 
     def off_arc_items(self, low: float, high: float) -> List[Item]:
         """Items *not* on the arc ``(low, high]``, in ascending key order."""
         start, stop = self._arc(low, high)
-        keys = self._keys
-        off_arc = keys[:start] + keys[stop:] if low < high else keys[stop:start]
-        return [self._by_key[key] for key in off_arc]
+        if low < high:
+            return self._items((slice(None, start), slice(stop, None)))
+        return self._items((slice(stop, start),))
 
     def any_off_arc(self, low: float, high: float) -> bool:
         """Whether :meth:`off_arc_items` would return anything."""
@@ -166,40 +243,3 @@ class ItemStore:
         if low < high:
             return start > 0 or stop < len(self._keys)
         return stop < start
-
-    def split_lower_half(self) -> tuple[float, List[Item]]:
-        """Return ``(split_key, lower_items)`` for a Data Store split.
-
-        The split key is the median key; the returned items are those with
-        ``skv <= split_key`` (the portion handed to the free peer, which takes
-        the lower range ``(old_low, split_key]``).
-        """
-        if len(self._keys) < 2:
-            raise ValueError("cannot split a store with fewer than two items")
-        middle = (len(self._keys) - 1) // 2
-        split_key = self._keys[middle]
-        lower = [self._by_key[key] for key in self._keys[: middle + 1]]
-        return split_key, lower
-
-    def take_lowest(self, count: int) -> List[Item]:
-        """Remove and return the ``count`` items with the smallest keys."""
-        taken_keys = self._keys[:count]
-        taken = [self._by_key.pop(key) for key in taken_keys]
-        del self._keys[:count]
-        if taken:
-            self.version += 1
-        return taken
-
-    def remove_interval(self, lo: float, hi: float) -> List[Item]:
-        """Remove and return all items with ``lo < skv <= hi``."""
-        victims = self.items_in_interval(lo, hi)
-        for item in victims:
-            self.remove(item.skv)
-        return victims
-
-    def remove_outside_range(self, crange: CircularRange) -> List[Item]:
-        """Remove and return all items whose key is *not* in ``crange``."""
-        victims = [item for item in self.all_items() if not crange.contains(item.skv)]
-        for item in victims:
-            self.remove(item.skv)
-        return victims

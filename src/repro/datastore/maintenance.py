@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.datastore.items import items_from_wire, items_to_wire
+from repro.datastore.items import columns_to_wire, items_to_wire
 from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
 from repro.index.config import IndexConfig
@@ -210,7 +210,7 @@ class StorageBalancer:
                 # cap, returns to the pool, and the periodic check retries the
                 # same doomed split indefinitely.
                 base = self._split_base()
-                ordered = self._split_candidates()
+                ordered, payloads = self.store.items.arc_columns(base, self.ring.value)
                 if len(ordered) <= self.config.overflow_threshold or len(ordered) < 2:
                     # Overflowed only counting items the ring would not accept
                     # a join for (stranded by a boundary move): a split cannot
@@ -226,8 +226,10 @@ class StorageBalancer:
                 split_key = ordered[middle]
                 if split_key == self.ring.value:
                     return  # degenerate: the split would take the whole range
-                # The handed-over prefix, snapshotted under the lock.
-                lower_items = self.store.items.items_at(ordered[: middle + 1])
+                # The handed-over prefix, snapshotted under the lock as
+                # column slices (no Item per copy).
+                lower_keys = ordered[: middle + 1]
+                lower_payloads = payloads[: middle + 1]
                 range_low = base
                 # The new peer inserts right before us: address the join at
                 # our predecessor (a stale pointer is corrected by redirects).
@@ -254,7 +256,7 @@ class StorageBalancer:
                 "new_peer": free_address,
                 "split_key": split_key,
                 "range_low": range_low,
-                "transferred": {item.skv for item in lower_items},
+                "transferred": set(lower_keys),
                 "deleted_during": set(),
                 "event": completion,
             }
@@ -268,7 +270,7 @@ class StorageBalancer:
                     {
                         "value": split_key,
                         "range": (range_low, split_key, False),
-                        "items": items_to_wire(lower_items),
+                        "items": columns_to_wire(lower_keys, lower_payloads),
                         "join_via": pred_address,
                         "notify": self.address,
                     },
@@ -296,10 +298,9 @@ class StorageBalancer:
         if self.store.active:
             return {"accepted": False, "reason": "already_active"}
         crange = CircularRange.from_tuple(tuple(payload["range"]))
-        items = items_from_wire(payload["items"])
         value = payload["value"]
         self.ring.update_value(value)
-        self.store.activate(crange, items)
+        self.store.activate(crange, payload["items"])
         self.node.spawn(
             self._activation_join(payload["join_via"], payload["notify"]),
             name="ds-activate-join",
@@ -402,16 +403,12 @@ class StorageBalancer:
                 return
             # Items that arrived in the lower half while the new peer was
             # joining must be forwarded, not dropped.
-            lower_now = [
-                item
-                for item in self.store.items.all_items()
-                if lower_range.contains(item.skv)
-            ]
-            late_arrivals = [
-                item for item in lower_now if item.skv not in pending["transferred"]
-            ]
-            for item in lower_now:
-                self.store.remove_local(item.skv, reason="split_shed")
+            transferred = pending["transferred"]
+            late_arrivals = []
+            for skv in self.store.items.range_keys(lower_range):
+                item = self.store.remove_local(skv, reason="split_shed")
+                if skv not in transferred:
+                    late_arrivals.append(item)
             self.store.set_range_low(split_key, reason="split")
         finally:
             self.store.range_lock.release_write()
@@ -547,12 +544,11 @@ class StorageBalancer:
                 return
             action = response.get("action")
             if action == "redistribute":
-                received = items_from_wire(response["items"])
+                received = response["items"]
                 boundary = response["new_boundary"]
                 yield self.store.range_lock.acquire_write()
                 try:
-                    for item in received:
-                        self.store.store_local(item, reason="redistribute_in")
+                    self.store.store_wire(received, reason="redistribute_in")
                     self.store.set_range_high(boundary, reason="redistribute")
                     self.ring.update_value(boundary)
                 finally:
@@ -570,7 +566,7 @@ class StorageBalancer:
             try:
                 if not self.store.active or self.store.range is None:
                     return
-                outgoing = self.store.items.all_items()
+                outgoing = self.store.items.to_wire()
                 new_low = (
                     self.store.range.low
                     if not self.store.range.full
@@ -581,7 +577,7 @@ class StorageBalancer:
                         successor,
                         "ds_absorb_items",
                         {
-                            "items": items_to_wire(outgoing),
+                            "items": outgoing,
                             "new_low": new_low,
                             "from_peer": self.address,
                         },
@@ -589,8 +585,8 @@ class StorageBalancer:
                     )
                 except RpcError:
                     return
-                for item in outgoing:
-                    self.store.remove_local(item.skv, reason="merge_transfer")
+                for entry in outgoing:
+                    self.store.remove_local(entry["skv"], reason="merge_transfer")
                 self.store.deactivate()
             finally:
                 self.store.range_lock.release_write()
@@ -637,28 +633,24 @@ class StorageBalancer:
             if spare < need or spare <= 0:
                 return {"action": "merge"}
             give = min(spare, max(need, 1))
-            victims = [
-                item
-                for item in self.store.items.all_items()
-                if self.store.range.contains(item.skv)
-            ]
             victims = sorted(
-                victims, key=lambda item: self._distance_from_low(item.skv)
+                self.store.items.range_keys(self.store.range),
+                key=self._distance_from_low,
             )[:give]
             if not victims:
                 return {"action": "merge"}
-            boundary = max(
-                victims, key=lambda item: self._distance_from_low(item.skv)
-            ).skv
-            for item in victims:
-                self.store.remove_local(item.skv, reason="redistribute_out")
+            boundary = max(victims, key=self._distance_from_low)
+            given = [
+                self.store.remove_local(skv, reason="redistribute_out")
+                for skv in victims
+            ]
             self.store.set_range_low(boundary, reason="redistribute")
             self._record_op(
                 "redistribute_out", to_peer=payload.get("requester"), given=len(victims)
             )
             return {
                 "action": "redistribute",
-                "items": items_to_wire(victims),
+                "items": items_to_wire(given),
                 "new_boundary": boundary,
             }
         finally:
@@ -695,9 +687,9 @@ class StorageBalancer:
         in clockwise order from the base (a split hands over a prefix).  Keys
         at or below the base (strays stranded by a boundary move, or items the
         ring's current predecessor already claims) are excluded -- a split
-        keyed on one of them can never complete.  Keys, not items: callers
-        count them and pick a split key, and build items only for the prefix
-        they hand over.
+        keyed on one of them can never complete.  :meth:`maybe_split` reads
+        the same arc with its payloads (``ItemStore.arc_columns``) and hands
+        over a prefix of both columns.
         """
         if self.store.range is None:
             return []
@@ -731,12 +723,11 @@ class StorageBalancer:
 
     def _handle_absorb_items(self, payload, request):
         """RPC (at the successor): take over a merging predecessor's items and range."""
-        items = items_from_wire(payload["items"])
+        items = payload["items"]
         new_low = payload["new_low"]
         yield self.store.range_lock.acquire_write()
         try:
-            for item in items:
-                self.store.store_local(item, reason="merge_absorb")
+            self.store.store_wire(items, reason="merge_absorb")
             if (
                 self.store.active
                 and self.store.range is not None

@@ -17,9 +17,9 @@ first peer of the system.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
-from repro.datastore.items import Item, ItemStore, items_to_wire
+from repro.datastore.items import Item, ItemStore, Wire
 from repro.datastore.ranges import CircularRange
 from repro.index.config import IndexConfig
 from repro.ring.chord import ChordRing, RingListener
@@ -86,13 +86,14 @@ class DataStore(RingListener):
         self.active = True
         self._record_op("range_changed", range=self.range.as_tuple(), reason="bootstrap")
 
-    def activate(self, crange: CircularRange, items: List[Item]) -> None:
-        """Turn a free peer into a live peer owning ``crange`` and ``items``."""
+    def activate(self, crange: CircularRange, entries: Iterable[Wire]) -> None:
+        """Turn a free peer into a live peer owning ``crange`` and the wire ``entries``."""
         self.range = crange
         self.active = True
-        for item in items:
-            if self.items.add(item):
-                self._record_op("item_stored", skv=item.skv, reason="split_transfer")
+        for entry in entries:
+            skv = entry["skv"]
+            if self.items.put(skv, entry.get("payload")):
+                self._record_op("item_stored", skv=skv, reason="split_transfer")
         self._record_op("range_changed", range=crange.as_tuple(), reason="activate")
 
     def deactivate(self) -> List[Item]:
@@ -109,9 +110,17 @@ class DataStore(RingListener):
     # ------------------------------------------------------------------ local operations
     def store_local(self, item: Item, reason: str = "insert") -> bool:
         """Add ``item`` to the local store; trigger the balancer on overflow."""
-        added = self.items.add(item)
+        return self._store(item.skv, item.payload, reason)
+
+    def store_wire(self, entries: Iterable[Wire], reason: str) -> None:
+        """:meth:`store_local` each wire entry in turn, building no :class:`Item`."""
+        for entry in entries:
+            self._store(entry["skv"], entry.get("payload"), reason)
+
+    def _store(self, skv: float, payload: Any, reason: str) -> bool:
+        added = self.items.put(skv, payload)
         if added:
-            self._record_op("item_stored", skv=item.skv, reason=reason)
+            self._record_op("item_stored", skv=skv, reason=reason)
         if len(self.items) > self.config.overflow_threshold and self.on_overflow:
             self.on_overflow()
         return added
@@ -128,10 +137,6 @@ class DataStore(RingListener):
         ):
             self.on_underflow()
         return item
-
-    def local_items_in(self, lb: float, ub: float) -> List[Item]:
-        """Items with ``lb < skv <= ub`` currently stored here."""
-        return self.items.items_in_interval(lb, ub)
 
     # ------------------------------------------------------------------ range updates
     def set_range_low(self, new_low: float, reason: str) -> None:
@@ -215,11 +220,11 @@ class DataStore(RingListener):
         lb = payload.get("lb")
         ub = payload.get("ub")
         if lb is None or ub is None:
-            selected = self.items.all_items()
+            selected = self.items.to_wire()
         else:
-            selected = self.local_items_in(lb, ub)
+            selected = self.items.interval_wire(lb, ub)
         return {
-            "items": items_to_wire(selected),
+            "items": selected,
             "range": self.range.as_tuple() if self.range is not None else None,
             "active": self.active,
         }

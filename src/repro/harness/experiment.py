@@ -384,9 +384,9 @@ class ClusterExperiment:
         """Keys in ``(lb, ub]`` a full primary scan would return right now."""
         keys = set()
         for peer in self.index.ring_members():
-            for item in peer.store.local_items_in(lb, ub):
-                if peer.store.owns_key(item.skv):
-                    keys.add(item.skv)
+            for entry in peer.store.items.interval_wire(lb, ub):
+                if peer.store.owns_key(entry["skv"]):
+                    keys.add(entry["skv"])
         return keys
 
     def _serve_arrivals(self, spec: ServeSpec, schedule, expected, outcomes):

@@ -58,6 +58,9 @@ class MembershipIndex:
         # be removed in O(log n) even while its value is being updated.
         self._sorted: List[tuple] = []
         self._member_value: Dict[str, float] = {}
+        # ``ring_members()``'s list, built on first use after a change to
+        # ``_sorted`` (every change to ``_members`` also changes ``_sorted``).
+        self._ring: Optional[List["IndexPeer"]] = None
         # Quiescence bookkeeping: peers currently JOINING/INSERTING, plus a
         # monotonic stamp bumped on *every* membership change so "nothing
         # happened for T seconds" is one integer comparison per poll.
@@ -133,11 +136,13 @@ class MembershipIndex:
     def _insert_sorted(self, address: str, value: float) -> None:
         bisect.insort(self._sorted, (value, address))
         self._member_value[address] = value
+        self._ring = None
 
     def _remove_sorted(self, address: str) -> None:
         value = self._member_value.pop(address)
         index = bisect.bisect_left(self._sorted, (value, address))
         del self._sorted[index]
+        self._ring = None
 
     # ------------------------------------------------------------------ queries
     def live_peers(self) -> List["IndexPeer"]:
@@ -149,9 +154,11 @@ class MembershipIndex:
         return list(self._free.values())
 
     def ring_members(self) -> List["IndexPeer"]:
-        """All live ring members, sorted by (ring value, address)."""
-        members = self._members
-        return [members[address] for _value, address in self._sorted]
+        """All live ring members, sorted by (ring value, address) (a copy)."""
+        if self._ring is None:
+            members = self._members
+            self._ring = [members[address] for _value, address in self._sorted]
+        return list(self._ring)
 
     def first_member(self) -> Optional["IndexPeer"]:
         """The longest-standing current ring member, or ``None``.

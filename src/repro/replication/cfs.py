@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.datastore.items import Item, ItemStore, items_to_wire
+from repro.datastore.items import Item, ItemStore
 from repro.datastore.store import DataStore
 from repro.index.config import IndexConfig
 from repro.replication.extra_hop import push_items_one_extra_hop
@@ -137,7 +137,7 @@ class ReplicationManager(RingListener):
             targets = self.ring.joined_successors(self.config.replication_factor)
             if self._should_push(targets):
                 payload = {
-                    "items": items_to_wire(items.all_items()),
+                    "items": items.to_wire(),
                     "owner": self.address,
                     # The store version this push snapshots; receivers
                     # record it so replica reads can detect staleness.
@@ -239,10 +239,10 @@ class ReplicationManager(RingListener):
         would resurrect it at the receivers.
         """
         held = [
-            item
-            for item in self.replicas.all_items()
-            if self._is_promotable(item.skv)
-        ] + list(self.store.items.all_items())
+            entry
+            for entry in self.replicas.to_wire()
+            if self._is_promotable(entry["skv"])
+        ] + self.store.items.to_wire()
         count = yield from push_items_one_extra_hop(
             self.node, self.ring, held, max(self.config.replication_factor, 1)
         )
@@ -271,24 +271,30 @@ class ReplicationManager(RingListener):
         """RPC: store replicas on behalf of a predecessor."""
         stored = 0
         now = self.node.sim.now
-        pushed: List[float] = []
+        entries = payload["items"]
+        pushed = [entry["skv"] for entry in entries]
         tombstones = self._tombstones
         freshness = self._freshness
         replicas = self.replicas
-        primaries = self.store.items if self.store.active else ()
-        # Most pushed keys are already held: an Item is built only for a key
-        # that is stored, and only a tombstoned key pays the expiry check.
-        for entry in payload["items"]:
-            skv = entry["skv"]
-            pushed.append(skv)
+        # Only a tombstoned key pays the expiry check, which drops an expired
+        # tombstone: afterwards a pushed key is tombstoned iff it is in
+        # ``tombstones``.
+        for skv in pushed:
             if skv in tombstones and self._tombstoned(skv):
                 continue  # deleted; do not let a stale copy come back
             freshness[skv] = now
-            if skv in primaries:
-                continue  # we already hold the primary copy
-            if skv not in replicas:
-                replicas.add(Item.from_wire(entry))
-                stored += 1
+        # A refresh usually pushes keys already held here, side by side in the
+        # replica key column: one slice comparison shows there is nothing to
+        # store.  Otherwise store each key that is neither tombstoned nor
+        # held here as a primary copy.
+        if not replicas.holds_run(pushed):
+            primaries = self.store.items if self.store.active else ()
+            for entry in entries:
+                skv = entry["skv"]
+                if skv in tombstones or skv in primaries:
+                    continue
+                if replicas.put(skv, entry.get("payload")):
+                    stored += 1
         # Remember the push as the owner's claimed snapshot.  Tombstoned keys
         # stay in the recorded key set but were *not* stored, so a replica
         # read that needs one finds it missing and falls back to the primary

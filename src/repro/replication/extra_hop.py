@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from repro.datastore.items import Item, items_to_wire
+from repro.datastore.items import Wire
 from repro.transport import RpcError
 
 
-def push_items_one_extra_hop(node, ring, items: Iterable[Item], hops: int):
-    """Send ``items`` to up to ``hops`` JOINED successors of ``node``.
+def push_items_one_extra_hop(node, ring, items: Iterable[Wire], hops: int):
+    """Send the wire ``items`` to up to ``hops`` JOINED successors of ``node``.
 
     Runs as a generator (a simulated process step).  Returns the number of
     successors that acknowledged the replicas.  Failures of individual
@@ -31,7 +31,7 @@ def push_items_one_extra_hop(node, ring, items: Iterable[Item], hops: int):
         return 0
     acknowledged = 0
     targets: List[str] = ring.joined_successors(hops)
-    payload = {"items": items_to_wire(items), "owner": node.address, "extra_hop": True}
+    payload = {"items": items, "owner": node.address, "extra_hop": True}
     for target in targets:
         try:
             yield node.call(target, "rep_store_replicas", payload)

@@ -81,9 +81,9 @@ class ServeHandler:
             # with the client's probe); send it back to routing rather than
             # return a silently partial answer.
             return {"ok": False, "reason": "moved"}
-        items = self.store.local_items_in(lb, ub)
+        items = self.store.items.interval_wire(lb, ub)
         self._record_metric("serve_read_primary", len(items))
-        return {"ok": True, "items": items_to_wire(items), "source": "primary"}
+        return {"ok": True, "items": items, "source": "primary"}
 
     def _replica_read(self, owner: str, lb: float, ub: float, version) -> dict:
         pushed = self.replication._push_state.get(owner)

@@ -118,6 +118,65 @@ def test_connectivity_detects_disconnection():
     assert not result.ok
 
 
+def per_start_connectivity(peers):
+    """The rule the checker's two searches replace: one search from every member."""
+    members = [p for p in peers if p.alive and p.ring.state == JOINED]
+    if len(members) <= 1:
+        return CheckResult.success()
+    alive_addresses = {peer.address for peer in members}
+    adjacency = {
+        peer.address: [
+            entry.address
+            for entry in peer.ring.succ_list
+            if entry.address in alive_addresses and entry.address != peer.address
+        ]
+        for peer in members
+    }
+    violations = []
+    for start in alive_addresses:
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            for neighbour in adjacency.get(frontier.pop(), ()):
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        missing = alive_addresses - reached
+        if missing:
+            violations.append(
+                f"{start} cannot reach {len(missing)} peer(s): {sorted(missing)[:5]}"
+            )
+    return CheckResult.failure(violations)
+
+
+ADDRESSES = [f"p{i}" for i in range(7)]
+
+
+@st.composite
+def successor_graphs(draw):
+    """Peers with random successor lists: dead, non-JOINED, unknown and self entries."""
+    count = draw(st.integers(0, len(ADDRESSES)))
+    targets = st.sampled_from(ADDRESSES + ["gone"])
+    peers = []
+    for index, address in enumerate(ADDRESSES[:count]):
+        pointers = draw(st.lists(targets, max_size=4))
+        entries = [SuccessorEntry(a, float(ADDRESSES.index(a)) if a in ADDRESSES else 99.0,
+                                  JOINED, True) for a in pointers]
+        state = draw(st.sampled_from([JOINED, JOINED, JOINED, LEAVING]))
+        alive = draw(st.booleans()) or draw(st.booleans())
+        peers.append(FakePeer(address, alive, FakeRing(state, float(index), entries)))
+    return peers
+
+
+@settings(max_examples=400, deadline=None)
+@given(peers=successor_graphs())
+def test_property_connectivity_matches_the_per_start_rule(peers):
+    got = check_ring_connectivity(peers)
+    expected = per_start_connectivity(peers)
+    assert got.ok == expected.ok
+    assert got.violations == expected.violations
+
+
 # --------------------------------------------------------------------------- timelines
 def make_history(ops):
     return History([Operation(i, kind, time, peer, attrs) for i, (time, kind, peer, attrs) in enumerate(ops)])

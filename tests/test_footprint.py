@@ -4,15 +4,17 @@ A 1000-peer run allocates tens of thousands of item copies, history records,
 successor entries, ranges and locks, and six periodic loops per peer.  The
 records declare slots (no instance ``__dict__``), a loop is a process with
 no generator of its own between rounds (``docs/ARCHITECTURE.md``, "Contract:
-the event engine", *Memory*), and the history keeps its operations as columns
-(``docs/ARCHITECTURE.md``, "Contract: the operation history").
+the event engine", *Memory*), and the history and the item stores keep
+their records as columns (``docs/ARCHITECTURE.md``, "Contract: the operation
+history" and "Contract: the item store").
 
 The budget is the ``tracemalloc`` reading of settled ``scale_100`` (build and
 settle, seed 0), in bytes per ring member, with 20% headroom.  The reading
 differs by interpreter, so it is kept per minor version; the readings before
 the records had slots and the loops lost their generators were 68,961 /
-58,914 / 57,785 bytes on CPython 3.10 / 3.11 / 3.12, and 49,069 / 43,897 /
-43,688 before the history became columns.
+58,914 / 57,785 bytes on CPython 3.10 / 3.11 / 3.12, 49,069 / 43,897 /
+43,688 before the history became columns, and 32,293 / 29,703 / 29,496
+before the item stores became columns.
 """
 
 import gc
@@ -23,7 +25,7 @@ import tracemalloc
 import pytest
 
 from repro.core.histories import HistoryRecorder, Operation
-from repro.datastore.items import Item
+from repro.datastore.items import Item, ItemStore
 from repro.datastore.ranges import CircularRange
 from repro.harness.scenarios import build_experiment, get_scenario
 from repro.ring.entries import SuccessorEntry
@@ -34,9 +36,11 @@ from repro.transport import Endpoint
 
 HEADROOM = 1.2
 # Settled ``scale_100`` bytes per ring member, by CPython minor version.
-READINGS = {(3, 10): 32_293, (3, 11): 29_703, (3, 12): 29_496}
+READINGS = {(3, 10): 27_983, (3, 11): 25_519, (3, 12): 25_300}
 # Bytes one recorded operation may hold in the recorder's columns.
 RECORD_BUDGET = 80
+# Bytes one stored item copy may hold in an item store's two columns.
+COPY_BUDGET = 40
 
 
 @pytest.mark.parametrize("make", [
@@ -108,3 +112,30 @@ def test_a_recorded_operation_stays_inside_its_bytes_budget():
     per_record = held / len(calls)
     print(f"{per_record:.1f} B per recorded operation (budget {RECORD_BUDGET})")
     assert per_record <= RECORD_BUDGET
+
+
+def test_a_stored_item_copy_stays_inside_its_bytes_budget():
+    # 10k copies in 400 stores, about a settled store's size; the keys and
+    # payloads already exist (on the wire dicts they arrive in) before they
+    # are stored.  ``add`` keeps a key slot and a payload slot, not the Item.
+    rng = random.Random(0)
+    stores_copies = [
+        [(rng.random(), f"payload-{store}-{copy}") for copy in range(25)]
+        for store in range(400)
+    ]
+    copies = sum(len(entries) for entries in stores_copies)
+    gc.collect()
+    tracemalloc.start(1)
+    try:
+        stores = []
+        for entries in stores_copies:
+            store = ItemStore()
+            for skv, payload in entries:
+                store.add(Item(skv, payload))
+            stores.append(store)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_copy = held / copies
+    print(f"{per_copy:.1f} B per stored item copy (budget {COPY_BUDGET})")
+    assert per_copy <= COPY_BUDGET

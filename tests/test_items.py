@@ -55,39 +55,6 @@ def test_items_in_full_range():
     assert len(store.items_in_range(CircularRange(0, 0, full=True))) == 2
 
 
-def test_split_lower_half():
-    store = ItemStore([Item(float(k)) for k in range(1, 8)])
-    split_key, lower = store.split_lower_half()
-    assert split_key == 4.0
-    assert [item.skv for item in lower] == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_split_lower_half_requires_two_items():
-    with pytest.raises(ValueError):
-        ItemStore([Item(1.0)]).split_lower_half()
-
-
-def test_take_lowest_removes_items():
-    store = ItemStore([Item(float(k)) for k in range(1, 6)])
-    taken = store.take_lowest(2)
-    assert [item.skv for item in taken] == [1.0, 2.0]
-    assert store.keys() == [3.0, 4.0, 5.0]
-
-
-def test_remove_interval():
-    store = ItemStore([Item(float(k)) for k in range(1, 8)])
-    removed = store.remove_interval(2.0, 5.0)
-    assert [item.skv for item in removed] == [3.0, 4.0, 5.0]
-    assert store.keys() == [1.0, 2.0, 6.0, 7.0]
-
-
-def test_remove_outside_range():
-    store = ItemStore([Item(float(k)) for k in range(1, 8)])
-    removed = store.remove_outside_range(CircularRange(2.0, 5.0))
-    assert sorted(item.skv for item in removed) == [1.0, 2.0, 6.0, 7.0]
-    assert store.keys() == [3.0, 4.0, 5.0]
-
-
 def test_clear():
     store = ItemStore([Item(1.0)])
     store.clear()
@@ -128,18 +95,6 @@ def test_property_add_remove_round_trip(keys):
     for key in keys:
         assert store.remove(key) is not None
     assert len(store) == 0
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=key_lists)
-def test_property_split_preserves_items(keys):
-    if len(keys) < 2:
-        return
-    store = ItemStore(Item(key) for key in keys)
-    split_key, lower = store.split_lower_half()
-    lower_keys = {item.skv for item in lower}
-    assert lower_keys == {key for key in keys if key <= split_key}
-    assert split_key in lower_keys
 
 
 KEY_SPACE = 10_000.0
@@ -209,3 +164,88 @@ def test_arc_keys_are_the_keys_of_the_arc_items(keys, low, high):
     on_arc = store.arc_keys(low, high)
     assert on_arc == [item.skv for item in items]
     assert store.items_at(on_arc) == items
+
+
+# --------------------------------------------------------------------------- the columns against a dict of items
+small_key = st.integers(0, 24).map(lambda n: n / 2)
+store_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), small_key, st.integers(0, 3)),
+        st.tuples(st.just("put"), small_key, st.integers(0, 3)),
+        st.tuples(st.just("remove"), small_key, st.just(0)),
+        st.tuples(st.just("clear"), st.just(0.0), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+def _pairs(items):
+    return [(item.skv, item.payload) for item in items]
+
+
+def _assert_store_matches(store, model, version, low, high):
+    """Every read of ``store`` equals the same read of the dict-of-Item ``model``."""
+    ordered = sorted(model)
+    expected = [(key, model[key].payload) for key in ordered]
+    assert store.version == version
+    assert len(store) == len(model)
+    assert store.keys() == ordered
+    assert _pairs(store) == expected
+    assert _pairs(store.all_items()) == expected
+    assert _pairs(store.items_at(ordered)) == expected
+    assert store.to_wire() == [{"skv": key, "payload": payload} for key, payload in expected]
+    for probe in (ordered, ordered[1:4], sorted(set(ordered[1:4]) | {low}), [high, low]):
+        run = any(ordered[i : i + len(probe)] == probe for i in range(len(ordered) + 1))
+        assert store.holds_run(probe) == run
+    for key in {n / 2 for n in range(25)}:
+        assert (key in store) == (key in model)
+        got = store.get(key)
+        assert (got is None) == (key not in model)
+        if got is not None:
+            assert (got.skv, got.payload) == (key, model[key].payload)
+    lo, hi = min(low, high), max(low, high)
+    inside = [(k, p) for k, p in expected if lo < k <= hi]
+    assert _pairs(store.items_in_interval(lo, hi)) == inside
+    assert store.interval_wire(lo, hi) == [{"skv": k, "payload": p} for k, p in inside]
+    for crange in (CircularRange(low, high), CircularRange(low, high, full=True)):
+        contained = [(k, p) for k, p in expected if crange.contains(k)]
+        assert _pairs(store.items_in_range(crange)) == contained
+        assert store.range_keys(crange) == [k for k, _p in contained]
+    own = _clockwise_distance(high, low)
+    clockwise = sorted(
+        (pair for pair in expected if _clockwise_distance(pair[0], low) <= own),
+        key=lambda pair: _clockwise_distance(pair[0], low),
+    )
+    off_arc = [pair for pair in expected if _clockwise_distance(pair[0], low) > own]
+    assert _pairs(store.arc_items(low, high)) == clockwise
+    assert store.arc_keys(low, high) == [k for k, _p in clockwise]
+    assert store.arc_columns(low, high) == ([k for k, _p in clockwise], [p for _k, p in clockwise])
+    assert _pairs(store.off_arc_items(low, high)) == off_arc
+    assert store.any_off_arc(low, high) == bool(off_arc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=store_steps, low=small_key, high=small_key)
+def test_property_columnar_store_matches_a_dict_of_items(steps, low, high):
+    store = ItemStore()
+    model = {}  # skv -> Item: the layout the columns replaced
+    version = 0
+    for op, key, payload in steps:
+        if op in ("add", "put"):
+            added = store.add(Item(key, payload)) if op == "add" else store.put(key, payload)
+            assert added == (key not in model)
+            if added:
+                model[key] = Item(key, payload)
+                version += 1
+        elif op == "remove":
+            removed = store.remove(key)
+            held = model.pop(key, None)
+            assert (removed is None) == (held is None)
+            if held is not None:
+                assert (removed.skv, removed.payload) == (held.skv, held.payload)
+                version += 1
+        else:
+            store.clear()
+            model.clear()
+            version += 1
+        _assert_store_matches(store, model, version, low, high)

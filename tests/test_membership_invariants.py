@@ -8,7 +8,9 @@ failures -- and after *every* step assert that
 
 * the incremental live/free/ring-member sets equal a from-scratch rescan of
   every peer ever created,
-* the ring-member view is strictly sorted by ``(ring value, address)``,
+* the ring-member view is strictly sorted by ``(ring value, address)`` and
+  equals a fresh sort of the rescan (``ring_members()`` keeps its list
+  between membership changes),
 * no failed peer is ever reported as a ring member.
 
 A second group pins down :meth:`PRingIndex.peer_for_key` at the ring
@@ -50,11 +52,17 @@ def assert_membership_consistent(index: PRingIndex, context: str = "") -> None:
     assert len(got_live) == len(live)
     assert len(got_members) == len(members)
     assert len(got_free) == len(free)
-    # The sorted view: strictly increasing (value, address) pairs.
+    # The sorted view: strictly increasing (value, address) pairs, and the
+    # kept list equals a fresh sort of the rescan.
     ordering = [(p.ring.value, p.address) for p in got_members]
     assert all(a < b for a, b in zip(ordering, ordering[1:])), (
         f"ring-value ordering not strictly sorted {context}: {ordering}"
     )
+    rescanned = sorted(members.values(), key=lambda p: (p.ring.value, p.address))
+    assert got_members == rescanned, f"kept ring-member list is stale {context}"
+    # Each call returns a copy: a caller's edit never reaches the next call.
+    got_members.clear()
+    assert index.ring_members() == rescanned
     # A failed peer must never be reported as a ring member.
     assert all(p.alive for p in got_members), f"failed peer among members {context}"
     assert all(p.alive for p in got_free), f"failed peer among free peers {context}"

@@ -9,7 +9,6 @@ is covered by the availability ablation.
 import pytest
 
 from repro import PRingIndex, default_config
-from repro.datastore.items import Item
 from repro.replication.extra_hop import push_items_one_extra_hop
 from tests.conftest import build_cluster
 
@@ -41,7 +40,7 @@ def test_push_stores_replicas_on_joined_successors(cluster):
     index, _keys = cluster
     peer = _member_with_successors(index)
     targets = peer.ring.joined_successors(2)
-    items = [Item(skv=0.123456, payload="extra-hop-probe")]
+    items = [{"skv": 0.123456, "payload": "extra-hop-probe"}]
     acknowledged = index.run_process(
         push_items_one_extra_hop(peer, peer.ring, items, hops=2)
     )
@@ -59,7 +58,7 @@ def test_push_tolerates_a_dead_successor():
     peer = _member_with_successors(index, minimum=2)
     targets = peer.ring.joined_successors(2)
     index.fail_peer(targets[0])
-    items = [Item(skv=0.654321, payload="extra-hop-probe")]
+    items = [{"skv": 0.654321, "payload": "extra-hop-probe"}]
     acknowledged = index.run_process(
         push_items_one_extra_hop(peer, peer.ring, items, hops=2),
         timeout=60.0,
@@ -77,7 +76,7 @@ def test_single_member_ring_has_no_push_targets():
     index = PRingIndex(config)
     peer = index.bootstrap()
     index.run(5.0)
-    items = [Item(skv=42.0, payload="lonely")]
+    items = [{"skv": 42.0, "payload": "lonely"}]
     acknowledged = index.run_process(
         push_items_one_extra_hop(peer, peer.ring, items, hops=2)
     )
