@@ -122,15 +122,6 @@ class ItemStore:
         index = self._slot(skv)
         return None if index < 0 else Item(self._keys[index], self._payloads[index])
 
-    def holds_run(self, keys: List[float]) -> bool:
-        """Whether ``keys`` fill consecutive slots of the key column, as the
-        ascending keys of a push this store already holds do."""
-        if not keys:
-            return True
-        column = self._keys
-        start = bisect.bisect_left(column, keys[0])
-        return column[start : start + len(keys)] == keys
-
     def keys(self) -> List[float]:
         """All keys in ascending order (a copy)."""
         return list(self._keys)
@@ -168,12 +159,9 @@ class ItemStore:
         keys = self._keys
         return slice(bisect.bisect_right(keys, lo), bisect.bisect_right(keys, hi))
 
-    def items_in_interval(self, lo: float, hi: float) -> List[Item]:
-        """Items with ``lo < skv <= hi`` (half-open, non-wrapping)."""
-        return self._items((self._interval(lo, hi),))
-
     def interval_wire(self, lo: float, hi: float) -> List[Wire]:
-        """:meth:`items_in_interval` as wire dicts, building no :class:`Item`."""
+        """Copies with ``lo < skv <= hi`` (half-open, non-wrapping) as wire
+        dicts, building no :class:`Item`."""
         span = self._interval(lo, hi)
         return columns_to_wire(self._keys[span], self._payloads[span])
 
@@ -225,10 +213,6 @@ class ItemStore:
     def arc_items(self, low: float, high: float) -> List[Item]:
         """Items on the arc ``(low, high]``, in clockwise order from ``low``."""
         return self._items(self._arc_spans(low, high))
-
-    def items_at(self, keys: Iterable[float]) -> List[Item]:
-        """The stored items with these keys, in the order given."""
-        return [self.get(key) for key in keys]
 
     def off_arc_items(self, low: float, high: float) -> List[Item]:
         """Items *not* on the arc ``(low, high]``, in ascending key order."""

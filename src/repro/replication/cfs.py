@@ -271,30 +271,23 @@ class ReplicationManager(RingListener):
         """RPC: store replicas on behalf of a predecessor."""
         stored = 0
         now = self.node.sim.now
-        entries = payload["items"]
-        pushed = [entry["skv"] for entry in entries]
+        pushed: List[float] = []
         tombstones = self._tombstones
         freshness = self._freshness
         replicas = self.replicas
-        # Only a tombstoned key pays the expiry check, which drops an expired
-        # tombstone: afterwards a pushed key is tombstoned iff it is in
-        # ``tombstones``.
-        for skv in pushed:
+        primaries = self.store.items if self.store.active else ()
+        # Only a tombstoned key pays the expiry check; ``put`` skips a key
+        # already held as a replica.
+        for entry in payload["items"]:
+            skv = entry["skv"]
+            pushed.append(skv)
             if skv in tombstones and self._tombstoned(skv):
                 continue  # deleted; do not let a stale copy come back
             freshness[skv] = now
-        # A refresh usually pushes keys already held here, side by side in the
-        # replica key column: one slice comparison shows there is nothing to
-        # store.  Otherwise store each key that is neither tombstoned nor
-        # held here as a primary copy.
-        if not replicas.holds_run(pushed):
-            primaries = self.store.items if self.store.active else ()
-            for entry in entries:
-                skv = entry["skv"]
-                if skv in tombstones or skv in primaries:
-                    continue
-                if replicas.put(skv, entry.get("payload")):
-                    stored += 1
+            if skv in primaries:
+                continue  # we already hold the primary copy
+            if replicas.put(skv, entry.get("payload")):
+                stored += 1
         # Remember the push as the owner's claimed snapshot.  Tombstoned keys
         # stay in the recorded key set but were *not* stored, so a replica
         # read that needs one finds it missing and falls back to the primary

@@ -382,16 +382,21 @@ class Process(Event):
                 elif trigger._ok:
                     target = self._send(trigger._value)
                 else:
+                    # The throw leaves this generator's frame on the error's
+                    # traceback; once the generator finishes, that frame links
+                    # back to the frames that resumed it, one of which holds
+                    # the error: a cycle, which CPython 3.12 builds for every
+                    # timed-out RPC a loop catches.  An error the generator
+                    # handled loses its traceback; one it lets through keeps
+                    # it, so the failure still says where it started.
                     error = trigger._value
                     try:
                         target = self._throw_into(error)
-                    finally:
-                        # The throw left this generator's frame on the
-                        # error's traceback; once the generator finishes, that
-                        # frame links back to the frames that resumed it, one
-                        # of which holds the error: a cycle, which CPython
-                        # 3.12 builds for every timed-out RPC a loop catches.
-                        error.__traceback__ = None
+                    except BaseException as stop:  # noqa: BLE001 - re-raised
+                        if stop is not error:
+                            error.__traceback__ = None
+                        raise
+                    error.__traceback__ = None
             except StopIteration as stop:
                 self._returned(stop.value)
                 return

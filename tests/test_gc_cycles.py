@@ -13,6 +13,7 @@ traceback, which held the process's frame.
 
 import collections
 import gc
+import traceback
 
 import pytest
 
@@ -74,3 +75,27 @@ def test_an_error_a_process_catches_leaves_no_cyclic_garbage(collector_off):
     kinds = collections.Counter(type(obj).__name__ for obj in gc.garbage)
     assert unreachable == 0, f"a caught error left {unreachable} objects in cycles: {kinds.most_common(5)}"
     assert sim.now == 1.0  # held until here, and it ran
+
+
+def test_an_error_no_process_catches_keeps_the_line_it_started_on():
+    sim = Simulator()
+    failing = sim.event()
+
+    def waiter():
+        yield failing  # the error is thrown in here and not caught
+
+    def caller():
+        return (yield sim.process(waiter()))
+
+    def failer():
+        yield sim.timeout(1.0)
+        failing.fail(ValueError("timed out"))
+
+    sim.process(failer())
+    with pytest.raises(ValueError) as raised:
+        sim.run_process(caller())
+    frames = traceback.extract_tb(raised.value.__traceback__)
+    assert [(frame.name, frame.line) for frame in frames if frame.name == "waiter"] == [
+        ("waiter", "yield failing  # the error is thrown in here and not caught")
+    ]
+    assert "caller" in {frame.name for frame in frames}

@@ -38,10 +38,10 @@ def test_iteration_is_sorted():
 
 
 def test_items_in_interval_half_open():
-    store = ItemStore([Item(float(k)) for k in range(1, 11)])
-    selected = store.items_in_interval(3.0, 7.0)
-    assert [item.skv for item in selected] == [4.0, 5.0, 6.0, 7.0]
-    assert store.items_in_interval(7.0, 3.0) == []
+    store = ItemStore([Item(float(k), payload=k) for k in range(1, 11)])
+    selected = store.interval_wire(3.0, 7.0)
+    assert selected == [{"skv": float(k), "payload": k} for k in (4, 5, 6, 7)]
+    assert store.interval_wire(7.0, 3.0) == []
 
 
 def test_items_in_wrapping_range():
@@ -82,7 +82,7 @@ def test_property_interval_query_matches_filter(keys, lo, hi):
     store = ItemStore(Item(key) for key in keys)
     if lo > hi:
         lo, hi = hi, lo
-    result = {item.skv for item in store.items_in_interval(lo, hi)}
+    result = {entry["skv"] for entry in store.interval_wire(lo, hi)}
     assert result == {key for key in keys if lo < key <= hi}
 
 
@@ -161,9 +161,9 @@ def test_arc_with_equal_ends_is_the_whole_circle():
 def test_arc_keys_are_the_keys_of_the_arc_items(keys, low, high):
     store = ItemStore(Item(key) for key in keys)
     items = store.arc_items(low, high)
-    on_arc = store.arc_keys(low, high)
-    assert on_arc == [item.skv for item in items]
-    assert store.items_at(on_arc) == items
+    on_arc, payloads = store.arc_columns(low, high)
+    assert on_arc == store.arc_keys(low, high) == [item.skv for item in items]
+    assert payloads == [item.payload for item in items]
 
 
 # --------------------------------------------------------------------------- the columns against a dict of items
@@ -192,11 +192,7 @@ def _assert_store_matches(store, model, version, low, high):
     assert store.keys() == ordered
     assert _pairs(store) == expected
     assert _pairs(store.all_items()) == expected
-    assert _pairs(store.items_at(ordered)) == expected
     assert store.to_wire() == [{"skv": key, "payload": payload} for key, payload in expected]
-    for probe in (ordered, ordered[1:4], sorted(set(ordered[1:4]) | {low}), [high, low]):
-        run = any(ordered[i : i + len(probe)] == probe for i in range(len(ordered) + 1))
-        assert store.holds_run(probe) == run
     for key in {n / 2 for n in range(25)}:
         assert (key in store) == (key in model)
         got = store.get(key)
@@ -205,7 +201,6 @@ def _assert_store_matches(store, model, version, low, high):
             assert (got.skv, got.payload) == (key, model[key].payload)
     lo, hi = min(low, high), max(low, high)
     inside = [(k, p) for k, p in expected if lo < k <= hi]
-    assert _pairs(store.items_in_interval(lo, hi)) == inside
     assert store.interval_wire(lo, hi) == [{"skv": k, "payload": p} for k, p in inside]
     for crange in (CircularRange(low, high), CircularRange(low, high, full=True)):
         contained = [(k, p) for k, p in expected if crange.contains(k)]
