@@ -9,9 +9,10 @@ Examples::
     repro-run churn_heavy --seeds 0,1,2 --processes 3
     repro-run scale_sweep --seeds 0..4   # 5 seeds/cell; BENCH carries mean/p95
     repro-run scale_100_wan          # the scale cell under 4-site LAN/WAN latency
-    repro-run scale_1000 --profile   # cProfile capture -> PROFILE_scale_1000.txt
     repro-run localhost_20           # same protocols over real asyncio UDP sockets
     repro-run localhost_20 --transport sim   # transport override on any cell
+
+Where a cell's time goes, layer by layer, is ``python -m perfbench --trace``.
 """
 
 from __future__ import annotations
@@ -100,12 +101,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="override the transport of every cell: 'sim' (discrete-event) or "
         "'asyncio' (real UDP sockets on localhost, wall-clock time)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run cells serially under cProfile; writes PROFILE_<scenario>.txt "
-        "and prints the top functions by cumulative time",
-    )
     args = parser.parse_args(argv)
 
     if args.list or args.scenario is None:
@@ -125,7 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             processes=args.processes,
             out_dir=out_dir,
             transport=args.transport,
-            profile_dir=args.out_dir if args.profile else None,
         )
     except ValueError as error:
         print(str(error), file=sys.stderr)

@@ -47,12 +47,6 @@ class CheckResult:
         messages = list(violations)
         return CheckResult(ok=not messages, violations=messages)
 
-    def merge(self, other: "CheckResult") -> "CheckResult":
-        """Combine two results (violations accumulate)."""
-        return CheckResult(
-            ok=self.ok and other.ok, violations=self.violations + other.violations
-        )
-
 
 # --------------------------------------------------------------------------- ring
 def check_consistent_successor_pointers(peers: Sequence) -> CheckResult:
@@ -232,10 +226,6 @@ class ItemTimeline:
             if position >= end:
                 return True
         return position >= end
-
-    def live_keys_at(self, time: float) -> List[float]:
-        """All search key values live at instant ``time``."""
-        return [skv for skv in self.intervals if self.live_at(skv, time)]
 
 
 # --------------------------------------------------------------------------- query correctness

@@ -152,6 +152,8 @@ class PepperRing(ChordRing):
             self._nudge_predecessor()
             self.stabilize_now()
             if attempts > 200:  # safety net: never wedge the simulation
+                # The transition below then goes ahead without the ack; record it.
+                self._record_op("insert_succ_unacked", new_peer=new_address)
                 break
 
         # Transition the new peer to JOINED (Algorithm 1 lines 7-12).

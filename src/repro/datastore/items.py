@@ -210,10 +210,6 @@ class ItemStore:
         spans = self._arc_spans(low, high)
         return self._take(self._keys, spans), self._take(self._payloads, spans)
 
-    def arc_items(self, low: float, high: float) -> List[Item]:
-        """Items on the arc ``(low, high]``, in clockwise order from ``low``."""
-        return self._items(self._arc_spans(low, high))
-
     def off_arc_items(self, low: float, high: float) -> List[Item]:
         """Items *not* on the arc ``(low, high]``, in ascending key order."""
         start, stop = self._arc(low, high)

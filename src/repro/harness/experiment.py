@@ -424,14 +424,6 @@ class ClusterExperiment:
         """Let the system run with no external activity."""
         self.index.run(duration)
 
-    def inject_failures(self, rate_per_100s: float, duration: float) -> int:
-        """Run a failure phase: kill random ring members at the given rate."""
-        rng = self.index.rngs.stream("failures")
-        schedule = failure_schedule(rate_per_100s, duration, rng, start=self.index.sim.now)
-        self.index.sim.process(self._membership_driver(schedule), name="driver:failures")
-        self.index.run(duration)
-        return len(schedule)
-
     def grow(self, peers: int, period: float, settle: float) -> None:
         """Add ``peers`` more peers, one every ``period`` s, then settle."""
         schedule = join_schedule(peers, period=period, start=self.index.sim.now + 0.1)
@@ -478,32 +470,6 @@ class ClusterExperiment:
             record=record,
             strategy=result["strategy"],
         )
-
-    def run_queries_by_hops(
-        self, hop_targets: List[int], queries_per_target: int = 5
-    ) -> Dict[int, List[QueryOutcome]]:
-        """Issue queries sized to span the requested hop counts (Figure 21)."""
-        rng = self.index.rngs.stream("queries")
-        outcomes: Dict[int, List[QueryOutcome]] = {}
-        for target in hop_targets:
-            for _ in range(queries_per_target):
-                members = self.index.ring_members()  # already in ring-value order
-                if len(members) < 2:
-                    continue
-                values = [peer.ring.value for peer in members]
-                start_index = rng.randrange(len(values))
-                end_index = start_index + min(target, len(values) - 1)
-                lb = values[start_index]
-                if end_index >= len(values):
-                    continue
-                ub = values[end_index]
-                if ub <= lb:
-                    continue
-                via = members[rng.randrange(len(members))].address
-                outcome = self.run_query(lb, ub, via=via)
-                outcomes.setdefault(outcome.hops, []).append(outcome)
-                self.index.run(0.5)
-        return outcomes
 
     # ------------------------------------------------------------------ metric helpers
     def mean_metric(self, name: str) -> Optional[float]:

@@ -65,13 +65,6 @@ class Metrics:
             return None
         return sum(values) / len(values)
 
-    def percentile(self, name: str, fraction: float) -> Optional[float]:
-        """The ``fraction`` percentile (0..1) of the named series."""
-        values = sorted(self._series.get(name, ()))
-        if not values:
-            return None
-        return nearest_rank(values, fraction)
-
     def summary(self, name: str) -> Optional[MetricSummary]:
         """Summary statistics for the named series, or ``None`` if empty."""
         values = sorted(self._series.get(name, ()))
@@ -105,11 +98,3 @@ class Metrics:
         labels = [f"<={edge:g}" for edge in edges] + [f">{edges[-1]:g}"]
         return dict(zip(labels, counts))
 
-    def names(self) -> List[str]:
-        """All series names with at least one observation."""
-        return sorted(self._series)
-
-    def merge(self, other: "Metrics") -> None:
-        """Fold another collector's observations into this one."""
-        for name, values in other._series.items():
-            self._series.setdefault(name, []).extend(values)

@@ -21,12 +21,10 @@ byte-identical to the historical single run) and matching rows are averaged.
 
 from __future__ import annotations
 
-import cProfile
 import inspect
 import json
 import os
 import platform
-import pstats
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -62,72 +60,22 @@ def run_cells(
     seeds: Sequence[int] = (0,),
     processes: Optional[int] = None,
     transport: Optional[str] = None,
-    profile_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Run the cross product of ``names`` x ``seeds``, fanned across cores.
 
     ``processes=None`` sizes the pool to ``min(cells, cores)``; ``processes<=1``
     runs serially in-process (no pool overhead, simpler tracebacks).
     ``transport`` overrides every cell's transport.
-    ``profile_dir`` switches to serial execution under cProfile and writes
-    ``PROFILE_<scenario>.txt`` per scenario there (seeds of one scenario are
-    merged into one profile).
     """
     cells = [(name, seed, transport) for name in names for seed in seeds]
     for cell in cells:
         get_scenario(cell[0])  # fail fast on unknown names, before forking
-    if profile_dir is not None:
-        return _run_cells_profiled(cells, profile_dir)
     if processes is None:
         processes = min(len(cells), os.cpu_count() or 1)
     if processes <= 1 or len(cells) <= 1:
         return [run_cell(cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=processes) as pool:
         return list(pool.map(run_cell, cells))
-
-
-# How many functions the profile report keeps, sorted by cumulative time.
-_PROFILE_TOP = 20
-
-
-def _run_cells_profiled(cells: List[Tuple], out_dir: str) -> List[Dict[str, Any]]:
-    """Serial cell execution under cProfile; one report per scenario.
-
-    Multi-seed runs of the same scenario accumulate into a single profile, so
-    the report reflects the scenario's aggregate hot path.  The top functions
-    are printed to stderr as well, so a profiling run shows its evidence
-    without opening the file.
-    """
-    results: List[Dict[str, Any]] = []
-    profilers: Dict[str, List[cProfile.Profile]] = {}
-    for cell in cells:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            results.append(run_cell(cell))
-        finally:
-            profiler.disable()
-        profilers.setdefault(cell[0], []).append(profiler)
-    for scenario, runs in profilers.items():
-        path = Path(out_dir) / f"PROFILE_{scenario}.txt"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as stream:
-            stats = pstats.Stats(runs[0], stream=stream)
-            for extra in runs[1:]:
-                stats.add(extra)
-            stats.sort_stats("cumulative")
-            stream.write(
-                f"# cProfile: {scenario} ({len(runs)} cell(s)), "
-                f"top {_PROFILE_TOP} by cumulative time\n"
-            )
-            stats.print_stats(_PROFILE_TOP)
-        print(f"wrote {path}", file=sys.stderr)
-        report = pstats.Stats(runs[0], stream=sys.stderr)
-        for extra in runs[1:]:
-            report.add(extra)
-        report.sort_stats("cumulative")
-        report.print_stats(_PROFILE_TOP)
-    return results
 
 
 # --------------------------------------------------------------------------- BENCH emission
@@ -356,25 +304,22 @@ def run_named(
     processes: Optional[int] = None,
     out_dir: Optional[str] = ".",
     transport: Optional[str] = None,
-    profile_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run a registered scenario, suite or figure by name; emit its BENCH json.
 
     Scenario and suite runs execute the full ``scenarios x seeds`` cross
     product and carry per-scenario aggregates; figure runs execute once per
     seed offset (see :func:`_figure_seed`).  ``transport`` overrides every
-    cell's transport; ``profile_dir`` captures per-scenario cProfile reports;
-    neither applies to figures.  Returns the emitted document (also written
-    to ``BENCH_<name>.json`` unless ``out_dir`` is ``None``).
+    cell's transport and does not apply to figures.  Returns the emitted
+    document (also written to ``BENCH_<name>.json`` unless ``out_dir`` is
+    ``None``).
     """
     from repro.harness.figures import ALL_FIGURES  # deferred: figures import the harness
 
     seeds = list(seeds)
     if name in ALL_FIGURES:
-        if transport is not None or profile_dir is not None:
-            raise ValueError(
-                "--transport/--profile apply to scenarios and suites, not figures"
-            )
+        if transport is not None:
+            raise ValueError("--transport applies to scenarios and suites, not figures")
         payload = _run_figure(name, seeds, processes)
         bench_name = name
     else:
@@ -389,7 +334,6 @@ def run_named(
             seeds=seeds,
             processes=processes,
             transport=transport,
-            profile_dir=profile_dir,
         )
         elapsed = time.perf_counter() - started
         payload = {

@@ -12,8 +12,8 @@ moment membership changes*:
   (FREE/JOINING/JOINED/INSERTING/LEAVING, see :mod:`repro.ring.entries`) and
   every ring **value change** (Data Store redistribution) through the
   ``membership`` hook on :class:`~repro.ring.chord.ChordRing`;
-* the peer notifies it on failure / graceful departure
-  (:meth:`IndexPeer.on_failed` / :meth:`IndexPeer.on_departed`).
+* the peer notifies it on failure (:meth:`IndexPeer.on_failed`); a peer
+  leaves the index through that hook only.
 
 Ring members are additionally kept in a list sorted by ``(ring value,
 address)`` via :mod:`bisect`, so "members in ring order" and "the member

@@ -120,9 +120,3 @@ class IndexPeer(Endpoint):
             self.ring.membership.peer_gone(self)
         if self.history is not None:
             self.history.record("peer_failed", peer=self.address)
-
-    def on_departed(self) -> None:
-        if self.ring.membership is not None:
-            self.ring.membership.peer_gone(self)
-        if self.history is not None:
-            self.history.record("peer_departed", peer=self.address)

@@ -69,10 +69,6 @@ class QueryClient:
         self.metrics = metrics
 
     # ------------------------------------------------------------------ helpers
-    @property
-    def node(self):
-        return self.peer
-
     def _record_metric(self, name: str, value: float) -> None:
         if self.metrics is not None:
             self.metrics.record(name, value)

@@ -6,7 +6,7 @@ Peers in the paper communicate over a LAN with "known bounded delay"
 * every message experiences a latency drawn from a pluggable
   :class:`LatencyModel` (constant, uniform, or LAN-vs-WAN two-tier);
 * messages may be dropped with probability ``drop_probability``;
-* a request to a failed (or departed) peer is silently lost, so the caller
+* a request to a failed peer is silently lost, so the caller
   observes an :class:`RpcTimeout` after ``rpc_timeout`` seconds -- this is how
   failure detection costs enter the latency measurements (Figure 23).
 
@@ -328,18 +328,6 @@ class Network:
     def register(self, node: "Node") -> None:
         """Attach ``node`` so other peers can address it."""
         self._nodes[node.address] = node
-
-    def unregister(self, address: str) -> None:
-        """Detach the node at ``address`` (it becomes unreachable)."""
-        self._nodes.pop(address, None)
-
-    def node(self, address: str) -> Optional["Node"]:
-        """Return the node registered at ``address``, if any."""
-        return self._nodes.get(address)
-
-    def known_addresses(self) -> list[str]:
-        """Addresses of all registered nodes (dead or alive)."""
-        return list(self._nodes)
 
     # -- latency model -----------------------------------------------------
     def reconfigure(self) -> None:

@@ -35,13 +35,5 @@ class RngStreams:
         self._streams[name] = stream
         return stream
 
-    def fork(self, offset: int) -> "RngStreams":
-        """Return a new factory whose streams are independent of this one.
-
-        Used by parameter sweeps: each configuration gets ``base.fork(i)`` so
-        changing one sweep point does not change the randomness of the others.
-        """
-        return RngStreams(self.seed * 1_000_003 + offset)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngStreams seed={self.seed} streams={sorted(self._streams)}>"

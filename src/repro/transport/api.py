@@ -25,8 +25,8 @@ objects:
       silent destination surfaces as :class:`RpcTimeout`);
     * ``cast(source, destination, method, payload)`` -- fire-and-forget
       one-way message (no reply, no timer; a dead destination swallows it);
-    * ``register(endpoint)`` / ``unregister(address)`` -- peer addressing:
-      endpoints are addressable by an opaque string address;
+    * ``register(endpoint)`` -- peer addressing, the only one: endpoints are
+      addressable by an opaque string address;
     * ``stats`` -- a :class:`NetworkStats` with per-method call counters;
     * ``config`` -- the :class:`~repro.sim.network.NetworkConfig` in force
       (``rpc_timeout`` is honoured by every transport; latency/loss fields

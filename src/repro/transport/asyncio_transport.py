@@ -86,9 +86,6 @@ class _WakingReady:
     def popleft(self):
         return self._items.popleft()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def __bool__(self) -> bool:
         return bool(self._items)
 
@@ -258,12 +255,11 @@ class AsyncioNetwork:
     """Message plane over per-peer UDP sockets on the loopback interface.
 
     Implements the contract of :mod:`repro.transport.api`: ``call``/``cast``
-    with the simulator's failure semantics, ``register``/``unregister``
-    addressing, shared :class:`NetworkStats` and live-read
-    ``drop_probability``.  Logical peer addresses (``peer017``) map
-    to UDP ports through an in-process registry -- the deployments this
-    transport targets are single-host cells, so no external name service is
-    needed.
+    with the simulator's failure semantics, ``register`` addressing, shared
+    :class:`NetworkStats` and live-read ``drop_probability``.  Logical peer
+    addresses (``peer017``) map to UDP ports through an in-process registry --
+    the deployments this transport targets are single-host cells, so no
+    external name service is needed.
     """
 
     def __init__(
@@ -308,23 +304,6 @@ class AsyncioNetwork:
         self._socks[address] = sock
         self._ports[address] = sock.getsockname()[1]
         self.clock.loop.add_reader(sock.fileno(), self._on_readable, address, sock)
-
-    def unregister(self, address: str) -> None:
-        """Detach the node at ``address`` (it becomes unreachable)."""
-        self._nodes.pop(address, None)
-        sock = self._socks.pop(address, None)
-        self._ports.pop(address, None)
-        if sock is not None:
-            self.clock.loop.remove_reader(sock.fileno())
-            sock.close()
-
-    def node(self, address: str):
-        """Return the node registered at ``address``, if any."""
-        return self._nodes.get(address)
-
-    def known_addresses(self) -> list[str]:
-        """Addresses of all registered nodes (dead or alive)."""
-        return list(self._nodes)
 
     # -- config ------------------------------------------------------------
     def _dropped(self) -> bool:

@@ -310,7 +310,7 @@ class Endpoint:
             self._handlers[method] = handler
         return handler
 
-    # -- failure / departure ----------------------------------------------------
+    # -- failure --------------------------------------------------------------
     def fail(self) -> None:
         """Fail-stop the peer: all of its running protocol steps cease."""
         if not self.alive:
@@ -321,19 +321,6 @@ class Endpoint:
         self._processes.clear()
         self.on_failed()
 
-    def depart(self) -> None:
-        """Remove the peer after a *graceful* departure (protocols already ran)."""
-        if not self.alive:
-            return
-        self.alive = False
-        for process in list(self._processes):
-            process.interrupt(ProcessKilled(f"{self.address} departed"))
-        self._processes.clear()
-        self.on_departed()
-
     # Subclass hooks -----------------------------------------------------------
     def on_failed(self) -> None:
         """Hook invoked after :meth:`fail`; subclasses may release resources."""
-
-    def on_departed(self) -> None:
-        """Hook invoked after :meth:`depart`."""

@@ -18,12 +18,11 @@ from repro.workloads.items import (
 from repro.workloads.churn import (
     ChurnEvent,
     ChurnSchedule,
-    correlated_failure_schedule,
     failure_schedule,
     flash_crowd_schedule,
     join_schedule,
 )
-from repro.workloads.queries import QueryWorkload, range_for_hops
+from repro.workloads.queries import QueryWorkload
 
 __all__ = [
     "ChurnEvent",
@@ -31,12 +30,10 @@ __all__ = [
     "ItemWorkload",
     "KEY_DISTRIBUTIONS",
     "QueryWorkload",
-    "correlated_failure_schedule",
     "failure_schedule",
     "flash_crowd_schedule",
     "generate_keys",
     "join_schedule",
-    "range_for_hops",
     "skewed_keys",
     "uniform_keys",
     "zipf_keys",

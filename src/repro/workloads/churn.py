@@ -87,22 +87,6 @@ def flash_crowd_schedule(
     )
 
 
-def correlated_failure_schedule(
-    count: int, at: float, spacing: float = 0.0
-) -> ChurnSchedule:
-    """``count`` peers failing (near-)simultaneously at time ``at``.
-
-    Models a rack/site outage: failures land together instead of being spread
-    over a window, which is the worst case for successor-list repair and the
-    scenario where replica placement actually gets tested.
-    """
-    if spacing < 0:
-        raise ValueError("spacing must be >= 0")
-    return ChurnSchedule(
-        [ChurnEvent(at + index * spacing, FAIL) for index in range(count)]
-    )
-
-
 def failure_schedule(
     rate_per_100s: float,
     duration: float,

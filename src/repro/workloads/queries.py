@@ -1,45 +1,10 @@
-"""Range-query workload generation.
-
-Figure 21 buckets range searches by the number of ring hops they take, so the
-generator here can aim a query at a desired hop count by sizing the queried
-interval relative to the average per-peer range.
-"""
+"""Range-query workload generation."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-
-def range_for_hops(
-    hops: int,
-    peer_values: Sequence[float],
-    key_space: float,
-    rng: random.Random,
-) -> Tuple[float, float]:
-    """A query interval ``(lb, ub]`` expected to span roughly ``hops`` peers.
-
-    ``peer_values`` are the current ring values (range upper bounds) of the
-    live peers; the interval is anchored at a random peer boundary and extended
-    across ``hops`` consecutive ranges.
-    """
-    if not peer_values:
-        raise ValueError("need at least one peer value")
-    ordered = sorted(peer_values)
-    count = len(ordered)
-    start_index = rng.randrange(count)
-    end_index = (start_index + hops) % count
-    lb = ordered[start_index]
-    ub = ordered[end_index]
-    if hops >= count:
-        # The whole ring: fall back to (almost) the full key space.
-        return (0.0, key_space)
-    if ub <= lb:
-        # The interval would wrap; shift the anchor so it stays linear.
-        lb = ordered[0]
-        ub = ordered[min(hops, count - 1)]
-    return (lb, ub)
+from typing import Iterator, List, Optional, Tuple
 
 
 @dataclass

@@ -41,29 +41,12 @@ def test_run_query_outcome_fields():
     assert outcome.record is not None
 
 
-def test_inject_failures_kills_ring_members():
-    experiment = built_experiment(seed=103)
-    before = len(experiment.index.ring_members())
-    injected = experiment.inject_failures(rate_per_100s=20.0, duration=50.0)
-    assert injected >= before / 10
-    assert len(experiment.index.ring_members()) <= before
-
-
 def test_delete_items_forces_merges():
     experiment = built_experiment(seed=104)
     keys = experiment.inserted_keys
     experiment.delete_items(keys[: int(len(keys) * 0.8)], rate=4.0)
     experiment.settle(25.0)
     assert experiment.index.metrics.count("merge") >= 1
-
-
-def test_run_queries_by_hops_buckets_results():
-    experiment = built_experiment(seed=105)
-    outcomes = experiment.run_queries_by_hops([1, 3], queries_per_target=2)
-    assert outcomes
-    for hops, results in outcomes.items():
-        assert hops >= 0
-        assert all(result.complete for result in results)
 
 
 # --------------------------------------------------------------------------- figure smoke tests

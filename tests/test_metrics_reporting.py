@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.metrics import Metrics
+from repro.harness.metrics import Metrics, nearest_rank
 from repro.harness.reporting import format_table
 
 
@@ -19,7 +19,6 @@ def test_empty_series_returns_none():
     metrics = Metrics()
     assert metrics.mean("missing") is None
     assert metrics.summary("missing") is None
-    assert metrics.percentile("missing", 0.5) is None
     assert metrics.count("missing") == 0
 
 
@@ -38,11 +37,10 @@ def test_summary_statistics():
 
 
 def test_percentile_bounds():
-    metrics = Metrics()
-    for value in (5.0, 1.0, 3.0):
-        metrics.record("x", value)
-    assert metrics.percentile("x", 0.0) == 1.0
-    assert metrics.percentile("x", 1.0) == 5.0
+    # nearest_rank is the one percentile: metric summaries and BENCH aggregates.
+    ordered = sorted((5.0, 1.0, 3.0))
+    assert nearest_rank(ordered, 0.0) == 1.0
+    assert nearest_rank(ordered, 1.0) == 5.0
 
 
 def test_histogram_buckets_and_labels():
@@ -57,17 +55,6 @@ def test_histogram_buckets_and_labels():
 
 def test_histogram_empty_series_is_empty_dict():
     assert Metrics().histogram("missing", (1.0, 2.0)) == {}
-
-
-def test_names_and_merge():
-    first = Metrics()
-    first.record("a", 1.0)
-    second = Metrics()
-    second.record("a", 2.0)
-    second.record("b", 3.0)
-    first.merge(second)
-    assert first.names() == ["a", "b"]
-    assert first.values("a") == [1.0, 2.0]
 
 
 def test_format_table_alignment_and_floats():

@@ -11,6 +11,7 @@ from repro.core.correctness import (
     check_ring_connectivity,
 )
 from repro.harness.metrics import Metrics
+from repro.harness.scenarios import build_experiment, get_scenario
 from repro.index.config import default_config
 from repro.ring.chord import ChordRing, in_open_interval
 from repro.ring.entries import (
@@ -168,6 +169,18 @@ def test_insert_succ_metric_recorded():
     harness.run(2.0)
     assert metrics.count("insert_succ") == 1
     assert metrics.mean("insert_succ") >= 0.0
+
+
+@pytest.mark.parametrize("name", ["smoke", "churn_heavy"])
+def test_no_insert_succ_gives_up_waiting_for_its_ack(name):
+    """After 200 unanswered nudges the ack wait gives up and records
+    ``insert_succ_unacked``; the registry's churn cells never get there."""
+    spec = get_scenario(name)
+    experiment = build_experiment(spec, spec.seed)
+    experiment.run_phases(spec.phases, total_peers=spec.peers)
+    history = experiment.index.history
+    assert history.count("insert_succ") > 0
+    assert history.count("insert_succ_unacked") == 0
 
 
 def test_insert_redirect_when_contacting_wrong_predecessor():

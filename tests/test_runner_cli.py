@@ -1,12 +1,11 @@
-"""``repro-run`` CLI and runner surfaces: listing, profiling, removed flags.
+"""``repro-run`` CLI and runner surfaces: listing, figure options, removed flags.
 
 These exercise the thin orchestration layer above :func:`run_spec` -- the
 paths a scenario result travels between the registry and the BENCH envelope:
 
 * ``--list`` renders every registry section (suites, scenarios, figures)
   with the per-scenario transport column;
-* ``--profile`` runs serially under cProfile and writes the per-scenario
-  report next to the BENCH file;
+* ``--transport`` applies to scenarios and suites, not figures;
 * the snapshot selectors are gone from every layer, so a cell has one
   execution path (``test_snapshot_surface_is_gone``).
 """
@@ -49,18 +48,19 @@ def test_engine_flag_is_gone(capsys):
     assert "--engine" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------------ --profile
-def test_profile_writes_per_scenario_report(tmp_path, capsys):
-    assert main(["smoke", "--profile", "--out-dir", str(tmp_path)]) == 0
-    report = tmp_path / "PROFILE_smoke.txt"
-    assert report.exists()
-    text = report.read_text()
-    assert "cumulative" in text  # the sort column header made it to disk
-    assert (tmp_path / "BENCH_smoke.json").exists()
+def test_profile_flag_is_gone(tmp_path, capsys):
+    # Layer-by-layer time is perfbench --trace's job, not the runner's.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["smoke", "--profile", "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2  # argparse: unrecognized arguments
+    assert "--profile" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        run_named("smoke", out_dir=None, profile_dir=str(tmp_path))
 
 
-def test_profile_rejected_for_figures(tmp_path, capsys):
-    assert main(["figure_19", "--profile", "--out-dir", str(tmp_path)]) == 2
+# ------------------------------------------------------------------ figures
+def test_transport_rejected_for_figures(tmp_path, capsys):
+    assert main(["figure_19", "--transport", "sim", "--out-dir", str(tmp_path)]) == 2
     assert "not figures" in capsys.readouterr().err
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.workloads.churn import FAIL, JOIN, ChurnEvent, ChurnSchedule, failure_schedule, join_schedule
 from repro.workloads.items import ItemWorkload, skewed_keys, uniform_keys
-from repro.workloads.queries import QueryWorkload, range_for_hops
+from repro.workloads.queries import QueryWorkload
 
 
 def test_uniform_keys_unique_sorted_in_bounds():
@@ -104,23 +104,6 @@ def test_query_workload_selectivity():
         assert 0.0 <= lb <= ub <= 10_000.0
 
 
-def test_range_for_hops_anchored_at_peer_boundaries():
-    values = [100.0, 200.0, 300.0, 400.0, 500.0]
-    lb, ub = range_for_hops(2, values, 10_000.0, random.Random(5))
-    assert lb in values and ub in values or (lb, ub) == (0.0, 10_000.0)
-    assert lb < ub
-
-
-def test_range_for_hops_whole_ring():
-    values = [100.0, 200.0]
-    assert range_for_hops(5, values, 10_000.0, random.Random(1)) == (0.0, 10_000.0)
-
-
-def test_range_for_hops_requires_values():
-    with pytest.raises(ValueError):
-        range_for_hops(1, [], 10_000.0, random.Random(0))
-
-
 @settings(max_examples=50, deadline=None)
 @given(count=st.integers(min_value=1, max_value=100), seed=st.integers(0, 1000))
 def test_property_uniform_keys_always_unique(count, seed):
@@ -184,20 +167,12 @@ def test_flash_crowd_schedule_burst_spacing():
         flash_crowd_schedule(3, at=0.0, spacing=-1.0)
 
 
-def test_correlated_failure_schedule_simultaneous():
-    from repro.workloads.churn import correlated_failure_schedule
-
-    schedule = correlated_failure_schedule(4, at=50.0)
-    assert [event.time for event in schedule] == [50.0] * 4
-    assert all(event.kind == FAIL for event in schedule)
-
-
 def test_burst_schedules_merge_with_joins():
-    from repro.workloads.churn import correlated_failure_schedule, flash_crowd_schedule
+    from repro.workloads.churn import flash_crowd_schedule
 
     merged = join_schedule(3, period=2.0).merged_with(
         flash_crowd_schedule(2, at=1.0)
-    ).merged_with(correlated_failure_schedule(1, at=9.0))
+    ).merged_with(ChurnSchedule([ChurnEvent(9.0, FAIL)]))
     kinds = [event.kind for event in merged]
     assert kinds.count(JOIN) == 5 and kinds.count(FAIL) == 1
     assert [event.time for event in merged] == sorted(event.time for event in merged)
