@@ -47,6 +47,12 @@ class CheckResult:
         messages = list(violations)
         return CheckResult(ok=not messages, violations=messages)
 
+    def merge(self, other: "CheckResult") -> "CheckResult":
+        """Combine two results (violations accumulate)."""
+        return CheckResult(
+            ok=self.ok and other.ok, violations=self.violations + other.violations
+        )
+
 
 # --------------------------------------------------------------------------- ring
 def check_consistent_successor_pointers(peers: Sequence) -> CheckResult:

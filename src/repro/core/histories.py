@@ -26,6 +26,7 @@ attrs)`` rows of the kinds they need through :meth:`History.rows`
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -112,6 +113,17 @@ class History:
         kinds_column, times, peers = columns.kinds, columns.times, columns.peers
         for i in self._positions(kinds):
             yield kinds_column[i], times[i], peers[i], columns.attrs(i)
+
+    def happened_before(self, first: Operation, second: Operation) -> bool:
+        """Whether ``first`` happened before ``second`` in this history."""
+        return (first.time, first.op_id) < (second.time, second.op_id)
+
+    def truncate(self, operation: Operation) -> "History":
+        """The truncated history H_o: operations up to and including ``operation``."""
+        times, op_ids = self._columns.times, self._columns.op_ids
+        key = (operation.time, operation.op_id)
+        length = bisect_right(range(self._length), key, key=lambda i: (times[i], op_ids[i]))
+        return History._prefix(self._columns, length)
 
 
 class HistoryRecorder:

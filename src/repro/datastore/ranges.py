@@ -85,6 +85,26 @@ class CircularRange:
         # ring; merge in that unusual case.
         return _merge_segments(segments)
 
+    def split_at(self, key: float) -> Tuple["CircularRange", "CircularRange"]:
+        """Split into ``(low, key]`` and ``(key, high]``.
+
+        ``key`` must lie strictly inside the range (it becomes the new boundary
+        between the splitting peer and the free peer it splits with).
+        """
+        if not self.contains(key) or key == self.high:
+            raise ValueError(f"split key {key} is not strictly inside {self}")
+        lower = CircularRange(self.low, key)
+        upper = CircularRange(key, self.high)
+        return lower, upper
+
+    def extend_low(self, new_low: float) -> "CircularRange":
+        """Return a copy whose lower bound moved to ``new_low``."""
+        return CircularRange(new_low, self.high)
+
+    def with_high(self, new_high: float) -> "CircularRange":
+        """Return a copy whose upper bound moved to ``new_high``."""
+        return CircularRange(self.low, new_high)
+
     # ------------------------------------------------------------------ misc
     def as_tuple(self) -> Tuple[float, float, bool]:
         """``(low, high, full)`` -- convenient for RPC payloads and history ops."""

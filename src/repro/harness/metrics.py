@@ -98,3 +98,12 @@ class Metrics:
         labels = [f"<={edge:g}" for edge in edges] + [f">{edges[-1]:g}"]
         return dict(zip(labels, counts))
 
+    def names(self) -> List[str]:
+        """All series names with at least one observation."""
+        return sorted(self._series)
+
+    def merge(self, other: "Metrics") -> None:
+        """Fold another collector's observations into this one."""
+        for name, values in other._series.items():
+            self._series.setdefault(name, []).extend(values)
+

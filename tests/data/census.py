@@ -159,8 +159,11 @@ def read_listing() -> Dict[str, str]:
     return listing
 
 
-def run_census(workdir: Path) -> Set[Tuple[str, int, str]]:
-    """Make every run under the hook; return the ``(path, first line, name)`` that ran."""
+def hooked_env(workdir: Path) -> Dict[str, str]:
+    """Install the hook under ``workdir``; return the environment of a counted run.
+
+    A counted process writes what it ran to ``workdir / "census"``.
+    """
     census_dir, hook_dir = workdir / "census", workdir / "hook"
     census_dir.mkdir()
     hook_dir.mkdir()
@@ -169,16 +172,27 @@ def run_census(workdir: Path) -> Set[Tuple[str, int, str]]:
     env["PYTHONPATH"] = os.pathsep.join([str(hook_dir), str(SRC)])
     env["REPRO_CENSUS_OUT"] = str(census_dir)
     env["REPRO_CENSUS_SRC"] = os.path.realpath(SRC) + os.sep
-    for label, argv in runs(workdir):
-        print(f"census: {label}", flush=True)
-        subprocess.run(argv, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+    return env
+
+
+def read_census(workdir: Path) -> Set[Tuple[str, int, str]]:
+    """The ``(path, first line, name)`` that the counted processes under ``workdir`` ran."""
     ran = set()
-    for dump in census_dir.glob("*.txt"):
+    for dump in (workdir / "census").glob("*.txt"):
         for line in dump.read_text().splitlines():
             filename, first, name = line.split("\t")
             path = Path(filename).relative_to(os.path.realpath(SRC)).as_posix()
             ran.add((path, int(first), name))
     return ran
+
+
+def run_census(workdir: Path) -> Set[Tuple[str, int, str]]:
+    """Make every run under the hook; return the ``(path, first line, name)`` that ran."""
+    env = hooked_env(workdir)
+    for label, argv in runs(workdir):
+        print(f"census: {label}", flush=True)
+        subprocess.run(argv, cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+    return read_census(workdir)
 
 
 def main() -> int:

@@ -419,9 +419,11 @@ def test_item_availability_ignores_deleted_items():
 
 
 # --------------------------------------------------------------------------- CheckResult
-def test_check_result_bool():
+def test_check_result_merge_and_bool():
     good = CheckResult.success()
     bad = CheckResult.failure(["problem"])
+    merged = good.merge(bad)
     assert bool(good)
     assert not bool(bad)
-    assert bad.violations == ["problem"]
+    assert not merged.ok
+    assert merged.violations == ["problem"]

@@ -10,7 +10,7 @@ from repro.harness.figures import (
     figure_21,
     figure_22,
 )
-from repro.harness.phases import PhaseSpec, WorkloadSpec
+from repro.harness.phases import ChurnSpec, PhaseSpec, WorkloadSpec
 from repro.index.config import default_config
 
 
@@ -39,6 +39,19 @@ def test_run_query_outcome_fields():
     assert outcome.hops >= 1
     assert outcome.keys == experiment.expected_keys(keys[3], keys[20])
     assert outcome.record is not None
+
+
+def test_inject_failures_kills_ring_members():
+    # Failures enter a run through a phase's ChurnSpec, the one failure path.
+    experiment = built_experiment(seed=103)
+    before = len(experiment.index.ring_members())
+    failures = PhaseSpec(
+        name="failures", churn=ChurnSpec(failure_rate_per_100s=20.0, failure_window=50.0)
+    )
+    experiment.run_phases((failures,), total_peers=8)
+    injected = len(experiment.index.history.history().of_kind("peer_failed"))
+    assert injected >= before / 10
+    assert len(experiment.index.ring_members()) <= before
 
 
 def test_delete_items_forces_merges():

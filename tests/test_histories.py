@@ -43,7 +43,59 @@ def test_of_kind_and_last_of_kind():
     assert history.of_kind("missing") == []
 
 
+def test_happened_before_is_strict():
+    early = Operation(1, "x", 0.0, None)
+    late = Operation(2, "y", 1.0, None)
+    history = History([early, late])
+    assert history.happened_before(early, late)
+    assert not history.happened_before(late, early)
+    assert not history.happened_before(early, early)
+
+
+def test_truncate_returns_prefix():
+    ops = [Operation(i, "op", float(i), None) for i in range(5)]
+    history = History(ops)
+    truncated = history.truncate(ops[2])
+    assert len(truncated) == 3
+    assert truncated[-1].op_id == 2
+
+
 # --------------------------------------------------------------------------- properties
+operation_lists = st.lists(
+    st.tuples(
+        st.floats(min_value=0, max_value=100, allow_nan=False),
+        st.sampled_from(["a", "b", "c"]),
+    ),
+    max_size=50,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operation_lists)
+def test_property_happened_before_is_a_strict_total_order(raw):
+    ops = [Operation(i, kind, time, None) for i, (time, kind) in enumerate(raw)]
+    history = History(ops)
+    ordered = list(history)
+    for i, first in enumerate(ordered):
+        for second in ordered[i + 1 :]:
+            assert history.happened_before(first, second)
+            assert not history.happened_before(second, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operation_lists)
+def test_property_truncation_is_prefix_closed(raw):
+    ops = [Operation(i, kind, time, None) for i, (time, kind) in enumerate(raw)]
+    history = History(ops)
+    if not len(history):
+        return
+    pivot = history[len(history) // 2]
+    truncated = history.truncate(pivot)
+    for op in truncated:
+        assert not history.happened_before(pivot, op)
+    assert pivot in truncated
+
+
 class _Clock:
     now = 0.0
 
@@ -90,6 +142,8 @@ def test_property_recorder_snapshot_equals_a_hand_built_history(calls, cut):
     assert [snapshot[i] for i in range(len(expected))] == expected
     if expected:
         assert snapshot[-1] == reference[-1] == expected[-1]
+        pivot = expected[len(expected) // 2]
+        assert list(snapshot.truncate(pivot)) == list(reference.truncate(pivot))
     for kinds in (("item_stored",), ("item_removed", "route"), ("missing",)):
         assert snapshot.of_kind(*kinds) == reference.of_kind(*kinds)
         assert list(snapshot.rows(*kinds)) == [

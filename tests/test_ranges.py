@@ -80,7 +80,26 @@ def test_intersect_rejects_wrapping_query():
         CircularRange(0.0, 100.0).intersect_interval(200.0, 100.0)
 
 
-# --------------------------------------------------------------------------- tuples
+# --------------------------------------------------------------------------- split / bounds
+def test_split_at_divides_range():
+    lower, upper = CircularRange(100.0, 200.0).split_at(150.0)
+    assert lower == CircularRange(100.0, 150.0)
+    assert upper == CircularRange(150.0, 200.0)
+
+
+def test_split_at_rejects_boundary_keys():
+    with pytest.raises(ValueError):
+        CircularRange(100.0, 200.0).split_at(200.0)
+    with pytest.raises(ValueError):
+        CircularRange(100.0, 200.0).split_at(99.0)
+
+
+def test_extend_and_with_high():
+    crange = CircularRange(100.0, 200.0)
+    assert crange.extend_low(50.0) == CircularRange(50.0, 200.0)
+    assert crange.with_high(300.0) == CircularRange(100.0, 300.0)
+
+
 def test_tuple_round_trip():
     crange = CircularRange(9_000.0, 100.0)
     assert CircularRange.from_tuple(crange.as_tuple()) == crange
@@ -163,15 +182,11 @@ def test_property_coverage_implies_no_uncovered_point(segments, lb, ub):
 @settings(max_examples=200, deadline=None)
 @given(low=keys, high=keys, key=keys)
 def test_property_split_partitions_range(low, high, key):
-    """A split's pieces ``(low, key]`` and ``(key, high]`` partition the range.
-
-    The Data Store split hands ``(low, key]`` to the free peer and keeps
-    ``(key, high]``.
-    """
+    """Splitting a range yields two disjoint pieces whose union is the original."""
     crange = CircularRange(low, high)
     if not crange.contains(key) or key == high or low == high:
         return
-    lower, upper = CircularRange(low, key), CircularRange(key, high)
+    lower, upper = crange.split_at(key)
     for probe in (low, high, key, (low + high) / 2.0):
         in_original = crange.contains(probe)
         in_pieces = lower.contains(probe) or upper.contains(probe)

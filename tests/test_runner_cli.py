@@ -59,6 +59,15 @@ def test_profile_flag_is_gone(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------ figures
+def test_profile_rejected_for_figures(tmp_path, capsys):
+    # A figure rejects --profile as every run does: the flag no longer exists.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figure_19", "--profile", "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no figure ran, no BENCH file
+
+
 def test_transport_rejected_for_figures(tmp_path, capsys):
     assert main(["figure_19", "--transport", "sim", "--out-dir", str(tmp_path)]) == 2
     assert "not figures" in capsys.readouterr().err

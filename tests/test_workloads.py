@@ -178,6 +178,24 @@ def test_burst_schedules_merge_with_joins():
     assert [event.time for event in merged] == sorted(event.time for event in merged)
 
 
+def test_correlated_failure_schedule_simultaneous():
+    # A correlated shot is ChurnSpec(correlated_failures=n): n peers fail at one instant.
+    from repro.harness.experiment import ClusterExperiment
+    from repro.harness.phases import ChurnSpec, PhaseSpec, WorkloadSpec
+    from repro.index.config import default_config
+
+    experiment = ClusterExperiment(default_config(seed=7))
+    phases = (
+        PhaseSpec(name="build", arrivals=9, workload=WorkloadSpec(items=60), settle=15.0),
+        PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=4)),
+    )
+    _results, _outcomes, victims = experiment.run_phases(phases, total_peers=10)
+    failed = experiment.index.history.history().of_kind("peer_failed")
+    assert len(victims) == 4
+    assert sorted(op.peer for op in failed) == sorted(victims)
+    assert len({op.time for op in failed}) == 1
+
+
 # --------------------------------------------------------------------------- query rng injection
 def test_query_workload_uses_injected_rng():
     stream_a = random.Random(99)
