@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.datastore.items import Item, Wire, items_from_wire
 from repro.datastore.ranges import CircularRange, segments_cover_interval
-from repro.index.config import IndexConfig
+from repro.index.config import FAILURE_DETECTION_TIMEOUT, IndexConfig
 from repro.ring.entries import JOINED
 from repro.transport import RpcError
 
@@ -285,9 +285,7 @@ class RangeQueryEngine:
                 except RpcError:
                     # Successor failed mid-scan: wait for the ring to repair
                     # itself and retry with the new successor.
-                    yield self.node.sim.timeout(
-                        self.config.failure_detection_timeout
-                    )
+                    yield self.node.sim.timeout(FAILURE_DETECTION_TIMEOUT)
             if not forwarded:
                 self._record_op("scan_stalled", scan_id=query_id, watermark=new_watermark)
         finally:

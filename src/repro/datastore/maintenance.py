@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 from repro.datastore.items import columns_to_wire, items_to_wire
 from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
-from repro.index.config import IndexConfig
+from repro.index.config import STABILIZATION_JITTER, IndexConfig
 from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import ChordRing
 from repro.transport import Endpoint, RpcError
@@ -136,7 +136,7 @@ class StorageBalancer:
         node.every(
             max(config.stabilization_period, 2.0),
             self._periodic_check,
-            jitter=config.stabilization_jitter,
+            jitter=STABILIZATION_JITTER,
             name="ds-balance-check",
         )
 
@@ -460,8 +460,7 @@ class StorageBalancer:
 
     def _shed_due(self) -> bool:
         return (
-            self.config.shed_stranded
-            and self.router is not None
+            self.router is not None
             and self._can_strand()
             and self.store.items.any_off_arc(self._split_base(), self.ring.value)
         )

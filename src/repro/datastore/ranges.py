@@ -97,14 +97,6 @@ class CircularRange:
         upper = CircularRange(key, self.high)
         return lower, upper
 
-    def extend_low(self, new_low: float) -> "CircularRange":
-        """Return a copy whose lower bound moved to ``new_low``."""
-        return CircularRange(new_low, self.high)
-
-    def with_high(self, new_high: float) -> "CircularRange":
-        """Return a copy whose upper bound moved to ``new_high``."""
-        return CircularRange(self.low, new_high)
-
     # ------------------------------------------------------------------ misc
     def as_tuple(self) -> Tuple[float, float, bool]:
         """``(low, high, full)`` -- convenient for RPC payloads and history ops."""

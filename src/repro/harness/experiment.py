@@ -12,13 +12,24 @@ Zipf-skewed, 1000 peers -- runs through this same class.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correctness import QueryRecord
-from repro.harness.phases import PhaseResult, PhaseSpec, ServeSpec
+from repro.harness.phases import (
+    ARRIVAL_START,
+    QUERY_SPACING,
+    SERVE_ALPHA,
+    SERVE_DRAIN,
+    SERVE_HOTSPOTS,
+    SERVE_TIMEOUT,
+    START_POLL,
+    WORKLOAD_START,
+    PhaseResult,
+    PhaseSpec,
+    ServeSpec,
+)
 from repro.index.config import IndexConfig
 from repro.index.pring import PRingIndex
 from repro.serve.workload import OpenLoopQuery, open_loop_queries
@@ -74,11 +85,11 @@ class ClusterExperiment:
         """Execute a declarative phase sequence (see :mod:`repro.harness.phases`).
 
         Phases run strictly one after another; each phase first waits for its
-        start condition (offset, then membership fraction of ``total_peers``,
-        then quiescence -- all bounded by ``start_timeout``), then plays its
-        bound schedules and settles.  Returns the per-phase measurements, the
-        query outcomes of every query-bearing phase (in execution order) and
-        the addresses of all correlated-failure victims.
+        start condition (quiescence, bounded by ``start_timeout``), then plays
+        its bound schedules and settles.  ``total_peers`` is the deployment's
+        size; no start condition reads it.  Returns the per-phase
+        measurements, the query outcomes of every query-bearing phase (in
+        execution order) and the addresses of all correlated-failure victims.
         """
         if not self.index.bootstrapped:
             self.index.bootstrap()
@@ -86,14 +97,14 @@ class ClusterExperiment:
         outcomes: List[QueryOutcome] = []
         victims: List[str] = []
         for phase in phases:
-            record, phase_outcomes, phase_victims = self._execute_phase(phase, total_peers)
+            record, phase_outcomes, phase_victims = self._execute_phase(phase)
             results.append(record)
             outcomes.extend(phase_outcomes)
             victims.extend(phase_victims)
         return results, outcomes, victims
 
     def _execute_phase(
-        self, phase: PhaseSpec, total_peers: int
+        self, phase: PhaseSpec
     ) -> Tuple[PhaseResult, List["QueryOutcome"], List[str]]:
         """Wait for the phase's start condition, then play its bound activity."""
         index = self.index
@@ -104,7 +115,7 @@ class ClusterExperiment:
         per_method_before = dict(index.network.stats.per_method)
         phase_started = sim.now
 
-        timed_out = self._wait_for_start(phase, total_peers)
+        timed_out = self._wait_for_start(phase)
         activity_started = sim.now
         members_at_start = len(index.ring_members())
 
@@ -116,7 +127,7 @@ class ClusterExperiment:
         joins: Optional[ChurnSchedule] = None
         if phase.arrivals > 0:
             joins = join_schedule(
-                phase.arrivals, period=phase.arrival_period, start=sim.now + phase.arrival_start
+                phase.arrivals, period=phase.arrival_period, start=sim.now + ARRIVAL_START
             )
         if phase.churn.flash_crowd_peers > 0:
             crowd = flash_crowd_schedule(
@@ -138,7 +149,7 @@ class ClusterExperiment:
             )
             self.inserted_keys.extend(keys)
             workload = ItemWorkload(
-                keys, insert_rate=spec.insert_rate, start_time=sim.now + phase.workload_start
+                keys, insert_rate=spec.insert_rate, start_time=sim.now + WORKLOAD_START
             )
 
         if joins is not None and len(joins) > 0:
@@ -154,17 +165,15 @@ class ClusterExperiment:
             )
             sim.process(self._membership_driver(schedule), name=f"driver:{phase.name}-failures")
 
-        active = phase.duration
-        if active is None:
-            # Derived active time: long enough to play every bound schedule.
-            candidates = [0.0]
-            if joins is not None and len(joins) > 0:
-                candidates.append(joins.duration - sim.now)
-            if workload is not None:
-                candidates.append(workload.duration + phase.workload_start)
-            if phase.churn.failure_rate_per_100s > 0:
-                candidates.append(phase.churn.failure_window)
-            active = max(candidates)
+        # The active time is long enough to play every bound schedule.
+        candidates = [0.0]
+        if joins is not None and len(joins) > 0:
+            candidates.append(joins.duration - sim.now)
+        if workload is not None:
+            candidates.append(workload.duration + WORKLOAD_START)
+        if phase.churn.failure_rate_per_100s > 0:
+            candidates.append(phase.churn.failure_window)
+        active = max(candidates)
         if active > 0:
             index.run(active)
 
@@ -179,8 +188,7 @@ class ClusterExperiment:
             )
             for lb, ub in query_workload.queries():
                 outcomes.append(self.run_query(lb, ub))
-                if mix.spacing > 0:
-                    self.settle(mix.spacing)
+                self.settle(QUERY_SPACING)
 
         if phase.serve is not None:
             outcomes.extend(self._run_serve(phase))
@@ -216,40 +224,18 @@ class ClusterExperiment:
         )
         return record, outcomes, victims
 
-    def _wait_for_start(self, phase: PhaseSpec, total_peers: int) -> bool:
+    def _wait_for_start(self, phase: PhaseSpec) -> bool:
         """Block (in simulated time) until the phase's start condition holds.
 
-        Conditions compose: the offset elapses first, then membership
-        fraction, then quiescence.  Returns whether any bounded condition gave
-        up waiting (``start_timeout``) -- the phase still runs, so a wedged
-        deployment degrades to the legacy wall-clock behaviour instead of
-        hanging.
+        Returns whether the quiescence wait gave up (``start_timeout``) -- the
+        phase still runs, so a wedged deployment degrades to the legacy
+        wall-clock behaviour instead of hanging.
         """
-        index = self.index
-        sim = index.sim
-        if phase.start_offset > 0:
-            index.run(phase.start_offset)
-        # One shared budget for the bounded conditions: time spent waiting for
-        # the membership fraction is deducted from the quiescence wait.
-        deadline = sim.now + phase.start_timeout
-        timed_out = False
-        if phase.start_fraction is not None:
-            target = max(1, math.ceil(phase.start_fraction * total_peers))
-            while len(index.ring_members()) < target:
-                if sim.now >= deadline:
-                    timed_out = True
-                    break
-                index.run(min(phase.start_poll, deadline - sim.now))
-        if phase.start_quiescence is not None:
-            remaining = deadline - sim.now
-            if remaining <= 0:
-                timed_out = True
-            else:
-                quiesced = self._wait_for_quiescence(
-                    phase.start_quiescence, phase.start_poll, remaining
-                )
-                timed_out = timed_out or not quiesced
-        return timed_out
+        if phase.start_quiescence is None:
+            return False
+        return not self._wait_for_quiescence(
+            phase.start_quiescence, START_POLL, phase.start_timeout
+        )
 
     def _wait_for_quiescence(self, hold: float, poll: float, timeout: float) -> bool:
         """Wait until no joins/splits were in flight for ``hold`` seconds.
@@ -363,8 +349,8 @@ class ClusterExperiment:
             spec.duration,
             self.config.key_space,
             index.rngs.stream("serve"),
-            hotspots=spec.hotspots,
-            alpha=spec.alpha,
+            hotspots=SERVE_HOTSPOTS,
+            alpha=SERVE_ALPHA,
             selectivity=spec.selectivity,
         )
         expected: Dict[Tuple[float, float], frozenset] = {}
@@ -377,7 +363,7 @@ class ClusterExperiment:
             self._serve_arrivals(spec, schedule, expected, outcomes),
             name=f"driver:{phase.name}-serve",
         )
-        index.run(spec.duration + spec.drain)
+        index.run(spec.duration + SERVE_DRAIN)
         return outcomes
 
     def _reachable_keys(self, lb: float, ub: float) -> set:
@@ -400,10 +386,8 @@ class ClusterExperiment:
             sim.process(self._serve_one(spec, query, expected, outcomes))
 
     def _serve_one(self, spec: ServeSpec, query: OpenLoopQuery, expected, outcomes):
-        client = self.index.query_client(
-            routing=spec.routing, consistency=spec.consistency
-        )
-        result = yield from client.query(query.lb, query.ub, timeout=spec.timeout)
+        client = self.index.query_client(routing=spec.routing, consistency="strong")
+        result = yield from client.query(query.lb, query.ub, timeout=SERVE_TIMEOUT)
         keys = result["keys"]
         outcomes.append(
             QueryOutcome(

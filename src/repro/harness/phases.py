@@ -11,17 +11,11 @@ end-state membership swings with tiny perturbations.
 A :class:`PhaseSpec` decouples the lifecycle declaratively: each phase binds
 its own churn schedule, item workload and query mix, and *starts on an
 explicit condition* instead of whenever the previous wall-clock window
-happened to end:
-
-* ``start_offset`` -- a plain simulated-seconds delay (the legacy behaviour);
-* ``start_fraction`` -- wait until that fraction of the deployment's peers
-  are ring members (growth-gated);
-* ``start_quiescence`` -- wait until no joins or splits have been in flight
-  for the given number of simulated seconds (cascade-gated; this is what
-  stops the failure window from racing the split cascade).
-
-Conditions compose (offset first, then membership, then quiescence) and are
-bounded by ``start_timeout`` so a wedged deployment still terminates.
+happened to end.  A phase starts at once unless it sets ``start_quiescence``:
+then it waits until no joins or splits have been in flight for that many
+simulated seconds (cascade-gated; this is what stops the failure window from
+racing the split cascade).  The wait is bounded by ``start_timeout`` so a
+wedged deployment still terminates.
 
 This module also carries the scenario sub-specs a phase binds
 (:class:`WorkloadSpec`, :class:`ChurnSpec`, :class:`QueryMixSpec`) so both
@@ -59,13 +53,23 @@ class ChurnSpec:
     correlated_failures: int = 0  # peers killed simultaneously at phase start
 
 
+#: Simulated seconds between two closed-loop queries of a :class:`QueryMixSpec`.
+QUERY_SPACING = 0.5
+
+
 @dataclass(frozen=True)
 class QueryMixSpec:
     """Range queries issued after the deployment settles (closed loop)."""
 
     count: int = 0
     selectivity: float = 0.02
-    spacing: float = 0.5  # simulated seconds between queries
+
+
+# The fixed shape of a serve phase's traffic (see :class:`ServeSpec`).
+SERVE_HOTSPOTS = 8  # distinct query windows
+SERVE_ALPHA = 1.1  # zipf exponent over hotspot ranks
+SERVE_TIMEOUT = 30.0  # per-query timeout (simulated seconds)
+SERVE_DRAIN = 5.0  # post-arrival grace for in-flight queries (simulated seconds)
 
 
 @dataclass(frozen=True)
@@ -75,30 +79,25 @@ class ServeSpec:
     Declares serving the way :class:`LatencySpec` declares network
     conditions: queries arrive with exponential interarrivals
     at ``arrival_rate`` per simulated second for ``duration`` seconds, each
-    aimed at one of ``hotspots`` fixed windows drawn zipf-skewed by rank
-    (exponent ``alpha``), and are issued through a serve-layer
-    :class:`~repro.serve.client.QueryClient` under ``routing`` /
-    ``consistency``.  Because arrivals never wait for completions, the
-    measured p50/p99 latency reflects the system, not the workload --
-    unlike the closed-loop :class:`QueryMixSpec`.
+    aimed at one of ``SERVE_HOTSPOTS`` fixed windows drawn zipf-skewed by rank
+    (exponent ``SERVE_ALPHA``), and are issued as strong reads through a
+    serve-layer :class:`~repro.serve.client.QueryClient` under ``routing``.
+    Because arrivals never wait for completions, the measured p50/p99
+    latency reflects the system, not the workload -- unlike the closed-loop
+    :class:`QueryMixSpec`.
 
-    ``drain`` extends the phase past the last arrival so in-flight queries
-    finish before the phase result is taken.
+    The phase runs ``SERVE_DRAIN`` seconds past the last arrival so in-flight
+    queries finish before the phase result is taken.
     """
 
     arrival_rate: float = 20.0  # queries per simulated second
     duration: float = 10.0  # arrival window (simulated seconds)
     routing: str = "replica_lb"  # primary | replica_lb
-    consistency: str = "strong"  # strong | eventual
     selectivity: float = 0.02  # window width as a fraction of the key space
-    hotspots: int = 8  # distinct query windows
-    alpha: float = 1.1  # zipf exponent over hotspot ranks
-    timeout: float = 30.0  # per-query timeout (simulated seconds)
-    drain: float = 5.0  # post-arrival grace for in-flight queries
 
     def validate(self) -> None:
         """Raise ``ValueError`` for meaningless settings."""
-        from repro.serve.client import CONSISTENCY_LEVELS, ROUTING_POLICIES
+        from repro.serve.client import ROUTING_POLICIES
 
         if self.arrival_rate <= 0:
             raise ValueError("arrival_rate must be positive")
@@ -108,83 +107,60 @@ class ServeSpec:
             raise ValueError(
                 f"unknown routing {self.routing!r}; known: {', '.join(ROUTING_POLICIES)}"
             )
-        if self.consistency not in CONSISTENCY_LEVELS:
-            raise ValueError(
-                f"unknown consistency {self.consistency!r}; "
-                f"known: {', '.join(CONSISTENCY_LEVELS)}"
-            )
         if not 0.0 < self.selectivity <= 1.0:
             raise ValueError("selectivity must be in (0, 1]")
-        if self.hotspots < 1:
-            raise ValueError("hotspots must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.drain < 0:
-            raise ValueError("drain must be >= 0")
 
 
 # --------------------------------------------------------------------------- phases
 #: How phase start conditions report themselves in per-phase results.
 START_IMMEDIATE = "immediate"
-START_OFFSET = "offset"
-START_FRACTION = "membership_fraction"
 START_QUIESCENCE = "quiescence"
+
+#: Simulated seconds between two checks of a start condition.
+START_POLL = 1.0
+#: First staggered arrival and first insert, relative to the phase's activity.
+ARRIVAL_START = 0.5
+WORKLOAD_START = 1.0
 
 
 @dataclass(frozen=True)
 class PhaseSpec:
     """One lifecycle phase: a start condition plus the activity bound to it.
 
-    All times are relative to the end of the previous phase.  A phase with no
-    bound activity and no explicit ``duration`` runs only its ``settle`` tail,
-    which is how pure waiting phases (e.g. a quiescence-gated ``settle``
-    between build and stress) are expressed.
+    All times are relative to the end of the previous phase.  The active time
+    is derived from the bound schedules, so a phase with no bound activity
+    runs only its ``settle`` tail, which is how pure waiting phases (e.g. a
+    quiescence-gated ``settle`` between build and stress) are expressed.
     """
 
     name: str
     description: str = ""
 
-    # -- start condition (offset, then membership fraction, then quiescence) --
-    start_offset: float = 0.0
-    start_fraction: Optional[float] = None  # of ScenarioSpec.peers in the ring
+    # -- start condition -------------------------------------------------------
     start_quiescence: Optional[float] = None  # no joins/splits in flight for T s
     start_timeout: float = 600.0  # cap on condition waiting (simulated seconds)
-    start_poll: float = 1.0  # condition re-check interval (simulated seconds)
 
     # -- bound activity -------------------------------------------------------
     arrivals: int = 0  # staggered free-peer arrivals during this phase
     arrival_period: float = 3.0
-    arrival_start: float = 0.5  # first arrival, relative to phase start
     churn: ChurnSpec = ChurnSpec()
     workload: Optional[WorkloadSpec] = None
-    workload_start: float = 1.0  # first insert, relative to phase start
     queries: Optional[QueryMixSpec] = None
     serve: Optional[ServeSpec] = None  # open-loop serve traffic (see ServeSpec)
-    duration: Optional[float] = None  # active time; None = derived from schedules
     settle: float = 0.0  # quiet tail after the activity
 
     def validate(self) -> None:
         """Raise ``ValueError`` for meaningless settings."""
         if not self.name:
             raise ValueError("phase name must be non-empty")
-        if self.start_offset < 0:
-            raise ValueError("start_offset must be >= 0")
-        if self.start_fraction is not None and not 0.0 < self.start_fraction <= 1.0:
-            raise ValueError("start_fraction must be in (0, 1]")
         if self.start_quiescence is not None and self.start_quiescence <= 0:
             raise ValueError("start_quiescence must be positive")
         if self.start_timeout <= 0:
             raise ValueError("start_timeout must be positive")
-        if self.start_poll <= 0:
-            raise ValueError("start_poll must be positive")
         if self.arrivals < 0:
             raise ValueError("arrivals must be >= 0")
         if self.arrivals > 0 and self.arrival_period <= 0:
             raise ValueError("arrival_period must be positive")
-        if self.duration is not None and self.duration < 0:
-            raise ValueError("duration must be >= 0")
         if self.settle < 0:
             raise ValueError("settle must be >= 0")
         if self.serve is not None:
@@ -192,13 +168,9 @@ class PhaseSpec:
 
     @property
     def start_condition(self) -> str:
-        """The strongest configured start condition (for reporting)."""
+        """The configured start condition (for reporting)."""
         if self.start_quiescence is not None:
             return START_QUIESCENCE
-        if self.start_fraction is not None:
-            return START_FRACTION
-        if self.start_offset > 0:
-            return START_OFFSET
         return START_IMMEDIATE
 
 

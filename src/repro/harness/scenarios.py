@@ -108,7 +108,7 @@ class ScenarioSpec:
     name: str
     phases: Tuple[PhaseSpec, ...]
     description: str = ""
-    peers: int = 30  # deployment size (the base of start_fraction conditions)
+    peers: int = 30  # deployment size
     protocols: str = "pepper"  # pepper | naive
     seed: int = 0
     # IndexConfig field overrides, applied after ``protocols``, so one
@@ -705,7 +705,6 @@ def _serve_spec(name: str, peers: int, routing: str, description: str) -> Scenar
                     arrival_rate=20.0,
                     duration=10.0,
                     routing=routing,
-                    consistency="strong",
                     # Narrow windows: each hotspot lands on one-or-two owners,
                     # the regime where primary routing melts a single peer
                     # while its replicas idle (wide windows already spread

@@ -15,6 +15,13 @@ from dataclasses import dataclass, field, replace
 from repro.sim.network import NetworkConfig
 from repro.transport.api import TRANSPORT_NAMES
 
+#: Seconds of uniform jitter added to each maintenance round's sleep, so
+#: peers' rounds do not run in lockstep.
+STABILIZATION_JITTER = 0.5
+#: The timeout of a ring liveness probe, and how long a read waits after its
+#: owner failed before it routes again (seconds).
+FAILURE_DETECTION_TIMEOUT = 0.5
+
 
 @dataclass
 class IndexConfig:
@@ -28,19 +35,11 @@ class IndexConfig:
     # --- Fault Tolerant Ring ------------------------------------------------
     successor_list_length: int = 4
     stabilization_period: float = 4.0
-    stabilization_jitter: float = 0.5
     predecessor_check_period: float = 4.0
-    failure_detection_timeout: float = 0.5
 
     # --- Data Store -----------------------------------------------------------
     storage_factor: int = 5
     key_space: float = 10_000.0
-    # Stranded-item shed: the balancer's periodic check routes copies that sit
-    # below the peer's effective ring boundary (left behind by half-completed
-    # splits, invisible to scanRange) back to their responsible owner, and only
-    # drops the local copy after a version-checked store ack.  On by default --
-    # it is what keeps ``items_reachable == items_stored``.
-    shed_stranded: bool = True
 
     # --- Replication Manager ---------------------------------------------------
     replication_factor: int = 6
@@ -48,7 +47,6 @@ class IndexConfig:
 
     # --- Content Router ----------------------------------------------------------
     router_refresh_period: float = 4.0
-    router_table_size: int = 16
 
     # --- Protocol selection (paper vs. naive baselines, Section 6.2) -------------
     consistent_insert: bool = True  # PEPPER insertSucc vs. naive insertSucc
@@ -97,8 +95,10 @@ class IndexConfig:
         """Raise ``ValueError`` for nonsensical parameter combinations."""
         if self.successor_list_length < 1:
             raise ValueError("successor_list_length must be >= 1")
-        if self.stabilization_period <= 0:
-            raise ValueError("stabilization_period must be positive")
+        for name in ("stabilization_period", "predecessor_check_period",
+                     "replication_refresh_period", "router_refresh_period"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.storage_factor < 1:
             raise ValueError("storage_factor must be >= 1")
         if self.replication_factor < 0:

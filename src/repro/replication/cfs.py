@@ -17,7 +17,7 @@ from typing import List
 
 from repro.datastore.items import Item, ItemStore
 from repro.datastore.store import DataStore
-from repro.index.config import IndexConfig
+from repro.index.config import STABILIZATION_JITTER, IndexConfig
 from repro.replication.extra_hop import push_items_one_extra_hop
 from repro.ring.chord import ChordRing, RingListener
 from repro.transport import Endpoint
@@ -70,7 +70,7 @@ class ReplicationManager(RingListener):
         node.every(
             config.replication_refresh_period,
             self._refresh_once,
-            jitter=config.stabilization_jitter,
+            jitter=STABILIZATION_JITTER,
             name="rep-refresh",
             initial_delay=config.replication_refresh_period / 2,
         )

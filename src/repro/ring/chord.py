@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.index.config import IndexConfig
+from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, IndexConfig
 from repro.ring.entries import (
     FREE,
     INSERTING,
@@ -256,6 +256,8 @@ class ChordRing:
                 # the cap, so a cyclic chain of stale pointers (the
                 # ``ring_insert_successor`` redirect storm under flash crowds)
                 # aborts instead of spinning forever.
+                self._record_op("join_abandoned", attempts=attempts - 1,
+                                contact=predecessor_address)
                 self._set_state(FREE)
                 raise RuntimeError(f"{self.address}: could not join the ring")
             try:
@@ -431,23 +433,22 @@ class ChordRing:
         if self._maintenance_started:
             return
         self._maintenance_started = True
-        jitter = self.config.stabilization_jitter
         self.node.every(
             self.config.stabilization_period,
             self._stabilize_once,
-            jitter=jitter,
+            jitter=STABILIZATION_JITTER,
             name="ring-stabilize",
         )
         self.node.every(
             self.config.predecessor_check_period,
             self._check_predecessor_once,
-            jitter=jitter,
+            jitter=STABILIZATION_JITTER,
             name="ring-pred-check",
         )
         self.node.every(
             self.config.stabilization_period,
             self._validate_successors_once,
-            jitter=jitter,
+            jitter=STABILIZATION_JITTER,
             initial_delay=self.config.stabilization_period * 1.5,
             name="ring-succ-validate",
         )
@@ -503,7 +504,7 @@ class ChordRing:
                         "pred_value": self.value,
                         "pred_state": self.state,
                     },
-                    timeout=self.config.failure_detection_timeout,
+                    timeout=FAILURE_DETECTION_TIMEOUT,
                 )
             except RpcError:
                 # The successor is unreachable: drop it and try the next one.
@@ -578,7 +579,7 @@ class ChordRing:
                 pred_address,
                 "ring_ping",
                 {},
-                timeout=self.config.failure_detection_timeout,
+                timeout=FAILURE_DETECTION_TIMEOUT,
             )
             # A predecessor that merged away (FREE) or never finished joining
             # is no longer a ring member even though its process is alive.
@@ -625,7 +626,7 @@ class ChordRing:
                     entry.address,
                     "ring_ping",
                     {},
-                    timeout=self.config.failure_detection_timeout,
+                    timeout=FAILURE_DETECTION_TIMEOUT,
                 )
             except RpcError:
                 stale.append(entry.address)

@@ -26,11 +26,15 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.index.config import IndexConfig
+from repro.index.config import STABILIZATION_JITTER, IndexConfig
 from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import RingListener
 from repro.ring.entries import JOINED
 from repro.transport import RpcError
+
+# Pointers in a routing table, at doubling clockwise distances; a route gives
+# up after four times as many probes.
+ROUTER_TABLE_SIZE = 16
 
 # How many table pointers a peer offers per probe, farthest first, before its
 # successor list: enough to step around a dead pointer or two.
@@ -95,7 +99,7 @@ class HierarchicalRingRouter:
         node.every(
             self._cadence.interval,
             self._refresh_table,
-            jitter=config.stabilization_jitter,
+            jitter=STABILIZATION_JITTER,
             name="router-refresh",
             initial_delay=config.router_refresh_period,
         )
@@ -194,7 +198,7 @@ class HierarchicalRingRouter:
         if not self.ring.is_joined:
             return
         own_value = self.ring.value
-        size = self.config.router_table_size
+        size = ROUTER_TABLE_SIZE
         halfway = self.config.key_space / 2.0
         table: List[Tuple[str, float]] = []
         last = 0.0  # the clockwise distance of table[-1]
@@ -302,7 +306,7 @@ class HierarchicalRingRouter:
         hops = 0
         candidates = self._next_hops(key)
         remaining = self._clockwise(self.ring.value, key)
-        budget = 4 * self.config.router_table_size
+        budget = 4 * ROUTER_TABLE_SIZE
         dead = set()  # pointers at one dead peer recur along a route: pay for it once
         while candidates and hops < budget:
             current = candidates.pop(0)

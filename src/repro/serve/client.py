@@ -32,6 +32,7 @@ from typing import Dict, List, Tuple
 
 from repro.datastore.items import Item, items_from_wire
 from repro.datastore.ranges import CircularRange, segments_cover_interval
+from repro.index.config import FAILURE_DETECTION_TIMEOUT
 from repro.transport import RpcError
 
 ROUTING_POLICIES = ("primary", "replica_lb")
@@ -151,7 +152,7 @@ class QueryClient:
                 # The owner died under us: wait out failure detection so the
                 # ring can repair (a successor revives the items), then route
                 # again from the watermark.
-                yield self.peer.sim.timeout(self.peer.config.failure_detection_timeout)
+                yield self.peer.sim.timeout(FAILURE_DETECTION_TIMEOUT)
                 current = yield from route_until(watermark, deadline)
                 continue
             if not meta.get("active") or meta.get("range") is None:
@@ -211,9 +212,7 @@ class QueryClient:
                             },
                         )
                     except RpcError:
-                        yield self.peer.sim.timeout(
-                            self.peer.config.failure_detection_timeout
-                        )
+                        yield self.peer.sim.timeout(FAILURE_DETECTION_TIMEOUT)
                         current = yield from route_until(watermark, deadline)
                         continue
                     if not response.get("ok"):

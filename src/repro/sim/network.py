@@ -192,35 +192,20 @@ class NetworkConfig:
     """Tunable parameters of the message channel.
 
     The defaults approximate the paper's LAN cluster: sub-millisecond to a few
-    milliseconds per message, no loss.  ``latency_model`` overrides the
-    ``latency_min``/``latency_max`` pair; the legacy fields are kept so every
-    existing experiment config keeps meaning what it meant.
+    milliseconds per message (uniform), no loss.
     """
 
-    latency_min: float = 0.0005
-    latency_max: float = 0.003
     drop_probability: float = 0.0
     rpc_timeout: float = 0.5
-    latency_model: Optional[LatencyModel] = None
-
-    def resolved_latency_model(self) -> LatencyModel:
-        """The effective model: explicit one, or uniform over the legacy bounds."""
-        if self.latency_model is not None:
-            return self.latency_model
-        if self.latency_max <= self.latency_min:
-            return ConstantLatency(self.latency_min)
-        return UniformLatency(self.latency_min, self.latency_max)
+    latency_model: LatencyModel = UniformLatency(0.0005, 0.003)
 
     def validate(self) -> None:
         """Raise ``ValueError`` for physically meaningless settings."""
-        if self.latency_min < 0 or self.latency_max < self.latency_min:
-            raise ValueError("latency bounds must satisfy 0 <= min <= max")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ValueError("drop_probability must be in [0, 1)")
         if self.rpc_timeout <= 0:
             raise ValueError("rpc_timeout must be positive")
-        if self.latency_model is not None:
-            self.latency_model.validate()
+        self.latency_model.validate()
 
 
 class _ReplyHandle:
@@ -336,9 +321,9 @@ class Network:
         ``drop_probability`` and ``rpc_timeout`` are read live on every call;
         the latency model (and its constant-value fast path) is resolved here
         once, so experiments that switch latency regimes mid-run must call
-        this after changing the latency fields.
+        this after replacing ``config.latency_model``.
         """
-        self.latency_model = model = self.config.resolved_latency_model()
+        self.latency_model = model = self.config.latency_model
         model.validate()  # a negative latency would queue a delivery in the past
         # Fast path: a constant model needs no rng and no per-message dispatch,
         # and it alone makes same-instant deliveries common enough to batch.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness.scenarios import get_scenario, run_spec
 from repro.index.config import default_config
 
 
@@ -29,6 +30,19 @@ def test_validate_rejects_bad_values():
     ):
         with pytest.raises(ValueError):
             default_config(**overrides)
+
+
+@pytest.mark.parametrize("period", [
+    "predecessor_check_period", "replication_refresh_period", "router_refresh_period",
+])
+def test_validate_rejects_a_non_positive_maintenance_period(period):
+    # A negative period used to validate and then fail mid-run, when the
+    # loop's first round was scheduled in the past.
+    for value in (0.0, -1.0):
+        with pytest.raises(ValueError, match=period):
+            default_config(**{period: value})
+    with pytest.raises(ValueError, match=period):
+        run_spec(get_scenario("smoke").with_(config={period: -1.0}), 0)
 
 
 def test_with_naive_protocols_flips_all_flags():

@@ -162,8 +162,6 @@ def test_registry_exposes_all_three_models():
 def test_network_config_resolves_explicit_model_over_legacy_bounds():
     explicit = LanWanLatency(sites=2)
     config = NetworkConfig(latency_model=explicit)
-    assert config.resolved_latency_model() is explicit
-    legacy = NetworkConfig(latency_min=0.001, latency_max=0.002)
-    assert isinstance(legacy.resolved_latency_model(), UniformLatency)
-    degenerate = NetworkConfig(latency_min=0.001, latency_max=0.001)
-    assert isinstance(degenerate.resolved_latency_model(), ConstantLatency)
+    assert config.latency_model is explicit
+    # Without one, the network draws uniformly over the paper's LAN bounds.
+    assert NetworkConfig().latency_model == UniformLatency(0.0005, 0.003)

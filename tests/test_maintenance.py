@@ -5,6 +5,7 @@ import pytest
 from repro import PRingIndex, default_config
 from repro.core.correctness import check_consistent_successor_pointers
 from repro.datastore.items import Item
+from repro.datastore.maintenance import StorageBalancer
 from tests.conftest import build_cluster
 
 
@@ -119,7 +120,7 @@ def test_overflow_event_still_retries_split_immediately_during_backoff():
     assert index.history.count("split_deferred") > before
 
 
-def test_ring_stranded_overflow_defers_split_instead_of_spinning():
+def test_ring_stranded_overflow_defers_split_instead_of_spinning(monkeypatch):
     """An overflow made of items the ring can no longer accept must not split.
 
     Regression for the 5000-peer wedge: when a peer's effective ring boundary
@@ -133,7 +134,8 @@ def test_ring_stranded_overflow_defers_split_instead_of_spinning():
     # Shed disabled: this test pins the *deferral* behaviour, so the stranded
     # copies must stay put instead of being healed to their responsible owner
     # (tests/test_stranded_shed.py covers the healing path).
-    index, keys = build_cluster(seed=44, peers=6, shed_stranded=False)
+    monkeypatch.setattr(StorageBalancer, "_shed_due", lambda self: False)
+    index, keys = build_cluster(seed=44, peers=6)
     for _ in range(4):  # make sure the pool has free peers to (not) consume
         index.add_peer()
     index.run(60.0)  # let any genuine splits the new free peers enable finish

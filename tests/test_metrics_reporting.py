@@ -57,17 +57,6 @@ def test_histogram_empty_series_is_empty_dict():
     assert Metrics().histogram("missing", (1.0, 2.0)) == {}
 
 
-def test_names_and_merge():
-    first = Metrics()
-    first.record("a", 1.0)
-    second = Metrics()
-    second.record("a", 2.0)
-    second.record("b", 3.0)
-    first.merge(second)
-    assert first.names() == ["a", "b"]
-    assert first.values("a") == [1.0, 2.0]
-
-
 def test_format_table_alignment_and_floats():
     table = format_table(["name", "value"], [["insertSucc", 0.12345], ["leave", 1234.5]])
     lines = table.splitlines()

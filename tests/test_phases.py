@@ -4,10 +4,9 @@ Four contracts are pinned down here:
 
 * **Phases are the spec.**  ``run_spec`` validates a spec's ``phases`` and
   runs exactly them, in order.
-* **Start conditions.**  ``start_offset`` delays, ``start_fraction`` gates on
-  ring membership under churn, and ``start_quiescence`` waits out the split
-  cascade, firing exactly once; every bounded wait degrades to a timed-out
-  start instead of hanging.
+* **Start conditions.**  ``start_quiescence`` waits out the split cascade,
+  firing exactly once; a wait it cannot finish degrades to a timed-out start
+  instead of hanging.
 * **Per-phase accounting.**  Event/RPC deltas across a scenario's phases sum
   to the scenario totals.
 * **Registry shape.**  The scale cells are phased (build -> settle -> stress)
@@ -71,8 +70,6 @@ def test_explicit_phases_returned_verbatim_and_validated():
     assert [p["phase"] for p in result.phases] == [phase.name for phase in TINY.phases]
     with pytest.raises(ValueError, match="duplicate phase name"):
         run_spec(TINY.with_(phases=(PhaseSpec(name="a"), PhaseSpec(name="a"))))
-    with pytest.raises(ValueError, match="start_fraction"):
-        PhaseSpec(name="x", start_fraction=1.5).validate()
     with pytest.raises(ValueError, match="start_quiescence"):
         PhaseSpec(name="x", start_quiescence=0.0).validate()
     with pytest.raises(ValueError, match="settle"):
@@ -81,40 +78,6 @@ def test_explicit_phases_returned_verbatim_and_validated():
 
 
 # --------------------------------------------------------------------------- start conditions
-def test_start_offset_delays_the_phase():
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(name="build", arrivals=5, arrival_period=1.0,
-                      workload=WorkloadSpec(items=40, insert_rate=4.0), settle=10.0),
-            PhaseSpec(name="late", start_offset=7.5, duration=0.0),
-        )
-    )
-    result = run_spec(spec, seed=0)
-    late = result.phases[1]
-    assert late["start_condition"] == "offset"
-    assert late["wait_s"] == pytest.approx(7.5)
-    assert not late["start_timed_out"]
-
-
-def test_membership_fraction_triggers_under_churn():
-    """The gated phase starts exactly when the crowd has split into the ring."""
-    spec = CASCADE.with_(
-        phases=(
-            CASCADE.phases[0],
-            PhaseSpec(name="grown", start_fraction=0.9, start_timeout=300.0, start_poll=0.25),
-        )
-    )
-    result = run_spec(spec, seed=1)
-    grown = result.phases[1]
-    assert grown["start_condition"] == "membership_fraction"
-    assert not grown["start_timed_out"]
-    assert grown["ring_members_start"] >= 27  # ceil(0.9 * 30)
-    # The build phase alone had not reached the target when it ended, so the
-    # fraction gate did real waiting (the condition did not hold trivially).
-    assert result.phases[0]["ring_members"] < 27
-    assert grown["wait_s"] > 0
-
-
 def test_quiescence_waits_out_the_split_cascade_and_fires_once():
     result = run_spec(CASCADE, seed=0)
     build, settle, stress = result.phases
@@ -144,49 +107,13 @@ def test_unreachable_start_condition_times_out_instead_of_hanging():
             CASCADE.phases[0],
             # A quiet window longer than the whole wait budget can never be
             # observed: the phase must start anyway, flagged as timed out.
-            PhaseSpec(name="impossible", start_quiescence=50.0, start_timeout=5.0,
-                      duration=0.0),
+            PhaseSpec(name="impossible", start_quiescence=50.0, start_timeout=5.0),
         )
     )
     result = run_spec(spec, seed=0)
     late = result.phases[1]
     assert late["start_timed_out"]
     assert late["wait_s"] <= 6.0
-
-
-def test_fraction_and_quiescence_share_one_timeout_budget():
-    """Composed bounded conditions must not each get a full start_timeout."""
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(name="build", arrivals=2, arrival_period=1.0,
-                      workload=WorkloadSpec(items=20, insert_rate=4.0), settle=5.0),
-            # Both conditions unreachable: the combined wait must stay inside
-            # ONE start_timeout (plus at most a poll), not two.
-            PhaseSpec(name="gated", start_fraction=1.0, start_quiescence=50.0,
-                      start_timeout=8.0, start_poll=0.5, duration=0.0),
-        )
-    )
-    result = run_spec(spec, seed=0)
-    gated = result.phases[1]
-    assert gated["start_timed_out"]
-    assert gated["wait_s"] <= 9.0
-
-
-def test_membership_fraction_timeout_is_bounded():
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(name="build", arrivals=2, arrival_period=1.0,
-                      workload=WorkloadSpec(items=20, insert_rate=4.0), settle=5.0),
-            # 6 peers exist in total; a 100% fraction cannot be reached when
-            # some stay free, so the gate must give up at the timeout.
-            PhaseSpec(name="full", start_fraction=1.0, start_timeout=8.0, start_poll=0.5,
-                      duration=0.0),
-        )
-    )
-    result = run_spec(spec, seed=0)
-    full = result.phases[1]
-    assert full["start_timed_out"]
-    assert 8.0 <= full["wait_s"] <= 9.0
 
 
 # --------------------------------------------------------------------------- accounting

@@ -30,15 +30,3 @@ def test_creation_order_does_not_matter():
     value_backward = RngStreams(9).stream("second").random()
     assert value_forward == value_backward
 
-
-def test_fork_changes_streams():
-    base = RngStreams(3)
-    forked = base.fork(1)
-    assert base.stream("w").random() != forked.stream("w").random()
-
-
-def test_fork_is_deterministic():
-    assert (
-        RngStreams(3).fork(5).stream("q").random()
-        == RngStreams(3).fork(5).stream("q").random()
-    )

@@ -94,12 +94,6 @@ def test_split_at_rejects_boundary_keys():
         CircularRange(100.0, 200.0).split_at(99.0)
 
 
-def test_extend_and_with_high():
-    crange = CircularRange(100.0, 200.0)
-    assert crange.extend_low(50.0) == CircularRange(50.0, 200.0)
-    assert crange.with_high(300.0) == CircularRange(100.0, 300.0)
-
-
 def test_tuple_round_trip():
     crange = CircularRange(9_000.0, 100.0)
     assert CircularRange.from_tuple(crange.as_tuple()) == crange

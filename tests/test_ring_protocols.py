@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from repro.core.histories import HistoryRecorder
 from repro.core.pepper_ring import PepperRing
 from repro.core.correctness import (
     check_consistent_successor_pointers,
@@ -171,16 +172,27 @@ def test_insert_succ_metric_recorded():
     assert metrics.mean("insert_succ") >= 0.0
 
 
-@pytest.mark.parametrize("name", ["smoke", "churn_heavy"])
-def test_no_insert_succ_gives_up_waiting_for_its_ack(name):
-    """After 200 unanswered nudges the ack wait gives up and records
-    ``insert_succ_unacked``; the registry's churn cells never get there."""
-    spec = get_scenario(name)
+@pytest.fixture(scope="module", params=["smoke", "churn_heavy"])
+def cell_history(request):
+    """The recorded history of one run of a registry churn cell."""
+    spec = get_scenario(request.param)
     experiment = build_experiment(spec, spec.seed)
     experiment.run_phases(spec.phases, total_peers=spec.peers)
-    history = experiment.index.history
-    assert history.count("insert_succ") > 0
-    assert history.count("insert_succ_unacked") == 0
+    return experiment.index.history
+
+
+def test_no_insert_succ_gives_up_waiting_for_its_ack(cell_history):
+    """After 200 unanswered nudges the ack wait gives up and records
+    ``insert_succ_unacked``; the registry's churn cells never get there."""
+    assert cell_history.count("insert_succ") > 0
+    assert cell_history.count("insert_succ_unacked") == 0
+
+
+def test_no_join_gives_up(cell_history):
+    """After 20 tries a joining peer returns to FREE and records
+    ``join_abandoned``; the registry's churn cells never get there."""
+    assert cell_history.count("ring_joined") > 0
+    assert cell_history.count("join_abandoned") == 0
 
 
 def test_insert_redirect_when_contacting_wrong_predecessor():
@@ -225,11 +237,16 @@ def test_join_redirect_cycle_aborts_instead_of_spinning():
     b = RedirectingStub(harness.sim, harness.network, "stubB")
     a.partner, b.partner = "stubB", "stubA"
     joiner = RingPeer(harness.sim, harness.network, "joiner", 500.0, harness.config, ChordRing)
+    joiner.ring.history = recorder = HistoryRecorder(harness.sim)
     with pytest.raises(RuntimeError, match="could not join"):
         harness.sim.run_process(joiner.ring.join("stubA"), timeout=500.0)
     assert joiner.ring.state == FREE
     # The cap bounds the storm: at most 20 insert attempts reach the ring.
     assert a.requests + b.requests <= 20
+    # The give-up is on the record, with the tries made and the last contact.
+    [abandoned] = recorder.history().of_kind("join_abandoned")
+    assert abandoned.get("attempts") == 20
+    assert abandoned.get("contact") in ("stubA", "stubB")
     # The 2-cycle redirect memory backs off between laps instead of
     # ping-ponging at network speed: simulated time actually advanced.
     assert harness.sim.now > 5.0

@@ -153,8 +153,8 @@ def test_latency_spec_resolves_into_network_config():
     assert isinstance(model, LanWanLatency)
     assert model.sites == 3
     assert (model.wan.low, model.wan.high) == (0.04, 0.09)
-    # The default spec leaves the network untouched (legacy uniform bounds).
-    assert TINY.index_config().network.latency_model is None
+    # The default spec leaves the network untouched (the paper's LAN bounds).
+    assert TINY.index_config().network.latency_model == UniformLatency(0.0005, 0.003)
     with pytest.raises(ValueError, match="unknown latency model"):
         TINY.with_(latency=LatencySpec(model="bogus")).index_config()
 

@@ -45,9 +45,9 @@ def env():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NetworkConfig(latency_min=-1).validate()
+        NetworkConfig(latency_model=UniformLatency(low=-1)).validate()
     with pytest.raises(ValueError):
-        NetworkConfig(latency_min=2, latency_max=1).validate()
+        NetworkConfig(latency_model=UniformLatency(low=2, high=1)).validate()
     with pytest.raises(ValueError):
         NetworkConfig(drop_probability=1.5).validate()
     with pytest.raises(ValueError):
@@ -74,8 +74,9 @@ def test_rpc_latency_applied(env):
         return sim.now
 
     elapsed = sim.run_process(proc())
-    assert elapsed >= 2 * network.config.latency_min
-    assert elapsed <= 2 * network.config.latency_max + 1e-9
+    model = network.config.latency_model
+    assert elapsed >= 2 * model.low
+    assert elapsed <= 2 * model.high + 1e-9
 
 
 def test_rpc_to_unknown_address_times_out(env):

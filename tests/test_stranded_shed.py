@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.correctness import audit_reachability
 from repro.datastore.items import Item
+from repro.datastore.maintenance import StorageBalancer
 from tests.conftest import build_cluster
 
 
@@ -67,9 +68,10 @@ def test_stranded_copy_invisible_to_scan_until_shed():
 
 
 @pytest.mark.usefixtures("heap_id")
-def test_shed_can_be_disabled():
-    """``shed_stranded=False`` keeps the legacy behaviour (copy stays put)."""
-    index, keys = build_cluster(seed=52, peers=8, shed_stranded=False)
+def test_shed_can_be_disabled(monkeypatch):
+    """With the shed switched off, nothing else moves the copy: it stays put."""
+    monkeypatch.setattr(StorageBalancer, "_shed_due", lambda self: False)
+    index, keys = build_cluster(seed=52, peers=8)
     holder, stray_key = _forge_stranded_copy(index)
     index.run(30.0)
     assert stray_key in holder.store.items.keys()

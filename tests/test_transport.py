@@ -96,9 +96,9 @@ def test_cast_to_unknown_destination_is_swallowed(sim_env):
 def test_cast_to_destination_failing_mid_flight(sim_env):
     sim, network, a, b = sim_env
     a.cast("b", "note", {"n": 1})
-    # The message is in flight (latency >= latency_min > 0); the destination
-    # fails before it lands, so the handler must never run.
-    assert network.config.latency_min > 0
+    # The message is in flight (latency >= low > 0); the destination fails
+    # before it lands, so the handler must never run.
+    assert network.config.latency_model.low > 0
     b.fail()
     sim.run(until=1.0)
     assert b.casts_received == []
