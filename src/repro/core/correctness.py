@@ -14,7 +14,7 @@ its protocols:
 * **System availability** (ring connectivity, Section 5.1) --
   :func:`check_ring_connectivity`.
 
-The ablation benchmarks run both the PEPPER protocols and the naive baselines
+The ablations in ``repro.harness.figures`` run both the PEPPER protocols and the naive baselines
 under identical workloads and count how often each checker reports violations.
 """
 

@@ -2,12 +2,10 @@
 
 Every figure deployment is an ordinary phased
 :class:`~repro.harness.scenarios.ScenarioSpec` (one build phase) run by
-:func:`_build`; the parameter sweeps of Figures 19/20/22
-are declared as :class:`FigureSweep` tables executed by one generic
-:func:`run_sweep` engine.  The ``figure_*`` functions are the entry points
-(the tier-1 tests and the benchmark suite call them directly) and are also
-exposed through ``ALL_FIGURES`` so ``repro-run figure_19`` resolves them by
-name.
+:func:`_build`.  Each ``figure_*`` / ``ablation_*`` function runs its figure
+at one fixed size over fixed sweep values; only the seed is a parameter.
+``ALL_FIGURES`` names them, so ``repro-run figure_19`` resolves them, and
+``repro-run <name> --seeds 0`` writes the committed ``BENCH_<name>.json``.
 
 Absolute numbers differ from the paper (their testbed is a real LAN cluster;
 ours is a simulator with a configurable latency model), but the comparisons
@@ -19,11 +17,10 @@ reproduced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.correctness import ItemTimeline, check_query_result, count_lost_items
 from repro.harness.experiment import ClusterExperiment
-from repro.harness.reporting import format_table
 from repro.harness.scenarios import (
     PhaseSpec,
     ScenarioSpec,
@@ -41,14 +38,6 @@ class FigureResult:
     headers: List[str]
     rows: List[Tuple] = field(default_factory=list)
     notes: str = ""
-
-    def as_table(self) -> str:
-        """The rows as an aligned text table (printed by the benchmarks)."""
-        return f"{self.figure}: {self.description}\n" + format_table(self.headers, self.rows)
-
-    def series(self, x_index: int = 0, y_index: int = 1) -> Dict:
-        """A convenience ``x -> y`` mapping over the rows."""
-        return {row[x_index]: row[y_index] for row in self.rows}
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (used by the BENCH emission)."""
@@ -73,157 +62,75 @@ def _build(peers: int, items: int, seed: int, protocols: str = "pepper",
     return experiment
 
 
-# --------------------------------------------------------------------------- sweep engine
-@dataclass(frozen=True)
-class FigureSweep:
-    """A declarative parameter sweep: one row per value, one build per variant."""
-
-    figure: str
-    description: str
-    headers: Tuple[str, ...]
-    notes: str
-    values: Tuple
-    # value -> (seed offset, IndexConfig overrides); each variant names the
-    # protocol selection the overrides apply on top of.
-    config_for: Callable[[Any], Tuple[int, Mapping]]
-    # (value, {variant: built experiment}) -> one result row
-    row: Callable[[Any, Dict[str, ClusterExperiment]], Tuple]
-    variants: Tuple[str, ...] = ("naive", "pepper")
-    # Optional post-build phase applied to every variant (e.g. forcing merges).
-    prepare: Optional[Callable[[ClusterExperiment], None]] = None
+def _insert_succ_means(peers: int, items: int, seed: int, config: Mapping) -> Tuple[float, float]:
+    """Mean insertSucc time of the naive and of the PEPPER protocols, one build each."""
+    naive = _build(peers, items, seed, "naive", config)
+    pepper = _build(peers, items, seed, "pepper", config)
+    return naive.mean_metric("insert_succ") or 0.0, pepper.mean_metric("insert_succ") or 0.0
 
 
-def run_sweep(
-    sweep: FigureSweep,
-    values: Optional[Sequence] = None,
-    peers: int = 18,
-    items: int = 110,
-    seed: int = 0,
-) -> FigureResult:
-    """Execute a :class:`FigureSweep` and collect its rows."""
-    rows = []
-    for value in values if values is not None else sweep.values:
-        built: Dict[str, ClusterExperiment] = {}
-        offset, overrides = sweep.config_for(value)
-        for variant in sweep.variants:
-            experiment = _build(peers, items, seed + offset, variant, overrides)
-            if sweep.prepare is not None:
-                sweep.prepare(experiment)
-            built[variant] = experiment
-        rows.append(sweep.row(value, built))
-    return FigureResult(
-        figure=sweep.figure,
-        description=sweep.description,
-        headers=list(sweep.headers),
-        rows=rows,
-        notes=sweep.notes,
-    )
-
-
-def _force_merges(experiment: ClusterExperiment) -> None:
+def _force_merges(experiment: ClusterExperiment) -> ClusterExperiment:
     """Delete most items so Data Stores underflow and peers merge away."""
     keys = list(experiment.inserted_keys)
     victims = keys[: int(len(keys) * 0.8)]
     experiment.delete_items(victims, rate=4.0)
     experiment.settle(30.0)
-
-
-def _insert_succ_row(value, built) -> Tuple:
-    return (
-        value,
-        built["naive"].mean_metric("insert_succ") or 0.0,
-        built["pepper"].mean_metric("insert_succ") or 0.0,
-    )
-
-
-SWEEPS: Dict[str, FigureSweep] = {
-    "figure_19": FigureSweep(
-        figure="Figure 19",
-        description="insertSucc completion time vs. successor list length",
-        headers=("succ_list_length", "naive_insertSucc_s", "pepper_insertSucc_s"),
-        notes="PEPPER should sit above naive and grow slowly with the list length.",
-        values=(2, 3, 4, 5, 6, 7, 8),
-        config_for=lambda length: (length, {"successor_list_length": length}),
-        row=_insert_succ_row,
-    ),
-    "figure_20": FigureSweep(
-        figure="Figure 20",
-        description="insertSucc completion time vs. ring stabilization period",
-        headers=("stabilization_period_s", "naive_insertSucc_s", "pepper_insertSucc_s"),
-        notes="PEPPER stays close to naive as the period grows (proactive nudging).",
-        values=(2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
-        config_for=lambda period: (int(period), {"stabilization_period": period}),
-        row=_insert_succ_row,
-    ),
-    "figure_22": FigureSweep(
-        figure="Figure 22",
-        description="leave / merge overhead vs. successor list length",
-        headers=(
-            "succ_list_length",
-            "merge_with_extra_hop_s",
-            "safe_leave_s",
-            "naive_leave_s",
-        ),
-        notes="Safe leave and merge are orders of magnitude above naive leave.",
-        values=(2, 3, 4, 5, 6, 7, 8),
-        config_for=lambda length: (length, {"successor_list_length": length}),
-        prepare=_force_merges,
-        row=lambda length, built: (
-            length,
-            built["pepper"].mean_metric("merge") or 0.0,
-            built["pepper"].mean_metric("leave") or 0.0,
-            built["naive"].mean_metric("leave") or 0.0,
-        ),
-    ),
-}
+    return experiment
 
 
 # --------------------------------------------------------------------------- Figure 19
-def figure_19(
-    succ_lengths: Optional[Sequence[int]] = None,  # default: SWEEPS["figure_19"].values
-    peers: int = 18,
-    items: int = 110,
-    seed: int = 19,
-) -> FigureResult:
+def figure_19(seed: int = 19) -> FigureResult:
     """Figure 19: insertSucc time vs. successor-list length, PEPPER vs. naive.
 
     Paper: naive stays flat (~0.06 s); PEPPER is higher (~0.2-0.25 s) and grows
     slowly and linearly with the list length thanks to the proactive-predecessor
     optimisation.
     """
-    return run_sweep(SWEEPS["figure_19"], values=succ_lengths, peers=peers, items=items, seed=seed)
+    peers, items = 14, 90
+    rows = [
+        (length, *_insert_succ_means(peers, items, seed + length,
+                                     {"successor_list_length": length}))
+        for length in (2, 3, 4, 5, 6, 7, 8)
+    ]
+    return FigureResult(
+        figure="Figure 19",
+        description="insertSucc completion time vs. successor list length",
+        headers=["succ_list_length", "naive_insertSucc_s", "pepper_insertSucc_s"],
+        rows=rows,
+        notes="PEPPER should sit above naive and grow slowly with the list length.",
+    )
 
 
 # --------------------------------------------------------------------------- Figure 20
-def figure_20(
-    stabilization_periods: Optional[Sequence[float]] = None,  # default: SWEEPS["figure_20"].values
-    peers: int = 18,
-    items: int = 110,
-    seed: int = 20,
-) -> FigureResult:
+def figure_20(seed: int = 20) -> FigureResult:
     """Figure 20: insertSucc time vs. ring stabilization period.
 
     Paper: naive is flat; PEPPER grows only mildly with the stabilization period
     because the proactive nudges decouple it from the periodic rounds.
     """
-    return run_sweep(
-        SWEEPS["figure_20"], values=stabilization_periods, peers=peers, items=items, seed=seed
+    peers, items = 14, 90
+    rows = [
+        (period, *_insert_succ_means(peers, items, seed + int(period),
+                                     {"stabilization_period": period}))
+        for period in (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+    ]
+    return FigureResult(
+        figure="Figure 20",
+        description="insertSucc completion time vs. ring stabilization period",
+        headers=["stabilization_period_s", "naive_insertSucc_s", "pepper_insertSucc_s"],
+        rows=rows,
+        notes="PEPPER stays close to naive as the period grows (proactive nudging).",
     )
 
 
 # --------------------------------------------------------------------------- Figure 21
-def figure_21(
-    hop_targets: Sequence[int] = (1, 2, 4, 6, 8, 10),
-    peers: int = 18,
-    items: int = 110,
-    queries_per_target: int = 4,
-    seed: int = 21,
-) -> FigureResult:
+def figure_21(seed: int = 21) -> FigureResult:
     """Figure 21: range-scan elapsed time vs. ring hops, scanRange vs. naive scan.
 
     Paper: the two curves lie on top of each other (scanRange adds essentially
     no overhead) and grow only slightly with the hop count on a LAN.
     """
+    peers, items, queries_per_target = 14, 90, 3
     experiment = _build(peers, items, seed)
     index = experiment.index
     rng = index.rngs.stream("figure21")
@@ -232,7 +139,7 @@ def figure_21(
     members = index.ring_members()
     if len(members) < 2:
         raise RuntimeError("figure_21 needs at least two ring members")
-    for target in hop_targets:
+    for target in (1, 2, 4, 6, 8, 10):
         for _ in range(queries_per_target):
             members = index.ring_members()
             values = [peer.ring.value for peer in members]
@@ -273,36 +180,44 @@ def figure_21(
 
 
 # --------------------------------------------------------------------------- Figure 22
-def figure_22(
-    succ_lengths: Optional[Sequence[int]] = None,  # default: SWEEPS["figure_22"].values
-    peers: int = 14,
-    items: int = 90,
-    seed: int = 22,
-) -> FigureResult:
+def figure_22(seed: int = 22) -> FigureResult:
     """Figure 22: cost of leave / leave+merge vs. naive leave (log scale in the paper).
 
     Paper: the availability-preserving leave and the Data Store merge (which
     includes the extra-hop replication) cost on the order of 100 ms, roughly
     flat in the successor-list length, while the naive leave costs ~1 ms.
     """
-    return run_sweep(SWEEPS["figure_22"], values=succ_lengths, peers=peers, items=items, seed=seed)
+    peers, items = 10, 90
+    rows = []
+    for length in (2, 4, 6, 8):
+        config = {"successor_list_length": length}
+        naive = _force_merges(_build(peers, items, seed + length, "naive", config))
+        pepper = _force_merges(_build(peers, items, seed + length, "pepper", config))
+        rows.append((
+            length,
+            pepper.mean_metric("merge") or 0.0,
+            pepper.mean_metric("leave") or 0.0,
+            naive.mean_metric("leave") or 0.0,
+        ))
+    return FigureResult(
+        figure="Figure 22",
+        description="leave / merge overhead vs. successor list length",
+        headers=["succ_list_length", "merge_with_extra_hop_s", "safe_leave_s", "naive_leave_s"],
+        rows=rows,
+        notes="Safe leave and merge are orders of magnitude above naive leave.",
+    )
 
 
 # --------------------------------------------------------------------------- Figure 23
-def figure_23(
-    failure_rates: Sequence[float] = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0),
-    peers: int = 14,
-    items: int = 90,
-    extra_peers: int = 8,
-    seed: int = 23,
-) -> FigureResult:
+def figure_23(seed: int = 23) -> FigureResult:
     """Figure 23: insertSucc time under peer failures (failure mode).
 
     Paper: the PEPPER insertSucc degrades gracefully, from ~0.2 s with no
     failures to ~1.2 s at one failure every 10 seconds (rate 10 per 100 s).
     """
+    peers, items, extra_peers = 10, 90, 6
     rows = []
-    for rate in failure_rates:
+    for rate in (0.0, 4.0, 8.0, 12.0):
         experiment = _build(peers, items, seed + int(rate))
         index = experiment.index
 
@@ -344,12 +259,7 @@ def _failure_events(experiment: ClusterExperiment, rate: float, duration: float)
 
 
 # --------------------------------------------------------------------------- Ablation A1
-def ablation_query_correctness(
-    peers: int = 14,
-    items: int = 90,
-    queries: int = 20,
-    seed: int = 41,
-) -> FigureResult:
+def ablation_query_correctness(seed: int = 41) -> FigureResult:
     """Ablation A1 (Section 4.2): query-correctness violations under churn.
 
     Runs the same churny workload twice -- once answering queries with
@@ -357,6 +267,7 @@ def ablation_query_correctness(
     that miss items which were live throughout their execution (Definition 4).
     scanRange should report zero violations.
     """
+    peers, items, queries = 10, 90, 15
     rows = []
     for strategy in ("scan", "naive"):
         config = {"use_scan_range": False} if strategy == "naive" else {}
@@ -414,11 +325,7 @@ def _item_churn_driver(experiment: ClusterExperiment, keys: List[float], rng):
 
 
 # --------------------------------------------------------------------------- Ablation A2
-def ablation_availability(
-    peers: int = 12,
-    items: int = 80,
-    seed: int = 42,
-) -> FigureResult:
+def ablation_availability(seed: int = 42) -> FigureResult:
     """Ablation A2 (Section 5): item loss and ring health after merges + a failure.
 
     Forces Data Store merges (peers leaving the ring) and then fails a peer.
@@ -426,6 +333,7 @@ def ablation_availability(
     items should be lost; with the naive baselines, items can disappear (the
     Figure 17 scenario).
     """
+    peers, items = 10, 60
     rows = []
     for label in ("pepper", "naive"):
         config = {"replication_factor": 1}

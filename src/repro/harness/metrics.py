@@ -1,4 +1,4 @@
-"""Lightweight metric collection used by every component and the benchmarks."""
+"""Lightweight metric collection used by every component and the scenario results."""
 
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ class Metrics:
             mean=sum(values) / len(values),
             minimum=values[0],
             maximum=values[-1],
-            p50=values[len(values) // 2],
+            p50=nearest_rank(values, 0.5),
             p95=nearest_rank(values, 0.95),
         )
 

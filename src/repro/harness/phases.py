@@ -40,6 +40,20 @@ class WorkloadSpec:
     distribution: str = "uniform"  # uniform | skewed | zipf
     params: Mapping = field(default_factory=dict)  # extra args of the key generator
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` for meaningless settings."""
+        from repro.workloads.items import KEY_DISTRIBUTIONS
+
+        if self.items < 0:
+            raise ValueError("items must be >= 0")
+        if self.insert_rate <= 0:
+            raise ValueError("insert_rate must be positive")
+        if self.distribution not in KEY_DISTRIBUTIONS:
+            raise ValueError(
+                f"unknown distribution {self.distribution!r}; "
+                f"known: {', '.join(sorted(KEY_DISTRIBUTIONS))}"
+            )
+
 
 @dataclass(frozen=True)
 class ChurnSpec:
@@ -52,6 +66,14 @@ class ChurnSpec:
     flash_crowd_spacing: float = 0.05
     correlated_failures: int = 0  # peers killed simultaneously at phase start
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` for meaningless settings."""
+        for name, value in asdict(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.failure_window <= 0:
+            raise ValueError("failure_window must be positive")
+
 
 #: Simulated seconds between two closed-loop queries of a :class:`QueryMixSpec`.
 QUERY_SPACING = 0.5
@@ -63,6 +85,13 @@ class QueryMixSpec:
 
     count: int = 0
     selectivity: float = 0.02
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` for meaningless settings."""
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+        if not 0.0 < self.selectivity <= 1.0:
+            raise ValueError("selectivity must be in (0, 1]")
 
 
 # The fixed shape of a serve phase's traffic (see :class:`ServeSpec`).
@@ -163,8 +192,9 @@ class PhaseSpec:
             raise ValueError("arrival_period must be positive")
         if self.settle < 0:
             raise ValueError("settle must be >= 0")
-        if self.serve is not None:
-            self.serve.validate()
+        for sub in (self.churn, self.workload, self.queries, self.serve):
+            if sub is not None:
+                sub.validate()
 
     @property
     def start_condition(self) -> str:

@@ -1,8 +1,7 @@
 """Plain-text reporting of experiment results.
 
-The benchmarks print the same rows the paper plots, so the reproduction can be
-compared against the published figures at a glance; EXPERIMENTS.md embeds the
-resulting tables.
+``repro-run <figure>`` prints the same rows the paper plots, so the
+reproduction can be compared against the published figures at a glance.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness.metrics import nearest_rank
 from repro.harness.scenarios import (
@@ -63,19 +63,30 @@ def run_cells(
 ) -> List[Dict[str, Any]]:
     """Run the cross product of ``names`` x ``seeds``, fanned across cores.
 
-    ``processes=None`` sizes the pool to ``min(cells, cores)``; ``processes<=1``
-    runs serially in-process (no pool overhead, simpler tracebacks).
-    ``transport`` overrides every cell's transport.
+    ``processes`` sizes the pool as in :func:`_map_cells`; ``transport``
+    overrides every cell's transport.
     """
     cells = [(name, seed, transport) for name in names for seed in seeds]
     for cell in cells:
         get_scenario(cell[0])  # fail fast on unknown names, before forking
+    return _map_cells(run_cell, cells, processes)
+
+
+def _map_cells(
+    function: Callable[[Any], Dict[str, Any]], cells: Sequence[Any], processes: Optional[int]
+) -> List[Dict[str, Any]]:
+    """``function`` (top-level, so picklable) over ``cells``, fanned across a pool.
+
+    ``processes=None`` sizes the pool to ``min(cells, cores)``; ``processes<=1``
+    or a single cell runs serially in-process (no pool overhead, simpler
+    tracebacks).
+    """
     if processes is None:
         processes = min(len(cells), os.cpu_count() or 1)
     if processes <= 1 or len(cells) <= 1:
-        return [run_cell(cell) for cell in cells]
+        return [function(cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=processes) as pool:
-        return list(pool.map(run_cell, cells))
+        return list(pool.map(function, cells))
 
 
 # --------------------------------------------------------------------------- BENCH emission
@@ -273,15 +284,8 @@ def _run_figure(
     name: str, seeds: Sequence[int], processes: Optional[int]
 ) -> Dict[str, Any]:
     """Run a figure once per seed offset, optionally fanned across a pool."""
-    cells = [(name, offset) for offset in seeds]
     started = time.perf_counter()
-    if processes is None:
-        processes = min(len(cells), os.cpu_count() or 1)
-    if processes <= 1 or len(cells) <= 1:
-        results = [run_figure_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(run_figure_cell, cells))
+    results = _map_cells(run_figure_cell, [(name, offset) for offset in seeds], processes)
     payload: Dict[str, Any] = {
         "summary": {
             "wall_clock_s": round(time.perf_counter() - started, 3),

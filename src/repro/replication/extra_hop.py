@@ -7,7 +7,7 @@ peer than before, otherwise the departure reduces the replica count and a
 single subsequent failure can lose items (the Figure 17 scenario).
 
 The naive baseline simply skips this step, which is what the availability
-ablation (`benchmarks/test_ablation_availability.py`) quantifies.
+ablation (`repro-run ablation_availability`) quantifies.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ records who sets a value other than the field's default:
 
 * every registered cell, read from its spec (its phases with their sub-specs,
   and its latency) and from its resolved ``index_config()``;
-* keyword arguments and dict keys in ``src/``, ``perfbench/``, ``examples/``,
-  ``benchmarks/`` and the inline Python of the CI file, found by an AST walk.
+* keyword arguments and dict keys in ``src/``, ``perfbench/``, ``examples/``
+  and the inline Python of the CI file, found by an AST walk.
   Code inside a figure or ablation entry point (a function named in
   ``ALL_FIGURES``, or a value keyed by such a name) is credited to that
   figure; everything else to its file.
@@ -49,7 +49,7 @@ from repro.sim.network import NetworkConfig
 
 ROOT = Path(__file__).resolve().parents[2]
 LISTING = Path(__file__).parent / "options.txt"
-SCANNED = ("src", "perfbench", "examples", "benchmarks")
+SCANNED = ("src", "perfbench", "examples")
 CI_FILE = ".github/workflows/ci.yml"
 SHOWN = 4  # setters named on a line; the rest are counted
 

@@ -1,10 +1,9 @@
-"""Tests for the experiment harness and (tiny-scale) figure reproductions."""
+"""Tests for the experiment harness and the figure reproductions at other seeds."""
 
 import pytest
 
 from repro.harness.experiment import ClusterExperiment
 from repro.harness.figures import (
-    FigureResult,
     ablation_availability,
     figure_19,
     figure_21,
@@ -62,41 +61,34 @@ def test_delete_items_forces_merges():
     assert experiment.index.metrics.count("merge") >= 1
 
 
-# --------------------------------------------------------------------------- figure smoke tests
-def test_figure_result_table_and_series():
-    result = FigureResult(
-        figure="F", description="d", headers=["x", "y"], rows=[(1, 2.0), (3, 4.0)]
-    )
-    assert "F: d" in result.as_table()
-    assert result.series() == {1: 2.0, 3: 4.0}
-
-
+# --------------------------------------------------------------------------- figures at other seeds
 def test_figure_19_shape_tiny():
-    result = figure_19(succ_lengths=(2, 6), peers=9, items=55, seed=201)
+    result = figure_19(seed=201)
     series_naive = {row[0]: row[1] for row in result.rows}
     series_pepper = {row[0]: row[2] for row in result.rows}
-    assert set(series_naive) == {2, 6}
+    assert 2 in series_naive and 6 in series_naive
     # PEPPER pays more than naive, and grows with the successor-list length.
     assert series_pepper[2] > series_naive[2]
     assert series_pepper[6] > series_pepper[2]
 
 
 def test_figure_21_scan_matches_naive_tiny():
-    result = figure_21(hop_targets=(1, 3), peers=9, items=55, queries_per_target=2, seed=202)
+    result = figure_21(seed=202)
     assert result.rows
     for _hops, scan_time, naive_time in result.rows:
         assert scan_time == pytest.approx(naive_time, rel=2.0, abs=0.05)
 
 
 def test_figure_22_safe_leave_much_slower_than_naive_tiny():
-    result = figure_22(succ_lengths=(4,), peers=8, items=50, seed=203)
-    (_length, merge_time, safe_leave, naive_leave), = result.rows
-    assert merge_time > naive_leave
-    assert safe_leave > naive_leave
-    assert naive_leave < 0.01
+    result = figure_22(seed=203)
+    assert result.rows
+    for _length, merge_time, safe_leave, naive_leave in result.rows:
+        assert merge_time > naive_leave
+        assert safe_leave > naive_leave
+        assert naive_leave < 0.01
 
 
 def test_ablation_availability_tiny():
-    result = ablation_availability(peers=8, items=45, seed=204)
+    result = ablation_availability(seed=204)
     rows = {row[0]: row for row in result.rows}
     assert rows["pepper"][2] == 0  # no lost items with the paper's protocols

@@ -36,6 +36,14 @@ def test_summary_statistics():
     assert set(summary.as_dict()) == {"count", "mean", "min", "max", "p50", "p95"}
 
 
+def test_summary_p50_is_the_nearest_rank_median():
+    # One percentile convention: an even-sized series takes the lower middle.
+    metrics = Metrics()
+    for value in (2.0, 1.0):
+        metrics.record("x", value)
+    assert metrics.summary("x").p50 == nearest_rank([1.0, 2.0], 0.5) == 1.0
+
+
 def test_percentile_bounds():
     # nearest_rank is the one percentile: metric summaries and BENCH aggregates.
     ordered = sorted((5.0, 1.0, 3.0))

@@ -77,6 +77,43 @@ def test_explicit_phases_returned_verbatim_and_validated():
     validate_phases(CASCADE.phases)  # the registry shape itself is valid
 
 
+@pytest.mark.parametrize(
+    "phase, message",
+    [
+        pytest.param(PhaseSpec(name="x", workload=WorkloadSpec(items=-5)), "items",
+                     id="negative_items"),
+        pytest.param(PhaseSpec(name="x", workload=WorkloadSpec(insert_rate=0.0)), "insert_rate",
+                     id="zero_insert_rate"),
+        pytest.param(PhaseSpec(name="x", workload=WorkloadSpec(distribution="bogus")),
+                     "distribution", id="unknown_distribution"),
+        pytest.param(PhaseSpec(name="x", churn=ChurnSpec(failure_rate_per_100s=-1.0)),
+                     "failure_rate_per_100s", id="negative_failure_rate"),
+        pytest.param(PhaseSpec(name="x", churn=ChurnSpec(flash_crowd_peers=-1)),
+                     "flash_crowd_peers", id="negative_flash_crowd"),
+        pytest.param(PhaseSpec(name="x", churn=ChurnSpec(correlated_failures=-1)),
+                     "correlated_failures", id="negative_correlated_failures"),
+        pytest.param(PhaseSpec(name="x", churn=ChurnSpec(failure_window=-10.0)),
+                     "failure_window", id="negative_failure_window"),
+        pytest.param(PhaseSpec(name="x", churn=ChurnSpec(failure_window=0.0)),
+                     "failure_window", id="zero_failure_window"),
+        pytest.param(PhaseSpec(name="x", queries=QueryMixSpec(count=-1)), "count",
+                     id="negative_query_count"),
+        pytest.param(PhaseSpec(name="x", queries=QueryMixSpec(selectivity=0.0)), "selectivity",
+                     id="zero_selectivity"),
+        pytest.param(PhaseSpec(name="x", queries=QueryMixSpec(selectivity=1.5)), "selectivity",
+                     id="selectivity_above_one"),
+    ],
+)
+def test_validate_phases_rejects_a_bad_bound_sub_spec(phase, message):
+    # Unvalidated, each would still run: zero selectivity as queries that all time out, negative
+    # items as a negative items_requested, a negative failure window as no
+    # failures, an unknown distribution as an error after bootstrap.
+    with pytest.raises(ValueError, match=message):
+        validate_phases((phase,))
+    with pytest.raises(ValueError, match=message):
+        run_spec(get_scenario("smoke").with_(phases=(phase,)))
+
+
 # --------------------------------------------------------------------------- start conditions
 def test_quiescence_waits_out_the_split_cascade_and_fires_once():
     result = run_spec(CASCADE, seed=0)
