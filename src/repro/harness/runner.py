@@ -314,13 +314,17 @@ def run_named(
     Scenario and suite runs execute the full ``scenarios x seeds`` cross
     product and carry per-scenario aggregates; figure runs execute once per
     seed offset (see :func:`_figure_seed`).  ``transport`` overrides every
-    cell's transport and does not apply to figures.  Returns the emitted
-    document (also written to ``BENCH_<name>.json`` unless ``out_dir`` is
-    ``None``).
+    cell's transport and does not apply to figures.  A seed listed twice
+    raises :class:`ValueError`: it would run twice and count twice in every
+    aggregate.  Returns the emitted document (also written to
+    ``BENCH_<name>.json`` unless ``out_dir`` is ``None``).
     """
     from repro.harness.figures import ALL_FIGURES  # deferred: figures import the harness
 
     seeds = list(seeds)
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ValueError(f"seeds listed more than once: {', '.join(map(str, repeated))}")
     if name in ALL_FIGURES:
         if transport is not None:
             raise ValueError("--transport applies to scenarios and suites, not figures")

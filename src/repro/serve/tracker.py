@@ -7,7 +7,9 @@ exposes an ``observer`` slot with two hooks:
 * ``rpc_issued(source, destination, method)`` -- fired once per ``call``;
 * ``rpc_completed(destination)`` -- fired exactly once per call, when the
   reply settles the caller's event *or* when the expiry timer does, whichever
-  wins the race.
+  wins the race.  Both planes run on the one event engine (on asyncio, paced
+  by wall time), so the expiry is an engine timer on either and whichever of
+  the two comes first pops the pending record.
 
 :class:`InFlightTracker` turns those hooks into two maps:
 

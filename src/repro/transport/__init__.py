@@ -4,14 +4,15 @@ The protocols (ring membership, data-store splits/merges, replication,
 routing, range queries) are written against the transport contract in
 :mod:`repro.transport.api` -- ``call``/``cast`` messaging, periodic loops,
 clock and RNG access, peer addressing -- never against a concrete substrate.
-Two implementations exist:
+:func:`make_transport` builds one of two, both on the one event engine
+(:class:`~repro.sim.engine.Simulator`):
 
-* :class:`~repro.transport.sim_transport.SimTransport` -- the seeded
-  discrete-event simulator.  Deterministic; the default; event-trace
-  bit-identical to the pre-transport stack.
-* :class:`~repro.transport.asyncio_transport.AsyncioTransport` -- real UDP
-  sockets on localhost with wall-clock periods, on an asyncio loop.  The
-  same generators, in real time; used by the ``localhost_*`` fidelity cells.
+* ``sim`` -- the seeded discrete-event simulator and its simulated network.
+  Deterministic; the default.
+* ``asyncio`` -- the engine paced by wall time
+  (:class:`~repro.transport.asyncio_transport.AsyncioClock`) over real UDP
+  sockets on localhost.  The same generators, in real time; used by the
+  ``localhost_*`` fidelity cells.
 
 Layer contract: protocol layers import messaging names (``Endpoint``,
 ``RpcError`` & friends) from *here*; only this package and the composition
@@ -36,7 +37,6 @@ from repro.transport.api import (
 from repro.transport.endpoint import Endpoint
 
 __all__ = [
-    "AsyncioTransport",
     "Endpoint",
     "NetworkStats",
     "RpcError",
@@ -44,22 +44,8 @@ __all__ = [
     "RpcRequest",
     "RpcTimeout",
     "RpcUnreachable",
-    "SimTransport",
     "TRANSPORT_NAMES",
     "Transport",
     "make_transport",
 ]
 
-
-def __getattr__(name):
-    # The concrete transports import the sim package; loading them lazily
-    # keeps `import repro.transport` cheap and cycle-free from any direction.
-    if name == "SimTransport":
-        from repro.transport.sim_transport import SimTransport
-
-        return SimTransport
-    if name == "AsyncioTransport":
-        from repro.transport.asyncio_transport import AsyncioTransport
-
-        return AsyncioTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,15 +6,18 @@ against a concrete substrate.  A transport supplies three cooperating
 objects:
 
 ``clock``
-    The scheduler/clock the protocol coroutines run on.  Its surface is the
-    engine contract of :mod:`repro.sim.engine`: ``now``, ``event()``,
-    ``timeout(delay)``, ``process(generator)``, ``any_of``/``all_of``,
+    The event engine the protocol coroutines run on: a
+    :class:`~repro.sim.engine.Simulator` on both transports, with its
+    surface -- ``now``, ``event()``, ``timeout(delay)``,
+    ``process(generator)``, ``any_of``/``all_of``,
     ``schedule_timer``/``cancel_timer``, ``run(until)``,
     ``run_until(event, timeout)``, ``run_process(generator)`` and the
-    ``events_processed`` counter.  The discrete-event engine implements it
-    in simulated time; the asyncio transport implements it in real
-    wall-clock time on an asyncio loop.  Protocol code cannot tell the
-    difference: it yields the same events either way.
+    ``events_processed`` counter.  On ``sim`` it jumps from entry to entry
+    in simulated time; on ``asyncio`` the same engine
+    (:class:`~repro.transport.asyncio_transport.AsyncioClock`) is paced by
+    wall time, so ``run(until)`` / ``run_until`` take real seconds.
+    Protocol code cannot tell the difference: it yields the same events,
+    through the same engine code, either way.
 
 ``network``
     The message plane.  The surface protocol layers use:
@@ -43,22 +46,24 @@ Determinism guarantees per transport:
 
 * ``sim`` -- fully deterministic: one seed, one event trace.  The frozen-seed
   parity suite (``tests/test_transport_parity.py``) pins the end-state
-  matrix of representative cells, so the adapter is provably a no-op.
+  matrix of representative cells.
 * ``asyncio`` -- protocol decisions are seeded but message timing is real;
   only *converged end states* (membership, stored items, reachability) are
   comparable across runs, which is exactly what the ``localhost_*`` fidelity
-  cells assert.
+  cells assert.  ``clock.now`` is the wall time of the action being run (the
+  time the engine last caught up to), not a live read of the wall clock.
 
-This module is dependency-free (stdlib only): it also hosts the RPC
-exception hierarchy, the request record and the stats counters that both
-substrates share, so protocol layers import them from here (or from
-:mod:`repro.transport`) instead of from ``repro.sim.network``.
+This module imports no substrate at load time (:func:`make_transport`
+imports the one it builds): it also hosts the RPC exception hierarchy, the
+request record and the stats counters that both substrates share, so
+protocol layers import them from here (or from :mod:`repro.transport`)
+instead of from ``repro.sim.network``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Callable, Dict, NamedTuple
 
 
 class RpcError(Exception):
@@ -122,49 +127,63 @@ class NetworkStats:
         self.per_method[method] = self.per_method.get(method, 0) + 1
 
 
-class Transport:
+class Transport(NamedTuple):
     """One execution substrate for a deployment: clock + message plane + RNG.
 
-    Concrete transports populate ``clock``, ``network`` and ``rngs`` in their
-    constructor (see the module docstring for the surface each must provide)
-    and identify themselves through ``name``.  The composition root
-    (:class:`~repro.index.pring.PRingIndex`) builds exactly one transport per
-    deployment via :func:`make_transport` and wires every endpoint to it.
+    Built by :func:`make_transport`; the composition root
+    (:class:`~repro.index.pring.PRingIndex`) builds exactly one per
+    deployment and wires every endpoint to it.  See the module docstring for
+    the surface ``clock`` and ``network`` provide.
     """
 
-    #: Registry name of the transport implementation ("sim" or "asyncio").
-    name = "abstract"
-
+    #: Registry name of the substrate ("sim" or "asyncio").
+    name: str
     clock: Any
     network: Any
     rngs: Any
-
-    def shutdown(self) -> None:
-        """Release substrate resources (sockets, loops).  Idempotent."""
+    #: Release substrate resources (sockets, the loop).  Idempotent.
+    shutdown: Callable[[], None]
 
 
 # --------------------------------------------------------------------------- selection
-#: The selectable transport implementations.  ``sim`` adapts the existing
-#: discrete-event :class:`~repro.sim.network.Network`/engine pair (bit-
-#: identical to the pre-transport stack); ``asyncio`` runs the same protocol
-#: code over real UDP sockets on localhost with wall-clock periods.
+#: The selectable transports.  ``sim`` is the discrete-event
+#: :class:`~repro.sim.network.Network`/engine pair; ``asyncio`` runs the same
+#: engine paced by wall time, over real UDP sockets on localhost.
 TRANSPORT_NAMES = ("sim", "asyncio")
 
 
 def make_transport(config, metrics=None) -> Transport:
     """Build the transport selected by ``config.transport``.
 
-    Unknown names raise :class:`ValueError`.
+    Both substrates are built in one order -- the clock, then the seeded
+    streams, then the message plane drawing the ``"network"`` stream -- the
+    order the simulated stack's RNG draws (and so every frozen baseline)
+    depend on.  Unknown names raise :class:`ValueError`.
     """
     name = getattr(config, "transport", "sim")
+    # Deferred imports: the substrates import the sim package.
+    from repro.sim.randomness import RngStreams
+
     if name == "sim":
-        from repro.transport.sim_transport import SimTransport  # deferred: imports sim
+        from repro.sim.engine import make_simulator
+        from repro.sim.network import Network
 
-        return SimTransport(config, metrics=metrics)
+        clock = make_simulator()
+        rngs = RngStreams(config.seed)
+        network = Network(clock, rngs.stream("network"), config.network, metrics=metrics)
+        return Transport(name, clock, network, rngs, lambda: None)
     if name == "asyncio":
-        from repro.transport.asyncio_transport import AsyncioTransport
+        from repro.transport.asyncio_transport import AsyncioClock, AsyncioNetwork
 
-        return AsyncioTransport(config, metrics=metrics)
+        clock = AsyncioClock()
+        rngs = RngStreams(config.seed)
+        network = AsyncioNetwork(clock, rngs.stream("network"), config.network, metrics=metrics)
+
+        def shutdown() -> None:
+            network.close()
+            clock.close()
+
+        return Transport(name, clock, network, rngs, shutdown)
     raise ValueError(
         f"unknown transport {name!r}; known: {', '.join(TRANSPORT_NAMES)}"
     )

@@ -1,17 +1,12 @@
 """The real-network transport: wall-clock time and UDP sockets on localhost.
 
-The protocol layers are generators yielding :class:`~repro.sim.engine.Event`
-objects, and nothing about that machinery is inherently simulated: an event
-is just a one-shot callback registry, and a :class:`~repro.sim.engine.Process`
-only ever touches its clock through ``sim._ready`` (appending its resume, or
-finding it empty and resuming in place -- the engine's in-place rule) and
-factory methods.  :class:`AsyncioClock` exploits that: it presents the
-engine surface (``now``/``event``/``timeout``/``process``/``any_of``/
-``schedule_timer``/``run``/``run_until``) backed by a real asyncio loop --
-``now`` is wall-clock seconds since construction, ``timeout`` arms
-``loop.call_later``, and the ready queue is a deque that wakes a pump
-callback whenever protocol work is appended.  The exact same generator code
-that runs in simulated time therefore runs in real time, unmodified.
+:class:`AsyncioClock` *is* the discrete-event engine
+(:class:`~repro.sim.engine.Simulator`), paced by wall time instead of
+jumping from entry to entry: each time the asyncio loop wakes it -- at its
+next heap entry's wall-clock instant, or when a datagram arrives -- it runs
+the heap up to the seconds elapsed since it was built.  The exact same
+generator code, events, timeouts and timers that run in simulated time
+therefore run in real time, through the same engine code.
 
 :class:`AsyncioNetwork` replaces the simulated message plane with per-peer
 UDP sockets bound to ``127.0.0.1:<ephemeral>``.  Messages are JSON datagrams
@@ -33,25 +28,11 @@ from __future__ import annotations
 
 import asyncio
 import socket
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
-from repro.sim.engine import (
-    AllOf,
-    AnyOf,
-    Event,
-    Process,
-    ProcessGenerator,
-    SimulationError,
-)
+from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.network import NetworkConfig
-from repro.sim.randomness import RngStreams
-from repro.transport.api import (
-    NetworkStats,
-    RpcRemoteError,
-    RpcRequest,
-    RpcTimeout,
-    Transport,
-)
+from repro.transport.api import NetworkStats, RpcRemoteError, RpcRequest, RpcTimeout
 from repro.transport.codec import decode_message, encode_message
 
 # Payloads ride single UDP datagrams; localhost accepts up to ~64 KiB.  The
@@ -59,194 +40,96 @@ from repro.transport.codec import decode_message, encode_message
 # fail loudly rather than truncate if an experiment ever exceeds it.
 _MAX_DATAGRAM = 60000
 
+# The fields each message kind carries, with their types: a request or cast
+# ("q", "c") and a reply ("r", whose outcome is an optional "v" or "e").
+_REQUEST_FIELDS = (("id", int), ("s", str), ("d", str), ("m", str), ("p", object))
+_FIELDS = {"q": _REQUEST_FIELDS, "c": _REQUEST_FIELDS, "r": (("id", int),)}
 
-class _WakingReady:
-    """The clock's ready queue: a FIFO that wakes the pump on ``append``.
 
-    :class:`~repro.sim.engine.Event` and :class:`~repro.sim.engine.Process`
-    push resume work via ``sim._ready.append`` (and test it for emptiness
-    before running a step in place); under the discrete-event
-    engine the run loop polls the deque, but an asyncio loop must be *told*
-    there is work.  Appending schedules the clock's pump with
-    ``loop.call_soon`` (coalesced while one is already pending).
+def _well_formed(message: Any) -> bool:
+    """Whether a decoded datagram is a message this network sends.
+
+    Any local process can write to a peer's port, so a datagram is checked
+    before a handler sees it.
+    """
+    if not isinstance(message, dict):
+        return False
+    kind = message.get("k")
+    fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+    return fields is not None and all(
+        name in message and isinstance(message[name], type_) for name, type_ in fields
+    )
+
+
+class AsyncioClock(Simulator):
+    """The discrete-event engine, paced by the wall clock of an asyncio loop.
+
+    Everything the engine does -- the ready queue and the in-place rule,
+    :class:`~repro.sim.engine.Timeout`, timers with lazy cancel and
+    compaction, ``events_processed`` -- is :class:`Simulator`'s own.  Only
+    pacing is added: :meth:`_catch_up` runs the heap up to the wall-clock
+    seconds since the clock was built and arms one ``loop.call_at`` for the
+    next live entry.  :meth:`run` and :meth:`run_until` block on the loop in
+    real time while those wake-ups (and the network's socket readers) drive
+    the engine.  ``now`` is the wall time of the action being run.
     """
 
-    __slots__ = ("_items", "_wake")
-
-    def __init__(self, wake: Callable[[], None]):
-        from collections import deque
-
-        self._items = deque()
-        self._wake = wake
-
-    def append(self, item) -> None:
-        self._items.append(item)
-        self._wake()
-
-    def popleft(self):
-        return self._items.popleft()
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-
-class AsyncioClock:
-    """The engine surface in real time, over an asyncio event loop.
-
-    ``now`` is wall-clock seconds since the clock was built (``loop.time``
-    rebased to zero, so scenario durations read the same as simulated ones).
-    ``events_processed`` counts protocol actions pumped through the ready
-    queue plus fired timers -- the same notion the simulated engine reports.
-    """
-
-    def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None):
-        self.loop = loop if loop is not None else asyncio.new_event_loop()
+    def __init__(self):
+        super().__init__()
+        self.loop = asyncio.new_event_loop()
         self._start = self.loop.time()
-        self._ready = _WakingReady(self._wake)
-        self._pump_pending = False
-        self.events_processed = 0
+        self._wakeup: Optional[asyncio.TimerHandle] = None
 
-    # -- time --------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Wall-clock seconds since the clock was created."""
-        return self.loop.time() - self._start
+    def _catch_up(self, due: Optional[float] = None) -> None:
+        """Run every entry due by the wall clock, then arm the next wake-up.
 
-    # -- ready-queue pump --------------------------------------------------
-    def _wake(self) -> None:
-        if not self._pump_pending:
-            self._pump_pending = True
-            self.loop.call_soon(self._pump)
-
-    def _pump(self) -> None:
-        self._pump_pending = False
-        ready = self._ready
-        processed = 0
-        while ready:
-            func, arg = ready.popleft()
-            processed += 1
-            func(arg)
-        self.events_processed += processed
-
-    # -- factories ---------------------------------------------------------
-    def event(self) -> Event:
-        """Create an untriggered :class:`Event` bound to this clock."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event firing ``delay`` *wall-clock* seconds from now.
-
-        Returns a plain :class:`Event` completed by ``loop.call_later``
-        (:class:`~repro.sim.engine.Timeout` is simulator-specific: its
-        constructor pushes directly into the simulator's time queue).
+        ``due`` is the entry time the calling wake-up was armed for: the run
+        reaches it even when the loop fires a wake-up a clock tick early.  A
+        head entry earlier than the armed wake-up (a timer a datagram handler
+        just set) gets a wake-up of its own.
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        result = Event(self)
+        if due is None:
+            due = self._now
+        else:
+            self._wakeup = None  # this call is that wake-up
+        Simulator.run(self, until=max(self.loop.time() - self._start, due, self._now))
+        queue = self._queue
+        if not queue:
+            return
+        # The run stopped at a live head entry: tombstones ahead of it are popped.
+        head = queue[0][0]
+        when = self._start + head
+        if self._wakeup is not None:
+            if self._wakeup.when() <= when:
+                return
+            self._wakeup.cancel()
+        self._wakeup = self.loop.call_at(when, self._catch_up, head)
 
-        def _fire() -> None:
-            self.events_processed += 1
-            result.succeed(value)
-
-        self.loop.call_later(delay, _fire)
-        return result
-
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Start ``generator`` as a :class:`Process` driven by this clock."""
-        return Process(self, generator, name=name)
-
-    def any_of(self, events) -> AnyOf:
-        """Condition firing when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        """Condition firing when all ``events`` have fired."""
-        return AllOf(self, events)
-
-    # -- timers ------------------------------------------------------------
-    # Same contract as the engine's schedule_timer/cancel_timer: cancelling
-    # returns the argument, or None if the timer already fired or was cancelled.
-    def schedule_timer(self, delay: float, func: Callable[[Any], None], arg: Any = None) -> list:
-        """Run ``func(arg)`` after ``delay`` wall-clock seconds; returns a handle."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        record = [None, func, arg]
-
-        def _fire() -> None:
-            fn, argument = record[1], record[2]
-            record[0] = record[1] = record[2] = None
-            if fn is not None:
-                self.events_processed += 1
-                fn(argument)
-
-        record[0] = self.loop.call_later(delay, _fire)
-        return record
-
-    def cancel_timer(self, record: Optional[list]) -> Any:
-        """Cancel a pending timer; returns its argument, or ``None`` if fired."""
-        if record is None or record[1] is None:
-            return None
-        handle, arg = record[0], record[2]
-        record[0] = record[1] = record[2] = None
-        if handle is not None:
-            handle.cancel()
-        return arg
-
-    # ``schedule``/``schedule_at`` complete the engine surface for callers
-    # that schedule plain actions (the simulated network's batching does; no
-    # protocol layer does, but the surface stays uniform).
-    def schedule(self, delay: float, func: Callable[[Any], None], arg: Any = None) -> list:
-        return self.schedule_timer(delay, func, arg)
-
-    def schedule_at(self, time: float, func: Callable[[Any], None], arg: Any = None) -> list:
-        return self.schedule_timer(max(0.0, time - self.now), func, arg)
-
-    # -- execution ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
-        """Run the loop until wall-clock ``now`` reaches ``until``.
+        """Run until the wall clock reaches ``until`` seconds.
 
-        Unlike the simulated engine there is no "queue exhausted" stop: real
-        time always advances, so ``until`` is required.
+        Real time never runs out of events, so ``until`` is required.
         """
         if until is None:
             raise SimulationError("AsyncioClock.run requires an explicit 'until' time")
-        remaining = until - self.now
-        self.loop.run_until_complete(asyncio.sleep(max(0.0, remaining)))
-        return self.now
+        self._catch_up()
+        remaining = until - (self.loop.time() - self._start)
+        if remaining > 0:
+            self.loop.run_until_complete(asyncio.sleep(remaining))
+        self._catch_up()
+        return self._now
 
     def run_until(self, event: Event, timeout: float = 1e9) -> bool:
-        """Run the loop until ``event`` triggers or ``timeout`` real seconds pass."""
-        if event.triggered:
-            return True
-        future = self.loop.create_future()
-
-        def _on_trigger(_event: Event) -> None:
-            if not future.done():
-                future.set_result(True)
-
-        event._add_callback(_on_trigger)
-
-        async def _wait() -> None:
-            try:
-                await asyncio.wait_for(asyncio.shield(future), timeout=timeout)
-            except asyncio.TimeoutError:
-                pass
-
-        self.loop.run_until_complete(_wait())
-        return event.triggered
-
-    def run_process(self, generator: ProcessGenerator, timeout: float = 1e9) -> Any:
-        """Run ``generator`` to completion in real time and return its value."""
-        proc = self.process(generator)
-        self.run_until(proc, timeout=timeout)
-        if not proc.triggered:
-            raise SimulationError("process did not finish within the timeout")
-        if not proc.ok:
-            raise proc.value
-        return proc.value
+        """Run until ``event`` triggers or ``timeout`` wall-clock seconds pass."""
+        self._catch_up()
+        if not event._triggered:
+            fired = self.loop.create_future()
+            event._add_callback(fired.set_result)
+            self.loop.run_until_complete(asyncio.wait((fired,), timeout=timeout))
+        return event._triggered
 
     def close(self) -> None:
-        """Close the underlying event loop.  Idempotent."""
+        """Close the event loop.  Idempotent."""
         if not self.loop.is_closed():
             self.loop.close()
 
@@ -406,26 +289,33 @@ class AsyncioNetwork:
             result.fail(RpcTimeout(f"{method} -> {destination} timed out"))
 
     def _on_readable(self, address: str, sock: socket.socket) -> None:
-        """Drain every datagram queued on ``address``'s socket."""
+        """Drain every datagram queued on ``address``'s socket.
+
+        The clock catches up first, so handlers see the arrival's wall time,
+        and again afterwards, to run the work the handlers made ready and arm
+        a wake-up for any timer they set.  A datagram that does not decode to
+        a well-formed message counts as dropped.
+        """
+        self.clock._catch_up()
         while True:
             try:
-                data, origin = sock.recvfrom(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return  # socket closed under us during shutdown
+                data, _origin = sock.recvfrom(65536)
+            except OSError:  # drained (BlockingIOError), or closed under us
+                break
             try:
                 message = decode_message(data)
-            except (ValueError, UnicodeDecodeError):
+            except (ValueError, UnicodeDecodeError, RecursionError):
+                message = None
+            if not _well_formed(message):
                 self.stats.messages_dropped += 1
                 continue
-            kind = message.get("k")
-            if kind == "r":
+            if message["k"] == "r":
                 self._on_reply(message)
-            elif kind in ("q", "c"):
-                self._on_request(address, message, kind)
+            else:
+                self._on_request(address, message)
+        self.clock._catch_up()
 
-    def _on_request(self, address: str, message: dict, kind: str) -> None:
+    def _on_request(self, address: str, message: dict) -> None:
         node = self._nodes.get(address)
         if node is None or not node.alive:
             # A dead peer never answers; the caller times out (sim semantics).
@@ -437,7 +327,7 @@ class AsyncioNetwork:
             payload=message["p"],
             request_id=message["id"],
         )
-        if kind == "c":
+        if message["k"] == "c":
             node._handle_cast(request)
             return
         request_id = message["id"]
@@ -483,23 +373,3 @@ class AsyncioNetwork:
         self._ports.clear()
         self._nodes.clear()
         self._pending.clear()
-
-
-class AsyncioTransport(Transport):
-    """Clock = wall time on an asyncio loop; message plane = loopback UDP."""
-
-    name = "asyncio"
-
-    def __init__(self, config, metrics=None):
-        self.loop = asyncio.new_event_loop()
-        self.clock = AsyncioClock(self.loop)
-        self.rngs = RngStreams(config.seed)
-        self.network = AsyncioNetwork(
-            self.clock, self.rngs.stream("network"), config.network, metrics=metrics
-        )
-
-    def shutdown(self) -> None:
-        """Close every socket and the event loop.  Idempotent."""
-        self.network.close()
-        if not self.loop.is_closed():
-            self.loop.close()

@@ -14,10 +14,10 @@ The ring, data store, replication and index layers all subclass or compose
 endpoints; peer failure (`fail`), graceful departure (`depart`) and the
 fail-stop model from Section 2.1 are implemented here.
 
-This class is substrate-agnostic: ``sim`` is any clock satisfying the engine
-contract (a discrete-event :class:`~repro.sim.engine.Simulator` or the
-real-time :class:`~repro.transport.asyncio_transport.AsyncioClock`) and
-``network`` is any message plane satisfying the contract in
+This class is substrate-agnostic: ``sim`` is the event engine, a
+:class:`~repro.sim.engine.Simulator` -- run in simulated time, or paced by
+wall time as the :class:`~repro.transport.asyncio_transport.AsyncioClock` --
+and ``network`` is any message plane satisfying the contract in
 :mod:`repro.transport.api`.
 """
 

@@ -20,7 +20,8 @@ from repro.core.histories import History
 from repro.harness import metrics
 from repro.harness.experiment import ClusterExperiment
 from repro.index.peer import IndexPeer
-from repro.transport.asyncio_transport import AsyncioClock
+from repro.sim.engine import AnyOf
+from repro.transport.api import make_transport
 from repro.workloads import churn
 from tests.data.census import LISTING, ROOT, SRC, functions, hooked_env, read_census, read_listing
 
@@ -56,12 +57,12 @@ def _nested(function, name):
                  "repro/harness/experiment.py:ClusterExperiment._draw_victim", id="staticmethod"),
     pytest.param(History._prefix.__func__.__code__,
                  "repro/core/histories.py:History._prefix", id="classmethod"),
-    pytest.param(_nested(AsyncioClock.run_until, "_on_trigger"),
-                 "repro/transport/asyncio_transport.py:AsyncioClock.run_until.<locals>._on_trigger",
+    pytest.param(_nested(AnyOf._make_callback, "_on_trigger"),
+                 "repro/sim/engine.py:AnyOf._make_callback.<locals>._on_trigger",
                  id="nested_function"),
-    pytest.param(_nested(AsyncioClock.run_until, "_wait"),
-                 "repro/transport/asyncio_transport.py:AsyncioClock.run_until.<locals>._wait",
-                 id="nested_async_function"),
+    pytest.param(_nested(make_transport, "shutdown"),
+                 "repro/transport/api.py:make_transport.<locals>.shutdown",
+                 id="function_nested_in_a_module_function"),
     pytest.param(vars(sys.modules["repro.harness"])["__getattr__"].__code__,
                  "repro/harness/__init__.py:__getattr__", id="module_getattr"),
 ])

@@ -3,12 +3,12 @@
 The transport contract (docs/ARCHITECTURE.md, "Contract: transports") allows
 protocol layers -- ring, data store, replication, router, core, and the peer
 composition -- to depend only on :mod:`repro.transport` (the Endpoint base
-class, RPC errors, the Transport surface) and on the substrate-independent
-engine primitives re-exported by :mod:`repro.sim` (Event, Interrupt, RWLock,
-...).  Importing ``repro.sim.network`` directly would couple protocol
-semantics to one delivery substrate and silently break the asyncio transport;
-only the transport package itself and the composition root
-(``repro.index.pring`` via ``make_transport``) may touch that module.
+class, RPC errors, ``make_transport`` and its record) and on the
+substrate-independent engine primitives re-exported by :mod:`repro.sim`
+(Event, Interrupt, RWLock, ...).  Importing ``repro.sim.network`` directly
+would couple protocol semantics to one delivery substrate and silently break
+the asyncio transport; only the transport package itself and the composition
+root (``repro.index.pring`` via ``make_transport``) may touch that module.
 
 Enforced by walking the AST of every protocol-layer module: no ``import`` or
 ``from ... import`` statement may resolve to a forbidden module.

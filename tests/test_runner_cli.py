@@ -6,6 +6,7 @@ paths a scenario result travels between the registry and the BENCH envelope:
 * ``--list`` renders every registry section (suites, scenarios, figures)
   with the per-scenario transport column;
 * ``--transport`` applies to scenarios and suites, not figures;
+* a seed listed twice is rejected before anything runs;
 * the snapshot selectors are gone from every layer, so a cell has one
   execution path (``test_snapshot_surface_is_gone``).
 """
@@ -17,7 +18,7 @@ import importlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _parse_seeds, main
 from repro.harness.phases import PhaseSpec
 from repro.harness.runner import run_cell, run_cells, run_named
 from repro.harness.scenarios import ScenarioSpec, get_scenario, run_spec
@@ -71,6 +72,19 @@ def test_profile_rejected_for_figures(tmp_path, capsys):
 def test_transport_rejected_for_figures(tmp_path, capsys):
     assert main(["figure_19", "--transport", "sim", "--out-dir", str(tmp_path)]) == 2
     assert "not figures" in capsys.readouterr().err
+
+
+def test_a_repeated_seed_is_rejected(tmp_path, capsys):
+    """``0..2,1`` names seed 1 twice: it would run twice and weigh twice in
+    every mean.  Nothing runs and nothing is written."""
+    assert _parse_seeds(["0..2,1"]) == [0, 1, 2, 1]
+    with pytest.raises(ValueError, match="more than once: 1$"):
+        run_named("smoke", seeds=[0, 1, 2, 1], out_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="more than once: 0, 2$"):
+        run_named("figure_19", seeds=[2, 0, 2, 0], out_dir=str(tmp_path))
+    assert main(["smoke", "--seeds", "0..2,1", "--out-dir", str(tmp_path)]) == 2
+    assert "seeds listed more than once: 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------------ snapshot flags

@@ -7,13 +7,19 @@ Four groups:
   caller of :meth:`Endpoint.call` that discarded the reply observed exactly
   the same), while the per-method counters still record the attempt;
 * the JSON wire codec (tuple round-tripping, non-string-key rejection);
-* the :class:`AsyncioClock` engine surface (timeout, run_until, the
-  schedule_timer/cancel_timer contract);
-* an end-to-end :class:`AsyncioTransport` exchange over real UDP sockets:
-  call, generator handler, remote error, timeout to a dead peer, cast.
+* the :class:`AsyncioClock` -- the engine paced by wall time -- through the
+  engine surface (timeout, run_until, the schedule_timer/cancel_timer
+  contract) and its one pacing property: a timer a datagram handler sets
+  before the armed wake-up fires on time;
+* an end-to-end asyncio transport exchange over real UDP sockets: call,
+  generator handler, remote error, timeout to a dead peer, cast, and
+  malformed datagrams from a foreign socket.
 """
 
 from __future__ import annotations
+
+import socket
+import time
 
 import pytest
 
@@ -302,11 +308,58 @@ def test_asyncio_transport_every_runs_on_wall_clock(asyncio_env, monkeypatch):
     assert armed[: len(ticks) + 1] == [0.0] + [0.03] * len(ticks)
 
 
+def test_asyncio_timer_set_by_a_datagram_handler_fires_on_time(asyncio_env):
+    """The clock's one armed wake-up is for its earliest entry; a handler run
+    on a datagram's arrival that sets an earlier timer re-arms it."""
+    transport, a, b = asyncio_env
+    clock = transport.clock
+    later = []
+    clock.schedule_timer(1.0, later.append, "the only other entry")
+    done = clock.event()
+    b.rpc_arm = lambda payload, request: clock.schedule_timer(0.01, done.succeed)
+    started = time.monotonic()
+    a.cast("b", "arm")
+    assert clock.run_until(done, timeout=0.5)
+    assert time.monotonic() - started < 0.5
+    assert later == []
+
+
+def test_asyncio_network_drops_malformed_datagrams(asyncio_env):
+    """Any local process can write to a peer's port: a datagram that is not a
+    well-formed message is counted as dropped, and the peer carries on."""
+    transport, a, b = asyncio_env
+    clock, network = transport.clock, transport.network
+    errors = []
+    clock.loop.set_exception_handler(lambda loop, context: errors.append(context))
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as raw:
+        for data in (b"\xff", b"[1]", b'{"k":"q"}', b'{"k":"r"}'):
+            raw.sendto(data, ("127.0.0.1", network._ports["b"]))
+    clock.run(until=clock.now + 0.1)
+    assert network.stats.messages_dropped == 4
+    assert errors == []
+
+    def proc():
+        return (yield a.call("b", "echo", {"x": 1}))
+
+    assert clock.run_process(proc(), timeout=10.0)["me"] == "b"
+
+
 # ------------------------------------------------------------------- selection
 def test_make_transport_selects_sim_by_default():
     transport = make_transport(default_config())
     assert transport.name == "sim"
     assert type(transport.clock) is Simulator
+
+
+def test_asyncio_transport_clock_is_the_engine():
+    transport = make_transport(default_config(transport="asyncio"))
+    try:
+        assert transport.name == "asyncio"
+        assert isinstance(transport.clock, Simulator)
+    finally:
+        transport.shutdown()
+    transport.shutdown()  # idempotent
+    assert transport.clock.loop.is_closed()
 
 
 def test_make_transport_rejects_unknown():

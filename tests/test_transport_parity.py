@@ -1,12 +1,13 @@
-"""SimTransport parity: the transport refactor changed zero observable behaviour.
+"""Sim transport parity: the transport layer changes no observable behaviour.
 
-PR "one contract, two transports" moved the RPC surface out of the simulator
-core: protocol layers now talk to :class:`repro.transport.api.Transport`
-instead of ``sim.network``/``sim.node`` directly, and :class:`SimTransport`
-adapts the existing discrete-event Network underneath.  The refactor's promise
-is *bit-identical event traces* -- the adapter constructs clock, RNG streams
-and network in exactly the pre-refactor order, so every scheduled event lands
-on the same ``(time, seq)`` key as before.
+Protocol layers talk to the substrate through :mod:`repro.transport` --
+``Endpoint`` messaging and the ``clock`` / ``network`` / ``rngs`` of the
+record :func:`~repro.transport.api.make_transport` returns -- instead of
+``sim.network``/``sim.node`` directly.  On ``sim`` that record is the
+discrete-event engine and its Network, built in one pinned order (the
+clock, then the seeded streams, then the network drawing its stream), so
+every scheduled event lands on the same ``(time, seq)`` key as before the
+layer existed: *bit-identical event traces*.
 
 These tests pin that promise against end states frozen from the pre-refactor
 tree (commit da01b0f): membership, item counts, per-method RPC profiles,
@@ -45,7 +46,7 @@ def _assert_matches_frozen(scenario: str, seed: int, frozen: dict) -> None:
     assert cell["transport"] == "sim"
     live = pinned(cell, frozen)
     assert live == frozen, (
-        f"{scenario}[seed={seed}]: SimTransport diverged from the pre-refactor trace\n"
+        f"{scenario}[seed={seed}]: the sim transport diverged from the frozen trace\n"
         f"  frozen: {frozen}\n  live:   {live}"
     )
 
