@@ -1,10 +1,12 @@
 """A back-off cadence: how often a self-pacing periodic loop runs.
 
-The ring runs its periodic protocols -- stabilization, predecessor pings,
+The ring runs its periodic protocols -- stabilization, the predecessor check,
 successor validation, replica refresh -- on fixed timers taken straight from
-:class:`~repro.index.config.IndexConfig`, as in the paper.  Two loops pace
-themselves instead, through :class:`AdaptiveCadence`: the content router's
-table refresh (:mod:`repro.router.hierarchical`) and the Data Store's
+:class:`~repro.index.config.IndexConfig`, as in the paper.  Their pings are not
+paced at all: a round skips the ping of a peer that first-hand stabilize
+traffic vouched for within one period (:mod:`repro.ring.chord`).  Two loops
+pace themselves instead, through :class:`AdaptiveCadence`: the content
+router's table refresh (:mod:`repro.router.hierarchical`) and the Data Store's
 split-deferral retry (:mod:`repro.datastore.maintenance`).
 
 The controller is deterministic and side-effect free: it never reads a clock

@@ -2,8 +2,10 @@
 
 This module provides the ring substrate the paper builds on (Section 2.3):
 successor lists of configurable length, periodic stabilization with the first
-live successor, ping-based predecessor failure detection, and the naive
-``insertSucc`` / ``leave`` used as baselines in Section 6.2.
+live successor, ping-based failure detection of the predecessor and the other
+successor-list entries (skipped for a peer first-hand stabilize traffic has
+just vouched for), and the naive ``insertSucc`` / ``leave`` used as baselines
+in Section 6.2.
 
 The consistency-preserving PEPPER variants (Algorithms 1-2 and Section 5.1)
 live in :mod:`repro.core.pepper_ring` and subclass :class:`ChordRing`.
@@ -25,6 +27,7 @@ from repro.ring.entries import (
     JOINED,
     JOINING,
     LEAVING,
+    NEVER,
     SuccessorEntry,
     entries_from_wire,
     entries_to_wire,
@@ -111,6 +114,12 @@ class ChordRing:
         self.succ_list: List[SuccessorEntry] = []
         self.pred_address: Optional[str] = None
         self.pred_value: Optional[float] = None
+        # When the current predecessor's own ``ring_stabilize`` last reached
+        # us (reset whenever the pointer moves).
+        self.pred_heard: float = NEVER
+        # The stabilizer behind our predecessor that an in-flight immediate
+        # predecessor check adopts if it clears the pointer.
+        self._pred_probe: Optional[tuple] = None
         self.succ_lock = RWLock(node.sim, name=f"{node.address}.succList")
 
         self.listeners: List[RingListener] = []
@@ -401,6 +410,7 @@ class ChordRing:
         old_pred_addr, old_pred_val = self.pred_address, self.pred_value
         self.pred_address = payload["pred_address"]
         self.pred_value = payload["pred_value"]
+        self.pred_heard = NEVER
         self._set_state(JOINED)
         self._record_op("ring_join", pred=self.pred_address, value=self.value)
         self._start_maintenance()
@@ -523,26 +533,53 @@ class ChordRing:
             return
 
     def _handle_stabilize(self, payload, request):
-        """RPC: a predecessor stabilizes with us; maybe adopt it, return our list."""
+        """RPC: a predecessor stabilizes with us; maybe adopt it, return our list.
+
+        The reply's ``heard`` lists the entries we heard from first-hand
+        within one stabilization period: the caller skips pinging those.  It
+        never names an entry only a report vouched for, so no set of peers
+        can keep a dead one alive by vouching for each other.
+        """
         if not self.is_joined:
             # A free (merged-away) or still-joining peer must not hand out ring
             # state; the caller treats the error as a failed successor and
             # drops the stale pointer.
             raise RuntimeError(f"{self.address} is not a ring member ({self.state})")
-        if payload.get("pred_state") == JOINED:
-            # First-hand: the peer says it has joined.  In a ring small enough
-            # that our predecessor is also in our successor list, its inserter
-            # may have left before a JOINED report reached us, and a list whose
-            # only entry is JOINING has no stabilization target to learn from.
-            for entry in self.succ_list:
-                if entry.address == payload["pred_address"] and entry.state == JOINING:
+        caller = payload["pred_address"]
+        now = self.sim.now
+        for entry in self.succ_list:
+            if entry.address == caller:
+                entry.heard = now
+                if payload.get("pred_state") == JOINED and entry.state == JOINING:
+                    # First-hand: the peer says it has joined.  In a ring small
+                    # enough that our predecessor is also in our successor
+                    # list, its inserter may have left before a JOINED report
+                    # reached us, and a list whose only entry is JOINING has no
+                    # stabilization target to learn from.
                     entry.state = JOINED
-        self._consider_predecessor(payload["pred_address"], payload["pred_value"])
+        value = payload["pred_value"]
+        pred = self.pred_address
+        if pred not in (None, self.address, caller) and not in_open_interval(
+            value, self.pred_value, self.value
+        ):
+            # The caller is behind our predecessor, so it skipped it: check
+            # the predecessor now rather than at the next round.
+            pending = self._pred_probe is not None
+            self._pred_probe = (caller, value, now)
+            if not pending:
+                probe = self._check_predecessor_once(probing=True)
+                self.node.spawn(probe, name="ring-pred-probe")
+        else:
+            self._consider_predecessor(caller, value)
+            if self.pred_address == caller:
+                self.pred_heard = now
         reported_state = LEAVING if self.state == LEAVING else JOINED
+        horizon = now - self.config.stabilization_period
         return {
             "value": self.value,
             "state": reported_state,
             "succ_list": entries_to_wire(self.succ_list),
+            "heard": [entry.address for entry in self.succ_list if entry.heard >= horizon],
         }
 
     def _handle_ping(self, payload, request):
@@ -563,39 +600,58 @@ class ChordRing:
             old_address, old_value = self.pred_address, self.pred_value
             self.pred_address = address
             self.pred_value = value
+            self.pred_heard = NEVER
             self._record_op("predecessor_changed", pred=address, pred_value=value)
             self._fire_predecessor_changed(old_address, old_value, address, value)
 
-    def _check_predecessor_once(self):
-        """Ping the predecessor; clear it if it stopped responding."""
-        if not self.is_joined:
-            return
-        if self.pred_address in (None, self.address):
-            return
+    def _check_predecessor_once(self, probing: bool = False):
+        """Ping the predecessor unless its own stabilize vouched for it.
+
+        A ``ring_stabilize`` from the current predecessor within one
+        ``predecessor_check_period`` is first-hand liveness, so the periodic
+        check skips the ping (and counts it as ``ring_ping_fresh_skip``).  A
+        dead predecessor stops stabilizing, and the peer behind it then
+        stabilizes with us: :meth:`_handle_stabilize` spawns a *probing* check,
+        which always pings, and then offers the pending ``_pred_probe``
+        stabilizer to the closer-predecessor rule -- it replaces a cleared
+        pointer at once, and leaves a live one alone.  A predecessor that
+        stopped responding is cleared.
+        """
         pred_address, pred_value = self.pred_address, self.pred_value
-        gone = False
-        try:
-            response = yield self.node.call(
-                pred_address,
-                "ring_ping",
-                {},
-                timeout=FAILURE_DETECTION_TIMEOUT,
-            )
-            # A predecessor that merged away (FREE) or never finished joining
-            # is no longer a ring member even though its process is alive.
-            gone = response.get("state") in (FREE, JOINING)
-        except RpcError:
-            gone = True
-        if gone:
-            if self.pred_address != pred_address:
-                return
-            self.pred_address = None
-            # Keep ``pred_value`` so the Data Store range stays put until a new
-            # predecessor announces itself (at which point the range grows and
-            # the Replication Manager revives the lost peer's items).
-            self._record_op("predecessor_failure_detected", failed=pred_address)
-            for listener in self.listeners:
-                listener.on_predecessor_failed(self, pred_address, pred_value)
+        has_pred = self.is_joined and pred_address not in (None, self.address)
+        fresh = self.sim.now - self.pred_heard <= self.config.predecessor_check_period
+        if has_pred and fresh and not probing:
+            self._record("ring_ping_fresh_skip", 1.0)
+        elif has_pred:
+            gone = False
+            try:
+                response = yield self.node.call(
+                    pred_address,
+                    "ring_ping",
+                    {},
+                    timeout=FAILURE_DETECTION_TIMEOUT,
+                )
+                # A predecessor that merged away (FREE) or never finished
+                # joining is no longer a ring member even though its process
+                # is alive.
+                gone = response.get("state") in (FREE, JOINING)
+            except RpcError:
+                gone = True
+            if gone and self.pred_address == pred_address:
+                self.pred_address = None
+                # Keep ``pred_value`` so the Data Store range stays put until a
+                # new predecessor announces itself (at which point the range
+                # grows and the Replication Manager revives the lost peer's
+                # items).
+                self._record_op("predecessor_failure_detected", failed=pred_address)
+                for listener in self.listeners:
+                    listener.on_predecessor_failed(self, pred_address, pred_value)
+        if probing:
+            (address, value, heard), self._pred_probe = self._pred_probe, None
+            if self.is_joined:
+                self._consider_predecessor(address, value)
+                if self.pred_address == address:
+                    self.pred_heard = heard
 
     def _validate_successors_once(self):
         """Drop successor-list entries that point at peers no longer in the ring.
@@ -605,7 +661,10 @@ class ChordRing:
         circulating through adopted lists indefinitely.  Such zombie entries
         inflate the apparent ring size, steer replicas at non-members and delay
         the leave protocol's acknowledgements, so they are periodically pinged
-        and removed.
+        and removed.  An entry the first successor's stabilize reply vouched
+        for (it heard from that peer first-hand within one period) is not
+        pinged while that reply is at most 1.5 periods old; each skip counts
+        as ``ring_ping_fresh_skip``.
         """
         if not self.is_joined:
             return
@@ -619,20 +678,33 @@ class ChordRing:
         if targets and targets[0].state == JOINED:
             # The first live successor is exercised by stabilization anyway.
             del targets[0]
+        vouch_horizon = self.sim.now - 1.5 * self.config.stabilization_period
         stale = []
         for entry in targets:
+            if entry.vouched >= vouch_horizon:
+                self._record("ring_ping_fresh_skip", 1.0)
+                continue
+            address = entry.address
             try:
                 response = yield self.node.call(
-                    entry.address,
+                    address,
                     "ring_ping",
                     {},
                     timeout=FAILURE_DETECTION_TIMEOUT,
                 )
             except RpcError:
-                stale.append(entry.address)
+                stale.append(address)
                 continue
-            if response.get("state") in (FREE, JOINING):
-                stale.append(entry.address)
+            state = response.get("state")
+            if state in (FREE, JOINING):
+                stale.append(address)
+            elif state in (JOINED, LEAVING):
+                # The list may have been re-adopted meanwhile: mark the
+                # current entry, not the one the loop started from.
+                now = self.sim.now
+                for current in self.succ_list:
+                    if current.address == address:
+                        current.heard = now
         if not stale:
             return
         yield self.succ_lock.acquire_write()
@@ -660,6 +732,14 @@ class ChordRing:
                 received = [e for e in received if e.address != head.address]
                 self._install_list(head, received)
             self._post_adopt()
+            # The reply is first-hand news of its sender; its ``heard`` list
+            # vouches for the entries the sender heard from itself.
+            now = self.sim.now
+            vouched = response.get("heard", ())
+            for entry in self.succ_list:
+                if entry.address == contacted.address:
+                    entry.heard = now
+                entry.vouched = now if entry.address in vouched else NEVER
             new_first = self._first_joined_address()
         finally:
             self.succ_lock.release_write()
@@ -743,6 +823,8 @@ class ChordRing:
         * Entries only we remember (e.g. a peer that our successor has already
           trimmed away) are retained; the periodic successor validation prunes
           them once they actually leave the ring.
+        * An entry keeps the latest time *we* heard from its peer: a report
+          never carries one.
         """
         self._last_received_addresses = {e.address for e in received}
         self._last_received_addresses.add(head.address)
@@ -756,9 +838,11 @@ class ChordRing:
                 best[entry.address] = entry
                 continue
             if self._STATE_RANK.get(entry.state, 1) > self._STATE_RANK.get(current.state, 1):
-                best[entry.address] = SuccessorEntry(
-                    entry.address, current.value, entry.state, current.stabilized
+                best[entry.address] = current = SuccessorEntry(
+                    entry.address, current.value, entry.state, current.stabilized, current.heard
                 )
+            if entry.heard > current.heard:
+                current.heard = entry.heard
         merged = sorted(best.values(), key=lambda e: self._clockwise_distance(e.value))
         self.succ_list = merged
         self._trim()

@@ -19,19 +19,31 @@ LEAVING = "LEAVING"  # announced departure (merge); predecessors lengthen lists
 INSERTING = "INSERTING"  # a peer currently running insertSucc for a new successor
 FREE = "FREE"  # not part of the ring (free peers of the P-Ring Data Store)
 
+NEVER = float("-inf")  # the heard time of a peer nothing has heard from
+
 
 @dataclass(slots=True)
 class SuccessorEntry:
-    """One pointer in a peer's successor list."""
+    """One pointer in a peer's successor list.
+
+    ``heard`` is when this peer last heard from the pointed-to peer first-hand
+    (a stabilize reply, a JOINED or LEAVING ping reply, or a stabilize request
+    from it); ``vouched`` is when the first successor's stabilize reply last
+    said *it* had.  Neither travels over the wire.
+    """
 
     address: str
     value: float
     state: str = JOINED
     stabilized: bool = False
+    heard: float = NEVER
+    vouched: float = NEVER
 
     def copy(self) -> "SuccessorEntry":
         """Return an independent copy of this entry."""
-        return SuccessorEntry(self.address, self.value, self.state, self.stabilized)
+        return SuccessorEntry(
+            self.address, self.value, self.state, self.stabilized, self.heard, self.vouched
+        )
 
     def to_wire(self) -> Dict[str, Any]:
         """Serialise for inclusion in an RPC payload."""

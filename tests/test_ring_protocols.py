@@ -13,13 +13,14 @@ from repro.core.correctness import (
 )
 from repro.harness.metrics import Metrics
 from repro.harness.scenarios import build_experiment, get_scenario
-from repro.index.config import default_config
+from repro.index.config import FAILURE_DETECTION_TIMEOUT, default_config
 from repro.ring.chord import ChordRing, in_open_interval
 from repro.ring.entries import (
     FREE,
     JOINED,
     JOINING,
     LEAVING,
+    NEVER,
     SuccessorEntry,
     entries_from_wire,
 )
@@ -335,6 +336,109 @@ def test_ring_survives_k_minus_one_failures():
     assert check_ring_connectivity(harness.live()).ok
 
 
+def _record_stabilizes(peer, log):
+    """Log every ``ring_stabilize`` ``peer`` answers: (time, caller, the
+    predecessor it held on arrival, its entries' heard and vouched times as
+    it replied, the reply)."""
+    handler = peer.ring._handle_stabilize
+
+    def recording(payload, request):
+        ring = peer.ring
+        held = ring.pred_address
+        reply = handler(payload, request)
+        entries = {e.address: (e.heard, e.vouched) for e in ring.succ_list}
+        log.append((ring.sim.now, payload["pred_address"], held, entries, reply))
+        return reply
+
+    peer.register_handler("ring_stabilize", recording)
+
+
+def test_a_stabilize_from_behind_a_dead_predecessor_is_adopted_at_once():
+    """The peer behind a failed predecessor stabilizes with the failed peer's
+    successor.  The successor checks its predecessor at once and adopts the
+    stabilizer when the check clears the pointer, within one
+    ``FAILURE_DETECTION_TIMEOUT`` of that stabilize -- not a round later."""
+    harness = RingHarness(ring_class=PepperRing)
+    harness.bootstrap(1000.0)
+    for value in (200.0, 400.0, 600.0, 800.0):
+        harness.join_peer(value)
+        harness.run(1.0)
+    harness.run(10.0)
+    behind, victim, successor = (
+        next(p for p in harness.peers if p.ring.value == value) for value in (200.0, 400.0, 600.0)
+    )
+    assert successor.ring.pred_address == victim.address
+    log = []
+    _record_stabilizes(successor, log)
+    victim.fail()
+    behind.ring.stabilize_now()  # its round times out on the victim, then moves on
+    deadline = harness.sim.now + harness.config.stabilization_period
+    while not any(caller == behind.address for _, caller, *_ in log):
+        assert harness.sim.now < deadline, "the peer behind never stabilized with the successor"
+        harness.run(0.05)
+    arrived, _, held, *_ = next(entry for entry in log if entry[1] == behind.address)
+    assert held == victim.address  # it arrived before anything cleared the dead pointer
+    harness.sim.run(until=arrived + FAILURE_DETECTION_TIMEOUT)
+    assert successor.ring.pred_address == behind.address
+
+
+def test_a_stabilize_reply_vouches_only_for_what_its_sender_heard_itself():
+    """In the 5-peer ring whose lists wrap around, every peer's list holds
+    every other peer.  A reply's ``heard`` names only entries its sender heard
+    from first-hand within one period, never one a report vouched for; so once
+    a peer dies, no reply vouches for it after one period, and it leaves every
+    list."""
+    harness = RingHarness(ring_class=PepperRing)
+    harness.bootstrap(1000.0)
+    for value in (200.0, 400.0, 600.0, 800.0):
+        harness.join_peer(value)
+        harness.run(1.0)
+    log = []
+    for peer in harness.peers:
+        _record_stabilizes(peer, log)
+    harness.run(8.0)
+    period = harness.config.stabilization_period
+    only_reported = 0
+    for now, _, _, entries, reply in log:
+        for address, (heard, vouched) in entries.items():
+            if heard >= now - period:
+                continue
+            assert address not in reply["heard"]
+            only_reported += vouched >= now - 1.5 * period
+    assert only_reported > 0  # some reply held a vouched-for entry back
+    victim = next(p for p in harness.peers if p.ring.value == 400.0)
+    victim.fail()
+    failed_at = harness.sim.now
+    del log[:]
+    harness.run(4 * period)
+    assert all(victim.address not in entry[-1]["heard"]
+               for entry in log if entry[0] > failed_at + period)
+    for peer in harness.live():
+        assert all(entry.address != victim.address for entry in peer.ring.succ_list)
+
+
+def test_fresh_stabilize_traffic_replaces_most_pings():
+    """A peer pings only what no first-hand contact vouched for within one
+    period, and counts each ping it skips as ``ring_ping_fresh_skip``."""
+    metrics = Metrics()
+    harness = RingHarness(ring_class=PepperRing, metrics=metrics)
+    harness.bootstrap(1000.0)
+    for value in (100.0, 250.0, 400.0, 550.0, 700.0, 850.0, 925.0):
+        harness.join_peer(value)
+        harness.run(1.0)
+    harness.run(12.0)
+    pings = harness.network.stats.per_method.get("ring_ping", 0)
+    skips = metrics.count("ring_ping_fresh_skip")
+    periods = 5
+    harness.run(periods * harness.config.stabilization_period)
+    pings = harness.network.stats.per_method["ring_ping"] - pings
+    skips = metrics.count("ring_ping_fresh_skip") - skips
+    # Without the skips: one predecessor ping and three successor pings.
+    assert pings + skips == pytest.approx(4 * periods * len(harness.peers), rel=0.1)
+    assert pings < skips
+    assert check_consistent_successor_pointers(harness.live()).ok
+
+
 # --------------------------------------------------------------------------- leave
 def test_safe_leave_waits_for_acknowledgement():
     harness = RingHarness(ring_class=PepperRing)
@@ -556,7 +660,10 @@ def _ring_holding(ring_class, own_value, current, pending):
     sim = Simulator()
     node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
     ring = ring_class(node, own_value, default_config())
-    ring.succ_list = [SuccessorEntry(*entry) for entry in current]
+    # Distinct first-hand heard times, which both paths must carry over.
+    ring.succ_list = [
+        SuccessorEntry(*entry, heard=float(i)) for i, entry in enumerate(current)
+    ]
     if pending is not None:
         ring._pending_insert = {"address": pending, "event": sim.event()}
     return ring
@@ -564,7 +671,7 @@ def _ring_holding(ring_class, own_value, current, pending):
 
 def _held(ring):
     return (
-        [(e.address, e.value, e.state, e.stabilized) for e in ring.succ_list],
+        [(e.address, e.value, e.state, e.stabilized, e.heard) for e in ring.succ_list],
         getattr(ring, "_last_received_addresses", None),
     )
 
@@ -574,7 +681,8 @@ def _held(ring):
 @given(round_=stabilize_rounds())
 def test_the_quiet_round_fast_path_equals_the_full_merge(ring_class, round_):
     """``_adopt_matching_reply`` is ``_install_list`` on the replies it takes:
-    the same addresses, values, states, ``stabilized`` flags and reported set.
+    the same addresses, values, states, ``stabilized`` flags, heard times and
+    reported set.
     A reply it declines leaves the list untouched for the merge."""
     own_value, current, head_address, response, pending = round_
     fast = _ring_holding(ring_class, own_value, current, pending)
@@ -597,5 +705,6 @@ def test_a_reply_that_extends_our_list_takes_the_fast_path():
     reply = {"value": 625.0, "state": JOINED,
              "succ_list": [{"address": "p2", "value": 1250.0, "state": JOINED}]}
     assert ring._adopt_matching_reply("p1", reply)
-    assert _held(ring) == ([("p1", 625.0, JOINED, True), ("p2", 1250.0, JOINED, False)],
-                           {"p1", "p2"})
+    assert _held(ring) == (
+        [("p1", 625.0, JOINED, True, 0.0), ("p2", 1250.0, JOINED, False, NEVER)], {"p1", "p2"}
+    )

@@ -316,6 +316,30 @@ def test_converged_tables_back_the_stress_phase_walks_off():
     assert rate <= ROUTER_WALK_RATE, f"{rate:.3f} table RPCs per member-second"
 
 
+# ring_ping per ring member per stabilization period on scale_100 (seed 0) once
+# it has settled, with nothing happening: 3.88 when every peer pinged its
+# predecessor and every successor-list entry past the first, 1.23 when
+# stabilize traffic vouches for most of them.
+QUIET_PING_RATE = 1.5
+
+
+def test_a_quiet_ring_pings_only_what_stabilize_traffic_left_unvouched():
+    """On a settled, quiet ring most liveness comes from stabilize traffic:
+    the ring pings stay under a fixed number per member per period."""
+    spec = get_scenario("scale_100")
+    experiment = build_experiment(spec, 0)
+    experiment.run_phases(spec.phases[:2], total_peers=spec.peers)
+    index = experiment.index
+    members = len(index.ring_members())
+    periods = 5
+    before = index.network.stats.per_method.get("ring_ping", 0)
+    index.run(periods * index.config.stabilization_period)
+    pings = index.network.stats.per_method["ring_ping"] - before
+    assert len(index.ring_members()) == members
+    rate = pings / members / periods
+    assert rate <= QUIET_PING_RATE, f"{rate:.2f} ring pings per member-period"
+
+
 def test_a_wrapped_answer_ends_the_walk_once_it_reaches_halfway():
     # Short of halfway round the key space (10,000) the walk goes on from the
     # wrapped pointer; past it, the wrapped pointer is the table's last.
