@@ -3,11 +3,11 @@
 The ring runs its periodic protocols -- stabilization, the predecessor check,
 successor validation, replica refresh -- on fixed timers taken straight from
 :class:`~repro.index.config.IndexConfig`, as in the paper.  Their pings are not
-paced at all: a round skips the ping of a peer that first-hand stabilize
-traffic vouched for within one period (:mod:`repro.ring.chord`).  Two loops
-pace themselves instead, through :class:`AdaptiveCadence`: the content
-router's table refresh (:mod:`repro.router.hierarchical`) and the Data Store's
-split-deferral retry (:mod:`repro.datastore.maintenance`).
+paced at all: a round skips the ping of a peer for which stabilize traffic
+relays a first-hand time at most 2.5 periods old (:mod:`repro.ring.chord`).
+Two loops pace themselves instead, through :class:`AdaptiveCadence`: the
+content router's table refresh (:mod:`repro.router.hierarchical`) and the Data
+Store's split-deferral retry (:mod:`repro.datastore.maintenance`).
 
 The controller is deterministic and side-effect free: it never reads a clock
 or an RNG, only the feedback fed to it (``note_success`` / ``note_failure`` /

@@ -219,7 +219,21 @@ class ReplicationManager(RingListener):
     def on_predecessor_changed(self, ring, old_address, old_value, new_address, new_value):
         """Our range may have grown (predecessor failed): revive affected replicas."""
         if self.store.active:
-            self.node.spawn(self._promote_replicas(), name="rep-revive")
+            self.node.spawn(self._revive_after_range_update(), name="rep-revive")
+
+    def _revive_after_range_update(self):
+        """Revive once the Data Store has moved our range's low end.
+
+        The Data Store hears of the new predecessor first (it is the earlier
+        listener) and moves the bound under its range write lock.  Queueing
+        behind that update on the same FIFO lock makes the revive see the grown
+        range; run at once, it saw the old one, and the items waited for the
+        next refresh round -- up to a full ``replication_refresh_period``.
+        """
+        lock = self.store.range_lock
+        yield lock.acquire_write()
+        lock.release_write()
+        yield from self._promote_replicas()
 
     def on_predecessor_failed(self, ring, old_address, old_value):
         """Failure detected; the revive happens once the new predecessor appears.

@@ -3,9 +3,9 @@
 This module provides the ring substrate the paper builds on (Section 2.3):
 successor lists of configurable length, periodic stabilization with the first
 live successor, ping-based failure detection of the predecessor and the other
-successor-list entries (skipped for a peer first-hand stabilize traffic has
-just vouched for), and the naive ``insertSucc`` / ``leave`` used as baselines
-in Section 6.2.
+successor-list entries (skipped while stabilize traffic relays a recent
+first-hand time for the peer), and the naive ``insertSucc`` / ``leave`` used
+as baselines in Section 6.2.
 
 The consistency-preserving PEPPER variants (Algorithms 1-2 and Section 5.1)
 live in :mod:`repro.core.pepper_ring` and subclass :class:`ChordRing`.
@@ -35,6 +35,11 @@ from repro.ring.entries import (
 from repro.sim.engine import Interrupt
 from repro.sim.locks import RWLock
 from repro.transport import Endpoint, RpcError
+
+# How many stabilization periods a relayed first-hand time keeps an entry off
+# successor validation's ping list: the staleness a one-hop report already
+# allows, a peer heard within one period in a reply at most 1.5 periods old.
+RELAYED_LIVENESS_PERIODS = 2.5
 
 
 def in_open_interval(value: float, low: float, high: float) -> bool:
@@ -535,10 +540,13 @@ class ChordRing:
     def _handle_stabilize(self, payload, request):
         """RPC: a predecessor stabilizes with us; maybe adopt it, return our list.
 
-        The reply's ``heard`` lists the entries we heard from first-hand
-        within one stabilization period: the caller skips pinging those.  It
-        never names an entry only a report vouched for, so no set of peers
-        can keep a dead one alive by vouching for each other.
+        The reply's ``heard`` maps each of our entries to the time of the
+        freshest first-hand contact with it we know of: our own ``heard``, or
+        the time our first successor relayed (``vouched``), passed on
+        unchanged.  Times older than :data:`RELAYED_LIVENESS_PERIODS` periods
+        are left out, since no peer may skip a ping on them.  A relayed time
+        moves only when some peer hears from the entry itself, so no loop of
+        reports can keep a dead peer fresh.
         """
         if not self.is_joined:
             # A free (merged-away) or still-joining peer must not hand out ring
@@ -574,12 +582,17 @@ class ChordRing:
             if self.pred_address == caller:
                 self.pred_heard = now
         reported_state = LEAVING if self.state == LEAVING else JOINED
-        horizon = now - self.config.stabilization_period
+        horizon = now - RELAYED_LIVENESS_PERIODS * self.config.stabilization_period
+        heard = {}
+        for entry in self.succ_list:
+            latest = max(entry.heard, entry.vouched)
+            if latest >= horizon:
+                heard[entry.address] = latest
         return {
             "value": self.value,
             "state": reported_state,
             "succ_list": entries_to_wire(self.succ_list),
-            "heard": [entry.address for entry in self.succ_list if entry.heard >= horizon],
+            "heard": heard,
         }
 
     def _handle_ping(self, payload, request):
@@ -661,10 +674,11 @@ class ChordRing:
         circulating through adopted lists indefinitely.  Such zombie entries
         inflate the apparent ring size, steer replicas at non-members and delay
         the leave protocol's acknowledgements, so they are periodically pinged
-        and removed.  An entry the first successor's stabilize reply vouched
-        for (it heard from that peer first-hand within one period) is not
-        pinged while that reply is at most 1.5 periods old; each skip counts
-        as ``ring_ping_fresh_skip``.
+        and removed.  An entry is not pinged while the first-hand time the
+        first successor's stabilize reply relayed for it (``vouched``) is at
+        most :data:`RELAYED_LIVENESS_PERIODS` stabilization periods old; each
+        skip counts as ``ring_ping_fresh_skip``.  Our own first-hand contacts
+        refresh only ``heard``, which we relay onward but never skip on.
         """
         if not self.is_joined:
             return
@@ -678,7 +692,7 @@ class ChordRing:
         if targets and targets[0].state == JOINED:
             # The first live successor is exercised by stabilization anyway.
             del targets[0]
-        vouch_horizon = self.sim.now - 1.5 * self.config.stabilization_period
+        vouch_horizon = self.sim.now - RELAYED_LIVENESS_PERIODS * self.config.stabilization_period
         stale = []
         for entry in targets:
             if entry.vouched >= vouch_horizon:
@@ -732,14 +746,15 @@ class ChordRing:
                 received = [e for e in received if e.address != head.address]
                 self._install_list(head, received)
             self._post_adopt()
-            # The reply is first-hand news of its sender; its ``heard`` list
-            # vouches for the entries the sender heard from itself.
+            # The reply is first-hand news of its sender; its ``heard`` map
+            # relays the freshest first-hand time the sender knows of for
+            # each of its entries.
             now = self.sim.now
-            vouched = response.get("heard", ())
+            relayed = response.get("heard", {})
             for entry in self.succ_list:
                 if entry.address == contacted.address:
                     entry.heard = now
-                entry.vouched = now if entry.address in vouched else NEVER
+                entry.vouched = relayed.get(entry.address, NEVER)
             new_first = self._first_joined_address()
         finally:
             self.succ_lock.release_write()
@@ -823,8 +838,9 @@ class ChordRing:
         * Entries only we remember (e.g. a peer that our successor has already
           trimmed away) are retained; the periodic successor validation prunes
           them once they actually leave the ring.
-        * An entry keeps the latest time *we* heard from its peer: a report
-          never carries one.
+        * The merge keeps our own ``heard`` per entry; the first-hand times
+          relayed in the reply's ``heard`` map are applied afterwards by
+          :meth:`_adopt`, as ``vouched``.
         """
         self._last_received_addresses = {e.address for e in received}
         self._last_received_addresses.add(head.address)

@@ -28,8 +28,11 @@ class SuccessorEntry:
 
     ``heard`` is when this peer last heard from the pointed-to peer first-hand
     (a stabilize reply, a JOINED or LEAVING ping reply, or a stabilize request
-    from it); ``vouched`` is when the first successor's stabilize reply last
-    said *it* had.  Neither travels over the wire.
+    from it); ``vouched`` is the first-hand time the first successor's last
+    stabilize reply relayed for it, which some peer along the ring heard
+    itself.  Neither is part of :meth:`to_wire`: the stabilize reply carries
+    ``max(heard, vouched)`` per entry in a map of its own
+    (:meth:`repro.ring.chord.ChordRing._handle_stabilize`).
     """
 
     address: str

@@ -40,6 +40,26 @@ def test_failed_peer_items_are_revived():
     assert lost_keys <= stored
 
 
+def test_a_revive_follows_the_range_update_without_waiting_for_a_refresh_round():
+    """The successor revives a failed predecessor's items as soon as its range
+    has grown over them, not at its next refresh round (16 s apart here)."""
+    index, _ = build_cluster(seed=52, peers=8, replication_refresh_period=16.0)
+    index.run(16.0)
+    victim = index.ring_members()[2]
+    lost_keys = set(victim.store.items.keys())
+    assert lost_keys
+    successor = index.peers[victim.ring.succ_list[0].address]
+    index.fail_peer(victim.address)
+    step = 0.05
+    for _ in range(int(40.0 / step)):
+        index.run(step)
+        if all(successor.store.range.contains(key) for key in lost_keys):
+            break
+    assert all(successor.store.range.contains(key) for key in lost_keys)
+    index.run(step)
+    assert lost_keys <= set(successor.store.items.keys())
+
+
 def test_two_failures_tolerated_with_default_replication():
     index, keys = build_cluster(seed=53, peers=10)
     index.run(2 * index.config.replication_refresh_period)

@@ -382,12 +382,12 @@ def test_a_stabilize_from_behind_a_dead_predecessor_is_adopted_at_once():
     assert successor.ring.pred_address == behind.address
 
 
-def test_a_stabilize_reply_vouches_only_for_what_its_sender_heard_itself():
+def test_a_stabilize_reply_relays_only_first_hand_times():
     """In the 5-peer ring whose lists wrap around, every peer's list holds
-    every other peer.  A reply's ``heard`` names only entries its sender heard
-    from first-hand within one period, never one a report vouched for; so once
-    a peer dies, no reply vouches for it after one period, and it leaves every
-    list."""
+    every other peer.  A reply's ``heard`` maps each entry to the freshest
+    first-hand time its sender knows of -- its own, or one relayed to it,
+    unchanged -- so once a peer dies no reply can name it with a later time,
+    none names it 2.5 periods on, and it leaves every list."""
     harness = RingHarness(ring_class=PepperRing)
     harness.bootstrap(1000.0)
     for value in (200.0, 400.0, 600.0, 800.0):
@@ -398,28 +398,72 @@ def test_a_stabilize_reply_vouches_only_for_what_its_sender_heard_itself():
         _record_stabilizes(peer, log)
     harness.run(8.0)
     period = harness.config.stabilization_period
-    only_reported = 0
+    relayed = 0
     for now, _, _, entries, reply in log:
         for address, (heard, vouched) in entries.items():
-            if heard >= now - period:
-                continue
-            assert address not in reply["heard"]
-            only_reported += vouched >= now - 1.5 * period
-    assert only_reported > 0  # some reply held a vouched-for entry back
+            latest = max(heard, vouched)
+            if latest < now - 2.5 * period:
+                assert address not in reply["heard"]
+            else:
+                assert reply["heard"][address] == latest
+                relayed += vouched > heard  # a time its sender did not hear itself
+    assert relayed > 0
     victim = next(p for p in harness.peers if p.ring.value == 400.0)
     victim.fail()
     failed_at = harness.sim.now
     del log[:]
     harness.run(4 * period)
-    assert all(victim.address not in entry[-1]["heard"]
-               for entry in log if entry[0] > failed_at + period)
+    named = [(now, reply["heard"][victim.address])
+             for now, *_, reply in log if victim.address in reply["heard"]]
+    assert named  # replies went on naming it for a while, with old times
+    assert all(time <= failed_at for _, time in named)
+    assert all(now <= failed_at + 2.5 * period for now, _ in named)
     for peer in harness.live():
         assert all(entry.address != victim.address for entry in peer.ring.succ_list)
 
 
+def test_a_third_successor_is_skipped_on_a_relayed_time_until_it_goes_stale():
+    """The first successor's reply relays, unchanged, the time its own
+    successor heard from our third successor.  Successor validation skips
+    that entry while the time is at most 2.5 periods old and pings it after;
+    our own reply passes the relayed time on, and the ping's, once made."""
+    sim = Simulator()
+    node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
+    ring = ChordRing(node, 100.0, default_config())
+    ring._set_state(JOINED)
+    ring.succ_list = [SuccessorEntry(name, value) for name, value in
+                      (("s1", 200.0), ("s2", 300.0), ("s3", 400.0))]
+    period = ring.config.stabilization_period
+    pinged = []
+
+    def call(address, method, payload, timeout=None):
+        pinged.append(address)
+        assert method == "ring_ping"
+        return sim.event().succeed({"value": 0.0, "state": JOINED})
+
+    sim.run(until=10 * period)
+    third_heard = sim.now - 1.5 * period  # by s2, first-hand; s1 relays it
+    reply = {"value": 200.0, "state": JOINED, "heard": {"s2": sim.now - 0.1, "s3": third_heard},
+             "succ_list": [{"address": "s2", "value": 300.0}, {"address": "s3", "value": 400.0}]}
+    sim.run_process(ring._adopt(ring.succ_list[0], reply))
+    assert [(e.address, e.vouched) for e in ring.succ_list] == [
+        ("s1", NEVER), ("s2", sim.now - 0.1), ("s3", third_heard)]
+    node.call = call
+    relay = {"pred_address": "p", "pred_value": 50.0, "pred_state": JOINED}
+    sim.run(until=third_heard + 2.5 * period)  # exactly 2.5 periods old: still skipped
+    sim.run_process(ring._validate_successors_once())
+    assert pinged == []
+    assert ring._handle_stabilize(relay, None)["heard"]["s3"] == third_heard
+    sim.run(until=sim.now + 0.01)  # now older than 2.5 periods; s2's time is not
+    sim.run_process(ring._validate_successors_once())
+    assert pinged == ["s3"]
+    assert ring._handle_stabilize(relay, None)["heard"]["s3"] == sim.now
+
+
 def test_fresh_stabilize_traffic_replaces_most_pings():
-    """A peer pings only what no first-hand contact vouched for within one
-    period, and counts each ping it skips as ``ring_ping_fresh_skip``."""
+    """A peer pings only what no relayed first-hand time covers (one at most
+    2.5 periods old), and counts each ping it skips as
+    ``ring_ping_fresh_skip``."""
     metrics = Metrics()
     harness = RingHarness(ring_class=PepperRing, metrics=metrics)
     harness.bootstrap(1000.0)
