@@ -130,6 +130,9 @@ class StorageBalancer:
         node.register_handler("ds_split_complete", self._handle_split_complete)
         node.register_handler("ds_redistribute_request", self._handle_redistribute_request)
         node.register_handler("ds_absorb_items", self._handle_absorb_items)
+        # Replaces the Data Store's plain delete: the same reply, sent once
+        # an in-flight split's new peer has dropped its copy too.
+        node.register_handler("ds_remove_item", self._handle_remove_item)
 
         # Periodic safety net: re-check thresholds in case a triggered attempt
         # aborted (no free peers, busy successor, transient failures).
@@ -252,29 +255,31 @@ class StorageBalancer:
             self._defer_until = 0.0
 
             completion = self.node.sim.event()
+            activation = self.node.call(
+                free_address,
+                "ds_activate",
+                {
+                    "value": split_key,
+                    "range": (range_low, split_key, False),
+                    "items": columns_to_wire(lower_keys, lower_payloads),
+                    "join_via": pred_address,
+                    "notify": self.address,
+                },
+            )
             self._pending_split = {
                 "new_peer": free_address,
                 "split_key": split_key,
                 "range_low": range_low,
                 "transferred": set(lower_keys),
                 "deleted_during": set(),
+                "activation": activation,
                 "event": completion,
             }
             self._record_op(
                 "split_started", new_peer=free_address, split_key=split_key
             )
             try:
-                yield self.node.call(
-                    free_address,
-                    "ds_activate",
-                    {
-                        "value": split_key,
-                        "range": (range_low, split_key, False),
-                        "items": columns_to_wire(lower_keys, lower_payloads),
-                        "join_via": pred_address,
-                        "notify": self.address,
-                    },
-                )
+                yield activation
             except RpcError:
                 # The free peer is unreachable; forget the split attempt.
                 self._pending_split = None
@@ -428,11 +433,36 @@ class StorageBalancer:
         self._record_op("split_finished", new_peer=new_peer, split_key=split_key)
         self._pending_split = None
 
-    def note_local_delete(self, skv: float) -> None:
-        """Track deletions racing with an in-flight split (forwarded afterwards)."""
+    def _handle_remove_item(self, payload, request):
+        """RPC: the Data Store's delete, reaching a split's new peer first.
+
+        A delete of a key an in-flight split handed over must not be
+        acknowledged while the new peer still holds a copy: the new peer
+        serves that copy the moment it has joined, before the split finishes.
+        So the delete is forwarded to it, and acknowledged when it answers.
+        """
+        reply = self.store._handle_remove_item(payload, request)
         pending = self._pending_split
-        if pending is not None and skv in pending["transferred"]:
+        if not reply["removed"] or pending is None or payload["skv"] not in pending["transferred"]:
+            return reply
+        return self._forward_delete(pending, payload["skv"], reply)
+
+    def _forward_delete(self, pending: Dict, skv: float, reply: Dict):
+        """Generator: delete ``skv`` at the split's new peer, then answer ``reply``.
+
+        The delete follows the activation's answer, so it cannot overtake
+        the copies it deletes.  A new peer that did not remove it (it is
+        unreachable) gets the delete again once it has joined
+        (:meth:`_finish_split`).
+        """
+        try:
+            yield pending["activation"]
+            response = yield self.node.call(pending["new_peer"], "ds_remove_item", {"skv": skv})
+        except RpcError:
+            response = {}
+        if not response.get("removed"):
             pending["deleted_during"].add(skv)
+        return reply
 
     def _note_deferral(self, reason: str) -> None:
         """Record a deferred split and push the next periodic retry out."""

@@ -184,8 +184,8 @@ def _per_method_means(group: List[Dict[str, Any]]) -> Dict[str, float]:
     """Mean RPC count per method across a scenario's seed runs.
 
     The per-method profile says which protocol a cell's messages went to
-    (``ring_ping`` validation, ``route_table_entry`` table walks, ...), so the
-    envelope carries it next to the raw per-cell profiles.
+    (``ring_ping`` validation, ``route_table_entry`` table-walk hops, ...),
+    so the envelope carries it next to the raw per-cell profiles.
     """
     methods = sorted({method for cell in group for method in cell.get("rpc_per_method", {})})
     return {

@@ -165,7 +165,8 @@ class ScenarioResult:
     rpc_timeouts: int
     messages_sent: int
     # RPC count per method name (e.g. ``ring_ping`` is the validation loops'
-    # traffic, ``route_table_entry`` the router's table walks).
+    # traffic, ``route_table_entry`` the hops of the router's table walks and
+    # ``route_table_done`` one per walk that came back).
     rpc_per_method: Dict[str, int] = field(default_factory=dict)
     # Which transport carried the cell's messages ("sim" or "asyncio").
     transport: str = "sim"

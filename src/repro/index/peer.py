@@ -79,20 +79,8 @@ class IndexPeer(Endpoint):
         self.serve = ServeHandler(
             self, self.ring, self.store, self.replication, config, metrics=metrics
         )
-        # Keep the balancer informed of deletions racing with in-flight splits.
-        self._original_remove_local = self.store.remove_local
-        self.store.remove_local = self._remove_local_with_split_tracking
 
     # ------------------------------------------------------------------ helpers
-    def _remove_local_with_split_tracking(self, skv, reason: str = "delete"):
-        item = self._original_remove_local(skv, reason=reason)
-        if item is not None and reason == "delete":
-            # Only genuine client deletions need forwarding to the new peer of
-            # an in-flight split; internal movements (shed/merge/redistribute)
-            # must not be mistaken for deletions.
-            self.balancer.note_local_delete(skv)
-        return item
-
     @property
     def value(self) -> float:
         """The peer's current ring value (upper bound of its range)."""

@@ -5,8 +5,9 @@ that the peer responsible for any search key value is reached in a logarithmic
 number of hops even under skewed key distributions.  We implement the same
 capability with the classic pointer-doubling construction: every peer maintains
 a table whose level-``i`` pointer is (approximately) ``2**i`` ring positions
-away, refreshed periodically by asking the level-``i-1`` peer for *its*
-level-``i-1`` pointer.
+away, refreshed periodically by a walk that is forwarded from peer to peer:
+the level-``i-1`` peer adds *its* level-``i-1`` pointer and passes the walk on
+(recursive upkeep, one message per hop).
 
 Routing is iterative and every hop is a table hop: a peer that does not own
 the key answers ``ds_probe`` with its *own* next-hop candidates (its farthest
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.index.config import STABILIZATION_JITTER, IndexConfig
+from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, IndexConfig
 from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import RingListener
 from repro.ring.entries import JOINED
@@ -40,12 +41,23 @@ ROUTER_TABLE_SIZE = 16
 # successor list: enough to step around a dead pointer or two.
 _TABLE_CANDIDATES = 4
 
+# Table levels each walk hop adds, and how long the origin waits for a walk
+# to come back before it counts the walk as lost at a dead hop.
+_WALK_SPAN = 2
+_WALK_TIMEOUT = ROUTER_TABLE_SIZE * FAILURE_DETECTION_TIMEOUT
+
 # The refresh cadence: after this many consecutive clean walks the period
 # doubles, up to this many base periods.  Tables go stale only when
 # membership moves, and a stale pointer costs a route one skipped candidate.
 _CLEAN_WALKS_TO_BACK_OFF = 2
 _BACKOFF_GROWTH = 2.0
 _BACKOFF_MAX = 6.0
+
+
+def _lose_walk(done) -> None:
+    """Timer: the pending walk did not come back in time."""
+    if not done.triggered:
+        done.succeed(None)
 
 
 class _RefreshTightener(RingListener):
@@ -93,7 +105,12 @@ class HierarchicalRingRouter:
             success_threshold=_CLEAN_WALKS_TO_BACK_OFF,
         )
         ring.add_listener(_RefreshTightener(self._cadence))
+        # The last walk's id, and the event its result succeeds while it is
+        # pending (``None`` otherwise).
+        self._walks = 0
+        self._walk_done = None
         node.register_handler("route_table_entry", self._handle_table_entry)
+        node.register_handler("route_table_done", self._handle_table_done)
         # Replaces the Data Store's plain probe: same reply plus ``next``.
         node.register_handler("ds_probe", self._handle_probe)
         node.every(
@@ -125,27 +142,27 @@ class HierarchicalRingRouter:
             if entry.state == JOINED and entry.address != self.node.address
         ]
 
-    def _handle_table_entry(self, payload, request):
-        """RPC: return a slice of our routing table starting at ``level``.
+    def _table_answer(self, level: int, until: float):
+        """Our pointers for a walk hop at ``level``: ``(pointers, mark)``.
 
-        ``span`` entries are returned per request (pointer doubling used to ask
-        for one level per round trip; batching the reply halves the refresh
-        traffic, the dominant RPC at 1000+ peers).  Level 0 is answered from
-        the successor list, so it is right even before our first refresh.
+        ``_WALK_SPAN`` pointers from ``level`` on (two per hop halve the
+        walk's hops).  Level 0 is answered from the successor list, so it is
+        right even before our first refresh.
 
-        A slice the asker could not use is replaced by our farthest pointer
-        that stops short of the asker (``until``, its ring value), marked:
+        A slice the walk could not use is replaced by our farthest pointer
+        that stops short of the walk's origin (``until``, its ring value),
+        marked:
 
-        * ``past_end`` -- the request is past the end of our short table and
-          our farthest pointer is that pointer: the asker's walk goes on from
-          it instead of ending at our table's end;
-        * ``wrapped`` -- our pointers at ``level`` pass the asker (or, past the
-          end, our farthest one does): the pointer covers what is left of the
-          asker's ring, and once the asker's table reaches halfway round the
-          key space its walk ends there.
+        * ``past_end`` -- the level is past the end of our short table and
+          our farthest pointer is that pointer: the walk goes on from it
+          instead of ending at our table's end;
+        * ``wrapped`` -- our pointers at ``level`` pass the origin (or, past
+          the end, our farthest one does): the pointer covers what is left of
+          the origin's ring, and once the walk's table reaches halfway round
+          the key space it ends there.
+
+        ``mark`` is ``None`` for a plain slice.
         """
-        level = payload.get("level", 0)
-        span = max(1, payload.get("span", 1))
         # Slices of ``_joined_successors()[:1] + table[1:]``; with no JOINED
         # successor that list is ``table[1:]``, every level one on.
         first = self.ring._stabilization_target()  # the first of _joined_successors
@@ -153,37 +170,99 @@ class HierarchicalRingRouter:
         if first is not None:
             pointers.insert(0, (first.address, first.value))
         own_value = self.ring.value
-        room = self._clockwise(own_value, payload["until"])
-        answer = pointers[level : level + span]
-        reply = {}
+        room = self._clockwise(own_value, until)
+        answer = pointers[level : level + _WALK_SPAN]
+        mark = None
         if not answer or self._clockwise(own_value, answer[0][1]) >= room:
             short = [
                 pointer for pointer in pointers if self._clockwise(own_value, pointer[1]) < room
             ]
             if short:
                 beyond = not answer and short[-1] == pointers[-1]
-                reply["past_end" if beyond else "wrapped"] = True
+                mark = "past_end" if beyond else "wrapped"
             answer = short[-1:]
-        reply["entries"] = [{"address": address, "value": value} for address, value in answer]
-        return reply
+        return answer, mark
+
+    def _handle_table_entry(self, payload, request):
+        """Cast: one hop of a table walk, answered here and forwarded.
+
+        The walk arrives as the table so far (``table``, ours the last
+        pointer), the clockwise distance of that pointer from the origin
+        (``last``) and whether an earlier hop answered past the end of its
+        table (``past_end``).  We answer the next two levels
+        (:meth:`_table_answer`) and install them by the walk's rules, from
+        the origin's point of view: a pointer not strictly farther than the
+        one before it ends the walk, as do the ``ROUTER_TABLE_SIZE`` cap and
+        a ``wrapped`` answer once the table reaches halfway round the key
+        space.  Then the walk goes on as one cast to its new last pointer,
+        or comes back to the origin as one ``route_table_done``.  Each hop
+        sends a new payload: the simulated network passes payload objects by
+        reference.
+        """
+        until = payload["until"]
+        table = payload["table"]
+        answer, mark = self._table_answer(len(table) - 1, until)
+        table = list(table)  # the walk's new payload (see above)
+        last, past_end = payload["last"], payload["past_end"]
+        ended = not answer
+        for address, value in answer:
+            distance = self._clockwise(until, value)
+            if len(table) >= ROUTER_TABLE_SIZE or distance <= last:
+                ended = True  # refused: the walk ends here
+                break
+            table.append((address, value))
+            last = distance
+            past_end = past_end or mark == "past_end"
+        if (
+            ended
+            or len(table) >= ROUTER_TABLE_SIZE
+            or (mark == "wrapped" and last >= self.config.key_space / 2.0)
+        ):
+            self.node.cast(
+                payload["origin"],
+                "route_table_done",
+                {"walk": payload["walk"], "table": table, "past_end": past_end},
+            )
+            return
+        self.node.cast(
+            table[-1][0],
+            "route_table_entry",
+            dict(payload, table=table, last=last, past_end=past_end),
+        )
+
+    def _handle_table_done(self, payload, request):
+        """Cast: a walk's result; one that is not the pending walk's is dropped."""
+        done = self._walk_done
+        if done is not None and payload["walk"] == self._walks and not done.triggered:
+            done.succeed(payload)
 
     def _refresh_table(self):
-        """Rebuild the pointer table by (batched) doubling along the ring.
+        """Rebuild the pointer table by one walk forwarded along the ring.
 
-        Each contacted peer returns two consecutive table entries, so the
-        pointer spread stays geometric (ratios alternate ~2x and ~1.5x) at half
-        the round trips.  A remote whose table is too short answers its
+        The walk starts at our first JOINED successor and travels from peer
+        to peer as ``route_table_entry`` casts (:meth:`_handle_table_entry`):
+        each hop adds two consecutive table entries of its own, so the
+        pointer spread stays geometric (ratios alternate ~2x and ~1.5x), and
+        casts the walk on to the farthest pointer so far.  The last hop casts
+        the table back to us as one ``route_table_done``: a walk of *h* hops
+        costs *h* + 1 messages.  A hop whose table is too short answers its
         farthest pointer instead (``past_end``), and the walk goes on from
         there: one walk reaches the full span even while the tables around it
-        are still short.  A remote whose pointers at the asked level would
-        pass us answers its farthest pointer short of us (``wrapped``); the
-        walk ends there once the table reaches half the key space, and goes on
+        are still short.  A hop whose pointers at the asked level would pass
+        us answers its farthest pointer short of us (``wrapped``); the walk
+        ends there once the table reaches half the key space, and goes on
         otherwise, so a remote table left uneven by the ring's growth cannot
         cut ours short.  A pointer is installed only if it lies strictly
         farther clockwise than the one before it, so the table holds only
         usable pointers.
 
-        The walk feeds the cadence controller.  A failed hop is a failure.  A
+        We wait for the result on one clock timer, ``ROUTER_TABLE_SIZE``
+        failure-detection timeouts: a walk that does not come back by then
+        was lost at a dead hop (or a dropped message), and the old table
+        stays.  A result that comes back later, or from an earlier walk, is
+        dropped (:meth:`_handle_table_done`).
+
+        The walk feeds the cadence controller.  A lost walk is a failure.  A
         walk that grew the table, or that installed a past-the-end pointer, is
         a change: the table is still converging, and its interim pointers are
         replaced by doubling ones at the base period.  Any other walk is
@@ -197,47 +276,40 @@ class HierarchicalRingRouter:
         """
         if not self.ring.is_joined:
             return
-        own_value = self.ring.value
-        size = ROUTER_TABLE_SIZE
-        halfway = self.config.key_space / 2.0
-        table: List[Tuple[str, float]] = []
-        last = 0.0  # the clockwise distance of table[-1]
-
         first = self.ring._stabilization_target()  # the first of _joined_successors
-        fresh = [] if first is None else [(first.address, first.value)]
-        rpc_failed = past_end = False
-        beyond = wrapped = False  # how the answer in ``fresh`` is marked
-        # Install what the last peer answered, then ask the farthest pointer
-        # for the next two levels; the first refused pointer ends the walk, as
-        # does a wrapped one past halfway.
-        while fresh:
-            for address, value in fresh:
-                distance = self._clockwise(own_value, value)
-                if len(table) >= size or (table and distance <= last):
-                    fresh = None  # refused: the walk ends here
-                    break
-                table.append((address, value))
-                last = distance
-                past_end = past_end or beyond
-            if fresh is None or len(table) >= size or (wrapped and last >= halfway):
-                break
-            try:
-                response = yield self.node.call(
-                    table[-1][0],
-                    "route_table_entry",
-                    {"level": len(table) - 1, "span": 2, "until": own_value},
-                )
-            except RpcError:
-                table.pop()  # dead: not a usable pointer
-                rpc_failed = True
-                break
-            fresh = [(entry["address"], entry["value"]) for entry in response["entries"]]
-            beyond, wrapped = "past_end" in response, "wrapped" in response
+        if first is None:
+            self.table = []
+            self._cadence.note_success()
+            return
+        own_value = self.ring.value
+        sim = self.node.sim
+        self._walks += 1
+        done = self._walk_done = sim.event()
+        timer = sim.schedule_timer(_WALK_TIMEOUT, _lose_walk, done)
+        self.node.cast(
+            first.address,
+            "route_table_entry",
+            {
+                "walk": self._walks,
+                "origin": self.node.address,
+                "until": own_value,
+                "table": [(first.address, first.value)],
+                "last": self._clockwise(own_value, first.value),
+                "past_end": False,
+            },
+        )
+        try:
+            result = yield done
+        finally:
+            self._walk_done = None
+            sim.cancel_timer(timer)
+        if result is None:
+            self._cadence.note_failure()  # lost at a dead hop: keep the table
+            return
+        table = result["table"]
         grew = len(table) > len(self.table)
         self.table = table
-        if rpc_failed:
-            self._cadence.note_failure()
-        elif grew or past_end:
+        if grew or result["past_end"]:
             self._cadence.note_change()
         else:
             self._cadence.note_success()

@@ -270,6 +270,26 @@ def test_split_splitter_failure_after_activation_leaves_receiver_owning_the_slic
         assert _serving_copies(index, key) == [receiver.address], key
 
 
+def test_a_delete_racing_a_split_reaches_the_new_peer_before_it_is_acknowledged():
+    """A transferred key is deleted while the receiver is still joining.
+
+    The receiver serves its copies the moment it has joined, before the
+    splitter sheds the slice and would forward queued deletes; so the delete
+    must have reached the receiver by the time it is acknowledged, and no
+    live peer serves the key at any point after that.
+    """
+    index, splitter, receiver, transferred = _split_in_flight(seed=64)
+    key = min(transferred)
+    assert index.delete_item_now(key, via=splitter.address)
+    assert not receiver.in_ring  # acknowledged during the join
+    assert key not in receiver.store.items.keys()
+    while splitter.balancer._pending_split is not None:
+        index.run(0.001)
+        assert _serving_copies(index, key) == []
+    assert receiver.in_ring
+    assert index.history.count("split_finished") >= 1
+
+
 def test_deletions_cause_merges_and_peers_become_free():
     index, keys = build_cluster(seed=44, peers=8)
     before = len(index.ring_members())

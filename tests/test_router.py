@@ -1,5 +1,7 @@
 """Tests for the content router (hierarchical pointer table, table-hop routing)."""
 
+import collections
+import gc
 import math
 import random
 
@@ -10,10 +12,10 @@ from repro.datastore.store import DataStore
 from repro.harness.scenarios import build_experiment, get_scenario, run_spec
 from repro.ring.chord import ChordRing
 from repro.ring.entries import JOINED, JOINING, LEAVING, SuccessorEntry
-from repro.router.hierarchical import HierarchicalRingRouter
+from repro.router.hierarchical import _WALK_TIMEOUT, ROUTER_TABLE_SIZE, HierarchicalRingRouter
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
-from repro.transport import Endpoint, RpcTimeout
+from repro.transport import Endpoint
 from tests.conftest import build_cluster
 
 
@@ -157,13 +159,15 @@ def test_route_to_a_key_nobody_owns_fails_fast_and_is_recorded(settled_ring):
 
 
 # --------------------------------------------------------------------------- table-entry answers
-def _bare_router():
-    """A lone peer's HierarchicalRingRouter: successor list and table set by hand."""
+def _bare_router(address="self", value=100.0, network=None):
+    """A peer's HierarchicalRingRouter alone (or on ``network``): successor
+    list and table set by hand."""
     config = default_config(seed=0)
-    sim = Simulator()
-    node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "self",
-                    rng=random.Random(0))
-    ring = ChordRing(node, 100.0, config)
+    if network is None:
+        sim = Simulator()
+        network = Network(sim, random.Random(0), NetworkConfig())
+    node = Endpoint(network.sim, network, address, rng=random.Random(0))
+    ring = ChordRing(node, value, config)
     return HierarchicalRingRouter(node, ring, DataStore(node, ring, config), config)
 
 
@@ -177,10 +181,6 @@ SUCCESSOR_LISTS = {
 }
 
 
-def _wire(pointers):
-    return [{"address": address, "value": value} for address, value in pointers]
-
-
 @pytest.mark.parametrize("table_size", [0, 1, 2, 6])
 @pytest.mark.parametrize("successors", sorted(SUCCESSOR_LISTS))
 def test_table_entry_answers_equal_the_joined_successor_expression(successors, table_size):
@@ -189,17 +189,13 @@ def test_table_entry_answers_equal_the_joined_successor_expression(successors, t
     router.table = [(f"t{level}", 1000.0 * (level + 1)) for level in range(table_size)]
     # The expression the answer slices, kept as the reference.
     pointers = router._joined_successors()[:1] + router.table[1:]
-    until = 99.0  # an asker just behind us: no pointer passes it
-    assert router._handle_table_entry({"until": until}, None) == {"entries": _wire(pointers[:1])}
+    until = 99.0  # an origin just behind us: no pointer passes it
     for level in range(table_size + 3):
-        for span in range(-1, 5):
-            payload = {"level": level, "span": span, "until": until}
-            answer = router._handle_table_entry(payload, None)
-            expected = {"entries": _wire(pointers[level : level + max(1, span)])}
-            if level >= len(pointers) and pointers:
-                # Past the end: the farthest pointer, for the walk to go on from.
-                expected = {"entries": _wire(pointers[-1:]), "past_end": True}
-            assert answer == expected, (level, span)
+        expected = (pointers[level : level + 2], None)
+        if level >= len(pointers) and pointers:
+            # Past the end: the farthest pointer, for the walk to go on from.
+            expected = (pointers[-1:], "past_end")
+        assert router._table_answer(level, until) == expected, level
 
 
 def test_table_entry_answers_stop_short_of_the_asker():
@@ -209,52 +205,70 @@ def test_table_entry_answers_stop_short_of_the_asker():
     a, t1, t2, t3, t4, t5 = [("a", 200.0)] + router.table[1:]
 
     def ask(level, until):
-        return router._handle_table_entry({"level": level, "span": 2, "until": until}, None)
+        return router._table_answer(level, until)
 
-    # A slice that starts short of the asker is answered as it is; the asker
+    # A slice that starts short of the origin is answered as it is; the walk
     # refuses a second pointer that passes it.
-    assert ask(0, 3500.0) == {"entries": _wire([a, t1])}
-    assert ask(2, 3500.0) == {"entries": _wire([t2, t3])}
-    # Our pointers at the level pass the asker: the farthest short of it.
-    assert ask(3, 3500.0) == {"entries": _wire([t2]), "wrapped": True}
-    assert ask(4, 4500.0) == {"entries": _wire([t3]), "wrapped": True}
-    # Past the end of the table: the farthest pointer, unless it passes the asker.
-    assert ask(7, 9000.0) == {"entries": _wire([t5]), "past_end": True}
-    assert ask(7, 3500.0) == {"entries": _wire([t2]), "wrapped": True}
-    # Nothing between us and the asker: nothing to answer.
-    assert ask(0, 150.0) == {"entries": []}
+    assert ask(0, 3500.0) == ([a, t1], None)
+    assert ask(2, 3500.0) == ([t2, t3], None)
+    # Our pointers at the level pass the origin: the farthest short of it.
+    assert ask(3, 3500.0) == ([t2], "wrapped")
+    assert ask(4, 4500.0) == ([t3], "wrapped")
+    # Past the end of the table: the farthest pointer, unless it passes the origin.
+    assert ask(7, 9000.0) == ([t5], "past_end")
+    assert ask(7, 3500.0) == ([t2], "wrapped")
+    # Nothing between us and the origin: nothing to answer.
+    assert ask(0, 150.0) == ([], None)
 
 
 # --------------------------------------------------------------------------- refresh walk and cadence
+A, B, C, D, E = ("a", 200.0), ("b", 400.0), ("c", 800.0), ("d", 1600.0), ("e", 6000.0)
+
+
+def _stop_refresh_loops(routers):
+    """End the routers' periodic refresh, so only the walks a test runs happen."""
+    for router in routers:
+        for process in list(router.node._processes):
+            if process._label[-1] == "router-refresh":
+                process.interrupt()
+
+
 def _joined_router(table=()):
-    """A bare router at 100.0 whose ring is JOINED, with successor ``a`` at 200.0."""
+    """A bare router at 100.0 whose ring is JOINED, with successor ``a`` at
+    200.0, and a bare router at each of A..E on its network (``router.hops``)
+    for its walks to hop through.  No refresh loop runs."""
     router = _bare_router()
     router.ring._set_state(JOINED)
     router.ring.succ_list = [SuccessorEntry("a", 200.0, JOINED)]
     router.table = list(table)
+    router.hops = {
+        address: _bare_router(address, value, router.node.network)
+        for address, value in (A, B, C, D, E)
+    }
+    _stop_refresh_loops([router, *router.hops.values()])
     return router
 
 
 def _walk(router, *answers):
-    """Run one refresh walk, answering its calls in turn; return the calls it made.
+    """Run one refresh walk from ``router`` to its end; return the hops it made.
 
-    An answer is a reply dict, or an exception the call raises.
+    The walk's hops answer ``answers`` in turn, each a ``(pointers, mark)``
+    pair; a hop is ``(address, level)``.
     """
     calls = []
-    router.node.call = lambda address, method, payload: calls.append((address, payload["level"]))
-    walk = router._refresh_table()
-    next(walk)
-    for answer in answers:
-        try:
-            walk.throw(answer) if isinstance(answer, Exception) else walk.send(answer)
-        except StopIteration:
-            break
-    else:
-        raise AssertionError(f"the walk made more calls than answered: {calls}")
+    script = iter(answers)
+
+    def scripted(address):
+        def answer(level, until):
+            calls.append((address, level))
+            return next(script)
+        return answer
+
+    for address, hop in router.hops.items():
+        hop._table_answer = scripted(address)
+    router.node.sim.run_process(router._refresh_table())
+    assert next(script, None) is None, f"the walk made fewer hops than answers: {calls}"
     return calls
-
-
-A, B, C, D, E = ("a", 200.0), ("b", 400.0), ("c", 800.0), ("d", 1600.0), ("e", 6000.0)
 
 
 def _backed_off(router):
@@ -268,7 +282,7 @@ def _backed_off(router):
 def test_a_walk_that_grew_the_table_refreshes_at_the_base_period():
     router = _joined_router(table=[A, B])
     base = _backed_off(router)
-    assert _walk(router, {"entries": _wire([B, C])}, {"entries": []}) == [("a", 0), ("c", 2)]
+    assert _walk(router, ([B, C], None), ([], None)) == [("a", 0), ("c", 2)]
     assert router.table == [A, B, C]
     assert router._cadence.interval() == base
 
@@ -276,8 +290,7 @@ def test_a_walk_that_grew_the_table_refreshes_at_the_base_period():
 def test_a_walk_with_a_past_the_end_step_goes_on_and_refreshes_at_the_base_period():
     router = _joined_router(table=[A, B, C, D])
     base = _backed_off(router)
-    calls = _walk(router, {"entries": _wire([B])}, {"entries": _wire([C]), "past_end": True},
-                  {"entries": _wire([D])}, {"entries": []})
+    calls = _walk(router, ([B], None), ([C], "past_end"), ([D], None), ([], None))
     assert calls == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
     assert router.table == [A, B, C, D]  # the same length: only the past-the-end step tightens
     assert router._cadence.interval() == base
@@ -287,22 +300,143 @@ def test_two_clean_unchanged_walks_back_the_refresh_off():
     router = _joined_router(table=[A, B, C])
     base = router.config.router_refresh_period
     for interval in (base, 2 * base):  # one clean walk is below the threshold
-        _walk(router, {"entries": _wire([B, C])}, {"entries": []})
+        _walk(router, ([B, C], None), ([], None))
         assert router.table == [A, B, C]
         assert router._cadence.interval() == interval
 
 
 def test_a_failed_hop_refreshes_at_the_base_period():
-    router = _joined_router(table=[A, B, C])
+    # The walk is lost at the dead hop: the origin waits out its timer, keeps
+    # the table it had and counts a failure.
+    router = _joined_router(table=[A, B])
     base = _backed_off(router)
-    assert _walk(router, {"entries": _wire([B, C])}, RpcTimeout("c")) == [("a", 0), ("c", 2)]
-    assert router.table == [A, B]  # the dead pointer is not installed
+    router.hops["c"].node.fail()
+    started = router.node.sim.now
+    assert _walk(router, ([B, C], None)) == [("a", 0)]
+    assert router.node.sim.now - started == pytest.approx(_WALK_TIMEOUT)
+    assert router.table == [A, B]  # not the lost walk's [A, B, C]
     assert router._cadence.interval() == base
+    assert router._walk_done is None
 
 
-# scale_100's stress-phase route_table_entry RPCs per ring member per simulated
-# second: 0.21 at seed 0, plus 20% headroom (CI's scale-smoke gates the same).
-ROUTER_WALK_RATE = 0.255
+def test_a_wrapped_answer_ends_the_walk_once_it_reaches_halfway():
+    # Short of halfway round the key space (5,000 of 10,000) the walk goes on
+    # from the wrapped pointer; past it, the wrapped pointer is the table's last.
+    router = _joined_router()
+    calls = _walk(router, ([B, C], None), ([D], "wrapped"), ([E], "wrapped"))
+    assert calls == [("a", 0), ("c", 2), ("d", 3)]
+    assert router.table == [A, B, C, D, E]
+
+
+def test_a_walk_of_h_hops_costs_h_plus_one_messages():
+    # One cast per hop and one back to the origin.
+    for table, answers, hops in (
+        ([A, B], [([B, C], None), ([], None)], 2),
+        ([A, B, C, D], [([B], None), ([C], "past_end"), ([D], None), ([], None)], 4),
+    ):
+        router = _joined_router(table=table)
+        stats = router.node.network.stats
+        sent, methods = stats.messages_sent, dict(stats.per_method)
+        assert len(_walk(router, *answers)) == hops
+        assert stats.messages_sent - sent == hops + 1
+        assert stats.per_method["route_table_entry"] - methods.get("route_table_entry", 0) == hops
+        assert stats.per_method["route_table_done"] - methods.get("route_table_done", 0) == 1
+
+
+def test_a_late_or_stale_walk_result_is_dropped():
+    router = _joined_router(table=[A, B])
+    router.hops["c"].node.fail()
+    _walk(router, ([B, C], None))  # lost at c
+    lost = router._walks
+    late = {"walk": lost, "table": [A, B, C, D], "past_end": False}
+    router.hops["a"].node.cast("self", "route_table_done", late)
+    router.node.sim.run(until=router.node.sim.now + 1.0)
+    assert router.table == [A, B]  # after its walk gave up: ignored
+    # While the next walk is pending, the lost walk's result is not its own.
+    walk = router.node.sim.process(router._refresh_table())
+    router.hops["a"].node.cast("self", "route_table_done", late)
+    for hop in router.hops.values():
+        hop._table_answer = lambda level, until: ([], None)
+    router.node.sim.run_until(walk, timeout=_WALK_TIMEOUT / 2)
+    assert walk.triggered and router._walks == lost + 1
+    assert router.table == [A]  # the pending walk's own result
+
+
+def test_a_peer_failing_mid_walk_leaves_no_cycle():
+    router = _joined_router(table=[A, B])
+    router.hops["c"].node.fail()
+    for hop in router.hops.values():
+        hop._table_answer = lambda level, until: ([B, C], None)
+    sim = router.node.sim
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        walk = sim.process(router._refresh_table())
+        sim.run(until=sim.now + 1.0)
+        assert router._walk_done is not None and not walk.triggered
+        router.node.fail()  # the origin, with its walk pending
+        del walk
+        sim.run(until=sim.now + 2 * _WALK_TIMEOUT)
+        assert router._walk_done is None and router.table == [A, B]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        unreachable = gc.collect()
+        kinds = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        assert unreachable == 0, f"{unreachable} objects in cycles: {kinds.most_common(5)}"
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _iterative_walk(index, router):
+    """The table the iterative walk (a round trip per hop, the origin
+    installing every answer) builds over the tables as they stand."""
+    own = router.ring.value
+    halfway = router.config.key_space / 2.0
+    first = router.ring._stabilization_target()
+    fresh, mark = ([] if first is None else [(first.address, first.value)]), None
+    table, last = [], 0.0
+    while fresh:
+        for address, value in fresh:
+            distance = router._clockwise(own, value)
+            if len(table) >= ROUTER_TABLE_SIZE or (table and distance <= last):
+                return table
+            table.append((address, value))
+            last = distance
+        if len(table) >= ROUTER_TABLE_SIZE or (mark == "wrapped" and last >= halfway):
+            return table
+        remote = index.peers[table[-1][0]].router
+        fresh, mark = remote._table_answer(len(table) - 1, own)
+    return table
+
+
+def test_the_forwarded_walk_installs_the_iterative_walks_table():
+    """On a settled scale_100 ring with every table frozen, each member's
+    forwarded walk installs the table the iterative walk computes."""
+    spec = get_scenario("scale_100")
+    experiment = build_experiment(spec, 0)
+    experiment.run_phases(spec.phases[:2], total_peers=spec.peers)
+    index = experiment.index
+    members = index.ring_members()
+    _stop_refresh_loops([peer.router for peer in index.peers.values()])
+    index.run(1.0)
+    frozen = {peer.address: list(peer.router.table) for peer in members}
+    lengths = set()
+    for peer in members:
+        expected = _iterative_walk(index, peer.router)
+        index.run_process(peer.router._refresh_table())
+        assert peer.router.table == expected, peer.address
+        lengths.add(len(expected))
+        peer.router.table = frozen[peer.address]
+    assert len(index.ring_members()) == len(members)
+    assert max(lengths) > 4  # the walks went several hops
+
+
+# scale_100's stress-phase route_table_entry hops per ring member per simulated
+# second: 0.207 at seed 0, plus 20% headroom (CI's scale-smoke gates the same).
+ROUTER_WALK_RATE = 0.249
 
 
 def test_converged_tables_back_the_stress_phase_walks_off():
@@ -336,13 +470,3 @@ def test_a_quiet_ring_pings_only_what_stabilize_traffic_left_unvouched():
     assert len(index.ring_members()) == members
     rate = pings / members / periods
     assert rate <= QUIET_PING_RATE, f"{rate:.2f} ring pings per member-period"
-
-
-def test_a_wrapped_answer_ends_the_walk_once_it_reaches_halfway():
-    # Short of halfway round the key space (10,000) the walk goes on from the
-    # wrapped pointer; past it, the wrapped pointer is the table's last.
-    router = _joined_router()
-    calls = _walk(router, {"entries": _wire([B, C])}, {"entries": _wire([D]), "wrapped": True},
-                  {"entries": _wire([E]), "wrapped": True})
-    assert calls == [("a", 0), ("c", 2), ("d", 3)]
-    assert router.table == [A, B, C, D, E]
