@@ -38,6 +38,7 @@ ablations stress.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.datastore.items import columns_to_wire, items_to_wire
@@ -47,6 +48,12 @@ from repro.index.config import STABILIZATION_JITTER, IndexConfig
 from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import ChordRing
 from repro.transport import Endpoint, RpcError
+
+
+def _open_gate(gate, _event=None) -> None:
+    """Timer or callback: stop waiting on ``gate`` (the first to fire wins)."""
+    if not gate.triggered:
+        gate.succeed()
 
 
 class FreePeerPool(Endpoint):
@@ -425,7 +432,7 @@ class StorageBalancer:
                 )
             except RpcError:
                 pass
-        for skv in pending["deleted_during"]:
+        for skv in list(pending["deleted_during"]):  # a forward may still drop one
             try:
                 yield self.node.call(new_peer, "ds_remove_item", {"skv": skv})
             except RpcError:
@@ -439,7 +446,8 @@ class StorageBalancer:
         A delete of a key an in-flight split handed over must not be
         acknowledged while the new peer still holds a copy: the new peer
         serves that copy the moment it has joined, before the split finishes.
-        So the delete is forwarded to it, and acknowledged when it answers.
+        So the delete is forwarded to it, and acknowledged when it answers
+        (:meth:`_forward_delete`).
         """
         reply = self.store._handle_remove_item(payload, request)
         pending = self._pending_split
@@ -451,17 +459,40 @@ class StorageBalancer:
         """Generator: delete ``skv`` at the split's new peer, then answer ``reply``.
 
         The delete follows the activation's answer, so it cannot overtake
-        the copies it deletes.  A new peer that did not remove it (it is
-        unreachable) gets the delete again once it has joined
-        (:meth:`_finish_split`).
+        the copies it deletes.  The whole wait is bounded by half an RPC
+        timeout: the caller gave up ``rpc_timeout`` after sending, one
+        message before we got the delete, and a retry would find the key
+        gone here and never see it acknowledged.  A new peer that has not
+        answered by then (it is dead, or a message was lost) is past
+        serving, or gets the delete again once it has joined: the key is
+        queued for :meth:`_finish_split` before the forward, and dropped
+        from the queue only when the new peer confirms.
         """
+        deleted_during = pending["deleted_during"]
+        deleted_during.add(skv)
+        sim = self.node.sim
+        budget = self.node.network.config.rpc_timeout / 2
+        deadline = sim.now + budget
+        activation = pending["activation"]
+        if not activation.triggered:
+            gate = sim.event()
+            timer = sim.schedule_timer(budget, _open_gate, gate)
+            activation._add_callback(partial(_open_gate, gate))
+            try:
+                yield gate
+            finally:
+                sim.cancel_timer(timer)
+        accepted = activation.triggered and activation.ok and activation.value.get("accepted")
+        if not accepted or sim.now >= deadline:
+            return reply
         try:
-            yield pending["activation"]
-            response = yield self.node.call(pending["new_peer"], "ds_remove_item", {"skv": skv})
+            response = yield self.node.call(
+                pending["new_peer"], "ds_remove_item", {"skv": skv}, timeout=deadline - sim.now
+            )
         except RpcError:
-            response = {}
-        if not response.get("removed"):
-            pending["deleted_during"].add(skv)
+            return reply
+        if response.get("removed"):
+            deleted_during.discard(skv)
         return reply
 
     def _note_deferral(self, reason: str) -> None:

@@ -196,13 +196,8 @@ def _run_until(index, condition, limit=30.0, step=0.001):
         index.run(step)
 
 
-def _split_in_flight(seed):
-    """A settled ring with one split stopped right after ``ds_activate``.
-
-    Returns ``(index, splitter, receiver, transferred keys)``: the receiver
-    holds the lower slice and is joining the ring; the splitter still holds
-    every key and has not heard ``ds_split_complete``.
-    """
+def _overflowing_splitter(seed):
+    """A settled ring with one free peer and a member just asked to split."""
     index, _keys = build_cluster(seed=seed, peers=8)
     index.add_peer()
     index.run(5.0)
@@ -218,6 +213,17 @@ def _split_in_flight(seed):
         assert splitter.store.owns_key(key)
         assert splitter.store.items.add(Item(key, payload="filler"))
     splitter.balancer.schedule_split()
+    return index, splitter
+
+
+def _split_in_flight(seed):
+    """A settled ring with one split stopped right after ``ds_activate``.
+
+    Returns ``(index, splitter, receiver, transferred keys)``: the receiver
+    holds the lower slice and is joining the ring; the splitter still holds
+    every key and has not heard ``ds_split_complete``.
+    """
+    index, splitter = _overflowing_splitter(seed)
 
     def activated():
         pending = splitter.balancer._pending_split
@@ -288,6 +294,74 @@ def test_a_delete_racing_a_split_reaches_the_new_peer_before_it_is_acknowledged(
         assert _serving_copies(index, key) == []
     assert receiver.in_ring
     assert index.history.count("split_finished") >= 1
+
+
+def test_a_delete_racing_a_split_is_queued_for_the_new_peer_before_it_is_forwarded():
+    """The key waits in the split's queue from before the forward until its answer.
+
+    The split may finish, and read the queue, while the forward is in flight;
+    a forward that then fails must not leave the receiver a deleted copy.
+    """
+    index, splitter, receiver, transferred = _split_in_flight(seed=64)
+    key = min(transferred)
+    stats = index.network.stats
+    sent = stats.per_method.get("ds_remove_item", 0)
+    deleted_during = splitter.balancer._pending_split["deleted_during"]
+    deleting = index.sim.process(index.delete_item(key, via=splitter.address))
+    _run_until(index, lambda: stats.per_method.get("ds_remove_item", 0) - sent == 2, step=0.0001)
+    assert key in receiver.store.items.keys()  # the forward is in flight
+    assert key in deleted_during
+    index.sim.run_until(deleting)
+    assert deleting.value
+    assert key not in receiver.store.items.keys()
+    assert key not in deleted_during  # the receiver confirmed
+
+
+def test_a_delete_racing_a_split_is_acknowledged_while_the_new_peer_is_dead():
+    """The receiver dies after ``ds_activate``; a transferred key is deleted.
+
+    The forward to the dead receiver cannot answer, so the splitter must
+    acknowledge within the caller's own RPC timeout -- a retry would find the
+    key already gone and never be acknowledged -- and keep the delete queued
+    for the receiver in case it still joins.
+    """
+    index, splitter, receiver, transferred = _split_in_flight(seed=64)
+    key = min(transferred)
+    index.fail_peer(receiver.address)
+    stats = index.network.stats
+    sent = stats.per_method.get("ds_remove_item", 0)
+    started = index.sim.now
+    assert index.delete_item_now(key, via=splitter.address)
+    assert index.sim.now - started < index.network.config.rpc_timeout
+    # One delete from the client, one forward to the receiver: no retry.
+    assert stats.per_method["ds_remove_item"] - sent == 2
+    assert key not in splitter.store.items.keys()
+    assert key in splitter.balancer._pending_split["deleted_during"]
+
+
+def test_a_delete_racing_an_unanswered_activation_is_acknowledged_in_time():
+    """The free peer is dead, so ``ds_activate`` is still unanswered at the delete.
+
+    The splitter waits for the activation's answer before it forwards, but
+    not past the caller's RPC timeout: the delete is acknowledged while the
+    activation is still pending, and the split is then abandoned with the
+    splitter keeping its range.
+    """
+    index, splitter = _overflowing_splitter(seed=64)
+    for address in list(index.pool._free):
+        index.fail_peer(address)
+    _run_until(index, lambda: splitter.balancer._pending_split is not None, step=0.0001)
+    pending = splitter.balancer._pending_split
+    assert not pending["activation"].triggered
+    key = min(pending["transferred"])
+    started = index.sim.now
+    assert index.delete_item_now(key, via=splitter.address)
+    assert index.sim.now - started < index.network.config.rpc_timeout
+    assert not pending["activation"].triggered  # acknowledged before it timed out
+    assert key not in splitter.store.items.keys()
+    index.run(1.0)
+    assert splitter.balancer._pending_split is None
+    assert key not in splitter.store.items.keys()
 
 
 def test_deletions_cause_merges_and_peers_become_free():
