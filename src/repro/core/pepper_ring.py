@@ -41,7 +41,9 @@ from repro.ring.entries import (
     JOINING,
     LEAVING,
     SuccessorEntry,
-    entries_to_wire,
+    insert_sorted,
+    trim_riding,
+    without,
 )
 from repro.transport import RpcError
 
@@ -76,7 +78,7 @@ class PepperRing(ChordRing):
             self.succ_lock.release_write()
             return
         self._set_state(INSERTING)
-        entry = SuccessorEntry(new_address, new_value, JOINING, stabilized=False)
+        entry = SuccessorEntry(new_address, new_value, JOINING)
         self.succ_list.insert(0, entry)
         ack_event = self.sim.event()
         self._pending_insert = {
@@ -164,27 +166,15 @@ class PepperRing(ChordRing):
             # insert a few positions further along): the new peer is one of
             # their relevant predecessors and must know about them, otherwise
             # Theorem 1 would be violated the moment both transitions complete.
-            successor_view = [
-                e.copy()
-                for e in self.succ_list
-                if e.address != new_address
-            ][: self.config.successor_list_length]
+            successor_view = [e.copy() for e in without(self.succ_list, (new_address,))]
         finally:
             self.succ_lock.release_write()
         try:
-            yield self.node.call(
-                new_address,
-                "ring_join",
-                {
-                    "succ_list": entries_to_wire(successor_view),
-                    "pred_address": self.address,
-                    "pred_value": self.value,
-                },
-            )
+            yield self._hand_over(new_address, successor_view)
         except RpcError:
             # The new peer died before completing its insertion: roll back.
             yield self.succ_lock.acquire_write()
-            self.succ_list = [e for e in self.succ_list if e.address != new_address]
+            self.succ_list = without(self.succ_list, (new_address,))
             self._set_state(JOINED)
             self._pending_insert = None
             self.succ_lock.release_write()
@@ -196,7 +186,6 @@ class PepperRing(ChordRing):
             for e in self.succ_list:
                 if e.address == new_address:
                     e.state = JOINED
-                    e.stabilized = True
             self._set_state(JOINED)
             self._pending_insert = None
             self._trim()
@@ -252,24 +241,17 @@ class PepperRing(ChordRing):
             if not event.triggered:
                 event.succeed("pushed")
 
-    def _record_rider(self, address, value, state) -> None:
-        """Insert or upgrade a pointer learned through a proactive notice."""
-        for entry in self.succ_list:
-            if entry.address == address:
-                if self._STATE_RANK.get(state, 1) > self._STATE_RANK.get(entry.state, 1):
-                    entry.state = state
-                break
-        else:
-            self.succ_list.append(SuccessorEntry(address, value, state, stabilized=False))
-        self._rider_seen.setdefault(address, self.sim.now)
-        self.succ_list.sort(key=lambda e: self._clockwise_distance(e.value))
+    def _insert_sorted(self, entry: SuccessorEntry) -> None:
+        """Add (or upgrade) a pointer learned through a proactive notice (:func:`insert_sorted`)."""
+        self.succ_list = insert_sorted(self.succ_list, entry, self.value, self.config.key_space)
         self._trim()
 
     def _handle_joining_notice(self, payload, request):
         """RPC: a successor proactively tells us about a peer being inserted."""
         if not self.is_joined:
             return {"ok": False}
-        self._record_rider(payload["address"], payload["value"], JOINING)
+        self._insert_sorted(SuccessorEntry(payload["address"], payload["value"], JOINING))
+        self._rider_seen.setdefault(payload["address"], self.sim.now)
         return {"ok": True, "pred": self.pred_address}
 
     def _handle_leaving_notice(self, payload, request):
@@ -281,16 +263,13 @@ class PepperRing(ChordRing):
         """
         if not self.is_joined:
             return {"ok": False}
-        self._record_rider(payload["address"], payload["value"], LEAVING)
+        self._insert_sorted(SuccessorEntry(payload["address"], payload["value"], LEAVING))
+        self._rider_seen.setdefault(payload["address"], self.sim.now)
         successor = payload.get("successor")
         if successor is not None and successor["address"] != self.address and all(
             entry.address != successor["address"] for entry in self.succ_list
         ):
-            self.succ_list.append(
-                SuccessorEntry(successor["address"], successor["value"], JOINED, stabilized=False)
-            )
-            self.succ_list.sort(key=lambda e: self._clockwise_distance(e.value))
-            self._trim()
+            self._insert_sorted(SuccessorEntry(successor["address"], successor["value"], JOINED))
         return {"ok": True, "pred": self.pred_address}
 
     def _handle_join_ack(self, payload, request):
@@ -377,56 +356,25 @@ class PepperRing(ChordRing):
 
     # ------------------------------------------------------------------ list maintenance
     def _trim(self) -> None:
-        """Bound the successor list, mirroring the paper's list-length discipline.
+        """Bound the list (:func:`trim_riding`); LEAVING entries and our insert ride free."""
+        pending = self._pending_insert["address"] if self._pending_insert is not None else None
+        self.succ_list = trim_riding(self.succ_list, self.config.successor_list_length, pending)
 
-        * JOINED entries and JOINING pointers learned from elsewhere count
-          towards the configured length -- exactly as in Algorithm 2, where the
-          propagating JOINING pointer occupies a regular slot.  This matters
-          for Theorem 1: a peer must never hold a pointer *beyond* a JOINING
-          peer it is not required to know about.
-        * The inserter's own pending JOINING pointer is the one extra entry the
-          paper's ``push_front`` creates (length d+1 at the inserter).
-        * LEAVING pointers ride along without counting: that is the
-          "lengthen the successor list by one" behaviour of Section 5.1.
-        """
-        limit = self.config.successor_list_length
-        pending_address = (
-            self._pending_insert["address"] if self._pending_insert is not None else None
-        )
-        result = []
-        counted = 0
-        seen = set()
-        for e in self.succ_list:
-            if e.address in seen:
-                continue
-            seen.add(e.address)
-            if e.state == LEAVING or (e.state == JOINING and e.address == pending_address):
-                result.append(e)
-                continue
-            if counted >= limit:
-                continue
-            counted += 1
-            result.append(e)
-        del result[2 * limit + 2 :]
-        self.succ_list = result
-
-    def _post_adopt(self) -> None:
+    def _post_adopt(self, reported) -> None:
         """JOINING/LEAVING bookkeeping after adopting a successor list (Algorithm 2)."""
         limit = self.config.successor_list_length
         entries = self.succ_list
         joined_count = sum(1 for e in entries if e.state == JOINED)
         now = self.sim.now
+        pending = self._pending_insert["address"] if self._pending_insert is not None else None
 
         # Self-ack for small rings: the pending JOINING pointer has travelled
         # all the way around the ring and comes back to us in the list reported
         # by our own successor -- every existing member has seen it.
-        if self._pending_insert is not None:
-            pending_address = self._pending_insert["address"]
-            reported = getattr(self, "_last_received_addresses", set())
-            if pending_address in reported:
-                event = self._pending_insert["event"]
-                if not event.triggered:
-                    event.succeed("wrapped")
+        if pending is not None and pending in reported:
+            event = self._pending_insert["event"]
+            if not event.triggered:
+                event.succeed("wrapped")
 
         keep = []
         for index, e in enumerate(entries):
@@ -438,69 +386,52 @@ class PepperRing(ChordRing):
                 self._rider_seen.pop(e.address, None)
                 keep.append(e)
                 continue
-            if e.state == JOINING:
-                if self._pending_insert is not None and (
-                    e.address == self._pending_insert["address"] and index == 0
-                ):
-                    keep.append(e)
-                    continue
-                newly_seen = e.address not in self._rider_seen
-                first_seen = self._rider_seen.setdefault(e.address, now)
+            joining = e.state == JOINING
+            ours = joining and index == 0 and e.address == pending
+            if ours or not (joining or e.state == LEAVING):
+                keep.append(e)
+                continue
+            newly_seen = e.address not in self._rider_seen
+            first_seen = self._rider_seen.setdefault(e.address, now)
+            # A peer far enough from the insertion point does not need a
+            # JOINING pointer (Algorithm 2 lines 10-11); a LEAVING one rides
+            # along uncounted, so only a peer further than L holds no pointer
+            # at the leaver.
+            if index >= (limit if joining else limit + 1):
+                self._rider_seen.pop(e.address, None)
+                continue
+            if joining:
                 # The ack must come from the farthest predecessor that needs
                 # the pointer (distance L-1).  Rings smaller than that are
                 # covered by the inserter's wrap-around self-ack above, so the
                 # threshold is *not* relaxed by the local list length -- doing
                 # so would let a peer with a transiently short list ack before
-                # all relevant predecessors know (breaking Theorem 1).
-                threshold = limit - 1
-                if index >= limit:
-                    # Far enough from the insertion point: this peer does not
-                    # need the pointer (Algorithm 2 lines 10-11).
-                    self._rider_seen.pop(e.address, None)
-                    continue
-                if index >= threshold and index > 0:
-                    # Every predecessor that needs the pointer now has it:
-                    # ack the inserter (the entry immediately before the
-                    # JOINING pointer, Algorithm 2 lines 12-13).
-                    inserter = keep[-1] if keep else None
-                    if inserter is not None:
-                        self.node.call(
-                            inserter.address,
-                            "ring_join_ack",
-                            {"joining": e.address, "sender": self.address},
-                        )
-                elif self.config.proactive_nudge and newly_seen:
-                    # Keep the cascade moving: ask our own predecessor to
-                    # stabilize so the pointer continues to propagate.  Only on
-                    # first sight -- nudging on every adoption would let stale
-                    # riders generate an endless nudge cycle around the ring.
-                    self._nudge_predecessor()
-                if now - first_seen > 3 * self.config.stabilization_period:
-                    self._rider_seen.pop(e.address, None)
-                    continue
-                keep.append(e)
-            elif e.state == LEAVING:
-                newly_seen = e.address not in self._rider_seen
-                first_seen = self._rider_seen.setdefault(e.address, now)
-                threshold = min(limit - 1, joined_count)
-                if index > limit:
-                    # Further away than any peer that points at the leaver.
-                    self._rider_seen.pop(e.address, None)
-                    continue
-                if index >= threshold:
-                    # Every predecessor that points at the leaver has now
-                    # lengthened its list: tell the leaver it is safe to go
-                    # (Section 5.1).
+                # all relevant predecessors know (breaking Theorem 1).  The
+                # ack goes to the inserter, the entry immediately before the
+                # JOINING pointer (Algorithm 2 lines 12-13).
+                acked = index >= limit - 1 and index > 0
+                if acked and keep:
                     self.node.call(
-                        e.address, "ring_leave_ack", {"sender": self.address}
+                        keep[-1].address,
+                        "ring_join_ack",
+                        {"joining": e.address, "sender": self.address},
                     )
-                elif self.config.proactive_nudge and newly_seen:
-                    self._nudge_predecessor()
-                if now - first_seen > 3 * self.config.stabilization_period:
-                    # The leaver is long gone; drop the stale rider.
-                    self._rider_seen.pop(e.address, None)
-                    continue
-                keep.append(e)
             else:
-                keep.append(e)
+                # Every predecessor that points at the leaver has now
+                # lengthened its list: tell the leaver it is safe to go
+                # (Section 5.1).
+                acked = index >= min(limit - 1, joined_count)
+                if acked:
+                    self.node.call(e.address, "ring_leave_ack", {"sender": self.address})
+            if not acked and self.config.proactive_nudge and newly_seen:
+                # Keep the cascade moving: ask our own predecessor to
+                # stabilize so the pointer continues to propagate.  Only on
+                # first sight -- nudging on every adoption would let stale
+                # riders generate an endless nudge cycle around the ring.
+                self._nudge_predecessor()
+            if now - first_seen > 3 * self.config.stabilization_period:
+                # The peer is long joined or gone; drop the stale rider.
+                self._rider_seen.pop(e.address, None)
+                continue
+            keep.append(e)
         self.succ_list = keep

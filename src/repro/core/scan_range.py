@@ -34,6 +34,36 @@ from repro.ring.entries import JOINED
 from repro.transport import RpcError
 
 
+def query_result(metrics, query_id: str, lb: float, ub: float, items: Dict[float, Item],
+                 started: float, scan_started: float, finished: float, hops: int,
+                 complete: bool, strategy: str, routing: str = "primary") -> dict:
+    """The result dict of one range query; records its ``range_query`` and ``scan_elapsed``.
+
+    Every query path builds its result here: scanRange and the naive scan
+    (:class:`RangeQueryEngine`, the ``primary`` routing) and the serve
+    layer's replica walk (:class:`repro.serve.QueryClient`).
+    """
+    scan_elapsed = finished - scan_started
+    if metrics is not None:
+        metrics.record("range_query", finished - started)
+        metrics.record("scan_elapsed", scan_elapsed)
+    ordered = sorted(items.values(), key=lambda item: item.skv)
+    return {
+        "query_id": query_id,
+        "lb": lb,
+        "ub": ub,
+        "items": ordered,
+        "keys": [item.skv for item in ordered],
+        "start_time": started,
+        "end_time": finished,
+        "scan_elapsed": scan_elapsed,
+        "hops": hops,
+        "complete": complete,
+        "strategy": strategy,
+        "routing": routing,
+    }
+
+
 class RangeQueryEngine:
     """Per-peer component executing range queries (initiator and scan sides)."""
 
@@ -71,10 +101,6 @@ class RangeQueryEngine:
     def _record_op(self, kind: str, **attrs) -> None:
         if self.history is not None:
             self.history.record(kind, peer=self.address, **attrs)
-
-    def _record_metric(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.record(name, value)
 
     def _new_query_id(self) -> str:
         self._next_query += 1
@@ -154,23 +180,8 @@ class RangeQueryEngine:
         self._record_op(
             "query_end", query_id=query_id, complete=complete, hops=state["hops"]
         )
-        scan_elapsed = finished - scan_started
-        self._record_metric("range_query", finished - started)
-        self._record_metric("scan_elapsed", scan_elapsed)
-        items = sorted(state["items"].values(), key=lambda item: item.skv)
-        return {
-            "query_id": query_id,
-            "lb": lb,
-            "ub": ub,
-            "items": items,
-            "keys": [item.skv for item in items],
-            "start_time": started,
-            "end_time": finished,
-            "scan_elapsed": scan_elapsed,
-            "hops": state["hops"],
-            "complete": complete,
-            "strategy": "scan",
-        }
+        return query_result(self.metrics, query_id, lb, ub, state["items"], started,
+                            scan_started, finished, state["hops"], complete, "scan")
 
     def _handle_scan_begin(self, payload, request):
         """RPC (Algorithm 3): start the scan at the first peer of the range."""
@@ -315,11 +326,11 @@ class RangeQueryEngine:
                 pruned += 1
                 previous = entry.value
                 continue
-            if pruned:
-                self._record_metric("scan_window_pruned", pruned)
+            if pruned and self.metrics is not None:
+                self.metrics.record("scan_window_pruned", pruned)
             return entry.address
-        if pruned:
-            self._record_metric("scan_window_pruned", pruned)
+        if pruned and self.metrics is not None:
+            self.metrics.record("scan_window_pruned", pruned)
         return self.ring.first_live_successor()
 
     def _handle_query_deliver(self, payload, request):
@@ -394,20 +405,5 @@ class RangeQueryEngine:
 
         finished = self.node.sim.now
         self._record_op("query_end", query_id=query_id, complete=True, hops=hops)
-        scan_elapsed = finished - scan_started
-        self._record_metric("range_query", finished - started)
-        self._record_metric("scan_elapsed", scan_elapsed)
-        items = sorted(collected.values(), key=lambda item: item.skv)
-        return {
-            "query_id": query_id,
-            "lb": lb,
-            "ub": ub,
-            "items": items,
-            "keys": [item.skv for item in items],
-            "start_time": started,
-            "end_time": finished,
-            "scan_elapsed": scan_elapsed,
-            "hops": hops,
-            "complete": True,
-            "strategy": "naive",
-        }
+        return query_result(self.metrics, query_id, lb, ub, collected, started,
+                            scan_started, finished, hops, True, "naive")

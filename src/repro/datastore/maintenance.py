@@ -45,7 +45,6 @@ from repro.datastore.items import columns_to_wire, items_to_wire
 from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
 from repro.index.config import STABILIZATION_JITTER, IndexConfig
-from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import ChordRing
 from repro.transport import Endpoint, RpcError
 
@@ -120,14 +119,10 @@ class StorageBalancer:
         # retried on every balancer round, hot-spinning the periodic check at
         # saturation.  Consecutive deferrals now back the retry off
         # multiplicatively; an overflow event (a new insert) still triggers an
-        # immediate attempt, and a started split resets the backoff.
+        # immediate attempt, and a started split resets the backoff.  The
+        # delay doubles per deferral, up to 8 base periods.
         self._defer_until = 0.0
-        self._defer_cadence = AdaptiveCadence(
-            base=max(config.stabilization_period, 2.0),
-            growth=2.0,
-            max_factor=8.0,
-            success_threshold=1,
-        )
+        self._defer_delay = self._defer_base
 
         store.on_overflow = self.schedule_split
         store.on_underflow = self.schedule_merge
@@ -258,7 +253,7 @@ class StorageBalancer:
                 return
             # A split is actually starting: the conditions that caused earlier
             # deferrals no longer hold, so retry promptly from now on.
-            self._defer_cadence.note_change()
+            self._defer_delay = self._defer_base
             self._defer_until = 0.0
 
             completion = self.node.sim.event()
@@ -495,11 +490,16 @@ class StorageBalancer:
             deleted_during.discard(skv)
         return reply
 
+    @property
+    def _defer_base(self) -> float:
+        """The first deferral's delay, and the one after a split starts."""
+        return max(self.config.stabilization_period, 2.0)
+
     def _note_deferral(self, reason: str) -> None:
         """Record a deferred split and push the next periodic retry out."""
         self._record_op("split_deferred", reason=reason)
-        self._defer_until = self.node.sim.now + self._defer_cadence.interval()
-        self._defer_cadence.note_success()
+        self._defer_until = self.node.sim.now + self._defer_delay
+        self._defer_delay = min(self._defer_delay * 2.0, self._defer_base * 8.0)
 
     # ------------------------------------------------------------------ stranded-item shed
     def _stranded_items(self) -> list:

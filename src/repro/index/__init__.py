@@ -5,8 +5,8 @@ replication) can import :mod:`repro.index.config` without dragging in the
 peer/cluster modules that depend on them.
 
 Layer contract: :mod:`repro.index.config` is the *shared tunables* module --
-it imports only :mod:`repro.sim` and :mod:`repro.maintenance` and may be
-imported by every protocol layer.  The rest of the package composes the full
+it imports only :mod:`repro.sim` and may be imported by every protocol
+layer.  The rest of the package composes the full
 stack: :class:`IndexPeer` wires ring + datastore + replication + router +
 queries into one node, :class:`~repro.index.membership.MembershipIndex`
 maintains the incremental live/free/ring-member sets (fed exclusively by the

@@ -2,8 +2,9 @@
 
 Layer contract: sits directly on :mod:`repro.sim`, and may additionally
 import :mod:`repro.index.config` (the shared tunables; config deliberately
-imports nothing from this package).  Its loops run on fixed periods, so it
-imports nothing from :mod:`repro.maintenance`.  Higher layers (datastore, replication, router,
+imports nothing from this package).  Its loops run on fixed periods, and
+its successor-list rules are the pure functions of
+:mod:`repro.ring.entries`.  Higher layers (datastore, replication, router,
 index) attach to a ring through :class:`RingListener` callbacks and the
 public query/bootstrap methods of :class:`ChordRing` -- they must never
 mutate ``ring.state`` / ``ring.value`` directly (the membership index is

@@ -31,6 +31,9 @@ from repro.ring.entries import (
     SuccessorEntry,
     entries_from_wire,
     entries_to_wire,
+    merge,
+    trim,
+    without,
 )
 from repro.sim.engine import Interrupt
 from repro.sim.locks import RWLock
@@ -238,7 +241,7 @@ class ChordRing:
     def create(self) -> None:
         """Initialise this peer as the first (and only) member of the ring."""
         self._set_state(JOINED)
-        self.succ_list = [SuccessorEntry(self.address, self.value, JOINED, True)]
+        self.succ_list = [SuccessorEntry(self.address, self.value, JOINED)]
         self.pred_address = self.address
         self.pred_value = self.value
         self._record_op("ring_create", value=self.value)
@@ -373,27 +376,17 @@ class ChordRing:
         yield self.succ_lock.acquire_write()
         try:
             successor_view = [entry.copy() for entry in self.succ_list]
-            entry = SuccessorEntry(new_address, new_value, JOINED, stabilized=True)
+            entry = SuccessorEntry(new_address, new_value, JOINED)
             self.succ_list.insert(0, entry)
             self._trim()
         finally:
             self.succ_lock.release_write()
         try:
-            yield self.node.call(
-                new_address,
-                "ring_join",
-                {
-                    "succ_list": entries_to_wire(
-                        successor_view[: self.config.successor_list_length]
-                    ),
-                    "pred_address": self.address,
-                    "pred_value": self.value,
-                },
-            )
+            yield self._hand_over(new_address, successor_view)
         except RpcError:
             # The new peer failed before joining; drop it from our list.
             yield self.succ_lock.acquire_write()
-            self.succ_list = [e for e in self.succ_list if e.address != new_address]
+            self.succ_list = without(self.succ_list, (new_address,))
             self.succ_lock.release_write()
             return
         duration = self.sim.now - started
@@ -401,16 +394,25 @@ class ChordRing:
         self._record_op("insert_succ", new_peer=new_address, duration=duration)
         self._fire_successor_changed(new_address)
 
+    def _hand_over(self, new_address: str, successors: List[SuccessorEntry]):
+        """RPC ``ring_join``: hand the new peer its first L successors and us as predecessor."""
+        return self.node.call(
+            new_address,
+            "ring_join",
+            {
+                "succ_list": entries_to_wire(successors[: self.config.successor_list_length]),
+                "pred_address": self.address,
+                "pred_value": self.value,
+            },
+        )
+
     def _handle_join(self, payload, request):
         """RPC: the predecessor hands us our initial ring state; we are JOINED."""
         if self.state == JOINED:
             return {"ok": True, "duplicate": True}
-        entries = entries_from_wire(payload["succ_list"])
-        entries = [e for e in entries if e.address != self.address]
+        entries = without(entries_from_wire(payload["succ_list"]), (self.address,))
         if not entries:
-            entries = [
-                SuccessorEntry(payload["pred_address"], payload["pred_value"], JOINED, True)
-            ]
+            entries = [SuccessorEntry(payload["pred_address"], payload["pred_value"], JOINED)]
         self.succ_list = entries[: self.config.successor_list_length]
         old_pred_addr, old_pred_val = self.pred_address, self.pred_value
         self.pred_address = payload["pred_address"]
@@ -525,9 +527,7 @@ class ChordRing:
                 # The successor is unreachable: drop it and try the next one.
                 yield self.succ_lock.acquire_write()
                 try:
-                    self.succ_list = [
-                        e for e in self.succ_list if e.address != target.address
-                    ]
+                    self.succ_list = without(self.succ_list, (target.address,))
                 finally:
                     self.succ_lock.release_write()
                 self._record_op("successor_failure_detected", failed=target.address)
@@ -723,29 +723,23 @@ class ChordRing:
             return
         yield self.succ_lock.acquire_write()
         try:
-            self.succ_list = [e for e in self.succ_list if e.address not in stale]
+            self.succ_list = without(self.succ_list, stale)
         finally:
             self.succ_lock.release_write()
         self._record_op("successor_entries_pruned", pruned=stale)
 
     # ------------------------------------------------------------------ adoption
     def _adopt(self, contacted: SuccessorEntry, response) -> None:
-        """Adopt the successor list returned by a stabilization round."""
+        """Adopt the successor list returned by a stabilization round (:func:`merge`)."""
         yield self.succ_lock.acquire_write()
         try:
             old_first = self._first_joined_address()
-            if not self._adopt_matching_reply(contacted.address, response):
-                head = SuccessorEntry(
-                    contacted.address,
-                    response["value"],
-                    response.get("state", JOINED),
-                    stabilized=True,
-                )
-                received = entries_from_wire(response["succ_list"])
-                received = [e for e in received if e.address != self.address]
-                received = [e for e in received if e.address != head.address]
-                self._install_list(head, received)
-            self._post_adopt()
+            state = response.get("state", JOINED)
+            head = SuccessorEntry(contacted.address, response["value"], state)
+            self.succ_list, reported = merge(self.succ_list, head, response["succ_list"],
+                                             self.address, self.value, self.config.key_space)
+            self._trim()
+            self._post_adopt(reported)
             # The reply is first-hand news of its sender; its ``heard`` map
             # relays the freshest first-hand time the sender knows of for
             # each of its entries.
@@ -761,120 +755,15 @@ class ChordRing:
         if new_first is not None and new_first != old_first:
             self._fire_successor_changed(new_first)
 
-    _STATE_RANK = {JOINING: 0, JOINED: 1, LEAVING: 2}
+    def _post_adopt(self, reported) -> None:
+        """Hook for the PEPPER ring's JOINING/LEAVING bookkeeping (no-op here).
 
-    def _adopt_matching_reply(self, head_address: str, response) -> bool:
-        """The quiet-round fast path of :meth:`_install_list`.
-
-        In a quiet ring the stabilize reply, head first, starts with exactly
-        our current list (same addresses, values and states in the same
-        order) and runs one entry further.  When it also names no address
-        twice and runs clockwise from our value, the full merge would keep
-        the reply as it is: our copies add nothing, and the sort moves
-        nothing.  So the reply's entries are installed directly -- ours for
-        the matching prefix, with the ``stabilized`` flags the merge gives
-        (the head's only), fresh ones for the rest -- then :meth:`_trim` runs.
-        Returns ``False`` (nothing changed) if the reply does not match and
-        the caller must merge.
+        ``reported`` is the set of addresses the adopted reply named.
         """
-        current = self.succ_list
-        if not current:
-            return False
-        head = current[0]
-        if (
-            head.address != head_address
-            or head.value != response["value"]
-            or head.state != response.get("state", JOINED)
-        ):
-            return False
-        own = self.address
-        reported = [
-            item for item in response["succ_list"]
-            if item["address"] != own and item["address"] != head_address
-        ]
-        if len(reported) < len(current) - 1:
-            return False
-        for entry, item in zip(current[1:], reported):
-            if (
-                entry.address != item["address"]
-                or entry.value != item["value"]
-                or entry.state != item.get("state", JOINED)
-            ):
-                return False
-        learned = current + entries_from_wire(reported[len(current) - 1 :])
-        addresses = {entry.address for entry in learned}
-        if len(addresses) != len(learned):
-            return False
-        span = self.config.key_space
-        base = self.value
-        previous = 0.0
-        for entry in learned:
-            # :meth:`_clockwise_distance`, inline: the merge's sort key.
-            distance = (entry.value - base) % span
-            if distance <= 0:
-                distance = span
-            if distance < previous:
-                return False
-            previous = distance
-        self._last_received_addresses = addresses
-        for entry in current:
-            entry.stabilized = False
-        head.stabilized = True
-        self.succ_list = learned
-        self._trim()
-        return True
-
-    def _install_list(self, head: SuccessorEntry, received: List[SuccessorEntry]) -> None:
-        """Merge the successor's reported list into our own.
-
-        * Entries are merged per address, keeping the most *advanced* state a
-          peer's lifecycle allows (JOINING -> JOINED -> LEAVING), so a stale
-          report from further along the ring can never downgrade knowledge the
-          inserter or a direct predecessor obtained first-hand.
-        * The merged list is kept sorted by clockwise distance from this peer,
-          which is the ring-order invariant the paper's successor lists have by
-          construction; it makes "position in the list" equal to "distance
-          along the ring", which the PEPPER acknowledgement rules rely on.
-        * Entries only we remember (e.g. a peer that our successor has already
-          trimmed away) are retained; the periodic successor validation prunes
-          them once they actually leave the ring.
-        * The merge keeps our own ``heard`` per entry; the first-hand times
-          relayed in the reply's ``heard`` map are applied afterwards by
-          :meth:`_adopt`, as ``vouched``.
-        """
-        self._last_received_addresses = {e.address for e in received}
-        self._last_received_addresses.add(head.address)
-        candidates = [head] + list(received) + [e.copy() for e in self.succ_list]
-        best: dict[str, SuccessorEntry] = {}
-        for entry in candidates:
-            if entry.address == self.address:
-                continue
-            current = best.get(entry.address)
-            if current is None:
-                best[entry.address] = entry
-                continue
-            if self._STATE_RANK.get(entry.state, 1) > self._STATE_RANK.get(current.state, 1):
-                best[entry.address] = current = SuccessorEntry(
-                    entry.address, current.value, entry.state, current.stabilized, current.heard
-                )
-            if entry.heard > current.heard:
-                current.heard = entry.heard
-        merged = sorted(best.values(), key=lambda e: self._clockwise_distance(e.value))
-        self.succ_list = merged
-        self._trim()
-
-    def _clockwise_distance(self, value: float) -> float:
-        """Clockwise distance from this peer's value to ``value`` on the ring."""
-        span = self.config.key_space
-        distance = (value - self.value) % span
-        return distance if distance > 0 else span
-
-    def _post_adopt(self) -> None:
-        """Hook for the PEPPER ring's JOINING/LEAVING bookkeeping (no-op here)."""
 
     def _trim(self) -> None:
         """Bound the successor list to the configured length."""
-        del self.succ_list[self.config.successor_list_length :]
+        self.succ_list = trim(self.succ_list, self.config.successor_list_length)
 
     # ------------------------------------------------------------------ value updates
     def update_value(self, new_value: float) -> None:

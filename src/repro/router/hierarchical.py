@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, IndexConfig
-from repro.maintenance.cadence import AdaptiveCadence
 from repro.ring.chord import RingListener
 from repro.ring.entries import JOINED
 from repro.transport import RpcError
@@ -60,29 +59,61 @@ def _lose_walk(done) -> None:
         done.succeed(None)
 
 
-class _RefreshTightener(RingListener):
-    """Feed ring neighbourhood changes back into the refresh cadence.
+class AdaptiveCadence:
+    """Back off while rounds succeed; tighten on failure or change.
 
-    A changed successor or predecessor means membership moved right next to
-    this peer -- exactly when a backed-off routing table is most likely to be
-    stale -- so the refresh controller is reset to its base period.
+    After ``success_threshold`` consecutive successful rounds the interval
+    grows by ``growth`` (multiplicative), bounded by ``base * max_factor``.
+    Any failure or change resets the interval to ``base``: the loop never
+    runs *faster* than its configured period.  It reads no clock and no RNG,
+    only the feedback fed to it.  ``interval`` is a bound method so that it
+    can be handed to :meth:`repro.transport.endpoint.Endpoint.every` as a
+    callable period.
     """
 
-    def __init__(self, cadence):
-        self.cadence = cadence
+    def __init__(
+        self,
+        base: float,
+        growth: float = _BACKOFF_GROWTH,
+        max_factor: float = _BACKOFF_MAX,
+        success_threshold: int = _CLEAN_WALKS_TO_BACK_OFF,
+    ):
+        self.base = base
+        self.growth = growth
+        self.max_factor = max_factor
+        self.success_threshold = success_threshold
+        self._interval = base
+        self._successes = 0
 
-    def on_successor_changed(self, ring, new_address: str) -> None:
-        self.cadence.note_change()
+    def interval(self) -> float:
+        """The delay before the next round."""
+        return self._interval
 
-    def on_predecessor_changed(self, ring, old_address, old_value, new_address, new_value) -> None:
-        self.cadence.note_change()
+    def note_success(self) -> None:
+        """The last round completed without detecting anything wrong."""
+        self._successes += 1
+        if self._successes >= self.success_threshold:
+            self._successes = 0
+            self._interval = min(self._interval * self.growth, self.base * self.max_factor)
 
-    def on_predecessor_failed(self, ring, old_address, old_value) -> None:
-        self.cadence.note_failure()
+    def note_failure(self) -> None:
+        """The last round detected a failure (timeout, stale pointer, ...)."""
+        self.note_change()
+
+    def note_change(self) -> None:
+        """Membership moved: back to the base period."""
+        self._successes = 0
+        self._interval = self.base
 
 
-class HierarchicalRingRouter:
-    """Logarithmic-hop router built by pointer doubling."""
+class HierarchicalRingRouter(RingListener):
+    """Logarithmic-hop router built by pointer doubling.
+
+    It listens to its ring: a changed successor or predecessor means
+    membership moved right next to this peer -- exactly when a backed-off
+    routing table is most likely to be stale -- so the refresh cadence goes
+    back to its base period.
+    """
 
     def __init__(self, node, ring, store, config: IndexConfig, metrics=None, history=None):
         self.node = node
@@ -98,13 +129,8 @@ class HierarchicalRingRouter:
         # clean, and tightens the moment a walk grows the table, needs a
         # past-the-end step or hits a dead pointer, or the ring reports a
         # neighbourhood change.
-        self._cadence = AdaptiveCadence(
-            config.router_refresh_period,
-            growth=_BACKOFF_GROWTH,
-            max_factor=_BACKOFF_MAX,
-            success_threshold=_CLEAN_WALKS_TO_BACK_OFF,
-        )
-        ring.add_listener(_RefreshTightener(self._cadence))
+        self._cadence = AdaptiveCadence(config.router_refresh_period)
+        ring.add_listener(self)
         # The last walk's id, and the event its result succeeds while it is
         # pending (``None`` otherwise).
         self._walks = 0
@@ -132,6 +158,16 @@ class HierarchicalRingRouter:
 
     def _local_owner(self, key: float) -> bool:
         return self.store.owns_key(key)
+
+    # ------------------------------------------------------------------ ring events
+    def on_successor_changed(self, ring, new_address: str) -> None:
+        self._cadence.note_change()
+
+    def on_predecessor_changed(self, ring, old_address, old_value, new_address, new_value) -> None:
+        self._cadence.note_change()
+
+    def on_predecessor_failed(self, ring, old_address, old_value) -> None:
+        self._cadence.note_failure()
 
     # ------------------------------------------------------------------ table maintenance
     def _joined_successors(self) -> List[Tuple[str, float]]:
@@ -271,7 +307,7 @@ class HierarchicalRingRouter:
         rounds because every peer rebuilds its table asynchronously from
         everyone else's, and that drift is benign (the pointer spread stays
         geometric over live peers).  A failed table jump during routing and a
-        ring neighbourhood change (:class:`_RefreshTightener`) tighten the
+        ring neighbourhood change (the ring-event callbacks) tighten the
         cadence too.
         """
         if not self.ring.is_joined:

@@ -23,13 +23,15 @@ staleness, bounded by the replication refresh period).
 
 All methods returning query results are simulation generators (drive them
 with ``sim.run_process`` or from another process); result dicts carry the
-same shape the engine always produced, plus ``routing``.
+one shape, built by :func:`repro.core.scan_range.query_result` for every
+path, with the ``routing`` that served the query.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.core.scan_range import query_result
 from repro.datastore.items import Item, items_from_wire
 from repro.datastore.ranges import CircularRange, segments_cover_interval
 from repro.index.config import FAILURE_DETECTION_TIMEOUT
@@ -74,37 +76,6 @@ class QueryClient:
         if self.metrics is not None:
             self.metrics.record(name, value)
 
-    def _result(
-        self,
-        query_id: str,
-        lb: float,
-        ub: float,
-        items: Dict[float, Item],
-        started: float,
-        scan_started: float,
-        hops: int,
-        complete: bool,
-        strategy: str,
-    ) -> dict:
-        finished = self.peer.sim.now
-        ordered = sorted(items.values(), key=lambda item: item.skv)
-        self._record_metric("range_query", finished - started)
-        self._record_metric("scan_elapsed", finished - scan_started)
-        return {
-            "query_id": query_id,
-            "lb": lb,
-            "ub": ub,
-            "items": ordered,
-            "keys": [item.skv for item in ordered],
-            "start_time": started,
-            "end_time": finished,
-            "scan_elapsed": finished - scan_started,
-            "hops": hops,
-            "complete": complete,
-            "strategy": strategy,
-            "routing": self.routing,
-        }
-
     # ------------------------------------------------------------------ public API
     def query(self, lb: float, ub: float, timeout: float = 60.0):
         """Execute the range query ``(lb, ub]`` under this client's policy.
@@ -114,9 +85,8 @@ class QueryClient:
         """
         if self.routing == "primary":
             result = yield from self.peer.queries.query(lb, ub, timeout=timeout)
-            result["routing"] = "primary"
-            return result
-        result = yield from self._replica_query(lb, ub, timeout)
+        else:
+            result = yield from self._replica_query(lb, ub, timeout)
         return result
 
     # ------------------------------------------------------------------ replica_lb
@@ -232,6 +202,5 @@ class QueryClient:
                 current = successor
 
         complete = segments_cover_interval(segments, lb, ub)
-        return self._result(
-            query_id, lb, ub, items, started, scan_started, hops, complete, "replica_lb"
-        )
+        return query_result(self.metrics, query_id, lb, ub, items, started, scan_started,
+                            self.peer.sim.now, hops, complete, "replica_lb", self.routing)

@@ -6,12 +6,12 @@ discrete-event simulator in which every peer runs as a cooperative process,
 messages experience configurable latency, and read/write locks are simulated
 objects with FIFO wait queues.
 
-Layer contract: the bottom of the stack (stdlib-only, like
-:mod:`repro.maintenance`); nothing here may import ring/datastore/index/
-harness code.  Every higher layer may import the public surface below.
+Layer contract: the bottom of the stack (stdlib-only); nothing here may
+import ring/datastore/index/harness code.  Every higher layer may import the
+public surface below.
 Periodic loops (:meth:`repro.transport.endpoint.Endpoint.every`) accept
 either a float period or a zero-argument callable, which is how the router's
-table-refresh back-off (:class:`~repro.maintenance.cadence.AdaptiveCadence`)
+table-refresh back-off (:class:`~repro.router.hierarchical.AdaptiveCadence`)
 plugs in without an import in this direction.
 Determinism is part of the contract -- all randomness comes through
 :class:`~repro.sim.randomness.RngStreams`, never the global ``random`` module.

@@ -199,7 +199,7 @@ class Endpoint:
         ``period`` is either a float (fixed cadence) or a zero-argument
         callable returning the delay before the *next* round -- that is how
         the router's table refresh is paced by its
-        :class:`~repro.maintenance.cadence.AdaptiveCadence` without a second
+        :class:`~repro.router.hierarchical.AdaptiveCadence` without a second
         scheduling path.  The callable is consulted after every round, so a
         controller that backs off or tightens takes effect on the very next
         sleep.

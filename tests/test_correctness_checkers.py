@@ -37,7 +37,7 @@ class FakePeer:
 def make_ring_peers(values, lists, states=None):
     peers = []
     for index, (address, value) in enumerate(values):
-        entries = [SuccessorEntry(a, v, JOINED, True) for a, v in lists[index]]
+        entries = [SuccessorEntry(a, v, JOINED) for a, v in lists[index]]
         state = states[index] if states else JOINED
         peers.append(FakePeer(address, True, FakeRing(state, value, entries)))
     return peers
@@ -161,7 +161,7 @@ def successor_graphs(draw):
     for index, address in enumerate(ADDRESSES[:count]):
         pointers = draw(st.lists(targets, max_size=4))
         entries = [SuccessorEntry(a, float(ADDRESSES.index(a)) if a in ADDRESSES else 99.0,
-                                  JOINED, True) for a in pointers]
+                                  JOINED) for a in pointers]
         state = draw(st.sampled_from([JOINED, JOINED, JOINED, LEAVING]))
         alive = draw(st.booleans()) or draw(st.booleans())
         peers.append(FakePeer(address, alive, FakeRing(state, float(index), entries)))

@@ -22,7 +22,15 @@ from repro.ring.entries import (
     LEAVING,
     NEVER,
     SuccessorEntry,
+    _extension,
+    _merge_all,
+    clockwise_distance,
     entries_from_wire,
+    insert_sorted,
+    merge,
+    trim,
+    trim_riding,
+    without,
 )
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
@@ -95,12 +103,12 @@ def test_in_open_interval_handles_wrap_and_degenerate():
 
 
 def test_successor_entry_wire_round_trip():
-    entry = SuccessorEntry("addr", 5.0, LEAVING, stabilized=True)
+    entry = SuccessorEntry("addr", 5.0, LEAVING, heard=1.0, vouched=2.0)
     restored = SuccessorEntry.from_wire(entry.to_wire())
     assert restored.address == "addr"
     assert restored.value == 5.0
     assert restored.state == LEAVING
-    assert restored.stabilized is False  # never trusted over the wire
+    assert (restored.heard, restored.vouched) == (NEVER, NEVER)  # liveness is not on the wire
 
 
 # --------------------------------------------------------------------------- bootstrap & joins
@@ -650,7 +658,7 @@ def test_a_stale_leaving_entry_of_a_rejoined_peer_is_evicted():
     RejoinedStub(harness.sim, harness.network, "x", 900.0)  # was at 300.0, left, rejoined
     ring = peer.ring
     ring._set_state(JOINED)
-    ring.succ_list = [SuccessorEntry(successor.address, 200.0, JOINED, True),
+    ring.succ_list = [SuccessorEntry(successor.address, 200.0, JOINED),
                       SuccessorEntry("x", 300.0, LEAVING)]
     harness.sim.run_process(ring._validate_successors_once())
     harness.sim.run_process(ring._stabilize_once())  # the reply omits x
@@ -658,97 +666,168 @@ def test_a_stale_leaving_entry_of_a_rejoined_peer_is_evicted():
     assert "x" not in [entry.address for entry in ring.succ_list]
 
 
-# --------------------------------------------------------------------------- the quiet-round fast path
+# --------------------------------------------------------------------------- the successor list as a value
 _PEERS = ["p1", "p2", "p3", "p4", "p5", "p6"]
+_SPAN = default_config().key_space
 _values = st.integers(0, 15).map(lambda k: k * 625.0)  # exact on the 10,000 key space
 _states = st.sampled_from([JOINING, JOINED, LEAVING])
-_entries = st.tuples(st.sampled_from(["me"] + _PEERS), _values, _states, st.booleans())
+_entries = st.tuples(st.sampled_from(["me"] + _PEERS), _values, _states)
 
 
 @st.composite
 def stabilize_rounds(draw):
-    """Our value, our list, the contacted head and its reply, and a pending insert.
+    """Our value, our list, the contacted head and its reply's list.
 
     Half the rounds are quiet: one clockwise run of distinct peers, of which
     we hold a prefix and the reply (perhaps naming us or the head again) the
-    rest.  The other half are arbitrary lists and replies.
+    rest.  The other half are arbitrary lists and replies.  Our entries carry
+    distinct first-hand heard times, which the merge must carry over.
     """
     own_value = draw(_values)
     if draw(st.booleans()):
-        run = draw(st.lists(st.tuples(st.sampled_from(_PEERS), _values, _states, st.booleans()),
+        run = draw(st.lists(st.tuples(st.sampled_from(_PEERS), _values, _states),
                             min_size=1, max_size=6, unique_by=lambda entry: entry[0]))
-        span = default_config().key_space
-        run.sort(key=lambda entry: (entry[1] - own_value) % span or span)
+        run.sort(key=lambda entry: (entry[1] - own_value) % _SPAN or _SPAN)
         current = run[:draw(st.integers(1, len(run)))]
-        head_address, head_value, head_state = current[0][:3]
-        items = [entry[:3] for entry in run[1:]]
+        head = run[0]
+        items = run[1:]
         for _ in range(draw(st.integers(0, 2))):
-            named = (draw(st.sampled_from(["me", head_address])), draw(_values), draw(_states))
+            named = (draw(st.sampled_from(["me", head[0]])), draw(_values), draw(_states))
             items.insert(draw(st.integers(0, len(items))), named)
     else:
-        head = (draw(st.sampled_from(_PEERS)), draw(_values), draw(_states), draw(st.booleans()))
-        current = [head] + draw(st.lists(_entries, max_size=5))
-        head_address, head_value, head_state = draw(st.sampled_from(_PEERS)), draw(_values), \
-            draw(_states)
-        items = [entry[:3] for entry in draw(st.lists(_entries, max_size=6))]
-    response = {
-        "value": head_value,
-        "state": head_state,
-        "succ_list": [{"address": a, "value": v, "state": s} for a, v, s in items],
-    }
-    pending = draw(st.sampled_from([None] + _PEERS))
-    return own_value, current, head_address, response, pending
+        current = [draw(st.tuples(st.sampled_from(_PEERS), _values, _states))]
+        current += draw(st.lists(_entries, max_size=5))
+        head = (draw(st.sampled_from(_PEERS)), draw(_values), draw(_states))
+        items = draw(st.lists(_entries, max_size=6))
+    ours = [SuccessorEntry(*entry, heard=float(i)) for i, entry in enumerate(current)]
+    received = [{"address": a, "value": v, "state": s} for a, v, s in items]
+    return own_value, ours, SuccessorEntry(*head), received
 
 
-def _ring_holding(ring_class, own_value, current, pending):
+def _merged(round_):
+    own_value, ours, head, received = round_
+    return merge(ours, head, received, "me", own_value, _SPAN)
+
+
+def _fields(entries):
+    return [(e.address, e.value, e.state, e.heard) for e in entries]
+
+
+def _rank(state):
+    return [JOINING, JOINED, LEAVING].index(state)
+
+
+@pytest.mark.parametrize("ring_class", [ChordRing, PepperRing])
+@settings(max_examples=300, deadline=None)
+@given(round_=stabilize_rounds(), pending=st.sampled_from([None] + _PEERS))
+def test_the_quiet_round_fast_path_equals_the_full_merge(ring_class, round_, pending):
+    """``merge``'s quiet-round branch is the full merge on the replies it takes:
+    the same addresses, values, states, heard times and reported set, before
+    and after each ring's trim.  It hands back our own entries; the full
+    merge copies them."""
+    own_value, ours, head, received = round_
+    reported_by = {head.address} | {item["address"] for item in received} - {"me"}
+    kept = [item for item in received if item["address"] not in ("me", head.address)]
+    before = _fields(ours)
+    entries, reported = _merged(round_)
+    assert _fields(ours) == before  # pure: our list is not touched
+    assert reported == reported_by
+    if _extension(ours, head, kept, own_value, _SPAN) is None:
+        event("declined")
+        assert not any(entry is held for entry in entries for held in ours)
+        return
+    event("taken")
+    assert all(entry is held for entry, held in zip(entries, ours))
+    reference = _merge_all(ours, head, kept, "me", own_value, _SPAN)
+    assert _fields(entries) == _fields(reference)
+    rings = []
+    for merged in (entries, reference):
+        ring = _ring_holding(ring_class, own_value, merged, pending)
+        ring._trim()
+        rings.append(_fields(ring.succ_list))
+    assert rings[0] == rings[1]
+
+
+def _ring_holding(ring_class, own_value, entries, pending):
     sim = Simulator()
     node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
     ring = ring_class(node, own_value, default_config())
-    # Distinct first-hand heard times, which both paths must carry over.
-    ring.succ_list = [
-        SuccessorEntry(*entry, heard=float(i)) for i, entry in enumerate(current)
-    ]
+    ring.succ_list = list(entries)
     if pending is not None:
         ring._pending_insert = {"address": pending, "event": sim.event()}
     return ring
 
 
-def _held(ring):
-    return (
-        [(e.address, e.value, e.state, e.stabilized, e.heard) for e in ring.succ_list],
-        getattr(ring, "_last_received_addresses", None),
-    )
+def test_a_reply_that_extends_our_list_takes_the_fast_path():
+    ours = [SuccessorEntry("p1", 625.0, JOINED, heard=0.0)]
+    received = [{"address": "p2", "value": 1250.0, "state": JOINED}]
+    entries, reported = merge(ours, SuccessorEntry("p1", 625.0, JOINED), received, "me", 0.0,
+                              _SPAN)
+    assert entries[0] is ours[0]
+    assert _fields(entries) == [("p1", 625.0, JOINED, 0.0), ("p2", 1250.0, JOINED, NEVER)]
+    assert reported == {"p1", "p2"}
 
 
-@pytest.mark.parametrize("ring_class", [ChordRing, PepperRing])
 @settings(max_examples=300, deadline=None)
 @given(round_=stabilize_rounds())
-def test_the_quiet_round_fast_path_equals_the_full_merge(ring_class, round_):
-    """``_adopt_matching_reply`` is ``_install_list`` on the replies it takes:
-    the same addresses, values, states, ``stabilized`` flags, heard times and
-    reported set.
-    A reply it declines leaves the list untouched for the merge."""
-    own_value, current, head_address, response, pending = round_
-    fast = _ring_holding(ring_class, own_value, current, pending)
-    before = _held(fast)
-    if not fast._adopt_matching_reply(head_address, response):
-        event("declined")
-        assert _held(fast) == before
-        return
-    event("taken")
-    merged = _ring_holding(ring_class, own_value, current, pending)
-    head = SuccessorEntry(head_address, response["value"], response["state"], stabilized=True)
-    received = [e for e in entries_from_wire(response["succ_list"])
-                if e.address not in (merged.address, head_address)]
-    merged._install_list(head, received)
-    assert _held(fast) == _held(merged)
+def test_a_merge_is_sorted_distinct_and_never_downgrades_a_state(round_):
+    own_value, ours, head, received = round_
+    entries, _ = _merged(round_)
+    distances = [clockwise_distance(e.value, own_value, _SPAN) for e in entries]
+    assert distances == sorted(distances)
+    addresses = [e.address for e in entries]
+    assert len(addresses) == len(set(addresses)) and "me" not in addresses
+    merged = {e.address: e for e in entries}
+    # The reply's own copy of its sender is not a report: the head speaks for it.
+    kept = [e for e in entries_from_wire(received) if e.address != head.address]
+    for copy in [head, *kept, *ours]:
+        if copy.address != "me":
+            assert _rank(merged[copy.address].state) >= _rank(copy.state)
+    for held in ours:  # our own heard is kept
+        if held.address != "me":
+            assert merged[held.address].heard >= held.heard
 
 
-def test_a_reply_that_extends_our_list_takes_the_fast_path():
-    ring = _ring_holding(ChordRing, 0.0, [("p1", 625.0, JOINED, True)], None)
-    reply = {"value": 625.0, "state": JOINED,
-             "succ_list": [{"address": "p2", "value": 1250.0, "state": JOINED}]}
-    assert ring._adopt_matching_reply("p1", reply)
-    assert _held(ring) == (
-        [("p1", 625.0, JOINED, True, 0.0), ("p2", 1250.0, JOINED, False, NEVER)], {"p1", "p2"}
-    )
+@settings(max_examples=300, deadline=None)
+@given(round_=stabilize_rounds())
+def test_merging_the_same_reply_again_changes_nothing(round_):
+    own_value, _, head, received = round_
+    once, reported = _merged(round_)
+    twice, again = _merged((own_value, once, head, received))
+    assert _fields(twice) == _fields(once) and again == reported
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_entries.map(lambda e: SuccessorEntry(*e)), max_size=12),
+       pending=st.sampled_from([None] + _PEERS), limit=st.integers(1, 5))
+def test_a_trim_keeps_the_list_within_its_length_bound(entries, pending, limit):
+    assert trim(entries, limit) == entries[:limit]
+    riding = trim_riding(entries, limit, pending)
+    addresses = [e.address for e in riding]
+    assert len(addresses) == len(set(addresses))
+    counted = [e for e in riding if e.state != LEAVING
+               and not (e.state == JOINING and e.address == pending)]
+    assert len(counted) <= limit and len(riding) <= 2 * limit + 2
+    assert trim_riding(riding, limit, pending) == riding
+
+
+@settings(max_examples=300, deadline=None)
+@given(own_value=_values, new=_entries.map(lambda e: SuccessorEntry(*e)),
+       held=st.lists(_entries, max_size=6, unique_by=lambda entry: entry[0]))
+def test_a_sorted_insert_upgrades_and_never_downgrades(own_value, new, held):
+    ours = [SuccessorEntry(*entry, heard=float(i)) for i, entry in enumerate(held)]
+    before = _fields(ours)
+    entries = insert_sorted(ours, new, own_value, _SPAN)
+    assert _fields(ours) == before  # pure: our list and entries are not touched
+    distances = [clockwise_distance(e.value, own_value, _SPAN) for e in entries]
+    assert distances == sorted(distances)
+    others = without(ours, {new.address})
+    assert sorted(map(id, without(entries, {new.address}))) == sorted(map(id, others))
+    old = [e for e in ours if e.address == new.address]
+    listed = [e for e in entries if e.address == new.address]
+    if not old:
+        assert listed == [new]
+    else:
+        assert len(listed) == 1
+        assert _rank(listed[0].state) == max(_rank(old[0].state), _rank(new.state))
+        assert (listed[0].value, listed[0].heard) == (old[0].value, old[0].heard)

@@ -12,7 +12,12 @@ from repro.datastore.store import DataStore
 from repro.harness.scenarios import build_experiment, get_scenario, run_spec
 from repro.ring.chord import ChordRing
 from repro.ring.entries import JOINED, JOINING, LEAVING, SuccessorEntry
-from repro.router.hierarchical import _WALK_TIMEOUT, ROUTER_TABLE_SIZE, HierarchicalRingRouter
+from repro.router.hierarchical import (
+    _WALK_TIMEOUT,
+    ROUTER_TABLE_SIZE,
+    AdaptiveCadence,
+    HierarchicalRingRouter,
+)
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.transport import Endpoint
@@ -219,6 +224,46 @@ def test_table_entry_answers_stop_short_of_the_asker():
     assert ask(7, 3500.0) == ([t2], "wrapped")
     # Nothing between us and the origin: nothing to answer.
     assert ask(0, 150.0) == ([], None)
+
+
+# --------------------------------------------------------------------------- the cadence controller
+def test_adaptive_cadence_backs_off_after_threshold_successes():
+    cadence = AdaptiveCadence(8.0, growth=2.0, max_factor=4.0, success_threshold=2)
+    assert cadence.interval() == 8.0
+    cadence.note_success()
+    assert cadence.interval() == 8.0  # one success is below the threshold
+    cadence.note_success()
+    assert cadence.interval() == 16.0
+    cadence.note_success()
+    cadence.note_success()
+    assert cadence.interval() == 32.0
+
+
+def test_adaptive_cadence_is_bounded_by_max_factor():
+    cadence = AdaptiveCadence(8.0, growth=2.0, max_factor=4.0, success_threshold=1)
+    for _ in range(10):
+        cadence.note_success()
+    assert cadence.interval() == 32.0  # 8.0 * 4
+
+
+def test_adaptive_cadence_tightens_to_base_on_failure_and_change():
+    cadence = AdaptiveCadence(8.0, success_threshold=1)
+    cadence.note_success()
+    assert cadence.interval() > 8.0
+    cadence.note_failure()
+    assert cadence.interval() == 8.0
+    cadence.note_success()
+    assert cadence.interval() > 8.0
+    cadence.note_change()
+    assert cadence.interval() == 8.0
+
+
+def test_adaptive_cadence_failure_resets_the_success_streak():
+    cadence = AdaptiveCadence(8.0, success_threshold=2)
+    cadence.note_success()
+    cadence.note_failure()
+    cadence.note_success()  # streak restarted: still one success short
+    assert cadence.interval() == 8.0
 
 
 # --------------------------------------------------------------------------- refresh walk and cadence

@@ -125,6 +125,36 @@ def test_call_and_cast_share_per_method_stats(sim_env):
     assert network.stats.rpc_calls == 3
 
 
+# --------------------------------------------------------------------------- periodic loops
+def test_node_every_accepts_a_callable_period():
+    sim = Simulator()
+    rngs = RngStreams(3)
+    network = Network(sim, rngs.stream("network"))
+    node = Endpoint(sim, network, "n1")
+    period = [1.0]
+    ticks = []
+
+    def action():
+        ticks.append(sim.now)
+        period[0] = min(period[0] * 2, 4.0)  # every round doubles the next interval
+
+    node.every(lambda: period[0], action, name="test-loop")
+    sim.run(until=16.0)
+    # Rounds at 1, then +2, +4, +4 (capped), ... -> 1, 3, 7, 11, 15.
+    assert ticks == [1.0, 3.0, 7.0, 11.0, 15.0]
+
+
+def test_node_every_float_period_unchanged():
+    sim = Simulator()
+    rngs = RngStreams(3)
+    network = Network(sim, rngs.stream("network"))
+    node = Endpoint(sim, network, "n1")
+    ticks = []
+    node.every(2.0, lambda: ticks.append(sim.now), name="fixed-loop")
+    sim.run(until=7.0)
+    assert ticks == [2.0, 4.0, 6.0]
+
+
 # --------------------------------------------------------------------------- codec
 def test_codec_round_trips_plain_json():
     message = {"k": "q", "id": 7, "m": "echo", "p": {"x": [1, 2.5, None, True, "s"]}}
