@@ -412,11 +412,15 @@ class StorageBalancer:
             # joining must be forwarded, not dropped.
             transferred = pending["transferred"]
             late_arrivals = []
+            shed = []
             for skv in self.store.items.range_keys(lower_range):
                 item = self.store.remove_local(skv, reason="split_shed")
+                shed.append(item)
                 if skv not in transferred:
                     late_arrivals.append(item)
             self.store.set_range_low(split_key, reason="split")
+            if self.replication is not None:
+                self.replication.keep_handed_over(shed)
         finally:
             self.store.range_lock.release_write()
 

@@ -1,10 +1,21 @@
 """CFS-style Replication Manager.
 
-Every peer periodically pushes the items in its Data Store to its ``k`` ring
-successors (the replication factor, Section 6.1 default 6).  When a peer fails,
-its successor's range grows to cover the failed peer's range (detected through
-the ring's predecessor-change events), and the successor *revives* the affected
-items from the replicas it holds, so the items become live again (Definition 3).
+Every peer pushes a snapshot of its Data Store to its ``k`` ring successors
+(the replication factor, Section 6.1 default 6) whenever the store or the
+successor set changed since the last push.  A held snapshot stays promotable
+on a lease: four refresh periods past the last first-hand time its owner was
+heard at that snapshot's version.  The owner's version rides its
+``ring_stabilize`` request to its first successor, which stamps it with the
+receipt time; each holder relays the stamp, unchanged, to the next target on
+its own stabilize request (:meth:`ReplicationManager.beacons_for`,
+:meth:`ReplicationManager.renew`).  So a settled store costs no replication
+message, and a dead owner's copies age out four periods after its death,
+however the beacons circulate.
+
+When a peer fails, its successor's range grows to cover the failed peer's
+range (detected through the ring's predecessor-change events), and the
+successor *revives* the affected items from the replicas it holds, so the
+items become live again (Definition 3).
 
 The manager also implements the interactions the paper adds for merges: the
 ``push_extra_hop`` step of Section 5.2, and replica-deletion propagation so
@@ -21,6 +32,31 @@ from repro.index.config import STABILIZATION_JITTER, IndexConfig
 from repro.replication.extra_hop import push_items_one_extra_hop
 from repro.ring.chord import ChordRing, RingListener
 from repro.transport import Endpoint
+
+# How many refresh periods a copy stays promotable past its lease time.
+LEASE_PERIODS = 4
+
+
+class Lease:
+    """How long a set of held copies may be revived.
+
+    A snapshot push makes one lease, shared by every key it carried (through
+    ``ReplicationManager._freshness``) and recorded as the owner's snapshot in
+    ``_push_state``: the owner's store ``version``, the pushed ``keys`` and
+    the ``targets`` the owner pushed to.  ``time`` is a first-hand time: the
+    push's receipt, or a later receipt of the owner's own beacon at the same
+    version, relayed and never advanced.  A non-snapshot push (a fresh
+    insert's one-item cast, a leaver's extra hop) makes a lease no beacon
+    renews.
+    """
+
+    __slots__ = ("version", "time", "keys", "targets")
+
+    def __init__(self, version, time: float, keys: tuple = (), targets: tuple = ()):
+        self.version = version
+        self.time = time
+        self.keys = keys
+        self.targets = targets
 
 
 class ReplicationManager(RingListener):
@@ -43,29 +79,30 @@ class ReplicationManager(RingListener):
         self.history = history
 
         self.replicas = ItemStore()
-        # Per-replica freshness (last refresh time) and tombstones of deleted
-        # keys.  Both guard the revive path: a replica is only promoted into
-        # the Data Store if it has been refreshed recently and has not been
-        # deleted, so stale copies cannot resurrect deleted items.
+        # Per-replica lease (the :class:`Lease` of the push that last carried
+        # the key) and tombstones of deleted keys.  Both guard the revive
+        # path: a replica is only promoted into the Data Store if its lease is
+        # recent and it has not been deleted, so stale copies cannot
+        # resurrect deleted items.
         self._freshness: dict = {}
         self._tombstones: dict = {}
-        # Fingerprint of the last fan-out (store version + target set) and how
-        # many refresh rounds were skipped because nothing changed.  Skipping
-        # is bounded so receiver-side freshness never leaves the promotable
-        # window (see :meth:`_refresh_once`).
+        self._lease_window = LEASE_PERIODS * config.replication_refresh_period
+        # Fingerprint of the last fan-out: store version + target set.
         self._last_push: tuple = ()
-        self._pushes_skipped = 0
-        # What each predecessor last pushed to us: owner address ->
-        # (owner's ItemStore.version at push time, receive time, pushed keys).
-        # The serve layer's replica reads consult this: a replica read is
-        # valid only while the owner's live version still equals the recorded
-        # push version -- any mutation since the push (insert, delete, split,
-        # shed) bumps the version and sends readers back to the primary.
+        # What each predecessor last pushed to us: owner address -> its
+        # snapshot's :class:`Lease`.  The serve layer's replica reads consult
+        # this: a replica read is valid only while the owner's live version
+        # still equals the recorded push version -- any mutation since the
+        # push (insert, delete, split, shed) bumps the version and sends
+        # readers back to the primary.
         self._push_state: dict = {}
 
         ring.add_listener(self)
+        ring.beacon_source = self.beacons_for
+        ring.beacon_sink = self.renew
         node.register_handler("rep_store_replicas", self._handle_store_replicas)
         node.register_handler("rep_remove_replica", self._handle_remove_replica)
+        node.register_handler("rep_resync", self._handle_resync)
 
         node.every(
             config.replication_refresh_period,
@@ -96,6 +133,7 @@ class ReplicationManager(RingListener):
         self.replicas.clear()
         self._freshness.clear()
         self._push_state.clear()
+        self._last_push = ()
 
     def _tombstoned(self, skv: float) -> bool:
         """Whether ``skv`` was recently deleted (blocks replication/revival).
@@ -117,11 +155,10 @@ class ReplicationManager(RingListener):
         """Whether a held replica may be revived into the Data Store."""
         if self._tombstoned(skv):
             return False
-        freshness = self._freshness.get(skv)
-        if freshness is None:
+        lease = self._freshness.get(skv)
+        if lease is None:
             return False
-        window = 4 * self.config.replication_refresh_period
-        return self.node.sim.now - freshness <= window
+        return self.node.sim.now - lease.time <= self._lease_window
 
     # ------------------------------------------------------------------ refresh
     def refresh_now(self) -> None:
@@ -129,27 +166,21 @@ class ReplicationManager(RingListener):
         self.node.spawn(self._refresh_once(), name="rep-refresh-now")
 
     def _refresh_once(self):
-        """Push the local Data Store contents to the k successors; then revive."""
+        """Push a changed Data Store snapshot to the k successors; then revive."""
         if not self.node.alive:
             return
         items = self.store.items
         if self.store.active and self.config.replication_factor > 0 and len(items):
             targets = self.ring.joined_successors(self.config.replication_factor)
             if self._should_push(targets):
-                payload = {
-                    "items": items.to_wire(),
-                    "owner": self.address,
-                    # The store version this push snapshots; receivers
-                    # record it so replica reads can detect staleness.
-                    "version": items.version,
-                }
                 # Fire-and-forget fan-out: the pushes are independent and
                 # nobody reads the acknowledgements, so each costs one
                 # one-way message -- no reply event, no expiry timer, no
                 # reply traffic.  A failed receiver swallows the push
                 # silently, exactly as it did when the discarded reply
                 # event timed out unobserved.
-                for target in targets:
+                payload = self._snapshot_payload()
+                for target in payload["targets"]:
                     self.node.cast(target, "rep_store_replicas", payload)
         # Promote any replica we hold whose key now falls in our own range --
         # this both revives items after a predecessor failure and self-heals if
@@ -159,30 +190,92 @@ class ReplicationManager(RingListener):
     def _should_push(self, targets) -> bool:
         """Whether this round's fan-out would tell the successors anything new.
 
-        A round is a no-op when neither the Data Store contents (tracked by the
-        item store's mutation version) nor the target set changed since the
-        last push.  At most one consecutive no-op round is skipped: receivers
-        consider a replica promotable for ``4 *`` the refresh period
-        (:meth:`_is_promotable`), so pushing at least every second round keeps
-        two full periods of slack for failure detection plus range propagation
-        before a revive -- enough even when ring-adjacent peers fail together
-        (skipping two rounds is not: the revive after an adjacent double
-        failure can then find its replicas just outside the window).
+        A round pushes only when the Data Store contents (tracked by the item
+        store's mutation version) or the target set changed since the last
+        push.  A settled store's copies stay promotable on their lease, which
+        the beacons renew (:meth:`beacons_for`, :meth:`renew`), so an
+        unchanged snapshot is never sent again.
 
-        That slack argument assumes pushes are delivered.  On a lossy network
-        a recorded push may never have refreshed anyone (the fan-out is
-        fire-and-forget), so skipping on top of an undetected loss could
-        double the refresh gap -- in that regime every round pushes.
+        The lease renews only a snapshot that arrived.  On a lossy network a
+        recorded push may never have reached anyone (the fan-out is
+        fire-and-forget), so in that regime every round pushes.
         """
-        if self.node.network.config.drop_probability > 0:
-            return True
         fingerprint = (self.store.items.version, tuple(targets))
-        if fingerprint == self._last_push and self._pushes_skipped < 1:
-            self._pushes_skipped += 1
+        if fingerprint == self._last_push and self.node.network.config.drop_probability <= 0:
             return False
         self._last_push = fingerprint
-        self._pushes_skipped = 0
         return True
+
+    def _snapshot_payload(self) -> dict:
+        """The ``rep_store_replicas`` payload of the last recorded push."""
+        version, targets = self._last_push
+        return {
+            "items": self.store.items.to_wire(),
+            "owner": self.address,
+            # The store version this push snapshots; receivers record it so
+            # replica reads can detect staleness, and renew it on beacons.
+            "version": version,
+            # Whom the snapshot went to: a holder relays the owner's beacon
+            # only to a stabilize target in this set.
+            "targets": targets,
+        }
+
+    # ------------------------------------------------------------------ leases
+    def beacons_for(self, target: str) -> dict:
+        """The beacons our ``ring_stabilize`` request to ``target`` carries.
+
+        Our own store version, unstamped, if ``target`` got our last push and
+        the store has not changed since (a changed store pushes a new
+        snapshot at its next round); the receiver stamps it with its receipt
+        time.  And for each owner whose snapshot we hold and who pushed to
+        ``target`` too, our lease's version and time, copied unchanged, while
+        the lease is inside the promotable window.  One entry per owner and
+        no hop counter: the relay stops at the first peer outside the owner's
+        targets.
+        """
+        beacons = {}
+        pushed = self._last_push
+        if pushed and pushed[0] == self.store.items.version and target in pushed[1]:
+            beacons[self.address] = (self.store.items.version, None)
+        if self._push_state:
+            horizon = self.node.sim.now - self._lease_window
+            for owner, lease in self._push_state.items():
+                if lease.time >= horizon and target in lease.targets:
+                    beacons[owner] = (lease.version, lease.time)
+        return beacons
+
+    def renew(self, beacons: dict) -> None:
+        """Renew each held snapshot a beacon names at its held version.
+
+        O(1) per owner: the lease every key of the snapshot shares moves to
+        the beacon's time, which only the owner's first successor sets (an
+        unstamped beacon is its predecessor's own) and nobody advances.  A
+        beacon at another version renews nothing: that snapshot is stale, and
+        the owner's next refresh round pushes the new one.  A beacon for an
+        owner whose snapshot we do not hold means a push missed us while the
+        owner's fingerprint held (we cleared our replicas and rejoined in the
+        same slot): we ask the owner for its snapshot with one
+        ``rep_resync`` cast, and its answer ends the asking.
+        """
+        now = self.node.sim.now
+        push_state = self._push_state
+        for owner, (version, time) in beacons.items():
+            if time is None:
+                time = now
+            lease = push_state.get(owner)
+            if lease is None:
+                if owner != self.address:
+                    self.node.cast(owner, "rep_resync", {"holder": self.address})
+            elif lease.version == version and time > lease.time:
+                lease.time = time
+
+    def _handle_resync(self, payload, request):
+        """Cast: a target holds no snapshot of ours; push it the current one."""
+        pushed = self._last_push
+        if not pushed or pushed[0] != self.store.items.version:
+            return  # a changed store pushes a new snapshot at its next round
+        if payload["holder"] in pushed[1]:
+            self.node.cast(payload["holder"], "rep_store_replicas", self._snapshot_payload())
 
     def _promote_replicas(self):
         """Move replicas whose keys are now our responsibility into the Data Store."""
@@ -263,6 +356,23 @@ class ReplicationManager(RingListener):
         self._record_op("extra_hop_replication", items=len(held), acknowledged=count)
         return count
 
+    def keep_handed_over(self, items: List[Item]) -> None:
+        """Hold the copies a finished split shed as the new peer's replicas.
+
+        We are the new peer's first successor.  Its first snapshot reached us
+        while we still held those keys as primaries, so the push stored none
+        of them, and its fingerprint holds until its store changes: no push
+        would bring them.  A copy with no lease yet gets one from now; the
+        new peer's snapshot, when it lands, moves it onto that snapshot's.
+        """
+        fresh = Lease(None, self.node.sim.now)
+        for item in items:
+            skv = item.skv
+            if self._tombstoned(skv):
+                continue
+            self.replicas.put(skv, item.payload)
+            self._freshness.setdefault(skv, fresh)
+
     def propagate_delete(self, skv: float) -> None:
         """Forget a deleted item everywhere it is replicated (prevents resurrection).
 
@@ -282,14 +392,20 @@ class ReplicationManager(RingListener):
 
     # ------------------------------------------------------------------ RPC handlers
     def _handle_store_replicas(self, payload, request):
-        """RPC: store replicas on behalf of a predecessor."""
+        """Cast: store replicas on behalf of a predecessor.
+
+        The extra-hop push (:func:`push_items_one_extra_hop`) calls it and
+        reads the acknowledgement.
+        """
         stored = 0
-        now = self.node.sim.now
         pushed: List[float] = []
         tombstones = self._tombstones
         freshness = self._freshness
         replicas = self.replicas
         primaries = self.store.items if self.store.active else ()
+        snapshot = payload.get("snapshot", True)
+        lease = Lease(payload.get("version"), self.node.sim.now,
+                      targets=payload.get("targets", ()))
         # Only a tombstoned key pays the expiry check; ``put`` skips a key
         # already held as a replica.
         for entry in payload["items"]:
@@ -297,7 +413,7 @@ class ReplicationManager(RingListener):
             pushed.append(skv)
             if skv in tombstones and self._tombstoned(skv):
                 continue  # deleted; do not let a stale copy come back
-            freshness[skv] = now
+            freshness[skv] = lease
             if skv in primaries:
                 continue  # we already hold the primary copy
             if replicas.put(skv, entry.get("payload")):
@@ -306,17 +422,15 @@ class ReplicationManager(RingListener):
         # stay in the recorded key set but were *not* stored, so a replica
         # read that needs one finds it missing and falls back to the primary
         # -- a tombstoned copy is never served.  The owner's one-item cast of
-        # a fresh insert is no snapshot and leaves the record alone.
-        if payload.get("snapshot", True):
-            self._push_state[payload["owner"]] = (
-                payload.get("version"),
-                now,
-                tuple(pushed),
-            )
+        # a fresh insert and a leaver's extra hop are no snapshot and leave
+        # the record alone.
+        if snapshot:
+            lease.keys = tuple(pushed)
+            self._push_state[payload["owner"]] = lease
         return {"stored": stored}
 
     def _handle_remove_replica(self, payload, request):
-        """RPC: a primary copy was deleted; drop our replica and remember the deletion."""
+        """Cast: a primary copy was deleted; drop our replica and remember the deletion."""
         skv = payload["skv"]
         self._tombstones[skv] = self.node.sim.now
         self._freshness.pop(skv, None)

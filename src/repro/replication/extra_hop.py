@@ -31,7 +31,9 @@ def push_items_one_extra_hop(node, ring, items: Iterable[Wire], hops: int):
         return 0
     acknowledged = 0
     targets: List[str] = ring.joined_successors(hops)
-    payload = {"items": items, "owner": node.address, "extra_hop": True}
+    # No snapshot of anyone's store: receivers keep each owner's recorded
+    # snapshot (and its lease) as it is.
+    payload = {"items": items, "owner": node.address, "extra_hop": True, "snapshot": False}
     for target in targets:
         try:
             yield node.call(target, "rep_store_replicas", payload)

@@ -18,7 +18,7 @@ callbacks.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, IndexConfig
 from repro.ring.entries import (
@@ -131,6 +131,13 @@ class ChordRing:
         self.succ_lock = RWLock(node.sim, name=f"{node.address}.succList")
 
         self.listeners: List[RingListener] = []
+        # What a ``ring_stabilize`` request carries for a higher layer: the
+        # source maps the target's address to a dict of beacons (sent only if
+        # non-empty), and the sink takes the dict a predecessor's request
+        # carried.  The Replication Manager's replica leases ride here; the
+        # ring never reads the dict.
+        self.beacon_source: Optional[Callable[[str], dict]] = None
+        self.beacon_sink: Optional[Callable[[dict], None]] = None
         self._joined_event = node.sim.event()
         self._maintenance_started = False
         self._stabilizing = False
@@ -512,15 +519,20 @@ class ChordRing:
             target = self._stabilization_target()
             if target is None:
                 return
+            payload = {
+                "pred_address": self.address,
+                "pred_value": self.value,
+                "pred_state": self.state,
+            }
+            if self.beacon_source is not None:
+                beacons = self.beacon_source(target.address)
+                if beacons:
+                    payload["beacons"] = beacons
             try:
                 response = yield self.node.call(
                     target.address,
                     "ring_stabilize",
-                    {
-                        "pred_address": self.address,
-                        "pred_value": self.value,
-                        "pred_state": self.state,
-                    },
+                    payload,
                     timeout=FAILURE_DETECTION_TIMEOUT,
                 )
             except RpcError:
@@ -555,6 +567,9 @@ class ChordRing:
             raise RuntimeError(f"{self.address} is not a ring member ({self.state})")
         caller = payload["pred_address"]
         now = self.sim.now
+        beacons = payload.get("beacons")
+        if beacons is not None and self.beacon_sink is not None:
+            self.beacon_sink(beacons)
         for entry in self.succ_list:
             if entry.address == caller:
                 entry.heard = now

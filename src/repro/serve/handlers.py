@@ -89,8 +89,8 @@ class ServeHandler:
         pushed = self.replication._push_state.get(owner)
         if pushed is None:
             return {"ok": False, "reason": "no_push"}
-        push_version, _stamp, keys = pushed
-        if version is not None and push_version != version:
+        keys = pushed.keys
+        if version is not None and pushed.version != version:
             # The owner mutated since this push: our copy may miss inserts or
             # resurrect deletions.  Strong-consistency readers go back to the
             # primary; eventual readers pass ``version=None`` and accept the

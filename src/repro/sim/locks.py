@@ -28,8 +28,9 @@ class RWLock:
     Every change of state ends in :meth:`_grant`, so the head of a non-empty
     queue is always blocked.  An acquire that finds the queue empty and the
     lock free for its kind is therefore granted at once, queue untouched, and
-    any other acquire just joins the queue.  The queue itself is built on the
-    first contention: most of a large deployment's locks never see one.
+    any other acquire just joins the queue.  The queue itself is built on a
+    contention and dropped when it drains: most of a large deployment's locks
+    hold no queue most of the time.
     """
 
     __slots__ = ("sim", "name", "_readers", "_writer", "_waiters")
@@ -114,7 +115,7 @@ class RWLock:
                 waiters.popleft()
                 self._writer = True
                 event.succeed(self)
-                return
+                break
             # kind == _READ: grant as long as no writer holds the lock.  A
             # queued writer blocks this reader (strict FIFO), which prevents
             # writer starvation.
@@ -123,6 +124,9 @@ class RWLock:
             waiters.popleft()
             self._readers += 1
             event.succeed(self)
+        if waiters is not None and not self._waiters:
+            # Drained: drop the deque; the next contention builds a new one.
+            self._waiters = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,7 +8,9 @@ from repro import default_config
 from repro.datastore.items import Item, items_from_wire, items_to_wire
 from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
-from repro.replication.cfs import ReplicationManager
+from repro.datastore.maintenance import StorageBalancer
+from repro.harness.scenarios import build_experiment, get_scenario
+from repro.replication.cfs import LEASE_PERIODS, Lease, ReplicationManager
 from repro.ring.chord import ChordRing
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
@@ -155,6 +157,147 @@ def test_extra_hop_push_reports_acknowledgements():
     assert count >= 1
 
 
+# --------------------------------------------------------------------------- leases
+# A settled store is never pushed again: its copies stay promotable on a lease
+# the owner's ring_stabilize beacons renew (docs/ARCHITECTURE.md, "Contract:
+# ring maintenance", rule 4).
+def _casts(index, method):
+    return index.network.stats.per_method.get(method, 0)
+
+
+def test_a_quiet_scale_100_ring_pushes_nothing_and_keeps_every_copy_promotable():
+    spec = get_scenario("scale_100")
+    experiment = build_experiment(spec, 0)
+    experiment.run_phases(spec.phases[:2], total_peers=spec.peers)
+    index = experiment.index
+    period = index.config.replication_refresh_period
+    pushes = _casts(index, "rep_store_replicas")
+    checked = 0
+    for _ in range(8):  # four refresh periods
+        index.run(period / 2)
+        members = {peer.address: peer for peer in index.ring_members()}
+        for owner in members.values():
+            if not len(owner.store.items):
+                continue
+            version, targets = owner.replication._last_push
+            assert version == owner.store.items.version
+            for address in targets:
+                holder = members[address].replication
+                lease = holder._push_state[owner.address]
+                assert lease.version == version
+                for skv in lease.keys:
+                    if skv in holder.replicas:
+                        assert holder._is_promotable(skv), (address, owner.address, skv)
+                        checked += 1
+    assert _casts(index, "rep_store_replicas") == pushes
+    assert checked > 8 * len(members)
+
+
+def test_a_dead_owners_leases_stop_at_its_failure_and_its_copies_age_out():
+    index, _keys = build_cluster(seed=52, peers=8)
+    period = index.config.replication_refresh_period
+    index.run(2 * period)
+    owner = index.ring_members()[2]
+    failed_at = index.sim.now
+    index.fail_peer(owner.address)
+    # A stabilize request the owner sent just before it failed may still land.
+    landed_by = failed_at + index.network.config.latency_model.high
+    while index.sim.now < failed_at + LEASE_PERIODS * period + 1.0:
+        index.run(period / 4)
+        for peer in index.live_peers():
+            lease = peer.replication._push_state.get(owner.address)
+            assert lease is None or lease.time <= landed_by
+    aged = 0
+    for peer in index.live_peers():
+        manager = peer.replication
+        lease = manager._push_state.get(owner.address)
+        for skv, held in manager._freshness.items():
+            if lease is not None and held is lease:
+                assert not manager._is_promotable(skv)
+                aged += 1
+    assert aged
+
+
+def test_a_beacon_at_another_version_renews_nothing():
+    index, _keys = build_cluster(seed=53, peers=8)
+    index.run(index.config.stabilization_period / 2)
+    owner = index.ring_members()[2]
+    holder = index.peers[owner.replication._last_push[1][0]].replication
+    lease = holder._push_state[owner.address]
+    stamped = lease.time
+    assert stamped < index.sim.now
+    resyncs = _casts(index, "rep_resync")
+    holder.renew({owner.address: (lease.version + 1, None)})
+    holder.renew({owner.address: (lease.version - 1, index.sim.now)})
+    assert lease.time == stamped
+    assert _casts(index, "rep_resync") == resyncs
+    holder.renew({owner.address: (lease.version, None)})  # the owner's own, stamped here
+    assert lease.time == index.sim.now
+
+
+def test_a_target_that_lost_its_copies_in_place_is_resynced_by_the_beacon():
+    """Forged: a second target drops every replica (as a merged-away peer
+    recruited back into the same slot does) while the owner's fingerprint
+    holds.  The owner's relayed beacon reaches it, it asks once, and the
+    owner pushes it the snapshot; no refresh round re-pushed anything."""
+    index, _keys = build_cluster(seed=54, peers=8)
+    period = index.config.stabilization_period
+    owner = index.ring_members()[2]
+    fingerprint = owner.replication._last_push
+    holder = index.peers[fingerprint[1][1]]
+    holder.replication.clear()
+    resyncs = _casts(index, "rep_resync")
+    index.run(3 * period)
+    lease = holder.replication._push_state[owner.address]
+    assert lease.version == owner.store.items.version
+    assert set(lease.keys) == set(owner.store.items.keys())
+    assert set(lease.keys) <= set(holder.replication.replica_keys()) | set(holder.store.items.keys())
+    assert all(holder.replication._is_promotable(skv) for skv in lease.keys)
+    assert owner.replication._last_push == fingerprint
+    assert _casts(index, "rep_resync") > resyncs
+    settled = (_casts(index, "rep_resync"), _casts(index, "rep_store_replicas"))
+    index.run(3 * period)
+    assert (_casts(index, "rep_resync"), _casts(index, "rep_store_replicas")) == settled
+
+
+def test_a_finished_split_keeps_the_handed_over_keys_as_replicas(monkeypatch):
+    """The new peer's first snapshot reaches the splitter while it still holds
+    the keys as primaries; right after the shed they are its replicas."""
+    finished = []
+    original = StorageBalancer._finish_split
+
+    def recording(self):
+        pending = self._pending_split
+        handed = set(pending["transferred"]) - set(pending["deleted_during"])
+        yield from original(self)
+        if self._pending_split is None:
+            finished.append((handed, set(self.replication.replica_keys())))
+
+    monkeypatch.setattr(StorageBalancer, "_finish_split", recording)
+    build_cluster(seed=51, peers=8)
+    assert finished
+    for handed, held in finished:
+        assert handed <= held
+
+
+def test_an_extra_hop_push_leaves_every_recorded_snapshot_alone():
+    index, _keys = build_cluster(seed=58, peers=8)
+    index.run(2 * index.config.replication_refresh_period)
+    leaver = index.ring_members()[2]
+    before = {peer.address: dict(peer.replication._push_state) for peer in index.live_peers()}
+    recorded = {
+        address: {owner: (lease.version, lease.keys) for owner, lease in state.items()}
+        for address, state in before.items()
+    }
+    assert index.run_process(leaver.replication.push_extra_hop()) >= 1
+    for peer in index.live_peers():
+        state = peer.replication._push_state
+        assert state == before[peer.address]  # the very same leases
+        assert {owner: (lease.version, lease.keys) for owner, lease in state.items()} == (
+            recorded[peer.address]
+        )
+
+
 # --------------------------------------------------------------------------- reference paths
 # The promotion scan and the push receiver answer from the replica store's
 # sorted keys and the wire entries directly; the full scan and the
@@ -180,18 +323,19 @@ def _old_promotion_candidates(manager):
 
 def _old_handle_store_replicas(manager, payload, request):
     stored = 0
-    now = manager.node.sim.now
+    lease = Lease(payload.get("version"), manager.node.sim.now, targets=payload["targets"])
     pushed = []
     for item in items_from_wire(payload["items"]):
         pushed.append(item.skv)
         if manager._tombstoned(item.skv):
             continue
-        manager._freshness[item.skv] = now
+        manager._freshness[item.skv] = lease
         if manager.store.active and item.skv in manager.store.items:
             continue
         if manager.replicas.add(item):
             stored += 1
-    manager._push_state[payload["owner"]] = (payload.get("version"), now, tuple(pushed))
+    lease.keys = tuple(pushed)
+    manager._push_state[payload["owner"]] = lease
     return {"stored": stored}
 
 
@@ -210,11 +354,12 @@ def _bare_manager(state):
         manager.store.items.add(Item(key, "primary"))
     for key in state["replicas"]:
         manager.replicas.add(Item(key, "replica"))
-    for table, recorded in ((manager._tombstones, state["tombstones"]),
-                            (manager._freshness, state["freshness"])):
-        for key, age in recorded.items():
-            if age is not None:
-                table[key] = NOW - age
+    for key, age in state["tombstones"].items():
+        if age is not None:
+            manager._tombstones[key] = NOW - age
+    for key, age in state["freshness"].items():
+        if age is not None:
+            manager._freshness[key] = Lease(None, NOW - age)
     return manager
 
 
@@ -238,11 +383,15 @@ def replica_states(draw):
     }
 
 
+def _lease(lease):
+    return (lease.version, lease.time, lease.keys, lease.targets)
+
+
 def _end_state(manager):
     return (
-        list(manager._freshness.items()),
+        [(key, _lease(lease)) for key, lease in manager._freshness.items()],
         list(manager._tombstones.items()),
-        list(manager._push_state.items()),
+        [(owner, _lease(lease)) for owner, lease in manager._push_state.items()],
         [(item.skv, item.payload) for item in manager.replicas],
     )
 
@@ -266,6 +415,7 @@ def test_push_receiver_ends_as_the_item_per_entry_loop(state, data):
         "items": items_to_wire(Item(key, f"pushed-{key}") for key in pushed),
         "owner": "pred",
         "version": 7,
+        "targets": ("peer", "next"),
     }
     reference, manager = _bare_manager(state), _bare_manager(state)
     expected = _old_handle_store_replicas(reference, payload, None)

@@ -126,7 +126,7 @@ def test_replica_refuses_reads_at_a_version_it_never_saw():
     probe = ((lo + hi) / 2.0 if lo < hi else hi - 1.0) + 0.25
     assert index.insert_item_now(probe)
     assert owner.store.owns_key(probe)
-    assert owner.store.items.version > replica.replication._push_state[owner.address][0]
+    assert owner.store.items.version > replica.replication._push_state[owner.address].version
     response = _serve_read(
         index,
         index.ring_members()[0],
@@ -152,7 +152,7 @@ def test_replica_never_serves_a_tombstoned_copy():
     owner = index.ring_members()[3]
     replica = _replica_of(index, owner)
     assert replica is not None
-    version, _stamp, pushed = replica.replication._push_state[owner.address]
+    pushed = replica.replication._push_state[owner.address].keys
     assert pushed, "settled cluster must have pushed replica keys"
     victim = pushed[0]
     assert index.delete_item_now(victim)

@@ -147,3 +147,22 @@ def test_waiting_counter(sim):
     assert lock.waiting == 1
     sim.run()
     assert lock.waiting == 0
+
+
+def test_a_drained_queue_is_dropped(sim):
+    """The queue is built on a contention and dropped once it drains, so a
+    lock that queued once holds no empty deque for the rest of the run."""
+    lock = RWLock(sim)
+
+    def holder(acquire, release, hold):
+        yield acquire()
+        yield sim.timeout(hold)
+        release()
+
+    sim.process(holder(lock.acquire_write, lock.release_write, 2.0))
+    sim.process(holder(lock.acquire_read, lock.release_read, 1.0))
+    sim.process(holder(lock.acquire_write, lock.release_write, 1.0))
+    sim.run(until=1.0)
+    assert lock.waiting == 2
+    sim.run()
+    assert not lock.locked and lock._waiters is None
