@@ -24,7 +24,7 @@ deleted items are not resurrected from stale replicas.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.datastore.items import Item, ItemStore
 from repro.datastore.store import DataStore
@@ -47,7 +47,7 @@ class Lease:
     push's receipt, or a later receipt of the owner's own beacon at the same
     version, relayed and never advanced.  A non-snapshot push (a fresh
     insert's one-item cast, a leaver's extra hop) makes a lease no beacon
-    renews.
+    renews, and so does a snapshot once its owner's next one supersedes it.
     """
 
     __slots__ = ("version", "time", "keys", "targets")
@@ -89,6 +89,10 @@ class ReplicationManager(RingListener):
         self._lease_window = LEASE_PERIODS * config.replication_refresh_period
         # Fingerprint of the last fan-out: store version + target set.
         self._last_push: tuple = ()
+        # Owner -> the beaconed version we last asked a snapshot of
+        # (``rep_resync``); one ask per owner and version.  Built on the first
+        # ask: most peers never ask.
+        self._asked: Optional[dict] = None
         # What each predecessor last pushed to us: owner address -> its
         # snapshot's :class:`Lease`.  The serve layer's replica reads consult
         # this: a replica read is valid only while the owner's live version
@@ -133,6 +137,7 @@ class ReplicationManager(RingListener):
         self.replicas.clear()
         self._freshness.clear()
         self._push_state.clear()
+        self._asked = None
         self._last_push = ()
 
     def _tombstoned(self, skv: float) -> bool:
@@ -236,7 +241,7 @@ class ReplicationManager(RingListener):
         beacons = {}
         pushed = self._last_push
         if pushed and pushed[0] == self.store.items.version and target in pushed[1]:
-            beacons[self.address] = (self.store.items.version, None)
+            beacons[self.node.address] = (pushed[0], None)
         if self._push_state:
             horizon = self.node.sim.now - self._lease_window
             for owner, lease in self._push_state.items():
@@ -255,7 +260,10 @@ class ReplicationManager(RingListener):
         owner whose snapshot we do not hold means a push missed us while the
         owner's fingerprint held (we cleared our replicas and rejoined in the
         same slot): we ask the owner for its snapshot with one
-        ``rep_resync`` cast, and its answer ends the asking.
+        ``rep_resync`` cast, once per owner and beaconed version.  The owner
+        stays silent when it no longer pushes to us or its store changed (its
+        next round pushes), and a dead owner never answers, so an answer is
+        not what ends the asking.
         """
         now = self.node.sim.now
         push_state = self._push_state
@@ -265,9 +273,18 @@ class ReplicationManager(RingListener):
             lease = push_state.get(owner)
             if lease is None:
                 if owner != self.address:
-                    self.node.cast(owner, "rep_resync", {"holder": self.address})
+                    self._ask(owner, version)
             elif lease.version == version and time > lease.time:
                 lease.time = time
+
+    def _ask(self, owner: str, version) -> None:
+        """Cast ``rep_resync`` to ``owner``, once per beaconed version."""
+        if self._asked is None:
+            self._asked = {}
+        elif self._asked.get(owner) == version:
+            return
+        self._asked[owner] = version
+        self.node.cast(owner, "rep_resync", {"holder": self.address})
 
     def _handle_resync(self, payload, request):
         """Cast: a target holds no snapshot of ours; push it the current one."""
@@ -366,9 +383,10 @@ class ReplicationManager(RingListener):
         new peer's snapshot, when it lands, moves it onto that snapshot's.
         """
         fresh = Lease(None, self.node.sim.now)
+        tombstones = self._tombstones
         for item in items:
             skv = item.skv
-            if self._tombstoned(skv):
+            if skv in tombstones and self._tombstoned(skv):
                 continue
             self.replicas.put(skv, item.payload)
             self._freshness.setdefault(skv, fresh)
@@ -395,7 +413,11 @@ class ReplicationManager(RingListener):
         """Cast: store replicas on behalf of a predecessor.
 
         The extra-hop push (:func:`push_items_one_extra_hop`) calls it and
-        reads the acknowledgement.
+        reads the acknowledgement.  A snapshot moves every key it carries
+        onto its lease.  A non-snapshot push gives its lease only to a key
+        that is not promotable yet (no lease, or an expired one): a leaver's
+        extra hop that lands after an owner's newer snapshot must not move
+        that snapshot's keys onto a lease no beacon renews.
         """
         stored = 0
         pushed: List[float] = []
@@ -404,8 +426,10 @@ class ReplicationManager(RingListener):
         replicas = self.replicas
         primaries = self.store.items if self.store.active else ()
         snapshot = payload.get("snapshot", True)
-        lease = Lease(payload.get("version"), self.node.sim.now,
-                      targets=payload.get("targets", ()))
+        owner = payload["owner"]
+        now = self.node.sim.now
+        window = self._lease_window
+        lease = Lease(payload.get("version"), now, targets=payload.get("targets", ()))
         # Only a tombstoned key pays the expiry check; ``put`` skips a key
         # already held as a replica.
         for entry in payload["items"]:
@@ -413,7 +437,10 @@ class ReplicationManager(RingListener):
             pushed.append(skv)
             if skv in tombstones and self._tombstoned(skv):
                 continue  # deleted; do not let a stale copy come back
-            freshness[skv] = lease
+            # A non-snapshot push leaves a promotable copy on its lease.
+            held = None if snapshot else freshness.get(skv)
+            if held is None or now - held.time > window:
+                freshness[skv] = lease
             if skv in primaries:
                 continue  # we already hold the primary copy
             if replicas.put(skv, entry.get("payload")):
@@ -426,8 +453,34 @@ class ReplicationManager(RingListener):
         # the record alone.
         if snapshot:
             lease.keys = tuple(pushed)
-            self._push_state[payload["owner"]] = lease
+            superseded = self._push_state.get(owner)
+            self._push_state[owner] = lease
+            if superseded is not None:
+                self._rehome(superseded, lease)
         return {"stored": stored}
+
+    def _rehome(self, superseded: Lease, lease: Lease) -> None:
+        """Move the keys an owner's new snapshot dropped to a lease that carries them.
+
+        An owner leaves out of its new snapshot the keys it handed on (a
+        split's lower range, a redistribution's share).  A key still on the
+        superseded lease would age out, although another owner's snapshot we
+        hold may carry it: a split's new peer pushes its first snapshot while
+        the splitter still holds the keys, and a splitter push in between
+        moves them onto the splitter's lease, which the shed then supersedes.
+        Each such key moves to the freshest recorded snapshot that carries it;
+        a key that none carries keeps the superseded lease and ages out.
+        """
+        freshness = self._freshness
+        dropped = set(superseded.keys).difference(lease.keys)
+        orphans = {skv for skv in dropped if freshness.get(skv) is superseded}
+        if not orphans:
+            return
+        for carrier in self._push_state.values():
+            for skv in orphans.intersection(carrier.keys):
+                held = freshness[skv]
+                if held is superseded or carrier.time > held.time:
+                    freshness[skv] = carrier
 
     def _handle_remove_replica(self, payload, request):
         """Cast: a primary copy was deleted; drop our replica and remember the deletion."""

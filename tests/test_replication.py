@@ -16,6 +16,7 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.transport import Endpoint
 from tests.conftest import build_cluster
+from tests.test_maintenance import _overflowing_splitter
 
 
 def test_items_are_replicated_to_successors():
@@ -289,6 +290,8 @@ def test_an_extra_hop_push_leaves_every_recorded_snapshot_alone():
         address: {owner: (lease.version, lease.keys) for owner, lease in state.items()}
         for address, state in before.items()
     }
+    promotable = _promotable_leases(index)
+    assert sum(map(len, promotable.values()))
     assert index.run_process(leaver.replication.push_extra_hop()) >= 1
     for peer in index.live_peers():
         state = peer.replication._push_state
@@ -296,6 +299,159 @@ def test_an_extra_hop_push_leaves_every_recorded_snapshot_alone():
         assert {owner: (lease.version, lease.keys) for owner, lease in state.items()} == (
             recorded[peer.address]
         )
+        freshness = peer.replication._freshness
+        for skv, lease in promotable[peer.address].items():
+            assert freshness[skv] is lease, (peer.address, skv)
+
+
+def _promotable_leases(index):
+    """The lease of every promotable held key, per holder."""
+    return {
+        peer.address: {
+            skv: lease
+            for skv, lease in peer.replication._freshness.items()
+            if peer.replication._is_promotable(skv)
+        }
+        for peer in index.live_peers()
+    }
+
+
+def test_a_merge_whose_successor_pushes_before_the_extra_hop_keeps_every_lease():
+    """A merge by hand, in maybe_merge's order: the leaver's items move to its
+    successor and leave its store; the successor's next round pushes the new
+    snapshot *before* the leaver's extra hop (its promotable replicas) lands.
+    No promotable key moves off its lease onto the extra hop's, which no
+    beacon renews, and the absorbed keys stay promotable on the successor's
+    beacons after the leaver is gone."""
+    index, _keys = build_cluster(seed=58, peers=8)
+    period = index.config.replication_refresh_period
+    index.run(2 * period)
+    leaver = index.ring_members()[2]
+    successor = index.peers[leaver.ring.first_live_successor()]
+    moved = leaver.store.items.to_wire()
+    absorbed = [entry["skv"] for entry in moved]
+    assert absorbed
+
+    def absorb():
+        yield leaver.call(
+            successor.address,
+            "ds_absorb_items",
+            {"items": moved, "new_low": leaver.store.range.low, "from_peer": leaver.address},
+        )
+        for skv in absorbed:
+            leaver.store.remove_local(skv, reason="merge_transfer")
+        leaver.store.deactivate()
+
+    index.run_process(absorb())
+    index.run_process(successor.replication._refresh_once())
+    index.run(0.05)  # the new snapshot lands at the successor's targets
+    version, targets = successor.replication._last_push
+    assert version == successor.store.items.version
+    for address in targets:
+        holder = index.peers[address].replication
+        lease = holder._push_state[successor.address]
+        assert all(holder._freshness[skv] is lease for skv in absorbed), address
+    promotable = _promotable_leases(index)
+    forwarded = {
+        entry["skv"] for entry in leaver.replication.replicas.to_wire()
+        if leaver.replication._is_promotable(entry["skv"])
+    }
+    hopped = leaver.ring.joined_successors(index.config.replication_factor)
+    assert any(forwarded & set(promotable[address]) for address in hopped)
+    assert index.run_process(leaver.replication.push_extra_hop()) >= 1
+    for peer in index.live_peers():
+        freshness = peer.replication._freshness
+        for skv, lease in promotable[peer.address].items():
+            assert freshness[skv] is lease, (peer.address, skv)
+    index.run_process(leaver.ring.leave())
+    leaver.replication.clear()
+    index.run((LEASE_PERIODS + 1) * period)
+    assert successor.replication._last_push == (version, targets)
+    for address in targets:
+        holder = index.peers[address].replication
+        assert all(holder._is_promotable(skv) for skv in absorbed), address
+
+
+def test_a_splitter_push_before_the_shed_leaves_the_keys_on_the_new_peers_lease(monkeypatch):
+    """The new peer's first snapshot reaches its targets while the splitter
+    still holds the keys.  A splitter push in between (its store changed)
+    moves them onto the splitter's lease, and the shed's snapshot supersedes
+    that lease; the keys must go back to the new peer's snapshot, whose
+    beacons renew it, since the new peer's fingerprint holds."""
+    index, splitter = _overflowing_splitter(seed=61)
+    original = StorageBalancer._finish_split
+    handed, receiver = [], []
+
+    def push_around_the_shed(self):
+        if self is not splitter.balancer:
+            yield from original(self)
+            return
+        pending = self._pending_split
+        handed.extend(set(pending["transferred"]) - set(pending["deleted_during"]))
+        receiver.append(pending["new_peer"])
+        sim = self.node.sim
+        yield sim.timeout(0.05)  # the new peer's first snapshot lands
+        key = (self.store.range.high - 0.005) % index.config.key_space
+        assert self.store.items.add(Item(key, payload="late"))
+        yield from self.replication._refresh_once()  # still carries the keys
+        yield sim.timeout(0.05)
+        yield from original(self)
+        yield from self.replication._refresh_once()  # the shed's snapshot
+        yield sim.timeout(0.05)
+
+    monkeypatch.setattr(StorageBalancer, "_finish_split", push_around_the_shed)
+    index.run(5.0)
+    assert handed and splitter.balancer._pending_split is None
+    new_peer = index.peers[receiver[0]]
+    assert set(handed) <= set(new_peer.store.items.keys())
+    shared = set(new_peer.replication._last_push[1]) & set(splitter.replication._last_push[1])
+    assert shared
+    for address in shared:
+        holder = index.peers[address].replication
+        lease = holder._push_state[new_peer.address]
+        for skv in handed:
+            assert holder._freshness[skv] is lease, (address, skv)
+    fingerprint = new_peer.replication._last_push
+    index.run((LEASE_PERIODS + 1) * index.config.replication_refresh_period)
+    assert new_peer.replication._last_push == fingerprint
+    for address in shared:
+        holder = index.peers[address].replication
+        assert all(holder._is_promotable(skv) for skv in handed), address
+
+
+def test_a_holder_asks_an_owner_that_does_not_answer_once_per_version(monkeypatch):
+    """A holder without the owner's snapshot keeps getting the owner's beacon
+    relayed (here: the owner died, and the holder cleared its replicas).  It
+    asks once, not on every stabilize request; the live owners it also lost
+    answer their one ask."""
+    index, _keys = build_cluster(seed=54, peers=8)
+    period = index.config.replication_refresh_period
+    owner = index.ring_members()[2]
+    holder = index.peers[owner.replication._last_push[1][1]]
+    asked = []
+    cast = holder.cast
+
+    def counting(destination, method, payload=None):
+        if method == "rep_resync":
+            asked.append(destination)
+        cast(destination, method, payload)
+
+    monkeypatch.setattr(holder, "cast", counting)
+    index.fail_peer(owner.address)
+    holder.replication.clear()
+    relayed = []
+    renew = holder.replication.renew
+
+    def recording(beacons):
+        if owner.address in beacons:
+            relayed.append(beacons[owner.address])
+        renew(beacons)
+
+    holder.ring.beacon_sink = recording
+    index.run((LEASE_PERIODS + 1) * period)
+    assert len(relayed) >= 3
+    assert asked.count(owner.address) == 1
+    assert len(asked) == len(set(asked))  # the live owners answered the one ask
 
 
 # --------------------------------------------------------------------------- reference paths
@@ -323,19 +479,31 @@ def _old_promotion_candidates(manager):
 
 def _old_handle_store_replicas(manager, payload, request):
     stored = 0
-    lease = Lease(payload.get("version"), manager.node.sim.now, targets=payload["targets"])
+    now = manager.node.sim.now
+    owner, snapshot = payload["owner"], payload.get("snapshot", True)
+    lease = Lease(payload.get("version"), now, targets=payload.get("targets", ()))
     pushed = []
     for item in items_from_wire(payload["items"]):
         pushed.append(item.skv)
         if manager._tombstoned(item.skv):
             continue
-        manager._freshness[item.skv] = lease
+        held = manager._freshness.get(item.skv)
+        if snapshot or held is None or now - held.time > LEASE_PERIODS * PERIOD:
+            manager._freshness[item.skv] = lease
         if manager.store.active and item.skv in manager.store.items:
             continue
         if manager.replicas.add(item):
             stored += 1
-    lease.keys = tuple(pushed)
-    manager._push_state[payload["owner"]] = lease
+    if snapshot:
+        lease.keys = tuple(pushed)
+        superseded = manager._push_state.get(owner)
+        manager._push_state[owner] = lease
+        for skv in superseded.keys if superseded is not None else ():
+            if skv in pushed or manager._freshness.get(skv) is not superseded:
+                continue
+            carriers = [held for held in manager._push_state.values() if skv in held.keys]
+            if carriers:
+                manager._freshness[skv] = max(carriers, key=lambda held: held.time)
     return {"stored": stored}
 
 
@@ -360,6 +528,14 @@ def _bare_manager(state):
     for key, age in state["freshness"].items():
         if age is not None:
             manager._freshness[key] = Lease(None, NOW - age)
+    # Recorded snapshots of up to three owners; each key is on one of them or on
+    # a lease of its own, as ``state["carried"]`` says.
+    for owner, (age, keys) in state["snapshots"].items():
+        lease = Lease(3, NOW - age, keys=tuple(keys), targets=("peer",))
+        manager._push_state[owner] = lease
+        for key in keys:
+            if state["carried"].get(key) == owner:
+                manager._freshness[key] = lease
     return manager
 
 
@@ -380,6 +556,12 @@ def replica_states(draw):
         "replicas": [key for key in keys if draw(st.booleans())],
         "tombstones": {key: draw(ages) for key in keys},
         "freshness": {key: draw(ages) for key in keys},
+        "snapshots": {
+            owner: (draw(ages.filter(lambda age: age is not None)),
+                    sorted(key for key in keys if draw(st.booleans())))
+            for owner in draw(st.lists(st.sampled_from(["pred", "other", "third"]), unique=True))
+        },
+        "carried": {key: draw(st.sampled_from([None, "pred", "other", "third"])) for key in keys},
     }
 
 
@@ -416,8 +598,29 @@ def test_push_receiver_ends_as_the_item_per_entry_loop(state, data):
         "owner": "pred",
         "version": 7,
         "targets": ("peer", "next"),
+        "snapshot": data.draw(st.booleans()),
     }
     reference, manager = _bare_manager(state), _bare_manager(state)
     expected = _old_handle_store_replicas(reference, payload, None)
     assert manager._handle_store_replicas(payload, None) == expected
     assert _end_state(manager) == _end_state(reference)
+
+
+def test_a_dropped_key_moves_to_the_freshest_snapshot_that_carries_it():
+    state = {
+        "keys": [1.0, 2.0, 3.0], "active": True, "range": CircularRange(0.0, 5.0),
+        "primaries": [], "replicas": [1.0, 3.0], "tombstones": {}, "freshness": {3.0: PERIOD},
+        # 1.0: dropped by pred's new snapshot, carried by two other owners;
+        # 3.0: dropped too, but on a lease of its own, so it stays there.
+        "snapshots": {"pred": (0.0, [1.0, 3.0]), "other": (2 * PERIOD, [1.0]),
+                      "third": (PERIOD, [1.0])},
+        "carried": {1.0: "pred"},
+    }
+    payload = {"items": items_to_wire([Item(2.0, "new")]), "owner": "pred", "version": 7,
+               "targets": ("peer",)}
+    manager = _bare_manager(state)
+    own = manager._freshness[3.0]
+    manager._handle_store_replicas(payload, None)
+    assert manager._freshness[1.0] is manager._push_state["third"]
+    assert manager._freshness[3.0] is own
+    assert manager._freshness[2.0] is manager._push_state["pred"]
