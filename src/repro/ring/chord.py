@@ -635,9 +635,13 @@ class ChordRing:
     def _check_predecessor_once(self, probing: bool = False):
         """Ping the predecessor unless its own stabilize vouched for it.
 
-        A ``ring_stabilize`` from the current predecessor within one
-        ``predecessor_check_period`` is first-hand liveness, so the periodic
-        check skips the ping (and counts it as ``ring_ping_fresh_skip``).  A
+        A ``ring_stabilize`` from the current predecessor within one of the
+        predecessor's own stabilize rounds -- ``stabilization_period`` plus
+        the round's jitter plus the call's timeout -- is first-hand liveness,
+        so the periodic check skips the ping (and counts it as
+        ``ring_ping_fresh_skip``).  The window follows the clock of the
+        evidence, not of this check: a live predecessor stabilizes with us
+        once a round, whatever ``predecessor_check_period`` is.  A
         dead predecessor stops stabilizing, and the peer behind it then
         stabilizes with us: :meth:`_handle_stabilize` spawns a *probing* check,
         which always pings, and then offers the pending ``_pred_probe``
@@ -647,7 +651,8 @@ class ChordRing:
         """
         pred_address, pred_value = self.pred_address, self.pred_value
         has_pred = self.is_joined and pred_address not in (None, self.address)
-        fresh = self.sim.now - self.pred_heard <= self.config.predecessor_check_period
+        window = self.config.stabilization_period + STABILIZATION_JITTER + FAILURE_DETECTION_TIMEOUT
+        fresh = self.sim.now - self.pred_heard <= window
         if has_pred and fresh and not probing:
             self._record("ring_ping_fresh_skip", 1.0)
         elif has_pred:

@@ -52,6 +52,10 @@ _CLEAN_WALKS_TO_BACK_OFF = 2
 _BACKOFF_GROWTH = 2.0
 _BACKOFF_MAX = 6.0
 
+# The floor: a walk restarts from its kept prefix only within this many base
+# periods of the last full walk, two of the cadence's longest periods.
+_FULL_WALK_FLOOR = 2 * _BACKOFF_MAX
+
 
 def _lose_walk(done) -> None:
     """Timer: the pending walk did not come back in time."""
@@ -130,6 +134,13 @@ class HierarchicalRingRouter(RingListener):
         # past-the-end step or hits a dead pointer, or the ring reports a
         # neighbourhood change.
         self._cadence = AdaptiveCadence(config.router_refresh_period)
+        # Where the next walk starts: the table index (even, where walk hops
+        # sit) below which nothing has been seen to move.  Evidence against
+        # the table sets it to 0, a full walk; so does ``_full_due``.
+        self._restart = 0
+        self._full_due = 0.0
+        # The JOINED successors as the last walk started (see _start_level).
+        self._successors: List[Tuple[str, float]] = []
         ring.add_listener(self)
         # The last walk's id, and the event its result succeeds while it is
         # pending (``None`` otherwise).
@@ -161,12 +172,15 @@ class HierarchicalRingRouter(RingListener):
 
     # ------------------------------------------------------------------ ring events
     def on_successor_changed(self, ring, new_address: str) -> None:
+        self._restart = 0
         self._cadence.note_change()
 
     def on_predecessor_changed(self, ring, old_address, old_value, new_address, new_value) -> None:
+        self._restart = 0
         self._cadence.note_change()
 
     def on_predecessor_failed(self, ring, old_address, old_value) -> None:
+        self._restart = 0
         self._cadence.note_failure()
 
     # ------------------------------------------------------------------ table maintenance
@@ -272,10 +286,39 @@ class HierarchicalRingRouter(RingListener):
         if done is not None and payload["walk"] == self._walks and not done.triggered:
             done.succeed(payload)
 
-    def _refresh_table(self):
+    def _start_level(self, first, successors) -> int:
+        """The table index the next walk starts at, even and kept below.
+
+        ``_restart``, unless the kept prefix ``table[:start + 1]`` is gone
+        (the table was emptied while we had no JOINED successor) or can no
+        longer be trusted: the floor's full walk is due, ``table[0]`` is not
+        our first JOINED successor ``first`` any more, or a peer joined or
+        left our JOINED ``successors`` since the last walk started, no
+        farther clockwise than ``table[start]``.
+        """
+        start = self._restart
+        if not start:
+            return 0
+        table = self.table
+        if (
+            start >= len(table)
+            or self.node.sim.now >= self._full_due
+            or table[0] != (first.address, first.value)
+        ):
+            return 0
+        own_value = self.ring.value
+        reach = self._clockwise(own_value, table[start][1])
+        before, after = dict(self._successors), dict(successors)
+        for address in before.keys() ^ after.keys():
+            value = before[address] if address in before else after[address]
+            if self._clockwise(own_value, value) <= reach:
+                return 0
+        return start
+
+    def _refresh_table(self, start=None):
         """Rebuild the pointer table by one walk forwarded along the ring.
 
-        The walk starts at our first JOINED successor and travels from peer
+        A full walk starts at our first JOINED successor and travels from peer
         to peer as ``route_table_entry`` casts (:meth:`_handle_table_entry`):
         each hop adds two consecutive table entries of its own, so the
         pointer spread stays geometric (ratios alternate ~2x and ~1.5x), and
@@ -291,6 +334,18 @@ class HierarchicalRingRouter(RingListener):
         cut ours short.  A pointer is installed only if it lies strictly
         farther clockwise than the one before it, so the table holds only
         usable pointers.
+
+        **Restart.**  A walk re-asks only what moved: it may start at an even
+        table index ``start`` (:meth:`_start_level`, or the argument), keep
+        ``table[:start + 1]`` and send its first cast to ``table[start]``;
+        every hop after that is a full walk's hop.  After a walk the next
+        one starts two levels below the lowest level this one changed,
+        rounded down to even (the hop that answered that level, or the one
+        before it).  Evidence against the table makes the next walk full: a
+        ring event (the listener callbacks), a lost walk, a dead pointer
+        found by our own route, a walk that grew the table or went
+        ``past_end``, a moved first successor or successor list, and the
+        floor, a full walk at least every ``_FULL_WALK_FLOOR`` base periods.
 
         We wait for the result on one clock timer, ``ROUTER_TABLE_SIZE``
         failure-detection timeouts: a walk that does not come back by then
@@ -319,18 +374,29 @@ class HierarchicalRingRouter(RingListener):
             return
         own_value = self.ring.value
         sim = self.node.sim
+        successors = self._joined_successors()
+        if start is None:
+            start = self._start_level(first, successors)
+        if start:
+            table = self.table[: start + 1]
+        else:
+            table = [(first.address, first.value)]
+            self._full_due = sim.now + _FULL_WALK_FLOOR * self._cadence.base
+        # Evidence that arrives while the walk is out lowers this again.
+        self._restart = ROUTER_TABLE_SIZE
+        self._successors = successors
         self._walks += 1
         done = self._walk_done = sim.event()
         timer = sim.schedule_timer(_WALK_TIMEOUT, _lose_walk, done)
         self.node.cast(
-            first.address,
+            table[-1][0],
             "route_table_entry",
             {
                 "walk": self._walks,
                 "origin": self.node.address,
                 "until": own_value,
-                "table": [(first.address, first.value)],
-                "last": self._clockwise(own_value, first.value),
+                "table": table,
+                "last": self._clockwise(own_value, table[-1][1]),
                 "past_end": False,
             },
         )
@@ -340,14 +406,22 @@ class HierarchicalRingRouter(RingListener):
             self._walk_done = None
             sim.cancel_timer(timer)
         if result is None:
+            self._restart = 0
             self._cadence.note_failure()  # lost at a dead hop: keep the table
             return
-        table = result["table"]
-        grew = len(table) > len(self.table)
+        table, old = result["table"], self.table
+        grew = len(table) > len(old)
+        changed = min(len(old), len(table))  # the lowest level this walk changed
+        for level in range(changed):
+            if table[level] != old[level]:
+                changed = level
+                break
         self.table = table
         if grew or result["past_end"]:
+            self._restart = 0
             self._cadence.note_change()
         else:
+            self._restart = min(self._restart, max(changed - 2, 0) // 2 * 2)
             self._cadence.note_success()
 
     # ------------------------------------------------------------------ routing
@@ -427,6 +501,7 @@ class HierarchicalRingRouter(RingListener):
                 # A dead hop is first-hand staleness evidence: forget the
                 # pointer and revalidate the table at the base cadence.
                 dead.add(current)
+                self._restart = 0
                 self._cadence.note_failure()
                 self.table = [pointer for pointer in self.table if pointer[0] != current]
                 continue

@@ -13,7 +13,7 @@ from repro.core.correctness import (
 )
 from repro.harness.metrics import Metrics
 from repro.harness.scenarios import build_experiment, get_scenario
-from repro.index.config import FAILURE_DETECTION_TIMEOUT, default_config
+from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, default_config
 from repro.ring.chord import ChordRing, in_open_interval
 from repro.ring.entries import (
     FREE,
@@ -466,6 +466,66 @@ def test_a_third_successor_is_skipped_on_a_relayed_time_until_it_goes_stale():
     sim.run_process(ring._validate_successors_once())
     assert pinged == ["s3"]
     assert ring._handle_stabilize(relay, None)["heard"]["s3"] == sim.now
+
+
+@pytest.mark.parametrize("check, stabilization", [(4.0, 4.0), (4.0, 8.0), (8.0, 8.0)])
+def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(check, stabilization):
+    """The check skips its ping while the predecessor's last stabilize is at
+    most one of the predecessor's own rounds old -- ``stabilization_period``
+    plus the round's jitter plus the call's timeout -- whatever
+    ``predecessor_check_period`` is, and pings once it is older."""
+    sim = Simulator()
+    node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
+    config = default_config(predecessor_check_period=check, stabilization_period=stabilization)
+    ring = ChordRing(node, 100.0, config)
+    ring._set_state(JOINED)
+    ring.succ_list = [SuccessorEntry("s1", 200.0)]
+    pinged = []
+
+    def call(address, method, payload, timeout=None):
+        pinged.append((address, method))
+        return sim.event().succeed({"value": 50.0, "state": JOINED})
+
+    node.call = call
+    sim.run(until=10 * stabilization)
+    ring._handle_stabilize({"pred_address": "p", "pred_value": 50.0, "pred_state": JOINED}, None)
+    assert ring.pred_address == "p" and ring.pred_heard == sim.now
+    window = stabilization + STABILIZATION_JITTER + FAILURE_DETECTION_TIMEOUT
+    sim.run(until=ring.pred_heard + window)  # exactly one round old: skipped
+    sim.run_process(ring._check_predecessor_once())
+    assert pinged == []
+    sim.run(until=sim.now + 0.01)
+    sim.run_process(ring._check_predecessor_once())
+    assert pinged == [("p", "ring_ping")]
+
+
+def test_a_4s_check_under_8s_stabilization_pings_no_live_predecessor():
+    """With the check every 4 s and stabilization every 8-8.5 s, a live
+    predecessor's own stabilize covers every check: a settled ring sends no
+    predecessor ping, though the check runs twice per stabilize round."""
+    harness = RingHarness(
+        ring_class=PepperRing, stabilization_period=8.0, predecessor_check_period=4.0
+    )
+    harness.bootstrap(1000.0)
+    for value in (100.0, 250.0, 400.0, 550.0, 700.0, 850.0, 925.0):
+        harness.join_peer(value)
+        harness.run(1.0)
+    harness.run(40.0)
+    pinged = []
+    for peer in harness.peers:
+        def recording(destination, method, payload=None, timeout=None, peer=peer,
+                      call=peer.call):
+            if method == "ring_ping" and destination == peer.ring.pred_address:
+                pinged.append((harness.sim.now, peer.address, destination))
+            return call(destination, method, payload, timeout)
+
+        peer.call = recording
+    skips = harness.metrics.count("ring_ping_fresh_skip")
+    harness.run(10 * 8.0)
+    assert pinged == []
+    # At least a skip per predecessor check (every 4-4.5 s on each peer).
+    assert harness.metrics.count("ring_ping_fresh_skip") - skips >= 8 * 80 / 4.5 - 8
+    assert check_consistent_successor_pointers(harness.live()).ok
 
 
 def test_fresh_stabilize_traffic_replaces_most_pings():

@@ -435,14 +435,153 @@ def test_a_peer_failing_mid_walk_leaves_no_cycle():
             gc.enable()
 
 
-def _iterative_walk(index, router):
+# --------------------------------------------------------------------------- restarted walks
+F = ("f", 8000.0)
+
+
+def _settled_router():
+    """A router whose full walk installed [A, B, C, D, E] unchanged, so its
+    next walk restarts at level 2 (two below the table's end, rounded down
+    to even); ``f`` at 8000.0 is one more hop on its network."""
+    router = _joined_router(table=[A, B, C, D, E])
+    router.hops["f"] = _bare_router(*F, router.node.network)
+    _stop_refresh_loops([router.hops["f"]])
+    assert _walk(router, ([B, C], None), ([D, E], None), ([], None)) == [
+        ("a", 0), ("c", 2), ("e", 4)]
+    assert router.table == [A, B, C, D, E]
+    return router
+
+
+def _first_hop(router):
+    """Run one walk that ends at its first hop; return that hop."""
+    (hop,) = _walk(router, ([], None))
+    return hop
+
+
+def test_a_walk_restarts_two_levels_below_the_lowest_level_the_last_walk_changed():
+    router = _settled_router()
+    # Nothing changed: levels 0-2 are kept and the walk re-asks from c.
+    assert _walk(router, ([D, E], None), ([], None)) == [("c", 2), ("e", 4)]
+    assert router.table == [A, B, C, D, E]
+    # This walk changes level 3, so the next one starts at level 0 (3 - 2,
+    # rounded down to even).
+    x = ("x", 1000.0)
+    assert _walk(router, ([x, E], None), ([], None)) == [("c", 2), ("e", 4)]
+    assert router.table == [A, B, C, x, E]
+    assert _first_hop(router) == ("a", 0)
+
+
+@pytest.mark.parametrize("event", ["successor", "predecessor", "predecessor_failed", "mid_walk"])
+def test_a_ring_event_makes_the_next_walk_full(event):
+    router = _settled_router()
+    ring = router.ring
+    fire = {
+        "successor": lambda: router.on_successor_changed(ring, "a"),
+        "predecessor": lambda: router.on_predecessor_changed(ring, None, None, "p", 50.0),
+        "predecessor_failed": lambda: router.on_predecessor_failed(ring, "p", 50.0),
+    }
+    if event == "mid_walk":
+        # Heard while a restarted walk is out: the walk's own clean result
+        # does not override it.
+        def answering(level, until):
+            fire["successor"]()
+            return [D, E], None
+
+        router.hops["c"]._table_answer = answering
+        router.hops["e"]._table_answer = lambda level, until: ([], None)
+        router.node.sim.run_process(router._refresh_table())
+        assert router.table == [A, B, C, D, E]
+    else:
+        fire[event]()
+    assert _first_hop(router) == ("a", 0)
+
+
+def test_a_lost_walk_makes_the_next_walk_full():
+    router = _settled_router()
+    router.hops["e"].node.fail()
+    assert _walk(router, ([D, E], None)) == [("c", 2)]  # lost at e
+    assert _first_hop(router) == ("a", 0)
+
+
+def test_a_dead_pointer_found_by_our_own_route_makes_the_next_walk_full():
+    router = _settled_router()
+    router.hops["d"].node.fail()
+    router.node.sim.run_process(router.find_responsible(1700.0))  # d is its first candidate
+    assert D not in router.table
+    assert _first_hop(router) == ("a", 0)
+
+
+@pytest.mark.parametrize("grew", [True, False])
+def test_a_walk_that_grew_or_went_past_the_end_makes_the_next_walk_full(grew):
+    router = _settled_router()
+    if grew:
+        calls = _walk(router, ([D, E], None), ([F], None), ([], None))
+        assert router.table == [A, B, C, D, E, F]
+    else:
+        calls = _walk(router, ([D], "past_end"), ([E], None), ([], None))
+        assert router.table == [A, B, C, D, E]  # unchanged, but past the end
+    assert calls[0] == ("c", 2)
+    assert _first_hop(router) == ("a", 0)
+
+
+def test_a_moved_first_successor_makes_the_next_walk_full():
+    # Same address, new value: table[0] is no longer the first JOINED successor.
+    router = _settled_router()
+    router.ring.succ_list = [SuccessorEntry("a", 250.0, JOINED)]
+    assert _first_hop(router) == ("a", 0)
+
+
+def test_a_table_emptied_without_a_joined_successor_makes_the_next_walk_full():
+    router = _settled_router()
+    router.ring.succ_list = []
+    assert _walk(router) == [] and router.table == []
+    router.ring.succ_list = [SuccessorEntry("a", 200.0, JOINED)]
+    assert _first_hop(router) == ("a", 0)
+
+
+@pytest.mark.parametrize("entry, full", [
+    (("x", 300.0, JOINED), True),  # joined within the kept levels' span
+    (("y", 1000.0, JOINED), False),  # past table[2], which the walk re-asks anyway
+    (("x", 300.0, JOINING), False),  # not a JOINED successor yet
+])
+def test_a_successor_list_change_within_the_kept_span_makes_the_next_walk_full(entry, full):
+    router = _settled_router()
+    router.ring.succ_list = [SuccessorEntry("a", 200.0, JOINED), SuccessorEntry(*entry)]
+    assert _first_hop(router) == (("a", 0) if full else ("c", 2))
+
+
+def test_a_successor_leaving_the_kept_span_makes_the_next_walk_full():
+    router = _joined_router(table=[A, B, C, D, E])
+    router.ring.succ_list = [SuccessorEntry("a", 200.0, JOINED), SuccessorEntry("b", 400.0, JOINED)]
+    _walk(router, ([B, C], None), ([D, E], None), ([], None))
+    router.ring.succ_list = router.ring.succ_list[:1]
+    assert _first_hop(router) == ("a", 0)
+
+
+def test_the_floor_makes_a_walk_full_every_twelve_base_periods():
+    router = _settled_router()
+    base = router.config.router_refresh_period
+    sim = router.node.sim
+    assert router._full_due == pytest.approx(sim.now + 12 * base, abs=0.01)
+    sim.run(until=router._full_due - 0.01)
+    assert _walk(router, ([D, E], None), ([], None))[0] == ("c", 2)
+    sim.run(until=router._full_due)
+    assert _first_hop(router) == ("a", 0)
+
+
+def _iterative_walk(index, router, prefix=()):
     """The table the iterative walk (a round trip per hop, the origin
-    installing every answer) builds over the tables as they stand."""
+    installing every answer) builds over the tables as they stand, from
+    ``prefix`` kept (a restart) or from the first JOINED successor."""
     own = router.ring.value
     halfway = router.config.key_space / 2.0
-    first = router.ring._stabilization_target()
-    fresh, mark = ([] if first is None else [(first.address, first.value)]), None
-    table, last = [], 0.0
+    table, last, mark = list(prefix), 0.0, None
+    if table:
+        last = router._clockwise(own, table[-1][1])
+        fresh, mark = index.peers[table[-1][0]].router._table_answer(len(table) - 1, own)
+    else:
+        first = router.ring._stabilization_target()
+        fresh = [] if first is None else [(first.address, first.value)]
     while fresh:
         for address, value in fresh:
             distance = router._clockwise(own, value)
@@ -459,7 +598,8 @@ def _iterative_walk(index, router):
 
 def test_the_forwarded_walk_installs_the_iterative_walks_table():
     """On a settled scale_100 ring with every table frozen, each member's
-    forwarded walk installs the table the iterative walk computes."""
+    forwarded walk installs the table the iterative walk computes: a full
+    walk, and a restart from every even level of its kept prefix."""
     spec = get_scenario("scale_100")
     experiment = build_experiment(spec, 0)
     experiment.run_phases(spec.phases[:2], total_peers=spec.peers)
@@ -468,20 +608,30 @@ def test_the_forwarded_walk_installs_the_iterative_walks_table():
     _stop_refresh_loops([peer.router for peer in index.peers.values()])
     index.run(1.0)
     frozen = {peer.address: list(peer.router.table) for peer in members}
-    lengths = set()
+    lengths, restarts = set(), 0
     for peer in members:
         expected = _iterative_walk(index, peer.router)
-        index.run_process(peer.router._refresh_table())
+        index.run_process(peer.router._refresh_table(start=0))
         assert peer.router.table == expected, peer.address
         lengths.add(len(expected))
-        peer.router.table = frozen[peer.address]
+        kept = frozen[peer.address]
+        for start in range(2, len(kept), 2):
+            peer.router.table = list(kept)
+            expected = _iterative_walk(index, peer.router, kept[: start + 1])
+            index.run_process(peer.router._refresh_table(start=start))
+            assert peer.router.table == expected, (peer.address, start)
+            assert peer.router.table[: start + 1] == kept[: start + 1]
+            restarts += 1
+        peer.router.table = kept
     assert len(index.ring_members()) == len(members)
     assert max(lengths) > 4  # the walks went several hops
+    assert restarts > 3 * len(members)
 
 
 # scale_100's stress-phase route_table_entry hops per ring member per simulated
-# second: 0.207 at seed 0, plus 20% headroom (CI's scale-smoke gates the same).
-ROUTER_WALK_RATE = 0.249
+# second: 0.141 at seed 0 (0.207 while every walk started at level 0), plus 20%
+# headroom (CI's scale-smoke gates the same).
+ROUTER_WALK_RATE = 0.169
 
 
 def test_converged_tables_back_the_stress_phase_walks_off():
@@ -496,8 +646,9 @@ def test_converged_tables_back_the_stress_phase_walks_off():
 
 
 # ring_ping per ring member per stabilization period on scale_100 (seed 0) once
-# it has settled, with nothing happening: 0.60, plus 20% headroom.
-QUIET_PING_RATE = 0.72
+# it has settled, with nothing happening: 0.518 (0.620 while the predecessor
+# check trusted a stabilize for one check period), plus 20% headroom.
+QUIET_PING_RATE = 0.62
 
 
 def test_a_quiet_ring_pings_only_what_stabilize_traffic_left_unvouched():
