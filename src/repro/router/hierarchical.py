@@ -136,7 +136,8 @@ class HierarchicalRingRouter(RingListener):
         self._cadence = AdaptiveCadence(config.router_refresh_period)
         # Where the next walk starts: the table index (even, where walk hops
         # sit) below which nothing has been seen to move.  Evidence against
-        # the table sets it to 0, a full walk; so does ``_full_due``.
+        # the table sets it to 0, a full walk.  ``_full_due`` is when the
+        # floor's next full walk is due.
         self._restart = 0
         self._full_due = 0.0
         # The JOINED successors as the last walk started (see _start_level).
