@@ -44,8 +44,8 @@ from typing import Dict, List, Optional
 from repro.datastore.items import columns_to_wire, items_to_wire
 from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
-from repro.index.config import STABILIZATION_JITTER, IndexConfig
-from repro.ring.chord import ChordRing
+from repro.index.config import IndexConfig
+from repro.ring.chord import ChordRing, RingListener
 from repro.transport import Endpoint, RpcError
 
 
@@ -87,7 +87,7 @@ class FreePeerPool(Endpoint):
         return {"ok": True}
 
 
-class StorageBalancer:
+class StorageBalancer(RingListener):
     """Split / merge / redistribute orchestration for one peer."""
 
     def __init__(
@@ -135,15 +135,10 @@ class StorageBalancer:
         # Replaces the Data Store's plain delete: the same reply, sent once
         # an in-flight split's new peer has dropped its copy too.
         node.register_handler("ds_remove_item", self._handle_remove_item)
-
-        # Periodic safety net: re-check thresholds in case a triggered attempt
-        # aborted (no free peers, busy successor, transient failures).
-        node.every(
-            max(config.stabilization_period, 2.0),
-            self._periodic_check,
-            jitter=STABILIZATION_JITTER,
-            name="ds-balance-check",
-        )
+        # The periodic check (:meth:`on_tick`, run by the ring's maintenance
+        # tick) re-checks thresholds in case a triggered attempt aborted (no
+        # free peers, busy successor, transient failures).
+        ring.add_listener(self)
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -178,7 +173,8 @@ class StorageBalancer:
         if not self._balancing and self._shed_due():
             self.node.spawn(self.maybe_shed(), name="ds-shed")
 
-    def _periodic_check(self) -> None:
+    def on_tick(self, ring) -> None:
+        """The periodic check: the safety net under the triggered attempts."""
         if self._balancing or not self.store.active:
             return
         count = self.store.item_count()

@@ -35,7 +35,6 @@ class IndexConfig:
     # --- Fault Tolerant Ring ------------------------------------------------
     successor_list_length: int = 4
     stabilization_period: float = 4.0
-    predecessor_check_period: float = 4.0
 
     # --- Data Store -----------------------------------------------------------
     storage_factor: int = 5
@@ -82,9 +81,9 @@ class IndexConfig:
     @property
     def repair_horizon(self) -> float:
         """How long a write waits for a failed owner's range to be taken over:
-        the successor notices the dead predecessor within one check period and
-        adopts the next live one within one stabilization round."""
-        return self.predecessor_check_period + self.stabilization_period
+        the successor notices the dead predecessor within one maintenance tick
+        and adopts the next live one within the next."""
+        return 2 * self.stabilization_period
 
     @property
     def leave_ack_timeout(self) -> float:
@@ -95,8 +94,8 @@ class IndexConfig:
         """Raise ``ValueError`` for nonsensical parameter combinations."""
         if self.successor_list_length < 1:
             raise ValueError("successor_list_length must be >= 1")
-        for name in ("stabilization_period", "predecessor_check_period",
-                     "replication_refresh_period", "router_refresh_period"):
+        for name in ("stabilization_period", "replication_refresh_period",
+                     "router_refresh_period"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.storage_factor < 1:

@@ -18,6 +18,7 @@ callbacks.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, IndexConfig
@@ -60,13 +61,19 @@ def in_open_interval(value: float, low: float, high: float) -> bool:
     return value > low or value < high
 
 
+def _answer_state(answer, call) -> None:
+    """Settle :meth:`ChordRing._ping`'s ``answer`` from the ping ``call``."""
+    answer._trigger_last(True, call.value["state"] if call.ok else None)
+
+
 class RingListener:
     """Callbacks through which higher layers observe ring events.
 
     The Data Store listens for predecessor changes (its range is
     ``(pred.value, own.value]``), the Replication Manager listens for
-    predecessor failures (to revive replicas), and the index facade listens
-    for join completion.
+    predecessor failures (to revive replicas), the storage balancer for the
+    maintenance tick (its periodic check), and the index facade for join
+    completion.
     """
 
     def on_joined(self, ring: "ChordRing") -> None:
@@ -89,6 +96,9 @@ class RingListener:
 
     def on_successor_changed(self, ring: "ChordRing", new_address: str) -> None:
         """The peer's first live successor changed."""
+
+    def on_tick(self, ring: "ChordRing") -> None:
+        """The peer's maintenance round (:meth:`ChordRing._tick`) finished."""
 
 
 class ChordRing:
@@ -459,23 +469,24 @@ class ChordRing:
         self._maintenance_started = True
         self.node.every(
             self.config.stabilization_period,
-            self._stabilize_once,
+            self._tick,
             jitter=STABILIZATION_JITTER,
-            name="ring-stabilize",
+            name="ring-tick",
         )
-        self.node.every(
-            self.config.predecessor_check_period,
-            self._check_predecessor_once,
-            jitter=STABILIZATION_JITTER,
-            name="ring-pred-check",
-        )
-        self.node.every(
-            self.config.stabilization_period,
-            self._validate_successors_once,
-            jitter=STABILIZATION_JITTER,
-            initial_delay=self.config.stabilization_period * 1.5,
-            name="ring-succ-validate",
-        )
+
+    def _tick(self):
+        """One maintenance round: the ring's three periodic protocols in order,
+        then each listener's :meth:`RingListener.on_tick`.
+
+        Validation runs right after stabilization's adopt, so it reads the
+        ``vouched`` times the first successor has just relayed and pings only
+        the entries they leave stale.
+        """
+        yield from self._stabilize_once()
+        yield from self._check_predecessor_once()
+        yield from self._validate_successors_once()
+        for listener in self.listeners:
+            listener.on_tick(self)
 
     def stabilize_now(self) -> None:
         """Trigger an immediate, one-off stabilization round.
@@ -640,8 +651,7 @@ class ChordRing:
         the round's jitter plus the call's timeout -- is first-hand liveness,
         so the periodic check skips the ping (and counts it as
         ``ring_ping_fresh_skip``).  The window follows the clock of the
-        evidence, not of this check: a live predecessor stabilizes with us
-        once a round, whatever ``predecessor_check_period`` is.  A
+        evidence: a live predecessor stabilizes with us once a round.  A
         dead predecessor stops stabilizing, and the peer behind it then
         stabilizes with us: :meth:`_handle_stabilize` spawns a *probing* check,
         which always pings, and then offers the pending ``_pred_probe``
@@ -656,21 +666,10 @@ class ChordRing:
         if has_pred and fresh and not probing:
             self._record("ring_ping_fresh_skip", 1.0)
         elif has_pred:
-            gone = False
-            try:
-                response = yield self.node.call(
-                    pred_address,
-                    "ring_ping",
-                    {},
-                    timeout=FAILURE_DETECTION_TIMEOUT,
-                )
-                # A predecessor that merged away (FREE) or never finished
-                # joining is no longer a ring member even though its process
-                # is alive.
-                gone = response.get("state") in (FREE, JOINING)
-            except RpcError:
-                gone = True
-            if gone and self.pred_address == pred_address:
+            # A predecessor that merged away (FREE) or never finished joining
+            # is no longer a ring member even though its process is alive.
+            state = yield self._ping(pred_address)
+            if state in (None, FREE, JOINING) and self.pred_address == pred_address:
                 self.pred_address = None
                 # Keep ``pred_value`` so the Data Store range stays put until a
                 # new predecessor announces itself (at which point the range
@@ -719,18 +718,8 @@ class ChordRing:
                 self._record("ring_ping_fresh_skip", 1.0)
                 continue
             address = entry.address
-            try:
-                response = yield self.node.call(
-                    address,
-                    "ring_ping",
-                    {},
-                    timeout=FAILURE_DETECTION_TIMEOUT,
-                )
-            except RpcError:
-                stale.append(address)
-                continue
-            state = response.get("state")
-            if state in (FREE, JOINING):
+            state = yield self._ping(address)
+            if state in (None, FREE, JOINING):
                 stale.append(address)
             elif state in (JOINED, LEAVING):
                 # The list may have been re-adopted meanwhile: mark the
@@ -747,6 +736,20 @@ class ChordRing:
         finally:
             self.succ_lock.release_write()
         self._record_op("successor_entries_pruned", pruned=stale)
+
+    def _ping(self, address: str):
+        """``ring_ping`` ``address``: an event that succeeds with the state it
+        answers, or with ``None`` if the call fails.
+
+        A failed call is a value, not an exception thrown into the waiting
+        check, so :meth:`_tick` can ``yield from`` the checks and keep the
+        profiler's call and return events paired (docs/ARCHITECTURE.md,
+        "Profiler balance").
+        """
+        answer = self.sim.event()
+        call = self.node.call(address, "ring_ping", {}, timeout=FAILURE_DETECTION_TIMEOUT)
+        call._add_callback(partial(_answer_state, answer))
+        return answer
 
     # ------------------------------------------------------------------ adoption
     def _adopt(self, contacted: SuccessorEntry, response) -> None:

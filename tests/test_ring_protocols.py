@@ -12,6 +12,7 @@ from repro.core.correctness import (
     check_ring_connectivity,
 )
 from repro.harness.metrics import Metrics
+from repro.harness.runner import run_spec
 from repro.harness.scenarios import build_experiment, get_scenario
 from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, default_config
 from repro.ring.chord import ChordRing, in_open_interval
@@ -36,6 +37,9 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.randomness import RngStreams
 from repro.transport import Endpoint
+from repro.transport.endpoint import _PeriodicProcess
+from tests.conftest import build_cluster
+from tests.test_sim_network import _unmatched_returns, _yield_from_catch_and_return
 
 
 class RingPeer(Endpoint):
@@ -325,7 +329,7 @@ def test_predecessor_failure_clears_pointer_and_recovers():
     harness.run(10.0)
     assert b.ring.pred_address == a.address
     a.fail()
-    harness.run(4 * harness.config.predecessor_check_period)
+    harness.run(4 * harness.config.stabilization_period)
     assert b.ring.pred_address != a.address
 
 
@@ -468,16 +472,15 @@ def test_a_third_successor_is_skipped_on_a_relayed_time_until_it_goes_stale():
     assert ring._handle_stabilize(relay, None)["heard"]["s3"] == sim.now
 
 
-@pytest.mark.parametrize("check, stabilization", [(4.0, 4.0), (4.0, 8.0), (8.0, 8.0)])
-def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(check, stabilization):
+@pytest.mark.parametrize("stabilization", [4.0, 8.0])
+def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(stabilization):
     """The check skips its ping while the predecessor's last stabilize is at
     most one of the predecessor's own rounds old -- ``stabilization_period``
-    plus the round's jitter plus the call's timeout -- whatever
-    ``predecessor_check_period`` is, and pings once it is older."""
+    plus the round's jitter plus the call's timeout -- and pings once it is
+    older."""
     sim = Simulator()
     node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
-    config = default_config(predecessor_check_period=check, stabilization_period=stabilization)
-    ring = ChordRing(node, 100.0, config)
+    ring = ChordRing(node, 100.0, default_config(stabilization_period=stabilization))
     ring._set_state(JOINED)
     ring.succ_list = [SuccessorEntry("s1", 200.0)]
     pinged = []
@@ -499,18 +502,17 @@ def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(check, 
     assert pinged == [("p", "ring_ping")]
 
 
-def test_a_4s_check_under_8s_stabilization_pings_no_live_predecessor():
-    """With the check every 4 s and stabilization every 8-8.5 s, a live
-    predecessor's own stabilize covers every check: a settled ring sends no
-    predecessor ping, though the check runs twice per stabilize round."""
-    harness = RingHarness(
-        ring_class=PepperRing, stabilization_period=8.0, predecessor_check_period=4.0
-    )
+@pytest.mark.parametrize("period", [4.0, 8.0])
+def test_a_settled_rings_tick_pings_no_live_predecessor(period):
+    """Each tick checks the predecessor right after its own stabilize, and a
+    live predecessor's stabilize reaches us once per tick of its own: a
+    settled ring's ticks send no predecessor ping."""
+    harness = RingHarness(ring_class=PepperRing, stabilization_period=period)
     harness.bootstrap(1000.0)
     for value in (100.0, 250.0, 400.0, 550.0, 700.0, 850.0, 925.0):
         harness.join_peer(value)
         harness.run(1.0)
-    harness.run(40.0)
+    harness.run(5 * period)
     pinged = []
     for peer in harness.peers:
         def recording(destination, method, payload=None, timeout=None, peer=peer,
@@ -521,10 +523,10 @@ def test_a_4s_check_under_8s_stabilization_pings_no_live_predecessor():
 
         peer.call = recording
     skips = harness.metrics.count("ring_ping_fresh_skip")
-    harness.run(10 * 8.0)
+    harness.run(10 * period)
     assert pinged == []
-    # At least a skip per predecessor check (every 4-4.5 s on each peer).
-    assert harness.metrics.count("ring_ping_fresh_skip") - skips >= 8 * 80 / 4.5 - 8
+    # At least a skip per predecessor check (one a tick on each peer).
+    assert harness.metrics.count("ring_ping_fresh_skip") - skips >= 8 * (10 * period / (period + 0.5) - 1)
     assert check_consistent_successor_pointers(harness.live()).ok
 
 
@@ -549,6 +551,77 @@ def test_fresh_stabilize_traffic_replaces_most_pings():
     assert pings + skips == pytest.approx(4 * periods * len(harness.peers), rel=0.1)
     assert pings < skips
     assert check_consistent_successor_pointers(harness.live()).ok
+
+
+# --------------------------------------------------------------------------- the maintenance tick
+# A ring member's periodic loops: the ring's one tick (stabilize, the
+# predecessor check, successor validation and the balancer's check), and the
+# replica and routing-table refreshes, whose periods are 2-12 ticks.
+MEMBER_LOOPS = ["rep-refresh", "ring-tick", "router-refresh"]
+
+
+def _periodic_loops(peer):
+    return sorted(process._label[-1] for process in peer._processes
+                  if isinstance(process, _PeriodicProcess))
+
+
+def test_a_member_runs_one_ring_tick_beside_the_two_refresh_loops():
+    index, _keys = build_cluster(seed=5, peers=6)
+    members = index.ring_members()
+    assert len(members) > 3
+    assert {peer.address: _periodic_loops(peer) for peer in members} == {
+        peer.address: MEMBER_LOOPS for peer in members}
+
+
+def test_the_loop_census_sees_a_separate_predecessor_check_loop(monkeypatch):
+    """The census above fails if a protocol gets its own loop back."""
+    start = ChordRing._start_maintenance
+
+    def with_a_check_loop(ring):
+        if not ring._maintenance_started:
+            ring.node.every(ring.config.stabilization_period, ring._check_predecessor_once,
+                            name="ring-pred-check")
+        start(ring)
+
+    monkeypatch.setattr(ChordRing, "_start_maintenance", with_a_check_loop)
+    index, _keys = build_cluster(seed=5, peers=6)
+    members = index.ring_members()
+    assert members
+    assert all(_periodic_loops(peer) == sorted(MEMBER_LOOPS + ["ring-pred-check"])
+               for peer in members)
+
+
+def test_a_tick_whose_ping_times_out_keeps_the_profiler_balanced():
+    """The tick delegates to its checks with ``yield from``; a ping that
+    times out reaches them as a value, never as an exception a delegate
+    catches and returns on (docs/ARCHITECTURE.md, "Profiler balance")."""
+    if not _unmatched_returns(_yield_from_catch_and_return):
+        pytest.skip("only CPython 3.11 emits the unmatched return this test guards against")
+    sim = Simulator()
+    network = Network(sim, random.Random(0), NetworkConfig())
+    node = Endpoint(sim, network, "me", rng=random.Random(0))
+    ring = ChordRing(node, 100.0, default_config())
+    ring._set_state(JOINED)
+    ring.succ_list = [SuccessorEntry("s1", 200.0, JOINED)]
+    ring.pred_address, ring.pred_value = "p", 50.0
+    ring._start_maintenance()
+    assert _unmatched_returns(lambda: sim.run(until=2 * ring.config.stabilization_period)) == []
+    assert ring.pred_address is None and ring.succ_list == []
+    assert network.stats.per_method == {"ring_stabilize": 1, "ring_ping": 1}
+
+
+# scale_100's stress-phase engine events per ring member per simulated second:
+# 0.862 at seed 0 (1.229 while stabilize, the predecessor check, successor
+# validation and the balancer check each ran a loop of its own), plus 20%.
+TICK_EVENT_RATE = 1.03
+
+
+def test_the_stress_phase_events_stay_within_the_one_tick_budget():
+    cell = run_spec(get_scenario("scale_100"), seed=0)
+    (stress,) = [phase for phase in cell.phases if phase["phase"] == "stress"]
+    members = (stress["ring_members_start"] + stress["ring_members"]) / 2
+    rate = stress["events_processed"] / members / stress["sim_seconds"]
+    assert rate <= TICK_EVENT_RATE, f"{rate:.3f} events per member-second"
 
 
 # --------------------------------------------------------------------------- leave
