@@ -472,8 +472,8 @@ def test_a_third_successor_is_skipped_on_a_relayed_time_until_it_goes_stale():
     assert ring._handle_stabilize(relay, None)["heard"]["s3"] == sim.now
 
 
-@pytest.mark.parametrize("stabilization", [4.0, 8.0])
-def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(stabilization):
+@pytest.mark.parametrize("stabilization, window", [(4.0, 5.0), (8.0, 9.0)])
+def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(stabilization, window):
     """The check skips its ping while the predecessor's last stabilize is at
     most one of the predecessor's own rounds old -- ``stabilization_period``
     plus the round's jitter plus the call's timeout -- and pings once it is
@@ -493,7 +493,7 @@ def test_the_predecessor_check_trusts_one_of_the_predecessors_own_rounds(stabili
     sim.run(until=10 * stabilization)
     ring._handle_stabilize({"pred_address": "p", "pred_value": 50.0, "pred_state": JOINED}, None)
     assert ring.pred_address == "p" and ring.pred_heard == sim.now
-    window = stabilization + STABILIZATION_JITTER + FAILURE_DETECTION_TIMEOUT
+    assert window == stabilization + STABILIZATION_JITTER + FAILURE_DETECTION_TIMEOUT
     sim.run(until=ring.pred_heard + window)  # exactly one round old: skipped
     sim.run_process(ring._check_predecessor_once())
     assert pinged == []
