@@ -39,7 +39,7 @@ from repro.sim.randomness import RngStreams
 from repro.transport import Endpoint
 from repro.transport.endpoint import _PeriodicProcess
 from tests.conftest import build_cluster
-from tests.test_sim_network import _unmatched_returns, _yield_from_catch_and_return
+from tests.test_sim_network import _unmatched_returns
 
 
 class RingPeer(Endpoint):
@@ -556,7 +556,7 @@ def test_fresh_stabilize_traffic_replaces_most_pings():
 # --------------------------------------------------------------------------- the maintenance tick
 # A ring member's periodic loops: the ring's one tick (stabilize, the
 # predecessor check, successor validation and the balancer's check), and the
-# replica and routing-table refreshes, whose periods are 2-12 ticks.
+# replica and routing-table refreshes, which keep periods of their own.
 MEMBER_LOOPS = ["rep-refresh", "ring-tick", "router-refresh"]
 
 
@@ -594,9 +594,8 @@ def test_the_loop_census_sees_a_separate_predecessor_check_loop(monkeypatch):
 def test_a_tick_whose_ping_times_out_keeps_the_profiler_balanced():
     """The tick delegates to its checks with ``yield from``; a ping that
     times out reaches them as a value, never as an exception a delegate
-    catches and returns on (docs/ARCHITECTURE.md, "Profiler balance")."""
-    if not _unmatched_returns(_yield_from_catch_and_return):
-        pytest.skip("only CPython 3.11 emits the unmatched return this test guards against")
+    catches and returns on (docs/ARCHITECTURE.md, "Profiler balance").  Only
+    CPython 3.11 emits the unmatched return this guards against."""
     sim = Simulator()
     network = Network(sim, random.Random(0), NetworkConfig())
     node = Endpoint(sim, network, "me", rng=random.Random(0))
