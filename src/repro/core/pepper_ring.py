@@ -42,6 +42,7 @@ from repro.ring.entries import (
     LEAVING,
     SuccessorEntry,
     insert_sorted,
+    promoted,
     trim_riding,
     without,
 )
@@ -79,7 +80,7 @@ class PepperRing(ChordRing):
             return
         self._set_state(INSERTING)
         entry = SuccessorEntry(new_address, new_value, JOINING)
-        self.succ_list.insert(0, entry)
+        self.succ_list = [entry, *self.succ_list]
         ack_event = self.sim.event()
         self._pending_insert = {
             "address": new_address,
@@ -183,12 +184,9 @@ class PepperRing(ChordRing):
 
         yield self.succ_lock.acquire_write()
         try:
-            for e in self.succ_list:
-                if e.address == new_address:
-                    e.state = JOINED
             self._set_state(JOINED)
             self._pending_insert = None
-            self._trim()
+            self.succ_list = self._trim(promoted(self.succ_list, new_address))
         finally:
             self.succ_lock.release_write()
 
@@ -243,8 +241,8 @@ class PepperRing(ChordRing):
 
     def _insert_sorted(self, entry: SuccessorEntry) -> None:
         """Add (or upgrade) a pointer learned through a proactive notice (:func:`insert_sorted`)."""
-        self.succ_list = insert_sorted(self.succ_list, entry, self.value, self.config.key_space)
-        self._trim()
+        self.succ_list = self._trim(insert_sorted(self.succ_list, entry, self.value,
+                                                  self.config.key_space))
 
     def _handle_joining_notice(self, payload, request):
         """RPC: a successor proactively tells us about a peer being inserted."""
@@ -355,15 +353,19 @@ class PepperRing(ChordRing):
         return {"ok": True}
 
     # ------------------------------------------------------------------ list maintenance
-    def _trim(self) -> None:
-        """Bound the list (:func:`trim_riding`); LEAVING entries and our insert ride free."""
+    def _trim(self, entries):
+        """``entries`` bounded (:func:`trim_riding`); LEAVING entries and our insert ride free."""
         pending = self._pending_insert["address"] if self._pending_insert is not None else None
-        self.succ_list = trim_riding(self.succ_list, self.config.successor_list_length, pending)
+        return trim_riding(entries, self.config.successor_list_length, pending)
 
-    def _post_adopt(self, reported) -> None:
-        """JOINING/LEAVING bookkeeping after adopting a successor list (Algorithm 2)."""
+    def _quiet_eligible(self, entries) -> bool:
+        """No rider, and no insert of ours pending (it moves the trim and the self-ack)."""
+        return self._pending_insert is None and super()._quiet_eligible(entries)
+
+    def _post_adopt(self, entries, reported):
+        """JOINING/LEAVING bookkeeping after adopting a successor list (Algorithm 2):
+        ``entries`` less the riders that are pruned."""
         limit = self.config.successor_list_length
-        entries = self.succ_list
         joined_count = sum(1 for e in entries if e.state == JOINED)
         now = self.sim.now
         pending = self._pending_insert["address"] if self._pending_insert is not None else None
@@ -434,4 +436,4 @@ class PepperRing(ChordRing):
                 self._rider_seen.pop(e.address, None)
                 continue
             keep.append(e)
-        self.succ_list = keep
+        return keep

@@ -45,29 +45,51 @@ class Metrics:
 
     def __init__(self) -> None:
         self._series: Dict[str, List[float]] = {}
+        # Count-only series (:meth:`tally`): a name maps to how many 1.0
+        # observations it holds, not to a list of them.
+        self._tallies: Dict[str, int] = {}
 
     def record(self, name: str, value: float) -> None:
         """Append one observation to the named series."""
         self._series.setdefault(name, []).append(float(value))
 
+    def tally(self, name: str) -> None:
+        """Add one observation of 1.0 to the count-only series ``name``.
+
+        The series is kept as a count; every reader sees it as that many
+        samples of 1.0, as if each had been recorded.  A name is either
+        recorded or tallied, never both.
+        """
+        self._tallies[name] = self._tallies.get(name, 0) + 1
+
+    def _samples(self, name: str) -> List[float]:
+        """The named series' observations (not a copy for a recorded series)."""
+        series = self._series.get(name)
+        if series is not None:
+            return series
+        return [1.0] * self._tallies.get(name, 0)
+
     def values(self, name: str) -> List[float]:
         """All observations of the named series (empty list if none)."""
-        return list(self._series.get(name, ()))
+        return list(self._samples(name))
 
     def count(self, name: str) -> int:
         """Number of observations in the named series."""
-        return len(self._series.get(name, ()))
+        series = self._series.get(name)
+        if series is not None:
+            return len(series)
+        return self._tallies.get(name, 0)
 
     def mean(self, name: str) -> Optional[float]:
         """Mean of the named series, or ``None`` if empty."""
-        values = self._series.get(name)
+        values = self._samples(name)
         if not values:
             return None
         return sum(values) / len(values)
 
     def summary(self, name: str) -> Optional[MetricSummary]:
         """Summary statistics for the named series, or ``None`` if empty."""
-        values = sorted(self._series.get(name, ()))
+        values = sorted(self._samples(name))
         if not values:
             return None
         return MetricSummary(
@@ -88,7 +110,7 @@ class Metrics:
         ``<=edge`` strings plus a final ``>edge``, so the dict renders as a
         readable histogram in BENCH JSON.
         """
-        values = self._series.get(name)
+        values = self._samples(name)
         if not values:
             return {}
         edges = sorted(bounds)

@@ -18,8 +18,10 @@ callbacks.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional
+from operator import is_
+from typing import Callable, List, Optional, Tuple
 
 from repro.index.config import FAILURE_DETECTION_TIMEOUT, STABILIZATION_JITTER, IndexConfig
 from repro.ring.entries import (
@@ -32,8 +34,12 @@ from repro.ring.entries import (
     SuccessorEntry,
     entries_from_wire,
     entries_to_wire,
+    flat_wire,
     merge,
+    promoted,
+    same_wire,
     trim,
+    wire_from_flat,
     without,
 )
 from repro.sim.engine import Interrupt
@@ -59,6 +65,24 @@ def in_open_interval(value: float, low: float, high: float) -> bool:
     if low < high:
         return low < value < high
     return value > low or value < high
+
+
+@dataclass(slots=True)
+class LastReply:
+    """What a peer keeps of its last stabilize reply from ``target`` (:meth:`ChordRing._adopt`).
+
+    ``received`` is the reply's list at the target's ``version``, flat
+    (:func:`~repro.ring.entries.flat_wire`).  ``adopted`` is the list the
+    last adopt installed if that adopt was a fixed point -- its list out was
+    its list in -- with no rider and no pending insert, else ``None``;
+    ``merged_with`` is our value and the target's value and state it merged.
+    """
+
+    target: str
+    version: Optional[int]
+    received: Tuple
+    adopted: Optional[List[SuccessorEntry]] = None
+    merged_with: Optional[Tuple[float, float, str]] = None
 
 
 def _answer_state(answer, call) -> None:
@@ -129,7 +153,11 @@ class ChordRing:
         self.membership = None
         self.value = value
         self.state = FREE
-        self.succ_list: List[SuccessorEntry] = []
+        # The successor list is a value (``succ_list``'s setter): its version
+        # moves whenever an assignment changes the list's wire content.
+        self._succ_list: List[SuccessorEntry] = []
+        self.succ_version = 0
+        self._last_reply: Optional[LastReply] = None
         self.pred_address: Optional[str] = None
         self.pred_value: Optional[float] = None
         # When the current predecessor's own ``ring_stabilize`` last reached
@@ -179,6 +207,17 @@ class ChordRing:
             self.membership.ring_value_changed(self.node, old_value, new_value)
 
     @property
+    def succ_list(self) -> List[SuccessorEntry]:
+        """The successor list: a value, replaced by assignment and never changed in place."""
+        return self._succ_list
+
+    @succ_list.setter
+    def succ_list(self, entries: List[SuccessorEntry]) -> None:
+        if not same_wire(self._succ_list, entries):
+            self.succ_version += 1
+        self._succ_list = entries
+
+    @property
     def sim(self):
         return self.node.sim
 
@@ -194,6 +233,10 @@ class ChordRing:
     def _record(self, metric: str, duration: float) -> None:
         if self.metrics is not None:
             self.metrics.record(metric, duration)
+
+    def _tally(self, metric: str) -> None:
+        if self.metrics is not None:
+            self.metrics.tally(metric)
 
     def _record_op(self, kind: str, **attrs) -> None:
         if self.history is not None:
@@ -394,8 +437,7 @@ class ChordRing:
         try:
             successor_view = [entry.copy() for entry in self.succ_list]
             entry = SuccessorEntry(new_address, new_value, JOINED)
-            self.succ_list.insert(0, entry)
-            self._trim()
+            self.succ_list = self._trim([entry, *self.succ_list])
         finally:
             self.succ_lock.release_write()
         try:
@@ -535,6 +577,9 @@ class ChordRing:
                 "pred_value": self.value,
                 "pred_state": self.state,
             }
+            last = self._last_reply
+            if last is not None and last.target == target.address:
+                payload["known"] = last.version
             if self.beacon_source is not None:
                 beacons = self.beacon_source(target.address)
                 if beacons:
@@ -563,10 +608,14 @@ class ChordRing:
     def _handle_stabilize(self, payload, request):
         """RPC: a predecessor stabilizes with us; maybe adopt it, return our list.
 
-        The reply's ``heard`` maps each of our entries to the time of the
-        freshest first-hand contact with it we know of: our own ``heard``, or
-        the time our first successor relayed (``vouched``), passed on
-        unchanged.  Times older than :data:`RELAYED_LIVENESS_PERIODS` periods
+        The list rides only if it moved: a request whose ``known`` names our
+        current ``succ_version`` -- the version of the list the caller last
+        received from us -- gets a reply without ``succ_list``, and the
+        caller uses the copy it kept.  ``value``, ``state`` and ``heard``
+        always ride.  The reply's ``heard`` maps each of our entries to the
+        time of the freshest first-hand contact with it we know of: our own
+        ``heard``, or the time our first successor relayed (``vouched``),
+        passed on unchanged.  Times older than :data:`RELAYED_LIVENESS_PERIODS` periods
         are left out, since no peer may skip a ping on them.  A relayed time
         moves only when some peer hears from the entry itself, so no loop of
         reports can keep a dead peer fresh.
@@ -581,16 +630,18 @@ class ChordRing:
         beacons = payload.get("beacons")
         if beacons is not None and self.beacon_sink is not None:
             self.beacon_sink(beacons)
+        joining = False
         for entry in self.succ_list:
             if entry.address == caller:
                 entry.heard = now
-                if payload.get("pred_state") == JOINED and entry.state == JOINING:
-                    # First-hand: the peer says it has joined.  In a ring small
-                    # enough that our predecessor is also in our successor
-                    # list, its inserter may have left before a JOINED report
-                    # reached us, and a list whose only entry is JOINING has no
-                    # stabilization target to learn from.
-                    entry.state = JOINED
+                joining = entry.state == JOINING
+        if joining and payload.get("pred_state") == JOINED:
+            # First-hand: the peer says it has joined.  In a ring small enough
+            # that our predecessor is also in our successor list, its inserter
+            # may have left before a JOINED report reached us, and a list
+            # whose only entry is JOINING has no stabilization target to
+            # learn from.
+            self.succ_list = promoted(self.succ_list, caller)
         value = payload["pred_value"]
         pred = self.pred_address
         if pred not in (None, self.address, caller) and not in_open_interval(
@@ -610,16 +661,17 @@ class ChordRing:
         reported_state = LEAVING if self.state == LEAVING else JOINED
         horizon = now - RELAYED_LIVENESS_PERIODS * self.config.stabilization_period
         heard = {}
-        for entry in self.succ_list:
+        entries = self.succ_list
+        for entry in entries:
             latest = max(entry.heard, entry.vouched)
             if latest >= horizon:
                 heard[entry.address] = latest
-        return {
-            "value": self.value,
-            "state": reported_state,
-            "succ_list": entries_to_wire(self.succ_list),
-            "heard": heard,
-        }
+        reply = {"value": self.value, "state": reported_state, "heard": heard}
+        if payload.get("known") != self.succ_version:
+            reply["succ_list"] = entries_to_wire(entries)
+            reply["version"] = self.succ_version
+            self._tally("ring_stabilize_list_sent")
+        return reply
 
     def _handle_ping(self, payload, request):
         return {"value": self.value, "state": self.state}
@@ -664,7 +716,7 @@ class ChordRing:
         window = self.config.stabilization_period + STABILIZATION_JITTER + FAILURE_DETECTION_TIMEOUT
         fresh = self.sim.now - self.pred_heard <= window
         if has_pred and fresh and not probing:
-            self._record("ring_ping_fresh_skip", 1.0)
+            self._tally("ring_ping_fresh_skip")
         elif has_pred:
             # A predecessor that merged away (FREE) or never finished joining
             # is no longer a ring member even though its process is alive.
@@ -715,7 +767,7 @@ class ChordRing:
         stale = []
         for entry in targets:
             if entry.vouched >= vouch_horizon:
-                self._record("ring_ping_fresh_skip", 1.0)
+                self._tally("ring_ping_fresh_skip")
                 continue
             address = entry.address
             state = yield self._ping(address)
@@ -753,16 +805,42 @@ class ChordRing:
 
     # ------------------------------------------------------------------ adoption
     def _adopt(self, contacted: SuccessorEntry, response) -> None:
-        """Adopt the successor list returned by a stabilization round (:func:`merge`)."""
+        """Adopt the successor list returned by a stabilization round (:func:`merge`).
+
+        A quiet adopt changes no pointer: it skips the merge, the trim and
+        :meth:`_post_adopt` when the reply left its list out (the target's
+        list has not moved), our list is still the one the last adopt from
+        the target installed, that adopt was a fixed point with no rider and
+        no pending insert (:class:`LastReply`), and our value and the
+        target's value and state are unchanged.  The full path would then
+        return our list as it is.  Otherwise the reply's list -- or, if it
+        was left out, the copy kept of the last one -- is merged, trimmed,
+        rider-pruned and installed once.
+        """
         yield self.succ_lock.acquire_write()
         try:
             old_first = self._first_joined_address()
+            value = response["value"]
             state = response.get("state", JOINED)
-            head = SuccessorEntry(contacted.address, response["value"], state)
-            self.succ_list, reported = merge(self.succ_list, head, response["succ_list"],
-                                             self.address, self.value, self.config.key_space)
-            self._trim()
-            self._post_adopt(reported)
+            before = self.succ_list
+            wire = response.get("succ_list")
+            last = self._last_reply
+            merged_with = (self.value, value, state)
+            if wire is not None or last.adopted is not before or last.merged_with != merged_with:
+                if wire is None:
+                    wire = wire_from_flat(last.received)
+                else:
+                    last = self._last_reply = LastReply(contacted.address,
+                                                        response.get("version"), flat_wire(wire))
+                head = SuccessorEntry(contacted.address, value, state)
+                merged, reported = merge(before, head, wire, self.address, self.value,
+                                         self.config.key_space)
+                after = self._post_adopt(self._trim(merged), reported)
+                self.succ_list = after
+                fixed = len(after) == len(before) and all(map(is_, after, before))
+                last.adopted = after if fixed and self._quiet_eligible(after) else None
+                last.merged_with = merged_with
+                self._tally("ring_stabilize_merged")
             # The reply is first-hand news of its sender; its ``heard`` map
             # relays the freshest first-hand time the sender knows of for
             # each of its entries.
@@ -778,15 +856,22 @@ class ChordRing:
         if new_first is not None and new_first != old_first:
             self._fire_successor_changed(new_first)
 
-    def _post_adopt(self, reported) -> None:
-        """Hook for the PEPPER ring's JOINING/LEAVING bookkeeping (no-op here).
+    def _post_adopt(self, entries: List[SuccessorEntry], reported) -> List[SuccessorEntry]:
+        """Hook for the PEPPER ring's JOINING/LEAVING bookkeeping: ``entries`` as they are here.
 
-        ``reported`` is the set of addresses the adopted reply named.
+        ``entries`` is the merged, trimmed list; ``reported`` is the set of
+        addresses the adopted reply named.
         """
+        return entries
 
-    def _trim(self) -> None:
-        """Bound the successor list to the configured length."""
-        self.succ_list = trim(self.succ_list, self.config.successor_list_length)
+    def _quiet_eligible(self, entries: List[SuccessorEntry]) -> bool:
+        """Whether an adopt that returned ``entries`` unchanged may be skipped next time:
+        no entry is a JOINING or LEAVING rider, whose bookkeeping moves with time."""
+        return all(entry.state == JOINED for entry in entries)
+
+    def _trim(self, entries: List[SuccessorEntry]) -> List[SuccessorEntry]:
+        """``entries`` bounded to the configured length."""
+        return trim(entries, self.config.successor_list_length)
 
     # ------------------------------------------------------------------ value updates
     def update_value(self, new_value: float) -> None:

@@ -9,8 +9,10 @@ records.
 How such a list is merged, extended and trimmed is what Theorem 1's
 consistent successor pointers rest on, so those rules live here, once, as pure
 functions: each returns a new list and changes no entry it is given
-(``docs/ARCHITECTURE.md``, "Contract: the successor list").  The ring classes
-call them and keep only the locking, the RPCs and the listener events.
+(``docs/ARCHITECTURE.md``, "Contract: the successor list").  An entry's
+address, value and state never change once it is in a list; a new state is
+a new entry.  The ring classes call them and keep only the locking, the
+RPCs and the listener events.
 """
 
 from __future__ import annotations
@@ -77,6 +79,38 @@ def entries_to_wire(entries: Iterable[SuccessorEntry]) -> List[Dict[str, Any]]:
 def entries_from_wire(data: Iterable[Dict[str, Any]]) -> List[SuccessorEntry]:
     """Deserialise a successor list received over the network."""
     return [SuccessorEntry.from_wire(item) for item in data]
+
+
+def flat_wire(data: Iterable[Dict[str, Any]]) -> Tuple[Any, ...]:
+    """A received list in one flat tuple, address, value and state per entry: a kept
+    copy that holds no dict per pointer (:func:`wire_from_flat` undoes it)."""
+    flat: List[Any] = []
+    for item in data:
+        flat += (item["address"], item["value"], item.get("state", JOINED))
+    return tuple(flat)
+
+
+def wire_from_flat(flat: Tuple[Any, ...]) -> List[Dict[str, Any]]:
+    """The received list :func:`flat_wire` kept, as it came over the wire."""
+    return [{"address": address, "value": value, "state": state}
+            for address, value, state in zip(flat[0::3], flat[1::3], flat[2::3])]
+
+
+def same_wire(ours: List[SuccessorEntry], theirs: List[SuccessorEntry]) -> bool:
+    """Whether two lists carry the same wire content: address, value and state of
+    each entry, in order.
+
+    An entry both lists hold is not compared: no entry's wire fields change
+    once it is in a list.
+    """
+    if ours is theirs:
+        return True
+    if len(ours) != len(theirs):
+        return False
+    for a, b in zip(ours, theirs):
+        if a is not b and (a.address != b.address or a.value != b.value or a.state != b.state):
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------- the list as a value
@@ -188,6 +222,17 @@ def insert_sorted(entries: List[SuccessorEntry], entry: SuccessorEntry, own_valu
     else:
         result.append(entry)
     result.sort(key=lambda e: clockwise_distance(e.value, own_value, key_space))
+    return result
+
+
+def promoted(entries: List[SuccessorEntry], address: str) -> List[SuccessorEntry]:
+    """``entries`` with each entry of ``address`` not yet JOINED replaced by a JOINED copy."""
+    result = []
+    for entry in entries:
+        if entry.address == address and entry.state != JOINED:
+            entry = entry.copy()
+            entry.state = JOINED
+        result.append(entry)
     return result
 
 

@@ -34,7 +34,7 @@ from repro.ring.entries import (
     without,
 )
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkConfig
+from repro.sim.network import ConstantLatency, Network, NetworkConfig
 from repro.sim.randomness import RngStreams
 from repro.transport import Endpoint
 from repro.transport.endpoint import _PeriodicProcess
@@ -623,6 +623,47 @@ def test_the_stress_phase_events_stay_within_the_one_tick_budget():
     assert rate <= TICK_EVENT_RATE, f"{rate:.3f} events per member-second"
 
 
+# scale_100's stress phase, per ``ring_stabilize`` call: the replies that
+# carried the successor list (16 of 903 at seed 0) and the adopts that ran
+# the merge (26 of 903), plus 20%.  Every reply carried the list, and every
+# adopt merged, before a reply left an unmoved list out.
+LIST_REPLY_SHARE = 1.2 * 16 / 903
+LIST_MERGE_SHARE = 1.2 * 26 / 903
+
+
+def _stress_phase_list_shares():
+    """The shares of scale_100's stress-phase stabilize calls whose reply
+    carried the list, and whose adopt ran the merge."""
+    spec = get_scenario("scale_100")
+    experiment = build_experiment(spec, 0)
+    experiment.run_phases(spec.phases[:2], total_peers=spec.peers)  # build, settle
+    names = ("ring_stabilize_list_sent", "ring_stabilize_merged")
+    metrics = experiment.index.metrics
+    marks = [metrics.count(name) for name in names]
+    (stress,), _outcomes, _victims = experiment.run_phases(spec.phases[2:],
+                                                           total_peers=spec.peers)
+    calls = stress.rpc_per_method["ring_stabilize"]
+    return [(metrics.count(name) - mark) / calls for name, mark in zip(names, marks)]
+
+
+def test_the_stress_phase_stabilize_replies_leave_an_unmoved_list_out():
+    sent, merged = _stress_phase_list_shares()
+    assert sent <= LIST_REPLY_SHARE, f"{sent:.4f} of stabilize replies carried the list"
+    assert merged <= LIST_MERGE_SHARE, f"{merged:.4f} of adopts ran the merge"
+
+
+def test_the_list_guard_sees_replies_that_always_carry_the_list(monkeypatch):
+    """The bounds above fail if every reply carries the list again."""
+    handle = ChordRing._handle_stabilize
+
+    def always_with_the_list(ring, payload, request):
+        return handle(ring, {k: v for k, v in payload.items() if k != "known"}, request)
+
+    monkeypatch.setattr(ChordRing, "_handle_stabilize", always_with_the_list)
+    sent, merged = _stress_phase_list_shares()
+    assert sent > LIST_REPLY_SHARE and merged > LIST_MERGE_SHARE
+
+
 # --------------------------------------------------------------------------- leave
 def test_safe_leave_waits_for_acknowledgement():
     harness = RingHarness(ring_class=PepperRing)
@@ -807,30 +848,32 @@ _entries = st.tuples(st.sampled_from(["me"] + _PEERS), _values, _states)
 
 
 @st.composite
-def stabilize_rounds(draw):
+def stabilize_rounds(draw, states=_states):
     """Our value, our list, the contacted head and its reply's list.
 
     Half the rounds are quiet: one clockwise run of distinct peers, of which
     we hold a prefix and the reply (perhaps naming us or the head again) the
     rest.  The other half are arbitrary lists and replies.  Our entries carry
     distinct first-hand heard times, which the merge must carry over.
+    Each pointer's state is drawn from ``states``.
     """
     own_value = draw(_values)
+    entries = st.tuples(st.sampled_from(["me"] + _PEERS), _values, states)
     if draw(st.booleans()):
-        run = draw(st.lists(st.tuples(st.sampled_from(_PEERS), _values, _states),
+        run = draw(st.lists(st.tuples(st.sampled_from(_PEERS), _values, states),
                             min_size=1, max_size=6, unique_by=lambda entry: entry[0]))
         run.sort(key=lambda entry: (entry[1] - own_value) % _SPAN or _SPAN)
         current = run[:draw(st.integers(1, len(run)))]
         head = run[0]
         items = run[1:]
         for _ in range(draw(st.integers(0, 2))):
-            named = (draw(st.sampled_from(["me", head[0]])), draw(_values), draw(_states))
+            named = (draw(st.sampled_from(["me", head[0]])), draw(_values), draw(states))
             items.insert(draw(st.integers(0, len(items))), named)
     else:
-        current = [draw(st.tuples(st.sampled_from(_PEERS), _values, _states))]
-        current += draw(st.lists(_entries, max_size=5))
-        head = (draw(st.sampled_from(_PEERS)), draw(_values), draw(_states))
-        items = draw(st.lists(_entries, max_size=6))
+        current = [draw(st.tuples(st.sampled_from(_PEERS), _values, states))]
+        current += draw(st.lists(entries, max_size=5))
+        head = (draw(st.sampled_from(_PEERS)), draw(_values), draw(states))
+        items = draw(st.lists(entries, max_size=6))
     ours = [SuccessorEntry(*entry, heard=float(i)) for i, entry in enumerate(current)]
     received = [{"address": a, "value": v, "state": s} for a, v, s in items]
     return own_value, ours, SuccessorEntry(*head), received
@@ -875,15 +918,15 @@ def test_the_quiet_round_fast_path_equals_the_full_merge(ring_class, round_, pen
     rings = []
     for merged in (entries, reference):
         ring = _ring_holding(ring_class, own_value, merged, pending)
-        ring._trim()
+        ring.succ_list = ring._trim(ring.succ_list)
         rings.append(_fields(ring.succ_list))
     assert rings[0] == rings[1]
 
 
-def _ring_holding(ring_class, own_value, entries, pending):
+def _ring_holding(ring_class, own_value, entries, pending=None, **config):
     sim = Simulator()
     node = Endpoint(sim, Network(sim, random.Random(0), NetworkConfig()), "me")
-    ring = ring_class(node, own_value, default_config())
+    ring = ring_class(node, own_value, default_config(**config), metrics=Metrics())
     ring.succ_list = list(entries)
     if pending is not None:
         ring._pending_insert = {"address": pending, "event": sim.event()}
@@ -963,3 +1006,147 @@ def test_a_sorted_insert_upgrades_and_never_downgrades(own_value, new, held):
         assert len(listed) == 1
         assert _rank(listed[0].state) == max(_rank(old[0].state), _rank(new.state))
         assert (listed[0].value, listed[0].heard) == (old[0].value, old[0].heard)
+
+
+# --------------------------------------------------------------------------- the conditional reply
+def _reply(head, received, version):
+    """A stabilize reply from ``head``; ``received`` None leaves its list out."""
+    reply = {"value": head.value, "state": head.state, "heard": {}}
+    if received is not None:
+        reply["succ_list"] = received
+        reply["version"] = version
+    return reply
+
+
+def _adopt(ring, head, reply):
+    """Run one :meth:`ChordRing._adopt` of ``reply``; whether it ran the merge."""
+    merges = ring.metrics.count("ring_stabilize_merged")
+    ring.sim.run_process(ring._adopt(SuccessorEntry(head.address, head.value), reply))
+    return ring.metrics.count("ring_stabilize_merged") > merges
+
+
+@pytest.mark.parametrize("ring_class", [ChordRing, PepperRing])
+@settings(max_examples=300, deadline=None)
+@given(round_=stabilize_rounds(st.sampled_from([JOINED] * 4 + [JOINING, LEAVING])),
+       pending=st.one_of(st.none(), st.sampled_from(_PEERS)))
+def test_an_adopt_that_returned_its_list_returns_it_again(ring_class, round_, pending):
+    """The quiet adopt's premise: when an adopt of reply R returned its list
+    unchanged (and left the quiet path armed), a full re-adopt of R returns the
+    same list, the same entries in the same order.  R is adopted twice first:
+    the second adopt is the one that usually returns its list."""
+    own_value, ours, head, received = round_
+    ring = _ring_holding(ring_class, own_value, ours, pending)
+    _adopt(ring, head, _reply(head, received, 1))
+    _adopt(ring, head, _reply(head, received, 1))
+    once = list(ring.succ_list)
+    if ring._last_reply.adopted is not ring.succ_list:
+        event("the next adopt merges")
+        return
+    event("the next adopt is quiet")
+    assert not _adopt(ring, head, _reply(head, None, 1))
+    assert ring.succ_list == once
+    assert _adopt(ring, head, _reply(head, received, 1))  # the full path, on the same reply
+    assert [id(entry) for entry in ring.succ_list] == [id(entry) for entry in once]
+
+
+def test_an_adopt_that_dropped_a_stale_rider_the_reply_reports_joined_merges_again():
+    """figure_22's case (seed 24, L = 2): peer003 left, went FREE and joined
+    again.  At 82.42 s peer009's list still holds it as a LEAVING rider, first
+    seen at 69.56 s; the merge keeps LEAVING over the reply's JOINED (item 2a)
+    and the rider, older than three periods, is dropped.  That adopt moved the
+    list, so the next one (86.67 s, reply unchanged, so sent without its
+    list) runs the merge on the kept copy and learns peer003 JOINED."""
+    head = SuccessorEntry("peer010", 6147.189199, JOINED)
+    ring = _ring_holding(PepperRing, 5037.252579, [
+        SuccessorEntry("peer010", 6147.189199, JOINED),
+        SuccessorEntry("peer003", 7463.630667, LEAVING),
+        SuccessorEntry("peer002", 8489.342284, JOINED),
+    ], successor_list_length=2)
+    ring._set_state(JOINED)
+    ring._rider_seen["peer003"] = 69.56
+    received = [{"address": "peer003", "value": 7463.630667, "state": JOINED},
+                {"address": "peer002", "value": 8489.342284, "state": JOINED}]
+    ring.sim.run(until=82.42)
+    assert _adopt(ring, head, _reply(head, received, 7))
+    assert [(e.address, e.state) for e in ring.succ_list] == [("peer010", JOINED),
+                                                              ("peer002", JOINED)]
+    ring.sim.run(until=86.67)
+    assert _adopt(ring, head, _reply(head, None, 7))
+    assert [(e.address, e.state) for e in ring.succ_list] == [("peer010", JOINED),
+                                                              ("peer003", JOINED)]
+
+
+def test_the_insert_sites_move_the_version():
+    """Both rings' insertSucc put the new peer at the head of a new list."""
+    for ring_class, state in ((ChordRing, JOINED), (PepperRing, JOINING)):
+        ring = _ring_holding(ring_class, 100.0, [SuccessorEntry("s1", 200.0, JOINED)])
+        ring._set_state(JOINED)
+        held, version = ring.succ_list, ring.succ_version
+        ring.sim.process(ring._insert_protocol("n", 150.0))
+        ring.sim.run(until=0.0001)  # the list is updated; the hand-over is in flight
+        assert [(e.address, e.state) for e in held] == [("s1", JOINED)]
+        assert [(e.address, e.state) for e in ring.succ_list] == [("n", state), ("s1", JOINED)]
+        assert ring.succ_version > version
+
+
+def test_the_pepper_insert_moves_the_version_when_the_new_peer_turns_joined():
+    """A lone member's insert: acked at once, then the new peer turns JOINED."""
+    ring = _ring_holding(PepperRing, 100.0, [SuccessorEntry("me", 100.0, JOINED)])
+    ring._set_state(JOINED)
+    RingPeer(ring.sim, ring.node.network, "n", 150.0, ring.config, PepperRing)
+    handed_over = []
+    hand_over = ring._hand_over
+
+    def spy(address, successors):
+        handed_over.append((ring.succ_version, ring.succ_list))
+        return hand_over(address, successors)
+
+    ring._hand_over = spy
+    ring.sim.run_process(ring._insert_protocol("n", 150.0))
+    ((version, held),) = handed_over
+    assert [(e.address, e.state) for e in held] == [("n", JOINING), ("me", JOINED)]
+    assert [(e.address, e.state) for e in ring.succ_list] == [("n", JOINED), ("me", JOINED)]
+    assert ring.succ_version > version
+
+
+def test_a_joined_report_from_a_joining_pointer_moves_the_version():
+    """The stabilize handler's promotion: the caller listed JOINING says it
+    has joined, so a caller that knew the old version gets the new list."""
+    ring = _ring_holding(PepperRing, 100.0, [SuccessorEntry("x", 500.0, JOINING)])
+    ring._set_state(JOINED)
+    held, version = ring.succ_list, ring.succ_version
+    reply = ring._handle_stabilize({"pred_address": "x", "pred_value": 500.0,
+                                    "pred_state": JOINED, "known": version}, None)
+    assert held[0].state == JOINING
+    assert ring.succ_version > version
+    assert reply["version"] == ring.succ_version
+    assert reply["succ_list"] == [{"address": "x", "value": 500.0, "state": JOINED}]
+    again = ring._handle_stabilize({"pred_address": "x", "pred_value": 500.0,
+                                    "pred_state": JOINED, "known": ring.succ_version}, None)
+    assert "succ_list" not in again and "version" not in again
+
+
+@pytest.mark.parametrize("ring_class", [ChordRing, PepperRing])
+def test_a_reply_without_its_list_after_our_list_moved_mid_round_merges_the_kept_copy(ring_class):
+    sim = Simulator()
+    network = Network(sim, random.Random(0), NetworkConfig(latency_model=ConstantLatency(0.001)))
+    config, metrics = default_config(), Metrics()
+    a = RingPeer(sim, network, "a", 100.0, config, ring_class, metrics=metrics).ring
+    b = RingPeer(sim, network, "b", 200.0, config, ring_class, metrics=metrics).ring
+    for ring in (a, b):
+        ring._set_state(JOINED)
+    b.succ_list = [SuccessorEntry("c", 300.0), SuccessorEntry("d", 400.0)]
+    a.succ_list = [SuccessorEntry("b", 200.0)]
+    for _ in range(3):  # learn b's list, reach its fixed point, then go quiet
+        sim.run_process(a._stabilize_once())
+    assert [e.address for e in a.succ_list] == ["b", "c", "d"]
+    assert a._last_reply.adopted is a.succ_list
+    sent = metrics.count("ring_stabilize_list_sent")
+    merged = metrics.count("ring_stabilize_merged")
+    round_ = sim.process(a._stabilize_once())
+    sim.run(until=sim.now + 0.0015)  # b has answered; its reply is in flight
+    a.succ_list = without(a.succ_list, ("d",))  # e.g. validation pruned d meanwhile
+    sim.run_until(round_)
+    assert metrics.count("ring_stabilize_list_sent") == sent  # b's list had not moved
+    assert metrics.count("ring_stabilize_merged") == merged + 1
+    assert [e.address for e in a.succ_list] == ["b", "c", "d"]
