@@ -34,6 +34,14 @@ from repro.ring.entries import JOINED
 from repro.transport import RpcError
 
 
+def _holds(items_response: Optional[dict], key: float) -> bool:
+    """Whether a ``ds_get_local_items`` reply comes from the active owner of ``key``."""
+    if items_response is None or not items_response.get("active"):
+        return False
+    crange = items_response.get("range")
+    return crange is not None and CircularRange.from_tuple(tuple(crange)).contains(key)
+
+
 def query_result(metrics, query_id: str, lb: float, ub: float, items: Dict[float, Item],
                  started: float, scan_started: float, finished: float, hops: int,
                  complete: bool, strategy: str, routing: str = "primary") -> dict:
@@ -168,7 +176,7 @@ class RangeQueryEngine:
             except RpcError:
                 pass
             if not accepted:
-                yield self.node.sim.timeout(0.25)
+                yield self.node.sim.capped_timeout(0.25, deadline)
 
         if accepted:
             wait = self.node.sim.timeout(max(0.0, deadline - self.node.sim.now))
@@ -361,7 +369,10 @@ class RangeQueryEngine:
 
         Two unsynchronised messages per peer (items, then successor) and no
         locks, so ranges can change between the two -- reproducing the missed
-        results of Sections 4.2.1 and 4.2.2.
+        results of Sections 4.2.1 and 4.2.2.  The scan starts only at a peer
+        whose range, as its first items reply reports it, holds ``lb``: a
+        route's named owner is not probed, so a stale or dead name is routed
+        again (within the deadline) rather than scanned from.
         """
         query_id = self._new_query_id()
         started = self.node.sim.now
@@ -374,14 +385,21 @@ class RangeQueryEngine:
         collected: Dict[float, Item] = {}
         hops = 0
         while current is not None and hops < 256 and self.node.sim.now < deadline:
-            hops += 1
             # Message 1: fetch the peer's local items in the query range.
             try:
                 items_response = yield self.node.call(
                     current, "ds_get_local_items", {"lb": lb, "ub": ub}
                 )
             except RpcError:
-                break
+                if hops:
+                    break
+                items_response = None
+            if not hops and not _holds(items_response, lb):
+                yield self.node.sim.capped_timeout(0.25, deadline)
+                current = yield from self.router.route_until(lb, deadline)
+                scan_started = self.node.sim.now
+                continue
+            hops += 1
             for item in items_from_wire(items_response["items"]):
                 collected[item.skv] = item
             # Message 2: ask for the successor (the ring may have changed, and

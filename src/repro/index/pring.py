@@ -225,7 +225,7 @@ class PRingIndex:
                     return owner
             except RpcError:
                 pass
-            yield self.sim.timeout(0.1)
+            yield self.sim.capped_timeout(0.1, deadline)
 
     def insert_item(self, skv: float, payload=None, via: Optional[str] = None):
         """Generator: insert ``(skv, payload)`` through peer ``via`` (or any member)."""

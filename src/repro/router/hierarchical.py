@@ -12,11 +12,14 @@ the level-``i-1`` peer adds *its* level-``i-1`` pointer and passes the walk on
 Routing is iterative and every hop is a table hop: a peer that does not own
 the key answers ``ds_probe`` with its *own* next-hop candidates (its farthest
 pointers that do not pass the key, then its successor list), and the caller --
-which keeps control and the timeout -- takes the first usable one.  A dead or
-useless candidate is skipped for the last live hop's next one; when they run
-out the route fails at once with ``None`` and the caller decides how long to
-wait for the ring to repair (see ``docs/ARCHITECTURE.md``, "Contract:
-routing").
+which keeps control and the timeout -- takes the first usable one.  The last
+step is the predecessor's word: a peer whose first JOINED successor follows it
+on the way to the key names that successor as the owner, and the route ends
+there without probing it -- the caller's next RPC to the owner checks
+ownership anyway.  A dead or useless candidate is skipped for the last live
+hop's next one; when they run out the route fails at once with ``None`` and
+the caller decides how long to wait for the ring to repair (see
+``docs/ARCHITECTURE.md``, "Contract: routing").
 
 The construction differs from the paper's hierarchy-of-rings in mechanism but
 matches it in the property the rest of the system relies on: O(log N) routing
@@ -171,17 +174,27 @@ class HierarchicalRingRouter(RingListener):
     def _local_owner(self, key: float) -> bool:
         return self.store.owns_key(key)
 
+    def _tally(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.tally(name)
+
+    def _reset(self, cause: str) -> None:
+        """Evidence against the table: the next walk is full.  Tallied by
+        ``cause`` as ``router_reset_<cause>``; the callers tighten the cadence."""
+        self._restart = 0
+        self._tally("router_reset_" + cause)
+
     # ------------------------------------------------------------------ ring events
     def on_successor_changed(self, ring, new_address: str) -> None:
-        self._restart = 0
+        self._reset("ring_event")
         self._cadence.note_change()
 
     def on_predecessor_changed(self, ring, old_address, old_value, new_address, new_value) -> None:
-        self._restart = 0
+        self._reset("ring_event")
         self._cadence.note_change()
 
     def on_predecessor_failed(self, ring, old_address, old_value) -> None:
-        self._restart = 0
+        self._reset("ring_event")
         self._cadence.note_failure()
 
     # ------------------------------------------------------------------ table maintenance
@@ -292,7 +305,8 @@ class HierarchicalRingRouter(RingListener):
 
         ``_restart``, unless the kept prefix ``table[:start + 1]`` is gone
         (the table was emptied while we had no JOINED successor) or can no
-        longer be trusted: the floor's full walk is due, ``table[0]`` is not
+        longer be trusted: the floor's full walk is due (tallied as the
+        ``floor`` reset), or (the ``successors`` reset) ``table[0]`` is not
         our first JOINED successor ``first`` any more, or a peer joined or
         left our JOINED ``successors`` since the last walk started, no
         farther clockwise than ``table[start]``.
@@ -300,12 +314,12 @@ class HierarchicalRingRouter(RingListener):
         start = self._restart
         if not start:
             return 0
+        if self.node.sim.now >= self._full_due:
+            self._reset("floor")
+            return 0
         table = self.table
-        if (
-            start >= len(table)
-            or self.node.sim.now >= self._full_due
-            or table[0] != (first.address, first.value)
-        ):
+        if start >= len(table) or table[0] != (first.address, first.value):
+            self._reset("successors")
             return 0
         own_value = self.ring.value
         reach = self._clockwise(own_value, table[start][1])
@@ -313,6 +327,7 @@ class HierarchicalRingRouter(RingListener):
         for address in before.keys() ^ after.keys():
             value = before[address] if address in before else after[address]
             if self._clockwise(own_value, value) <= reach:
+                self._reset("successors")
                 return 0
         return start
 
@@ -347,6 +362,9 @@ class HierarchicalRingRouter(RingListener):
         found by our own route, a walk that grew the table or went
         ``past_end``, a moved first successor or successor list, and the
         floor, a full walk at least every ``_FULL_WALK_FLOOR`` base periods.
+        Each walk is tallied as ``router_walk_full`` or
+        ``router_walk_restart``, and each piece of evidence as
+        ``router_reset_<cause>`` (:meth:`_reset`).
 
         We wait for the result on one clock timer, ``ROUTER_TABLE_SIZE``
         failure-detection timeouts: a walk that does not come back by then
@@ -380,9 +398,11 @@ class HierarchicalRingRouter(RingListener):
             start = self._start_level(first, successors)
         if start:
             table = self.table[: start + 1]
+            self._tally("router_walk_restart")
         else:
             table = [(first.address, first.value)]
             self._full_due = sim.now + _FULL_WALK_FLOOR * self._cadence.base
+            self._tally("router_walk_full")
         # Evidence that arrives while the walk is out lowers this again.
         self._restart = ROUTER_TABLE_SIZE
         self._successors = successors
@@ -407,7 +427,7 @@ class HierarchicalRingRouter(RingListener):
             self._walk_done = None
             sim.cancel_timer(timer)
         if result is None:
-            self._restart = 0
+            self._reset("lost_walk")
             self._cadence.note_failure()  # lost at a dead hop: keep the table
             return
         table, old = result["table"], self.table
@@ -419,7 +439,7 @@ class HierarchicalRingRouter(RingListener):
                 break
         self.table = table
         if grew or result["past_end"]:
-            self._restart = 0
+            self._reset("growth" if grew else "past_end")
             self._cadence.note_change()
         else:
             self._restart = min(self._restart, max(changed - 2, 0) // 2 * 2)
@@ -447,27 +467,54 @@ class HierarchicalRingRouter(RingListener):
         hops += [address for address, _ in self._joined_successors() if address not in hops]
         return hops
 
+    def _named_owner(self, key: float) -> Optional[str]:
+        """Our first JOINED successor if ``key`` lies on the arc from our value
+        (exclusive) to its value (inclusive): by our word, it owns the key.
+
+        Only the first successor is named.  Deeper successor-list entries
+        are left out: an adjacent pair of them says nothing of who joined
+        between them since (docs/ARCHITECTURE.md, "Contract: routing").
+        """
+        if not self.ring.is_joined:
+            return None
+        first = self.ring._stabilization_target()  # the first of _joined_successors
+        if first is None:
+            return None
+        own_value = self.ring.value
+        distance = self._clockwise(own_value, key)
+        if 0.0 < distance <= self._clockwise(own_value, first.value):
+            return first.address
+        return None
+
     def _handle_probe(self, payload, request):
         """RPC: the Data Store's ownership probe plus, from a peer that does
-        not own the key, ``next``: its own candidates for the caller's next hop."""
+        not own the key, ``owner`` (:meth:`_named_owner`) or else ``next``:
+        its own candidates for the caller's next hop."""
         reply = self.store._handle_probe(payload, request)
         if not reply["owns"]:
-            reply["next"] = self._next_hops(payload["key"])
+            key = payload["key"]
+            owner = self._named_owner(key)
+            if owner is not None:
+                reply["owner"] = owner
+            else:
+                reply["next"] = self._next_hops(key)
         return reply
 
     def route_until(self, key: float, deadline: float):
         """Generator: :meth:`find_responsible`, retried while the clock is before ``deadline``.
 
-        A ``None`` route means nobody owns the key right now (its owner just
-        failed, a split is mid-flight); the ring repairs that on its own
-        clock, so callers wait by time -- a query its ``timeout``, a write
-        ``config.repair_horizon`` -- not by attempt count.
+        A ``None`` route means no live peer could be found for the key right
+        now (a split is mid-flight, or the route saw the named owner dead);
+        the ring repairs that on its own clock, so callers wait by time -- a
+        query its ``timeout``, a write ``config.repair_horizon`` -- not by
+        attempt count.  No wait runs past ``deadline``.
         """
-        while self.node.sim.now < deadline:
+        sim = self.node.sim
+        while sim.now < deadline:
             address = yield from self.find_responsible(key)
             if address is not None:
                 return address
-            yield self.node.sim.timeout(0.25)
+            yield sim.capped_timeout(0.25, deadline)
         return None
 
     def find_responsible(self, key: float):
@@ -478,13 +525,22 @@ class HierarchicalRingRouter(RingListener):
         candidate that times out, or that is no closer to the key than the
         last live hop (a stale pointer, or a range nobody owns right now), is
         skipped for that hop's next candidate -- never for a restart from
-        here.  Out of candidates or hop budget the route returns ``None`` at
-        once; waiting for the ring to repair is the caller's business
+        here.  A hop that names the owner (:meth:`_named_owner`; we apply
+        the same rule before our first probe) ends the route at that name,
+        unprobed: the caller's next RPC to it checks ownership under the
+        owner's own lock, and a stale or dead name costs that RPC what
+        probing it would have.  Out of candidates or hop budget, or named a
+        peer this route found dead, the route returns ``None`` at once;
+        waiting for the ring to repair is the caller's business
         (:meth:`route_until`).
         """
         if self._local_owner(key):
             self._record_route(key, 0, self.node.address)
             return self.node.address
+        owner = self._named_owner(key)
+        if owner is not None:
+            self._record_route(key, 0, owner)
+            return owner
 
         hops = 0
         candidates = self._next_hops(key)
@@ -502,13 +558,18 @@ class HierarchicalRingRouter(RingListener):
                 # A dead hop is first-hand staleness evidence: forget the
                 # pointer and revalidate the table at the base cadence.
                 dead.add(current)
-                self._restart = 0
+                self._reset("dead_pointer")
                 self._cadence.note_failure()
                 self.table = [pointer for pointer in self.table if pointer[0] != current]
                 continue
             if probe.get("owns"):
                 self._record_route(key, hops, current)
                 return current
+            owner = probe.get("owner")
+            if owner is not None:
+                found = None if owner in dead else owner
+                self._record_route(key, hops, found)
+                return found
             distance = self._clockwise(probe["value"], key)
             if distance < remaining and probe.get("next"):
                 remaining, candidates = distance, probe["next"]

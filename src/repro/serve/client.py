@@ -98,8 +98,10 @@ class QueryClient:
         return self.tracker.least_loaded(candidates)
 
     def _replica_query(self, lb: float, ub: float, timeout: float):
+        """The ``replica_lb`` walk; no wait in it runs past ``started + timeout``."""
+        sim = self.peer.sim
         query_id = self.peer.queries._new_query_id()
-        started = self.peer.sim.now
+        started = sim.now
         deadline = started + timeout
         items: Dict[float, Item] = {}
         segments: List[Tuple[float, float]] = []
@@ -108,12 +110,12 @@ class QueryClient:
 
         route_until = self.peer.router.route_until
         current = yield from route_until(lb, deadline)
-        scan_started = self.peer.sim.now
+        scan_started = sim.now
         while (
             current is not None
             and watermark < ub - 1e-12
             and hops < _MAX_HOPS
-            and self.peer.sim.now < deadline
+            and sim.now < deadline
         ):
             hops += 1
             try:
@@ -122,11 +124,11 @@ class QueryClient:
                 # The owner died under us: wait out failure detection so the
                 # ring can repair (a successor revives the items), then route
                 # again from the watermark.
-                yield self.peer.sim.timeout(FAILURE_DETECTION_TIMEOUT)
+                yield sim.capped_timeout(FAILURE_DETECTION_TIMEOUT, deadline)
                 current = yield from route_until(watermark, deadline)
                 continue
             if not meta.get("active") or meta.get("range") is None:
-                yield self.peer.sim.timeout(0.25)
+                yield sim.capped_timeout(0.25, deadline)
                 current = yield from route_until(watermark, deadline)
                 continue
             crange = CircularRange.from_tuple(tuple(meta["range"]))
@@ -143,7 +145,7 @@ class QueryClient:
                 # range that merely *ends at* the watermark steps to its
                 # successor below: routing to its own upper bound would return
                 # the same peer forever.)
-                yield self.peer.sim.timeout(0.25)
+                yield sim.capped_timeout(0.25, deadline)
                 current = yield from route_until(watermark, deadline)
                 continue
             if new_watermark > watermark:
@@ -182,7 +184,7 @@ class QueryClient:
                             },
                         )
                     except RpcError:
-                        yield self.peer.sim.timeout(FAILURE_DETECTION_TIMEOUT)
+                        yield sim.capped_timeout(FAILURE_DETECTION_TIMEOUT, deadline)
                         current = yield from route_until(watermark, deadline)
                         continue
                     if not response.get("ok"):
@@ -203,4 +205,4 @@ class QueryClient:
 
         complete = segments_cover_interval(segments, lb, ub)
         return query_result(self.metrics, query_id, lb, ub, items, started, scan_started,
-                            self.peer.sim.now, hops, complete, "replica_lb", self.routing)
+                            sim.now, hops, complete, "replica_lb", self.routing)

@@ -534,6 +534,11 @@ class Simulator:
         """Create a :class:`Timeout` firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def capped_timeout(self, delay: float, deadline: float) -> Timeout:
+        """A :meth:`timeout` of ``delay`` seconds that fires no later than
+        ``deadline`` (at once if the deadline has passed)."""
+        return Timeout(self, max(0.0, min(delay, deadline - self._now)))
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start ``generator`` as a :class:`Process`."""
         return Process(self, generator, name=name)

@@ -11,6 +11,7 @@ from repro import (
     count_lost_items,
     default_config,
 )
+from repro.ring.entries import SuccessorEntry
 from tests.conftest import build_cluster
 
 
@@ -121,9 +122,10 @@ def test_metrics_capture_protocol_operations(cluster):
 
 
 def test_writes_issued_into_a_range_gap_are_acknowledged_after_the_take_over():
-    """The owner of a key fails; an insert and a delete issued at once find no
-    owner, wait out the ring's repair horizon on the clock (not on an attempt
-    count) and are acknowledged once the successor has taken the range over."""
+    """The owner of a key fails; an insert and a delete issued at once are
+    routed to the failed owner (its live predecessor still names it), wait out
+    the ring's repair horizon on the clock (not on an attempt count) and are
+    acknowledged once the successor has taken the range over."""
     index, keys = build_cluster(seed=86, peers=10)
     members = index.ring_members()
     owner, entry = members[4], members[0]
@@ -132,7 +134,8 @@ def test_writes_issued_into_a_range_gap_are_acknowledged_after_the_take_over():
     new_key = lo + (hi - lo) / 2.0 + 0.125
     victim = next(key for key in keys if lo < key <= hi)
     index.fail_peer(owner.address)
-    assert index.run_process(entry.router.find_responsible(new_key)) is None  # the gap
+    # The gap: the route names the failed owner.
+    assert index.run_process(entry.router.find_responsible(new_key)) == owner.address
     started = index.sim.now
     write = index.sim.process(index.insert_item(new_key, "into-the-gap", via=entry.address))
     erase = index.sim.process(index.delete_item(victim, via=entry.address))
@@ -144,3 +147,112 @@ def test_writes_issued_into_a_range_gap_are_acknowledged_after_the_take_over():
     index.run(2.0)
     result = index.range_query_now(lo, hi, via=entry.address)
     assert new_key in result["keys"] and victim not in result["keys"]
+
+
+def _routed_calls(index, source, monkeypatch):
+    """Record ``(method, destination)`` of every routing probe, insert and
+    scan start ``source`` issues from now on (through the transport observer
+    hook)."""
+    calls = []
+    tracker = index.serve_tracker
+    issued = tracker.rpc_issued
+
+    def record(caller, destination, method):
+        if caller == source and method in ("ds_probe", "ds_store_item", "scan_begin"):
+            calls.append((method, destination))
+        issued(caller, destination, method)
+
+    monkeypatch.setattr(tracker, "rpc_issued", record)
+    return calls
+
+
+def _hold_stale(peer, address, value):
+    """Put ``value`` on ``peer``'s successor-list entry for ``address``: the
+    boundary as ``peer`` last heard it, past the true one."""
+    peer.ring.succ_list = [
+        SuccessorEntry(e.address, value, e.state, e.heard, e.vouched)
+        if e.address == address else e
+        for e in peer.ring.succ_list
+    ]
+
+
+def test_a_stale_named_owner_refuses_and_the_write_is_routed_again(monkeypatch):
+    """The predecessor's list is held stale: it places its successor's upper
+    boundary past the true one, so it names that successor for a key its
+    own successor owns.  The insert is refused there, routed again and stored
+    exactly once at the true owner once the stale value is replaced; a scan's
+    ``scan_begin`` is refused the same way."""
+    index, _keys = build_cluster(seed=90, peers=10)
+    members = index.ring_members()
+    before, named, owner = members[3], members[4], members[5]
+    lo, hi, full = owner.store.range.as_tuple()
+    assert not full and lo < hi and lo == named.ring.value
+    new_key = lo + (hi - lo) / 2.0 + 0.125
+    stale_value = new_key + (hi - new_key) / 2.0
+    calls = _routed_calls(index, before.address, monkeypatch)
+    _hold_stale(before, named.address, stale_value)
+    assert before.router._named_owner(new_key) == named.address
+    started = index.sim.now
+    assert index.insert_item_now(new_key, "stale-name", via=before.address)
+    assert index.sim.now - started <= index.config.repair_horizon
+    writes = [call for call in calls if call[0] == "ds_store_item"]
+    assert writes[0] == ("ds_store_item", named.address)  # refused ...
+    assert writes[-1] == ("ds_store_item", owner.address)  # ... then stored here
+    assert ("ds_store_item", owner.address) not in writes[:-1]
+    stored = [
+        op.peer
+        for op in index.history.history().of_kind("item_stored")
+        if op.attrs["skv"] == new_key and op.attrs.get("reason") == "insert"
+    ]
+    assert stored == [owner.address]
+    assert new_key not in named.store.items
+
+    del calls[:]
+    _hold_stale(before, named.address, stale_value)
+    result = index.range_query_now(new_key - 1.0, new_key, via=before.address)
+    assert result["complete"] and new_key in result["keys"]
+    begins = [call for call in calls if call[0] == "scan_begin"]
+    assert begins[0] == ("scan_begin", named.address)  # refused
+    assert begins[-1] == ("scan_begin", owner.address)
+
+
+def test_a_dead_named_owner_costs_one_rpc_timeout_before_the_clock_wait(monkeypatch):
+    """The owner has just failed and its predecessor, the entry peer, still
+    names it: the insert's one RPC to it times out, then the write waits on
+    the clock -- no probe, no second timeout -- and is acknowledged after the
+    take-over."""
+    index, _keys = build_cluster(seed=91, peers=10)
+    members = index.ring_members()
+    before, owner = members[3], members[4]
+    lo, hi, _full = owner.store.range.as_tuple()
+    new_key = lo + (hi - lo) / 2.0 + 0.125
+    calls = _routed_calls(index, before.address, monkeypatch)
+    index.fail_peer(owner.address)
+    timeouts = index.network.stats.rpc_timeouts
+    started = index.sim.now
+    write = index.sim.process(index.insert_item(new_key, "dead-name", via=before.address))
+    # Just after the RPC timeout, inside the write's 0.1 s clock wait.
+    index.run(index.config.network.rpc_timeout + 0.05)
+    assert calls == [("ds_store_item", owner.address)]
+    assert index.network.stats.rpc_timeouts - timeouts == 1
+    index.run(index.config.repair_horizon)
+    assert write.triggered and write.value is True
+    done = index.history.history().of_kind("index_insert_done")[-1]
+    assert done.time - started <= index.config.repair_horizon
+
+
+def test_the_naive_scan_starts_only_at_a_peer_that_holds_lb():
+    """The route names a peer past ``lb`` (the namer's list misses the true
+    owner for a moment): the naive scan's first items reply shows a range
+    without ``lb``, so it routes again instead of scanning from there."""
+    index, keys = build_cluster(seed=92, peers=10)
+    members = index.ring_members()
+    before, owner, after = members[3], members[4], members[5]
+    lb, ub = owner.store.range.low + 0.5, after.ring.value
+    held = before.ring.succ_list
+    before.ring.succ_list = [e for e in held if e.address != owner.address]
+    assert before.router._named_owner(lb) == after.address
+    index.sim.schedule(0.1, lambda _arg: setattr(before.ring, "succ_list", held))
+    result = index.run_process(before.queries.query(lb, ub, strategy="naive"))
+    assert result["keys"] == [key for key in keys if lb < key <= ub]
+    assert any(key <= owner.ring.value for key in result["keys"])

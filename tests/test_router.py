@@ -117,6 +117,42 @@ def test_routes_from_every_member_are_logarithmic(settled_ring):
     assert max(hops) <= bound
 
 
+def test_routes_end_at_the_named_owner_without_probing_it(settled_ring, monkeypatch):
+    """The owner's predecessor names it (or the origin does, as that
+    predecessor): the route returns it unprobed, and records as its hops
+    exactly the probes it sent."""
+    index, members = settled_ring
+    probed = []
+    tracker = index.serve_tracker
+    issued = tracker.rpc_issued
+
+    def record(source, destination, method):
+        if method == "ds_probe":
+            probed.append(destination)
+        issued(source, destination, method)
+
+    monkeypatch.setattr(tracker, "rpc_issued", record)
+    rng = random.Random(11)
+    recorded = index.metrics.count("route_hops")
+    sent = []
+    for peer in members:
+        key = rng.uniform(1.0, index.config.key_space - 1.0)
+        del probed[:]
+        found = index.run_process(peer.router.find_responsible(key))
+        assert index.peers[found].store.owns_key(key)
+        assert found not in probed
+        sent.append(len(probed))
+    assert index.metrics.values("route_hops")[recorded:] == sent
+    # The origin's own word: a key on its first successor's arc costs no probe.
+    origin = members[0]
+    successor = index.peers[origin.ring.first_live_successor()]
+    del probed[:]
+    assert index.run_process(origin.router.find_responsible(successor.ring.value)) == (
+        successor.address
+    )
+    assert probed == []
+
+
 def _probes(index):
     return index.network.stats.per_method.get("ds_probe", 0)
 
@@ -154,12 +190,16 @@ def test_route_to_a_key_nobody_owns_fails_fast_and_is_recorded(settled_ring):
     recorded = index.metrics.count("route_hops")
     started = index.sim.now
     found = index.run_process(origin.router.find_responsible(key))
-    assert found is None
+    # The victim's live predecessor still names it: the route ends there,
+    # unprobed, and the caller's next RPC pays the timeout.
+    assert found == victim.address
     spent = _probes(index) - probes
     assert spent <= 12 + math.log2(len(members))
     assert index.metrics.values("route_hops")[recorded:] == [spent]
     route = index.history.history().of_kind("route")[-1]
-    assert (route.peer, route.attrs["found"], route.attrs["hops"]) == (origin.address, None, spent)
+    assert (route.peer, route.attrs["found"], route.attrs["hops"]) == (
+        origin.address, victim.address, spent
+    )
     assert index.sim.now - started < 2.0
 
 
@@ -644,6 +684,32 @@ def test_converged_tables_back_the_stress_phase_walks_off():
     members = (stress["ring_members_start"] + stress["ring_members"]) / 2
     rate = stress["rpc_per_method"]["route_table_entry"] / members / stress["sim_seconds"]
     assert rate <= ROUTER_WALK_RATE, f"{rate:.3f} table RPCs per member-second"
+
+
+_RESET_CAUSES = {
+    "ring_event", "lost_walk", "dead_pointer", "growth", "past_end", "floor", "successors",
+}
+
+
+def test_the_walk_census_counts_every_walk_and_why_it_was_full():
+    """Each walk is tallied as full or restart, and each piece of evidence
+    that made a walk full by its cause; on scale_100 (seed 0: 382 full, 239
+    restarts, resets ring_event 301, growth 201, successors 11, lost_walk 7,
+    past_end 4) every full walk after a router's first has a reset to
+    account for it."""
+    spec = get_scenario("scale_100")
+    experiment = build_experiment(spec, 0)
+    experiment.run_phases(spec.phases, total_peers=spec.peers)
+    index = experiment.index
+    routers = [peer.router for peer in index.peers.values()]
+    count = index.metrics.count
+    full, restart = count("router_walk_full"), count("router_walk_restart")
+    assert full + restart == sum(router._walks for router in routers)
+    assert restart > 0
+    resets = {cause: count("router_reset_" + cause) for cause in _RESET_CAUSES}
+    assert resets["growth"] > 0 and resets["ring_event"] > 0 and resets["lost_walk"] > 0
+    first_walks = sum(1 for router in routers if router._walks)
+    assert full <= first_walks + sum(resets.values())
 
 
 # ring_ping per ring member per stabilization period on scale_100 (seed 0) once
