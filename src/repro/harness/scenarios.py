@@ -28,6 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.core.census import state_census
 from repro.harness.experiment import ClusterExperiment
 from repro.harness.metrics import nearest_rank
 from repro.harness.phases import (
@@ -197,6 +198,9 @@ class ScenarioResult:
     # Per-phase measurements (serialised PhaseResult dicts, execution order);
     # the event/RPC deltas sum to the scenario totals above.
     phases: List[Dict[str, Any]] = field(default_factory=list)
+    # The end-state census (:func:`repro.core.census.state_census`), taken
+    # once after the last phase.
+    state: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -320,6 +324,7 @@ def _finalize_result(
         per_site_rpcs=dict(index.network.stats.per_site_rpcs),
         latency_histograms=latency_histograms,
         phases=[phase.as_dict() for phase in phase_results],
+        state=state_census(index),
     )
 
 

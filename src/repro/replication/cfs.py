@@ -165,6 +165,27 @@ class ReplicationManager(RingListener):
             return False
         return self.node.sim.now - lease.time <= self._lease_window
 
+    def census(self) -> dict:
+        """Counts of the held copies, snapshot records and tombstones, by lease age."""
+        now = self.node.sim.now
+        window, period = self._lease_window, self.config.replication_refresh_period
+        keys = self.replicas.keys()
+        tombstone_ages = [now - deleted_at for deleted_at in self._tombstones.values()]
+        ages = [now - lease.time for lease in self._push_state.values()]
+        return {
+            "replica_copies": len(keys),
+            "replica_copies_unpromotable": sum(not self._is_promotable(skv) for skv in keys),
+            "replica_copies_past_window_and_period": sum(
+                skv not in self._freshness or now - self._freshness[skv].time > window + period
+                for skv in keys
+            ),
+            "snapshot_records": len(ages),
+            "snapshot_records_past_window": sum(age > window for age in ages),
+            "snapshot_records_past_window_and_period": sum(age > window + period for age in ages),
+            "tombstones_live": sum(age <= 3 * period for age in tombstone_ages),
+            "tombstones_expired_kept": sum(age > 3 * period for age in tombstone_ages),
+        }
+
     # ------------------------------------------------------------------ refresh
     def refresh_now(self) -> None:
         """Trigger an immediate replication round (e.g. right after a split)."""
