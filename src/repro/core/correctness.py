@@ -426,7 +426,9 @@ def count_lost_items(history: History, peers: Sequence) -> List[float]:
 
     A stricter, snapshot-based version of :func:`check_item_availability` used
     by the availability ablation: it inspects the actual Data Store and replica
-    contents of the live peers rather than the recorded timeline.
+    contents of the live peers rather than the recorded timeline.  A replica
+    counts only while it is promotable: a copy no lease carries any more can
+    never be revived, so it does not keep its item available.
     """
     inserted, deleted = _inserted_and_deleted(history)
     expected = inserted.keys() - deleted
@@ -440,5 +442,5 @@ def count_lost_items(history: History, peers: Sequence) -> List[float]:
             present.update(store.items.keys())
         replication = getattr(peer, "replication", None)
         if replication is not None:
-            present.update(replication.replica_keys())
+            present.update(replication.promotable_keys())
     return sorted(expected - present)

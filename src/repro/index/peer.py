@@ -56,9 +56,7 @@ class IndexPeer(Endpoint):
         ring_class = PepperRing if (config.consistent_insert or config.safe_leave) else ChordRing
         self.ring = ring_class(self, value, config, metrics=metrics, history=history)
         self.store = DataStore(self, self.ring, config, metrics=metrics, history=history)
-        self.replication = ReplicationManager(
-            self, self.ring, self.store, config, metrics=metrics, history=history
-        )
+        self.replication = ReplicationManager(self, self.ring, self.store, config, history=history)
         self.router = HierarchicalRingRouter(
             self, self.ring, self.store, config, metrics=metrics, history=history
         )

@@ -1,12 +1,17 @@
 """Replication Manager: CFS-style successor replication plus the extra-hop protocol.
 
 Layer contract: builds on :mod:`repro.sim`, :mod:`repro.ring` (listens for
-predecessor failures/changes to revive replicas) and :mod:`repro.datastore`
+predecessor changes to revive replicas) and :mod:`repro.datastore`
 (reads the local store, promotes replicas into it).  The refresh loop runs
 on the fixed ``replication_refresh_period`` of :mod:`repro.index.config`.
-Only :class:`~repro.index.peer.IndexPeer` composes a
-:class:`ReplicationManager`; other layers interact with replication solely
-through the ring events and the store.
+Which held copies may be revived is one value, the holder's lease table
+(:mod:`repro.replication.leases`): pure functions over it answer and change
+it, and nothing outside this package reads its internals -- the serve
+layer's replica reads ask it for an owner's recorded snapshot through
+:func:`~repro.replication.leases.snapshot`.  Only
+:class:`~repro.index.peer.IndexPeer` composes a :class:`ReplicationManager`,
+which keeps the casts, the refresh loop and the revive; other layers
+interact with replication solely through the ring events and the store.
 """
 
 from repro.replication.cfs import ReplicationManager

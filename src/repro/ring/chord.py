@@ -93,11 +93,10 @@ def _answer_state(answer, call) -> None:
 class RingListener:
     """Callbacks through which higher layers observe ring events.
 
-    The Data Store listens for predecessor changes (its range is
-    ``(pred.value, own.value]``), the Replication Manager listens for
-    predecessor failures (to revive replicas), the storage balancer for the
-    maintenance tick (its periodic check), and the index facade for join
-    completion.
+    The Data Store and the Replication Manager listen for predecessor
+    changes (the store's range is ``(pred.value, own.value]``, and the manager
+    revives replicas once it grew), the storage balancer for the maintenance
+    tick (its periodic check), and the index facade for join completion.
     """
 
     def on_joined(self, ring: "ChordRing") -> None:

@@ -22,11 +22,13 @@ Two handlers per peer:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List
 
 from repro.datastore.items import Item, items_to_wire
 from repro.datastore.ranges import segments_cover_interval
 from repro.index.config import IndexConfig
+from repro.replication import leases
 
 
 class ServeHandler:
@@ -86,11 +88,11 @@ class ServeHandler:
         return {"ok": True, "items": items, "source": "primary"}
 
     def _replica_read(self, owner: str, lb: float, ub: float, version) -> dict:
-        pushed = self.replication._push_state.get(owner)
+        pushed = leases.snapshot(self.replication.table, owner, self.node.sim.now)
         if pushed is None:
             return {"ok": False, "reason": "no_push"}
-        keys = pushed.keys
-        if version is not None and pushed.version != version:
+        pushed_version, keys, deleted = pushed
+        if version is not None and pushed_version != version:
             # The owner mutated since this push: our copy may miss inserts or
             # resurrect deletions.  Strong-consistency readers go back to the
             # primary; eventual readers pass ``version=None`` and accept the
@@ -99,10 +101,8 @@ class ServeHandler:
         replicas = self.replication.replicas
         primary = self.store.items if self.store.active else None
         collected: List[Item] = []
-        for skv in keys:
-            if not (lb < skv <= ub):
-                continue
-            if self.replication._tombstoned(skv):
+        for skv in keys[bisect_right(keys, lb):bisect_right(keys, ub)]:
+            if skv in deleted:
                 # Deleted under us since the push; never serve it.
                 return {"ok": False, "reason": "tombstoned"}
             item = replicas.get(skv)
@@ -112,6 +112,5 @@ class ServeHandler:
             if item is None:
                 return {"ok": False, "reason": "missing"}
             collected.append(item)
-        collected.sort(key=lambda item: item.skv)
         self._record_metric("serve_read_replica", len(collected))
         return {"ok": True, "items": items_to_wire(collected), "source": "replica"}

@@ -13,8 +13,10 @@ settle, seed 0), in bytes per ring member, with 20% headroom.  The reading
 differs by interpreter, so it is kept per minor version; the readings before
 the records had slots and the loops lost their generators were 68,961 /
 58,914 / 57,785 bytes on CPython 3.10 / 3.11 / 3.12, 49,069 / 43,897 /
-43,688 before the history became columns, and 32,293 / 29,703 / 29,496
-before the item stores became columns.
+43,688 before the history became columns, 32,293 / 29,703 / 29,496
+before the item stores became columns, and 27,079 / 24,329 / 24,159 while
+each held copy had an entry in a per-key lease map (recorded as 27,983 /
+25,519 / 25,300).
 """
 
 import gc
@@ -36,7 +38,7 @@ from repro.transport import Endpoint
 
 HEADROOM = 1.2
 # Settled ``scale_100`` bytes per ring member, by CPython minor version.
-READINGS = {(3, 10): 27_983, (3, 11): 25_519, (3, 12): 25_300}
+READINGS = {(3, 10): 25_682, (3, 11): 22_907, (3, 12): 22_737}
 # Bytes one recorded operation may hold in the recorder's columns.
 RECORD_BUDGET = 80
 # Bytes one stored item copy may hold in an item store's two columns.

@@ -1,16 +1,21 @@
 """Tests for the Replication Manager: refresh, revive, tombstones, extra hop."""
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro import default_config
-from repro.datastore.items import Item, items_from_wire, items_to_wire
+from repro.core.correctness import count_lost_items
+from repro.core.histories import History, Operation
+from repro.datastore.items import Item, ItemStore, items_from_wire, items_to_wire
 from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
 from repro.datastore.maintenance import StorageBalancer
 from repro.harness.scenarios import build_experiment, get_scenario
-from repro.replication.cfs import LEASE_PERIODS, Lease, ReplicationManager
+from repro.replication import leases
+from repro.replication.cfs import ReplicationManager
+from repro.replication.leases import LEASE_PERIODS, Lease, LeaseTable
 from repro.ring.chord import ChordRing
 from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
@@ -24,7 +29,7 @@ def test_items_are_replicated_to_successors():
     index.run(2 * index.config.replication_refresh_period)
     replicated = set()
     for peer in index.live_peers():
-        replicated.update(peer.replication.replica_keys())
+        replicated.update(peer.replication.replicas.keys())
     # With replication factor 6 on a ~8-member ring every item has replicas.
     assert set(keys) <= replicated
 
@@ -105,7 +110,7 @@ def test_replica_counts_do_not_include_primaries():
     index.run(2 * index.config.replication_refresh_period)
     for peer in index.ring_members():
         primaries = set(peer.store.items.keys())
-        replicas = set(peer.replication.replica_keys())
+        replicas = set(peer.replication.replicas.keys())
         assert not (primaries & replicas)
 
 
@@ -113,9 +118,9 @@ def test_clear_drops_replicas():
     index, keys = build_cluster(seed=56, peers=6)
     index.run(2 * index.config.replication_refresh_period)
     peer = index.ring_members()[1]
-    assert peer.replication.replica_count() > 0
+    assert len(peer.replication.replicas) > 0
     peer.replication.clear()
-    assert peer.replication.replica_count() == 0
+    assert len(peer.replication.replicas) == 0
 
 
 def test_tombstone_blocks_and_then_expires():
@@ -123,11 +128,14 @@ def test_tombstone_blocks_and_then_expires():
     peer = index.ring_members()[1]
     manager = peer.replication
     skv = 4242.5
-    manager._tombstones[skv] = index.sim.now
-    assert manager._tombstoned(skv)
-    # After three refresh periods the tombstone expires automatically.
+    manager.table = leases.delete(manager.table, skv, index.sim.now)
+    assert leases.deleted(manager.table, skv, index.sim.now)
+    # After three refresh periods the tombstone expires, and the next refresh
+    # round drops it.
     index.run(3 * index.config.replication_refresh_period + 1.0)
-    assert not manager._tombstoned(skv)
+    assert not leases.deleted(manager.table, skv, index.sim.now)
+    index.run(index.config.replication_refresh_period + 1.0)
+    assert skv not in manager.table.tombstones
 
 
 def test_an_insert_acked_just_before_its_owner_fails_is_served_by_the_successor():
@@ -166,6 +174,29 @@ def _casts(index, method):
     return index.network.stats.per_method.get(method, 0)
 
 
+def _carried_until(table, key):
+    """The latest time a lease in ``table`` carries ``key`` at (None: none does)."""
+    times = [lease.time for lease in table.leases.values() if key in lease.keys]
+    if key in table.copies:
+        times.append(table.copies[key])
+    return max(times, default=None)
+
+
+def _carried(index):
+    """Per holder, each promotable held key and the latest time a lease carries it at."""
+    return {
+        peer.address: {skv: _carried_until(peer.replication.table, skv)
+                       for skv in peer.replication.promotable_keys()}
+        for peer in index.live_peers()
+    }
+
+
+def _recorded(table):
+    """Each recorded snapshot's version, keys and targets (its time aside)."""
+    return {owner: (lease.version, lease.keys, lease.targets)
+            for owner, lease in table.leases.items()}
+
+
 def test_a_quiet_scale_100_ring_pushes_nothing_and_keeps_every_copy_promotable():
     spec = get_scenario("scale_100")
     experiment = build_experiment(spec, 0)
@@ -184,11 +215,12 @@ def test_a_quiet_scale_100_ring_pushes_nothing_and_keeps_every_copy_promotable()
             assert version == owner.store.items.version
             for address in targets:
                 holder = members[address].replication
-                lease = holder._push_state[owner.address]
+                lease = holder.table.leases[owner.address]
                 assert lease.version == version
                 for skv in lease.keys:
                     if skv in holder.replicas:
-                        assert holder._is_promotable(skv), (address, owner.address, skv)
+                        assert leases.promotable(holder.table, skv, index.sim.now), (
+                            address, owner.address, skv)
                         checked += 1
     assert _casts(index, "rep_store_replicas") == pushes
     assert checked > 8 * len(members)
@@ -206,17 +238,26 @@ def test_a_dead_owners_leases_stop_at_its_failure_and_its_copies_age_out():
     while index.sim.now < failed_at + LEASE_PERIODS * period + 1.0:
         index.run(period / 4)
         for peer in index.live_peers():
-            lease = peer.replication._push_state.get(owner.address)
+            lease = peer.replication.table.leases.get(owner.address)
             assert lease is None or lease.time <= landed_by
     aged = 0
     for peer in index.live_peers():
-        manager = peer.replication
-        lease = manager._push_state.get(owner.address)
-        for skv, held in manager._freshness.items():
-            if lease is not None and held is lease:
-                assert not manager._is_promotable(skv)
-                aged += 1
+        table = peer.replication.table
+        lease = table.leases.get(owner.address)
+        if lease is None:
+            continue
+        aged += 1
+        # A copy only the dead owner's lease carries is no longer promotable.
+        for skv in set(lease.keys) & set(peer.replication.replicas.keys()):
+            if leases.promotable(table, skv, index.sim.now):
+                assert _carried_until(table._replace(leases={
+                    other: held for other, held in table.leases.items() if other != owner.address
+                }), skv) is not None
     assert aged
+    # Expiry is final: the refresh round after the window plus one period
+    # drops every record of the owner.
+    index.run(2 * period + 1.0)
+    assert not any(owner.address in peer.replication.table.leases for peer in index.live_peers())
 
 
 def test_a_beacon_at_another_version_renews_nothing():
@@ -224,16 +265,17 @@ def test_a_beacon_at_another_version_renews_nothing():
     index.run(index.config.stabilization_period / 2)
     owner = index.ring_members()[2]
     holder = index.peers[owner.replication._last_push[1][0]].replication
-    lease = holder._push_state[owner.address]
+    lease = holder.table.leases[owner.address]
     stamped = lease.time
     assert stamped < index.sim.now
     resyncs = _casts(index, "rep_resync")
     holder.renew({owner.address: (lease.version + 1, None)})
     holder.renew({owner.address: (lease.version - 1, index.sim.now)})
-    assert lease.time == stamped
+    assert holder.table.leases[owner.address] == lease
     assert _casts(index, "rep_resync") == resyncs
     holder.renew({owner.address: (lease.version, None)})  # the owner's own, stamped here
-    assert lease.time == index.sim.now
+    assert holder.table.leases[owner.address].time == index.sim.now
+    assert lease.time == stamped  # a lease is a value: renewing made a new one
 
 
 def test_a_target_that_lost_its_copies_in_place_is_resynced_by_the_beacon():
@@ -249,11 +291,12 @@ def test_a_target_that_lost_its_copies_in_place_is_resynced_by_the_beacon():
     holder.replication.clear()
     resyncs = _casts(index, "rep_resync")
     index.run(3 * period)
-    lease = holder.replication._push_state[owner.address]
+    table = holder.replication.table
+    lease = table.leases[owner.address]
     assert lease.version == owner.store.items.version
     assert set(lease.keys) == set(owner.store.items.keys())
-    assert set(lease.keys) <= set(holder.replication.replica_keys()) | set(holder.store.items.keys())
-    assert all(holder.replication._is_promotable(skv) for skv in lease.keys)
+    assert set(lease.keys) <= set(holder.replication.replicas.keys()) | set(holder.store.items.keys())
+    assert all(leases.promotable(table, skv, index.sim.now) for skv in lease.keys)
     assert owner.replication._last_push == fingerprint
     assert _casts(index, "rep_resync") > resyncs
     settled = (_casts(index, "rep_resync"), _casts(index, "rep_store_replicas"))
@@ -272,7 +315,7 @@ def test_a_finished_split_keeps_the_handed_over_keys_as_replicas(monkeypatch):
         handed = set(pending["transferred"]) - set(pending["deleted_during"])
         yield from original(self)
         if self._pending_split is None:
-            finished.append((handed, set(self.replication.replica_keys())))
+            finished.append((handed, set(self.replication.replicas.keys())))
 
     monkeypatch.setattr(StorageBalancer, "_finish_split", recording)
     build_cluster(seed=51, peers=8)
@@ -285,44 +328,23 @@ def test_an_extra_hop_push_leaves_every_recorded_snapshot_alone():
     index, _keys = build_cluster(seed=58, peers=8)
     index.run(2 * index.config.replication_refresh_period)
     leaver = index.ring_members()[2]
-    before = {peer.address: dict(peer.replication._push_state) for peer in index.live_peers()}
-    recorded = {
-        address: {owner: (lease.version, lease.keys) for owner, lease in state.items()}
-        for address, state in before.items()
-    }
-    promotable = _promotable_leases(index)
-    assert sum(map(len, promotable.values()))
+    recorded = {peer.address: _recorded(peer.replication.table) for peer in index.live_peers()}
+    carried = _carried(index)
+    assert sum(map(len, carried.values()))
     assert index.run_process(leaver.replication.push_extra_hop()) >= 1
     for peer in index.live_peers():
-        state = peer.replication._push_state
-        assert state == before[peer.address]  # the very same leases
-        assert {owner: (lease.version, lease.keys) for owner, lease in state.items()} == (
-            recorded[peer.address]
-        )
-        freshness = peer.replication._freshness
-        for skv, lease in promotable[peer.address].items():
-            assert freshness[skv] is lease, (peer.address, skv)
-
-
-def _promotable_leases(index):
-    """The lease of every promotable held key, per holder."""
-    return {
-        peer.address: {
-            skv: lease
-            for skv, lease in peer.replication._freshness.items()
-            if peer.replication._is_promotable(skv)
-        }
-        for peer in index.live_peers()
-    }
+        table = peer.replication.table
+        assert _recorded(table) == recorded[peer.address]
+        for skv, until in carried[peer.address].items():
+            assert _carried_until(table, skv) >= until, (peer.address, skv)
 
 
 def test_a_merge_whose_successor_pushes_before_the_extra_hop_keeps_every_lease():
     """A merge by hand, in maybe_merge's order: the leaver's items move to its
     successor and leave its store; the successor's next round pushes the new
     snapshot *before* the leaver's extra hop (its promotable replicas) lands.
-    No promotable key moves off its lease onto the extra hop's, which no
-    beacon renews, and the absorbed keys stay promotable on the successor's
-    beacons after the leaver is gone."""
+    No promotable key's lease gets shorter, and the absorbed keys stay
+    promotable on the successor's beacons after the leaver is gone."""
     index, _keys = build_cluster(seed=58, peers=8)
     period = index.config.replication_refresh_period
     index.run(2 * period)
@@ -348,36 +370,32 @@ def test_a_merge_whose_successor_pushes_before_the_extra_hop_keeps_every_lease()
     version, targets = successor.replication._last_push
     assert version == successor.store.items.version
     for address in targets:
-        holder = index.peers[address].replication
-        lease = holder._push_state[successor.address]
-        assert all(holder._freshness[skv] is lease for skv in absorbed), address
-    promotable = _promotable_leases(index)
-    forwarded = {
-        entry["skv"] for entry in leaver.replication.replicas.to_wire()
-        if leaver.replication._is_promotable(entry["skv"])
-    }
+        lease = index.peers[address].replication.table.leases[successor.address]
+        assert set(absorbed) <= set(lease.keys), address
+    carried = _carried(index)
+    forwarded = set(leaver.replication.promotable_keys())
     hopped = leaver.ring.joined_successors(index.config.replication_factor)
-    assert any(forwarded & set(promotable[address]) for address in hopped)
+    assert any(forwarded & set(carried[address]) for address in hopped)
     assert index.run_process(leaver.replication.push_extra_hop()) >= 1
     for peer in index.live_peers():
-        freshness = peer.replication._freshness
-        for skv, lease in promotable[peer.address].items():
-            assert freshness[skv] is lease, (peer.address, skv)
+        table = peer.replication.table
+        for skv, until in carried[peer.address].items():
+            assert _carried_until(table, skv) >= until, (peer.address, skv)
     index.run_process(leaver.ring.leave())
     leaver.replication.clear()
     index.run((LEASE_PERIODS + 1) * period)
     assert successor.replication._last_push == (version, targets)
     for address in targets:
-        holder = index.peers[address].replication
-        assert all(holder._is_promotable(skv) for skv in absorbed), address
+        table = index.peers[address].replication.table
+        assert all(leases.promotable(table, skv, index.sim.now) for skv in absorbed), address
 
 
 def test_a_splitter_push_before_the_shed_leaves_the_keys_on_the_new_peers_lease(monkeypatch):
     """The new peer's first snapshot reaches its targets while the splitter
     still holds the keys.  A splitter push in between (its store changed)
-    moves them onto the splitter's lease, and the shed's snapshot supersedes
-    that lease; the keys must go back to the new peer's snapshot, whose
-    beacons renew it, since the new peer's fingerprint holds."""
+    carries them too, and the shed's snapshot supersedes it; the keys stay
+    promotable on the new peer's snapshot, whose beacons renew it, since the
+    new peer's fingerprint holds."""
     index, splitter = _overflowing_splitter(seed=61)
     original = StorageBalancer._finish_split
     handed, receiver = [], []
@@ -407,16 +425,15 @@ def test_a_splitter_push_before_the_shed_leaves_the_keys_on_the_new_peers_lease(
     shared = set(new_peer.replication._last_push[1]) & set(splitter.replication._last_push[1])
     assert shared
     for address in shared:
-        holder = index.peers[address].replication
-        lease = holder._push_state[new_peer.address]
-        for skv in handed:
-            assert holder._freshness[skv] is lease, (address, skv)
+        table = index.peers[address].replication.table
+        assert set(handed) <= set(table.leases[new_peer.address].keys), address
+        assert not set(handed) & set(table.leases[splitter.address].keys), address
     fingerprint = new_peer.replication._last_push
     index.run((LEASE_PERIODS + 1) * index.config.replication_refresh_period)
     assert new_peer.replication._last_push == fingerprint
     for address in shared:
-        holder = index.peers[address].replication
-        assert all(holder._is_promotable(skv) for skv in handed), address
+        table = index.peers[address].replication.table
+        assert all(leases.promotable(table, skv, index.sim.now) for skv in handed), address
 
 
 def test_a_holder_asks_an_owner_that_does_not_answer_once_per_version(monkeypatch):
@@ -456,55 +473,97 @@ def test_a_holder_asks_an_owner_that_does_not_answer_once_per_version(monkeypatc
 
 # --------------------------------------------------------------------------- reference paths
 # The promotion scan and the push receiver answer from the replica store's
-# sorted keys and the wire entries directly; the full scan and the
-# Item-per-entry loop they replaced stay here as the references.
+# sorted keys, the wire entries and the lease table directly.  The full scan,
+# and the Item-per-entry loop with a lease per key that they replaced, stay
+# here as the references.
 PERIOD = 4.0  # default_config's replication_refresh_period
 NOW = 40.0
+WINDOW = LEASE_PERIODS * PERIOD
 grid_key = st.integers(0, 79_999).map(lambda n: n / 8)
-# Ages at, inside and just past the tombstone (3 periods) and freshness
-# (4 periods) windows; ``None`` is "no record".
+# Ages at, inside and just past the tombstone (3 periods), promotable (4
+# periods) and expiry (5 periods) windows; ``None`` is "no record".
 ages = st.sampled_from([None, 0.0, PERIOD, 3 * PERIOD, 3 * PERIOD + 0.125, 4 * PERIOD,
-                        4 * PERIOD + 0.125, 10 * PERIOD])
+                        4 * PERIOD + 0.125, 5 * PERIOD + 0.125, 10 * PERIOD])
 
 
-def _old_promotion_candidates(manager):
-    return [
-        item
-        for item in manager.replicas.all_items()
-        if manager.store.range.contains(item.skv)
-        and item.skv not in manager.store.items
-        and manager._is_promotable(item.skv)
-    ]
+class _OldLease:
+    """The reference's lease: one per push, which each key it last touched points at."""
+
+    def __init__(self, version, time, keys=(), targets=()):
+        self.version, self.time, self.keys, self.targets = version, time, keys, targets
 
 
-def _old_handle_store_replicas(manager, payload, request):
+class _Reference:
+    """The per-key lease map the table replaced: ``freshness`` (key -> the lease
+    of the push that last touched it), ``push_state`` and ``tombstones``."""
+
+    def __init__(self, state):
+        self.freshness, self.push_state, self.tombstones = {}, {}, {}
+        self.replicas = ItemStore()
+        for key in state["replicas"]:
+            self.replicas.add(Item(key, "replica"))
+        for key, age in state["tombstones"].items():
+            if age is not None:
+                self.tombstones[key] = NOW - age
+        for key, age in state["freshness"].items():
+            if age is not None:
+                self.freshness[key] = _OldLease(None, NOW - age)
+        for owner, (age, keys) in state["snapshots"].items():
+            lease = _OldLease(3, NOW - age, tuple(keys), ("peer",))
+            self.push_state[owner] = lease
+            for key in keys:
+                if state["carried"].get(key) == owner:
+                    self.freshness[key] = lease
+
+    def tombstoned(self, skv):
+        deleted_at = self.tombstones.get(skv)
+        return deleted_at is not None and not NOW - deleted_at > 3 * PERIOD
+
+    def promotable(self, skv):
+        lease = self.freshness.get(skv)
+        return not self.tombstoned(skv) and lease is not None and NOW - lease.time <= WINDOW
+
+
+def _old_handle_store_replicas(reference, primaries, payload):
     stored = 0
-    now = manager.node.sim.now
     owner, snapshot = payload["owner"], payload.get("snapshot", True)
-    lease = Lease(payload.get("version"), now, targets=payload.get("targets", ()))
+    lease = _OldLease(payload.get("version"), NOW, targets=payload.get("targets", ()))
     pushed = []
     for item in items_from_wire(payload["items"]):
         pushed.append(item.skv)
-        if manager._tombstoned(item.skv):
+        if reference.tombstoned(item.skv):
             continue
-        held = manager._freshness.get(item.skv)
-        if snapshot or held is None or now - held.time > LEASE_PERIODS * PERIOD:
-            manager._freshness[item.skv] = lease
-        if manager.store.active and item.skv in manager.store.items:
+        held = reference.freshness.get(item.skv)
+        if snapshot or held is None or NOW - held.time > WINDOW:
+            reference.freshness[item.skv] = lease
+        if item.skv in primaries:
             continue
-        if manager.replicas.add(item):
+        if reference.replicas.add(item):
             stored += 1
     if snapshot:
         lease.keys = tuple(pushed)
-        superseded = manager._push_state.get(owner)
-        manager._push_state[owner] = lease
+        superseded = reference.push_state.get(owner)
+        reference.push_state[owner] = lease
         for skv in superseded.keys if superseded is not None else ():
-            if skv in pushed or manager._freshness.get(skv) is not superseded:
+            if skv in pushed or reference.freshness.get(skv) is not superseded:
                 continue
-            carriers = [held for held in manager._push_state.values() if skv in held.keys]
+            carriers = [held for held in reference.push_state.values() if skv in held.keys]
             if carriers:
-                manager._freshness[skv] = max(carriers, key=lambda held: held.time)
+                reference.freshness[skv] = max(carriers, key=lambda held: held.time)
     return {"stored": stored}
+
+
+def _table(state):
+    """The lease table holding what ``_Reference(state)`` holds."""
+    reference = _Reference(state)
+    return LeaseTable(
+        PERIOD,
+        {owner: Lease(lease.version, lease.time, tuple(sorted(lease.keys)), lease.targets)
+         for owner, lease in reference.push_state.items()},
+        {key: lease.time for key, lease in reference.freshness.items() if lease.version is None},
+        dict(reference.tombstones),
+        {},
+    )
 
 
 def _bare_manager(state):
@@ -522,20 +581,7 @@ def _bare_manager(state):
         manager.store.items.add(Item(key, "primary"))
     for key in state["replicas"]:
         manager.replicas.add(Item(key, "replica"))
-    for key, age in state["tombstones"].items():
-        if age is not None:
-            manager._tombstones[key] = NOW - age
-    for key, age in state["freshness"].items():
-        if age is not None:
-            manager._freshness[key] = Lease(None, NOW - age)
-    # Recorded snapshots of up to three owners; each key is on one of them or on
-    # a lease of its own, as ``state["carried"]`` says.
-    for owner, (age, keys) in state["snapshots"].items():
-        lease = Lease(3, NOW - age, keys=tuple(keys), targets=("peer",))
-        manager._push_state[owner] = lease
-        for key in keys:
-            if state["carried"].get(key) == owner:
-                manager._freshness[key] = lease
+    manager.table = _table(state)
     return manager
 
 
@@ -565,62 +611,171 @@ def replica_states(draw):
     }
 
 
-def _lease(lease):
-    return (lease.version, lease.time, lease.keys, lease.targets)
+@st.composite
+def pushes(draw, keys):
+    pushed = draw(st.lists(st.sampled_from(keys), unique=True) if keys else st.just([]))
+    return {
+        "items": items_to_wire(Item(key, f"pushed-{key}") for key in pushed),
+        "owner": draw(st.sampled_from(["pred", "other", "new"])),
+        "version": 7,
+        "targets": ("peer", "next"),
+        "snapshot": draw(st.booleans()),
+    }
 
 
-def _end_state(manager):
-    return (
-        [(key, _lease(lease)) for key, lease in manager._freshness.items()],
-        list(manager._tombstones.items()),
-        [(owner, _lease(lease)) for owner, lease in manager._push_state.items()],
-        [(item.skv, item.payload) for item in manager.replicas],
-    )
+def _old_promotion_candidates(manager):
+    return [
+        item
+        for item in manager.replicas.all_items()
+        if manager.store.range.contains(item.skv)
+        and item.skv not in manager.store.items
+        and leases.promotable(manager.table, item.skv, NOW)
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(state=replica_states())
 def test_promotion_candidates_equal_the_full_scan(state):
     state["active"] = True
-    reference, manager = _bare_manager(state), _bare_manager(state)
-    expected = [item.skv for item in _old_promotion_candidates(reference)]
+    manager = _bare_manager(state)
+    expected = [item.skv for item in _old_promotion_candidates(manager)]
     assert [item.skv for item in manager._promotion_candidates()] == expected
-    assert _end_state(manager) == _end_state(reference)  # the same tombstone expiries
 
 
 @settings(max_examples=200, deadline=None)
 @given(state=replica_states(), data=st.data())
 def test_push_receiver_ends_as_the_item_per_entry_loop(state, data):
-    pushed = data.draw(st.lists(st.sampled_from(state["keys"]), unique=True)
-                       if state["keys"] else st.just([]))
-    payload = {
-        "items": items_to_wire(Item(key, f"pushed-{key}") for key in pushed),
-        "owner": "pred",
-        "version": 7,
-        "targets": ("peer", "next"),
-        "snapshot": data.draw(st.booleans()),
-    }
-    reference, manager = _bare_manager(state), _bare_manager(state)
-    expected = _old_handle_store_replicas(reference, payload, None)
+    """The receiver stores what the reference stores, and every key the
+    reference calls promotable, before and after the push, the table does."""
+    payload = data.draw(pushes(state["keys"]))
+    reference, manager = _Reference(state), _bare_manager(state)
+    for key in state["keys"]:
+        assert not reference.promotable(key) or leases.promotable(manager.table, key, NOW), key
+    primaries = manager.store.items if state["active"] else ()
+    expected = _old_handle_store_replicas(reference, primaries, payload)
     assert manager._handle_store_replicas(payload, None) == expected
-    assert _end_state(manager) == _end_state(reference)
+    assert list(manager.replicas) == list(reference.replicas)
+    for key in state["keys"]:
+        assert not reference.promotable(key) or leases.promotable(manager.table, key, NOW), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=replica_states(), data=st.data())
+def test_no_promotable_key_is_carried_only_by_an_expired_lease(state, data):
+    table, _kept = leases.receive(_table(state), data.draw(pushes(state["keys"])), NOW)
+    now = NOW + data.draw(st.sampled_from([0.0, PERIOD, 4 * PERIOD + 0.125]))
+    for key in state["keys"]:
+        until = _carried_until(table, key)
+        if leases.promotable(table, key, now):
+            assert until is not None and now - until <= WINDOW, key
+            assert not leases.deleted(table, key, now)
+        elif until is not None and now - until <= WINDOW:
+            assert leases.deleted(table, key, now), key
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=replica_states(), data=st.data())
+def test_a_relayed_time_never_advances(state, data):
+    table = _table(state)
+    owners = ["pred", "other", "third", "new"]
+    beacons = {owner: (data.draw(st.sampled_from([2, 3, 4])),
+                       data.draw(st.sampled_from([None, NOW - 9 * PERIOD, NOW - PERIOD, NOW])))
+               for owner in data.draw(st.lists(st.sampled_from(owners), unique=True))}
+    renewed, asks = leases.renew(table, beacons, NOW)
+    for owner, lease in renewed.leases.items():
+        old = table.leases[owner]
+        sent = beacons.get(owner, (None, None))[1]
+        heard = NOW if sent is None else sent
+        assert lease.time in (old.time, heard) and lease.time >= old.time
+        assert (lease.version, lease.keys, lease.targets) == (old.version, old.keys, old.targets)
+    assert asks == [owner for owner in beacons if owner not in table.leases]
+    for target in ("peer", "next"):
+        for owner, (version, time) in leases.relayed(renewed, target, NOW).items():
+            assert (version, time) == (renewed.leases[owner].version, renewed.leases[owner].time)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=replica_states(), data=st.data())
+def test_receive_is_idempotent(state, data):
+    payload = data.draw(pushes(state["keys"]))
+    once, kept = leases.receive(_table(state), payload, NOW)
+    assert leases.receive(once, payload, NOW) == (once, kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=replica_states(), data=st.data())
+def test_a_non_snapshot_push_never_shortens_a_promotable_keys_lease(state, data):
+    payload = {**data.draw(pushes(state["keys"])), "snapshot": False}
+    table = _table(state)
+    after, _kept = leases.receive(table, payload, NOW)
+    assert after.leases == table.leases
+    for key in state["keys"]:
+        if leases.promotable(table, key, NOW):
+            assert leases.promotable(after, key, NOW)
+            assert _carried_until(after, key) >= _carried_until(table, key), key
+
+
+@settings(max_examples=50, deadline=None)
+@given(state=replica_states(), data=st.data())
+def test_after_the_drop_a_beacon_at_the_held_version_asks_exactly_once(state, data):
+    table = _table(state)
+    now = NOW + data.draw(st.sampled_from([0.0, PERIOD, 6 * PERIOD]))
+    expired, dropped = leases.expire(table, now)
+    horizon = (LEASE_PERIODS + 1) * PERIOD
+    assert set(expired.leases) == {owner for owner, lease in table.leases.items()
+                                   if now - lease.time <= horizon}
+    for key in dropped:
+        assert _carried_until(expired, key) is None
+    for key in state["keys"]:
+        assert leases.promotable(expired, key, now) == leases.promotable(table, key, now)
+    for owner, lease in table.leases.items():
+        beacon = {owner: (lease.version, now)}
+        again, asks = leases.renew(expired, beacon, now)
+        if owner in expired.leases:
+            assert asks == [] and again.leases[owner].time == now
+        else:
+            assert asks == [owner]
+            assert leases.renew(again, beacon, now)[1] == []
 
 
 def test_a_dropped_key_moves_to_the_freshest_snapshot_that_carries_it():
+    """An owner's new snapshot drops two keys.  1.0 is carried by two other
+    owners' snapshots and stays promotable as long as the freshest of them;
+    3.0 is carried by none and keeps the superseded snapshot's time."""
     state = {
         "keys": [1.0, 2.0, 3.0], "active": True, "range": CircularRange(0.0, 5.0),
-        "primaries": [], "replicas": [1.0, 3.0], "tombstones": {}, "freshness": {3.0: PERIOD},
-        # 1.0: dropped by pred's new snapshot, carried by two other owners;
-        # 3.0: dropped too, but on a lease of its own, so it stays there.
-        "snapshots": {"pred": (0.0, [1.0, 3.0]), "other": (2 * PERIOD, [1.0]),
-                      "third": (PERIOD, [1.0])},
-        "carried": {1.0: "pred"},
+        "primaries": [], "replicas": [1.0, 3.0], "tombstones": {}, "freshness": {},
+        "snapshots": {"pred": (PERIOD, [1.0, 3.0]), "other": (0.0, [1.0]),
+                      "third": (2 * PERIOD, [1.0])},
+        "carried": {1.0: "pred", 3.0: "pred"},
     }
     payload = {"items": items_to_wire([Item(2.0, "new")]), "owner": "pred", "version": 7,
                "targets": ("peer",)}
     manager = _bare_manager(state)
-    own = manager._freshness[3.0]
     manager._handle_store_replicas(payload, None)
-    assert manager._freshness[1.0] is manager._push_state["third"]
-    assert manager._freshness[3.0] is own
-    assert manager._freshness[2.0] is manager._push_state["pred"]
+    table = manager.table
+    assert table.leases["pred"].keys == (2.0,)
+    assert _carried_until(table, 1.0) == table.leases["other"].time == NOW
+    assert _carried_until(table, 3.0) == table.copies[3.0] == NOW - PERIOD
+    assert leases.promotable(table, 3.0, NOW + WINDOW - PERIOD)
+    assert not leases.promotable(table, 3.0, NOW + WINDOW - PERIOD + 0.125)
+    assert leases.promotable(table, 1.0, NOW + WINDOW)
+
+
+def test_a_copy_only_an_expired_lease_carries_does_not_keep_its_item_available():
+    """The owner of 1.0 is dead (not among the live peers); the one live holder
+    keeps its copy under the owner's snapshot lease.  Inside the window the
+    copy keeps the item available; past it the copy can never be revived, so
+    :func:`count_lost_items` counts the item lost."""
+    history = History([Operation(0, "index_insert_item", 0.0, "client", {"skv": 1.0})])
+    lost = []
+    for age in (PERIOD, WINDOW + 0.125):
+        state = {
+            "keys": [1.0], "active": True, "range": CircularRange(5.0, 6.0), "primaries": [],
+            "replicas": [1.0], "tombstones": {}, "freshness": {},
+            "snapshots": {"dead": (age, [1.0])}, "carried": {1.0: "dead"},
+        }
+        manager = _bare_manager(state)
+        holder = SimpleNamespace(alive=True, store=manager.store, replication=manager)
+        lost.append(count_lost_items(history, [holder]))
+    assert lost == [[], [1.0]]

@@ -48,7 +48,7 @@ def test_push_stores_replicas_on_joined_successors(cluster):
     holders = [
         address
         for address in targets
-        if 0.123456 in index.peers[address].replication.replica_keys()
+        if 0.123456 in index.peers[address].replication.replicas.keys()
     ]
     assert holders == targets
 
@@ -68,7 +68,7 @@ def test_push_tolerates_a_dead_successor():
     assert acknowledged == len(targets) - 1
     live = [address for address in targets if index.peers[address].alive]
     for address in live:
-        assert 0.654321 in index.peers[address].replication.replica_keys()
+        assert 0.654321 in index.peers[address].replication.replicas.keys()
 
 
 def test_single_member_ring_has_no_push_targets():

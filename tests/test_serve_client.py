@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.replication import leases
+from repro.replication.leases import LEASE_PERIODS
 from repro.serve.tracker import READ_METHODS, InFlightTracker
 from tests.conftest import build_cluster
+from tests.test_maintenance import _overflowing_splitter
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +105,14 @@ def _replica_of(index, owner):
     for peer in index.ring_members():
         if peer.address == owner.address:
             continue
-        if owner.address in peer.replication._push_state:
+        if _recorded(index, peer, owner) is not None:
             return peer
     return None
+
+
+def _recorded(index, holder, owner):
+    """``owner``'s snapshot as ``holder`` recorded it: ``(version, keys, deleted keys)``."""
+    return leases.snapshot(holder.replication.table, owner.address, index.sim.now)
 
 
 def _serve_read(index, caller, target, payload):
@@ -126,7 +134,7 @@ def test_replica_refuses_reads_at_a_version_it_never_saw():
     probe = ((lo + hi) / 2.0 if lo < hi else hi - 1.0) + 0.25
     assert index.insert_item_now(probe)
     assert owner.store.owns_key(probe)
-    assert owner.store.items.version > replica.replication._push_state[owner.address].version
+    assert owner.store.items.version > _recorded(index, replica, owner)[0]
     response = _serve_read(
         index,
         index.ring_members()[0],
@@ -152,12 +160,12 @@ def test_replica_never_serves_a_tombstoned_copy():
     owner = index.ring_members()[3]
     replica = _replica_of(index, owner)
     assert replica is not None
-    pushed = replica.replication._push_state[owner.address].keys
+    _version, pushed, _deleted = _recorded(index, replica, owner)
     assert pushed, "settled cluster must have pushed replica keys"
-    victim = pushed[0]
+    victim = min(pushed)
     assert index.delete_item_now(victim)
     index.run(1.0)  # let the tombstone cast land on the replica
-    assert replica.replication._tombstoned(victim)
+    assert victim in _recorded(index, replica, owner)[2]
     # Eventual-consistency read (no version check): the tombstoned copy must
     # be refused, never returned as a live item.
     response = _serve_read(
@@ -174,6 +182,39 @@ def test_replica_never_serves_a_tombstoned_copy():
             victim - 1.0, victim + 1.0, routing=routing, consistency="eventual"
         )
         assert victim not in result["keys"], routing
+
+
+def test_an_ex_target_forgets_the_owners_snapshot_and_a_current_target_serves_it():
+    """A split's new peer moves into its predecessors' successor lists, so an
+    owner stops pushing to its last target.  Once the window plus one refresh
+    period has passed, the ex-target's ``eventual`` read (``version=None``)
+    answers ``no_push`` instead of serving the snapshot it was last pushed;
+    a current target's version-matched read still succeeds."""
+    index, splitter = _overflowing_splitter(seed=61)
+    members = [peer for peer in index.ring_members() if peer is not splitter]
+    targets = {peer.address: set(peer.replication._last_push[1]) for peer in members}
+    period = index.config.replication_refresh_period
+    index.run((LEASE_PERIODS + 2) * period)
+    dropped = [
+        (owner, index.peers[address])
+        for owner in members
+        if owner.alive and len(owner.store.items)
+        for address in targets[owner.address] - set(owner.replication._last_push[1])
+        if index.peers[address].alive
+    ]
+    assert dropped
+    caller = index.ring_members()[0]
+    for owner, ex_target in dropped:
+        lo, hi, _full = owner.store.range.as_tuple()
+        read = {"owner": owner.address, "lb": lo, "ub": hi, "version": None}
+        assert _serve_read(index, caller, ex_target, read) == {"ok": False, "reason": "no_push"}
+        current = index.peers[owner.replication._last_push[1][0]]
+        matched = {**read, "version": owner.store.items.version}
+        response = _serve_read(index, caller, current, matched)
+        assert response["ok"] and response["source"] == "replica"
+        assert [entry["skv"] for entry in response["items"]] == [
+            skv for skv in owner.store.items.keys() if lo < skv <= hi
+        ]
 
 
 def test_replica_failure_mid_query_falls_back_and_stays_correct():
