@@ -5,8 +5,8 @@ predecessor changes to revive replicas) and :mod:`repro.datastore`
 (reads the local store, promotes replicas into it).  The refresh loop runs
 on the fixed ``replication_refresh_period`` of :mod:`repro.index.config`.
 Which held copies may be revived is one value, the holder's lease table
-(:mod:`repro.replication.leases`): pure functions over it answer and change
-it, and nothing outside this package reads its internals -- the serve
+(:mod:`repro.replication.leases`): only that module's functions read and
+change it, and nothing outside this package reads its internals -- the serve
 layer's replica reads ask it for an owner's recorded snapshot through
 :func:`~repro.replication.leases.snapshot`.  Only
 :class:`~repro.index.peer.IndexPeer` composes a :class:`ReplicationManager`,

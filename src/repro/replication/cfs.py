@@ -47,7 +47,6 @@ class ReplicationManager(RingListener):
         node.every(period, self._refresh_once, jitter=STABILIZATION_JITTER, name="rep-refresh",
                    initial_delay=period / 2)
 
-    # ------------------------------------------------------------------ helpers
     def _record_op(self, kind: str, **attrs) -> None:
         if self.history is not None:
             self.history.record(kind, peer=self.node.address, **attrs)
@@ -64,7 +63,7 @@ class ReplicationManager(RingListener):
     def clear(self) -> None:
         """Drop all replicas (a merged-away peer returning to the free pool)."""
         self.replicas.clear()
-        self.table = self.table._replace(leases={}, copies={}, asked={})
+        self.table = leases.LeaseTable(self.table.period, {}, {}, self.table.tombstones, {})
         self._last_push = ()
 
     # ------------------------------------------------------------------ refresh
@@ -93,8 +92,7 @@ class ReplicationManager(RingListener):
                 for target in payload["targets"]:
                     self.node.cast(target, "rep_store_replicas", payload)
         # Expiry is final: drop the copies and records no lease carries any more.
-        self.table, dropped = leases.expire(self.table, self.node.sim.now)
-        for skv in dropped:
+        for skv in leases.expire(self.table, self.node.sim.now):
             self.replicas.remove(skv)
         # Promote the replicas whose keys now fall in our range: a revive after
         # a predecessor failure, or a self-heal if a range change raced a round.
@@ -131,8 +129,7 @@ class ReplicationManager(RingListener):
         ``rep_resync``.  An owner that no longer pushes to us, whose store
         changed or that is dead stays silent, so no answer ends the asking.
         """
-        self.table, asks = leases.renew(self.table, beacons, self.node.sim.now)
-        for owner in asks:
+        for owner in leases.renew(self.table, beacons, self.node.sim.now):
             if owner != self.node.address:
                 self.node.cast(owner, "rep_resync", {"holder": self.node.address})
 
@@ -234,15 +231,15 @@ class ReplicationManager(RingListener):
         """Cast (a call from the extra hop): hold a predecessor's pushed copies
         (:func:`leases.receive`).  A tombstoned key stays in a snapshot's key
         set but is *not* stored, so a replica read that needs it refuses."""
-        self.table, kept = leases.receive(self.table, payload, self.node.sim.now)
+        kept = leases.receive(self.table, payload, self.node.sim.now)
         primaries = self.store.items if self.store.active else ()
         stored = 0
         for entry in kept:  # ``put`` skips a key already held as a replica
-            if entry["skv"] not in primaries and self.replicas.put(entry["skv"], entry.get("payload")):
-                stored += 1
+            skv = entry["skv"]
+            stored += skv not in primaries and self.replicas.put(skv, entry.get("payload"))
         return {"stored": stored}
 
     def _handle_remove_replica(self, payload, request):
         """Cast: a primary copy was deleted; drop our replica and remember the deletion."""
-        self.table = leases.delete(self.table, payload["skv"], self.node.sim.now)
+        leases.delete(self.table, payload["skv"], self.node.sim.now)
         return {"removed": self.replicas.remove(payload["skv"]) is not None}

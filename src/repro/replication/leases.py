@@ -10,15 +10,16 @@ deletion time, and ``asked`` an owner to the version we asked its snapshot at.
 A copy is *promotable* (a successor may revive it, Definition 3) while no
 live tombstone covers it and some lease inside the window carries it.  Expiry
 is final: :func:`expire` drops what no lease has carried for the window plus
-one refresh period, and a later beacon for a dropped owner asks for its
-snapshot (``rep_resync``).  Pure functions, on the :mod:`repro.ring.entries`
-pattern: each returns a new table (and the actions to take) and changes no
-table or lease it is given.
+one refresh period; a later beacon for a dropped owner asks for its snapshot.
+Only these functions read or change a table, in place (a copy per push or
+beacon costs O(table), and a peer holds hundreds of records in a 1,000-peer
+build); each returns the actions to take.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Tuple
 
 # How many refresh periods a copy stays promotable past its lease time.
@@ -29,7 +30,8 @@ LEASE_PERIODS = 4
 TOMBSTONE_PERIODS = 3
 
 
-class Lease(NamedTuple):
+@dataclass(slots=True)
+class Lease:
     """One snapshot push.  ``time`` is first-hand: the push's receipt, or a later
     receipt of the owner's own beacon at ``version``, relayed, never advanced.
     ``keys`` are sorted and bisected: a tuple takes a slot a key, a set four."""
@@ -60,43 +62,41 @@ def deleted(table: LeaseTable, key: float, now: float) -> bool:
     return at is not None and now - at <= TOMBSTONE_PERIODS * table.period
 
 
-def receive(table: LeaseTable, push: dict, now: float) -> Tuple[LeaseTable, List[dict]]:
-    """Take a ``rep_store_replicas`` push in; return the table and the wire
-    entries no live tombstone covers, to hold.  A snapshot push becomes its
-    owner's lease; the keys it dropped from the one it supersedes keep that
-    lease's time in ``copies``.  A non-snapshot push stamps its keys there."""
+def receive(table: LeaseTable, push: dict, now: float) -> List[dict]:
+    """Take a ``rep_store_replicas`` push in; return the wire entries no live
+    tombstone covers, to hold.  A snapshot push becomes its owner's lease;
+    the keys it dropped from the one it supersedes keep that lease's time in
+    ``copies``.  A non-snapshot push stamps its keys there."""
     kept = [entry for entry in push["items"] if not deleted(table, entry["skv"], now)]
-    copies = dict(table.copies)
     if not push.get("snapshot", True):
-        copies.update((entry["skv"], now) for entry in kept)
-        return table._replace(copies=copies), kept
+        table.copies.update((entry["skv"], now) for entry in kept)
+        return kept
     lease = Lease(push.get("version"), now, tuple(sorted(entry["skv"] for entry in push["items"])),
                   tuple(push.get("targets", ())))
     superseded = table.leases.get(push["owner"])
     for key in superseded.keys if superseded is not None else ():
         if not lease.carries(key):
-            copies[key] = max(copies.get(key, superseded.time), superseded.time)
-    return table._replace(leases={**table.leases, push["owner"]: lease}, copies=copies), kept
+            table.copies[key] = max(table.copies.get(key, superseded.time), superseded.time)
+    table.leases[push["owner"]] = lease
+    return kept
 
 
-def renew(table: LeaseTable, beacons: Dict[str, tuple], now: float) -> Tuple[LeaseTable, List[str]]:
+def renew(table: LeaseTable, beacons: Dict[str, tuple], now: float) -> List[str]:
     """Move each lease a beacon names at its version up to the beacon's time
-    (``now`` for the sender's own); return the table and the owners with no
-    recorded snapshot to ask for it, once per owner and version.  O(1) per
-    owner after one copy of each map.  Another version renews nothing: its
-    owner's next round pushes the new snapshot."""
-    leases, asked, asks = table.leases, table.asked, []
+    (``now`` for the sender's own), O(1) per owner; return the owners with no
+    recorded snapshot to ask for it, once per owner and version.  Another
+    version renews nothing: its owner's next round pushes the new snapshot."""
+    asks = []
     for owner, (version, time) in beacons.items():
         time = now if time is None else time
-        lease = leases.get(owner)
+        lease = table.leases.get(owner)
         if lease is None:
-            if asked.get(owner) != version:  # a beaconed version is never None
-                asked = {**asked, owner: version}
+            if table.asked.get(owner) != version:  # a beaconed version is never None
+                table.asked[owner] = version
                 asks.append(owner)
         elif lease.version == version and time > lease.time:
-            leases = dict(leases) if leases is table.leases else leases
-            leases[owner] = lease._replace(time=time)
-    return table._replace(leases=leases, asked=asked), asks
+            lease.time = time
+    return asks
 
 
 def relayed(table: LeaseTable, target: str, now: float) -> Dict[str, tuple]:
@@ -119,27 +119,32 @@ def promotable(table: LeaseTable, key: float, now: float) -> bool:
     return not deleted(table, key, now) and _carried(table, key, now, LEASE_PERIODS * table.period)
 
 
-def expire(table: LeaseTable, now: float) -> Tuple[LeaseTable, List[float]]:
+def expire(table: LeaseTable, now: float) -> List[float]:
     """Drop the leases and copy times past the window plus one refresh period,
-    and the expired tombstones; return the table and the keys nothing kept
-    carries, whose copies to drop.  A dropped owner may be asked again."""
+    and the expired tombstones; return the keys nothing kept carries, whose
+    copies to drop.  A dropped owner may be asked for its snapshot again."""
     age = (LEASE_PERIODS + 1) * table.period
-    kept = table._replace(
-        leases={owner: lease for owner, lease in table.leases.items() if now - lease.time <= age},
-        copies={key: time for key, time in table.copies.items() if now - time <= age},
-        tombstones={key: at for key, at in table.tombstones.items() if deleted(table, key, now)})
-    gone = table.leases.keys() - kept.leases.keys()
-    if gone:
-        kept = kept._replace(asked={o: v for o, v in table.asked.items() if o not in gone})
-    dropped = (table.copies.keys() - kept.copies.keys()).union(
-        *(table.leases[owner].keys for owner in gone))
-    return kept, [key for key in dropped if not _carried(kept, key, now, age)]
+    gone = [owner for owner, lease in table.leases.items() if now - lease.time > age]
+    stale = [key for key, time in table.copies.items() if now - time > age]
+    for key in [key for key in table.tombstones if not deleted(table, key, now)]:
+        del table.tombstones[key]
+    if not (gone or stale):
+        return []
+    dropped = set(stale).union(*(table.leases[owner].keys for owner in gone))
+    for owner in gone:
+        del table.leases[owner]
+        table.asked.pop(owner, None)
+    for key in stale:
+        del table.copies[key]
+    for lease in table.leases.values():  # one pass over each kept lease, not one per key
+        dropped.difference_update(lease.keys)
+    return list(dropped.difference(table.copies))
 
 
-def delete(table: LeaseTable, key: float, now: float) -> LeaseTable:
+def delete(table: LeaseTable, key: float, now: float) -> None:
     """Record the deletion of ``key``: its tombstone, and no copy time."""
-    copies = {k: time for k, time in table.copies.items() if k != key}
-    return table._replace(copies=copies, tombstones={**table.tombstones, key: now})
+    table.copies.pop(key, None)
+    table.tombstones[key] = now
 
 
 def snapshot(table: LeaseTable, owner: str, now: float):

@@ -128,7 +128,7 @@ def test_tombstone_blocks_and_then_expires():
     peer = index.ring_members()[1]
     manager = peer.replication
     skv = 4242.5
-    manager.table = leases.delete(manager.table, skv, index.sim.now)
+    leases.delete(manager.table, skv, index.sim.now)
     assert leases.deleted(manager.table, skv, index.sim.now)
     # After three refresh periods the tombstone expires, and the next refresh
     # round drops it.
@@ -271,11 +271,10 @@ def test_a_beacon_at_another_version_renews_nothing():
     resyncs = _casts(index, "rep_resync")
     holder.renew({owner.address: (lease.version + 1, None)})
     holder.renew({owner.address: (lease.version - 1, index.sim.now)})
-    assert holder.table.leases[owner.address] == lease
+    assert lease.time == stamped
     assert _casts(index, "rep_resync") == resyncs
     holder.renew({owner.address: (lease.version, None)})  # the owner's own, stamped here
-    assert holder.table.leases[owner.address].time == index.sim.now
-    assert lease.time == stamped  # a lease is a value: renewing made a new one
+    assert lease.time == index.sim.now
 
 
 def test_a_target_that_lost_its_copies_in_place_is_resynced_by_the_beacon():
@@ -295,7 +294,8 @@ def test_a_target_that_lost_its_copies_in_place_is_resynced_by_the_beacon():
     lease = table.leases[owner.address]
     assert lease.version == owner.store.items.version
     assert set(lease.keys) == set(owner.store.items.keys())
-    assert set(lease.keys) <= set(holder.replication.replicas.keys()) | set(holder.store.items.keys())
+    held = set(holder.replication.replicas.keys()) | set(holder.store.items.keys())
+    assert set(lease.keys) <= held
     assert all(leases.promotable(table, skv, index.sim.now) for skv in lease.keys)
     assert owner.replication._last_push == fingerprint
     assert _casts(index, "rep_resync") > resyncs
@@ -662,7 +662,8 @@ def test_push_receiver_ends_as_the_item_per_entry_loop(state, data):
 @settings(max_examples=100, deadline=None)
 @given(state=replica_states(), data=st.data())
 def test_no_promotable_key_is_carried_only_by_an_expired_lease(state, data):
-    table, _kept = leases.receive(_table(state), data.draw(pushes(state["keys"])), NOW)
+    table = _table(state)
+    leases.receive(table, data.draw(pushes(state["keys"])), NOW)
     now = NOW + data.draw(st.sampled_from([0.0, PERIOD, 4 * PERIOD + 0.125]))
     for key in state["keys"]:
         until = _carried_until(table, key)
@@ -676,19 +677,19 @@ def test_no_promotable_key_is_carried_only_by_an_expired_lease(state, data):
 @settings(max_examples=100, deadline=None)
 @given(state=replica_states(), data=st.data())
 def test_a_relayed_time_never_advances(state, data):
-    table = _table(state)
+    before, renewed = _table(state), _table(state)
     owners = ["pred", "other", "third", "new"]
     beacons = {owner: (data.draw(st.sampled_from([2, 3, 4])),
                        data.draw(st.sampled_from([None, NOW - 9 * PERIOD, NOW - PERIOD, NOW])))
                for owner in data.draw(st.lists(st.sampled_from(owners), unique=True))}
-    renewed, asks = leases.renew(table, beacons, NOW)
+    asks = leases.renew(renewed, beacons, NOW)
     for owner, lease in renewed.leases.items():
-        old = table.leases[owner]
+        old = before.leases[owner]
         sent = beacons.get(owner, (None, None))[1]
         heard = NOW if sent is None else sent
         assert lease.time in (old.time, heard) and lease.time >= old.time
         assert (lease.version, lease.keys, lease.targets) == (old.version, old.keys, old.targets)
-    assert asks == [owner for owner in beacons if owner not in table.leases]
+    assert asks == [owner for owner in beacons if owner not in before.leases]
     for target in ("peer", "next"):
         for owner, (version, time) in leases.relayed(renewed, target, NOW).items():
             assert (version, time) == (renewed.leases[owner].version, renewed.leases[owner].time)
@@ -698,44 +699,47 @@ def test_a_relayed_time_never_advances(state, data):
 @given(state=replica_states(), data=st.data())
 def test_receive_is_idempotent(state, data):
     payload = data.draw(pushes(state["keys"]))
-    once, kept = leases.receive(_table(state), payload, NOW)
-    assert leases.receive(once, payload, NOW) == (once, kept)
+    once, twice = _table(state), _table(state)
+    kept = leases.receive(once, payload, NOW)
+    assert leases.receive(twice, payload, NOW) == kept
+    assert leases.receive(twice, payload, NOW) == kept
+    assert twice == once
 
 
 @settings(max_examples=100, deadline=None)
 @given(state=replica_states(), data=st.data())
 def test_a_non_snapshot_push_never_shortens_a_promotable_keys_lease(state, data):
     payload = {**data.draw(pushes(state["keys"])), "snapshot": False}
-    table = _table(state)
-    after, _kept = leases.receive(table, payload, NOW)
-    assert after.leases == table.leases
+    before, after = _table(state), _table(state)
+    leases.receive(after, payload, NOW)
+    assert after.leases == before.leases
     for key in state["keys"]:
-        if leases.promotable(table, key, NOW):
+        if leases.promotable(before, key, NOW):
             assert leases.promotable(after, key, NOW)
-            assert _carried_until(after, key) >= _carried_until(table, key), key
+            assert _carried_until(after, key) >= _carried_until(before, key), key
 
 
 @settings(max_examples=50, deadline=None)
 @given(state=replica_states(), data=st.data())
 def test_after_the_drop_a_beacon_at_the_held_version_asks_exactly_once(state, data):
-    table = _table(state)
+    before, expired = _table(state), _table(state)
     now = NOW + data.draw(st.sampled_from([0.0, PERIOD, 6 * PERIOD]))
-    expired, dropped = leases.expire(table, now)
+    dropped = leases.expire(expired, now)
     horizon = (LEASE_PERIODS + 1) * PERIOD
-    assert set(expired.leases) == {owner for owner, lease in table.leases.items()
+    assert set(expired.leases) == {owner for owner, lease in before.leases.items()
                                    if now - lease.time <= horizon}
     for key in dropped:
         assert _carried_until(expired, key) is None
     for key in state["keys"]:
-        assert leases.promotable(expired, key, now) == leases.promotable(table, key, now)
-    for owner, lease in table.leases.items():
+        assert leases.promotable(expired, key, now) == leases.promotable(before, key, now)
+    for owner, lease in before.leases.items():
         beacon = {owner: (lease.version, now)}
-        again, asks = leases.renew(expired, beacon, now)
+        asks = leases.renew(expired, beacon, now)
         if owner in expired.leases:
-            assert asks == [] and again.leases[owner].time == now
+            assert asks == [] and expired.leases[owner].time == now
         else:
             assert asks == [owner]
-            assert leases.renew(again, beacon, now)[1] == []
+            assert leases.renew(expired, beacon, now) == []
 
 
 def test_a_dropped_key_moves_to_the_freshest_snapshot_that_carries_it():
