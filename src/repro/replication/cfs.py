@@ -115,7 +115,7 @@ class ReplicationManager(RingListener):
         receipt time.  And the leases we relay (:func:`leases.relayed`).
         """
         beacons = {}
-        if self._holds_our_store(target):
+        if target in self.current_holders():
             beacons[self.node.address] = (self._last_push[0], None)
         beacons.update(leases.relayed(self.table, target, self.node.sim.now))
         return beacons
@@ -136,13 +136,14 @@ class ReplicationManager(RingListener):
     def _handle_resync(self, payload, request):
         """Cast: a target holds no snapshot of ours; push it the current one (a
         changed store pushes a new snapshot at its next round anyway)."""
-        if self._holds_our_store(payload["holder"]):
+        if payload["holder"] in self.current_holders():
             self.node.cast(payload["holder"], "rep_store_replicas", self._snapshot_payload())
 
-    def _holds_our_store(self, address: str) -> bool:
-        """Whether ``address`` got our last push and our store has not changed since."""
+    def current_holders(self) -> tuple:
+        """The targets of our last push if our store has not changed since:
+        the peers that hold our current snapshot."""
         pushed = self._last_push
-        return bool(pushed) and pushed[0] == self.store.items.version and address in pushed[1]
+        return pushed[1] if pushed and pushed[0] == self.store.items.version else ()
 
     def _promote_replicas(self):
         """Move replicas whose keys are now our responsibility into the Data Store."""

@@ -7,7 +7,9 @@ capability with the classic pointer-doubling construction: every peer maintains
 a table whose level-``i`` pointer is (approximately) ``2**i`` ring positions
 away, refreshed periodically by a walk that is forwarded from peer to peer:
 the level-``i-1`` peer adds *its* level-``i-1`` pointer and passes the walk on
-(recursive upkeep, one message per hop).
+(recursive upkeep, one message per hop).  Upkeep follows what moved: a walk
+restarts above the levels nothing has been seen to move, and such a restart
+ends at the first hop whose answer is what the origin already holds.
 
 Routing is iterative and every hop is a table hop: a peer that does not own
 the key answers ``ds_probe`` with its *own* next-hop candidates (its farthest
@@ -252,22 +254,27 @@ class HierarchicalRingRouter(RingListener):
 
         The walk arrives as the table so far (``table``, ours the last
         pointer), the clockwise distance of that pointer from the origin
-        (``last``) and whether an earlier hop answered past the end of its
-        table (``past_end``).  We answer the next two levels
-        (:meth:`_table_answer`) and install them by the walk's rules, from
-        the origin's point of view: a pointer not strictly farther than the
-        one before it ends the walk, as do the ``ROUTER_TABLE_SIZE`` cap and
-        a ``wrapped`` answer once the table reaches halfway round the key
-        space.  Then the walk goes on as one cast to its new last pointer,
-        or comes back to the origin as one ``route_table_done``.  Each hop
-        sends a new payload: the simulated network passes payload objects by
-        reference.
+        (``last``), whether an earlier hop answered past the end of its
+        table (``past_end``) and, on a restart walk that may stop early,
+        the origin's own pointers from the next level on (``held``, else
+        ``None``).  We answer the next two levels (:meth:`_table_answer`)
+        and install them by the walk's rules, from the origin's point of
+        view: a pointer not strictly farther than the one before it ends the
+        walk, as do the ``ROUTER_TABLE_SIZE`` cap and a ``wrapped`` answer
+        once the table reaches halfway round the key space.  A plain answer
+        (no mark) that installs exactly the ``held`` pointers at those
+        levels ends it too: nothing moved here, and the origin keeps the
+        rest of its table, so the result is the walked table followed by
+        what is left of ``held``.  Then the walk goes on as one cast to its
+        new last pointer, or comes back to the origin as one
+        ``route_table_done``.  Each hop sends a new payload: the simulated
+        network passes payload objects by reference.
         """
         until = payload["until"]
         table = payload["table"]
         answer, mark = self._table_answer(len(table) - 1, until)
         table = list(table)  # the walk's new payload (see above)
-        last, past_end = payload["last"], payload["past_end"]
+        last, past_end, held = payload["last"], payload["past_end"], payload["held"]
         ended = not answer
         for address, value in answer:
             distance = self._clockwise(until, value)
@@ -277,6 +284,12 @@ class HierarchicalRingRouter(RingListener):
             table.append((address, value))
             last = distance
             past_end = past_end or mark == "past_end"
+        if held is not None:
+            # ``held[0]`` is the origin's pointer at the level ``answer`` starts at.
+            if not ended and mark is None and answer == held[: len(answer)]:
+                table += held[len(answer) :]  # nothing moved here: keep the rest
+                ended = True
+            held = held[len(answer) :]
         if (
             ended
             or len(table) >= ROUTER_TABLE_SIZE
@@ -291,7 +304,7 @@ class HierarchicalRingRouter(RingListener):
         self.node.cast(
             table[-1][0],
             "route_table_entry",
-            dict(payload, table=table, last=last, past_end=past_end),
+            dict(payload, table=table, last=last, past_end=past_end, held=held),
         )
 
     def _handle_table_done(self, payload, request):
@@ -331,6 +344,22 @@ class HierarchicalRingRouter(RingListener):
                 return 0
         return start
 
+    def _held(self, start: int) -> Optional[List[Tuple[str, float]]]:
+        """What a restart walk from ``start`` carries for its stop rule: our
+        pointers past ``table[start]``.  ``None`` (the walk never stops
+        early) while our table reaches neither ``ROUTER_TABLE_SIZE`` pointers
+        nor half the key space, so it is still converging, or while its
+        pointers from ``table[start]`` on no longer strictly increase
+        clockwise from our value, which moved since they were installed."""
+        table = self.table
+        own_value = self.ring.value
+        distances = [self._clockwise(own_value, value) for _, value in table[start:]]
+        if len(table) < ROUTER_TABLE_SIZE and distances[-1] < self.config.key_space / 2.0:
+            return None
+        if any(near >= far for near, far in zip(distances, distances[1:])):
+            return None
+        return table[start + 1 :]
+
     def _refresh_table(self, start=None):
         """Rebuild the pointer table by one walk forwarded along the ring.
 
@@ -353,9 +382,17 @@ class HierarchicalRingRouter(RingListener):
 
         **Restart.**  A walk re-asks only what moved: it may start at an even
         table index ``start`` (:meth:`_start_level`, or the argument), keep
-        ``table[:start + 1]`` and send its first cast to ``table[start]``;
-        every hop after that is a full walk's hop.  After a walk the next
-        one starts two levels below the lowest level this one changed,
+        ``table[:start + 1]`` and send its first cast to ``table[start]``.
+        It also carries our pointers past ``table[start]`` (:meth:`_held`),
+        and ends at the first hop whose plain answer (no ``past_end`` or
+        ``wrapped`` mark) installs exactly the pointers we hold at those
+        levels: nothing moved there, and that hop's ``route_table_done``
+        returns the walked table followed by the rest of ours.  On a
+        settled ring a restart then costs two messages, one hop and the
+        result.  A full walk never stops early, nor does a restart from a
+        table that reaches neither ``ROUTER_TABLE_SIZE`` pointers nor half
+        the key space: such a table is still converging.  After a walk the
+        next one starts two levels below the lowest level this one changed,
         rounded down to even (the hop that answered that level, or the one
         before it).  Evidence against the table makes the next walk full: a
         ring event (the listener callbacks), a lost walk, a dead pointer
@@ -397,10 +434,10 @@ class HierarchicalRingRouter(RingListener):
         if start is None:
             start = self._start_level(first, successors)
         if start:
-            table = self.table[: start + 1]
+            table, held = self.table[: start + 1], self._held(start)
             self._tally("router_walk_restart")
         else:
-            table = [(first.address, first.value)]
+            table, held = [(first.address, first.value)], None
             self._full_due = sim.now + _FULL_WALK_FLOOR * self._cadence.base
             self._tally("router_walk_full")
         # Evidence that arrives while the walk is out lowers this again.
@@ -419,6 +456,7 @@ class HierarchicalRingRouter(RingListener):
                 "table": table,
                 "last": self._clockwise(own_value, table[-1][1]),
                 "past_end": False,
+                "held": held,
             },
         )
         try:

@@ -17,7 +17,10 @@ A :class:`QueryClient` is scoped to an entry peer and issues range queries
   set is always exactly the primary's.
 
 The ``consistency`` knob: ``strong`` (default) performs the version
-validation above; ``eventual`` lets replicas serve their recorded push
+validation above, and picks only among the owner and the holders the owner
+says have its current snapshot (``serve_meta``'s ``current``), so a read is
+not sent to a replica the owner already knows will refuse it; ``eventual``
+picks among all the replica holders and lets them serve their recorded push
 snapshot without comparing it to the owner's live version (one probe fewer of
 staleness, bounded by the replication refresh period).
 
@@ -150,8 +153,13 @@ class QueryClient:
                 continue
             if new_watermark > watermark:
                 response = None
-                target = self._pick_target(current, meta.get("replicas", ()))
-                version = meta["version"] if self.consistency == "strong" else None
+                if self.consistency == "strong":
+                    # Only a holder of the owner's current snapshot can serve it.
+                    target = self._pick_target(current, meta.get("current", ()))
+                    version = meta["version"]
+                else:
+                    target = self._pick_target(current, meta.get("replicas", ()))
+                    version = None
                 if target != current:
                     try:
                         response = yield self.peer.call(

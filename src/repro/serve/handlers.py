@@ -4,7 +4,9 @@ Two handlers per peer:
 
 * ``serve_meta`` -- the client's routing probe: is this peer an active owner,
   of which range, at which :class:`~repro.datastore.items.ItemStore` version,
-  with which replica set, and who is its ring successor.  One constant-size
+  with which replica set (``replicas``) and which of those hold its current
+  snapshot (``current``: the targets of its last push while its store has
+  not changed since), and who is its ring successor.  One constant-size
   message; every routing policy pays it once per hop.
 
 * ``serve_read`` -- serve the window ``(lb, ub]`` on behalf of ``owner``.
@@ -53,15 +55,14 @@ class ServeHandler:
     def _handle_meta(self, payload, request):
         """RPC: the client's routing probe (owner state + replica candidates)."""
         active = self.store.active and self.store.range is not None
+        replicas = self.ring.joined_successors(self.config.replication_factor) if active else []
+        holders = self.replication.current_holders()
         return {
             "active": active,
             "range": self.store.range.as_tuple() if active else None,
             "version": self.store.items.version,
-            "replicas": (
-                self.ring.joined_successors(self.config.replication_factor)
-                if active
-                else []
-            ),
+            "replicas": replicas,
+            "current": [address for address in replicas if address in holders],
             "successor": self.ring.first_live_successor(),
         }
 

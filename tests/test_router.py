@@ -180,27 +180,92 @@ def test_route_across_a_freshly_failed_pointer_costs_one_timeout(settled_ring):
     assert [(op.peer, op.attrs["found"]) for op in routes] == [(origin.address, found)]
 
 
-def test_route_to_a_key_nobody_owns_fails_fast_and_is_recorded(settled_ring):
+def _planned_probes(index, origin, key):
+    """The peers ``origin``'s route to ``key`` probes while every peer is
+    alive, read off the tables and successor lists as they stand: each hop
+    takes the first of the last hop's candidates (``_next_hops``), until a
+    peer owns the key or names its owner."""
+    probes, hop = [], origin
+    while not hop.store.owns_key(key) and hop.router._named_owner(key) is None:
+        hop = index.peers[hop.router._next_hops(key)[0]]
+        probes.append(hop.address)
+    return probes
+
+
+def _route_probes(index, origin, key, monkeypatch):
+    """Route from ``origin`` to ``key``; return what it found and the peers it probed."""
+    probed = []
+    tracker = index.serve_tracker
+    issued = tracker.rpc_issued
+
+    def record(source, destination, method):
+        if method == "ds_probe":
+            probed.append(destination)
+        issued(source, destination, method)
+
+    monkeypatch.setattr(tracker, "rpc_issued", record)
+    found = index.run_process(origin.router.find_responsible(key))
+    monkeypatch.undo()
+    return found, probed
+
+
+def test_route_to_a_key_nobody_owns_fails_fast_and_is_recorded(settled_ring, monkeypatch):
     index, members = settled_ring
-    origin = members[40]
     victim = members[200]
     key = victim.ring.value  # owned by the victim alone
+    # An origin whose route takes the victim from no table on the way: it
+    # reaches the victim's predecessor in several probes.
+    for origin in members[40:200]:
+        plan = _planned_probes(index, origin, key)
+        if len(plan) >= 3 and victim.address not in plan:
+            break
+    else:
+        pytest.fail("no origin routes to the victim's predecessor without probing it")
     index.fail_peer(victim.address)
     probes = _probes(index)
     recorded = index.metrics.count("route_hops")
     started = index.sim.now
-    found = index.run_process(origin.router.find_responsible(key))
+    found, probed = _route_probes(index, origin, key, monkeypatch)
     # The victim's live predecessor still names it: the route ends there,
     # unprobed, and the caller's next RPC pays the timeout.
     assert found == victim.address
+    assert probed == plan
     spent = _probes(index) - probes
-    assert spent <= 12 + math.log2(len(members))
+    assert spent == len(plan) <= 12 + math.log2(len(members))
     assert index.metrics.values("route_hops")[recorded:] == [spent]
     route = index.history.history().of_kind("route")[-1]
     assert (route.peer, route.attrs["found"], route.attrs["hops"]) == (
         origin.address, victim.address, spent
     )
     assert index.sim.now - started < 2.0
+
+
+def test_a_route_that_probed_the_named_owner_dead_returns_none_at_once(settled_ring, monkeypatch):
+    """A hop offers the failed owner as a table pointer: the route probes it,
+    pays one timeout, goes on to the owner's predecessor and, named a peer
+    it found dead, returns ``None``."""
+    index, members = settled_ring
+    victim = members[120]
+    key = victim.ring.value
+    for origin in members[20:120]:
+        plan = _planned_probes(index, origin, key)
+        if len(plan) >= 2 and plan[-1] == victim.address:
+            break
+    else:
+        pytest.fail("no origin's route takes the victim from a table")
+    index.fail_peer(victim.address)
+    recorded = index.metrics.count("route_hops")
+    started = index.sim.now
+    found, probed = _route_probes(index, origin, key, monkeypatch)
+    assert found is None
+    assert probed[: len(plan)] == plan and probed.count(victim.address) == 1
+    assert index.metrics.values("route_hops")[recorded:] == [len(probed)]
+    route = index.history.history().of_kind("route")[-1]
+    assert (route.peer, route.attrs["found"], route.attrs["hops"]) == (
+        origin.address, None, len(probed)
+    )
+    timeout = index.config.network.rpc_timeout
+    assert timeout <= index.sim.now - started < 2 * timeout
 
 
 # --------------------------------------------------------------------------- table-entry answers
@@ -477,6 +542,7 @@ def test_a_peer_failing_mid_walk_leaves_no_cycle():
 
 # --------------------------------------------------------------------------- restarted walks
 F = ("f", 8000.0)
+X = ("x", 1000.0)  # between C and D
 
 
 def _settled_router():
@@ -500,14 +566,14 @@ def _first_hop(router):
 
 def test_a_walk_restarts_two_levels_below_the_lowest_level_the_last_walk_changed():
     router = _settled_router()
-    # Nothing changed: levels 0-2 are kept and the walk re-asks from c.
-    assert _walk(router, ([D, E], None), ([], None)) == [("c", 2), ("e", 4)]
+    # Nothing changed: levels 0-2 are kept, the walk re-asks from c, and c's
+    # answer is what we hold, so the walk ends there.
+    assert _walk(router, ([D, E], None)) == [("c", 2)]
     assert router.table == [A, B, C, D, E]
     # This walk changes level 3, so the next one starts at level 0 (3 - 2,
     # rounded down to even).
-    x = ("x", 1000.0)
-    assert _walk(router, ([x, E], None), ([], None)) == [("c", 2), ("e", 4)]
-    assert router.table == [A, B, C, x, E]
+    assert _walk(router, ([X, E], None), ([], None)) == [("c", 2), ("e", 4)]
+    assert router.table == [A, B, C, X, E]
     assert _first_hop(router) == ("a", 0)
 
 
@@ -539,7 +605,7 @@ def test_a_ring_event_makes_the_next_walk_full(event):
 def test_a_lost_walk_makes_the_next_walk_full():
     router = _settled_router()
     router.hops["e"].node.fail()
-    assert _walk(router, ([D, E], None)) == [("c", 2)]  # lost at e
+    assert _walk(router, ([X, E], None)) == [("c", 2)]  # a change at level 3: lost at e
     assert _first_hop(router) == ("a", 0)
 
 
@@ -555,10 +621,11 @@ def test_a_dead_pointer_found_by_our_own_route_makes_the_next_walk_full():
 def test_a_walk_that_grew_or_went_past_the_end_makes_the_next_walk_full(grew):
     router = _settled_router()
     if grew:
-        calls = _walk(router, ([D, E], None), ([F], None), ([], None))
-        assert router.table == [A, B, C, D, E, F]
+        calls = _walk(router, ([X, E], None), ([F], None), ([], None))
+        assert router.table == [A, B, C, X, E, F]
     else:
-        calls = _walk(router, ([D], "past_end"), ([E], None), ([], None))
+        # d's plain answer is what we hold: the walk ends there, past the end.
+        calls = _walk(router, ([D], "past_end"), ([E], None))
         assert router.table == [A, B, C, D, E]  # unchanged, but past the end
     assert calls[0] == ("c", 2)
     assert _first_hop(router) == ("a", 0)
@@ -604,42 +671,169 @@ def test_the_floor_makes_a_walk_full_every_twelve_base_periods():
     sim = router.node.sim
     assert router._full_due == pytest.approx(sim.now + 12 * base, abs=0.01)
     sim.run(until=router._full_due - 0.01)
-    assert _walk(router, ([D, E], None), ([], None))[0] == ("c", 2)
+    assert _walk(router, ([D, E], None)) == [("c", 2)]
     sim.run(until=router._full_due)
     assert _first_hop(router) == ("a", 0)
 
 
+def _long_settled_router():
+    """A router whose full walk changed level 4 of [A, B, C, D, Y, F] to E,
+    so its next walk restarts at level 2 and carries [D, E, F]."""
+    router = _joined_router(table=[A, B, C, D, ("y", 3000.0), F])
+    router.hops["f"] = _bare_router(*F, router.node.network)
+    _stop_refresh_loops([router.hops["f"]])
+    _walk(router, ([B, C], None), ([D, E], None), ([F], None), ([], None))
+    assert router.table == [A, B, C, D, E, F]
+    return router
+
+
+def test_a_restart_walk_over_an_unchanged_table_sends_one_entry_and_one_done():
+    router = _long_settled_router()
+    stats = router.node.network.stats
+    sent, methods = stats.messages_sent, dict(stats.per_method)
+    # c's answer is what we hold at levels 3 and 4: the walk ends there, and
+    # level 5, which it never asked, is kept.
+    assert _walk(router, ([D, E], None)) == [("c", 2)]
+    assert router.table == [A, B, C, D, E, F]
+    assert stats.messages_sent - sent == 2
+    assert stats.per_method["route_table_entry"] - methods["route_table_entry"] == 1
+    assert stats.per_method["route_table_done"] - methods["route_table_done"] == 1
+    # Nothing changed: the next walk restarts two levels below the table's end.
+    assert _first_hop(router) == ("e", 4)
+
+
+def _full_walk_answers(table):
+    """The answers that rebuild ``table`` unchanged by a full walk, and its hops."""
+    answers, hops, level = [], [], 0
+    while level < len(table) - 1:
+        hops.append((table[level][0], level))
+        answers.append((table[level + 1 : level + 3], None))
+        level = min(level + 2, len(table) - 1)
+    return answers + [([], None)], hops + [(table[level][0], level)]
+
+
+def _lose_a_walk(router):
+    router.hops["f"].node.fail()
+    assert _walk(router, ([X, F], None)) == [("c", 2)]  # lost at f
+
+
+def _grow(router):
+    _walk(router, ([X, E], None), ([F], None), ([], None))
+
+
+def _fail_d_and_route_to_it(router):
+    router.hops["d"].node.fail()
+    router.node.sim.run_process(router.find_responsible(1700.0))
+
+
+FULL_WALK_EVIDENCE = {
+    "floor": lambda router: router.node.sim.run(until=router._full_due),
+    "ring_event": lambda router: router.on_successor_changed(router.ring, "a"),
+    "lost_walk": _lose_a_walk,
+    "dead_pointer": _fail_d_and_route_to_it,
+    "growth": _grow,
+    "past_end": lambda router: _walk(router, ([D], "past_end"), ([E], None)),
+    "successors": lambda router: setattr(
+        router.ring, "succ_list", [SuccessorEntry("a", 200.0, JOINED),
+                                   SuccessorEntry("x", 300.0, JOINED)]),
+}
+
+
+@pytest.mark.parametrize("evidence", sorted(FULL_WALK_EVIDENCE))
+def test_a_full_walk_is_never_cut_short(evidence):
+    """The floor's full walk, and the full walk after each kind of evidence,
+    asks every hop even when every answer is what we hold (as does a
+    router's first walk, in ``_settled_router``)."""
+    router = _settled_router()
+    router.hops["f"] = _bare_router(*F, router.node.network)
+    _stop_refresh_loops([router.hops["f"]])
+    FULL_WALK_EVIDENCE[evidence](router)
+    table = list(router.table)
+    answers, hops = _full_walk_answers(table)
+    assert len(hops) >= 3
+    assert _walk(router, *answers) == hops
+    assert router.table == table
+
+
+@pytest.mark.parametrize("mark", ["past_end", "wrapped"])
+def test_a_marked_answer_never_stops_a_walk(mark):
+    # c's marked answer is the pointer we hold at level 3; the walk goes on
+    # from it, and d's plain answer, what we hold at levels 4 and 5, ends it.
+    router = _long_settled_router()
+    assert _walk(router, ([D], mark), ([E, F], None)) == [("c", 2), ("d", 3)]
+    assert router.table == [A, B, C, D, E, F]
+
+
+def test_a_table_short_of_half_the_key_space_never_stops_a_walk():
+    # Four pointers reaching 1,500 of 10,000: the table is still converging.
+    router = _joined_router(table=[A, B, C, D])
+    _walk(router, ([B, C], None), ([D], None), ([], None))
+    assert _walk(router, ([D], None), ([], None)) == [("c", 2), ("d", 3)]
+    assert router.table == [A, B, C, D]
+
+
+def test_a_spliced_table_strictly_increases_clockwise():
+    """Our value moved since the table was installed, so its far pointers no
+    longer increase clockwise from it: the walk does not keep them."""
+    router = _long_settled_router()
+    router.ring.value = 7000.0  # F, at 8,000, is now 1,000 round from us
+    assert _walk(router, ([D, E], None), ([F], None)) == [("c", 2), ("e", 4)]
+    assert router.table == [A, B, C, D, E]  # F was refused, not spliced in
+    distances = [router._clockwise(7000.0, value) for _, value in router.table]
+    assert distances == sorted(set(distances))
+
+
 def _iterative_walk(index, router, prefix=()):
-    """The table the iterative walk (a round trip per hop, the origin
-    installing every answer) builds over the tables as they stand, from
-    ``prefix`` kept (a restart) or from the first JOINED successor."""
+    """``(table, hops)``: the table the iterative walk (a round trip per hop,
+    the origin installing every answer) builds over the tables as they
+    stand, from ``prefix`` kept (a restart) or from the first JOINED
+    successor, and how many peers it asked.
+
+    A restart stops early when the origin's table ``router.table`` reaches
+    ``ROUTER_TABLE_SIZE`` pointers or half the key space and strictly
+    increases clockwise from the prefix's last pointer on: at the first
+    unmarked answer whose pointers all install and equal the ones the
+    origin's table holds at those levels, the walk keeps the rest of that
+    table."""
     own = router.ring.value
     halfway = router.config.key_space / 2.0
-    table, last, mark = list(prefix), 0.0, None
+    old = list(router.table)
+    table, last, mark, hops = list(prefix), 0.0, None, 0
+    stops = False
     if table:
-        last = router._clockwise(own, table[-1][1])
+        reach = [router._clockwise(own, value) for _, value in old[len(table) - 1 :]]
+        stops = (len(old) >= ROUTER_TABLE_SIZE or reach[-1] >= halfway) and reach == sorted(
+            set(reach)
+        )
+        last = reach[0]
         fresh, mark = index.peers[table[-1][0]].router._table_answer(len(table) - 1, own)
+        hops += 1
     else:
         first = router.ring._stabilization_target()
         fresh = [] if first is None else [(first.address, first.value)]
     while fresh:
+        level = len(table)
         for address, value in fresh:
             distance = router._clockwise(own, value)
             if len(table) >= ROUTER_TABLE_SIZE or (table and distance <= last):
-                return table
+                return table, hops
             table.append((address, value))
             last = distance
+        if stops and mark is None and old[level : len(table)] == fresh:
+            return table + old[len(table) :], hops
         if len(table) >= ROUTER_TABLE_SIZE or (mark == "wrapped" and last >= halfway):
-            return table
+            return table, hops
         remote = index.peers[table[-1][0]].router
         fresh, mark = remote._table_answer(len(table) - 1, own)
-    return table
+        hops += 1
+    return table, hops
 
 
 def test_the_forwarded_walk_installs_the_iterative_walks_table():
     """On a settled scale_100 ring with every table frozen, each member's
-    forwarded walk installs the table the iterative walk computes: a full
-    walk, and a restart from every even level of its kept prefix."""
+    forwarded walk installs the table the iterative walk computes, asking
+    as many peers: a full walk, and a restart from every even level of its
+    kept prefix, stopped early where nothing moved."""
     spec = get_scenario("scale_100")
     experiment = build_experiment(spec, 0)
     experiment.run_phases(spec.phases[:2], total_peers=spec.peers)
@@ -648,31 +842,42 @@ def test_the_forwarded_walk_installs_the_iterative_walks_table():
     _stop_refresh_loops([peer.router for peer in index.peers.values()])
     index.run(1.0)
     frozen = {peer.address: list(peer.router.table) for peer in members}
-    lengths, restarts = set(), 0
+    stats = index.network.stats
+    lengths, restarts, stopped = set(), 0, 0
+
+    def walk(router, start):
+        """Run one walk; return how many route_table_entry casts it sent."""
+        sent = stats.per_method.get("route_table_entry", 0)
+        index.run_process(router._refresh_table(start=start))
+        return stats.per_method["route_table_entry"] - sent
+
     for peer in members:
-        expected = _iterative_walk(index, peer.router)
-        index.run_process(peer.router._refresh_table(start=0))
+        expected, hops = _iterative_walk(index, peer.router)
+        assert walk(peer.router, 0) == hops, peer.address
         assert peer.router.table == expected, peer.address
         lengths.add(len(expected))
         kept = frozen[peer.address]
         for start in range(2, len(kept), 2):
             peer.router.table = list(kept)
-            expected = _iterative_walk(index, peer.router, kept[: start + 1])
-            index.run_process(peer.router._refresh_table(start=start))
+            expected, hops = _iterative_walk(index, peer.router, kept[: start + 1])
+            assert walk(peer.router, start) == hops, (peer.address, start)
             assert peer.router.table == expected, (peer.address, start)
             assert peer.router.table[: start + 1] == kept[: start + 1]
             restarts += 1
+            stopped += hops == 1 and len(expected) > start + 3
         peer.router.table = kept
     assert len(index.ring_members()) == len(members)
     assert max(lengths) > 4  # the walks went several hops
     assert restarts > 3 * len(members)
+    assert stopped > len(members)  # restarts that ended at their first hop
 
 
 # scale_100's stress-phase route_table_entry hops per ring member per simulated
-# second: 0.141 at seed 0 when it was set (0.207 while every walk started at
-# level 0), plus 20% headroom (CI's scale-smoke gates the same); 0.149 since the
-# ring runs one maintenance tick.
-ROUTER_WALK_RATE = 0.169
+# second: 0.0804 at seed 0 since a restart walk stops at the first hop that
+# changes nothing, plus 20% headroom (CI's scale-smoke gates the same); 0.207
+# while every walk started at level 0, 0.141 and then 0.149 (one maintenance
+# tick) while a restart re-asked every level above its start.
+ROUTER_WALK_RATE = 0.096
 
 
 def test_converged_tables_back_the_stress_phase_walks_off():

@@ -155,6 +155,39 @@ def test_replica_refuses_reads_at_a_version_it_never_saw():
     assert probe in result["keys"]
 
 
+def test_no_refused_replica_read_follows_an_insert():
+    """Between an insert and the owner's next push only the owner holds its
+    current snapshot, and its ``serve_meta`` says so: strong reads of its
+    window go to the owner and no replica refuses one.  Once the push lands,
+    strong reads spread over the replicas again."""
+    index, keys = build_cluster(seed=86, peers=9)
+    owner = index.ring_members()[2]
+    lo, hi, full = owner.store.range.as_tuple()
+    assert not full and lo < hi
+    window = [key for key in keys if lo < key <= hi]
+    assert len(owner.replication.current_holders()) >= 2
+    probe = (lo + hi) / 2.0 + 0.25  # off the 15-spaced key grid: a new item
+    assert index.insert_item_now(probe)
+    assert owner.store.owns_key(probe)
+    assert owner.replication.current_holders() == ()  # not pushed since
+    count = index.metrics.count
+    rejected, served = count("serve_replica_rejected"), count("serve_read_replica")
+    for _ in range(8):
+        result = index.range_query_now(lo, hi, routing="replica_lb", consistency="strong")
+        assert result["complete"] and result["keys"] == sorted(window + [probe])
+    assert owner.replication.current_holders() == ()
+    assert count("serve_replica_rejected") == rejected
+    assert count("serve_read_replica") == served
+    # The next refresh round pushes the new snapshot: replicas serve again.
+    index.run(index.config.replication_refresh_period + 1.0)
+    assert owner.replication.current_holders()
+    for _ in range(8):
+        result = index.range_query_now(lo, hi, routing="replica_lb", consistency="strong")
+        assert result["keys"] == sorted(window + [probe])
+    assert count("serve_replica_rejected") == rejected
+    assert count("serve_read_replica") > served
+
+
 def test_replica_never_serves_a_tombstoned_copy():
     index, keys = build_cluster(seed=84, peers=8)
     owner = index.ring_members()[3]
