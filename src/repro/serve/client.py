@@ -153,13 +153,11 @@ class QueryClient:
                 continue
             if new_watermark > watermark:
                 response = None
-                if self.consistency == "strong":
-                    # Only a holder of the owner's current snapshot can serve it.
-                    target = self._pick_target(current, meta.get("current", ()))
-                    version = meta["version"]
-                else:
-                    target = self._pick_target(current, meta.get("replicas", ()))
-                    version = None
+                strong = self.consistency == "strong"
+                # Only a holder of the owner's current snapshot can serve a strong read.
+                holders = meta.get("current" if strong else "replicas", ())
+                target = self._pick_target(current, holders)
+                version = meta["version"] if strong else None
                 if target != current:
                     try:
                         response = yield self.peer.call(
