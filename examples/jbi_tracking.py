@@ -59,7 +59,7 @@ def main() -> List[float]:
         # a refresh period first so freshly moved objects have replicas -- the
         # paper's guarantee is that *maintenance* never reduces availability,
         # not that an object survives a failure in the instant after insertion.
-        index.run(config.replication_refresh_period)
+        index.run(index.ring_members()[0].replication.table.period)
         if round_number % 4 == 3 and len(index.ring_members()) > 4:
             victim = index.ring_members()[round_number % len(index.ring_members())]
             index.fail_peer(victim.address)

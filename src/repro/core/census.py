@@ -8,7 +8,7 @@ is asserted by CI; the rest are reported.
 Replication rows (:meth:`repro.replication.cfs.ReplicationManager.census`):
 replica copies held, those no lease lets a successor revive
 (``_unpromotable``), and those no lease has carried for the promotable window
-plus one refresh period; the owners' snapshot records, past the window and
+plus one replication period; the owners' snapshot records, past the window and
 past the window plus one period; tombstones still blocking a copy, and
 expired ones still kept.
 """

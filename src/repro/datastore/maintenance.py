@@ -345,8 +345,7 @@ class StorageBalancer(RingListener):
                     except RpcError:
                         pass
                 return
-        if self.replication is not None:
-            self.replication.refresh_now()
+        self.replication.refresh_now()
         try:
             response = yield self.node.call(
                 notify,
@@ -366,8 +365,7 @@ class StorageBalancer(RingListener):
             # will retry the split from scratch.
             self.store.deactivate()
             yield from self.ring.leave()
-            if self.replication is not None:
-                self.replication.clear()
+            self.replication.clear()
             self._record_op("split_rolled_back", splitter=notify)
             if self.pool_address is not None:
                 try:
@@ -415,8 +413,7 @@ class StorageBalancer(RingListener):
                 if skv not in transferred:
                     late_arrivals.append(item)
             self.store.set_range_low(split_key, reason="split")
-            if self.replication is not None:
-                self.replication.keep_handed_over(shed)
+            self.replication.keep_handed_over(shed)
         finally:
             self.store.range_lock.release_write()
 
@@ -654,13 +651,12 @@ class StorageBalancer(RingListener):
 
             # Section 5.2: push every item we hold (notably our replicas) one
             # additional hop so the replica count is not reduced by our leave.
-            if self.replication is not None and self.config.extra_hop_replication:
+            if self.config.extra_hop_replication:
                 yield from self.replication.push_extra_hop()
 
             # Leave the ring (availability-preserving or naive, per config).
             leave_duration = yield from self.ring.leave()
-            if self.replication is not None:
-                self.replication.clear()
+            self.replication.clear()
 
             merge_duration = self.node.sim.now - started
             self._record_metric("merge", merge_duration)

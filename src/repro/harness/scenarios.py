@@ -526,7 +526,6 @@ def _scale_spec(name: str, peers: int, description: str) -> ScenarioSpec:
         ),
         config={
             "stabilization_period": 8.0,
-            "replication_refresh_period": 16.0,
             "router_refresh_period": 16.0,
         },
     )

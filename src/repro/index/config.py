@@ -42,7 +42,6 @@ class IndexConfig:
 
     # --- Replication Manager ---------------------------------------------------
     replication_factor: int = 6
-    replication_refresh_period: float = 4.0
 
     # --- Content Router ----------------------------------------------------------
     router_refresh_period: float = 4.0
@@ -94,8 +93,7 @@ class IndexConfig:
         """Raise ``ValueError`` for nonsensical parameter combinations."""
         if self.successor_list_length < 1:
             raise ValueError("successor_list_length must be >= 1")
-        for name in ("stabilization_period", "replication_refresh_period",
-                     "router_refresh_period"):
+        for name in ("stabilization_period", "router_refresh_period"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.storage_factor < 1:

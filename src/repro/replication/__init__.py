@@ -2,16 +2,16 @@
 
 Layer contract: builds on :mod:`repro.sim`, :mod:`repro.ring` (listens for
 predecessor changes to revive replicas) and :mod:`repro.datastore`
-(reads the local store, promotes replicas into it).  The refresh loop runs
-on the fixed ``replication_refresh_period`` of :mod:`repro.index.config`.
-Which held copies may be revived is one value, the holder's lease table
-(:mod:`repro.replication.leases`): only that module's functions read and
-change it, and nothing outside this package reads its internals -- the serve
-layer's replica reads ask it for an owner's recorded snapshot through
-:func:`~repro.replication.leases.snapshot`.  Only
+(reads the local store, promotes replicas into it).  It has no loop of its
+own: every second ring maintenance tick (:meth:`ReplicationManager.on_tick`)
+is a replication round.  Which held copies may be revived is one value, the
+holder's lease table (:mod:`repro.replication.leases`): only that module's
+functions read and change it, and nothing outside this package reads its
+internals -- the serve layer's replica reads ask it for an owner's recorded
+snapshot through :func:`~repro.replication.leases.snapshot`.  Only
 :class:`~repro.index.peer.IndexPeer` composes a :class:`ReplicationManager`,
-which keeps the casts, the refresh loop and the revive; other layers
-interact with replication solely through the ring events and the store.
+which keeps the casts, the rounds and the revive; other layers interact with
+replication solely through the ring events and the store.
 """
 
 from repro.replication.cfs import ReplicationManager

@@ -1,13 +1,12 @@
 """CFS-style Replication Manager.
 
-Every peer pushes a snapshot of its Data Store to its ``k`` ring successors
-(the replication factor, Section 6.1 default 6) whenever the store or the
-successor set changed since the last push.  Which held copies may be revived
-is the holder's lease table (:mod:`repro.replication.leases`), which the
-owner's ``ring_stabilize`` beacons renew: a settled store costs no
-replication message.  When a peer fails, its successor's range grows over
-the failed peer's (a predecessor-change event) and the successor *revives*
-the affected items from the replicas it holds (Definition 3).
+Every :data:`REPLICATION_TICKS` th ring maintenance tick, a peer pushes a
+snapshot of its Data Store to its ``k`` ring successors (the replication
+factor, Section 6.1 default 6), as the tick's stabilize just learnt them, if
+the store or the successors changed since the last push.  Which held copies
+may be revived is the holder's lease table (:mod:`repro.replication.leases`),
+renewed by the owner's ``ring_stabilize`` beacons.  A failed peer's successor
+*revives* its items from the replicas it holds (Definition 3).
 """
 
 from __future__ import annotations
@@ -16,15 +15,18 @@ from typing import List
 
 from repro.datastore.items import Item, ItemStore, items_to_wire
 from repro.datastore.store import DataStore
-from repro.index.config import STABILIZATION_JITTER, IndexConfig
+from repro.index.config import IndexConfig
 from repro.replication import leases
 from repro.replication.extra_hop import push_items_one_extra_hop
 from repro.ring.chord import ChordRing, RingListener
 from repro.transport import Endpoint
 
+#: Ring maintenance ticks per replication round, the lease table's period.
+REPLICATION_TICKS = 2
+
 
 class ReplicationManager(RingListener):
-    """Replication component of one peer: the casts, the refresh loop and the revive."""
+    """Replication component of one peer: the casts, the rounds and the revive."""
 
     def __init__(self, node: Endpoint, ring: ChordRing, store: DataStore, config: IndexConfig,
                  history=None):
@@ -33,19 +35,18 @@ class ReplicationManager(RingListener):
         self.store = store
         self.config = config
         self.history = history
-        period = config.replication_refresh_period
         self.replicas = ItemStore()
-        self.table = leases.LeaseTable(period, {}, {}, {}, {})
+        self.table = leases.LeaseTable(REPLICATION_TICKS * config.stabilization_period,
+                                       {}, {}, {}, {})
         # Fingerprint of the last fan-out: store version + target set.
         self._last_push: tuple = ()
+        self._ticks = 0
         ring.add_listener(self)
         ring.beacon_source = self.beacons_for
         ring.beacon_sink = self.renew
         node.register_handler("rep_store_replicas", self._handle_store_replicas)
         node.register_handler("rep_remove_replica", self._handle_remove_replica)
         node.register_handler("rep_resync", self._handle_resync)
-        node.every(period, self._refresh_once, jitter=STABILIZATION_JITTER, name="rep-refresh",
-                   initial_delay=period / 2)
 
     def _record_op(self, kind: str, **attrs) -> None:
         if self.history is not None:
@@ -66,28 +67,27 @@ class ReplicationManager(RingListener):
         self.table = leases.LeaseTable(self.table.period, {}, {}, self.table.tombstones, {})
         self._last_push = ()
 
-    # ------------------------------------------------------------------ refresh
-    def refresh_now(self) -> None:
-        """Trigger an immediate replication round (e.g. right after a split)."""
-        self.node.spawn(self._refresh_once(), name="rep-refresh-now")
+    # ------------------------------------------------------------------ rounds
+    def on_tick(self, ring) -> None:
+        """Every :data:`REPLICATION_TICKS` th maintenance tick is a round."""
+        self._ticks += 1
+        if self._ticks % REPLICATION_TICKS == 0:
+            self.refresh_now()
 
-    def _refresh_once(self):
-        """Push a changed Data Store snapshot to the k successors; expire; then revive."""
-        if not self.node.alive:
-            return
+    def refresh_now(self) -> None:
+        """One replication round (also run right after a split's join): push a
+        changed Data Store snapshot to the k successors, expire, then revive."""
         items = self.store.items
         if self.store.active and self.config.replication_factor > 0 and len(items):
-            # Push only when the store's mutation version or the target set
-            # changed: the beacons renew a settled store's leases.  They renew
-            # only a snapshot that arrived, and on a lossy network a push may
-            # have reached no one, so in that regime every round pushes.
+            # Push only when the store's version or the targets changed: the
+            # beacons renew a settled store's leases, but only a snapshot that
+            # arrived, so on a lossy network every round pushes.
             fingerprint = (items.version, tuple(self.ring.joined_successors(
                 self.config.replication_factor)))
             if fingerprint != self._last_push or self.node.network.config.drop_probability > 0:
                 self._last_push = fingerprint
-                # Fire-and-forget: nobody reads the acknowledgements, so each
-                # push is one one-way message, with no reply event, expiry
-                # timer or reply traffic; a failed receiver swallows it.
+                # Fire-and-forget: one one-way message per target, no reply,
+                # no expiry timer; a failed receiver swallows it.
                 payload = self._snapshot_payload()
                 for target in payload["targets"]:
                     self.node.cast(target, "rep_store_replicas", payload)
@@ -96,24 +96,21 @@ class ReplicationManager(RingListener):
             self.replicas.remove(skv)
         # Promote the replicas whose keys now fall in our range: a revive after
         # a predecessor failure, or a self-heal if a range change raced a round.
-        yield from self._promote_replicas()
+        candidates = self._promotion_candidates()
+        if candidates:
+            self.node.spawn(self._promote_replicas(candidates), name="rep-revive")
 
     def _snapshot_payload(self) -> dict:
         """The ``rep_store_replicas`` payload of the last recorded push."""
-        version, targets = self._last_push
-        # Receivers check replica reads against the version and renew it on
-        # beacons; a holder relays the owner's beacon only to these targets.
+        version, targets = self._last_push  # holders relay beacons only to targets
         return {"items": self.store.items.to_wire(), "owner": self.node.address,
                 "version": version, "targets": targets}
 
     # ------------------------------------------------------------------ leases
     def beacons_for(self, target: str) -> dict:
-        """The beacons our ``ring_stabilize`` request to ``target`` carries.
-
-        Our own store version, unstamped, if ``target`` got our last push and
-        the store has not changed since; the receiver stamps it with its
-        receipt time.  And the leases we relay (:func:`leases.relayed`).
-        """
+        """The beacons our ``ring_stabilize`` request to ``target`` carries: our
+        store's version, unstamped (the receiver stamps it), if ``target`` holds
+        our current snapshot, and the leases we relay (:func:`leases.relayed`)."""
         beacons = {}
         if target in self.current_holders():
             beacons[self.node.address] = (self._last_push[0], None)
@@ -123,11 +120,9 @@ class ReplicationManager(RingListener):
     def renew(self, beacons: dict) -> None:
         """Renew the held snapshots the beacons name (:func:`leases.renew`).
 
-        A beacon for an owner whose snapshot we do not hold means a push
-        missed us while its fingerprint held (we cleared our replicas and
-        rejoined in the same slot), or our record expired: we cast it one
-        ``rep_resync``.  An owner that no longer pushes to us, whose store
-        changed or that is dead stays silent, so no answer ends the asking.
+        A beacon for an owner whose snapshot we do not hold (a push missed us
+        while its fingerprint held, or our record expired) gets one
+        ``rep_resync``; an owner that no longer pushes to us stays silent.
         """
         for owner in leases.renew(self.table, beacons, self.node.sim.now):
             if owner != self.node.address:
@@ -145,11 +140,8 @@ class ReplicationManager(RingListener):
         pushed = self._last_push
         return pushed[1] if pushed and pushed[0] == self.store.items.version else ()
 
-    def _promote_replicas(self):
-        """Move replicas whose keys are now our responsibility into the Data Store."""
-        if not self.store.active or self.store.range is None:
-            return
-        candidates = self._promotion_candidates()
+    def _promote_replicas(self, candidates: List[Item]):
+        """Move the candidates still in our range and not stored into the Data Store."""
         if not candidates:
             return
         yield self.store.range_lock.acquire_write()
@@ -166,6 +158,8 @@ class ReplicationManager(RingListener):
     def _promotion_candidates(self) -> List[Item]:
         """Held replicas inside our range (two bisects of the replica store's
         sorted keys, in ascending order), not stored here, and promotable."""
+        if not self.store.active or self.store.range is None:
+            return []
         held, now = self.store.items, self.node.sim.now
         return [item for item in self.replicas.items_in_range(self.store.range)
                 if item.skv not in held and leases.promotable(self.table, item.skv, now)]
@@ -177,18 +171,15 @@ class ReplicationManager(RingListener):
             self.node.spawn(self._revive_after_range_update(), name="rep-revive")
 
     def _revive_after_range_update(self):
-        """Revive once the Data Store has moved our range's low end.
-
-        The Data Store hears of the new predecessor first (it is the earlier
-        listener) and moves the bound under its range write lock.  Queueing
-        behind that update on the same FIFO lock makes the revive see the grown
-        range; run at once, it saw the old one, and the items waited for the
-        next refresh round -- up to a full ``replication_refresh_period``.
-        """
+        """Revive once the Data Store, the earlier listener, has moved our
+        range's low end under its range write lock: queued behind it on the
+        same FIFO lock, the revive sees the grown range (run at once, it saw
+        the old one, and the items waited up to :data:`REPLICATION_TICKS`
+        ticks for the next round)."""
         lock = self.store.range_lock
         yield lock.acquire_write()
         lock.release_write()
-        yield from self._promote_replicas()
+        yield from self._promote_replicas(self._promotion_candidates())
 
     # ------------------------------------------------------------------ merge support
     def push_extra_hop(self):
@@ -204,21 +195,15 @@ class ReplicationManager(RingListener):
         return count
 
     def keep_handed_over(self, items: List[Item]) -> None:
-        """Hold the copies a finished split shed as the new peer's replicas.
-
-        We are the new peer's first successor.  Its first snapshot reached us
-        while we still held those keys as primaries, so it stored none of them,
-        and no push brings them while its fingerprint holds.
-        """
+        """Hold the copies a finished split shed as the new peer's replicas: its
+        first snapshot reached us, its first successor, while we held them as
+        primaries, and no push brings them while its fingerprint holds."""
         shed = {"items": items_to_wire(items), "owner": self.node.address, "snapshot": False}
         self._handle_store_replicas(shed, None)
 
     def propagate_delete(self, skv: float) -> None:
-        """Forget a deleted item everywhere it is replicated (prevents resurrection).
-
-        The owner tombstones it and drops its own replica first (it may hold
-        one from before it became responsible for the key).
-        """
+        """Forget a deleted item everywhere it is replicated (prevents
+        resurrection), starting with our own tombstone and replica."""
         self._handle_remove_replica({"skv": skv}, None)
         if self.config.replication_factor <= 0:
             return
@@ -234,11 +219,9 @@ class ReplicationManager(RingListener):
         set but is *not* stored, so a replica read that needs it refuses."""
         kept = leases.receive(self.table, payload, self.node.sim.now)
         primaries = self.store.items if self.store.active else ()
-        stored = 0
-        for entry in kept:  # ``put`` skips a key already held as a replica
-            skv = entry["skv"]
-            stored += skv not in primaries and self.replicas.put(skv, entry.get("payload"))
-        return {"stored": stored}
+        return {"stored": sum(  # ``put`` skips a key already held as a replica
+            entry["skv"] not in primaries and self.replicas.put(entry["skv"], entry.get("payload"))
+            for entry in kept)}
 
     def _handle_remove_replica(self, payload, request):
         """Cast: a primary copy was deleted; drop our replica and remember the deletion."""

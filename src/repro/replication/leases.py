@@ -2,18 +2,14 @@
 
 A holder's :class:`LeaseTable` is one value: ``leases`` maps each owner to the
 :class:`Lease` of its last snapshot push; ``copies`` maps a key to when a copy
-last arrived on a non-snapshot push (a leaver's extra hop, a fresh insert's
-one-item cast, a finished split's shed), or to the time of the superseded
-snapshot that last carried it; ``tombstones`` maps a deleted key to its
-deletion time, and ``asked`` an owner to the version we asked its snapshot at.
-
-A copy is *promotable* (a successor may revive it, Definition 3) while no
-live tombstone covers it and some lease inside the window carries it.  Expiry
-is final: :func:`expire` drops what no lease has carried for the window plus
-one refresh period; a later beacon for a dropped owner asks for its snapshot.
-Only these functions read or change a table, in place (a copy per push or
-beacon costs O(table), and a peer holds hundreds of records in a 1,000-peer
-build); each returns the actions to take.
+last arrived on a non-snapshot push (an extra hop, an insert's cast, a split's
+shed), or to the time of the superseded snapshot that last carried it;
+``tombstones`` maps a deleted key to its deletion time, and ``asked`` an owner
+to the version we asked its snapshot at.  A copy is *promotable* (Definition
+3) while no live tombstone covers it and some lease inside the window carries
+it.  Expiry is final: :func:`expire`, once a round, drops what no lease has
+carried for the window plus one period.  Only these functions read or change a
+table, in place (a peer holds hundreds of records in a 1,000-peer build).
 """
 
 from __future__ import annotations
@@ -22,11 +18,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, NamedTuple, Tuple
 
-# How many refresh periods a copy stays promotable past its lease time.
+# How many replication periods a copy stays promotable past its lease time.
 LEASE_PERIODS = 4
-# How many refresh periods a deletion blocks copies of its key.  By then any
-# stale copy of the deleted item has lost its lease too, and an expired
-# tombstone no longer blocks copies of a later re-insertion.
+# How many replication periods a deletion blocks copies of its key: by then a
+# stale copy has lost its lease too, and a later re-insertion is not blocked.
 TOMBSTONE_PERIODS = 3
 
 
@@ -49,7 +44,7 @@ class Lease:
 class LeaseTable(NamedTuple):
     """What one holder knows of its copies' leases (see the module docstring)."""
 
-    period: float  # the replication refresh period
+    period: float  # the replication round's period
     leases: Dict[str, Lease]
     copies: Dict[float, float]
     tombstones: Dict[float, float]
@@ -120,7 +115,7 @@ def promotable(table: LeaseTable, key: float, now: float) -> bool:
 
 
 def expire(table: LeaseTable, now: float) -> List[float]:
-    """Drop the leases and copy times past the window plus one refresh period,
+    """Drop the leases and copy times past the window plus one period,
     and the expired tombstones; return the keys nothing kept carries, whose
     copies to drop.  A dropped owner may be asked for its snapshot again."""
     age = (LEASE_PERIODS + 1) * table.period
@@ -151,10 +146,8 @@ def snapshot(table: LeaseTable, owner: str, now: float):
     """``owner``'s recorded snapshot, which replica reads answer from, as
     ``(version, sorted keys, deleted keys)``; None if there is none."""
     lease = table.leases.get(owner)
-    if lease is None:
-        return None
-    return lease.version, lease.keys, {
-        key for key in table.tombstones if lease.carries(key) and deleted(table, key, now)}
+    return None if lease is None else (lease.version, lease.keys, {
+        key for key in table.tombstones if lease.carries(key) and deleted(table, key, now)})
 
 
 def census(table: LeaseTable, held: List[float], now: float) -> Dict[str, int]:

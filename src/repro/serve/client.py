@@ -22,7 +22,7 @@ says have its current snapshot (``serve_meta``'s ``current``), so a read is
 not sent to a replica the owner already knows will refuse it; ``eventual``
 picks among all the replica holders and lets them serve their recorded push
 snapshot without comparing it to the owner's live version (one probe fewer of
-staleness, bounded by the replication refresh period).
+staleness, bounded by the replication round's period).
 
 All methods returning query results are simulation generators (drive them
 with ``sim.run_process`` or from another process); result dicts carry the

@@ -33,7 +33,7 @@ def test_validate_rejects_bad_values():
 
 
 @pytest.mark.parametrize("period", [
-    "stabilization_period", "replication_refresh_period", "router_refresh_period",
+    "stabilization_period", "router_refresh_period",
 ])
 def test_validate_rejects_a_non_positive_maintenance_period(period):
     # A negative period used to validate and then fail mid-run, when the

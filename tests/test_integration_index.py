@@ -91,7 +91,7 @@ def test_growth_then_more_load_keeps_invariants():
 
 def test_failures_during_queries_do_not_lose_committed_items():
     index, keys = build_cluster(seed=83, peers=10)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * index.ring_members()[0].replication.table.period)
     victims = [p.address for p in index.ring_members()[2:4]]
     for victim in victims:
         index.fail_peer(victim)

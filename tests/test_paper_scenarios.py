@@ -14,6 +14,7 @@ from repro.core.correctness import (
     count_lost_items,
 )
 from repro.datastore.items import items_from_wire
+from repro.replication import cfs
 from tests.conftest import build_cluster
 
 
@@ -164,21 +165,21 @@ def test_section_4_2_2_scan_range_returns_all_live_items_despite_churn():
 
 
 # --------------------------------------------------------------------------- §5.2 / Figure 17
-def _merge_then_fail(config_overrides, seed=94):
+def _merge_then_fail(monkeypatch, config_overrides, seed=94):
     """Figure 17's scenario: a peer merges away, then a single peer failure.
 
     With replication factor 1, the merging peer holds the only replica of its
     predecessor's items.  If it leaves without the extra-hop push, a subsequent
     failure of that predecessor loses the items; with the extra hop the items
-    survive.  The replication refresh period is stretched so the periodic
-    refresh cannot repair the gap before the failure hits (the paper's scenario
-    happens "between replica refreshes").
+    survive.  Replication rounds are stretched to every tenth 4 s tick (40 s)
+    so a round cannot repair the gap before the failure hits (the paper's
+    scenario happens "between replica refreshes").
     """
+    monkeypatch.setattr(cfs, "REPLICATION_TICKS", 10)
     index, keys = build_cluster(
         seed=seed,
         peers=8,
         replication_factor=1,
-        replication_refresh_period=40.0,
         **config_overrides,
     )
     index.run(45.0)  # make sure at least one replication round happened
@@ -214,13 +215,13 @@ def _merge_then_fail(config_overrides, seed=94):
         "the PEPPER counterpart below must (and does) never lose items"
     ),
 )
-def test_figure_17_naive_merge_can_lose_items():
+def test_figure_17_naive_merge_can_lose_items(monkeypatch):
     _index, lost = _merge_then_fail(
-        {"extra_hop_replication": False, "safe_leave": False}
+        monkeypatch, {"extra_hop_replication": False, "safe_leave": False}
     )
     assert lost, "without the extra replication hop a single failure loses items"
 
 
-def test_figure_17_extra_hop_preserves_item_availability():
-    _index, lost = _merge_then_fail({})
+def test_figure_17_extra_hop_preserves_item_availability(monkeypatch):
+    _index, lost = _merge_then_fail(monkeypatch, {})
     assert lost == []

@@ -1,4 +1,4 @@
-"""Tests for the Replication Manager: refresh, revive, tombstones, extra hop."""
+"""Tests for the Replication Manager: rounds, revive, tombstones, extra hop."""
 
 import random
 from types import SimpleNamespace
@@ -13,7 +13,7 @@ from repro.datastore.ranges import CircularRange
 from repro.datastore.store import DataStore
 from repro.datastore.maintenance import StorageBalancer
 from repro.harness.scenarios import build_experiment, get_scenario
-from repro.replication import leases
+from repro.replication import cfs, leases
 from repro.replication.cfs import ReplicationManager
 from repro.replication.leases import LEASE_PERIODS, Lease, LeaseTable
 from repro.ring.chord import ChordRing
@@ -24,9 +24,14 @@ from tests.conftest import build_cluster
 from tests.test_maintenance import _overflowing_splitter
 
 
+def _period(index):
+    """The replication round's period, which every member's lease table keeps."""
+    return index.ring_members()[0].replication.table.period
+
+
 def test_items_are_replicated_to_successors():
     index, keys = build_cluster(seed=51, peers=8)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     replicated = set()
     for peer in index.live_peers():
         replicated.update(peer.replication.replicas.keys())
@@ -36,7 +41,7 @@ def test_items_are_replicated_to_successors():
 
 def test_failed_peer_items_are_revived():
     index, keys = build_cluster(seed=52, peers=8)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     victim = index.ring_members()[2]
     lost_keys = set(victim.store.items.keys())
     assert lost_keys
@@ -48,10 +53,12 @@ def test_failed_peer_items_are_revived():
     assert lost_keys <= stored
 
 
-def test_a_revive_follows_the_range_update_without_waiting_for_a_refresh_round():
+def test_a_revive_follows_the_range_update_without_waiting_for_a_refresh_round(monkeypatch):
     """The successor revives a failed predecessor's items as soon as its range
-    has grown over them, not at its next refresh round (16 s apart here)."""
-    index, _ = build_cluster(seed=52, peers=8, replication_refresh_period=16.0)
+    has grown over them, not at its next replication round (every fourth 4 s
+    tick here: 16 s apart)."""
+    monkeypatch.setattr(cfs, "REPLICATION_TICKS", 4)
+    index, _ = build_cluster(seed=52, peers=8)
     index.run(16.0)
     victim = index.ring_members()[2]
     lost_keys = set(victim.store.items.keys())
@@ -70,7 +77,7 @@ def test_a_revive_follows_the_range_update_without_waiting_for_a_refresh_round()
 
 def test_two_failures_tolerated_with_default_replication():
     index, keys = build_cluster(seed=53, peers=10)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     victims = index.ring_members()[2:4]
     for victim in victims:
         index.fail_peer(victim.address)
@@ -83,7 +90,7 @@ def test_two_failures_tolerated_with_default_replication():
 
 def test_deleted_items_are_not_resurrected_by_failures():
     index, keys = build_cluster(seed=54, peers=8)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     victims = keys[:5]
     for key in victims:
         assert index.delete_item_now(key)
@@ -107,7 +114,7 @@ def test_deleted_items_are_not_resurrected_by_failures():
 
 def test_replica_counts_do_not_include_primaries():
     index, keys = build_cluster(seed=55, peers=8)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     for peer in index.ring_members():
         primaries = set(peer.store.items.keys())
         replicas = set(peer.replication.replicas.keys())
@@ -116,7 +123,7 @@ def test_replica_counts_do_not_include_primaries():
 
 def test_clear_drops_replicas():
     index, keys = build_cluster(seed=56, peers=6)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     peer = index.ring_members()[1]
     assert len(peer.replication.replicas) > 0
     peer.replication.clear()
@@ -130,16 +137,16 @@ def test_tombstone_blocks_and_then_expires():
     skv = 4242.5
     leases.delete(manager.table, skv, index.sim.now)
     assert leases.deleted(manager.table, skv, index.sim.now)
-    # After three refresh periods the tombstone expires, and the next refresh
+    # After three replication periods the tombstone expires, and the next refresh
     # round drops it.
-    index.run(3 * index.config.replication_refresh_period + 1.0)
+    index.run(3 * _period(index) + 1.0)
     assert not leases.deleted(manager.table, skv, index.sim.now)
-    index.run(index.config.replication_refresh_period + 1.0)
+    index.run(_period(index) + 1.0)
     assert skv not in manager.table.tombstones
 
 
 def test_an_insert_acked_just_before_its_owner_fails_is_served_by_the_successor():
-    """The owner acks an insert and fails before any replication refresh has
+    """The owner acks an insert and fails before any replication round has
     run.  The one-item cast it sent its first JOINED successor with the ack is
     the copy that survives: the successor takes the range over and serves it."""
     index, _keys = build_cluster(seed=59, peers=8)
@@ -160,7 +167,7 @@ def test_an_insert_acked_just_before_its_owner_fails_is_served_by_the_successor(
 
 def test_extra_hop_push_reports_acknowledgements():
     index, keys = build_cluster(seed=58, peers=8)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     peer = index.ring_members()[2]
     count = index.run_process(peer.replication.push_extra_hop())
     assert count >= 1
@@ -202,10 +209,10 @@ def test_a_quiet_scale_100_ring_pushes_nothing_and_keeps_every_copy_promotable()
     experiment = build_experiment(spec, 0)
     experiment.run_phases(spec.phases[:2], total_peers=spec.peers)
     index = experiment.index
-    period = index.config.replication_refresh_period
+    period = _period(index)
     pushes = _casts(index, "rep_store_replicas")
     checked = 0
-    for _ in range(8):  # four refresh periods
+    for _ in range(8):  # four replication periods
         index.run(period / 2)
         members = {peer.address: peer for peer in index.ring_members()}
         for owner in members.values():
@@ -228,7 +235,7 @@ def test_a_quiet_scale_100_ring_pushes_nothing_and_keeps_every_copy_promotable()
 
 def test_a_dead_owners_leases_stop_at_its_failure_and_its_copies_age_out():
     index, _keys = build_cluster(seed=52, peers=8)
-    period = index.config.replication_refresh_period
+    period = _period(index)
     index.run(2 * period)
     owner = index.ring_members()[2]
     failed_at = index.sim.now
@@ -254,7 +261,7 @@ def test_a_dead_owners_leases_stop_at_its_failure_and_its_copies_age_out():
                     other: held for other, held in table.leases.items() if other != owner.address
                 }), skv) is not None
     assert aged
-    # Expiry is final: the refresh round after the window plus one period
+    # Expiry is final: the replication round after the window plus one period
     # drops every record of the owner.
     index.run(2 * period + 1.0)
     assert not any(owner.address in peer.replication.table.leases for peer in index.live_peers())
@@ -281,7 +288,7 @@ def test_a_target_that_lost_its_copies_in_place_is_resynced_by_the_beacon():
     """Forged: a second target drops every replica (as a merged-away peer
     recruited back into the same slot does) while the owner's fingerprint
     holds.  The owner's relayed beacon reaches it, it asks once, and the
-    owner pushes it the snapshot; no refresh round re-pushed anything."""
+    owner pushes it the snapshot; no replication round re-pushed anything."""
     index, _keys = build_cluster(seed=54, peers=8)
     period = index.config.stabilization_period
     owner = index.ring_members()[2]
@@ -326,7 +333,7 @@ def test_a_finished_split_keeps_the_handed_over_keys_as_replicas(monkeypatch):
 
 def test_an_extra_hop_push_leaves_every_recorded_snapshot_alone():
     index, _keys = build_cluster(seed=58, peers=8)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * _period(index))
     leaver = index.ring_members()[2]
     recorded = {peer.address: _recorded(peer.replication.table) for peer in index.live_peers()}
     carried = _carried(index)
@@ -346,7 +353,7 @@ def test_a_merge_whose_successor_pushes_before_the_extra_hop_keeps_every_lease()
     No promotable key's lease gets shorter, and the absorbed keys stay
     promotable on the successor's beacons after the leaver is gone."""
     index, _keys = build_cluster(seed=58, peers=8)
-    period = index.config.replication_refresh_period
+    period = _period(index)
     index.run(2 * period)
     leaver = index.ring_members()[2]
     successor = index.peers[leaver.ring.first_live_successor()]
@@ -365,7 +372,7 @@ def test_a_merge_whose_successor_pushes_before_the_extra_hop_keeps_every_lease()
         leaver.store.deactivate()
 
     index.run_process(absorb())
-    index.run_process(successor.replication._refresh_once())
+    successor.replication.refresh_now()
     index.run(0.05)  # the new snapshot lands at the successor's targets
     version, targets = successor.replication._last_push
     assert version == successor.store.items.version
@@ -411,10 +418,10 @@ def test_a_splitter_push_before_the_shed_leaves_the_keys_on_the_new_peers_lease(
         yield sim.timeout(0.05)  # the new peer's first snapshot lands
         key = (self.store.range.high - 0.005) % index.config.key_space
         assert self.store.items.add(Item(key, payload="late"))
-        yield from self.replication._refresh_once()  # still carries the keys
+        self.replication.refresh_now()  # still carries the keys
         yield sim.timeout(0.05)
         yield from original(self)
-        yield from self.replication._refresh_once()  # the shed's snapshot
+        self.replication.refresh_now()  # the shed's snapshot
         yield sim.timeout(0.05)
 
     monkeypatch.setattr(StorageBalancer, "_finish_split", push_around_the_shed)
@@ -429,7 +436,7 @@ def test_a_splitter_push_before_the_shed_leaves_the_keys_on_the_new_peers_lease(
         assert set(handed) <= set(table.leases[new_peer.address].keys), address
         assert not set(handed) & set(table.leases[splitter.address].keys), address
     fingerprint = new_peer.replication._last_push
-    index.run((LEASE_PERIODS + 1) * index.config.replication_refresh_period)
+    index.run((LEASE_PERIODS + 1) * _period(index))
     assert new_peer.replication._last_push == fingerprint
     for address in shared:
         table = index.peers[address].replication.table
@@ -442,7 +449,7 @@ def test_a_holder_asks_an_owner_that_does_not_answer_once_per_version(monkeypatc
     asks once, not on every stabilize request; the live owners it also lost
     answer their one ask."""
     index, _keys = build_cluster(seed=54, peers=8)
-    period = index.config.replication_refresh_period
+    period = _period(index)
     owner = index.ring_members()[2]
     holder = index.peers[owner.replication._last_push[1][1]]
     asked = []
@@ -476,7 +483,7 @@ def test_a_holder_asks_an_owner_that_does_not_answer_once_per_version(monkeypatc
 # sorted keys, the wire entries and the lease table directly.  The full scan,
 # and the Item-per-entry loop with a lease per key that they replaced, stay
 # here as the references.
-PERIOD = 4.0  # default_config's replication_refresh_period
+PERIOD = cfs.REPLICATION_TICKS * default_config().stabilization_period  # a default lease period
 NOW = 40.0
 WINDOW = LEASE_PERIODS * PERIOD
 grid_key = st.integers(0, 79_999).map(lambda n: n / 8)
@@ -574,7 +581,7 @@ def _bare_manager(state):
                     rng=random.Random(0))
     ring = ChordRing(node, 0.0, config)
     manager = ReplicationManager(node, ring, DataStore(node, ring, config), config)
-    sim.run(until=NOW)  # the refresh loop idles: the store is not active yet
+    sim.run(until=NOW)  # no loop runs: the ring never joined
     manager.store.active = state["active"]
     manager.store.range = state["range"]
     for key in state["primaries"]:

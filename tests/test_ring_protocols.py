@@ -555,9 +555,10 @@ def test_fresh_stabilize_traffic_replaces_most_pings():
 
 # --------------------------------------------------------------------------- the maintenance tick
 # A ring member's periodic loops: the ring's one tick (stabilize, the
-# predecessor check, successor validation and the balancer's check), and the
-# replica and routing-table refreshes, which keep periods of their own.
-MEMBER_LOOPS = ["rep-refresh", "ring-tick", "router-refresh"]
+# predecessor check, successor validation, the balancer's check and, every
+# second tick, the replication round), and the routing-table refresh, which
+# keeps a cadence of its own.
+MEMBER_LOOPS = ["ring-tick", "router-refresh"]
 
 
 def _periodic_loops(peer):
@@ -565,7 +566,7 @@ def _periodic_loops(peer):
                   if isinstance(process, _PeriodicProcess))
 
 
-def test_a_member_runs_one_ring_tick_beside_the_two_refresh_loops():
+def test_a_member_runs_one_ring_tick_beside_the_router_refresh_loop():
     index, _keys = build_cluster(seed=5, peers=6)
     members = index.ring_members()
     assert len(members) > 3

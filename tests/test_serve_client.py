@@ -178,8 +178,8 @@ def test_no_refused_replica_read_follows_an_insert():
     assert owner.replication.current_holders() == ()
     assert count("serve_replica_rejected") == rejected
     assert count("serve_read_replica") == served
-    # The next refresh round pushes the new snapshot: replicas serve again.
-    index.run(index.config.replication_refresh_period + 1.0)
+    # The next replication round pushes the new snapshot: replicas serve again.
+    index.run(owner.replication.table.period + 1.0)
     assert owner.replication.current_holders()
     for _ in range(8):
         result = index.range_query_now(lo, hi, routing="replica_lb", consistency="strong")
@@ -219,14 +219,14 @@ def test_replica_never_serves_a_tombstoned_copy():
 
 def test_an_ex_target_forgets_the_owners_snapshot_and_a_current_target_serves_it():
     """A split's new peer moves into its predecessors' successor lists, so an
-    owner stops pushing to its last target.  Once the window plus one refresh
+    owner stops pushing to its last target.  Once the window plus one replication
     period has passed, the ex-target's ``eventual`` read (``version=None``)
     answers ``no_push`` instead of serving the snapshot it was last pushed;
     a current target's version-matched read still succeeds."""
     index, splitter = _overflowing_splitter(seed=61)
     members = [peer for peer in index.ring_members() if peer is not splitter]
     targets = {peer.address: set(peer.replication._last_push[1]) for peer in members}
-    period = index.config.replication_refresh_period
+    period = splitter.replication.table.period
     index.run((LEASE_PERIODS + 2) * period)
     dropped = [
         (owner, index.peers[address])
@@ -306,9 +306,9 @@ def test_replica_lb_waits_out_the_take_over_of_a_failed_owner():
     assert index.sim.now - started <= 2 * index.config.repair_horizon
     assert _meta_rpcs(index) - metas < 10
     assert result["hops"] < 10
-    # The new owner revives the items from its replicas within a refresh round.
+    # The new owner revives the items from its replicas within a replication round.
     assert set(result["keys"]) <= set(want)
-    index.run(2 * index.config.replication_refresh_period)
+    index.run(2 * entry.replication.table.period)
     again = index.range_query_now(lb, ub, via=entry.address, routing="replica_lb")
     assert again["complete"] and again["keys"] == want
 
