@@ -262,6 +262,9 @@ class StorageBalancer(RingListener):
                     "items": columns_to_wire(lower_keys, lower_payloads),
                     "join_via": pred_address,
                     "notify": self.address,
+                    # Our predecessor's lease: the new peer becomes its first
+                    # successor before its next round pushes there.
+                    "lease": self.replication.lease_for(self.ring.pred_address),
                 },
             )
             self._pending_split = {
@@ -304,6 +307,8 @@ class StorageBalancer(RingListener):
         value = payload["value"]
         self.ring.update_value(value)
         self.store.activate(crange, payload["items"])
+        if payload.get("lease") is not None:
+            self.replication.take_lease(payload["lease"])
         self.node.spawn(
             self._activation_join(payload["join_via"], payload["notify"]),
             name="ds-activate-join",

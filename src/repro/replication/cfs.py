@@ -11,7 +11,7 @@ renewed by the owner's ``ring_stabilize`` beacons.  A failed peer's successor
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.datastore.items import Item, ItemStore, items_to_wire
 from repro.datastore.store import DataStore
@@ -200,6 +200,18 @@ class ReplicationManager(RingListener):
         primaries, and no push brings them while its fingerprint holds."""
         shed = {"items": items_to_wire(items), "owner": self.node.address, "snapshot": False}
         self._handle_store_replicas(shed, None)
+
+    def lease_for(self, owner: Optional[str]) -> Optional[dict]:
+        """Our lease for ``owner`` and its copies as a push (:func:`leases.handed`):
+        a split's new peer succeeds our predecessor before that one's next round."""
+        push = leases.handed(self.table, owner)
+        if push is not None:
+            push["items"] = items_to_wire(filter(None, map(self.replicas.get, push["keys"])))
+        return push
+
+    def take_lease(self, push: dict) -> None:
+        """Hold a lease a splitter handed us (:meth:`lease_for`)."""
+        self._handle_store_replicas(push, None)
 
     def propagate_delete(self, skv: float) -> None:
         """Forget a deleted item everywhere it is replicated (prevents

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 # How many replication periods a copy stays promotable past its lease time.
 LEASE_PERIODS = 4
@@ -28,7 +28,8 @@ TOMBSTONE_PERIODS = 3
 @dataclass(slots=True)
 class Lease:
     """One snapshot push.  ``time`` is first-hand: the push's receipt, or a later
-    receipt of the owner's own beacon at ``version``, relayed, never advanced.
+    receipt of the owner's own beacon at ``version``; relayed or handed on
+    (:func:`handed`), never advanced.
     ``keys`` are sorted and bisected: a tuple takes a slot a key, a set four."""
 
     version: Any
@@ -59,14 +60,16 @@ def deleted(table: LeaseTable, key: float, now: float) -> bool:
 
 def receive(table: LeaseTable, push: dict, now: float) -> List[dict]:
     """Take a ``rep_store_replicas`` push in; return the wire entries no live
-    tombstone covers, to hold.  A snapshot push becomes its owner's lease;
-    the keys it dropped from the one it supersedes keep that lease's time in
+    tombstone covers, to hold.  A snapshot push becomes its owner's lease,
+    at ``now`` or at the time a handed-on lease keeps (:func:`handed`); the
+    keys it dropped from the one it supersedes keep that lease's time in
     ``copies``.  A non-snapshot push stamps its keys there."""
     kept = [entry for entry in push["items"] if not deleted(table, entry["skv"], now)]
     if not push.get("snapshot", True):
         table.copies.update((entry["skv"], now) for entry in kept)
         return kept
-    lease = Lease(push.get("version"), now, tuple(sorted(entry["skv"] for entry in push["items"])),
+    keys = push.get("keys") or sorted(entry["skv"] for entry in push["items"])
+    lease = Lease(push.get("version"), push.get("time", now), tuple(keys),
                   tuple(push.get("targets", ())))
     superseded = table.leases.get(push["owner"])
     for key in superseded.keys if superseded is not None else ():
@@ -92,6 +95,14 @@ def renew(table: LeaseTable, beacons: Dict[str, tuple], now: float) -> List[str]
         elif lease.version == version and time > lease.time:
             lease.time = time
     return asks
+
+
+def handed(table: LeaseTable, owner: Optional[str]) -> Optional[dict]:
+    """``owner``'s lease as a push handing its version, time, keys and targets
+    on unchanged (the caller adds the copies); None if there is none."""
+    lease = table.leases.get(owner)
+    return lease and {"owner": owner, "version": lease.version, "time": lease.time,
+                      "keys": lease.keys, "targets": lease.targets}
 
 
 def relayed(table: LeaseTable, target: str, now: float) -> Dict[str, tuple]:

@@ -87,7 +87,8 @@ class LastReply:
 
 def _answer_state(answer, call) -> None:
     """Settle :meth:`ChordRing._ping`'s ``answer`` from the ping ``call``."""
-    answer._trigger_last(True, call.value["state"] if call.ok else None)
+    answer._trigger_last(True, (call.value["state"], call.value["value"]) if call.ok
+                         else (None, None))
 
 
 class RingListener:
@@ -708,7 +709,8 @@ class ChordRing:
         which always pings, and then offers the pending ``_pred_probe``
         stabilizer to the closer-predecessor rule -- it replaces a cleared
         pointer at once, and leaves a live one alone.  A predecessor that
-        stopped responding is cleared.
+        stopped responding, or answers at a value other than ``pred_value``,
+        is cleared.
         """
         pred_address, pred_value = self.pred_address, self.pred_value
         has_pred = self.is_joined and pred_address not in (None, self.address)
@@ -718,9 +720,12 @@ class ChordRing:
             self._tally("ring_ping_fresh_skip")
         elif has_pred:
             # A predecessor that merged away (FREE) or never finished joining
-            # is no longer a ring member even though its process is alive.
-            state = yield self._ping(pred_address)
-            if state in (None, FREE, JOINING) and self.pred_address == pred_address:
+            # is no longer a ring member even though its process is alive;
+            # one that answers at another value was recycled by a split
+            # elsewhere in the ring, and no longer bounds our range.
+            state, value = yield self._ping(pred_address)
+            if ((state in (None, FREE, JOINING) or value != self.pred_value)
+                    and self.pred_address == pred_address):
                 self.pred_address = None
                 # Keep ``pred_value`` so the Data Store range stays put until a
                 # new predecessor announces itself (at which point the range
@@ -769,7 +774,7 @@ class ChordRing:
                 self._tally("ring_ping_fresh_skip")
                 continue
             address = entry.address
-            state = yield self._ping(address)
+            state, _value = yield self._ping(address)
             if state in (None, FREE, JOINING):
                 stale.append(address)
             elif state in (JOINED, LEAVING):
@@ -789,8 +794,9 @@ class ChordRing:
         self._record_op("successor_entries_pruned", pruned=stale)
 
     def _ping(self, address: str):
-        """``ring_ping`` ``address``: an event that succeeds with the state it
-        answers, or with ``None`` if the call fails.
+        """``ring_ping`` ``address``: an event that succeeds with the
+        ``(state, value)`` it answers, or with ``(None, None)`` if the call
+        fails.
 
         A failed call is a value, not an exception thrown into the waiting
         check, so :meth:`_tick` can ``yield from`` the checks and keep the

@@ -225,7 +225,9 @@ class HierarchicalRingRouter(RingListener):
         * ``wrapped`` -- our pointers at ``level`` pass the origin (or, past
           the end, our farthest one does): the pointer covers what is left of
           the origin's ring, and once the walk's table reaches halfway round
-          the key space it ends there.
+          the key space it ends there.  A slice whose second pointer passes
+          the origin is cut before it and marked ``wrapped`` too, so the walk
+          goes on from its first pointer instead of ending as a plain answer.
 
         ``mark`` is ``None`` for a plain slice.
         """
@@ -247,6 +249,8 @@ class HierarchicalRingRouter(RingListener):
                 beyond = not answer and short[-1] == pointers[-1]
                 mark = "past_end" if beyond else "wrapped"
             answer = short[-1:]
+        elif self._clockwise(own_value, answer[-1][1]) >= room:
+            answer, mark = answer[:1], "wrapped"  # the second pointer passes the origin
         return answer, mark
 
     def _handle_table_entry(self, payload, request):
@@ -347,14 +351,16 @@ class HierarchicalRingRouter(RingListener):
     def _held(self, start: int) -> Optional[List[Tuple[str, float]]]:
         """What a restart walk from ``start`` carries for its stop rule: our
         pointers past ``table[start]``.  ``None`` (the walk never stops
-        early) while our table reaches neither ``ROUTER_TABLE_SIZE`` pointers
-        nor half the key space, so it is still converging, or while its
-        pointers from ``table[start]`` on no longer strictly increase
-        clockwise from our value, which moved since they were installed."""
+        early) while our table falls short of half the key space, so it is
+        still converging -- a full table can too, its levels answered by
+        hops whose own tables were short, and an early stop would keep them
+        -- or while its pointers from ``table[start]`` on no longer strictly
+        increase clockwise from our value, which moved since they were
+        installed."""
         table = self.table
         own_value = self.ring.value
         distances = [self._clockwise(own_value, value) for _, value in table[start:]]
-        if len(table) < ROUTER_TABLE_SIZE and distances[-1] < self.config.key_space / 2.0:
+        if distances[-1] < self.config.key_space / 2.0:
             return None
         if any(near >= far for near, far in zip(distances, distances[1:])):
             return None
@@ -390,8 +396,8 @@ class HierarchicalRingRouter(RingListener):
         returns the walked table followed by the rest of ours.  On a
         settled ring a restart then costs two messages, one hop and the
         result.  A full walk never stops early, nor does a restart from a
-        table that reaches neither ``ROUTER_TABLE_SIZE`` pointers nor half
-        the key space: such a table is still converging.  After a walk the
+        table short of half the key space, even a full one: such a table is
+        still converging.  After a walk the
         next one starts two levels below the lowest level this one changed,
         rounded down to even (the hop that answered that level, or the one
         before it).  Evidence against the table makes the next walk full: a

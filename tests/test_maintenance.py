@@ -196,9 +196,9 @@ def _run_until(index, condition, limit=30.0, step=0.001):
         index.run(step)
 
 
-def _overflowing_splitter(seed):
+def _overflowing_splitter(seed, peers=8):
     """A settled ring with one free peer and a member just asked to split."""
-    index, _keys = build_cluster(seed=seed, peers=8)
+    index, _keys = build_cluster(seed=seed, peers=peers)
     index.add_peer()
     index.run(5.0)
     assert index.pool.available() >= 1

@@ -272,7 +272,8 @@ class MergedAwayStub(Endpoint):
         super().__init__(sim, network, address)
         self.insert_requests = 0
         self.register_handler("ring_insert_successor", self._insert)
-        self.register_handler("ring_ping", lambda payload, request: {"state": FREE})
+        self.register_handler("ring_ping",
+                              lambda payload, request: {"state": FREE, "value": 400.0})
 
     def _insert(self, payload, request):
         self.insert_requests += 1
@@ -300,6 +301,26 @@ def test_join_falls_back_when_a_redirect_names_a_merged_away_peer():
     assert joiner.ring.state == JOINED
     harness.run(3 * harness.config.stabilization_period)
     assert contact.ring.pred_address == joiner.address
+    assert check_consistent_successor_pointers(harness.live()).ok
+
+
+def test_a_predecessor_recycled_at_another_value_is_cleared():
+    """Forged: our predecessor pointer names a peer that merged away and was
+    re-activated elsewhere by a split, so it answers JOINED at another value
+    (``mixed_300`` left a range with no owner this way).  The check triggered
+    by the stabilize of the peer behind clears it, as it clears a dead one,
+    and adopts that peer."""
+    harness = RingHarness(ring_class=PepperRing)
+    harness.bootstrap(1000.0)
+    for value in (200.0, 400.0, 600.0, 800.0):
+        harness.join_peer(value)
+    harness.run(8.0)
+    by_value = {peer.ring.value: peer for peer in harness.peers}
+    contact, behind, recycled = by_value[600.0], by_value[400.0], by_value[1000.0]
+    assert contact.ring.pred_address == behind.address
+    contact.ring.pred_address, contact.ring.pred_value = recycled.address, 500.0
+    harness.run(2 * harness.config.stabilization_period)
+    assert (contact.ring.pred_address, contact.ring.pred_value) == (behind.address, 400.0)
     assert check_consistent_successor_pointers(harness.live()).ok
 
 

@@ -317,10 +317,10 @@ def test_table_entry_answers_stop_short_of_the_asker():
     def ask(level, until):
         return router._table_answer(level, until)
 
-    # A slice that starts short of the origin is answered as it is; the walk
-    # refuses a second pointer that passes it.
+    # A slice short of the origin is answered as it is; one whose second
+    # pointer passes it is cut there and marked, so the walk goes on from it.
     assert ask(0, 3500.0) == ([a, t1], None)
-    assert ask(2, 3500.0) == ([t2, t3], None)
+    assert ask(2, 3500.0) == ([t2], "wrapped")
     # Our pointers at the level pass the origin: the farthest short of it.
     assert ask(3, 3500.0) == ([t2], "wrapped")
     assert ask(4, 4500.0) == ([t3], "wrapped")
@@ -790,7 +790,7 @@ def _iterative_walk(index, router, prefix=()):
     successor, and how many peers it asked.
 
     A restart stops early when the origin's table ``router.table`` reaches
-    ``ROUTER_TABLE_SIZE`` pointers or half the key space and strictly
+    half the key space and strictly
     increases clockwise from the prefix's last pointer on: at the first
     unmarked answer whose pointers all install and equal the ones the
     origin's table holds at those levels, the walk keeps the rest of that
@@ -802,9 +802,7 @@ def _iterative_walk(index, router, prefix=()):
     stops = False
     if table:
         reach = [router._clockwise(own, value) for _, value in old[len(table) - 1 :]]
-        stops = (len(old) >= ROUTER_TABLE_SIZE or reach[-1] >= halfway) and reach == sorted(
-            set(reach)
-        )
+        stops = reach[-1] >= halfway and reach == sorted(set(reach))
         last = reach[0]
         fresh, mark = index.peers[table[-1][0]].router._table_answer(len(table) - 1, own)
         hops += 1
